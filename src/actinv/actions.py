@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ActionError, FreenessError, OrbitError
+from .errors import ActionError, FreenessError, OrbitError, TheoremViolationError
 from .groups import CosetSection, Element, FiniteAbelianGroup, Subgroup
 
 
@@ -62,6 +62,8 @@ class ActionSpace:
             w = np.asarray(weights, dtype=float)
             if w.shape != (n,):
                 raise ValueError(f"weights must have shape ({n},)")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weights must be finite")
             if not np.all(w > 0):
                 raise ValueError("weights must be strictly positive")
         self.weights = w
@@ -172,7 +174,11 @@ def validate_action(action: ActionSpace) -> ActionReport:
             orb = np.sort(table[:, x])
             seen[orb] = True
             orbits.append(tuple(int(v) for v in orb))
-    assert len(orbits) == n // group.order
+    if len(orbits) != n // group.order:
+        raise TheoremViolationError(
+            "free action has orbits of the wrong size",
+            details={"orbits": len(orbits), "expected": n // group.order},
+        )
     return ActionReport(n, group.order, len(orbits), tuple(orbits))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from .extra import (
 from .groups import FiniteAbelianGroup, Subgroup
 from .io import ensure_parent, read_columns_csv, write_columns_csv
 from .scenario import Scenario
-from .spaces import Subspace, span_invariant
+from .spaces import DEFAULT_TOL, Subspace, span_invariant
 from .zak import (
     base_norm,
     full_norm,
@@ -60,7 +61,6 @@ from .zak import (
 )
 
 SCHEMA_VERSION = 1
-DEFAULT_TOL = 1e-9
 
 
 # -- configuration ------------------------------------------------------------
@@ -139,8 +139,8 @@ def build_scenario(doc: dict) -> Scenario:
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != points:
             raise ConfigError("action.weights", f"expected {points} numbers")
-        if not all(isinstance(v, (int, float)) and v > 0 for v in weights):
-            raise ConfigError("action.weights", "weights must be positive numbers")
+        if not all(isinstance(v, (int, float)) and 0 < v < math.inf for v in weights):
+            raise ConfigError("action.weights", "weights must be finite positive numbers")
     try:
         action = ActionSpace(group, points, perms, weights)
     except (ActionError, ValueError) as exc:

@@ -36,7 +36,7 @@ from .spaces import (
     require_base_invariant,
     span_invariant,
 )
-from .zak import unfold_orbits, zak_full, zak_full_inv
+from .zak import _group_dft, unfold_orbits, zak_full, zak_full_inv
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,25 @@ def dual_partition(scn: Scenario) -> DualPartition:
             for omega in scn.omega
             for d in scn.extra_annihilator.elements
         }
-        assert len(block) == scn.n_fibers * scn.extra_annihilator.order
+        if len(block) != scn.n_fibers * scn.extra_annihilator.order:
+            raise TheoremViolationError(
+                "dual partition block has the wrong size",
+                details={"label": list(xi), "size": len(block)},
+            )
         for el in block:
             for d in scn.extra_annihilator.elements:
-                assert group.add(el, d) in block
+                if group.add(el, d) not in block:
+                    raise TheoremViolationError(
+                        "dual partition block is not extra-annihilator invariant",
+                        details={"label": list(xi), "element": list(el)},
+                    )
         blocks.append(frozenset(block))
     union = set().union(*blocks)
-    assert sum(len(b) for b in blocks) == group.order
-    assert union == set(group.elements)
+    if sum(len(b) for b in blocks) != group.order or union != set(group.elements):
+        raise TheoremViolationError(
+            "dual partition blocks do not tile the dual group",
+            details={"covered": len(union), "order": group.order},
+        )
     masks = np.zeros((len(labels), group.order), dtype=bool)
     for i, block in enumerate(blocks):
         for el in block:
@@ -102,9 +113,8 @@ def mask_apply(scn: Scenario, xi, f: np.ndarray, part: DualPartition | None = No
     if part is None:
         part = dual_partition(scn)
     pos = scn.block_section.position_of(xi)
-    vals = zak_full(scn, np.asarray(f, dtype=complex))
-    mask = part.masks[pos]
-    vals = vals * (mask[:, None] if vals.ndim == 2 else mask[:, None, None])
+    vals = zak_full(scn, f)
+    vals[~part.masks[pos]] = 0.0
     return zak_full_inv(scn, vals)
 
 
@@ -392,14 +402,11 @@ def sequence_extra_invariance(
         )
     extra_probes = scn.extra.generators if scn.extra.generators else [group.zero]
     res_translate = max(resid(shift(g, q)) for g in extra_probes)
-    # dft[h, t] = pairing(-t, h): analysis matrix of the sequence transform
-    dft = scn.chars_full.T
+    spectra = _group_dft(group, q)  # [h] = sum_t pairing(-t, h) q[t]
     part = dual_partition(scn)
     res_mask = 0.0
     for pos in range(scn.n_blocks):
-        spectra = dft @ q
-        spectra *= part.masks[pos][:, None]
-        masked = dft.conj().T @ spectra / n
+        masked = _group_dft(group, spectra * part.masks[pos][:, None], inverse=True)
         res_mask = max(res_mask, resid(masked))
     ok_translate, ok_mask = res_translate <= tol, res_mask <= tol
     if ok_translate != ok_mask:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ChainError
+from .errors import ChainError, TheoremViolationError
 
 Element = tuple[int, ...]
 
@@ -146,7 +146,11 @@ class Subgroup:
                 gens.append(el)
                 have = _closure(group, gens)
         sub = cls(group, gens)
-        assert set(sub.elements) == members
+        if set(sub.elements) != members:
+            raise TheoremViolationError(
+                "derived generators do not regenerate the element set",
+                details={"members": len(members), "closure": sub.order},
+            )
         return sub
 
     def __repr__(self) -> str:
@@ -259,7 +263,11 @@ def coset_section(
     pos = {rep: i for i, rep in enumerate(reps)}
     position = {el: pos[rep] for el, rep in rep_of.items()}
     expected = len(domain) // subgroup.order
-    assert len(reps) == expected, "section does not cover every coset exactly once"
+    if len(reps) != expected:
+        raise TheoremViolationError(
+            "section does not cover every coset exactly once",
+            details={"representatives": len(reps), "cosets": expected},
+        )
     return CosetSection(group, subgroup, reps, position)
 
 
@@ -290,8 +298,8 @@ def validate_chain(
 
     Raises :class:`ChainError` when the subgroups are not nested.  The
     annihilator of ``extra`` is always contained in the annihilator of
-    ``base``; that containment is asserted, not reported, since it cannot
-    fail for a valid chain.
+    ``base``; that containment is checked, not reported, since it cannot
+    fail for a valid chain (a failure raises :class:`TheoremViolationError`).
     """
     if base.group != group or extra.group != group:
         raise ChainError("subgroups belong to a different ambient group")
@@ -302,7 +310,10 @@ def validate_chain(
         )
     base_ann = annihilator(base)
     extra_ann = annihilator(extra)
-    assert extra_ann.issubset(base_ann)
+    if not extra_ann.issubset(base_ann):
+        raise TheoremViolationError(
+            "annihilator of the extra subgroup is not inside the base annihilator"
+        )
     return ChainReport(
         index_base=base.index,
         index_extra=extra.index,

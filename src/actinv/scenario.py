@@ -132,17 +132,6 @@ class Scenario:
         """sigma_{+tau}(x) for tau in group, x in orbit_reps, plus jacobian roots."""
         return self._gather(self.group.elements, self.tiling.orbit_reps, +1)
 
-    @cached_property
-    def _base_scatter(self):
-        """Inverse of the base gather: point -> (mover position, tile position)."""
-        gather, _ = self._base_gather
-        return _invert_gather(gather, self.action.n_points)
-
-    @cached_property
-    def _full_scatter(self):
-        gather, _ = self._full_gather
-        return _invert_gather(gather, self.action.n_points)
-
     # -- character tables -----------------------------------------------------
 
     @cached_property
@@ -151,18 +140,14 @@ class Scenario:
         negs = [self.group.neg(g) for g in self.base.elements]
         return self.group.char_matrix(negs, list(self.omega))
 
-    @cached_property
-    def chars_full(self) -> np.ndarray:
-        """``[i, j] = pairing(-group[i], group[j])`` over the whole (dual) group."""
-        negs = [self.group.neg(g) for g in self.group.elements]
-        return self.group.char_matrix(negs, self.group.elements)
-
-    @cached_property
+    @property
     def coset_dft(self) -> np.ndarray:
         """Matrix ``[k, j] = pairing(-a_j, annihilator_order[k])``.
 
         Scaled by ``n_cosets ** -0.5`` this is unitary: it is the character
         table of the quotient by the base subgroup against its annihilator.
+        Built on each access, not cached: it has ``n_cosets ** 2`` entries
+        (``group.order ** 2`` for a trivial base) and only checks use it.
         """
         negs = [self.group.neg(a) for a in self.transversal.representatives]
         return self.group.char_matrix(negs, list(self.annihilator_order)).T
@@ -203,12 +188,3 @@ class Scenario:
         pos = self.block_section.position_of(xi)
         return np.flatnonzero(self.coordinate_labels == pos)
 
-
-def _invert_gather(gather: np.ndarray, n_points: int) -> np.ndarray:
-    out = np.full((n_points, 2), -1, dtype=np.intp)
-    movers, cells = gather.shape
-    for i in range(movers):
-        for c in range(cells):
-            out[gather[i, c]] = (i, c)
-    assert np.all(out >= 0), "gather table does not cover every point"
-    return out

@@ -7,8 +7,14 @@ Three transforms, all bijective isometries:
 
       zak_base[f](omega)(x) = sum_{g in base} translate(g, f)(x) * pairing(-g, omega)
 
+  computed as a matrix product with the |base| x |base| table
+  ``Scenario.chars_base_omega``;
+
 * full Zak: same construction for the whole group, indexed by (dual
-  element, orbit representative);
+  element, orbit representative).  Since ``group.elements`` is in
+  lexicographic order, the character sum over the group is the
+  multidimensional DFT of the orbit samples reshaped to the moduli shape,
+  so it is computed with ``np.fft.fftn`` (and inverted with ``ifftn``);
 
 * stacked Zak: the full Zak values regrouped per fiber into a vector of
   length ``n_cosets`` (one slot per base-annihilator element, in
@@ -19,11 +25,18 @@ Isometry conventions: the function side carries the point weights; the
 dual side carries weight ``1/n_fibers`` per fiber for the base and stacked
 transforms and ``1/group.order`` per dual element for the full transform.
 
+Memory: besides the |base|^2 base table, every transform works in
+O(|G| * orbits) per function: an index/weight gather table of that size
+and the transform values themselves.  No |G| x |G| table is built.
+
 ``unfold_orbits`` is the companion fiberization into sequences over the
 group: ``unfold_orbits(f)(x)(tau) = jacobian(tau, x)**0.5 * f(sigma_tau(x))``
 for orbit representatives x.  Its rows transform under ``translate`` by
 plain index translation, and their discrete Fourier transform recovers the
 full Zak values at the negated dual element.
+
+Every function accepts a trailing batch axis: 2-D input transforms
+columnwise.
 """
 from __future__ import annotations
 
@@ -31,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import FiniteAbelianGroup
 from .scenario import Scenario
 
 __all__ = [
@@ -54,60 +68,59 @@ __all__ = [
 ]
 
 
-def _orbit_values(f: np.ndarray, gather: np.ndarray, jhalf: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=complex)
-    if f.ndim == 1:
-        return jhalf * f[gather]
-    return jhalf[..., None] * f[gather]
+def _gathered(table, f: np.ndarray) -> np.ndarray:
+    """Weighted samples ``jhalf * f[gather]``, shape (movers, cells, *batch)."""
+    gather, jhalf = table
+    values = np.asarray(f, dtype=complex)[gather]
+    return values * jhalf.reshape(jhalf.shape + (1,) * (values.ndim - 2))
+
+
+def _scattered(scn: Scenario, table, samples: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_gathered`: the function with those weighted samples."""
+    gather, jhalf = table
+    batch = samples.shape[2:]
+    f = np.empty((scn.action.n_points,) + batch, dtype=complex)
+    scale = jhalf.reshape(jhalf.shape + (1,) * len(batch))
+    f[gather.ravel()] = (samples / scale).reshape((-1,) + batch)
+    return f
+
+
+def _group_dft(
+    group: FiniteAbelianGroup, a: np.ndarray, inverse: bool = False
+) -> np.ndarray:
+    """DFT over the group along axis 0 (indexed like ``group.elements``).
+
+    Forward: ``out[h] = sum_t pairing(-t, h) * a[t]``; inverse: the
+    conjugate characters, divided by ``group.order``.  Trailing axes are
+    carried along.
+    """
+    a = np.asarray(a, dtype=complex)
+    grid = a.reshape(group.moduli + a.shape[1:])
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    return fft(grid, axes=tuple(range(group.rank))).reshape(a.shape)
 
 
 def zak_base(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Base Zak values, shape (n_fibers, len(tiles)); trailing axis for 2-D input."""
-    gather, jhalf = scn._base_gather
-    orbit = _orbit_values(f, gather, jhalf)
-    if orbit.ndim == 2:
-        return np.einsum("gc,gw->wc", orbit, scn.chars_base_omega)
-    return np.einsum("gcd,gw->wcd", orbit, scn.chars_base_omega)
+    orbit = _gathered(scn._base_gather, f)
+    return np.tensordot(scn.chars_base_omega, orbit, axes=(0, 0))
 
 
 def zak_base_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
     chars = scn.chars_base_omega  # [g, w] = pairing(-base[g], omega[w])
-    if values.ndim == 2:
-        a = np.einsum("wc,gw->gc", values, np.conj(chars)) / scn.base.order
-    else:
-        a = np.einsum("wcd,gw->gcd", values, np.conj(chars)) / scn.base.order
-    gather, jhalf = scn._base_gather
-    shape = (scn.action.n_points,) + values.shape[2:]
-    f = np.empty(shape, dtype=complex)
-    f[gather.ravel()] = (a / (jhalf if a.ndim == 2 else jhalf[..., None])).reshape(
-        (-1,) + shape[1:]
-    )
-    return f
+    a = np.tensordot(np.conj(chars), values, axes=(1, 0)) / scn.base.order
+    return _scattered(scn, scn._base_gather, a)
+
 
 def zak_full(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Full Zak values, shape (group.order, len(orbit_reps))."""
-    gather, jhalf = scn._full_gather
-    orbit = _orbit_values(f, gather, jhalf)
-    if orbit.ndim == 2:
-        return np.einsum("tc,th->hc", orbit, scn.chars_full)
-    return np.einsum("tcd,th->hcd", orbit, scn.chars_full)
+    return _group_dft(scn.group, _gathered(scn._full_gather, f))
 
 
 def zak_full_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
-    chars = scn.chars_full
-    if values.ndim == 2:
-        a = np.einsum("hc,th->tc", values, np.conj(chars)) / scn.group.order
-    else:
-        a = np.einsum("hcd,th->tcd", values, np.conj(chars)) / scn.group.order
-    gather, jhalf = scn._full_gather
-    shape = (scn.action.n_points,) + values.shape[2:]
-    f = np.empty(shape, dtype=complex)
-    f[gather.ravel()] = (a / (jhalf if a.ndim == 2 else jhalf[..., None])).reshape(
-        (-1,) + shape[1:]
-    )
-    return f
+    a = _group_dft(scn.group, values, inverse=True)
+    return _scattered(scn, scn._full_gather, a)
 
 
 def zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
@@ -134,21 +147,12 @@ def periodized_base(scn: Scenario, values: np.ndarray) -> np.ndarray:
 
 def unfold_orbits(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Weighted orbit samples; shape (len(orbit_reps), group.order)."""
-    gather, jhalf = scn._unfold_gather
-    orbit = _orbit_values(f, gather, jhalf)
-    return np.moveaxis(orbit, 0, 1)
+    return np.moveaxis(_gathered(scn._unfold_gather, f), 0, 1)
 
 
 def fold_orbits(scn: Scenario, phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=complex)
-    orbit = np.moveaxis(phi, 1, 0)
-    gather, jhalf = scn._unfold_gather
-    shape = (scn.action.n_points,) + phi.shape[2:]
-    f = np.empty(shape, dtype=complex)
-    f[gather.ravel()] = (
-        orbit / (jhalf if orbit.ndim == 2 else jhalf[..., None])
-    ).reshape((-1,) + shape[1:])
-    return f
+    orbit = np.moveaxis(np.asarray(phi, dtype=complex), 1, 0)
+    return _scattered(scn, scn._unfold_gather, orbit)
 
 
 # -- norms under the transform conventions ------------------------------------

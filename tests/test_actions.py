@@ -144,6 +144,13 @@ def test_action_input_validation():
         ActionSpace(g, 4, [[1, 2, 3, 0]], weights=[1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_action_rejects_non_finite_weights(bad):
+    g = FiniteAbelianGroup([4])
+    with pytest.raises(ValueError, match="finite"):
+        ActionSpace.regular(g, 1, weights=[bad, 1.0, 1.0, 1.0])
+
+
 # -- tilings -------------------------------------------------------------------
 
 

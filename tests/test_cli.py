@@ -237,6 +237,17 @@ def test_bad_permutation(capsys, tmp_path):
     assert detail == "action.permutations[0]: not a permutation of 0..11"
 
 
+def test_non_finite_weight_is_a_config_error(capsys, tmp_path):
+    doc = chain12_cfg()
+    doc["action"]["weights"] = [float("inf")] + [1.0] * 11
+    cfg = write_cfg(tmp_path, doc)
+    # json.dumps writes the JSON extension token Infinity, which json.loads accepts
+    assert "Infinity" in (tmp_path / "cfg.json").read_text()
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "validate"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith("action.weights:")
+
+
 def test_check_needs_subspace(capsys, tmp_path):
     cfg = write_cfg(tmp_path, chain12_cfg())
     rc, kind, detail = error_detail(capsys, ["--config", cfg, "check"])

@@ -24,6 +24,7 @@ from actinv import (
 )
 from actinv.zak import base_norm, full_norm, stacked_norm, unfold_norm
 
+import oracle
 from conftest import random_function
 
 
@@ -182,7 +183,7 @@ def test_unfold_dft_recovers_full_zak(scn):
     f = random_function(scn, rng)
     phi = unfold_orbits(scn, f)
     zf = zak_full(scn, f)
-    spectrum = phi @ scn.chars_full  # row DFT with analysis character pairing(-t, .)
+    spectrum = phi @ oracle.analysis_chars(scn.group)  # row DFT, character pairing(-t, .)
     for i, el in enumerate(scn.group.elements):
         j = scn.group.index(scn.group.neg(el))
         assert_allclose(spectrum[:, i], zf[j], atol=1e-10)
@@ -210,3 +211,19 @@ def test_typed_wrappers(scn):
         arr = cls.transform(scn, f)
         assert arr.norm() == pytest.approx(ref, rel=1e-12)
         assert_allclose(arr.invert(), f, atol=1e-12 * ref)
+
+
+def test_scenario_caches_no_group_squared_table(scn):
+    """After every transform has run, no cached array has |G|^2 entries."""
+    rng = np.random.default_rng(71)
+    f = random_function(scn, rng)
+    zak_base_inv(scn, zak_base(scn, f))
+    zak_stacked_inv(scn, zak_stacked(scn, f))
+    fold_orbits(scn, unfold_orbits(scn, f))
+    zak_relation_deviation(scn, f)
+    limit = scn.group.order ** 2
+    for name, value in vars(scn).items():
+        items = value if isinstance(value, tuple) else (value,)
+        for arr in items:
+            if isinstance(arr, np.ndarray):
+                assert arr.size < limit, name
