@@ -78,6 +78,8 @@ def _data_matrix(scn: Scenario, data) -> np.ndarray:
             f"data vectors have {mat.shape[0]} entries, "
             f"space has {scn.action.n_points} points"
         )
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("data vectors must be finite")
     if mat.shape[1] == 0:
         raise ValueError("need at least one data vector")
     return mat

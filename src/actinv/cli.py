@@ -84,13 +84,24 @@ def _require(doc: dict, field: str, kind, path: str):
     if field not in doc:
         raise ConfigError(f"{path}.{field}", "missing required field")
     value = doc[field]
-    if kind is not None and not isinstance(value, kind):
+    # no required field is a boolean, and JSON true/false must not pass as int
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ConfigError(f"{path}.{field}", f"expected {kind.__name__}")
     return value
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A finite JSON number; ``bool`` is an ``int`` subclass and is refused."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return number and -math.inf < v < math.inf
+
+
 def _int_list(raw, path: str) -> list[int]:
-    if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+    if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
         raise ConfigError(path, "expected a list of integers")
     return raw
 
@@ -139,7 +150,7 @@ def build_scenario(doc: dict) -> Scenario:
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != points:
             raise ConfigError("action.weights", f"expected {points} numbers")
-        if not all(isinstance(v, (int, float)) and 0 < v < math.inf for v in weights):
+        if not all(_is_finite(v) and v > 0 for v in weights):
             raise ConfigError("action.weights", "weights must be finite positive numbers")
     try:
         action = ActionSpace(group, points, perms, weights)
@@ -153,25 +164,25 @@ def _complex_vector(raw, n: int, path: str) -> np.ndarray:
         raise ConfigError(path, f"expected {n} [re, im] pairs")
     out = np.empty(n, dtype=complex)
     for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{path}[{i}]", "expected an [re, im] pair")
+        if not all(_is_finite(v) for v in pair):
+            raise ConfigError(f"{path}[{i}]", "expected two finite numbers")
         out[i] = complex(pair[0], pair[1])
     return out
 
 
-def _vectors_from(doc: dict, section: str, scn: Scenario, config_dir: str) -> np.ndarray:
-    sec = doc[section]
+def _vectors_from(
+    sec: dict, section: str, key: str, scn: Scenario, config_dir: str
+) -> np.ndarray:
+    """Columns from ``sec[key]`` (lists of [re, im] pairs) or from ``sec["csv"]``."""
     n = scn.action.n_points
-    if "vectors" in sec:
-        raws = sec["vectors"]
+    if key in sec:
+        raws = sec[key]
         if not isinstance(raws, list) or not raws:
-            raise ConfigError(f"{section}.vectors", "expected a nonempty list")
+            raise ConfigError(f"{section}.{key}", "expected a nonempty list")
         return np.column_stack(
-            [_complex_vector(v, n, f"{section}.vectors[{i}]") for i, v in enumerate(raws)]
+            [_complex_vector(v, n, f"{section}.{key}[{i}]") for i, v in enumerate(raws)]
         )
     if "csv" in sec:
         path = Path(config_dir) / sec["csv"]
@@ -182,7 +193,7 @@ def _vectors_from(doc: dict, section: str, scn: Scenario, config_dir: str) -> np
         if mat.shape[0] != n:
             raise ConfigError(f"{section}.csv", f"expected {n} rows, got {mat.shape[0]}")
         return mat
-    raise ConfigError(section, "expected 'vectors' or 'csv'")
+    raise ConfigError(section, f"expected '{key}' or 'csv'")
 
 
 def build_subspace(doc: dict, scn: Scenario, rng: np.random.Generator) -> Subspace:
@@ -201,7 +212,7 @@ def build_subspace(doc: dict, scn: Scenario, rng: np.random.Generator) -> Subspa
         count = rnd.get("count", 1)
         if kind not in ("principal", "spanned"):
             raise ConfigError("subspace.random.kind", "expected 'principal' or 'spanned'")
-        if not isinstance(count, int) or count < 1:
+        if not _is_int(count) or count < 1:
             raise ConfigError("subspace.random.count", "expected a positive integer")
         if kind == "principal":
             count = 1
@@ -209,9 +220,7 @@ def build_subspace(doc: dict, scn: Scenario, rng: np.random.Generator) -> Subspa
         gens = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
         return span_invariant(scn, gens)
     if "generators" in sec or "csv" in sec:
-        key = "generators" if "generators" in sec else "csv"
-        shim = {"subspace": {("vectors" if key == "generators" else "csv"): sec[key]}}
-        gens = _vectors_from(shim, "subspace", scn, doc.get("_dir", "."))
+        gens = _vectors_from(sec, "subspace", "generators", scn, doc.get("_dir", "."))
         return span_invariant(scn, gens)
     raise ConfigError(
         "subspace", "expected one of 'generators', 'csv', 'random', 'canonical'"
@@ -223,10 +232,10 @@ def _options(doc: dict, args) -> tuple[float, int]:
     if not isinstance(opts, dict):
         raise ConfigError("options", "expected an object")
     tol = args.tol if args.tol is not None else opts.get("tol", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or tol <= 0:
+    if not _is_finite(tol) or tol <= 0:
         raise ConfigError("options.tol", "expected a positive number")
     seed = args.seed if args.seed is not None else opts.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("options.seed", "expected an integer")
     return float(tol), int(seed)
 
@@ -343,10 +352,10 @@ def cmd_approx(doc: dict, args) -> int:
     tol, seed = _options(doc, args)
     if "data" not in doc or not isinstance(doc["data"], dict):
         raise ConfigError("data", "missing required section")
-    data = _vectors_from(doc, "data", scn, doc.get("_dir", "."))
+    data = _vectors_from(doc["data"], "data", "vectors", scn, doc.get("_dir", "."))
     opts = doc.get("options", {})
     ell = opts.get("ell")
-    if not isinstance(ell, int) or ell < 1:
+    if not _is_int(ell) or ell < 1:
         raise ConfigError("options.ell", "expected a positive integer")
     plain = best_invariant(scn, data, ell)
     extra = best_extra_invariant(scn, data, ell)

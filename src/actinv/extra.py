@@ -66,46 +66,68 @@ class DualPartition:
 
 
 def dual_partition(scn: Scenario) -> DualPartition:
-    """Build the dual partition from its definition and verify it.
+    """The dual partition of the scenario, built and verified once, then cached.
 
-    Each block is the set-sum of the fiber labels, one block label, and the
-    extra annihilator.  Checks: blocks are disjoint, cover the dual group,
-    have size ``n_fibers * |extra-annihilator|``, and are invariant under
-    adding extra-annihilator elements.
+    The masks come from the scenario's index tables: a dual element
+    ``omega[w] + a`` (``a`` in the base annihilator) lies in the block of
+    ``a``'s label, ``coordinate_labels[dual_split[:, 1]]``.  They are checked
+    against the definition, each block being the set-sum of the fiber
+    labels, one block label, and the extra annihilator: every block has
+    ``n_fibers * |extra-annihilator|`` elements and is invariant under
+    adding extra-annihilator elements, and the defining set-sums are
+    disjoint, cover the dual group and match the masks.
     """
+    part = vars(scn).get("_dual_partition")
+    if part is None:
+        part = scn._dual_partition = _build_dual_partition(scn)
+    return part
+
+
+def _build_dual_partition(scn: Scenario) -> DualPartition:
     group = scn.group
     labels = scn.block_labels
-    blocks = []
-    for xi in labels:
-        block = {
-            group.add(group.add(omega, xi), d)
-            for omega in scn.omega
-            for d in scn.extra_annihilator.elements
-        }
-        if len(block) != scn.n_fibers * scn.extra_annihilator.order:
+    size = scn.n_fibers * scn.extra_annihilator.order
+    block = scn.coordinate_labels[scn.dual_split[:, 1]]
+    counts = np.bincount(block, minlength=len(labels))
+    if np.any(counts != size):
+        pos = int(np.flatnonzero(counts != size)[0])
+        raise TheoremViolationError(
+            "dual partition block has the wrong size",
+            details={"label": list(labels[pos]), "size": int(counts[pos])},
+        )
+    for d in scn.extra_annihilator.generators:
+        moved = block[group.indices(group.coords + np.array(d, dtype=np.int64))]
+        if np.any(moved != block):
+            el = int(np.flatnonzero(moved != block)[0])
             raise TheoremViolationError(
-                "dual partition block has the wrong size",
-                details={"label": list(xi), "size": len(block)},
+                "dual partition block is not extra-annihilator invariant",
+                details={
+                    "label": list(labels[block[el]]),
+                    "element": list(group.elements[el]),
+                },
             )
-        for el in block:
-            for d in scn.extra_annihilator.elements:
-                if group.add(el, d) not in block:
-                    raise TheoremViolationError(
-                        "dual partition block is not extra-annihilator invariant",
-                        details={"label": list(xi), "element": list(el)},
-                    )
-        blocks.append(frozenset(block))
-    union = set().union(*blocks)
-    if sum(len(b) for b in blocks) != group.order or union != set(group.elements):
+    coords = group.coords
+    omega = coords[scn.dual_section.rep_indices]
+    xi = coords[scn.block_section.rep_indices]
+    d = coords[scn.extra_annihilator.indices]
+    # [label, fiber, d] = omega + xi + d, the blocks by definition
+    defined = group.indices(xi[:, None, None] + omega[None, :, None] + d[None, None, :])
+    covered = np.bincount(defined.ravel(), minlength=group.order)
+    if np.any(covered != 1):
         raise TheoremViolationError(
             "dual partition blocks do not tile the dual group",
-            details={"covered": len(union), "order": group.order},
+            details={"covered": int(np.count_nonzero(covered)), "order": group.order},
         )
-    masks = np.zeros((len(labels), group.order), dtype=bool)
-    for i, block in enumerate(blocks):
-        for el in block:
-            masks[i, group.index(el)] = True
-    return DualPartition(scn, tuple(labels), tuple(blocks), masks)
+    if np.any(block[defined] != np.arange(len(labels))[:, None, None]):
+        raise TheoremViolationError(
+            "dual partition masks disagree with the block definition"
+        )
+    masks = block[None, :] == np.arange(len(labels))[:, None]
+    masks.flags.writeable = False
+    blocks = tuple(
+        frozenset(group.elements[i] for i in np.flatnonzero(m)) for m in masks
+    )
+    return DualPartition(scn, tuple(labels), blocks, masks)
 
 
 def mask_apply(scn: Scenario, xi, f: np.ndarray, part: DualPartition | None = None):
@@ -379,15 +401,9 @@ def sequence_extra_invariance(
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"basis must have {n} rows")
     q = _euclid_orth(basis)
-    shift_tables = {}
 
     def shift(el, mat):
-        if el not in shift_tables:
-            perm = np.array(
-                [group.index(group.sub(t, el)) for t in group.elements], dtype=np.intp
-            )
-            shift_tables[el] = perm
-        return mat[shift_tables[el]]
+        return mat[group.indices(group.coords - np.array(el, dtype=np.int64))]
 
     def resid(mat):
         if mat.shape[1] == 0:

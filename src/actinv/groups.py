@@ -7,6 +7,11 @@ identified with its own dual through the pairing
 
 so dual objects (annihilators, sections of dual quotients) are ordinary
 subgroups and sections of the same group object.
+
+Bulk work runs on integer arrays: ``FiniteAbelianGroup.coords`` holds every
+element's coordinates in C (lexicographic) order, so an element's index is
+``np.ravel_multi_index`` of its reduced coordinates, and comparing indices
+compares elements lexicographically.
 """
 from __future__ import annotations
 
@@ -40,10 +45,14 @@ class FiniteAbelianGroup:
         self.rank = len(mods)
         self.order = math.prod(mods)
         self.elements: list[Element] = list(product(*(range(n) for n in mods)))
-        self._index: dict[Element, int] = {el: i for i, el in enumerate(self.elements)}
+        # Row i holds the coordinates of elements[i].
+        self.coords = np.indices(mods, dtype=np.int64).reshape(self.rank, -1).T.copy()
+        self.coords.flags.writeable = False
+        self._moduli = np.array(mods, dtype=np.int64)
+        self._strides = tuple(math.prod(mods[j + 1 :]) for j in range(self.rank))
         # Common denominator for exact character phases.
         self._lcm = math.lcm(*mods)
-        self._scale = tuple(self._lcm // n for n in mods)
+        self._scale = np.array([self._lcm // n for n in mods], dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup{self.moduli}"
@@ -79,7 +88,17 @@ class FiniteAbelianGroup:
         return self.add(a, self.neg(b))
 
     def index(self, el: Iterable[int]) -> int:
-        return self._index[self.reduce(el)]
+        """Position in ``elements``; one element's case of :meth:`indices`."""
+        return sum(c * s for c, s in zip(self.reduce(el), self._strides))
+
+    def indices(self, coords) -> np.ndarray:
+        """Element indices of coordinate rows (last axis), reduced modulo the moduli."""
+        c = np.asarray(coords, dtype=np.int64) % self._moduli
+        return np.ravel_multi_index(tuple(np.moveaxis(c, -1, 0)), self.moduli)
+
+    def element_order(self, el: Element) -> int:
+        """Order of the cyclic subgroup generated by a reduced element."""
+        return math.lcm(*(n // math.gcd(c, n) for c, n in zip(el, self.moduli)))
 
     def phase_numerator(self, x: Iterable[int], xi: Iterable[int]) -> int:
         """Numerator of the pairing phase over the common denominator lcm(moduli).
@@ -89,8 +108,12 @@ class FiniteAbelianGroup:
         exactly one.
         """
         x, xi = self.reduce(x), self.reduce(xi)
-        num = sum(a * b * s for a, b, s in zip(x, xi, self._scale))
+        num = sum(a * b * int(s) for a, b, s in zip(x, xi, self._scale))
         return num % self._lcm
+
+    def phase_numerators(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+        """``[i, j] = phase_numerator(xs[i], xis[j])`` for reduced coordinate rows."""
+        return (xs * self._scale) @ xis.T % self._lcm
 
     def pairing(self, x: Iterable[int], xi: Iterable[int]) -> complex:
         """Character value of the (self-)dual pairing; exactly 1 when trivial."""
@@ -106,23 +129,29 @@ class FiniteAbelianGroup:
         """Matrix of pairings ``[i, j] -> pairing(xs[i], xis[j])``."""
         a = np.array([self.reduce(x) for x in xs], dtype=np.int64)
         b = np.array([self.reduce(x) for x in xis], dtype=np.int64)
-        scale = np.array(self._scale, dtype=np.int64)
-        nums = (a * scale) @ b.T % self._lcm
-        return np.exp(2j * np.pi * nums / self._lcm)
+        return np.exp(2j * np.pi * self.phase_numerators(a, b) / self._lcm)
 
 
 class Subgroup:
     """A subgroup, closed over from a generator list (or explicit elements).
 
     ``elements`` is the full element list in lexicographic order; the zero
-    element always comes first.
+    element always comes first.  ``indices`` holds the same elements as
+    sorted positions in ``group.elements``.
     """
 
     def __init__(self, group: FiniteAbelianGroup, generators: Iterable[Iterable[int]]):
         self.group = group
         self.generators: list[Element] = [group.reduce(g) for g in generators]
-        self.elements: list[Element] = sorted(_closure(group, self.generators))
-        self._members = frozenset(self.elements)
+        mask = np.zeros(group.order, dtype=bool)
+        mask[0] = True
+        members = np.zeros(1, dtype=np.intp)
+        for g in self.generators:
+            members = _extend(group, members, mask, g).ravel()
+        self.indices = np.flatnonzero(mask)
+        self.indices.flags.writeable = False
+        self._mask = mask
+        self.elements: list[Element] = [group.elements[i] for i in self.indices]
         self.order = len(self.elements)
 
     @classmethod
@@ -130,26 +159,45 @@ class Subgroup:
         cls, group: FiniteAbelianGroup, elements: Iterable[Iterable[int]]
     ) -> "Subgroup":
         """Build from an explicit element set, deriving a small generator list."""
-        members = {group.reduce(e) for e in elements}
-        if group.zero not in members:
+        members = np.zeros(group.order, dtype=bool)
+        for e in elements:
+            members[group.index(e)] = True
+        return cls._from_mask(group, members)
+
+    @classmethod
+    def _from_mask(cls, group: FiniteAbelianGroup, members: np.ndarray) -> "Subgroup":
+        """Subgroup whose elements are ``members`` (a bool mask over the group).
+
+        Generators are picked greedily: the smallest member not yet generated.
+        Each pick grows the generated subgroup, which must stay inside the
+        set; a set that contains zero and passes is its own closure, hence a
+        subgroup.
+        """
+        if not members[0]:
             raise ValueError("subgroup must contain the zero element")
-        for a in members:
-            if group.neg(a) not in members:
-                raise ValueError(f"set not closed under negation at {a}")
-            for b in members:
-                if group.add(a, b) not in members:
-                    raise ValueError(f"set not closed under addition at {a} + {b}")
+        have = np.zeros(group.order, dtype=bool)
+        have[0] = True
+        closure = np.zeros(1, dtype=np.intp)
         gens: list[Element] = []
-        have: set[Element] = {group.zero}
-        for el in sorted(members):
-            if el not in have:
-                gens.append(el)
-                have = _closure(group, gens)
+        while True:
+            missing = np.flatnonzero(members & ~have)
+            if not missing.size:
+                break
+            g = group.elements[missing[0]]
+            gens.append(g)
+            cosets = _extend(group, closure, have, g)
+            outside = ~members[cosets]
+            if outside.any():
+                # the first coset leaving the set follows one inside it
+                k, h = np.argwhere(outside)[0]
+                a = group.elements[cosets[k - 1, h]]
+                raise ValueError(f"set not closed under addition at {a} + {g}")
+            closure = cosets.ravel()
         sub = cls(group, gens)
-        if set(sub.elements) != members:
+        if not np.array_equal(sub._mask, members):
             raise TheoremViolationError(
                 "derived generators do not regenerate the element set",
-                details={"members": len(members), "closure": sub.order},
+                details={"members": int(members.sum()), "closure": sub.order},
             )
         return sub
 
@@ -157,20 +205,20 @@ class Subgroup:
         return f"Subgroup(order={self.order}, generators={self.generators})"
 
     def __contains__(self, el) -> bool:
-        return self.group.reduce(el) in self._members
+        return bool(self._mask[self.group.index(el)])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
             and self.group == other.group
-            and self._members == other._members
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self) -> int:
-        return hash((self.group, self._members))
+        return hash((self.group, self.indices.tobytes()))
 
     def issubset(self, other: "Subgroup") -> bool:
-        return self._members <= other._members
+        return self.group == other.group and bool(other._mask[self.indices].all())
 
     @property
     def index(self) -> int:
@@ -178,19 +226,21 @@ class Subgroup:
         return self.group.order // self.order
 
 
-def _closure(group: FiniteAbelianGroup, generators: list[Element]) -> set[Element]:
-    seen = {group.zero}
-    frontier = [group.zero]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in generators:
-                b = group.add(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return seen
+def _extend(
+    group: FiniteAbelianGroup, members: np.ndarray, mask: np.ndarray, g: Element
+) -> np.ndarray:
+    """Cosets ``members + k*g`` of the subgroup ``members`` until ``k*g`` is in it.
+
+    ``mask`` marks the subgroup and is updated in place to ``<members, g>``.
+    Returns the indices of the grown subgroup, shape ``(cosets, len(members))``,
+    row ``k`` being the coset ``members + k*g``.
+    """
+    steps = np.arange(group.element_order(g) + 1)[:, None] * np.array(g, dtype=np.int64)
+    hits = mask[group.indices(steps[1:])]
+    cosets = int(np.argmax(hits)) + 1  # hits[-1] is 0 = order * g, always a member
+    grown = group.indices(group.coords[members][None, :, :] + steps[:cosets, None, :])
+    mask[grown] = True
+    return grown
 
 
 def annihilator(sub: Subgroup) -> Subgroup:
@@ -201,13 +251,9 @@ def annihilator(sub: Subgroup) -> Subgroup:
     and double application returns the original subgroup.
     """
     group = sub.group
-    probes = sub.generators if sub.generators else [group.zero]
-    members = [
-        xi
-        for xi in group.elements
-        if all(group.phase_numerator(h, xi) == 0 for h in probes)
-    ]
-    return Subgroup.from_elements(group, members)
+    probes = np.array(sub.generators, dtype=np.int64).reshape(-1, group.rank)
+    nums = group.phase_numerators(group.coords, probes)
+    return Subgroup._from_mask(group, ~nums.any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -218,13 +264,16 @@ class CosetSection:
     coset; representatives are listed in lexicographic order, so the zero
     element always represents the trivial coset and sits at position 0.
     ``domain`` is the whole group unless the section is taken inside a
-    subgroup (used for quotients of nested subgroups).
+    subgroup (used for quotients of nested subgroups).  ``rep_indices``
+    gives the representatives as element indices, and ``positions`` the
+    coset position of every group element (-1 outside the domain).
     """
 
     group: FiniteAbelianGroup
     subgroup: Subgroup
     representatives: tuple[Element, ...]
-    _position: dict[Element, int] = field(repr=False, hash=False, compare=False)
+    rep_indices: np.ndarray = field(repr=False, hash=False, compare=False)
+    positions: np.ndarray = field(repr=False, hash=False, compare=False)
 
     def rep_of(self, el: Iterable[int]) -> Element:
         """Representative of the coset containing ``el``."""
@@ -233,9 +282,10 @@ class CosetSection:
     def position_of(self, el: Iterable[int]) -> int:
         """Position (coset index) of the coset containing ``el``."""
         key = self.group.reduce(el)
-        if key not in self._position:
+        pos = int(self.positions[self.group.index(key)])
+        if pos < 0:
             raise KeyError(f"{key} is not in the section's domain")
-        return self._position[key]
+        return pos
 
     def __len__(self) -> int:
         return len(self.representatives)
@@ -250,25 +300,39 @@ def coset_section(
 
     With ``within`` given, representatives are chosen for the quotient
     ``within / subgroup`` (requires ``subgroup <= within``).
+
+    The smallest element of a coset is its smallest index.  Every element
+    starts labelled with its own index; for each generator ``g`` the label
+    becomes the minimum over ``x + k*g``, taken by doubling the step, so
+    after all generators it is the minimum over ``x + subgroup``.
     """
     if subgroup.group != group:
         raise ValueError("subgroup belongs to a different group")
     if within is not None and not subgroup.issubset(within):
         raise ValueError("section inside a subgroup requires a nested pair")
-    domain = within.elements if within is not None else group.elements
-    rep_of: dict[Element, Element] = {}
-    for el in domain:
-        rep_of[el] = min(group.add(el, h) for h in subgroup.elements)
-    reps = tuple(sorted(set(rep_of.values())))
-    pos = {rep: i for i, rep in enumerate(reps)}
-    position = {el: pos[rep] for el, rep in rep_of.items()}
+    labels = np.arange(group.order)
+    for g in subgroup.generators:
+        step = group.indices(group.coords + np.array(g, dtype=np.int64))
+        span = 1
+        while span < group.element_order(g):
+            labels = np.minimum(labels, labels[step])
+            step = step[step]
+            span *= 2
+    domain = within.indices if within is not None else np.arange(group.order)
+    reps = np.unique(labels[domain])
+    positions = np.full(group.order, -1, dtype=np.intp)
+    positions[domain] = np.searchsorted(reps, labels[domain])
     expected = len(domain) // subgroup.order
     if len(reps) != expected:
         raise TheoremViolationError(
             "section does not cover every coset exactly once",
             details={"representatives": len(reps), "cosets": expected},
         )
-    return CosetSection(group, subgroup, reps, position)
+    reps.flags.writeable = False
+    positions.flags.writeable = False
+    return CosetSection(
+        group, subgroup, tuple(group.elements[i] for i in reps), reps, positions
+    )
 
 
 @dataclass(frozen=True)

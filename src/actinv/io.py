@@ -9,6 +9,7 @@ enumerations, so exports are deterministic.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,10 @@ def read_columns_csv(path) -> np.ndarray:
         for line, row in enumerate(reader, start=2):
             if len(row) != 2 * d:
                 raise ValueError(f"{path}:{line}: expected {2 * d} fields")
-            data.append(
-                [float(row[2 * j]) + 1j * float(row[2 * j + 1]) for j in range(d)]
-            )
+            values = [float(v) for v in row]
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{line}: non-finite value")
+            data.append([values[2 * j] + 1j * values[2 * j + 1] for j in range(d)])
     if not data:
         raise ValueError(f"{path}: no data rows")
     return np.array(data, dtype=complex)

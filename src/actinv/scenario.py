@@ -106,13 +106,16 @@ class Scenario:
 
     # -- gather tables for the transforms ------------------------------------
 
-    def _gather(self, movers: list[Element], cell: tuple[int, ...], sign: int):
-        """Index/weight tables for ``sigma_{sign*m}(x)`` over movers x cell."""
+    def _gather(self, movers: np.ndarray, cell: tuple[int, ...], sign: int):
+        """Index/weight tables for ``sigma_{sign*m}(x)`` over movers x cell.
+
+        ``movers`` are element indices.
+        """
+        group = self.group
+        if sign < 0:
+            movers = group.indices(-group.coords[movers])
         cell_arr = np.asarray(cell, dtype=np.intp)
-        gather = np.empty((len(movers), len(cell)), dtype=np.intp)
-        for i, m in enumerate(movers):
-            el = m if sign > 0 else self.group.neg(m)
-            gather[i] = self.action.sigma(el)[cell_arr]
+        gather = self.action.table[movers[:, None], cell_arr[None, :]]
         w = self.action.weights
         jhalf = np.sqrt(w[gather] / w[cell_arr][None, :])
         return gather, jhalf
@@ -120,17 +123,17 @@ class Scenario:
     @cached_property
     def _base_gather(self):
         """sigma_{-gamma}(x) for gamma in base, x in tiles, plus jacobian roots."""
-        return self._gather(self.base.elements, self.tiling.tiles, -1)
+        return self._gather(self.base.indices, self.tiling.tiles, -1)
 
     @cached_property
     def _full_gather(self):
         """sigma_{-tau}(x) for tau in group, x in orbit_reps, plus jacobian roots."""
-        return self._gather(self.group.elements, self.tiling.orbit_reps, -1)
+        return self._gather(np.arange(self.group.order), self.tiling.orbit_reps, -1)
 
     @cached_property
     def _unfold_gather(self):
         """sigma_{+tau}(x) for tau in group, x in orbit_reps, plus jacobian roots."""
-        return self._gather(self.group.elements, self.tiling.orbit_reps, +1)
+        return self._gather(np.arange(self.group.order), self.tiling.orbit_reps, +1)
 
     # -- character tables -----------------------------------------------------
 
@@ -160,13 +163,11 @@ class Scenario:
 
         Row ``i`` says ``group.elements[i] == omega[row[0]] + annihilator_order[row[1]]``.
         """
-        ann_pos = {el: k for k, el in enumerate(self.annihilator_order)}
-        out = np.empty((self.group.order, 2), dtype=np.intp)
-        for i, el in enumerate(self.group.elements):
-            w = self.dual_section.rep_of(el)
-            out[i, 0] = self.dual_section.position_of(el)
-            out[i, 1] = ann_pos[self.group.sub(el, w)]
-        return out
+        group, sec = self.group, self.dual_section
+        fiber = sec.positions
+        rest = group.indices(group.coords - group.coords[sec.rep_indices[fiber]])
+        ann = np.searchsorted(self.base_annihilator.indices, rest)
+        return np.stack([fiber, ann], axis=1)
 
     @cached_property
     def dual_unsplit(self) -> np.ndarray:
@@ -178,10 +179,7 @@ class Scenario:
     @cached_property
     def coordinate_labels(self) -> np.ndarray:
         """Block label position of each annihilator element (stacked coordinate)."""
-        return np.array(
-            [self.block_section.position_of(el) for el in self.annihilator_order],
-            dtype=np.intp,
-        )
+        return self.block_section.positions[self.base_annihilator.indices]
 
     def block_coordinates(self, xi) -> np.ndarray:
         """Stacked-coordinate indices whose annihilator element lies in xi's block."""

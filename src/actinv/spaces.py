@@ -117,6 +117,8 @@ def _as_columns(scn: Scenario, vectors) -> np.ndarray:
         raise ValueError(
             f"vectors have {mat.shape[0]} entries, space has {scn.action.n_points} points"
         )
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("vectors must be finite")
     return mat
 
 

@@ -8,10 +8,19 @@ elements by explicit group addition, so agreement with the library is a
 check of its kernels and bookkeeping, not a restatement of them.  They are
 O(|G|^2) and meant for test sizes only.
 
-Every function takes a single function (1-D) or a batch of columns (2-D),
+Every transform takes a single function (1-D) or a batch of columns (2-D),
 like the library.
+
+The group-core references at the end work element by element on coordinate
+tuples, with ``FiniteAbelianGroup.add`` and set membership: the all-pairs
+group-law check, coset representatives as a lexicographic minimum over the
+subgroup, the annihilator by the pairing test against every subgroup
+element, and subgroup membership by closure under all pairs.  They are
+O(|G|^2) as well.
 """
 import numpy as np
+
+from actinv import ActionError, FreenessError, OrbitError
 
 
 def analysis_chars(group):
@@ -91,3 +100,66 @@ def mask(scn, xi, f):
     values = full(scn, f)
     keep = block_indicator(scn, xi)
     return full_inv(scn, values * keep.reshape((-1,) + (1,) * (values.ndim - 1)))
+
+
+# -- group core ----------------------------------------------------------------
+
+
+def validate_action(action):
+    """Group law over all element pairs, point count, then freeness per element.
+
+    Raises the library's error classes; returns the sorted orbits.
+    """
+    group, table, n = action.group, action.table, action.n_points
+    ident = np.arange(n)
+    if not np.array_equal(table[group.index(group.zero)], ident):
+        raise ActionError("identity element does not act as the identity")
+    for i, a in enumerate(group.elements):
+        sums = [group.index(group.add(a, b)) for b in group.elements]
+        # [j, x] = sigma(a)(sigma(b_j)(x)) against sigma(a + b_j)(x)
+        if not np.array_equal(table[i][table], table[sums]):
+            raise ActionError(f"additivity fails for {a}")
+    if n % group.order:
+        raise OrbitError(f"{n} points, group order {group.order}")
+    for i, el in enumerate(group.elements):
+        if el != group.zero and np.any(table[i] == ident):
+            raise FreenessError(f"element {el} fixes a point")
+    return sorted({tuple(sorted(table[:, x].tolist())) for x in range(n)})
+
+
+def coset_representatives(group, subgroup, within=None):
+    """``{element: lexicographically smallest element of its coset}`` on the domain."""
+    domain = group.elements if within is None else within.elements
+    return {el: min(group.add(el, h) for h in subgroup.elements) for el in domain}
+
+
+def annihilator_elements(subgroup):
+    group = subgroup.group
+    return [
+        xi
+        for xi in group.elements
+        if all(group.pairing_is_one(h, xi) for h in subgroup.elements)
+    ]
+
+
+def is_subgroup(group, elements):
+    """Contains zero and is closed under addition of every pair."""
+    members = {group.reduce(e) for e in elements}
+    return group.zero in members and all(
+        group.add(a, b) in members for a in members for b in members
+    )
+
+
+def greedy_generators(group, elements):
+    """Pick the smallest member not yet generated; close by breadth-first search."""
+    gens, have = [], {group.zero}
+    for el in sorted({group.reduce(e) for e in elements}):
+        if el in have:
+            continue
+        gens.append(el)
+        frontier = list(have)
+        while frontier:
+            nxt = [group.add(a, g) for a in frontier for g in gens]
+            frontier = [b for b in nxt if b not in have]
+            have.update(frontier)
+    return gens

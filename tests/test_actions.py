@@ -132,6 +132,25 @@ def test_validate_action_detects_broken_group_law():
         validate_action(act)
 
 
+def test_validate_action_names_the_generators():
+    g = FiniteAbelianGroup([2, 2])
+    # two transpositions sharing point 1: each squares to the identity
+    act = ActionSpace(g, 4, [[1, 0, 2, 3], [0, 2, 1, 3]])
+    with pytest.raises(ActionError, match="generators 0 and 1 do not commute"):
+        validate_action(act)
+    g = FiniteAbelianGroup([4])
+    act = ActionSpace(g, 6, [[1, 2, 0, 4, 5, 3]])
+    with pytest.raises(ActionError, match="generator 0 composed 4 times"):
+        validate_action(act)
+
+
+def test_validate_action_names_a_fixed_point():
+    g = FiniteAbelianGroup([4])
+    act = ActionSpace(g, 4, [[1, 0, 3, 2]])
+    with pytest.raises(FreenessError, match=r"element \(2,\) fixes point 0"):
+        validate_action(act)
+
+
 def test_action_input_validation():
     g = FiniteAbelianGroup([4])
     with pytest.raises(ActionError):

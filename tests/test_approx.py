@@ -217,3 +217,14 @@ def test_argument_validation(shear):
         best_invariant(shear, [], 1)
     with pytest.raises(ValueError):
         best_invariant(shear, np.zeros((5, 2), dtype=complex), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_is_rejected(bank, bad):
+    scn = bank["chain12"]
+    data = data_matrix(scn, np.random.default_rng(3))
+    data[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        best_invariant(scn, data, 1)
+    with pytest.raises(ValueError, match="finite"):
+        best_extra_invariant(scn, list(data.T), 1)

@@ -248,6 +248,66 @@ def test_non_finite_weight_is_a_config_error(capsys, tmp_path):
     assert detail.startswith("action.weights:")
 
 
+def _set(doc, path, value):
+    *keys, last = path
+    for k in keys:
+        doc = doc[k]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path,value,field",
+    [
+        (("group", "moduli"), [True], "group.moduli"),
+        (("base", "generators"), [[True]], "base.generators[0]"),
+        (
+            ("action", "permutations"),
+            [[True] + rotate(12)[1:]],  # a permutation if true were read as 1
+            "action.permutations[0]",
+        ),
+        (("action", "points"), True, "action.points"),
+        (("action", "weights"), [True] + [1.0] * 11, "action.weights"),
+    ],
+)
+def test_json_boolean_is_a_config_error(capsys, tmp_path, path, value, field):
+    # bool is an int subclass in Python; JSON true must not pass as 1
+    doc = chain12_cfg()
+    _set(doc, path, value)
+    cfg = write_cfg(tmp_path, doc)
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "validate"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith(field + ":")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_generator_is_a_config_error(capsys, tmp_path, bad):
+    gens = [[[1.0, 0.0]] * 12]
+    gens[0] = gens[0][:3] + [[bad, 0.0]] + gens[0][4:]
+    cfg = write_cfg(tmp_path, chain12_cfg(subspace={"generators": gens}))
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "check"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith("subspace.generators[0][3]:")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_data_vector_is_a_config_error(capsys, tmp_path, bad):
+    vecs = [[[1.0, 0.0]] * 12, [[0.0, bad]] + [[1.0, 0.0]] * 11]
+    cfg = write_cfg(tmp_path, chain12_cfg(data={"vectors": vecs}, options={"ell": 1}))
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "approx"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith("data.vectors[1][0]:")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_data_csv_is_a_config_error(capsys, tmp_path, bad):
+    rows = ["c0_re,c0_im"] + ["1.0,0.0"] * 11 + [f"0.5,{bad}"]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, chain12_cfg(data={"csv": "data.csv"}, options={"ell": 1}))
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "approx"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith("data.csv:") and "non-finite" in detail
+
+
 def test_check_needs_subspace(capsys, tmp_path):
     cfg = write_cfg(tmp_path, chain12_cfg())
     rc, kind, detail = error_detail(capsys, ["--config", cfg, "check"])
@@ -330,6 +390,10 @@ def test_columns_csv_errors(tmp_path):
     p.write_text("c0_re,c0_im\n")
     with pytest.raises(ValueError):
         read_columns_csv(p)
+    for bad in ("nan", "inf"):
+        p.write_text(f"c0_re,c0_im\n1,{bad}\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            read_columns_csv(p)
 
 
 def test_zak_csv_headers_and_shapes(tmp_path, bank):

@@ -1,9 +1,14 @@
-"""The FFT-based transforms against the dense character-sum oracle.
+"""The library against the brute-force references in ``oracle.py``.
 
-Checked at 1e-12 relative (in the Euclidean norm of the whole array) on the
-six shared scenarios and on generated regular actions: rank 1 to 3, moduli
-of 1 allowed, order at most 200, shuffled point labels and log-uniform
-weights over a 1e3 range.
+Transforms: checked at 1e-12 relative (in the Euclidean norm of the whole
+array) on the six shared scenarios and on generated regular actions: rank 1
+to 3, moduli of 1 allowed, order at most 200, shuffled point labels and
+log-uniform weights over a 1e3 range.
+
+Group core: on the same generated groups, ``validate_action`` gives the same
+verdict and error class as the all-pairs check on valid actions and on three
+kinds of broken ones, and coset sections, annihilators and
+``Subgroup.from_elements`` equal their element-by-element references.
 """
 import math
 
@@ -14,11 +19,16 @@ from hypothesis import strategies as st
 
 import oracle
 from actinv import (
+    ActionError,
     ActionSpace,
     FiniteAbelianGroup,
     Scenario,
     Subgroup,
+    annihilator,
+    coset_section,
+    dual_partition,
     mask_apply,
+    validate_action,
     zak_full,
     zak_full_inv,
     zak_stacked,
@@ -54,7 +64,21 @@ def check_against_oracle(scn, rng):
             assert_rel_close(mask_apply(scn, xi, f), oracle.mask(scn, xi, f))
 
 
+def check_partition_against_oracle(scn):
+    part = dual_partition(scn)
+    assert dual_partition(scn) is part  # built once per scenario
+    assert not part.masks.flags.writeable
+    for pos, xi in enumerate(part.labels):
+        want = oracle.block_indicator(scn, xi)
+        assert np.array_equal(part.masks[pos], want)
+        assert part.blocks[pos] == {
+            el for el, keep in zip(scn.group.elements, want) if keep
+        }
+
+
 def test_transforms_match_oracle(scn):
+    check_partition_against_oracle(scn)
+
     check_against_oracle(scn, np.random.default_rng(61))
 
 
@@ -83,19 +107,25 @@ def scenario_specs(draw):
     return tuple(moduli), base_gens, more_gens, orbits, seed
 
 
+def relabelled_perms(g, orbits, rng):
+    """Generator permutations of the regular action under shuffled point labels."""
+    regular = ActionSpace.regular(g, orbits)
+    label = rng.permutation(regular.n_points)
+    perms = []
+    for p in regular.generator_perms:
+        q = np.empty(regular.n_points, dtype=np.intp)
+        q[label] = label[p]
+        perms.append(q)
+    return perms
+
+
 def build(spec):
     """Regular action with shuffled labels; extra = base + more generators."""
     moduli, base_gens, more_gens, orbits, seed = spec
     g = FiniteAbelianGroup(moduli)
-    regular = ActionSpace.regular(g, orbits)
-    n = regular.n_points
     rng = np.random.default_rng(seed)
-    label = rng.permutation(n)
-    perms = []
-    for p in regular.generator_perms:
-        q = np.empty(n, dtype=np.intp)
-        q[label] = label[p]
-        perms.append(q)
+    perms = relabelled_perms(g, orbits, rng)
+    n = len(perms[0])
     weights = 10.0 ** rng.uniform(-1.5, 1.5, n)
     act = ActionSpace(g, n, perms, weights)
     base = Subgroup(g, base_gens)
@@ -114,4 +144,102 @@ def build(spec):
 @example(spec=((8, 25), [(2, 5)], [(4, 0)], 1, 2))
 def test_generated_actions_match_oracle(spec):
     scn, rng = build(spec)
+    check_partition_against_oracle(scn)
     check_against_oracle(scn, rng)
+
+
+# -- group core ----------------------------------------------------------------
+
+ORACLE_SETTINGS = settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def action_outcome(check, action):
+    """Orbits as sorted tuples, or the class of the action error raised."""
+    try:
+        return [tuple(o) for o in check(action)]
+    except ActionError as exc:
+        return type(exc)
+
+
+def broken_variants(perms, rng):
+    """Valid generators, then one entry swap, a conjugated pair, a full n-cycle.
+
+    Two more keep the group law and break the other checks: squaring a
+    generator makes the action non-free when its modulus is even, and a
+    point fixed by every generator breaks the point count.
+    """
+    n = len(perms[0])
+    yield "valid", perms
+    j = int(rng.integers(len(perms)))
+    if n > 1:
+        a, b = rng.choice(n, 2, replace=False)
+        swapped = [p.copy() for p in perms]
+        swapped[j][[a, b]] = swapped[j][[b, a]]
+        yield "swap", swapped
+    if len(perms) > 1:
+        r = rng.permutation(n)
+        inv = np.argsort(r)
+        # r^-1 o p_1 o r keeps the cycle type of p_1 but rarely commutes with p_0
+        yield "non-commuting", [perms[0], inv[perms[1][r]]] + perms[2:]
+    cycle = [p.copy() for p in perms]
+    cycle[j] = np.roll(np.arange(n), -1)
+    yield "cycle", cycle
+    squared = [p.copy() for p in perms]
+    squared[j] = perms[j][perms[j]]
+    yield "square", squared
+    yield "fixed point", [np.append(p, n) for p in perms]
+
+
+@ORACLE_SETTINGS
+@given(spec=scenario_specs())
+@example(spec=((4,), [], [], 2, 0))
+@example(spec=((2, 3), [], [], 1, 3))
+@example(spec=((3, 1, 4), [], [], 2, 1))
+def test_validate_action_matches_all_pairs_oracle(spec):
+    moduli, _, _, orbits, seed = spec
+    g = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(seed)
+    for kind, perms in broken_variants(relabelled_perms(g, orbits, rng), rng):
+        act = ActionSpace(g, len(perms[0]), perms)
+        want = action_outcome(oracle.validate_action, act)
+        got = action_outcome(lambda a: validate_action(a).orbits, act)
+        assert got == want, kind
+        if kind == "valid":
+            assert isinstance(got, list) and len(got) == orbits
+
+
+@ORACLE_SETTINGS
+@given(spec=scenario_specs())
+@example(spec=((8, 25), [(2, 5)], [(4, 0)], 1, 2))
+@example(spec=((1,), [], [], 1, 0))
+def test_group_core_matches_oracle(spec):
+    moduli, base_gens, more_gens, _, seed = spec
+    g = FiniteAbelianGroup(moduli)
+    small = Subgroup(g, base_gens)
+    big = Subgroup(g, list(base_gens) + list(more_gens))
+    for sub, within in ((small, None), (big, None), (small, big)):
+        sec = coset_section(g, sub, within)
+        rep = oracle.coset_representatives(g, sub, within)
+        assert sec.representatives == tuple(sorted(set(rep.values())))
+        assert all(sec.rep_of(el) == r for el, r in rep.items())
+    for sub in (small, big):
+        ann = annihilator(sub)
+        assert ann.elements == oracle.annihilator_elements(sub)
+        again = Subgroup.from_elements(g, sub.elements)
+        assert again == sub
+        assert again.generators == oracle.greedy_generators(g, sub.elements)
+    rng = np.random.default_rng(seed)
+    outside = [el for el in g.elements if el not in big]
+    candidates = [big.elements[1:], small.elements[:-1]]
+    if outside:
+        candidates.append(big.elements + [outside[rng.integers(len(outside))]])
+    for elements in candidates:
+        if oracle.is_subgroup(g, elements):
+            assert sorted(Subgroup.from_elements(g, elements).elements) == sorted(
+                set(elements)
+            )
+        else:
+            with pytest.raises(ValueError):
+                Subgroup.from_elements(g, elements)

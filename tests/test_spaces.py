@@ -236,3 +236,14 @@ def test_span_input_validation(scn):
         Subspace.span(scn, np.zeros((scn.action.n_points - 1, 1), dtype=complex))
     with pytest.raises(ValueError):
         span_invariant(scn, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_non_finite_generators_are_rejected(bank, bad):
+    scn = bank["two_orbits"]
+    gen = random_function(scn, np.random.default_rng(8))
+    gen[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        span_invariant(scn, gen[:, None])
+    with pytest.raises(ValueError, match="finite"):
+        Subspace.span(scn, [gen])
