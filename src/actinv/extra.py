@@ -96,7 +96,7 @@ def _build_dual_partition(scn: Scenario) -> DualPartition:
             details={"label": list(labels[pos]), "size": int(counts[pos])},
         )
     for d in scn.extra_annihilator.generators:
-        moved = block[group.indices(group.coords + np.array(d, dtype=np.int64))]
+        moved = block[group.indices(group.coords + d)]
         if np.any(moved != block):
             el = int(np.flatnonzero(moved != block)[0])
             raise TheoremViolationError(
@@ -403,7 +403,7 @@ def sequence_extra_invariance(
     q = _euclid_orth(basis)
 
     def shift(el, mat):
-        return mat[group.indices(group.coords - np.array(el, dtype=np.int64))]
+        return mat[group.indices(group.coords - el)]
 
     def resid(mat):
         if mat.shape[1] == 0:

@@ -235,7 +235,7 @@ def _extend(
     Returns the indices of the grown subgroup, shape ``(cosets, len(members))``,
     row ``k`` being the coset ``members + k*g``.
     """
-    steps = np.arange(group.element_order(g) + 1)[:, None] * np.array(g, dtype=np.int64)
+    steps = np.arange(group.element_order(g) + 1)[:, None] * g
     hits = mask[group.indices(steps[1:])]
     cosets = int(np.argmax(hits)) + 1  # hits[-1] is 0 = order * g, always a member
     grown = group.indices(group.coords[members][None, :, :] + steps[:cosets, None, :])
@@ -312,7 +312,7 @@ def coset_section(
         raise ValueError("section inside a subgroup requires a nested pair")
     labels = np.arange(group.order)
     for g in subgroup.generators:
-        step = group.indices(group.coords + np.array(g, dtype=np.int64))
+        step = group.indices(group.coords + g)
         span = 1
         while span < group.element_order(g):
             labels = np.minimum(labels, labels[step])
