@@ -26,7 +26,7 @@ import scipy.linalg
 from .groups import Element
 from .scenario import Scenario
 from .spaces import RANK_TOL, Subspace, fiber_matrices, fibers_from_matrix
-from .extra import dual_partition
+from .extra import dual_partition, stacked_block_masks
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,11 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     mat = _data_matrix(scn, data)
     mats = fiber_matrices(scn, mat)
     part = dual_partition(scn)
-    c = len(scn.tiling.orbit_reps)
+    blocks = stacked_block_masks(scn)
     fiber_pools = []
     for w in range(scn.n_fibers):
         pooled = []  # (sigma, block position, singular index, embedded vector)
-        for pos, xi in enumerate(part.labels):
-            rows = scn.block_coordinates(xi)
-            sel = (rows[:, None] * c + np.arange(c)[None, :]).ravel()
+        for pos, sel in enumerate(blocks):
             sub = mats[w][sel, :]
             u, s, _ = scipy.linalg.svd(sub, full_matrices=False)
             for i in range(s.size):
@@ -195,8 +193,4 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
 
 def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:
     """Summed squared weighted distances of the data to the subspace."""
-    mat = _data_matrix(scn, data)
-    total = 0.0
-    for j in range(mat.shape[1]):
-        total += space.residual(mat[:, j]) ** 2
-    return float(total)
+    return float(np.sum(space.residuals(_data_matrix(scn, data)) ** 2))

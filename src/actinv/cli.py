@@ -13,7 +13,8 @@ Subcommands::
                 and assert its embedded expectations
 
 Exit codes: 0 success, 1 malformed configuration, 2 validation failure
-(chain, action or invariance preconditions), 3 theorem violation.  All
+(chain, action or invariance preconditions), 3 theorem violation, 4 internal
+error (any other exception, reported with its traceback).  All
 reports are JSON with sorted keys, so identical configuration and seed
 give byte-identical output.
 """
@@ -23,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +470,18 @@ def main(argv: list[str] | None = None) -> int:
             None,
         )
         return 3
+    except Exception as exc:  # the process boundary: report, never a raw traceback
+        _emit(
+            {
+                "error": {
+                    "kind": "internal",
+                    "detail": f"{type(exc).__name__}: {exc}",
+                    "traceback": traceback.format_exc().splitlines(),
+                }
+            },
+            None,
+        )
+        return 4
 
 
 def _plain(value):

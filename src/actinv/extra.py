@@ -33,6 +33,7 @@ from .spaces import (
     _euclid_orth,
     fiber_matrices,
     is_invariant,
+    padded,
     require_base_invariant,
     span_invariant,
 )
@@ -148,15 +149,23 @@ def masked_component(
     part: DualPartition | None = None,
     _checked: bool = False,
 ) -> Subspace:
-    """The image of a base-invariant subspace under the block mask."""
+    """The image of a base-invariant subspace under the block mask.
+
+    Memoised on ``space``, keyed by (block position, ``tol``): the checks of
+    one space share a single :func:`mask_apply` and rank cut per block.
+    """
     if not _checked:
         require_base_invariant(space)
     if space.dim == 0:
         return Subspace.zero(scn)
-    masked = mask_apply(scn, xi, space.frame, part)
-    # masks act on unit frame columns: anything below the absolute floor is
-    # roundoff, not a direction of the image
-    return Subspace.span(scn, masked, tol, floor=tol)
+    memo = vars(space).setdefault("_masked_components", {})
+    key = (scn.block_section.position_of(xi), tol)
+    if key not in memo:
+        masked = mask_apply(scn, xi, space.frame, part)
+        # masks act on unit frame columns: anything below the absolute floor
+        # is roundoff, not a direction of the image
+        memo[key] = Subspace.span(scn, masked, tol, floor=tol)
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -214,11 +223,8 @@ def check_extra_invariance(
     inc_res = []
     for xi in part.labels:
         comp = masked_component(scn, space, xi, part=part, _checked=True)
-        worst = 0.0
-        for k in range(comp.dim):
-            worst = max(worst, space.residual(comp.frame[:, k]))
         components.append(comp)
-        inc_res.append(worst)
+        inc_res.append(float(np.max(space.residuals(comp.frame), initial=0.0)))
     inc_ok = tuple(r <= tol for r in inc_res)
     ok_masks = all(inc_ok)
     if ok_translate != ok_masks:
@@ -306,22 +312,19 @@ def check_decomposable(
     """
     require_base_invariant(space, tol)
     part = dual_partition(scn)
-    mats = fiber_matrices(scn, space.frame) if space.dim else None
+    blocks = stacked_block_masks(scn)
     worst = 0.0
-    bases = []
-    if mats is not None:
+    if space.dim:
+        mats = fiber_matrices(scn, space.frame)
         top = _spectral_top(mats)
-        for w in range(scn.n_fibers):
-            q = _euclid_orth(mats[w], floor=RANK_TOL * top)
-            bases.append(q)
-            for pos in range(scn.n_blocks):
-                rows = scn.block_coordinates(part.labels[pos])
-                sel = _rows_to_flat(scn, rows)
-                masked = np.zeros_like(q)
-                masked[sel] = q[sel]
-                if masked.shape[1]:
-                    resid = masked - q @ (q.conj().T @ masked)
-                    worst = max(worst, float(np.max(np.abs(resid))))
+        fiber_bases = [_euclid_orth(m, floor=RANK_TOL * top) for m in mats]
+        # (n_fibers, kc, r_max): one batched product per block, not per fiber
+        bases = padded(fiber_bases)
+        adjoint = bases.conj().transpose(0, 2, 1)
+        for keep in blocks:
+            masked = bases * keep[:, None]
+            resid = masked - bases @ (adjoint @ masked)
+            worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
     decomposable = worst <= tol
     ext = check_extra_invariance(scn, space, tol)
     if decomposable != ext.extra_invariant:
@@ -335,24 +338,18 @@ def check_decomposable(
     match_dev = None
     if decomposable and space.dim:
         match_dev = 0.0
-        for pos, xi in enumerate(part.labels):
+        for keep, xi in zip(blocks, part.labels):
             comp = masked_component(scn, space, xi, part=part, _checked=True)
             comp_mats = (
                 fiber_matrices(scn, comp.frame)
                 if comp.dim
-                else np.zeros((scn.n_fibers, mats.shape[1], 0), dtype=complex)
+                else np.zeros((scn.n_fibers, blocks.shape[1], 0), dtype=complex)
             )
             comp_top = _spectral_top(comp_mats)
-            rows = scn.block_coordinates(xi)
-            sel = _rows_to_flat(scn, rows)
-            for w in range(scn.n_fibers):
-                masked = np.zeros_like(bases[w])
-                masked[sel] = bases[w][sel]
+            for q, comp_mat in zip(fiber_bases, comp_mats):
                 # basis vectors are unit, so roundoff sits far below RANK_TOL
-                pa = _euclid_projector(masked, floor=RANK_TOL)
-                pb = _euclid_projector(
-                    comp_mats[w], floor=RANK_TOL * max(comp_top, 1.0)
-                )
+                pa = _euclid_projector(q * keep[:, None], floor=RANK_TOL)
+                pb = _euclid_projector(comp_mat, floor=RANK_TOL * max(comp_top, 1.0))
                 match_dev = max(match_dev, float(np.max(np.abs(pa - pb))))
         if match_dev > tol:
             raise TheoremViolationError(
@@ -369,10 +366,14 @@ def _spectral_top(mats: np.ndarray) -> float:
     return max(float(np.max(scipy.linalg.svdvals(m), initial=0.0)) for m in mats)
 
 
-def _rows_to_flat(scn: Scenario, coordinate_rows: np.ndarray) -> np.ndarray:
-    """Flattened stacked-vector indices covered by the given coordinate slots."""
-    c = len(scn.tiling.orbit_reps)
-    return (coordinate_rows[:, None] * c + np.arange(c)[None, :]).ravel()
+def stacked_block_masks(scn: Scenario) -> np.ndarray:
+    """Row masks of the blocks in weighted stacked coordinates.
+
+    Shape (n_blocks, n_cosets * len(orbit_reps)), in block-position order:
+    a stacked row belongs to the block of its annihilator coordinate.
+    """
+    rows = np.repeat(scn.coordinate_labels, len(scn.tiling.orbit_reps))
+    return rows[None, :] == np.arange(scn.n_blocks)[:, None]
 
 
 def _euclid_projector(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:

@@ -34,24 +34,48 @@ def orthonormal_columns(
 ) -> np.ndarray:
     """Orthonormal frame for the span of the columns, weighted inner product.
 
-    Deterministic: column-pivoted QR in weighted coordinates, rank cut at
-    ``tol`` relative to the largest pivot.  ``floor`` is an absolute pivot
-    threshold on top of the relative one; derived inputs (mask images,
-    projections of unit vectors) must pass it so that a matrix of pure
-    roundoff noise ranks as zero instead of relative-to-itself.
+    The rank cut of :func:`_euclid_orth` in weighted coordinates: the
+    columns are scaled by ``weights ** 0.5``, cut, and scaled back.
     """
     a = np.asarray(vectors, dtype=complex)
     if a.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
-    if a.shape[1] == 0:
-        return a.copy()
-    root = np.sqrt(weights)
-    q, r, _ = scipy.linalg.qr(a * root[:, None], mode="economic", pivoting=True)
+    root = np.sqrt(weights)[:, None]
+    return _euclid_orth(a * root, tol, floor) / root
+
+
+def _euclid_orth(
+    mat: np.ndarray, tol: float = RANK_TOL, floor: float = 0.0
+) -> np.ndarray:
+    """Orthonormal columns spanning the columns of ``mat`` (Euclidean).
+
+    Deterministic: column-pivoted QR, rank cut at ``tol`` relative to the
+    largest pivot.  ``floor`` is an absolute pivot threshold on top of the
+    relative one; derived inputs (mask images, projections of unit vectors)
+    must pass it so that a matrix of pure roundoff noise ranks as zero
+    instead of relative-to-itself.
+    """
+    if mat.shape[1] == 0:
+        return mat.copy()
+    q, r, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] <= max(floor, 0.0):
-        return np.zeros((a.shape[0], 0), dtype=complex)
+        return np.zeros((mat.shape[0], 0), dtype=complex)
     rank = int(np.sum(diag > max(tol * diag[0], floor)))
-    return q[:, :rank] / root[:, None]
+    return q[:, :rank]
+
+
+def padded(frames: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack frames of equal height, padding with zero columns to the widest.
+
+    Zero columns leave projectors ``q @ q^H`` unchanged, so the stack can go
+    through batched matrix products.
+    """
+    width = max((q.shape[1] for q in frames), default=0)
+    out = np.zeros((len(frames), frames[0].shape[0], width), dtype=complex)
+    for k, q in enumerate(frames):
+        out[k, :, : q.shape[1]] = q
+    return out
 
 
 @dataclass(frozen=True)
@@ -81,8 +105,13 @@ class Subspace:
         return self.frame.shape[1]
 
     @cached_property
+    def _root(self) -> np.ndarray:
+        """``weights ** 0.5`` as a column, the scale into weighted coordinates."""
+        return np.sqrt(self.scenario.action.weights)[:, None]
+
+    @cached_property
     def _weighted_frame(self) -> np.ndarray:
-        return self.frame * np.sqrt(self.scenario.action.weights)[:, None]
+        return self.frame * self._root
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -92,13 +121,24 @@ class Subspace:
 
     def project(self, f: np.ndarray) -> np.ndarray:
         q = self._weighted_frame
-        root = np.sqrt(self.scenario.action.weights)
-        fw = np.asarray(f, dtype=complex) * (root if np.ndim(f) == 1 else root[:, None])
-        return (q @ (q.conj().T @ fw)) / (root if np.ndim(f) == 1 else root[:, None])
+        root = self._root[:, 0] if np.ndim(f) == 1 else self._root
+        fw = np.asarray(f, dtype=complex) * root
+        return (q @ (q.conj().T @ fw)) / root
+
+    def residuals(self, mat: np.ndarray) -> np.ndarray:
+        """Weighted norm of each column's part outside the subspace.
+
+        One product ``q @ (q^H @ m)`` with the frame ``q`` and the columns
+        ``m`` in weighted coordinates, whose Euclidean norms are the
+        weighted ones.
+        """
+        mw = np.asarray(mat, dtype=complex) * self._root
+        q = self._weighted_frame
+        return np.linalg.norm(mw - q @ (q.conj().T @ mw), axis=0)
 
     def residual(self, f: np.ndarray) -> float:
-        """Weighted norm of stuff in f outside the subspace."""
-        return float(self.scenario.action.norm(np.asarray(f, dtype=complex) - self.project(f)))
+        """Weighted norm of the part of f outside the subspace."""
+        return float(self.residuals(np.asarray(f)[:, None])[0])
 
     def contains(self, f: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         scale = max(1.0, self.scenario.action.norm(f))
@@ -146,18 +186,17 @@ def is_invariant(
     """Whether the subspace is preserved by every translation in the subgroup.
 
     Tests the subgroup's generators on the frame columns (enough, since the
-    translations form a representation and generators reach everything).
-    Returns the verdict and the worst residual.
+    translations form a representation and generators reach everything):
+    the translated frames of all probes go through one
+    :meth:`Subspace.residuals` product.  Returns the verdict and the worst
+    residual.
     """
     scn = space.scenario
     if space.dim == 0:
         return True, 0.0
     probes = subgroup.generators if subgroup.generators else [subgroup.group.zero]
-    worst = 0.0
-    for g in probes:
-        moved = translate(scn.action, g, space.frame)
-        for k in range(moved.shape[1]):
-            worst = max(worst, space.residual(moved[:, k]))
+    moved = np.hstack([translate(scn.action, g, space.frame) for g in probes])
+    worst = float(np.max(space.residuals(moved)))
     return worst <= tol, worst
 
 
@@ -275,14 +314,12 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     result stacks d functions as columns, where function j has the given
     weighted fiber vectors (scaled back) as its stacked Zak transform.
     """
-    w, kc, d = fiber_cols.shape
+    w, _, d = fiber_cols.shape
     c = len(scn.tiling.orbit_reps)
     vals = fiber_cols.reshape(w, scn.n_cosets, c, d) / np.sqrt(scn.rep_weights)[
         None, None, :, None
     ]
-    return np.column_stack(
-        [zak_stacked_inv(scn, vals[..., j]) for j in range(d)]
-    )
+    return zak_stacked_inv(scn, vals)
 
 
 def length(space: Subspace, tol: float = RANK_TOL) -> int:
@@ -317,31 +354,7 @@ def fiber_generators(space: Subspace, tol: float = RANK_TOL) -> list[np.ndarray]
     if space.dim == 0:
         return []
     mats = fiber_matrices(scn, space.frame)
-    n_fibers, kc, _ = mats.shape
-    top = max(
-        (float(np.linalg.norm(mats[w], 2)) for w in range(n_fibers)), default=0.0
-    )
-    ell = 0
-    bases = []
-    for w in range(n_fibers):
-        q = _euclid_orth(mats[w], tol, floor=tol * top)
-        bases.append(q)
-        ell = max(ell, q.shape[1])
-    stacked = np.zeros((n_fibers, kc, ell), dtype=complex)
-    for w, q in enumerate(bases):
-        stacked[w, :, : q.shape[1]] = q
+    top = max((float(np.linalg.norm(m, 2)) for m in mats), default=0.0)
+    stacked = padded([_euclid_orth(m, tol, floor=tol * top) for m in mats])
     gens = fibers_from_matrix(scn, stacked)
-    return [gens[:, j] for j in range(ell)]
-
-
-def _euclid_orth(
-    mat: np.ndarray, tol: float = RANK_TOL, floor: float = 0.0
-) -> np.ndarray:
-    if mat.shape[1] == 0:
-        return mat.copy()
-    q, r, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] <= max(floor, 0.0):
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    rank = int(np.sum(diag > max(tol * diag[0], floor)))
-    return q[:, :rank]
+    return [gens[:, j] for j in range(stacked.shape[2])]

@@ -201,6 +201,20 @@ def error_detail(capsys, argv):
     return rc, doc["error"]["kind"], doc["error"]["detail"]
 
 
+def test_unexpected_exception_exits_4(capsys, tmp_path, monkeypatch):
+    def broken(doc, args):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    cfg = write_cfg(tmp_path, chain12_cfg())
+    rc, out = run(capsys, ["--config", cfg, "validate"])
+    assert rc == 4
+    err = json.loads(out)["error"]
+    assert err["kind"] == "internal"
+    assert err["detail"] == "RuntimeError: handler broke"
+    assert any("handler broke" in line for line in err["traceback"])
+
+
 def test_missing_config_flag(capsys):
     rc, kind, detail = error_detail(capsys, ["check"])
     assert rc == 1 and kind == "config"

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import actinv.extra as extra_mod
+
 from actinv import (
     ActionSpace,
     FiniteAbelianGroup,
@@ -197,6 +199,49 @@ def test_masked_component_object(scn):
         for k in range(comp.dim):
             assert space.contains(comp.frame[:, k])
     assert total == space.dim
+
+
+def test_stacked_block_masks_follow_block_coordinates(scn):
+    c = len(scn.tiling.orbit_reps)
+    masks = extra_mod.stacked_block_masks(scn)
+    assert masks.shape == (scn.n_blocks, scn.n_cosets * c)
+    for keep, xi in zip(masks, dual_partition(scn).labels):
+        rows = scn.block_coordinates(xi)
+        sel = (rows[:, None] * c + np.arange(c)[None, :]).ravel()
+        assert np.array_equal(np.flatnonzero(keep), sel)
+
+
+def test_checks_share_one_mask_per_block(scn, monkeypatch):
+    calls = []
+    original = extra_mod.mask_apply
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(extra_mod, "mask_apply", counted)
+    rng = np.random.default_rng(8)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
+        calls.clear()
+        check_extra_invariance(scn, space)
+        check_decomposable(scn, space)
+        assert len(calls) == scn.n_blocks
+
+
+def test_reports_do_not_depend_on_the_memo(scn):
+    rng = np.random.default_rng(9)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
+        cold = Subspace(scn, space.frame)
+        assert "_masked_components" not in vars(cold)
+        first = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
+        assert len(vars(cold)["_masked_components"]) == scn.n_blocks
+        warm = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
+        fresh = Subspace(scn, space.frame)
+        again = (check_extra_invariance(scn, fresh), check_decomposable(scn, fresh))
+        assert [r.as_dict() for r in first] == [r.as_dict() for r in warm]
+        assert [r.as_dict() for r in first] == [r.as_dict() for r in again]
 
 
 def test_check_requires_base_invariance(chain12):

@@ -25,9 +25,13 @@ from actinv import (
     Scenario,
     Subgroup,
     annihilator,
+    canonical_extra_invariant,
+    check_decomposable,
+    check_extra_invariance,
     coset_section,
     dual_partition,
     mask_apply,
+    span_invariant,
     validate_action,
     zak_full,
     zak_full_inv,
@@ -37,6 +41,7 @@ from actinv import (
 
 RTOL = 1e-12
 MAX_ORDER = 200
+THEOREM_MAX_ORDER = 64
 
 
 def assert_rel_close(got, want, rtol=RTOL):
@@ -93,11 +98,11 @@ def test_oracle_round_trips(scn):
 
 
 @st.composite
-def scenario_specs(draw):
+def scenario_specs(draw, max_order=MAX_ORDER):
     rank = draw(st.integers(1, 3))
     moduli = []
     for _ in range(rank):
-        room = MAX_ORDER // math.prod(moduli)
+        room = max_order // math.prod(moduli)
         moduli.append(draw(st.integers(1, min(16, room))))
     element = st.tuples(*(st.integers(0, m - 1) for m in moduli))
     base_gens = draw(st.lists(element, max_size=2))
@@ -146,6 +151,40 @@ def test_generated_actions_match_oracle(spec):
     scn, rng = build(spec)
     check_partition_against_oracle(scn)
     check_against_oracle(scn, rng)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(max_order=THEOREM_MAX_ORDER))
+@example(spec=((1,), [], [], 1, 0))
+@example(spec=((12,), [], [(1,)], 2, 4))
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5))
+def test_generated_scenarios_obey_the_theorem(spec):
+    """Both sides of the equivalence on random groups, chains and weights.
+
+    Spans of extra-subgroup translates and the canonical space are
+    extra-invariant by construction; a generic principal space is so exactly
+    when the two subgroups coincide (then there is one block).  A
+    disagreement between the sides raises ``TheoremViolationError``.
+    The order cap keeps the whole-space case (trivial base, extra = group)
+    small: its check costs one n x n pivoted QR per block, 0.4 s at order 64.
+    """
+    scn, rng = build(spec)
+    gens = complex_normal(rng, (scn.action.n_points, 2))
+    cases = [
+        ("extra-spanned", span_invariant(scn, gens, scn.extra), True),
+        ("canonical", canonical_extra_invariant(scn), True),
+        ("principal", span_invariant(scn, gens[:, :1]), scn.extra.order == scn.base.order),
+    ]
+    for kind, space, truth in cases:
+        ext = check_extra_invariance(scn, space)
+        dec = check_decomposable(scn, space)
+        assert ext.extra_invariant is dec.decomposable is truth, kind
+        if truth:
+            assert sum(ext.component_dims) == space.dim, kind
 
 
 # -- group core ----------------------------------------------------------------

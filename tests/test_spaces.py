@@ -76,6 +76,27 @@ def test_span_frame_and_projector(scn):
     assert Subspace.zero(scn).residual(f) == pytest.approx(scn.action.norm(f))
 
 
+def test_residuals_match_the_columnwise_reference(scn):
+    # the loop over columns through ``project`` is the reference formula
+    rng = np.random.default_rng(11)
+    outside = np.column_stack([random_function(scn, rng) for _ in range(4)])
+    spaces = [
+        Subspace.zero(scn),
+        span_invariant(scn, outside[:, :1]),
+        span_invariant(scn, outside[:, :2], scn.extra),
+    ]
+    for space in spaces:
+        mat = np.hstack([outside, space.frame])
+        got = space.residuals(mat)
+        assert got.shape == (mat.shape[1],)
+        for k in range(mat.shape[1]):
+            f = mat[:, k]
+            want = scn.action.norm(f - space.project(f))
+            scale = max(1.0, scn.action.norm(f))
+            assert abs(got[k] - want) <= 1e-12 * scale
+            assert abs(space.residual(f) - want) <= 1e-12 * scale
+
+
 def test_span_invariant_properties(scn):
     rng = np.random.default_rng(2)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
