@@ -10,6 +10,10 @@ has to be invariant under the larger subgroup, i.e. have decomposable
 fibers).  The attained error is exactly the discarded singular energy,
 weighted by ``1/n_fibers``.
 
+Both problems are one batched fit: the fiber data matrices are cut into
+their block submatrices (the plain problem has a single block holding
+every row), and all of them go through one SVD call.
+
 Determinism: fibers are processed in dual-section order; pooled entries
 are ordered by (singular value desc, block position, singular index);
 retained singular vectors get a fixed phase (first significant coordinate
@@ -21,11 +25,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .groups import Element
 from .scenario import Scenario
-from .spaces import RANK_TOL, Subspace, fiber_matrices, fibers_from_matrix
+from .spaces import RANK_TOL, Subspace, as_columns, fiber_matrices, fibers_from_matrix
 from .extra import dual_partition, stacked_block_masks
 
 
@@ -66,78 +69,93 @@ class ApproxResult:
 
 
 def _data_matrix(scn: Scenario, data) -> np.ndarray:
-    if isinstance(data, np.ndarray) and data.ndim == 2:
-        mat = np.asarray(data, dtype=complex)
-    else:
-        vecs = [np.asarray(v, dtype=complex) for v in data]
-        if not vecs:
-            raise ValueError("need at least one data vector")
-        mat = np.column_stack(vecs)
-    if mat.shape[0] != scn.action.n_points:
-        raise ValueError(
-            f"data vectors have {mat.shape[0]} entries, "
-            f"space has {scn.action.n_points} points"
-        )
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("data vectors must be finite")
+    mat = as_columns(scn, data, "data vector")
     if mat.shape[1] == 0:
         raise ValueError("need at least one data vector")
     return mat
 
 
-def _fix_phase(u: np.ndarray) -> np.ndarray:
-    peak = float(np.max(np.abs(u)))
-    if peak == 0.0:
-        return u
-    idx = int(np.argmax(np.abs(u) > 1e-8 * peak))
-    z = u[idx]
-    return u * (np.conj(z) / abs(z))
+def _fix_phase(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first significant coordinate is real positive."""
+    mag = np.abs(vecs)
+    peak = mag.max(axis=0)
+    first = np.argmax(mag > 1e-8 * peak, axis=0)
+    z = vecs[first, np.arange(vecs.shape[1])]
+    # zero columns keep their phase
+    phase = np.divide(np.conj(z), np.abs(z), out=np.ones_like(z), where=peak > 0.0)
+    return vecs * phase
 
 
-def _assemble(scn: Scenario, picks: list[tuple[int, np.ndarray]]) -> Subspace:
+def _assemble(scn: Scenario, fibers: np.ndarray, vecs: np.ndarray) -> Subspace:
     """Build the subspace whose fibers are the picked orthonormal vectors.
 
-    ``picks`` holds (fiber position, unit vector in weighted stacked
-    coordinates); vectors at the same fiber must be mutually orthogonal.
+    Column j of ``vecs`` is a unit vector in weighted stacked coordinates at
+    fiber position ``fibers[j]``; vectors at the same fiber must be mutually
+    orthogonal.
     """
-    kc = scn.n_cosets * len(scn.tiling.orbit_reps)
-    if not picks:
+    if fibers.size == 0:
         return Subspace.zero(scn)
-    stacked = np.zeros((scn.n_fibers, kc, len(picks)), dtype=complex)
-    for col, (w, vec) in enumerate(picks):
-        stacked[w, :, col] = vec
+    stacked = np.zeros((scn.n_fibers, vecs.shape[0], fibers.size), dtype=complex)
+    stacked[fibers, :, np.arange(fibers.size)] = vecs.T
     frame = fibers_from_matrix(scn, stacked) * np.sqrt(scn.n_fibers)
     return Subspace(scn, frame)
 
 
-def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
-    """Best base-invariant space of length at most ``ell`` for the data."""
+def _fit(
+    scn: Scenario,
+    data,
+    ell: int,
+    rows: np.ndarray,
+    labels: Sequence[Element] | None = None,
+) -> ApproxResult:
+    """Keep the ``ell`` largest block-restricted singular directions per fiber.
+
+    ``rows`` (n_blocks, block size) lists the weighted stacked rows of each
+    block; ``labels`` names the blocks in the spectra (None: one block, no
+    labels).  All fibers' block submatrices go through one batched SVD.
+    Each fiber pools its blocks' singular values; a stable sort on the
+    value, descending, over the pool in (block position, singular index)
+    order gives the determinism rule of the module.
+    """
     if ell < 1:
         raise ValueError("generator budget must be at least 1")
-    mat = _data_matrix(scn, data)
-    mats = fiber_matrices(scn, mat)
-    svds = [scipy.linalg.svd(mats[w], full_matrices=False) for w in range(scn.n_fibers)]
-    top = max((s[0] for _, s, _ in svds if s.size), default=0.0)
-    floor = RANK_TOL * top
-    picks: list[tuple[int, np.ndarray]] = []
-    spectra = []
-    error = 0.0
-    for w in range(scn.n_fibers):
-        u, s, _ = svds[w]
-        rank = int(np.sum(s > floor))
-        keep = min(ell, rank)
-        for i in range(keep):
-            picks.append((w, _fix_phase(u[:, i])))
-        error += float(np.sum(s[keep:] ** 2)) / scn.n_fibers
-        spectra.append(
-            FiberSpectrum(
-                fiber=scn.omega[w],
-                kept=tuple(float(v) for v in s[:keep]),
-                dropped=tuple(float(v) for v in s[keep:]),
-                kept_labels=None,
-            )
+    mats = fiber_matrices(scn, _data_matrix(scn, data))
+    u, s, _ = np.linalg.svd(mats[:, rows, :], full_matrices=False)
+    n_fibers, n_blocks, k = s.shape
+    pos, idx = np.divmod(np.arange(n_blocks * k), k)  # pool entry -> block, index
+    s = s.reshape(n_fibers, n_blocks * k)
+    order = np.argsort(-s, axis=1, kind="stable")
+    sig = np.take_along_axis(s, order, axis=1)
+    floor = RANK_TOL * float(np.max(sig[:, 0]))
+    keep = np.minimum(ell, np.sum(sig > floor, axis=1))
+    kept = np.arange(sig.shape[1]) < keep[:, None]
+    error = float(np.sum(sig[~kept] ** 2)) / n_fibers
+    fibers, slot = np.nonzero(kept)
+    block, sing = pos[order[fibers, slot]], idx[order[fibers, slot]]
+    vecs = np.zeros((mats.shape[1], fibers.size), dtype=complex)
+    vecs[rows[block], np.arange(fibers.size)[:, None]] = u[fibers, block, :, sing]
+    spectra = tuple(
+        FiberSpectrum(
+            fiber=scn.omega[w],
+            kept=tuple(vals[:n]),
+            dropped=tuple(vals[n:]),
+            kept_labels=(
+                None if labels is None else tuple(labels[p] for p in pos[order[w, :n]])
+            ),
         )
-    return ApproxResult(_assemble(scn, picks), error, int(ell), tuple(spectra))
+        for w, (vals, n) in enumerate(zip(sig.tolist(), keep.tolist()))
+    )
+    return ApproxResult(_assemble(scn, fibers, _fix_phase(vecs)), error, int(ell), spectra)
+
+
+def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
+    """Best base-invariant space of length at most ``ell`` for the data.
+
+    The one-block case of the fit: per fiber, the top ``ell`` left singular
+    vectors of the whole fiber data matrix.
+    """
+    rows = np.arange(scn.n_cosets * len(scn.tiling.orbit_reps))[None, :]
+    return _fit(scn, data, ell, rows)
 
 
 def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
@@ -148,47 +166,9 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     singular directions across blocks.  Keeping whole blocks' directions
     makes every fiber decomposable, hence the space extra-invariant.
     """
-    if ell < 1:
-        raise ValueError("generator budget must be at least 1")
-    mat = _data_matrix(scn, data)
-    mats = fiber_matrices(scn, mat)
-    part = dual_partition(scn)
-    blocks = stacked_block_masks(scn)
-    fiber_pools = []
-    for w in range(scn.n_fibers):
-        pooled = []  # (sigma, block position, singular index, embedded vector)
-        for pos, sel in enumerate(blocks):
-            sub = mats[w][sel, :]
-            u, s, _ = scipy.linalg.svd(sub, full_matrices=False)
-            for i in range(s.size):
-                vec = np.zeros(mats.shape[1], dtype=complex)
-                vec[sel] = u[:, i]
-                pooled.append((float(s[i]), pos, i, vec))
-        pooled.sort(key=lambda t: (-t[0], t[1], t[2]))
-        fiber_pools.append(pooled)
-    top = max((p[0][0] for p in fiber_pools if p), default=0.0)
-    floor = RANK_TOL * top
-    picks: list[tuple[int, np.ndarray]] = []
-    spectra = []
-    error = 0.0
-    for w in range(scn.n_fibers):
-        pooled = fiber_pools[w]
-        significant = [p for p in pooled if p[0] > floor]
-        kept = significant[: min(ell, len(significant))]
-        kept_keys = {(p[1], p[2]) for p in kept}
-        for sigma, pos, i, vec in kept:
-            picks.append((w, _fix_phase(vec)))
-        dropped = [p for p in pooled if (p[1], p[2]) not in kept_keys]
-        error += sum(p[0] ** 2 for p in dropped) / scn.n_fibers
-        spectra.append(
-            FiberSpectrum(
-                fiber=scn.omega[w],
-                kept=tuple(p[0] for p in kept),
-                dropped=tuple(p[0] for p in dropped),
-                kept_labels=tuple(part.labels[p[1]] for p in kept),
-            )
-        )
-    return ApproxResult(_assemble(scn, picks), error, int(ell), tuple(spectra))
+    # blocks have equal size: each row of the masks selects rows // n_blocks rows
+    rows = np.nonzero(stacked_block_masks(scn))[1].reshape(scn.n_blocks, -1)
+    return _fit(scn, data, ell, rows, dual_partition(scn).labels)
 
 
 def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:

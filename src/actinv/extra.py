@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .actions import translate
 from .errors import InvarianceError, TheoremViolationError
@@ -32,6 +31,7 @@ from .spaces import (
     Subspace,
     _euclid_orth,
     fiber_matrices,
+    fiber_singular_values,
     is_invariant,
     padded,
     require_base_invariant,
@@ -361,9 +361,7 @@ def check_decomposable(
 
 def _spectral_top(mats: np.ndarray) -> float:
     """Largest singular value across a stack of (possibly empty) matrices."""
-    if mats.shape[2] == 0:
-        return 0.0
-    return max(float(np.max(scipy.linalg.svdvals(m), initial=0.0)) for m in mats)
+    return float(np.max(fiber_singular_values(mats), initial=0.0))
 
 
 def stacked_block_masks(scn: Scenario) -> np.ndarray:

@@ -93,7 +93,7 @@ class Subspace:
         tol: float = RANK_TOL,
         floor: float = 0.0,
     ) -> "Subspace":
-        mat = _as_columns(scn, vectors)
+        mat = as_columns(scn, vectors)
         return cls(scn, orthonormal_columns(scn.action.weights, mat, tol, floor))
 
     @classmethod
@@ -145,20 +145,25 @@ class Subspace:
         return self.residual(f) <= tol * scale
 
 
-def _as_columns(scn: Scenario, vectors) -> np.ndarray:
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        mat = np.asarray(vectors, dtype=complex)
+def as_columns(scn: Scenario, vectors, noun: str = "vector") -> np.ndarray:
+    """The vectors as the columns of a finite complex matrix on the point set.
+
+    Takes a matrix of columns, a single function as a 1-D array, or a
+    sequence of functions; ``noun`` names them in the error messages.
+    """
+    if isinstance(vectors, np.ndarray) and vectors.ndim in (1, 2):
+        mat = np.asarray(vectors if vectors.ndim == 2 else vectors[:, None], dtype=complex)
     else:
         vecs = [np.asarray(v, dtype=complex) for v in vectors]
         if not vecs:
-            raise ValueError("need at least one vector")
+            raise ValueError(f"need at least one {noun}")
         mat = np.column_stack(vecs)
     if mat.shape[0] != scn.action.n_points:
         raise ValueError(
-            f"vectors have {mat.shape[0]} entries, space has {scn.action.n_points} points"
+            f"{noun}s have {mat.shape[0]} entries, space has {scn.action.n_points} points"
         )
     if not np.all(np.isfinite(mat)):
-        raise ValueError("vectors must be finite")
+        raise ValueError(f"{noun}s must be finite")
     return mat
 
 
@@ -175,7 +180,7 @@ def span_invariant(
     """
     if subgroup is None:
         subgroup = scn.base
-    mat = _as_columns(scn, generators)
+    mat = as_columns(scn, generators)
     orbit = [translate(scn.action, g, mat) for g in subgroup.elements]
     return Subspace.span(scn, np.hstack(orbit), tol)
 
@@ -229,6 +234,29 @@ class FiberMultiplier:
         return self.values[self.scenario.dual_split[:, 0]]
 
 
+def _fiber_multiplier(
+    scn: Scenario, f: np.ndarray, psi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, FiberMultiplier]:
+    """Base Zak values of f and psi, and the least-squares fiberwise ratio.
+
+    On each fiber where psi's fiber is (numerically) nonzero, the ratio is
+    the coefficient of the orthogonal projection of f's fiber onto psi's;
+    elsewhere it is zero.  A (numerically) zero psi is rejected.
+    """
+    zpsi = zak_base(scn, np.asarray(psi, dtype=complex))
+    zf = zak_base(scn, np.asarray(f, dtype=complex))
+    w = scn.tile_weights
+    psi_sq = np.sum(np.abs(zpsi) ** 2 * w, axis=1)  # per-fiber squared norms
+    peak = float(np.max(psi_sq))
+    if peak <= 0.0 or scn.action.norm(psi) == 0.0:
+        raise DegenerateGeneratorError("generator is zero")
+    support = psi_sq > (RANK_TOL**2) * peak
+    values = np.zeros(scn.n_fibers, dtype=complex)
+    cross = np.sum(zf * np.conj(zpsi) * w, axis=1)
+    values[support] = cross[support] / psi_sq[support]
+    return zf, zpsi, FiberMultiplier(scn, values, support)
+
+
 def principal_membership(
     scn: Scenario,
     f: np.ndarray,
@@ -242,26 +270,17 @@ def principal_membership(
     where psi's fiber does.  Returns the multiplier on success, None
     otherwise.  A (numerically) zero psi is rejected.
     """
-    zpsi = zak_base(scn, np.asarray(psi, dtype=complex))
-    zf = zak_base(scn, np.asarray(f, dtype=complex))
-    w = scn.tile_weights
-    psi_sq = np.sum(np.abs(zpsi) ** 2 * w, axis=1)  # per-fiber squared norms
-    peak = float(np.max(psi_sq))
-    if peak <= 0.0 or scn.action.norm(psi) == 0.0:
-        raise DegenerateGeneratorError("generator is zero")
-    support = psi_sq > (RANK_TOL**2) * peak
-    values = np.zeros(scn.n_fibers, dtype=complex)
-    cross = np.sum(zf * np.conj(zpsi) * w, axis=1)
-    values[support] = cross[support] / psi_sq[support]
+    zf, zpsi, mult = _fiber_multiplier(scn, f, psi)
+    support, w = mult.support, scn.tile_weights
     # residual of f against the fiberwise multiple, in the function norm
-    diff = zf - values[:, None] * zpsi
+    diff = zf - mult.values[:, None] * zpsi
     resid_sq = np.sum(np.abs(diff) ** 2 * w, axis=1)
     off = np.sum(np.abs(zf[~support]) ** 2 * w, axis=1) if np.any(~support) else 0.0
     total = float(np.sqrt((np.sum(resid_sq[support]) + np.sum(off)) / scn.n_fibers))
     scale = max(1.0, scn.action.norm(f))
     if total > tol * scale:
         return None
-    return FiberMultiplier(scn, values, support)
+    return mult
 
 
 def project_principal(
@@ -272,19 +291,8 @@ def project_principal(
     Returns the projected function and the multiplier whose fiberwise
     product with psi's base Zak values gives the projection's values.
     """
-    zpsi = zak_base(scn, np.asarray(psi, dtype=complex))
-    zg = zak_base(scn, np.asarray(g, dtype=complex))
-    w = scn.tile_weights
-    psi_sq = np.sum(np.abs(zpsi) ** 2 * w, axis=1)
-    peak = float(np.max(psi_sq))
-    if peak <= 0.0:
-        raise DegenerateGeneratorError("generator is zero")
-    support = psi_sq > (RANK_TOL**2) * peak
-    values = np.zeros(scn.n_fibers, dtype=complex)
-    cross = np.sum(zg * np.conj(zpsi) * w, axis=1)
-    values[support] = cross[support] / psi_sq[support]
-    proj = zak_base_inv(scn, values[:, None] * zpsi)
-    return proj, FiberMultiplier(scn, values, support)
+    _, zpsi, mult = _fiber_multiplier(scn, g, psi)
+    return zak_base_inv(scn, mult.values[:, None] * zpsi), mult
 
 
 # -- fiberwise structure of invariant spaces ----------------------------------
@@ -322,6 +330,15 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     return zak_stacked_inv(scn, vals)
 
 
+def fiber_singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values of a stack of fiber matrices, descending, one batched call.
+
+    Shape (n_fibers, min(rows, columns)); empty along the last axis for
+    matrices without columns.
+    """
+    return np.linalg.svd(mats, compute_uv=False)
+
+
 def length(space: Subspace, tol: float = RANK_TOL) -> int:
     """Largest fiber dimension of a base-invariant subspace.
 
@@ -333,12 +350,11 @@ def length(space: Subspace, tol: float = RANK_TOL) -> int:
     require_base_invariant(space)
     if space.dim == 0:
         return 0
-    mats = fiber_matrices(space.scenario, space.frame)
-    svals = [scipy.linalg.svdvals(mats[w]) for w in range(mats.shape[0])]
-    top = max((s[0] for s in svals if s.size), default=0.0)
+    svals = fiber_singular_values(fiber_matrices(space.scenario, space.frame))
+    top = float(np.max(svals, initial=0.0))
     if top <= 0.0:
         return 0
-    return max(int(np.sum(s > tol * top)) for s in svals)
+    return int(np.max(np.sum(svals > tol * top, axis=1)))
 
 
 def fiber_generators(space: Subspace, tol: float = RANK_TOL) -> list[np.ndarray]:
@@ -354,7 +370,7 @@ def fiber_generators(space: Subspace, tol: float = RANK_TOL) -> list[np.ndarray]
     if space.dim == 0:
         return []
     mats = fiber_matrices(scn, space.frame)
-    top = max((float(np.linalg.norm(m, 2)) for m in mats), default=0.0)
+    top = float(np.max(fiber_singular_values(mats), initial=0.0))
     stacked = padded([_euclid_orth(m, tol, floor=tol * top) for m in mats])
     gens = fibers_from_matrix(scn, stacked)
     return [gens[:, j] for j in range(stacked.shape[2])]

@@ -11,6 +11,11 @@ O(|G|^2) and meant for test sizes only.
 Every transform takes a single function (1-D) or a batch of columns (2-D),
 like the library.
 
+The approximation references start from the dense stacked transform and
+the block indicators: the exhaustive allocation minimum of the
+extra-invariant problem, and the solvers' fit as one SVD per fiber and
+block, with the pooling, ordering and rank floor spelled out in Python.
+
 The group-core references at the end work element by element on coordinate
 tuples, with ``FiniteAbelianGroup.add`` and set membership: the all-pairs
 group-law check, coset representatives as a lexicographic minimum over the
@@ -18,7 +23,10 @@ subgroup, the annihilator by the pairing test against every subgroup
 element, and subgroup membership by closure under all pairs.  They are
 O(|G|^2) as well.
 """
+import itertools
+
 import numpy as np
+import scipy.linalg
 
 from actinv import ActionError, FreenessError, OrbitError
 
@@ -100,6 +108,87 @@ def mask(scn, xi, f):
     values = full(scn, f)
     keep = block_indicator(scn, xi)
     return full_inv(scn, values * keep.reshape((-1,) + (1,) * (values.ndim - 1)))
+
+
+# -- approximation ---------------------------------------------------------------
+
+
+def fiber_data(scn, data):
+    """Per-fiber data matrices in weighted stacked coordinates, from ``stacked``."""
+    vals = stacked(scn, np.asarray(data, dtype=complex).reshape(scn.action.n_points, -1))
+    vals = vals * np.sqrt(scn.rep_weights)[None, None, :, None]
+    w, k, c, d = vals.shape
+    return vals.reshape(w, k * c, d)
+
+
+def block_rows(scn):
+    """Stacked rows of each block in label order, from ``block_indicator``."""
+    reps = len(scn.tiling.orbit_reps)
+    first_fiber = _dual_index(scn)[0]
+    return [
+        np.flatnonzero(np.repeat(block_indicator(scn, xi)[first_fiber], reps))
+        for xi in scn.block_labels
+    ]
+
+
+def allocation_minimum(scn, data, ell):
+    """Optimal extra-invariant error over all per-block dimension allocations."""
+    total = 0.0
+    for mat in fiber_data(scn, data):
+        energy = float(np.linalg.norm(mat) ** 2)
+        sq = [
+            np.sort(np.linalg.svd(mat[sel, :], compute_uv=False) ** 2)[::-1]
+            for sel in block_rows(scn)
+        ]
+        best_kept = 0.0
+        for counts in itertools.product(*[range(min(ell, s.size) + 1) for s in sq]):
+            if sum(counts) <= ell:
+                kept = sum(float(np.sum(s[:k])) for s, k in zip(sq, counts))
+                best_kept = max(best_kept, kept)
+        total += (energy - best_kept) / scn.n_fibers
+    return total
+
+
+def pooled_fit(scn, data, ell, extra):
+    """The approximation solvers as one SVD per fiber and block, pooled in Python.
+
+    Per fiber, the (singular value, block position, singular index, vector)
+    entries of every block (one block of all rows when ``extra`` is false)
+    are sorted by (value desc, position, index); the first ``ell`` above
+    ``1e-10`` times the largest value overall are kept.  Returns the error,
+    ``(kept, dropped, kept_labels)`` per fiber and the weighted projector of
+    the kept directions.
+    """
+    mats = fiber_data(scn, data)
+    rows = block_rows(scn) if extra else [np.arange(mats.shape[1])]
+    pools = []
+    for mat in mats:
+        pooled = []
+        for pos, sel in enumerate(rows):
+            u, s, _ = scipy.linalg.svd(mat[sel, :], full_matrices=False)
+            for i in range(s.size):
+                vec = np.zeros(mat.shape[0], dtype=complex)
+                vec[sel] = u[:, i]
+                pooled.append((float(s[i]), pos, i, vec))
+        pooled.sort(key=lambda t: (-t[0], t[1], t[2]))
+        pools.append(pooled)
+    floor = 1e-10 * max(pool[0][0] for pool in pools)
+    error, spectra, cols = 0.0, [], []
+    for w, pooled in enumerate(pools):
+        n = min(ell, sum(p[0] > floor for p in pooled))
+        kept, dropped = pooled[:n], pooled[n:]
+        error += sum(p[0] ** 2 for p in dropped) / scn.n_fibers
+        labels = tuple(scn.block_labels[p[1]] for p in kept) if extra else None
+        spectra.append((tuple(p[0] for p in kept), tuple(p[0] for p in dropped), labels))
+        cols += [(w, p[3]) for p in kept]
+    picks = np.zeros(mats.shape[:2] + (len(cols),), dtype=complex)
+    for j, (w, vec) in enumerate(cols):
+        picks[w, :, j] = vec
+    w, _, d = picks.shape
+    fibers = picks.reshape(w, scn.n_cosets, -1, d) / np.sqrt(scn.rep_weights)[:, None]
+    frame = stacked_inv(scn, fibers) * np.sqrt(scn.n_fibers)
+    frame = frame * np.sqrt(scn.action.weights)[:, None]
+    return error, spectra, frame @ frame.conj().T
 
 
 # -- group core ----------------------------------------------------------------

@@ -5,7 +5,6 @@ criterion after the run.  Tolerances: 1e-12 relative for isometries and
 unitarity, 1e-10 for the transform relation, 1e-9 for membership,
 inclusion and projector identities.
 """
-import itertools
 import time
 
 import numpy as np
@@ -42,6 +41,7 @@ from actinv.zak import (
     zak_stacked_inv,
 )
 
+import oracle
 from conftest import (
     SCENARIO_NAMES,
     build_scenario,
@@ -152,8 +152,8 @@ def test_c4_membership_oracle(bank):
             pairs += 1
             verdict = principal_membership(scn, f, psi, tol=PROJECTOR_TOL) is not None
             residual = space.residual(f)
-            oracle = residual <= PROJECTOR_TOL * max(1.0, scn.action.norm(f))
-            if verdict != oracle:
+            member = residual <= PROJECTOR_TOL * max(1.0, scn.action.norm(f))
+            if verdict != member:
                 disagreements += 1
     assert pairs >= 200
     assert disagreements == 0
@@ -217,7 +217,7 @@ def test_c8_approximation_optimality(bank):
 
             extra = best_extra_invariant(scn, data, ell)
             assert extra.error == pytest.approx(
-                _allocation_minimum(scn, mats, ell), rel=1e-9, abs=1e-9
+                oracle.allocation_minimum(scn, data, ell), rel=1e-9, abs=1e-9
             )
             assert length(extra.space) <= ell
 
@@ -238,30 +238,6 @@ def test_c8_approximation_optimality(bank):
         dec = check_decomposable(scn, extra.space)
         assert dec.decomposable
     assert time.perf_counter() - start < 60.0
-
-
-def _allocation_minimum(scn, mats, ell):
-    c = len(scn.tiling.orbit_reps)
-    block_rows = [
-        (scn.block_coordinates(xi)[:, None] * c + np.arange(c)[None, :]).ravel()
-        for xi in scn.block_labels
-    ]
-    total = 0.0
-    for w in range(scn.n_fibers):
-        energy = float(np.linalg.norm(mats[w]) ** 2)
-        sq = [
-            np.sort(np.linalg.svd(mats[w][sel, :], compute_uv=False) ** 2)[::-1]
-            for sel in block_rows
-        ]
-        best_kept = 0.0
-        for counts in itertools.product(*[range(min(ell, s.size) + 1) for s in sq]):
-            if sum(counts) > ell:
-                continue
-            best_kept = max(
-                best_kept, sum(float(np.sum(s[:k])) for s, k in zip(sq, counts))
-            )
-        total += (energy - best_kept) / scn.n_fibers
-    return total
 
 
 def test_c9_sequence_cross_oracle(invariance_sweep):

@@ -1,5 +1,4 @@
 """Best-approximation results vs independent minimization oracles."""
-import itertools
 import json
 
 import numpy as np
@@ -15,8 +14,10 @@ from actinv import (
     is_invariant,
     span_invariant,
 )
-from actinv.spaces import fiber_matrices, length
+from actinv.extra import dual_partition, stacked_block_masks
+from actinv.spaces import Subspace, fiber_matrices, fibers_from_matrix, length
 
+import oracle
 from conftest import random_block_supported_space, random_function
 
 
@@ -34,32 +35,6 @@ def truncation_minimum(scn, data, ell):
     for w in range(scn.n_fibers):
         s = np.linalg.svd(mats[w], compute_uv=False)
         total += float(np.sum(s[ell:] ** 2)) / scn.n_fibers
-    return total
-
-
-def allocation_minimum(scn, data, ell):
-    """Optimal error over all per-block dimension allocations, exhaustively."""
-    mats = fiber_matrices(scn, data)
-    c = len(scn.tiling.orbit_reps)
-    block_rows = [
-        (scn.block_coordinates(xi)[:, None] * c + np.arange(c)[None, :]).ravel()
-        for xi in scn.block_labels
-    ]
-    total = 0.0
-    for w in range(scn.n_fibers):
-        energy = float(np.linalg.norm(mats[w]) ** 2)
-        sq = [
-            np.sort(np.linalg.svd(mats[w][sel, :], compute_uv=False) ** 2)[::-1]
-            for sel in block_rows
-        ]
-        best_kept = 0.0
-        ranges = [range(min(ell, s.size) + 1) for s in sq]
-        for counts in itertools.product(*ranges):
-            if sum(counts) > ell:
-                continue
-            kept = sum(float(np.sum(s[:k])) for s, k in zip(sq, counts))
-            best_kept = max(best_kept, kept)
-        total += (energy - best_kept) / scn.n_fibers
     return total
 
 
@@ -86,7 +61,7 @@ def test_extra_matches_allocation_oracle(scn):
     data = data_matrix(scn, np.random.default_rng(12))
     for ell in (1, 2):
         res = best_extra_invariant(scn, data, ell)
-        assert res.error == pytest.approx(allocation_minimum(scn, data, ell), abs=1e-9)
+        assert res.error == pytest.approx(oracle.allocation_minimum(scn, data, ell), abs=1e-9)
 
 
 def test_pca_cross_check_single_fiber(bank):
@@ -182,6 +157,57 @@ def test_column_permutation_invariance(scn):
     b = best_invariant(scn, data[:, ::-1], 2)
     assert b.error == pytest.approx(a.error, rel=1e-12)
     assert_allclose(b.space.projector, a.space.projector, atol=1e-9)
+
+
+# -- the batched fit -------------------------------------------------------------
+
+
+def test_one_batched_svd_per_solver(scn, monkeypatch):
+    shapes = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    data = data_matrix(scn, np.random.default_rng(24))
+    rows = scn.n_cosets * len(scn.tiling.orbit_reps)
+    best_invariant(scn, data, 2)
+    assert shapes == [(scn.n_fibers, 1, rows, 3)]
+    shapes.clear()
+    best_extra_invariant(scn, data, 2)
+    assert shapes == [(scn.n_fibers, scn.n_blocks, rows // scn.n_blocks, 3)]
+
+
+@pytest.mark.parametrize("name", ["chain12", "product"])
+def test_tied_blocks_keep_the_lower_position(bank, name):
+    # a unit fiber entry in block 0 and one in block 1 of the same fiber: on
+    # these scenarios the round trip keeps both exactly 1, so the two block
+    # singular values tie, and block position 0 must be kept
+    scn = bank[name]
+    masks = stacked_block_masks(scn)
+    labels = dual_partition(scn).labels
+    for w in range(scn.n_fibers):
+        fibers = np.zeros((scn.n_fibers, masks.shape[1], 1), dtype=complex)
+        fibers[w, np.flatnonzero(masks[0])[0], 0] = 1.0
+        fibers[w, np.flatnonzero(masks[1])[-1], 0] = 1.0
+        spec = best_extra_invariant(scn, fibers_from_matrix(scn, fibers), 1).spectra[w]
+        assert len(spec.dropped) == 1 and spec.kept == spec.dropped  # the tie
+        assert spec.kept_labels == (labels[0],)
+
+
+def test_one_dimensional_data_is_one_column(chain12):
+    f = random_function(chain12, np.random.default_rng(25))
+    for solver in (best_invariant, best_extra_invariant):
+        vector, column = solver(chain12, f, 1), solver(chain12, f[:, None], 1)
+        assert vector.as_dict() == column.as_dict()
+        assert np.array_equal(vector.space.frame, column.space.frame)
+        assert evaluate_candidate(chain12, f, vector.space) == pytest.approx(vector.error)
+    assert np.array_equal(
+        span_invariant(chain12, f).frame, span_invariant(chain12, f[:, None]).frame
+    )
+    assert Subspace.span(chain12, f).dim == 1
 
 
 # -- reports and argument validation -------------------------------------------

@@ -9,6 +9,10 @@ Group core: on the same generated groups, ``validate_action`` gives the same
 verdict and error class as the all-pairs check on valid actions and on three
 kinds of broken ones, and coset sections, annihilators and
 ``Subgroup.from_elements`` equal their element-by-element references.
+
+Approximation: on the generated scenarios, both batched solvers match the
+pooled one-SVD-per-fiber-and-block reference in error (1e-12 relative),
+spectra, kept block labels and projector.
 """
 import math
 
@@ -25,6 +29,8 @@ from actinv import (
     Scenario,
     Subgroup,
     annihilator,
+    best_extra_invariant,
+    best_invariant,
     canonical_extra_invariant,
     check_decomposable,
     check_extra_invariance,
@@ -185,6 +191,33 @@ def test_generated_scenarios_obey_the_theorem(spec):
         assert ext.extra_invariant is dec.decomposable is truth, kind
         if truth:
             assert sum(ext.component_dims) == space.dim, kind
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(), batch=st.integers(1, 4), ell=st.integers(1, 3))
+@example(spec=((1,), [], [], 1, 0), batch=1, ell=1)
+@example(spec=((12,), [], [(1,)], 2, 4), batch=3, ell=2)
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), batch=4, ell=3)
+def test_solvers_match_the_pooled_reference(spec, batch, ell):
+    """The batched fits against one SVD per fiber and block, pooled in Python."""
+    scn, rng = build(spec)
+    data = complex_normal(rng, (scn.action.n_points, batch))
+    energy = float(np.sum(scn.action.weights[:, None] * np.abs(data) ** 2))
+    for solver, extra in ((best_invariant, False), (best_extra_invariant, True)):
+        res = solver(scn, data, ell)
+        error, spectra, projector = oracle.pooled_fit(scn, data, ell, extra)
+        assert res.error == pytest.approx(error, rel=RTOL, abs=RTOL**2 * energy)
+        for got, (kept, dropped, labels) in zip(res.spectra, spectra, strict=True):
+            np.testing.assert_allclose(got.kept, kept, rtol=RTOL)
+            np.testing.assert_allclose(
+                got.dropped, dropped, rtol=RTOL, atol=RTOL * np.sqrt(energy)
+            )
+            assert got.kept_labels == labels
+        np.testing.assert_allclose(res.space.projector, projector, atol=RTOL)
 
 
 # -- group core ----------------------------------------------------------------
