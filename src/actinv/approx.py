@@ -29,7 +29,7 @@ import numpy as np
 from .groups import Element
 from .scenario import Scenario
 from .spaces import RANK_TOL, Subspace, as_columns, fiber_matrices, fibers_from_matrix
-from .extra import dual_partition, stacked_block_masks
+from .extra import _block_rows, dual_partition, stacked_block_masks
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,7 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     singular directions across blocks.  Keeping whole blocks' directions
     makes every fiber decomposable, hence the space extra-invariant.
     """
-    # blocks have equal size: each row of the masks selects rows // n_blocks rows
-    rows = np.nonzero(stacked_block_masks(scn))[1].reshape(scn.n_blocks, -1)
+    rows = _block_rows(stacked_block_masks(scn))
     return _fit(scn, data, ell, rows, dual_partition(scn).labels)
 
 

@@ -13,15 +13,21 @@ extra subgroup exactly when every masked image of it stays inside it, and
 in that case the masked images are mutually orthogonal and sum to the
 space.  Both sides of the equivalence are computed independently and a
 disagreement raises :class:`TheoremViolationError`.
+
+The translation side works in point space.  The mask side never leaves the
+Zak domain: the full Zak transform is an isometry, so the masked image of a
+space is spanned by the block rows of its Zak values, and one batched SVD of
+the block-row stacks yields every component at once (its dimension, its
+directions as coefficient vectors on the frame, and the energy each
+direction keeps outside its block).  The fiberwise check likewise works on
+block rows of the fiber matrices; no check builds an n x n array.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .actions import translate
 from .errors import InvarianceError, TheoremViolationError
 from .groups import Element
 from .scenario import Scenario
@@ -31,13 +37,11 @@ from .spaces import (
     Subspace,
     _euclid_orth,
     fiber_matrices,
-    fiber_singular_values,
     is_invariant,
-    padded,
     require_base_invariant,
     span_invariant,
 )
-from .zak import _group_dft, unfold_orbits, zak_full, zak_full_inv
+from .zak import _group_dft, zak_full, zak_full_inv
 
 
 @dataclass(frozen=True)
@@ -147,25 +151,60 @@ def masked_component(
     xi,
     tol: float = RANK_TOL,
     part: DualPartition | None = None,
-    _checked: bool = False,
 ) -> Subspace:
     """The image of a base-invariant subspace under the block mask.
 
-    Memoised on ``space``, keyed by (block position, ``tol``): the checks of
-    one space share a single :func:`mask_apply` and rank cut per block.
+    Computed in point space: one :func:`mask_apply` of the frame and a rank
+    cut.  The checks do not call it; they read the same components off the
+    Zak side (:func:`check_extra_invariance`).
     """
-    if not _checked:
-        require_base_invariant(space)
+    require_base_invariant(space)
     if space.dim == 0:
         return Subspace.zero(scn)
-    memo = vars(space).setdefault("_masked_components", {})
-    key = (scn.block_section.position_of(xi), tol)
-    if key not in memo:
-        masked = mask_apply(scn, xi, space.frame, part)
-        # masks act on unit frame columns: anything below the absolute floor
-        # is roundoff, not a direction of the image
-        memo[key] = Subspace.span(scn, masked, tol, floor=tol)
-    return memo[key]
+    masked = mask_apply(scn, xi, space.frame, part)
+    # masks act on unit frame columns: anything below the absolute floor
+    # is roundoff, not a direction of the image
+    return Subspace.span(scn, masked, tol, floor=tol)
+
+
+def _block_rows(masks: np.ndarray) -> np.ndarray:
+    """Row indices of each (equal-sized) block, shape (n_blocks, block size)."""
+    return np.nonzero(masks)[1].reshape(len(masks), -1)
+
+
+def _mask_side(scn: Scenario, space: Subspace):
+    """Singular data of the space's block rows, memoised on ``space``.
+
+    ``z``, the frame's full Zak values scaled by
+    ``(rep_weights / group.order) ** 0.5``, has orthonormal columns.  One
+    batched SVD of the blocks' rows gives, per block, the singular values
+    ``s`` and the right singular vectors as the rows of ``vh``
+    (n_blocks, k, dim).  The unit direction ``frame @ v`` keeps norm ``s`` in
+    the block and ``(1 - s**2) ** 0.5`` outside it, which is also the
+    distance from the space of the unit masked image along that direction.
+    ``worst`` is that outside norm for each block's smallest singular value
+    above ``RANK_TOL`` (0 when there is none), taken from the Zak values
+    themselves, without the cancellation.
+    """
+    memo = vars(space).get("_mask_side")
+    if memo is None:
+        rows = _block_rows(dual_partition(scn).masks)
+        n_blocks, size = rows.shape
+        root = np.sqrt(scn.rep_weights / scn.group.order)[:, None]
+        z = zak_full(scn, space.frame) * root
+        order, reps, dim = z.shape
+        stack = z[rows].reshape(n_blocks, size * reps, dim)
+        _, s, vh = np.linalg.svd(stack, full_matrices=False)
+        count = np.sum(s > RANK_TOL, axis=1)
+        worst = np.zeros(n_blocks)
+        if dim:
+            v = vh[np.arange(n_blocks), np.maximum(count - 1, 0)].conj()
+            # each block's worst direction, with the block's own rows zeroed
+            off = (z.reshape(order * reps, dim) @ v.T).reshape(order, reps, n_blocks)
+            off[rows, :, np.arange(n_blocks)[:, None]] = 0.0
+            worst = np.linalg.norm(off, axis=(0, 1)) * (count > 0)
+        memo = vars(space)["_mask_side"] = (s, vh, worst)
+    return memo
 
 
 @dataclass(frozen=True)
@@ -174,10 +213,10 @@ class ExtraInvarianceReport:
 
     extra_invariant: bool
     translation_residual: float  # worst residual of extra-subgroup translates
-    inclusion_residuals: tuple[float, ...]  # per block label
+    inclusion_residuals: tuple[float, ...]  # per block label, worst unit direction
     inclusion_ok: tuple[bool, ...]
     component_dims: tuple[int, ...]
-    decomposition_deviation: float | None  # projector gap when invariant
+    decomposition_deviation: float | None  # coefficient projector gap when invariant
     component_invariance_residual: float | None  # base+extra invariance of components
 
     def as_dict(self) -> dict:
@@ -206,25 +245,26 @@ def check_extra_invariance(
     """Test invariance under the extra subgroup two independent ways.
 
     Side one translates the frame by the extra subgroup's generators and
-    measures residuals.  Side two masks the space block by block and
-    measures how far each masked image sticks out.  The two verdicts must
-    agree (that is the theorem); if they do not, a
+    measures residuals in point space.  Side two masks the space's Zak
+    values block by block: a block's component dimension is the number of
+    singular values of its rows above ``RANK_TOL``, and its inclusion
+    residual is the distance from the space of the worst unit vector of the
+    masked image, which does not depend on a choice of basis.  The two
+    verdicts must agree (that is the theorem); if they do not, a
     :class:`TheoremViolationError` is raised with both residuals.
 
-    When the space is extra-invariant, the report also carries the maximal
-    deviation between the space's projector and the sum of the component
-    projectors, and the worst base/extra-invariance residual among the
+    When the space is extra-invariant, the component of block b is spanned
+    by ``frame @ v`` over its kept right singular vectors v.  The report
+    then also carries the largest entry of ``sum_b V_b V_b^H - I`` (the
+    components' projectors summed, in coefficients on the frame, against
+    the identity) and the worst base/extra-invariance residual among the
     components (all of which must be invariant too).
     """
     require_base_invariant(space, tol)
-    part = dual_partition(scn)
     ok_translate, res_translate = is_invariant(space, scn.extra, tol)
-    components = []
-    inc_res = []
-    for xi in part.labels:
-        comp = masked_component(scn, space, xi, part=part, _checked=True)
-        components.append(comp)
-        inc_res.append(float(np.max(space.residuals(comp.frame), initial=0.0)))
+    s, vh, worst = _mask_side(scn, space)
+    kept = s > RANK_TOL  # the absolute floor: frame directions are unit
+    inc_res = [float(r) for r in worst]
     inc_ok = tuple(r <= tol for r in inc_res)
     ok_masks = all(inc_ok)
     if ok_translate != ok_masks:
@@ -238,10 +278,12 @@ def check_extra_invariance(
     deviation = None
     comp_res = None
     if ok_translate:
-        total = sum(c.projector for c in components)
-        deviation = float(np.max(np.abs(space.projector - total)))
+        coeffs = vh[kept]  # (sum of component dims, dim), conjugated directions
+        gram = coeffs.conj().T @ coeffs
+        deviation = float(np.max(np.abs(gram - np.eye(space.dim)), initial=0.0))
         comp_res = 0.0
-        for comp in components:
+        for b in range(scn.n_blocks):
+            comp = Subspace(scn, space.frame @ vh[b, kept[b]].conj().T)
             for sub in (scn.base, scn.extra):
                 _, r = is_invariant(comp, sub, tol)
                 comp_res = max(comp_res, r)
@@ -255,7 +297,7 @@ def check_extra_invariance(
         translation_residual=res_translate,
         inclusion_residuals=tuple(inc_res),
         inclusion_ok=inc_ok,
-        component_dims=tuple(c.dim for c in components),
+        component_dims=tuple(int(k) for k in np.sum(kept, axis=1)),
         decomposition_deviation=deviation,
         component_invariance_residual=comp_res,
     )
@@ -284,7 +326,7 @@ def canonical_extra_invariant(scn: Scenario, tol: float = RANK_TOL) -> Subspace:
 @dataclass(frozen=True)
 class DecomposabilityReport:
     decomposable: bool
-    block_residual: float  # worst fiber/block projection residual
+    block_residual: float  # worst masked unit direction's distance from its fiber
     component_match_deviation: float | None  # fiber projector gap, masked vs component
 
     def as_dict(self) -> dict:
@@ -306,25 +348,30 @@ def check_decomposable(
 
     A fiber (of stacked Zak values) is decomposable when zeroing all
     coordinates outside any one block keeps the vector inside the fiber
-    space.  This must agree with :func:`check_extra_invariance`; it also
-    verifies that the fibers of each masked component equal the
-    block-restricted fibers of the space.
+    space.  The fiber bases come from one batched SVD of the fiber
+    matrices, and the block rows of all bases from one more;
+    ``block_residual`` is the largest distance from its fiber space of a
+    masked unit vector of a fiber.  This must agree with
+    :func:`check_extra_invariance`; it also verifies that the fibers of
+    each masked component equal the block-restricted fibers of the space,
+    comparing the two projectors on the block rows.
     """
     require_base_invariant(space, tol)
-    part = dual_partition(scn)
-    blocks = stacked_block_masks(scn)
+    rows = _block_rows(stacked_block_masks(scn))
     worst = 0.0
     if space.dim:
         mats = fiber_matrices(scn, space.frame)
-        top = _spectral_top(mats)
-        fiber_bases = [_euclid_orth(m, floor=RANK_TOL * top) for m in mats]
-        # (n_fibers, kc, r_max): one batched product per block, not per fiber
-        bases = padded(fiber_bases)
-        adjoint = bases.conj().transpose(0, 2, 1)
-        for keep in blocks:
-            masked = bases * keep[:, None]
-            resid = masked - bases @ (adjoint @ masked)
-            worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
+        u, s, _ = np.linalg.svd(mats, full_matrices=False)
+        # orthonormal fiber bases; cut columns are zeroed, which leaves every
+        # projector and masked singular value unchanged
+        q = u * (s > RANK_TOL * np.max(s))[:, None, :]
+        # per fiber and block, the block rows of the basis: q[rows] = a t wh
+        a, t, wh = np.linalg.svd(q[:, rows], full_matrices=False)
+        # the masked unit direction q w lies t * |q w off the block| from the
+        # fiber space: t * (1 - t**2) ** 0.5 without the cancellation
+        off = q[:, None] @ wh.conj().swapaxes(-1, -2)  # (n_fibers, n_blocks, rows, k)
+        off[:, np.arange(len(rows))[:, None], rows] = 0.0
+        worst = float(np.max(t * np.linalg.norm(off, axis=2), initial=0.0))
     decomposable = worst <= tol
     ext = check_extra_invariance(scn, space, tol)
     if decomposable != ext.extra_invariant:
@@ -337,20 +384,15 @@ def check_decomposable(
         )
     match_dev = None
     if decomposable and space.dim:
-        match_dev = 0.0
-        for keep, xi in zip(blocks, part.labels):
-            comp = masked_component(scn, space, xi, part=part, _checked=True)
-            comp_mats = (
-                fiber_matrices(scn, comp.frame)
-                if comp.dim
-                else np.zeros((scn.n_fibers, blocks.shape[1], 0), dtype=complex)
-            )
-            comp_top = _spectral_top(comp_mats)
-            for q, comp_mat in zip(fiber_bases, comp_mats):
-                # basis vectors are unit, so roundoff sits far below RANK_TOL
-                pa = _euclid_projector(q * keep[:, None], floor=RANK_TOL)
-                pb = _euclid_projector(comp_mat, floor=RANK_TOL * max(comp_top, 1.0))
-                match_dev = max(match_dev, float(np.max(np.abs(pa - pb))))
+        # the components' fibers are linear in the frame: fibers @ v per block
+        ms, mvh, _ = _mask_side(scn, space)
+        comp = mvh.conj().swapaxes(1, 2) * (ms > RANK_TOL)[:, None, :]
+        cu, cs, _ = np.linalg.svd(mats[:, rows] @ comp, full_matrices=False)
+        top = np.maximum(np.max(cs, axis=(0, 2), initial=0.0), 1.0)[:, None]
+        # both projectors live on the block rows, where the masked fibers sit;
+        # masked basis vectors have unit scale, so roundoff sits far below RANK_TOL
+        gap = _projectors(a, t > RANK_TOL) - _projectors(cu, cs > RANK_TOL * top)
+        match_dev = float(np.max(np.abs(gap)))
         if match_dev > tol:
             raise TheoremViolationError(
                 "masked-component fibers do not match block-restricted fibers",
@@ -359,9 +401,10 @@ def check_decomposable(
     return DecomposabilityReport(decomposable, worst, match_dev)
 
 
-def _spectral_top(mats: np.ndarray) -> float:
-    """Largest singular value across a stack of (possibly empty) matrices."""
-    return float(np.max(fiber_singular_values(mats), initial=0.0))
+def _projectors(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Projectors onto the kept columns of a stack of orthonormal columns."""
+    v = u * keep[..., None, :]
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 def stacked_block_masks(scn: Scenario) -> np.ndarray:
@@ -372,11 +415,6 @@ def stacked_block_masks(scn: Scenario) -> np.ndarray:
     """
     rows = np.repeat(scn.coordinate_labels, len(scn.tiling.orbit_reps))
     return rows[None, :] == np.arange(scn.n_blocks)[:, None]
-
-
-def _euclid_projector(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    q = _euclid_orth(mat, floor=floor)
-    return q @ q.conj().T
 
 
 # -- cross-check in the sequence space over the group -------------------------
@@ -431,50 +469,3 @@ def sequence_extra_invariance(
         )
     return ok_translate
 
-
-def range_function_consistency(
-    scn: Scenario,
-    space: Subspace,
-    generators: Sequence[np.ndarray] | None = None,
-    tol: float = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
-    samples: int = 3,
-) -> bool:
-    """Check the fiberized picture of the space at every orbit representative.
-
-    The range function at a representative x is the span, inside sequences
-    over the group, of the unfolded orbit samples of all base translates of
-    the generators (defaults: the frame columns).  Checks performed:
-
-    * random members of the space unfold into the range function at every x;
-    * when the space is extra-invariant, every range function passes
-      :func:`sequence_extra_invariance`.
-    """
-    require_base_invariant(space, tol)
-    if space.dim == 0:
-        return True
-    if generators is None:
-        gens = space.frame
-    else:
-        gens = np.column_stack([np.asarray(g, dtype=complex) for g in generators])
-    rng = rng or np.random.default_rng(0)
-    translates = np.hstack(
-        [translate(scn.action, g, gens) for g in scn.base.elements]
-    )
-    unfolded = unfold_orbits(scn, translates)  # (reps, group, d)
-    ext = check_extra_invariance(scn, space, tol)
-    ok = True
-    for c in range(len(scn.tiling.orbit_reps)):
-        w = unfolded[c]
-        q = _euclid_orth(w)
-        for _ in range(samples):
-            coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-            member = space.frame @ coeff
-            phi = unfold_orbits(scn, member)[c]
-            resid = phi - q @ (q.conj().T @ phi)
-            scale = max(1.0, float(np.linalg.norm(phi)))
-            if float(np.linalg.norm(resid)) > tol * scale:
-                ok = False
-        if ext.extra_invariant:
-            ok = ok and sequence_extra_invariance(scn, w, tol)
-    return ok

@@ -16,6 +16,13 @@ the block indicators: the exhaustive allocation minimum of the
 extra-invariant problem, and the solvers' fit as one SVD per fiber and
 block, with the pooling, ordering and rank floor spelled out in Python.
 
+The extra-invariance references take the point-space route: a pivoted-QR
+rank cut of every block's mask image, the dense sum of the components'
+n x n projectors, and per-fiber bases with their block residuals and
+projector matches, all in Python loops over blocks and fibers.  The
+fiberized range-function check unfolds orbit samples into sequences over
+the group.  Both are too slow for large groups and meant for test sizes.
+
 The group-core references at the end work element by element on coordinate
 tuples, with ``FiniteAbelianGroup.add`` and set membership: the all-pairs
 group-law check, coset representatives as a lexicographic minimum over the
@@ -28,7 +35,18 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from actinv import ActionError, FreenessError, OrbitError
+from actinv import (
+    ActionError,
+    FreenessError,
+    OrbitError,
+    check_extra_invariance,
+    mask_apply,
+    sequence_extra_invariance,
+    translate,
+    unfold_orbits,
+)
+
+RANK_TOL = 1e-10
 
 
 def analysis_chars(group):
@@ -189,6 +207,128 @@ def pooled_fit(scn, data, ell, extra):
     frame = stacked_inv(scn, fibers) * np.sqrt(scn.n_fibers)
     frame = frame * np.sqrt(scn.action.weights)[:, None]
     return error, spectra, frame @ frame.conj().T
+
+
+# -- extra invariance -----------------------------------------------------------
+
+
+def euclid_orth(mat, tol=RANK_TOL, floor=0.0):
+    """Orthonormal columns for the span by pivoted QR.
+
+    Keeps the pivots above ``tol`` times the first one and above ``floor``.
+    """
+    if mat.shape[1] == 0:
+        return mat.copy()
+    q, r, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] <= floor:
+        return q[:, :0]
+    return q[:, : int(np.sum(diag > max(tol * diag[0], floor)))]
+
+
+def _projector(mat, floor):
+    q = euclid_orth(mat, floor=floor)
+    return q @ q.conj().T
+
+
+def _worst_direction(resid):
+    """Largest singular value of a residual matrix: its worst unit direction."""
+    return float(np.linalg.norm(resid, 2)) if resid.size else 0.0
+
+
+def point_space_checks(scn, space, tol=1e-9):
+    """Both sides of the extra-invariance checks on the point-space route.
+
+    Mask side: each block's masked frame, cut by pivoted QR at the absolute
+    floor ``RANK_TOL`` in weighted coordinates, is the component; its
+    inclusion residual is the worst unit direction of the component's part
+    outside the space, and when every component is included the deviation
+    is the largest entry of the space's n x n projector minus the
+    components'.  Fiber side: per fiber, a pivoted-QR basis cut at
+    ``RANK_TOL`` of the largest fiber singular value; per block, the worst
+    unit direction of the masked basis outside the fiber space, and when
+    every block passes, the largest gap between the projectors of the
+    masked basis and of the component's fibers.
+    """
+    root = np.sqrt(scn.action.weights)[:, None]
+    qs = space.frame * root
+    comps = []
+    for xi in scn.block_labels:
+        masked = mask_apply(scn, xi, space.frame) * root
+        comps.append(euclid_orth(masked, floor=RANK_TOL))
+    inclusion = [_worst_direction(c - qs @ (qs.conj().T @ c)) for c in comps]
+    out = {
+        "extra_invariant": all(r <= tol for r in inclusion),
+        "component_dims": tuple(c.shape[1] for c in comps),
+        "inclusion_residuals": inclusion,
+        "decomposition_deviation": None,
+        "block_residual": 0.0,
+        "component_match_deviation": None,
+    }
+    if out["extra_invariant"]:
+        total = sum(c @ c.conj().T for c in comps)
+        out["decomposition_deviation"] = float(np.max(np.abs(qs @ qs.conj().T - total)))
+    if space.dim == 0:
+        out["decomposable"] = True
+        return out
+    mats = fiber_data(scn, space.frame)
+    top = max(float(np.linalg.norm(m, 2)) for m in mats)
+    bases = [euclid_orth(m, floor=RANK_TOL * top) for m in mats]
+    keeps = []
+    for sel in block_rows(scn):
+        keep = np.zeros(mats.shape[1], dtype=bool)
+        keep[sel] = True
+        keeps.append(keep)
+    for q in bases:
+        for keep in keeps:
+            masked = q * keep[:, None]
+            resid = masked - q @ (q.conj().T @ masked)
+            out["block_residual"] = max(out["block_residual"], _worst_direction(resid))
+    out["decomposable"] = out["block_residual"] <= tol
+    if out["decomposable"]:
+        dev = 0.0
+        for keep, comp in zip(keeps, comps):
+            comp_mats = fiber_data(scn, comp / root)
+            comp_top = max(float(np.linalg.norm(m, 2)) for m in comp_mats)
+            for q, comp_mat in zip(bases, comp_mats):
+                pa = _projector(q * keep[:, None], RANK_TOL)
+                pb = _projector(comp_mat, RANK_TOL * max(comp_top, 1.0))
+                dev = max(dev, float(np.max(np.abs(pa - pb))))
+        out["component_match_deviation"] = dev
+    return out
+
+
+def range_function_consistency(scn, space, tol=1e-9, rng=None, samples=3):
+    """Check the fiberized picture of the space at every orbit representative.
+
+    The range function at a representative x is the span, inside sequences
+    over the group, of the unfolded orbit samples of all base translates of
+    the frame columns.  Random members of the space must unfold into the
+    range function at every x, and when the space is extra-invariant,
+    every range function must pass ``sequence_extra_invariance``.
+    """
+    if space.dim == 0:
+        return True
+    rng = rng or np.random.default_rng(0)
+    translates = np.hstack(
+        [translate(scn.action, g, space.frame) for g in scn.base.elements]
+    )
+    unfolded = unfold_orbits(scn, translates)  # (reps, group, d)
+    ext = check_extra_invariance(scn, space, tol)
+    ok = True
+    for c in range(len(scn.tiling.orbit_reps)):
+        w = unfolded[c]
+        q = euclid_orth(w)
+        for _ in range(samples):
+            coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+            phi = unfold_orbits(scn, space.frame @ coeff)[c]
+            resid = phi - q @ (q.conj().T @ phi)
+            scale = max(1.0, float(np.linalg.norm(phi)))
+            if float(np.linalg.norm(resid)) > tol * scale:
+                ok = False
+        if ext.extra_invariant:
+            ok = ok and sequence_extra_invariance(scn, w, tol)
+    return ok
 
 
 # -- group core ----------------------------------------------------------------

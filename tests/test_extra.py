@@ -1,9 +1,12 @@
 """Dual partition, masks, the invariance equivalence, and the cross-oracles."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import actinv.extra as extra_mod
+import oracle
 
 from actinv import (
     ActionSpace,
@@ -19,7 +22,6 @@ from actinv import (
     is_invariant,
     mask_apply,
     masked_component,
-    range_function_consistency,
     sequence_extra_invariance,
     span_invariant,
     translate,
@@ -212,21 +214,41 @@ def test_stacked_block_masks_follow_block_coordinates(scn):
 
 
 def test_checks_share_one_mask_per_block(scn, monkeypatch):
-    calls = []
-    original = extra_mod.mask_apply
+    """A check pair transforms each space once and makes one mask-side SVD.
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    The mask side is one batched SVD of the block-row stack, shape
+    (n_blocks, block rows, dim), shared by both checks and by the inner
+    extra-invariance check of ``check_decomposable``: a second check pair on
+    the same space repeats every SVD call except that one.
+    """
+    transforms, svds = [], []
+    zak_full, svd = extra_mod.zak_full, np.linalg.svd
 
-    monkeypatch.setattr(extra_mod, "mask_apply", counted)
+    def counted_zak(*args, **kwargs):
+        transforms.append(args[1].shape)
+        return zak_full(*args, **kwargs)
+
+    def counted_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(extra_mod, "zak_full", counted_zak)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(8)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    rows = scn.group.order // scn.n_blocks * len(scn.tiling.orbit_reps)  # per block
     for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
-        calls.clear()
-        check_extra_invariance(scn, space)
-        check_decomposable(scn, space)
-        assert len(calls) == scn.n_blocks
+        runs = []
+        for _ in range(2):
+            transforms.clear()
+            svds.clear()
+            check_extra_invariance(scn, space)
+            check_decomposable(scn, space)
+            runs.append((list(transforms), Counter(svds)))
+        (cold_zak, cold_svd), (warm_zak, warm_svd) = runs
+        assert cold_zak == [space.frame.shape] and warm_zak == []
+        assert cold_svd - warm_svd == Counter({(scn.n_blocks, rows, space.dim): 1})
+        assert not warm_svd - cold_svd
 
 
 def test_reports_do_not_depend_on_the_memo(scn):
@@ -234,9 +256,9 @@ def test_reports_do_not_depend_on_the_memo(scn):
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
         cold = Subspace(scn, space.frame)
-        assert "_masked_components" not in vars(cold)
+        assert "_mask_side" not in vars(cold)
         first = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
-        assert len(vars(cold)["_masked_components"]) == scn.n_blocks
+        assert "_mask_side" in vars(cold)
         warm = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
         fresh = Subspace(scn, space.frame)
         again = (check_extra_invariance(scn, fresh), check_decomposable(scn, fresh))
@@ -328,7 +350,9 @@ def test_sequence_oracle_input_validation(shear):
 
 def test_range_function_consistency(scn):
     rng = np.random.default_rng(8)
-    assert range_function_consistency(scn, canonical_extra_invariant(scn), rng=rng)
+    canonical = canonical_extra_invariant(scn)
+    assert oracle.range_function_consistency(scn, canonical, rng=rng)
     psi = random_function(scn, rng)
-    assert range_function_consistency(scn, span_invariant(scn, psi[:, None]), rng=rng)
-    assert range_function_consistency(scn, Subspace.zero(scn), rng=rng)
+    principal = span_invariant(scn, psi[:, None])
+    assert oracle.range_function_consistency(scn, principal, rng=rng)
+    assert oracle.range_function_consistency(scn, Subspace.zero(scn), rng=rng)

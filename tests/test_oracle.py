@@ -13,6 +13,11 @@ kinds of broken ones, and coset sections, annihilators and
 Approximation: on the generated scenarios, both batched solvers match the
 pooled one-SVD-per-fiber-and-block reference in error (1e-12 relative),
 spectra, kept block labels and projector.
+
+Extra invariance: on the generated scenarios, both checks obey the theorem
+up to order 200, and up to order 64 they match the point-space route
+(mask images cut by pivoted QR, n x n projectors, per-fiber bases) in
+verdicts, component dimensions and worst unit directions.
 """
 import math
 
@@ -21,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import actinv.extra as extra_mod
 import oracle
 from actinv import (
     ActionError,
@@ -28,6 +34,7 @@ from actinv import (
     FiniteAbelianGroup,
     Scenario,
     Subgroup,
+    Subspace,
     annihilator,
     best_extra_invariant,
     best_invariant,
@@ -37,6 +44,7 @@ from actinv import (
     coset_section,
     dual_partition,
     mask_apply,
+    masked_component,
     span_invariant,
     validate_action,
     zak_full,
@@ -47,7 +55,8 @@ from actinv import (
 
 RTOL = 1e-12
 MAX_ORDER = 200
-THEOREM_MAX_ORDER = 64
+# the point-space route costs a pivoted QR of an n x dim mask image per block
+POINT_SPACE_MAX_ORDER = 64
 
 
 def assert_rel_close(got, want, rtol=RTOL):
@@ -159,15 +168,26 @@ def test_generated_actions_match_oracle(spec):
     check_against_oracle(scn, rng)
 
 
+def theorem_cases(scn, rng):
+    """(kind, space, verdict by construction) for three kinds of space."""
+    gens = complex_normal(rng, (scn.action.n_points, 2))
+    return [
+        ("extra-spanned", span_invariant(scn, gens, scn.extra), True),
+        ("canonical", canonical_extra_invariant(scn), True),
+        ("principal", span_invariant(scn, gens[:, :1]), scn.extra.order == scn.base.order),
+    ]
+
+
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(spec=scenario_specs(max_order=THEOREM_MAX_ORDER))
+@given(spec=scenario_specs())
 @example(spec=((1,), [], [], 1, 0))
 @example(spec=((12,), [], [(1,)], 2, 4))
 @example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5))
+@example(spec=((200,), [], [(1,)], 2, 0))
 def test_generated_scenarios_obey_the_theorem(spec):
     """Both sides of the equivalence on random groups, chains and weights.
 
@@ -175,17 +195,11 @@ def test_generated_scenarios_obey_the_theorem(spec):
     extra-invariant by construction; a generic principal space is so exactly
     when the two subgroups coincide (then there is one block).  A
     disagreement between the sides raises ``TheoremViolationError``.
-    The order cap keeps the whole-space case (trivial base, extra = group)
-    small: its check costs one n x n pivoted QR per block, 0.4 s at order 64.
+    The pinned order-200 example is the whole space (trivial base, extra =
+    group, 200 blocks), the largest case the checks meet here.
     """
     scn, rng = build(spec)
-    gens = complex_normal(rng, (scn.action.n_points, 2))
-    cases = [
-        ("extra-spanned", span_invariant(scn, gens, scn.extra), True),
-        ("canonical", canonical_extra_invariant(scn), True),
-        ("principal", span_invariant(scn, gens[:, :1]), scn.extra.order == scn.base.order),
-    ]
-    for kind, space, truth in cases:
+    for kind, space, truth in theorem_cases(scn, rng):
         ext = check_extra_invariance(scn, space)
         dec = check_decomposable(scn, space)
         assert ext.extra_invariant is dec.decomposable is truth, kind
@@ -218,6 +232,51 @@ def test_solvers_match_the_pooled_reference(spec, batch, ell):
             )
             assert got.kept_labels == labels
         np.testing.assert_allclose(res.space.projector, projector, atol=RTOL)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(max_order=POINT_SPACE_MAX_ORDER))
+@example(spec=((1,), [], [], 1, 0))
+@example(spec=((12,), [], [(1,)], 2, 4))
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5))
+@example(spec=((4, 8), [(2, 0)], [(1, 0), (0, 2)], 2, 6))
+def test_checks_match_the_point_space_route(spec):
+    """The Zak-side checks against mask images, QR rank cuts and n x n projectors.
+
+    Verdicts and component dimensions are identical.  The inclusion and
+    block residuals are worst unit directions on both routes, so they agree
+    to 1e-9 whatever the basis.  On invariant spaces the masked component
+    spans ``frame @ v`` over the block's kept right singular vectors.
+    """
+    scn, rng = build(spec)
+    for kind, space, _ in theorem_cases(scn, rng):
+        ext = check_extra_invariance(scn, space)
+        dec = check_decomposable(scn, space)
+        want = oracle.point_space_checks(scn, space)
+        assert ext.extra_invariant == want["extra_invariant"], kind
+        assert dec.decomposable == want["decomposable"], kind
+        assert ext.component_dims == want["component_dims"], kind
+        np.testing.assert_allclose(
+            ext.inclusion_residuals, want["inclusion_residuals"], rtol=0, atol=1e-9
+        )
+        assert dec.block_residual == pytest.approx(want["block_residual"], abs=1e-9)
+        if not ext.extra_invariant:
+            continue
+        assert want["decomposition_deviation"] <= 1e-9
+        if space.dim:
+            assert want["component_match_deviation"] <= 1e-9
+        s, vh, _ = extra_mod._mask_side(scn, space)
+        for b, xi in enumerate(scn.block_labels):
+            comp = masked_component(scn, space, xi)
+            kept = vh[b, s[b] > oracle.RANK_TOL]
+            zak_side = Subspace(scn, space.frame @ kept.conj().T)
+            assert comp.dim == zak_side.dim, kind
+            assert np.max(comp.residuals(zak_side.frame), initial=0.0) <= 1e-9
+            assert np.max(zak_side.residuals(comp.frame), initial=0.0) <= 1e-9
 
 
 # -- group core ----------------------------------------------------------------
