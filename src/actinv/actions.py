@@ -243,8 +243,6 @@ class TilingSet:
 
     orbit_reps: tuple[int, ...]
     tiles: tuple[int, ...]
-    rep_position: dict[int, int]
-    tile_position: dict[int, int]
 
 
 def tiling_sets(
@@ -261,13 +259,7 @@ def tiling_sets(
         raise FreenessError("tile points collide; action cannot be free")
     _assert_partition(action, base.indices, tiles)
     _assert_partition(action, np.arange(group.order), reps)
-    reps, tiles = tuple(reps.tolist()), tuple(tiles.tolist())
-    return TilingSet(
-        orbit_reps=reps,
-        tiles=tiles,
-        rep_position={x: i for i, x in enumerate(reps)},
-        tile_position={x: i for i, x in enumerate(tiles)},
-    )
+    return TilingSet(orbit_reps=tuple(reps.tolist()), tiles=tuple(tiles.tolist()))
 
 
 def _assert_partition(action: ActionSpace, movers: np.ndarray, cell) -> None:

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .actions import translate
 from .errors import DegenerateGeneratorError, InvarianceError
@@ -34,8 +33,9 @@ def orthonormal_columns(
 ) -> np.ndarray:
     """Orthonormal frame for the span of the columns, weighted inner product.
 
-    The rank cut of :func:`_euclid_orth` in weighted coordinates: the
-    columns are scaled by ``weights ** 0.5``, cut, and scaled back.
+    The singular-value rank cut of :func:`_euclid_orth` in weighted
+    coordinates: the columns are scaled by ``weights ** 0.5``, cut, and
+    scaled back.
     """
     a = np.asarray(vectors, dtype=complex)
     if a.ndim != 2:
@@ -49,33 +49,18 @@ def _euclid_orth(
 ) -> np.ndarray:
     """Orthonormal columns spanning the columns of ``mat`` (Euclidean).
 
-    Deterministic: column-pivoted QR, rank cut at ``tol`` relative to the
-    largest pivot.  ``floor`` is an absolute pivot threshold on top of the
-    relative one; derived inputs (mask images, projections of unit vectors)
-    must pass it so that a matrix of pure roundoff noise ranks as zero
-    instead of relative-to-itself.
+    Deterministic: the left singular vectors, rank cut at ``tol`` relative
+    to the largest singular value.  ``floor`` is an absolute threshold on
+    the singular values on top of the relative one; derived inputs (mask
+    images, projections of unit vectors) must pass it so that a matrix of
+    pure roundoff noise ranks as zero instead of relative-to-itself.
     """
     if mat.shape[1] == 0:
         return mat.copy()
-    q, r, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] <= max(floor, 0.0):
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    if s.size == 0 or s[0] <= max(floor, 0.0):
         return np.zeros((mat.shape[0], 0), dtype=complex)
-    rank = int(np.sum(diag > max(tol * diag[0], floor)))
-    return q[:, :rank]
-
-
-def padded(frames: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack frames of equal height, padding with zero columns to the widest.
-
-    Zero columns leave projectors ``q @ q^H`` unchanged, so the stack can go
-    through batched matrix products.
-    """
-    width = max((q.shape[1] for q in frames), default=0)
-    out = np.zeros((len(frames), frames[0].shape[0], width), dtype=complex)
-    for k, q in enumerate(frames):
-        out[k, :, : q.shape[1]] = q
-    return out
+    return u[:, : int(np.sum(s > max(tol * s[0], floor)))]
 
 
 @dataclass(frozen=True)
@@ -194,14 +179,19 @@ def is_invariant(
     translations form a representation and generators reach everything):
     the translated frames of all probes go through one
     :meth:`Subspace.residuals` product.  Returns the verdict and the worst
-    residual.
+    residual.  The worst residual does not depend on ``tol``; it is
+    memoised on ``space`` per probe list (the subgroup's generators), so
+    the checks that each ask for base invariance translate the frame once.
     """
-    scn = space.scenario
     if space.dim == 0:
         return True, 0.0
-    probes = subgroup.generators if subgroup.generators else [subgroup.group.zero]
-    moved = np.hstack([translate(scn.action, g, space.frame) for g in probes])
-    worst = float(np.max(space.residuals(moved)))
+    probes = tuple(subgroup.generators) or (subgroup.group.zero,)
+    memo = vars(space).setdefault("_invariance", {})
+    worst = memo.get(probes)
+    if worst is None:
+        action = space.scenario.action
+        moved = np.hstack([translate(action, g, space.frame) for g in probes])
+        worst = memo[probes] = float(np.max(space.residuals(moved)))
     return worst <= tol, worst
 
 
@@ -330,15 +320,6 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     return zak_stacked_inv(scn, vals)
 
 
-def fiber_singular_values(mats: np.ndarray) -> np.ndarray:
-    """Singular values of a stack of fiber matrices, descending, one batched call.
-
-    Shape (n_fibers, min(rows, columns)); empty along the last axis for
-    matrices without columns.
-    """
-    return np.linalg.svd(mats, compute_uv=False)
-
-
 def length(space: Subspace, tol: float = RANK_TOL) -> int:
     """Largest fiber dimension of a base-invariant subspace.
 
@@ -350,7 +331,7 @@ def length(space: Subspace, tol: float = RANK_TOL) -> int:
     require_base_invariant(space)
     if space.dim == 0:
         return 0
-    svals = fiber_singular_values(fiber_matrices(space.scenario, space.frame))
+    svals = np.linalg.svd(fiber_matrices(space.scenario, space.frame), compute_uv=False)
     top = float(np.max(svals, initial=0.0))
     if top <= 0.0:
         return 0
@@ -363,14 +344,16 @@ def fiber_generators(space: Subspace, tol: float = RANK_TOL) -> list[np.ndarray]
     Built fiberwise: an orthonormal basis of every fiber is distributed
     across the generators (generator j takes the j-th basis vector of each
     fiber, where present), so the generators' fibers span every fiber of
-    the space.
+    the space.  The bases come from one batched SVD of the fiber matrices,
+    cut like :func:`length` relative to the largest singular value across
+    all fibers; cut columns are zeroed.
     """
     require_base_invariant(space)
     scn = space.scenario
     if space.dim == 0:
         return []
-    mats = fiber_matrices(scn, space.frame)
-    top = float(np.max(fiber_singular_values(mats), initial=0.0))
-    stacked = padded([_euclid_orth(m, tol, floor=tol * top) for m in mats])
-    gens = fibers_from_matrix(scn, stacked)
-    return [gens[:, j] for j in range(stacked.shape[2])]
+    u, s, _ = np.linalg.svd(fiber_matrices(scn, space.frame), full_matrices=False)
+    keep = s > tol * np.max(s)
+    width = int(np.max(np.sum(keep, axis=1)))
+    gens = fibers_from_matrix(scn, (u * keep[:, None, :])[:, :, :width])
+    return [gens[:, j] for j in range(width)]

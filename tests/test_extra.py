@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import actinv.extra as extra_mod
+import actinv.spaces as spaces_mod
 import oracle
 
 from actinv import (
@@ -251,14 +252,50 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
         assert not warm_svd - cold_svd
 
 
+def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
+    """Each probe's translation test runs once per space, whatever asks for it.
+
+    ``check_extra_invariance``, ``check_decomposable`` and its inner
+    extra-invariance check all ask for base invariance, and both
+    extra-invariance checks for the extra translation test; a cold check
+    pair translates the frame once per base and extra probe, a warm one
+    not at all.
+    """
+    rng = np.random.default_rng(10)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    spaces = [span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)]
+    probes = [
+        tuple(sub.generators) or (scn.group.zero,) for sub in (scn.base, scn.extra)
+    ]
+    moved = []
+    translate = spaces_mod.translate
+
+    def counted(action, g, mat):
+        if mat is space.frame:
+            moved.append(g)
+        return translate(action, g, mat)
+
+    monkeypatch.setattr(spaces_mod, "translate", counted)
+    for space in spaces:
+        runs = []
+        for _ in range(2):
+            moved.clear()
+            check_extra_invariance(scn, space)
+            check_decomposable(scn, space)
+            runs.append(Counter(moved))
+        cold, warm = runs
+        assert cold == Counter(probes[0]) + Counter(probes[1])
+        assert not warm
+
+
 def test_reports_do_not_depend_on_the_memo(scn):
     rng = np.random.default_rng(9)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
         cold = Subspace(scn, space.frame)
-        assert "_mask_side" not in vars(cold)
+        assert "_mask_side" not in vars(cold) and "_invariance" not in vars(cold)
         first = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
-        assert "_mask_side" in vars(cold)
+        assert "_mask_side" in vars(cold) and len(vars(cold)["_invariance"]) == 2
         warm = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
         fresh = Subspace(scn, space.frame)
         again = (check_extra_invariance(scn, fresh), check_decomposable(scn, fresh))

@@ -18,6 +18,10 @@ Extra invariance: on the generated scenarios, both checks obey the theorem
 up to order 200, and up to order 64 they match the point-space route
 (mask images cut by pivoted QR, n x n projectors, per-fiber bases) in
 verdicts, component dimensions and worst unit directions.
+
+Rank cut: on matrices of planted rank (up to 200 rows, weights log-uniform
+over up to 1e14), ``orthonormal_columns`` keeps the rank and the weighted
+projector of the pivoted-QR cut, and ranks their roundoff as zero.
 """
 import math
 
@@ -52,6 +56,7 @@ from actinv import (
     zak_stacked,
     zak_stacked_inv,
 )
+from actinv.spaces import RANK_TOL, orthonormal_columns
 
 RTOL = 1e-12
 MAX_ORDER = 200
@@ -277,6 +282,57 @@ def test_checks_match_the_point_space_route(spec):
             assert comp.dim == zak_side.dim, kind
             assert np.max(comp.residuals(zak_side.frame), initial=0.0) <= 1e-9
             assert np.max(zak_side.residuals(comp.frame), initial=0.0) <= 1e-9
+
+
+# -- rank cut ------------------------------------------------------------------
+
+
+@st.composite
+def planted_ranks(draw):
+    """Rows up to 200, columns up to 16, a planted rank, a weight range, a seed."""
+    n = draw(st.integers(1, 200))
+    m = draw(st.integers(1, 16))
+    rank = draw(st.integers(0, min(n, m)))
+    decades = draw(st.floats(0.0, 14.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, m, rank, decades, seed
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=planted_ranks())
+@example(spec=(1, 1, 0, 0.0, 0))
+@example(spec=(200, 16, 16, 14.0, 1))
+@example(spec=(200, 16, 7, 14.0, 2))
+@example(spec=(5, 16, 5, 14.0, 3))
+def test_rank_cut_matches_the_pivoted_qr_oracle(spec):
+    """The singular-value cut against the pivoted-QR cut, in weighted coordinates.
+
+    The matrix has the planted rank in weighted coordinates, with singular
+    values between 1 and 1e3, so both cuts see a clear gap; the weights are
+    log-uniform over up to 1e14.  Both give the planted rank and the same
+    weighted projector.  What the frame leaves of the matrix is pure
+    roundoff, and at the absolute floor ``RANK_TOL`` both rank it as zero.
+    """
+    n, m, rank, decades, seed = spec
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(0.0, decades, n)
+    root = np.sqrt(weights)[:, None]
+    u = np.linalg.qr(complex_normal(rng, (n, rank)))[0]
+    v = np.linalg.qr(complex_normal(rng, (m, rank)))[0]
+    weighted = (u * 10.0 ** rng.uniform(0.0, 3.0, rank)) @ v.conj().T
+    got = orthonormal_columns(weights, weighted / root) * root
+    want = oracle.euclid_orth(weighted)
+    assert got.shape == want.shape == (n, rank)
+    np.testing.assert_allclose(
+        got @ got.conj().T, want @ want.conj().T, rtol=0, atol=1e-12
+    )
+    noise = weighted - got @ (got.conj().T @ weighted)
+    assert orthonormal_columns(weights, noise / root, floor=RANK_TOL).shape == (n, 0)
+    assert oracle.euclid_orth(noise, floor=RANK_TOL).shape == (n, 0)
 
 
 # -- group core ----------------------------------------------------------------

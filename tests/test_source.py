@@ -1,8 +1,13 @@
 """Source-level rules for the library package."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import actinv
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "actinv"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -18,3 +23,50 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert at lines {lines}"
+
+
+def _imported_modules(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module or ""]
+    return []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    """The library runs on numpy alone: loading scipy doubles a cold CLI call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if any(m.split(".")[0] == "scipy" for m in _imported_modules(node))
+    ]
+    assert not lines, f"{path.name} imports scipy at lines {lines}"
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds this checkout's ``actinv`` first."""
+    env = dict(os.environ)
+    src = str(Path(actinv.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_does_not_load_scipy():
+    run = _fresh_python(
+        "-c", "import sys, actinv, actinv.cli; print('scipy' in sys.modules)"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_cli_demo_does_not_load_scipy():
+    """``-X importtime`` logs every module the command imports, to stderr."""
+    run = _fresh_python("-X", "importtime", "-m", "actinv.cli", "demo", "dilation")
+    assert run.returncode == 0, run.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+    assert "numpy" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
