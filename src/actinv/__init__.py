@@ -53,13 +53,9 @@ from .spaces import (
     is_invariant,
     length,
     principal_membership,
-    project_principal,
     span_invariant,
 )
 from .zak import (
-    BaseZakArray,
-    FullZakArray,
-    StackedZakArray,
     unfold_orbits,
     fold_orbits,
     zak_base,

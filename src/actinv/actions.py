@@ -1,8 +1,13 @@
 """Weighted finite point sets carrying a free action of a finite abelian group.
 
 The action is entered as one permutation per generator of the standard
-presentation (one generator per modulus).  The full action table is composed
-and validated up front; everything downstream indexes into that table.
+presentation (one generator per modulus).  A free action is, by
+orbit-stabiliser, the regular action on ``n_points / group.order`` copies
+of the group up to a relabelling of the points, and that relabelling is
+all that is stored: ``point_of[c, t]`` is the image under element ``t`` of
+the smallest point of orbit ``c``, and every point has the coordinates
+(orbit, element index) of its place in ``point_of``.  It is composed and
+validated on first use; every translation is index arithmetic on it.
 
 A positive weight per point plays the role of the measure.  The action is
 only required to be quasi-invariant: the weight ratio
@@ -19,6 +24,7 @@ which is unitary for the weighted inner product and satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +34,7 @@ from .groups import CosetSection, FiniteAbelianGroup, Subgroup
 
 
 class ActionSpace:
-    """Points ``0..n_points-1`` with weights and a composed action table."""
+    """Points ``0..n_points-1`` with weights and their orbit coordinates."""
 
     def __init__(
         self,
@@ -67,20 +73,26 @@ class ActionSpace:
             if not np.all(w > 0):
                 raise ValueError("weights must be strictly positive")
         self.weights = w
-        self.table = self._compose_table()
 
-    def _compose_table(self) -> np.ndarray:
-        """Row of ``c = elements[i]`` is ``p_{k-1}^{c_{k-1}} o ... o p_0^{c_0}``."""
-        n = self.n_points
-        table = np.arange(n, dtype=np.intp)[None, :]
-        for p, modulus in zip(self.generator_perms, self.group.moduli):
-            # [i, c] = p^c o table[i]: coordinate j varies fastest so far
-            grown = np.empty((len(table), modulus, n), dtype=np.intp)
-            grown[:, 0] = table
-            for c in range(1, modulus):
-                grown[:, c] = p[grown[:, c - 1]]
-            table = grown.reshape(-1, n)
-        return table
+    @cached_property
+    def point_of(self) -> np.ndarray:
+        """``[c, t]`` is the image under ``elements[t]`` of orbit c's smallest point.
+
+        Shape (orbits, group.order), read-only.  Composed and validated on
+        first use; data that is not a free action raises the errors of
+        :func:`validate_action` here, on every access.
+        """
+        return _orbit_points(self)
+
+    @cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's (orbit, element index): its place in ``point_of``."""
+        point_of = self.point_of
+        orbit_of = np.empty(self.n_points, dtype=np.intp)
+        element_of = np.empty(self.n_points, dtype=np.intp)
+        orbit_of[point_of] = np.arange(len(point_of))[:, None]
+        element_of[point_of] = np.arange(self.group.order)
+        return orbit_of, element_of
 
     @classmethod
     def regular(
@@ -103,8 +115,15 @@ class ActionSpace:
         return cls(group, n, perms, weights)
 
     def sigma(self, tau: Iterable[int]) -> np.ndarray:
-        """Permutation row of ``tau``: ``sigma(tau)[x]`` is the image of x."""
-        return self.table[self.group.index(tau)]
+        """Permutation of ``tau``: ``sigma(tau)[x]`` is the image of x.
+
+        ``tau`` moves the element coordinate only:
+        ``sigma_tau(point_of[c, t]) == point_of[c, t + tau]``.
+        """
+        group = self.group
+        orbit_of, element_of = self.coordinates
+        shifted = group.indices(group.coords + group.reduce(tau))
+        return self.point_of[orbit_of, shifted[element_of]]
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """Weighted inner product, conjugate-linear in the second slot."""
@@ -131,43 +150,52 @@ class ActionReport:
 
 
 def validate_action(action: ActionSpace) -> ActionReport:
-    """Verify the table is a free group action; report the orbit structure.
+    """Verify the data is a free group action; report the orbit structure.
 
-    Checks, in order: the group law on the composed table, divisibility of
-    the point count by the group order, freeness (no fixed point for
-    nonzero elements).
+    The checks run once, when ``action.point_of`` is first composed (see
+    :func:`_orbit_points`); a failed check raises again on every call.
+    """
+    orbits = tuple(map(tuple, np.sort(action.point_of, axis=1).tolist()))
+    return ActionReport(action.n_points, action.group.order, len(orbits), orbits)
 
-    The law is checked on the generators.  ``ActionSpace`` composes row
-    ``c`` of the table as ``p_{k-1}^{c_{k-1}} o ... o p_0^{c_0}`` from the
-    generator permutations ``p_j``, so the table is a homomorphism from the
-    group exactly when the ``p_j`` commute pairwise and ``p_j`` composed
-    ``n_j`` times is the identity, for every ``j`` with ``n_j > 1`` (a
-    coordinate of modulus 1 only ever uses ``p_j^0``, so its permutation
-    never enters the table).  Those relations let the product
+
+def _orbit_points(action: ActionSpace) -> np.ndarray:
+    """Compose ``point_of`` from the generator permutations, checking as it goes.
+
+    Checks, in order: the group law, divisibility of the point count by
+    the group order, freeness (no fixed point for nonzero elements).
+
+    The law is checked on the generators.  Element ``t`` acts as
+    ``p_{k-1}^{t_{k-1}} o ... o p_0^{t_0}`` through the generator
+    permutations ``p_j``, which is a homomorphism from the group exactly
+    when the ``p_j`` commute pairwise and ``p_j`` composed ``n_j`` times is
+    the identity, for every ``j`` with ``n_j > 1`` (a coordinate of modulus
+    1 only ever uses ``p_j^0``).  Those relations let the product
     ``sigma(a) o sigma(b)`` of generator powers be reordered and its
     exponents reduced modulo the moduli, giving ``sigma(a + b)``.
     Conversely, a homomorphism maps the commuting unit elements ``e_j`` to
-    the rows ``p_j``, so they commute, and ``p_j^{n_j} = sigma(n_j e_j) =
-    sigma(0)``, the identity.  The cost is O(rank^2 * n) instead of the
-    |G|^2 element pairs.
+    the ``p_j``, so they commute, and ``p_j^{n_j} = sigma(n_j e_j) =
+    sigma(0)``, the identity.  The cost is O((rank^2 + sum of log moduli) * n)
+    instead of the |G|^2 element pairs.
 
-    Freeness and the orbits come from one table column per orbit: the
-    column of a point lists its images under all |G| elements, which are
-    pairwise distinct exactly when the point's stabiliser is trivial
+    The orbits come from walking the points in increasing order and
+    skipping those already seen: the images of a point under all |G|
+    elements are pairwise distinct exactly when its stabiliser is trivial
     (orbit-stabiliser), and otherwise contain the point itself again.
     """
-    group, table, n = action.group, action.table, action.n_points
+    group, n = action.group, action.n_points
     perms = action.generator_perms
     ident = np.arange(n)
-    if not np.array_equal(table[0], ident):
-        raise ActionError("identity element does not act as the identity")
     used = [j for j, modulus in enumerate(group.moduli) if modulus > 1]
     for j in used:
         modulus = group.moduli[j]
-        # the row of (n_j - 1) * e_j is p_j composed n_j - 1 times
-        unit = [modulus - 1 if t == j else 0 for t in range(group.rank)]
-        last = table[group.index(unit)]
-        if not np.array_equal(perms[j][last], ident):
+        # p_j^{n_j} by repeated squaring
+        power, step, k = ident, perms[j], modulus
+        while k:
+            if k & 1:
+                power = step[power]
+            step, k = step[step], k >> 1
+        if not np.array_equal(power, ident):
             raise ActionError(
                 f"generator {j} composed {modulus} times is not the identity"
             )
@@ -180,25 +208,33 @@ def validate_action(action: ActionSpace) -> ActionReport:
             f"{n} points cannot split into free orbits of size {group.order}"
         )
     seen = np.zeros(n, dtype=bool)
-    orbits = []
+    columns = []
     for x in range(n):
         if seen[x]:
             continue
-        images = table[:, x]
-        orb = np.sort(images)
-        if np.any(orb[1:] == orb[:-1]):
-            stabiliser = np.flatnonzero(images == x)
+        images = np.array([x], dtype=np.intp)
+        for p, modulus in zip(perms, group.moduli):
+            # [i, c] = p^c(images[i]): coordinate j varies fastest so far
+            grown = np.empty((len(images), modulus), dtype=np.intp)
+            grown[:, 0] = images
+            for c in range(1, modulus):
+                grown[:, c] = p[grown[:, c - 1]]
+            images = grown.ravel()
+        stabiliser = np.flatnonzero(images == x)
+        if len(stabiliser) > 1:
             raise FreenessError(
                 f"element {group.elements[stabiliser[1]]} fixes point {x}"
             )
-        seen[orb] = True
-        orbits.append(tuple(orb.tolist()))
-    if len(orbits) != n // group.order:
+        seen[images] = True
+        columns.append(images)
+    if len(columns) != n // group.order:
         raise TheoremViolationError(
             "free action has orbits of the wrong size",
-            details={"orbits": len(orbits), "expected": n // group.order},
+            details={"orbits": len(columns), "expected": n // group.order},
         )
-    return ActionReport(n, group.order, len(orbits), tuple(orbits))
+    point_of = np.stack(columns)
+    point_of.flags.writeable = False
+    return point_of
 
 
 def jacobian(action: ActionSpace, tau: Iterable[int], x: int | None = None):
@@ -248,13 +284,13 @@ class TilingSet:
 def tiling_sets(
     action: ActionSpace, base: Subgroup, transversal: CosetSection
 ) -> TilingSet:
-    report = validate_action(action)
+    validate_action(action)
     group = action.group
     if transversal.subgroup != base:
         raise ValueError("transversal must be a section for the base subgroup")
-    reps = np.array([orb[0] for orb in report.orbits], dtype=np.intp)
+    reps = action.point_of[:, 0]
     negs = group.indices(-group.coords[transversal.rep_indices])
-    tiles = action.table[negs[:, None], reps[None, :]].ravel()
+    tiles = action.point_of[:, negs].T.ravel()
     if len(np.unique(tiles)) != len(tiles):
         raise FreenessError("tile points collide; action cannot be free")
     _assert_partition(action, base.indices, tiles)
@@ -264,7 +300,11 @@ def tiling_sets(
 
 def _assert_partition(action: ActionSpace, movers: np.ndarray, cell) -> None:
     """Translates of ``cell`` by the element indices ``movers`` hit each point once."""
-    images = action.table[movers[:, None], cell[None, :]]
+    group = action.group
+    orbit_of, element_of = action.coordinates
+    coords = group.coords
+    shifted = group.indices(coords[movers][:, None] + coords[element_of[cell]][None, :])
+    images = action.point_of[orbit_of[cell][None, :], shifted]
     cover = np.bincount(images.ravel(), minlength=action.n_points)
     if not np.all(cover == 1):
         raise FreenessError("translates of the tile do not partition the point set")

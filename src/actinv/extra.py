@@ -50,22 +50,31 @@ class DualPartition:
 
     scenario: Scenario
     labels: tuple[Element, ...]
-    blocks: tuple[frozenset[Element], ...]
     masks: np.ndarray = field(repr=False)  # (n_blocks, group.order) bool
+
+    @property
+    def blocks(self) -> tuple[frozenset[Element], ...]:
+        """The dual elements of each block, read off its mask."""
+        elements = self.scenario.group.elements
+        return tuple(
+            frozenset(elements[i] for i in np.flatnonzero(m)) for m in self.masks
+        )
 
     def block_of(self, tau_hat) -> Element:
         """Label of the block containing the dual element."""
-        el = self.scenario.group.reduce(tau_hat)
-        for label, block in zip(self.labels, self.blocks):
-            if el in block:
-                return label
-        raise KeyError(tau_hat)
+        scn = self.scenario
+        i = scn.group.index(tau_hat)
+        return self.labels[scn.coordinate_labels[scn.dual_split[i, 1]]]
 
     def as_dict(self) -> dict:
+        elements = self.scenario.group.elements
         return {
             "blocks": [
-                {"label": list(label), "elements": [list(e) for e in sorted(block)]}
-                for label, block in zip(self.labels, self.blocks)
+                {
+                    "label": list(label),
+                    "elements": [list(elements[i]) for i in np.flatnonzero(m)],
+                }
+                for label, m in zip(self.labels, self.masks)
             ]
         }
 
@@ -129,10 +138,7 @@ def _build_dual_partition(scn: Scenario) -> DualPartition:
         )
     masks = block[None, :] == np.arange(len(labels))[:, None]
     masks.flags.writeable = False
-    blocks = tuple(
-        frozenset(group.elements[i] for i in np.flatnonzero(m)) for m in masks
-    )
-    return DualPartition(scn, tuple(labels), blocks, masks)
+    return DualPartition(scn, tuple(labels), masks)
 
 
 def mask_apply(scn: Scenario, xi, f: np.ndarray, part: DualPartition | None = None):
@@ -207,12 +213,29 @@ def _mask_side(scn: Scenario, space: Subspace):
     return memo
 
 
+def _components(scn: Scenario, space: Subspace) -> list[Subspace]:
+    """The block components ``frame @ V_b`` of the space, memoised on ``space``.
+
+    Each component keeps its own invariance memo, so the checks that ask
+    for the components' invariance translate each component once.
+    """
+    comps = vars(space).get("_components")
+    if comps is None:
+        s, vh, _ = _mask_side(scn, space)
+        kept = s > RANK_TOL
+        comps = vars(space)["_components"] = [
+            Subspace(scn, space.frame @ vh[b, kept[b]].conj().T)
+            for b in range(scn.n_blocks)
+        ]
+    return comps
+
+
 @dataclass(frozen=True)
 class ExtraInvarianceReport:
     """Outcome of the extra-invariance equivalence check."""
 
     extra_invariant: bool
-    translation_residual: float  # worst residual of extra-subgroup translates
+    translation_residual: float  # worst unit direction moved out by an extra probe
     inclusion_residuals: tuple[float, ...]  # per block label, worst unit direction
     inclusion_ok: tuple[bool, ...]
     component_dims: tuple[int, ...]
@@ -282,8 +305,7 @@ def check_extra_invariance(
         gram = coeffs.conj().T @ coeffs
         deviation = float(np.max(np.abs(gram - np.eye(space.dim)), initial=0.0))
         comp_res = 0.0
-        for b in range(scn.n_blocks):
-            comp = Subspace(scn, space.frame @ vh[b, kept[b]].conj().T)
+        for comp in _components(scn, space):
             for sub in (scn.base, scn.extra):
                 _, r = is_invariant(comp, sub, tol)
                 comp_res = max(comp_res, r)

@@ -48,7 +48,6 @@ class FiniteAbelianGroup:
         # Row i holds the coordinates of elements[i].
         self.coords = np.indices(mods, dtype=np.int64).reshape(self.rank, -1).T.copy()
         self.coords.flags.writeable = False
-        self._moduli = np.array(mods, dtype=np.int64)
         self._strides = tuple(math.prod(mods[j + 1 :]) for j in range(self.rank))
         # Common denominator for exact character phases.
         self._lcm = math.lcm(*mods)
@@ -93,8 +92,9 @@ class FiniteAbelianGroup:
 
     def indices(self, coords) -> np.ndarray:
         """Element indices of coordinate rows (last axis), reduced modulo the moduli."""
-        c = np.asarray(coords, dtype=np.int64) % self._moduli
-        return np.ravel_multi_index(tuple(np.moveaxis(c, -1, 0)), self.moduli)
+        c = np.asarray(coords, dtype=np.int64)
+        axes = tuple(c[..., j] for j in range(self.rank))
+        return np.ravel_multi_index(axes, self.moduli, mode="wrap")
 
     def element_order(self, el: Element) -> int:
         """Order of the cyclic subgroup generated by a reduced element."""

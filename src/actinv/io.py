@@ -1,10 +1,8 @@
-"""CSV import/export for transforms, frames and data vectors.
+"""CSV import/export for frames and data vectors.
 
-Complex values are stored as paired ``*_re`` / ``*_im`` columns.  Zak
-arrays get one row per index tuple with the index coordinates spelled out;
-frames and data matrices get one row per point and one column pair per
-vector.  Row and column orders follow the package's canonical
-enumerations, so exports are deterministic.
+Complex values are stored as paired ``*_re`` / ``*_im`` columns: one row
+per point and one column pair per vector.  Rows follow the point order, so
+exports are deterministic.
 """
 from __future__ import annotations
 
@@ -13,46 +11,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-
-from .zak import BaseZakArray, FullZakArray, StackedZakArray
-
-
-def _dual_headers(rank: int, prefix: str) -> list[str]:
-    return [f"{prefix}{j}" for j in range(rank)]
-
-
-def write_zak_csv(path, array) -> None:
-    """Write a Zak array (any of the three kinds) as CSV."""
-    if not isinstance(array, (BaseZakArray, FullZakArray, StackedZakArray)):
-        raise TypeError(f"not a Zak array: {type(array).__name__}")
-    scn = array.scenario
-    rank = scn.group.rank
-    rows: list[list] = []
-    if isinstance(array, BaseZakArray):
-        header = _dual_headers(rank, "fiber") + ["tile", "re", "im"]
-        for w, omega in enumerate(scn.omega):
-            for c, point in enumerate(scn.tiling.tiles):
-                v = array.values[w, c]
-                rows.append(list(omega) + [point, v.real, v.imag])
-    elif isinstance(array, FullZakArray):
-        header = _dual_headers(rank, "dual") + ["rep", "re", "im"]
-        for h, el in enumerate(scn.group.elements):
-            for c, point in enumerate(scn.tiling.orbit_reps):
-                v = array.values[h, c]
-                rows.append(list(el) + [point, v.real, v.imag])
-    elif isinstance(array, StackedZakArray):
-        header = _dual_headers(rank, "fiber") + ["slot", "rep", "re", "im"]
-        for w, omega in enumerate(scn.omega):
-            for k in range(scn.n_cosets):
-                for c, point in enumerate(scn.tiling.orbit_reps):
-                    v = array.values[w, k, c]
-                    rows.append(list(omega) + [k, point, v.real, v.imag])
-    else:
-        raise TypeError(f"not a Zak array: {type(array).__name__}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def write_columns_csv(path, matrix: np.ndarray) -> None:

@@ -4,7 +4,8 @@ A :class:`Scenario` ties together a finite abelian group, a nested pair of
 subgroups (the *base* subgroup whose invariance defines the subspaces under
 study, and the larger *extra* subgroup tested for additional invariance),
 and a free weighted action.  Construction validates the chain, the action,
-and the tilings, and precomputes the index tables the transforms need.
+and the tilings; the transforms' index tables are column selections of the
+action's orbit coordinates.
 
 Naming used throughout the package:
 
@@ -28,7 +29,6 @@ from .groups import (
     Element,
     FiniteAbelianGroup,
     Subgroup,
-    annihilator,
     coset_section,
     validate_chain,
 )
@@ -106,34 +106,34 @@ class Scenario:
 
     # -- gather tables for the transforms ------------------------------------
 
-    def _gather(self, movers: np.ndarray, cell: tuple[int, ...], sign: int):
-        """Index/weight tables for ``sigma_{sign*m}(x)`` over movers x cell.
+    def _gather(self, elements: np.ndarray):
+        """Points ``sigma_t(orbit_reps[c])`` for the element indices t of ``elements``.
 
-        ``movers`` are element indices.
+        Row ``m`` runs over ``elements[m]`` (flattened) major and the orbits
+        minor; the jacobian roots are taken against row 0, which must hold
+        the zero element.  Returns the index and root tables.
         """
-        group = self.group
-        if sign < 0:
-            movers = group.indices(-group.coords[movers])
-        cell_arr = np.asarray(cell, dtype=np.intp)
-        gather = self.action.table[movers[:, None], cell_arr[None, :]]
+        gather = self.action.point_of.T[elements].reshape(len(elements), -1)
         w = self.action.weights
-        jhalf = np.sqrt(w[gather] / w[cell_arr][None, :])
-        return gather, jhalf
+        return gather, np.sqrt(w[gather] / w[gather[0]])
 
     @cached_property
     def _base_gather(self):
         """sigma_{-gamma}(x) for gamma in base, x in tiles, plus jacobian roots."""
-        return self._gather(self.base.indices, self.tiling.tiles, -1)
+        # the tile point sigma_{-a_j}(x) moves to sigma_{-(gamma + a_j)}(x)
+        c = self.group.coords
+        moved = c[self.base.indices][:, None] + c[self.transversal.rep_indices]
+        return self._gather(self.group.indices(-moved))
 
     @cached_property
     def _full_gather(self):
         """sigma_{-tau}(x) for tau in group, x in orbit_reps, plus jacobian roots."""
-        return self._gather(np.arange(self.group.order), self.tiling.orbit_reps, -1)
+        return self._gather(self.group.indices(-self.group.coords))
 
     @cached_property
     def _unfold_gather(self):
         """sigma_{+tau}(x) for tau in group, x in orbit_reps, plus jacobian roots."""
-        return self._gather(np.arange(self.group.order), self.tiling.orbit_reps, +1)
+        return self._gather(np.arange(self.group.order))
 
     # -- character tables -----------------------------------------------------
 

@@ -19,7 +19,7 @@ from .actions import translate
 from .errors import DegenerateGeneratorError, InvarianceError
 from .groups import Subgroup
 from .scenario import Scenario
-from .zak import zak_base, zak_base_inv, zak_stacked, zak_stacked_inv
+from .zak import zak_base, zak_stacked, zak_stacked_inv
 
 RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
@@ -175,13 +175,16 @@ def is_invariant(
 ) -> tuple[bool, float]:
     """Whether the subspace is preserved by every translation in the subgroup.
 
-    Tests the subgroup's generators on the frame columns (enough, since the
-    translations form a representation and generators reach everything):
-    the translated frames of all probes go through one
-    :meth:`Subspace.residuals` product.  Returns the verdict and the worst
-    residual.  The worst residual does not depend on ``tol``; it is
-    memoised on ``space`` per probe list (the subgroup's generators), so
-    the checks that each ask for base invariance translate the frame once.
+    Tests the subgroup's generators (enough, since the translations form a
+    representation and generators reach everything).  Returns the verdict
+    and the worst residual: the largest distance from the space of a
+    translated unit vector of the space, maximised over the probes.  That
+    is the largest singular value of each probe's residual block, computed
+    as the root of the top eigenvalue of its dim x dim Gram matrix, so it
+    does not depend on which orthonormal frame the space has.  It does not
+    depend on ``tol`` either; it is memoised on ``space`` per probe list
+    (the subgroup's generators), so the checks that each ask for base
+    invariance translate the frame once.
     """
     if space.dim == 0:
         return True, 0.0
@@ -190,8 +193,12 @@ def is_invariant(
     worst = memo.get(probes)
     if worst is None:
         action = space.scenario.action
-        moved = np.hstack([translate(action, g, space.frame) for g in probes])
-        worst = memo[probes] = float(np.max(space.residuals(moved)))
+        moved = np.stack([translate(action, g, space.frame) for g in probes])
+        moved = moved * space._root
+        q = space._weighted_frame
+        resid = moved - q @ (q.conj().T @ moved)  # (probes, n_points, dim)
+        top = np.max(np.linalg.eigvalsh(resid.conj().swapaxes(1, 2) @ resid))
+        worst = memo[probes] = float(np.sqrt(max(top, 0.0)))
     return worst <= tol, worst
 
 
@@ -212,39 +219,12 @@ class FiberMultiplier:
 
     ``values[w]`` multiplies the generator's base Zak fiber at
     ``dual_section[w]``; ``support[w]`` flags fibers where the generator is
-    (numerically) nonzero.  The dual-group extension, constant on
-    annihilator cosets, is available via :meth:`periodized`.
+    (numerically) nonzero.
     """
 
     scenario: Scenario
     values: np.ndarray  # (n_fibers,)
     support: np.ndarray  # (n_fibers,) bool
-
-    def periodized(self) -> np.ndarray:
-        return self.values[self.scenario.dual_split[:, 0]]
-
-
-def _fiber_multiplier(
-    scn: Scenario, f: np.ndarray, psi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, FiberMultiplier]:
-    """Base Zak values of f and psi, and the least-squares fiberwise ratio.
-
-    On each fiber where psi's fiber is (numerically) nonzero, the ratio is
-    the coefficient of the orthogonal projection of f's fiber onto psi's;
-    elsewhere it is zero.  A (numerically) zero psi is rejected.
-    """
-    zpsi = zak_base(scn, np.asarray(psi, dtype=complex))
-    zf = zak_base(scn, np.asarray(f, dtype=complex))
-    w = scn.tile_weights
-    psi_sq = np.sum(np.abs(zpsi) ** 2 * w, axis=1)  # per-fiber squared norms
-    peak = float(np.max(psi_sq))
-    if peak <= 0.0 or scn.action.norm(psi) == 0.0:
-        raise DegenerateGeneratorError("generator is zero")
-    support = psi_sq > (RANK_TOL**2) * peak
-    values = np.zeros(scn.n_fibers, dtype=complex)
-    cross = np.sum(zf * np.conj(zpsi) * w, axis=1)
-    values[support] = cross[support] / psi_sq[support]
-    return zf, zpsi, FiberMultiplier(scn, values, support)
 
 
 def principal_membership(
@@ -257,32 +237,31 @@ def principal_membership(
 
     Works fiberwise on base Zak values: f belongs iff its fiber is a scalar
     multiple of psi's fiber wherever psi's fiber is nonzero, and vanishes
-    where psi's fiber does.  Returns the multiplier on success, None
-    otherwise.  A (numerically) zero psi is rejected.
+    where psi's fiber does.  On success returns the multiplier: on each
+    fiber where psi's fiber is (numerically) nonzero, the coefficient of the
+    orthogonal projection of f's fiber onto psi's, elsewhere zero.  Returns
+    None otherwise.  A (numerically) zero psi is rejected.
     """
-    zf, zpsi, mult = _fiber_multiplier(scn, f, psi)
-    support, w = mult.support, scn.tile_weights
+    zpsi = zak_base(scn, np.asarray(psi, dtype=complex))
+    zf = zak_base(scn, np.asarray(f, dtype=complex))
+    w = scn.tile_weights
+    psi_sq = np.sum(np.abs(zpsi) ** 2 * w, axis=1)  # per-fiber squared norms
+    peak = float(np.max(psi_sq))
+    if peak <= 0.0 or scn.action.norm(psi) == 0.0:
+        raise DegenerateGeneratorError("generator is zero")
+    support = psi_sq > (RANK_TOL**2) * peak
+    values = np.zeros(scn.n_fibers, dtype=complex)
+    cross = np.sum(zf * np.conj(zpsi) * w, axis=1)
+    values[support] = cross[support] / psi_sq[support]
     # residual of f against the fiberwise multiple, in the function norm
-    diff = zf - mult.values[:, None] * zpsi
+    diff = zf - values[:, None] * zpsi
     resid_sq = np.sum(np.abs(diff) ** 2 * w, axis=1)
     off = np.sum(np.abs(zf[~support]) ** 2 * w, axis=1) if np.any(~support) else 0.0
     total = float(np.sqrt((np.sum(resid_sq[support]) + np.sum(off)) / scn.n_fibers))
     scale = max(1.0, scn.action.norm(f))
     if total > tol * scale:
         return None
-    return mult
-
-
-def project_principal(
-    scn: Scenario, g: np.ndarray, psi: np.ndarray
-) -> tuple[np.ndarray, FiberMultiplier]:
-    """Orthogonal projection of g onto the principal space of psi, fiberwise.
-
-    Returns the projected function and the multiplier whose fiberwise
-    product with psi's base Zak values gives the projection's values.
-    """
-    _, zpsi, mult = _fiber_multiplier(scn, g, psi)
-    return zak_base_inv(scn, mult.values[:, None] * zpsi), mult
+    return FiberMultiplier(scn, values, support)
 
 
 # -- fiberwise structure of invariant spaces ----------------------------------

@@ -26,8 +26,10 @@ dual side carries weight ``1/n_fibers`` per fiber for the base and stacked
 transforms and ``1/group.order`` per dual element for the full transform.
 
 Memory: besides the |base|^2 base table, every transform works in
-O(|G| * orbits) per function: an index/weight gather table of that size
-and the transform values themselves.  No |G| x |G| table is built.
+O(|G| * orbits) = O(n) per function: an index/weight gather table of that
+size, a column selection of the action's orbit coordinates
+``point_of`` (orbits x |G|), and the transform values themselves.  No
+|G| x |G| or |G| x n table is built.
 
 ``unfold_orbits`` is the companion fiberization into sequences over the
 group: ``unfold_orbits(f)(x)(tau) = jacobian(tau, x)**0.5 * f(sigma_tau(x))``
@@ -40,24 +42,18 @@ columnwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .groups import FiniteAbelianGroup
 from .scenario import Scenario
 
 __all__ = [
-    "BaseZakArray",
-    "FullZakArray",
-    "StackedZakArray",
     "zak_base",
     "zak_base_inv",
     "zak_full",
     "zak_full_inv",
     "zak_stacked",
     "zak_stacked_inv",
-    "periodized_base",
     "unfold_orbits",
     "fold_orbits",
     "base_norm",
@@ -140,11 +136,6 @@ def zak_stacked_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
     return zak_full_inv(scn, full)
 
 
-def periodized_base(scn: Scenario, values: np.ndarray) -> np.ndarray:
-    """Extend base Zak values to the whole dual group (annihilator-periodic)."""
-    return np.asarray(values)[scn.dual_split[:, 0]]
-
-
 def unfold_orbits(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Weighted orbit samples; shape (len(orbit_reps), group.order)."""
     return np.moveaxis(_gathered(scn._unfold_gather, f), 0, 1)
@@ -182,63 +173,6 @@ def unfold_norm(scn: Scenario, phi: np.ndarray) -> float:
     return float(np.sqrt(np.sum(e.sum(axis=1) * w)))
 
 
-# -- typed wrappers -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BaseZakArray:
-    """Base Zak transform of one function, with its index semantics."""
-
-    scenario: Scenario
-    values: np.ndarray  # (n_fibers, len(tiles))
-
-    @classmethod
-    def transform(cls, scn: Scenario, f: np.ndarray) -> "BaseZakArray":
-        return cls(scn, zak_base(scn, f))
-
-    def norm(self) -> float:
-        return base_norm(self.scenario, self.values)
-
-    def periodized(self) -> np.ndarray:
-        """Values over the whole dual group; constant on annihilator cosets."""
-        return periodized_base(self.scenario, self.values)
-
-    def invert(self) -> np.ndarray:
-        return zak_base_inv(self.scenario, self.values)
-
-
-@dataclass(frozen=True)
-class FullZakArray:
-    scenario: Scenario
-    values: np.ndarray  # (group.order, len(orbit_reps))
-
-    @classmethod
-    def transform(cls, scn: Scenario, f: np.ndarray) -> "FullZakArray":
-        return cls(scn, zak_full(scn, f))
-
-    def norm(self) -> float:
-        return full_norm(self.scenario, self.values)
-
-    def invert(self) -> np.ndarray:
-        return zak_full_inv(self.scenario, self.values)
-
-
-@dataclass(frozen=True)
-class StackedZakArray:
-    scenario: Scenario
-    values: np.ndarray  # (n_fibers, n_cosets, len(orbit_reps))
-
-    @classmethod
-    def transform(cls, scn: Scenario, f: np.ndarray) -> "StackedZakArray":
-        return cls(scn, zak_stacked(scn, f))
-
-    def norm(self) -> float:
-        return stacked_norm(self.scenario, self.values)
-
-    def invert(self) -> np.ndarray:
-        return zak_stacked_inv(self.scenario, self.values)
-
-
 # -- the relation between the base and full transforms ------------------------
 
 
@@ -259,11 +193,8 @@ def zak_relation_deviation(scn: Scenario, f: np.ndarray) -> float:
     vb = zak_base(scn, f).reshape(scn.n_fibers, scn.n_cosets, n_reps)
     negs = [scn.group.neg(a) for a in scn.transversal.representatives]
     chars_tr = scn.group.char_matrix(negs, list(scn.omega))  # [j, w]
-    reps = np.asarray(scn.tiling.orbit_reps, dtype=np.intp)
-    w = scn.action.weights
-    jhalf = np.empty((scn.n_cosets, n_reps))
-    for j, a in enumerate(negs):
-        jhalf[j] = np.sqrt(w[scn.action.sigma(a)[reps]] / w[reps])
+    # tiles[j * n_reps + c] is sigma_{-a_j}(orbit_reps[c])
+    jhalf = np.sqrt(scn.tile_weights.reshape(scn.n_cosets, n_reps) / scn.rep_weights)
     dv = chars_tr.T[:, :, None] * jhalf[None, :, :] * vb  # (w, j, c)
     fdv = np.einsum("kj,wjc->wkc", scn.coset_dft, dv)
     full = zak_full(scn, f)

@@ -23,12 +23,14 @@ projector matches, all in Python loops over blocks and fibers.  The
 fiberized range-function check unfolds orbit samples into sequences over
 the group.  Both are too slow for large groups and meant for test sizes.
 
-The group-core references at the end work element by element on coordinate
-tuples, with ``FiniteAbelianGroup.add`` and set membership: the all-pairs
-group-law check, coset representatives as a lexicographic minimum over the
-subgroup, the annihilator by the pairing test against every subgroup
-element, and subgroup membership by closure under all pairs.  They are
-O(|G|^2) as well.
+The action references compose the whole |G| x n table of the action from
+its generator permutations (``compose_table``) and read every translate off
+it.  The group-core references at the end work element by element on
+coordinate tuples, with ``FiniteAbelianGroup.add`` and set membership: the
+all-pairs group-law check on that table, coset representatives as a
+lexicographic minimum over the subgroup, the annihilator by the pairing
+test against every subgroup element, and subgroup membership by closure
+under all pairs.  They are O(|G|^2) as well.
 """
 import itertools
 
@@ -55,15 +57,39 @@ def analysis_chars(group):
     return group.char_matrix(negs, group.elements)
 
 
+def compose_table(action):
+    """All |G| permutations of the action, composed from the generators.
+
+    Row ``i`` is ``p_{k-1}^{c_{k-1}} o ... o p_0^{c_0}`` for
+    ``c = elements[i]``, built by growing the table one coordinate at a
+    time: |G| x n entries, whatever the data.
+    """
+    n = action.n_points
+    table = np.arange(n, dtype=np.intp)[None, :]
+    for p, modulus in zip(action.generator_perms, action.group.moduli):
+        # [i, c] = p^c o table[i]: coordinate j varies fastest so far
+        grown = np.empty((len(table), modulus, n), dtype=np.intp)
+        grown[:, 0] = table
+        for c in range(1, modulus):
+            grown[:, c] = p[grown[:, c - 1]]
+        table = grown.reshape(-1, n)
+    return table
+
+
+def gather(scn, elements, cell):
+    """Points ``sigma_t(x)`` and roots ``jacobian(t, x)**0.5`` over elements x cell."""
+    act, group = scn.action, scn.group
+    table = compose_table(act)
+    cell = np.asarray(cell, dtype=np.intp)
+    points = np.array([table[group.index(t)][cell] for t in elements], dtype=np.intp)
+    roots = np.sqrt(act.weights[points] / act.weights[cell][None, :])
+    return points, roots
+
+
 def _orbit_points(scn):
     """Points ``sigma_{-t}(x)`` and roots ``jacobian(-t, x)**0.5``, shape (|G|, reps)."""
-    act, group = scn.action, scn.group
-    reps = np.asarray(scn.tiling.orbit_reps, dtype=np.intp)
-    points = np.array(
-        [act.sigma(group.neg(t))[reps] for t in group.elements], dtype=np.intp
-    )
-    roots = np.sqrt(act.weights[points] / act.weights[reps][None, :])
-    return points, roots
+    negs = [scn.group.neg(t) for t in scn.group.elements]
+    return gather(scn, negs, scn.tiling.orbit_reps)
 
 
 def _batch(roots, ndim):
@@ -339,7 +365,7 @@ def validate_action(action):
 
     Raises the library's error classes; returns the sorted orbits.
     """
-    group, table, n = action.group, action.table, action.n_points
+    group, table, n = action.group, compose_table(action), action.n_points
     ident = np.arange(n)
     if not np.array_equal(table[group.index(group.zero)], ident):
         raise ActionError("identity element does not act as the identity")

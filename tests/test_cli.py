@@ -6,8 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import actinv.cli as cli
-from actinv.io import read_columns_csv, write_columns_csv, write_zak_csv
-from actinv.zak import BaseZakArray, FullZakArray, StackedZakArray
+from actinv.io import read_columns_csv, write_columns_csv
 
 from conftest import random_function
 
@@ -408,29 +407,3 @@ def test_columns_csv_errors(tmp_path):
         p.write_text(f"c0_re,c0_im\n1,{bad}\n")
         with pytest.raises(ValueError, match="non-finite"):
             read_columns_csv(p)
-
-
-def test_zak_csv_headers_and_shapes(tmp_path, bank):
-    scn = bank["shear"]
-    f = random_function(scn, np.random.default_rng(8))
-    cases = [
-        (BaseZakArray.transform(scn, f), "fiber0,tile,re,im", 6),
-        (FullZakArray.transform(scn, f), "dual0,rep,re,im", 6),
-        (StackedZakArray.transform(scn, f), "fiber0,slot,rep,re,im", 6),
-    ]
-    for arr, header, n_rows in cases:
-        path = tmp_path / "zak.csv"
-        write_zak_csv(path, arr)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == header
-        assert len(lines) == 1 + n_rows
-    with pytest.raises(TypeError):
-        write_zak_csv(tmp_path / "zak.csv", np.zeros(6))
-
-
-def test_zak_csv_product_group_headers(tmp_path, bank):
-    scn = bank["product"]
-    f = random_function(scn, np.random.default_rng(9))
-    path = tmp_path / "zak.csv"
-    write_zak_csv(path, FullZakArray.transform(scn, f))
-    assert path.read_text().splitlines()[0] == "dual0,dual1,rep,re,im"

@@ -6,9 +6,12 @@ to 3, moduli of 1 allowed, order at most 200, shuffled point labels and
 log-uniform weights over a 1e3 range.
 
 Group core: on the same generated groups, ``validate_action`` gives the same
-verdict and error class as the all-pairs check on valid actions and on three
-kinds of broken ones, and coset sections, annihilators and
-``Subgroup.from_elements`` equal their element-by-element references.
+verdict and error class as the all-pairs check on valid actions and on five
+kinds of broken ones, where translating raises that class too; on valid
+actions every translate, the orbit coordinates, the tiles and the three
+gather tables are selections of the oracle's composed |G| x n table; and
+coset sections, annihilators and ``Subgroup.from_elements`` equal their
+element-by-element references.
 
 Approximation: on the generated scenarios, both batched solvers match the
 pooled one-SVD-per-fiber-and-block reference in error (1e-12 relative),
@@ -50,6 +53,7 @@ from actinv import (
     mask_apply,
     masked_component,
     span_invariant,
+    translate,
     validate_action,
     zak_full,
     zak_full_inv,
@@ -395,6 +399,58 @@ def test_validate_action_matches_all_pairs_oracle(spec):
         assert got == want, kind
         if kind == "valid":
             assert isinstance(got, list) and len(got) == orbits
+
+
+@ORACLE_SETTINGS
+@given(spec=scenario_specs())
+@example(spec=((3, 1, 4), [(1, 0, 2)], [(0, 0, 1)], 2, 1))
+@example(spec=((1,), [], [], 1, 0))
+def test_orbit_coordinates_match_the_composed_table(spec):
+    """Every translate and gather table is a selection of the oracle's table."""
+    scn, _ = build(spec)
+    act, group = scn.action, scn.group
+    table = oracle.compose_table(act)
+    for i, tau in enumerate(group.elements):
+        assert np.array_equal(act.sigma(tau), table[i])
+    reps = [orb[0] for orb in oracle.validate_action(act)]
+    assert list(scn.tiling.orbit_reps) == reps
+    assert np.array_equal(act.point_of, table[:, reps].T)
+    tile_movers = [group.neg(a) for a in scn.transversal.representatives]
+    tiles, _ = oracle.gather(scn, tile_movers, reps)
+    assert list(scn.tiling.tiles) == tiles.ravel().tolist()
+    base_movers = [group.neg(g) for g in scn.base.elements]
+    cases = [
+        (scn._full_gather, oracle._orbit_points(scn)),
+        (scn._unfold_gather, oracle.gather(scn, group.elements, reps)),
+        (scn._base_gather, oracle.gather(scn, base_movers, scn.tiling.tiles)),
+    ]
+    for (points, roots), (want_points, want_roots) in cases:
+        assert np.array_equal(points, want_points)
+        np.testing.assert_allclose(roots, want_roots, rtol=1e-15)
+
+
+@ORACLE_SETTINGS
+@given(spec=scenario_specs())
+@example(spec=((4,), [], [], 2, 0))
+@example(spec=((2, 3), [], [], 1, 3))
+@example(spec=((3, 1, 4), [], [], 2, 1))
+def test_rejected_actions_never_translate(spec):
+    """On data that is no free action, translation raises the action's error."""
+    moduli, _, _, orbits, seed = spec
+    g = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(seed)
+    for kind, perms in broken_variants(relabelled_perms(g, orbits, rng), rng):
+        act = ActionSpace(g, len(perms[0]), perms)
+        # the verdict's agreement with the oracle is checked above
+        want = action_outcome(lambda a: validate_action(a).orbits, act)
+        if not isinstance(want, type):
+            continue
+        f = np.ones(act.n_points)
+        for tau in (g.zero, g.elements[-1]):
+            for move in (act.sigma, lambda t: translate(act, t, f)):
+                with pytest.raises(ActionError) as info:
+                    move(tau)
+                assert type(info.value) is want, kind
 
 
 @ORACLE_SETTINGS

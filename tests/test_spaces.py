@@ -11,12 +11,10 @@ from actinv import (
     is_invariant,
     length,
     principal_membership,
-    project_principal,
     span_invariant,
     translate,
     zak_base,
     zak_base_inv,
-    zak_full,
 )
 from actinv.spaces import (
     fiber_matrices,
@@ -119,6 +117,24 @@ def test_is_invariant_detects_moved_spaces(chain12):
         require_base_invariant(space)
 
 
+def test_translation_residual_does_not_depend_on_the_frame(scn):
+    rng = np.random.default_rng(13)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    space = span_invariant(scn, gens)
+    # a second weighted-orthonormal frame of the same space
+    shape = (space.dim, space.dim)
+    u, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    other = Subspace(scn, space.frame @ u)
+    ok, res = is_invariant(space, scn.extra)
+    ok_other, res_other = is_invariant(other, scn.extra)
+    assert not ok and not ok_other
+    assert abs(res - res_other) <= 1e-12
+    # the worst unit direction moves out at least as far as any frame column
+    probes = scn.extra.generators
+    moved = np.hstack([translate(scn.action, g, space.frame) for g in probes])
+    assert res >= float(np.max(space.residuals(moved))) - 1e-12
+
+
 def test_subgroup_invariance_nests(scn):
     rng = np.random.default_rng(3)
     space = span_invariant(scn, random_function(scn, rng)[:, None], scn.extra)
@@ -166,22 +182,6 @@ def test_principal_membership_agrees_with_projector_oracle(scn):
 def test_principal_membership_rejects_zero_generator(chain12):
     with pytest.raises(DegenerateGeneratorError):
         principal_membership(chain12, np.ones(12), np.zeros(12))
-
-
-def test_project_principal_matches_frame_projection(scn):
-    rng = np.random.default_rng(7)
-    psi = random_function(scn, rng)
-    g = random_function(scn, rng)
-    space = span_invariant(scn, psi[:, None])
-    proj, mult = project_principal(scn, g, psi)
-    assert_allclose(proj, space.project(g), atol=1e-9)
-    proj2, _ = project_principal(scn, proj, psi)
-    assert_allclose(proj2, proj, atol=1e-9)
-    # the periodized multiplier relates the two full Zak transforms
-    per = mult.periodized()
-    assert_allclose(
-        zak_full(scn, proj), per[:, None] * zak_full(scn, psi), atol=1e-9
-    )
 
 
 # -- fiber structure -----------------------------------------------------------

@@ -1,15 +1,14 @@
 """Transforms: goldens, round trips, isometries, intertwining, the relation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from actinv import (
     ActionSpace,
-    BaseZakArray,
     FiniteAbelianGroup,
-    FullZakArray,
     Scenario,
-    StackedZakArray,
     Subgroup,
     fold_orbits,
     translate,
@@ -152,17 +151,6 @@ def test_stacked_equals_regrouped_full(scn):
         assert_allclose(stacked[w, k], full[i] / scale, atol=1e-12)
 
 
-def test_periodized_base_constant_on_annihilator_cosets(scn):
-    rng = np.random.default_rng(41)
-    f = random_function(scn, rng)
-    arr = BaseZakArray.transform(scn, f)
-    per = arr.periodized()
-    assert per.shape == (scn.group.order, len(scn.tiling.tiles))
-    for i, el in enumerate(scn.group.elements):
-        w = scn.dual_section.position_of(el)
-        assert_allclose(per[i], arr.values[w])
-
-
 def test_unfold_isometry_translation_and_fold(scn):
     rng = np.random.default_rng(43)
     f = random_function(scn, rng)
@@ -203,27 +191,53 @@ def test_coset_dft_unitary(scn):
     assert_allclose(m @ m.conj().T, np.eye(scn.n_cosets), atol=1e-12)
 
 
-def test_typed_wrappers(scn):
-    rng = np.random.default_rng(59)
-    f = random_function(scn, rng)
-    ref = scn.action.norm(f)
-    for cls in (BaseZakArray, FullZakArray, StackedZakArray):
-        arr = cls.transform(scn, f)
-        assert arr.norm() == pytest.approx(ref, rel=1e-12)
-        assert_allclose(arr.invert(), f, atol=1e-12 * ref)
+def held_arrays(obj):
+    """(attribute, array) for every array an object holds, also in tuples and lists."""
+    for name, value in vars(obj).items():
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        for arr in items:
+            if isinstance(arr, np.ndarray):
+                yield name, arr
 
 
 def test_scenario_caches_no_group_squared_table(scn):
-    """After every transform has run, no cached array has |G|^2 entries."""
+    """After every transform has run, no cached array has |G|^2 entries,
+    and the action holds no array larger than its point count."""
     rng = np.random.default_rng(71)
     f = random_function(scn, rng)
     zak_base_inv(scn, zak_base(scn, f))
     zak_stacked_inv(scn, zak_stacked(scn, f))
     fold_orbits(scn, unfold_orbits(scn, f))
     zak_relation_deviation(scn, f)
+    translate(scn.action, scn.group.elements[-1], f)
     limit = scn.group.order ** 2
-    for name, value in vars(scn).items():
-        items = value if isinstance(value, tuple) else (value,)
-        for arr in items:
-            if isinstance(arr, np.ndarray):
-                assert arr.size < limit, name
+    for name, arr in held_arrays(scn):
+        assert arr.size < limit, name
+    for name, arr in held_arrays(scn.action):
+        assert arr.size <= scn.action.n_points, name
+    assert {"point_of", "coordinates"} <= set(vars(scn.action))
+
+
+def test_order_4096_scenario_builds_in_linear_memory():
+    """Z_64 x Z_64 on 2 orbits (8192 points): O(n) set-up memory, exact round trip.
+
+    A |G| x n action table alone would take 256 MiB here.
+    """
+    rng = np.random.default_rng(73)
+    n = 2 * 64 * 64
+    weights = np.exp(rng.uniform(0.0, np.log(1e3), n))
+    tracemalloc.start()
+    try:
+        g = FiniteAbelianGroup([64, 64])
+        act = ActionSpace.regular(g, orbits=2, weights=weights)
+        base = Subgroup(g, [(8, 0), (0, 8)])
+        extra = Subgroup(g, [(4, 0), (0, 4)])
+        scn = Scenario(g, base, extra, act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    back = zak_full_inv(scn, zak_full(scn, f))
+    for j in range(2):
+        assert act.norm(back[:, j] - f[:, j]) <= 1e-12 * act.norm(f[:, j])
