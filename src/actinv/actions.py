@@ -178,10 +178,18 @@ def _orbit_points(action: ActionSpace) -> np.ndarray:
     sigma(0)``, the identity.  The cost is O((rank^2 + sum of log moduli) * n)
     instead of the |G|^2 element pairs.
 
-    The orbits come from walking the points in increasing order and
-    skipping those already seen: the images of a point under all |G|
-    elements are pairwise distinct exactly when its stabiliser is trivial
-    (orbit-stabiliser), and otherwise contain the point itself again.
+    The orbits come from labelling every point with the smallest point of
+    its orbit: each label starts as the point itself and, generator by
+    generator, becomes the minimum over ``p_j^k`` of the labels for ``k``
+    up to ``n_j``, taken by doubling the step (the propagation of
+    :func:`coset_section`).  Under the group law that is the minimum over
+    the whole orbit.  The action is free exactly when there are
+    ``n / |G|`` orbits, since every orbit has at most |G| points
+    (orbit-stabiliser); otherwise the smallest point with a nontrivial
+    stabiliser is the smallest orbit minimum of an orbit with fewer points,
+    and the error names the smallest nonzero element fixing it.  The
+    columns of all orbits are then composed together, one pass per
+    generator, and checked to be a permutation of the points.
     """
     group, n = action.group, action.n_points
     perms = action.generator_perms
@@ -207,34 +215,45 @@ def _orbit_points(action: ActionSpace) -> np.ndarray:
         raise OrbitError(
             f"{n} points cannot split into free orbits of size {group.order}"
         )
-    seen = np.zeros(n, dtype=bool)
-    columns = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        images = np.array([x], dtype=np.intp)
-        for p, modulus in zip(perms, group.moduli):
-            # [i, c] = p^c(images[i]): coordinate j varies fastest so far
-            grown = np.empty((len(images), modulus), dtype=np.intp)
-            grown[:, 0] = images
-            for c in range(1, modulus):
-                grown[:, c] = p[grown[:, c - 1]]
-            images = grown.ravel()
-        stabiliser = np.flatnonzero(images == x)
-        if len(stabiliser) > 1:
-            raise FreenessError(
-                f"element {group.elements[stabiliser[1]]} fixes point {x}"
-            )
-        seen[images] = True
-        columns.append(images)
-    if len(columns) != n // group.order:
-        raise TheoremViolationError(
-            "free action has orbits of the wrong size",
-            details={"orbits": len(columns), "expected": n // group.order},
+    labels = ident
+    for j in used:
+        step, span = perms[j], 1
+        while span < group.moduli[j]:
+            labels = np.minimum(labels, labels[step])
+            step, span = step[step], span * 2
+    reps = np.flatnonzero(labels == ident)
+    if len(reps) != n // group.order:
+        sizes = np.bincount(labels, minlength=n)[reps]
+        x = int(reps[np.argmax(sizes < group.order)])
+        stabiliser = np.flatnonzero(_compose_orbits(action, [x])[0] == x)
+        raise FreenessError(
+            f"element {group.elements[stabiliser[1]]} fixes point {x}"
         )
-    point_of = np.stack(columns)
+    point_of = _compose_orbits(action, reps)
+    if np.any(np.bincount(point_of.ravel(), minlength=n) != 1):
+        raise TheoremViolationError(
+            "free action orbits do not partition the points",
+            details={"orbits": len(reps), "expected": n // group.order},
+        )
     point_of.flags.writeable = False
     return point_of
+
+
+def _compose_orbits(action: ActionSpace, starts: np.ndarray) -> np.ndarray:
+    """``[c, t]``: the image of ``starts[c]`` under ``elements[t]``.
+
+    Element ``t`` acts as ``p_{k-1}^{t_{k-1}} o ... o p_0^{t_0}``; one pass
+    per generator grows every row at once, coordinate j varying fastest so
+    far, which is the lexicographic order of the elements.
+    """
+    images = np.asarray(starts, dtype=np.intp)[:, None]
+    for p, modulus in zip(action.generator_perms, action.group.moduli):
+        grown = np.empty(images.shape + (modulus,), dtype=np.intp)
+        grown[..., 0] = images
+        for c in range(1, modulus):
+            grown[..., c] = p[grown[..., c - 1]]
+        images = grown.reshape(len(images), -1)
+    return images
 
 
 def jacobian(action: ActionSpace, tau: Iterable[int], x: int | None = None):
@@ -291,7 +310,7 @@ def tiling_sets(
     reps = action.point_of[:, 0]
     negs = group.indices(-group.coords[transversal.rep_indices])
     tiles = action.point_of[:, negs].T.ravel()
-    if len(np.unique(tiles)) != len(tiles):
+    if np.any(np.bincount(tiles, minlength=action.n_points) > 1):
         raise FreenessError("tile points collide; action cannot be free")
     _assert_partition(action, base.indices, tiles)
     _assert_partition(action, np.arange(group.order), reps)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .groups import Element
 from .scenario import Scenario
-from .spaces import RANK_TOL, Subspace, as_columns, fiber_matrices, fibers_from_matrix
-from .extra import _block_rows, dual_partition, stacked_block_masks
+from .spaces import RANK_TOL, Subspace, as_columns, fiber_matrices
+from .extra import dual_partition, stacked_block_rows
 
 
 @dataclass(frozen=True)
@@ -86,21 +86,6 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     return vecs * phase
 
 
-def _assemble(scn: Scenario, fibers: np.ndarray, vecs: np.ndarray) -> Subspace:
-    """Build the subspace whose fibers are the picked orthonormal vectors.
-
-    Column j of ``vecs`` is a unit vector in weighted stacked coordinates at
-    fiber position ``fibers[j]``; vectors at the same fiber must be mutually
-    orthogonal.
-    """
-    if fibers.size == 0:
-        return Subspace.zero(scn)
-    stacked = np.zeros((scn.n_fibers, vecs.shape[0], fibers.size), dtype=complex)
-    stacked[fibers, :, np.arange(fibers.size)] = vecs.T
-    frame = fibers_from_matrix(scn, stacked) * np.sqrt(scn.n_fibers)
-    return Subspace(scn, frame)
-
-
 def _fit(
     scn: Scenario,
     data,
@@ -145,7 +130,8 @@ def _fit(
         )
         for w, (vals, n) in enumerate(zip(sig.tolist(), keep.tolist()))
     )
-    return ApproxResult(_assemble(scn, fibers, _fix_phase(vecs)), error, int(ell), spectra)
+    space = Subspace.from_fibers(scn, fibers, _fix_phase(vecs))
+    return ApproxResult(space, error, int(ell), spectra)
 
 
 def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
@@ -166,7 +152,7 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     singular directions across blocks.  Keeping whole blocks' directions
     makes every fiber decomposable, hence the space extra-invariant.
     """
-    rows = _block_rows(stacked_block_masks(scn))
+    rows = stacked_block_rows(scn)
     return _fit(scn, data, ell, rows, dual_partition(scn).labels)
 
 

@@ -198,7 +198,8 @@ def _vectors_from(
     raise ConfigError(section, f"expected '{key}' or 'csv'")
 
 
-def build_subspace(doc: dict, scn: Scenario, rng: np.random.Generator) -> Subspace:
+def build_subspace(doc: dict, scn: Scenario, seed: int) -> Subspace:
+    """The configured subspace; ``seed`` draws the generators of ``random``."""
     if "subspace" not in doc:
         raise ConfigError("subspace", "missing required section")
     sec = doc["subspace"]
@@ -219,6 +220,7 @@ def build_subspace(doc: dict, scn: Scenario, rng: np.random.Generator) -> Subspa
         if kind == "principal":
             count = 1
         n = scn.action.n_points
+        rng = np.random.default_rng(seed)
         gens = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
         return span_invariant(scn, gens)
     if "generators" in sec or "csv" in sec:
@@ -334,7 +336,7 @@ def cmd_partition(doc: dict, args) -> int:
 def cmd_check(doc: dict, args) -> int:
     scn = build_scenario(doc)
     tol, seed = _options(doc, args)
-    space = build_subspace(doc, scn, np.random.default_rng(seed))
+    space = build_subspace(doc, scn, seed)
     report = check_extra_invariance(scn, space, tol)
     dec = check_decomposable(scn, space, tol)
     _emit(
@@ -386,7 +388,7 @@ def cmd_demo(args) -> int:
     scn = build_scenario(doc)
     tol, seed = _options(doc, args)
     part = dual_partition(scn)
-    space = build_subspace(doc, scn, np.random.default_rng(seed))
+    space = build_subspace(doc, scn, seed)
     report = check_extra_invariance(scn, space, tol)
     failures = []
     part_dict = part.as_dict()

@@ -20,7 +20,9 @@ space is spanned by the block rows of its Zak values, and one batched SVD of
 the block-row stacks yields every component at once (its dimension, its
 directions as coefficient vectors on the frame, and the energy each
 direction keeps outside its block).  The fiberwise check likewise works on
-block rows of the fiber matrices; no check builds an n x n array.
+block rows of the fiber matrices, a regrouping of the same Zak values; no
+check builds an n x n array, and a check pair translates nothing but the
+frame, once per probe.
 """
 from __future__ import annotations
 
@@ -36,7 +38,8 @@ from .spaces import (
     RANK_TOL,
     Subspace,
     _euclid_orth,
-    fiber_matrices,
+    _probe_maps,
+    _probes,
     is_invariant,
     require_base_invariant,
     span_invariant,
@@ -178,56 +181,113 @@ def _block_rows(masks: np.ndarray) -> np.ndarray:
     return np.nonzero(masks)[1].reshape(len(masks), -1)
 
 
+def _block_chunks(n_blocks: int, per_block: int, budget: int) -> list[slice]:
+    """Runs of consecutive blocks whose temporaries stay within ``budget`` entries.
+
+    A block's temporary has ``per_block`` entries; a run holds as many
+    blocks as fit, and at least one.
+    """
+    step = max(1, budget // max(per_block, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_blocks, step)]
+
+
+def _frame_zak(scn: Scenario, space: Subspace) -> np.ndarray:
+    """The frame's full Zak values scaled by ``(rep_weights / group.order) ** 0.5``.
+
+    Shape (group.order, len(orbit_reps), dim), with orthonormal columns
+    (the full transform is an isometry under that scaling).  Memoised on
+    ``space``: both checks read the space's Zak side off this one transform.
+    """
+    z = vars(space).get("_zak")
+    if z is None:
+        root = np.sqrt(scn.rep_weights / scn.group.order)[:, None]
+        z = vars(space)["_zak"] = zak_full(scn, space.frame) * root
+    return z
+
+
 def _mask_side(scn: Scenario, space: Subspace):
     """Singular data of the space's block rows, memoised on ``space``.
 
-    ``z``, the frame's full Zak values scaled by
-    ``(rep_weights / group.order) ** 0.5``, has orthonormal columns.  One
-    batched SVD of the blocks' rows gives, per block, the singular values
-    ``s`` and the right singular vectors as the rows of ``vh``
-    (n_blocks, k, dim).  The unit direction ``frame @ v`` keeps norm ``s`` in
-    the block and ``(1 - s**2) ** 0.5`` outside it, which is also the
-    distance from the space of the unit masked image along that direction.
-    ``worst`` is that outside norm for each block's smallest singular value
-    above ``RANK_TOL`` (0 when there is none), taken from the Zak values
-    themselves, without the cancellation.
+    ``z`` (:func:`_frame_zak`) has orthonormal columns.  One batched SVD of
+    the blocks' rows gives, per block, the singular values ``s`` and the
+    right singular vectors as the rows of ``vh`` (n_blocks, k, dim).  The
+    unit direction ``frame @ v`` keeps norm ``s`` in the block and
+    ``(1 - s**2) ** 0.5`` outside it, which is also the distance from the
+    space of the unit masked image along that direction.  ``worst`` is that
+    outside norm for each block's smallest singular value above
+    ``RANK_TOL`` (0 when there is none), taken from the Zak values
+    themselves, without the cancellation.  The blocks go through that
+    product in runs, so that no temporary is larger than ``z``.
     """
     memo = vars(space).get("_mask_side")
     if memo is None:
         rows = _block_rows(dual_partition(scn).masks)
         n_blocks, size = rows.shape
-        root = np.sqrt(scn.rep_weights / scn.group.order)[:, None]
-        z = zak_full(scn, space.frame) * root
+        z = _frame_zak(scn, space)
         order, reps, dim = z.shape
         stack = z[rows].reshape(n_blocks, size * reps, dim)
+        if size * reps > dim:
+            # only s and vh are needed: the R factor of a tall stack has the
+            # same singular values and right singular vectors, at less cost
+            stack = np.linalg.qr(stack, mode="r")
         _, s, vh = np.linalg.svd(stack, full_matrices=False)
         count = np.sum(s > RANK_TOL, axis=1)
         worst = np.zeros(n_blocks)
         if dim:
             v = vh[np.arange(n_blocks), np.maximum(count - 1, 0)].conj()
-            # each block's worst direction, with the block's own rows zeroed
-            off = (z.reshape(order * reps, dim) @ v.T).reshape(order, reps, n_blocks)
-            off[rows, :, np.arange(n_blocks)[:, None]] = 0.0
-            worst = np.linalg.norm(off, axis=(0, 1)) * (count > 0)
+            flat = z.reshape(order * reps, dim)
+            for run in _block_chunks(n_blocks, order * reps, z.size):
+                # each block's worst direction, with the block's own rows zeroed
+                off = (flat @ v[run].T).reshape(order, reps, -1)
+                off[rows[run], :, np.arange(off.shape[2])[:, None]] = 0.0
+                worst[run] = np.linalg.norm(off, axis=(0, 1))
+            worst *= count > 0
         memo = vars(space)["_mask_side"] = (s, vh, worst)
     return memo
 
 
-def _components(scn: Scenario, space: Subspace) -> list[Subspace]:
-    """The block components ``frame @ V_b`` of the space, memoised on ``space``.
+def _component_residual(scn: Scenario, space: Subspace) -> float:
+    """Worst base/extra-invariance residual among the block components.
 
-    Each component keeps its own invariance memo, so the checks that ask
-    for the components' invariance translate each component once.
+    Block b's component is spanned by ``frame @ V_b`` (its kept right
+    singular vectors from :func:`_mask_side`, conjugated); its residual
+    comes from the frame's probe maps (:func:`_within_residual`), with no
+    translate beyond the frame's own.  Blocks go one at a time; the result
+    is memoised on ``space``.
     """
-    comps = vars(space).get("_components")
-    if comps is None:
-        s, vh, _ = _mask_side(scn, space)
-        kept = s > RANK_TOL
-        comps = vars(space)["_components"] = [
-            Subspace(scn, space.frame @ vh[b, kept[b]].conj().T)
-            for b in range(scn.n_blocks)
-        ]
-    return comps
+    worst = vars(space).get("_component_law")
+    if worst is None:
+        worst = 0.0
+        if space.dim:
+            s, vh, _ = _mask_side(scn, space)
+            kept = s > RANK_TOL
+            maps = [_probe_maps(space, _probes(sub)) for sub in (scn.base, scn.extra)]
+            inside = np.concatenate([m[1] for m in maps])
+            gram = np.concatenate([m[2] for m in maps])
+            for b in range(len(vh)):
+                v = vh[b, kept[b]].conj().T  # (dim, k)
+                worst = max(worst, _within_residual(inside, gram, v))
+        vars(space)["_component_law"] = worst
+    return worst
+
+
+def _within_residual(inside: np.ndarray, gram: np.ndarray, v: np.ndarray) -> float:
+    """Worst residual of the subspace ``frame @ v`` under the frame's probes.
+
+    ``v`` (dim, k) has orthonormal columns; ``inside`` and ``gram`` are the
+    frame's maps ``C`` and ``G`` (:func:`_probe_maps`).  A probe moves the
+    unit vector ``frame @ v x`` to ``frame @ C v x`` plus a part outside the
+    space, so its distance from ``frame @ v`` is the norm of
+    ``E x + R v x`` with ``E = (I - v v^H) C v``, two mutually orthogonal
+    parts.  The worst one is ``sqrt(lambda_max(v^H G v + E^H E))``, the
+    largest over the probes: exact and free of cancellation.
+    """
+    if not v.shape[1]:
+        return 0.0
+    cv = inside @ v
+    e = cv - v @ (v.conj().T @ cv)
+    law = v.conj().T @ (gram @ v) + e.conj().swapaxes(1, 2) @ e
+    return float(np.sqrt(max(np.max(np.linalg.eigvalsh(law)), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -281,7 +341,8 @@ def check_extra_invariance(
     then also carries the largest entry of ``sum_b V_b V_b^H - I`` (the
     components' projectors summed, in coefficients on the frame, against
     the identity) and the worst base/extra-invariance residual among the
-    components (all of which must be invariant too).
+    components (all of which must be invariant too), read off the frame's
+    translation maps (:func:`_component_residual`).
     """
     require_base_invariant(space, tol)
     ok_translate, res_translate = is_invariant(space, scn.extra, tol)
@@ -304,11 +365,7 @@ def check_extra_invariance(
         coeffs = vh[kept]  # (sum of component dims, dim), conjugated directions
         gram = coeffs.conj().T @ coeffs
         deviation = float(np.max(np.abs(gram - np.eye(space.dim)), initial=0.0))
-        comp_res = 0.0
-        for comp in _components(scn, space):
-            for sub in (scn.base, scn.extra):
-                _, r = is_invariant(comp, sub, tol)
-                comp_res = max(comp_res, r)
+        comp_res = _component_residual(scn, space)
         if deviation > tol or comp_res > tol:
             raise TheoremViolationError(
                 "components of an extra-invariant space fail their structure laws",
@@ -379,10 +436,16 @@ def check_decomposable(
     comparing the two projectors on the block rows.
     """
     require_base_invariant(space, tol)
-    rows = _block_rows(stacked_block_masks(scn))
+    rows = stacked_block_rows(scn)
+    n_blocks, size = rows.shape
     worst = 0.0
     if space.dim:
-        mats = fiber_matrices(scn, space.frame)
+        # the fiber matrices are a regrouping of the Zak values the mask side
+        # already holds: fiber w, stacked row (k, c) is dual element
+        # omega[w] + annihilator_order[k] at orbit representative c
+        z = _frame_zak(scn, space)
+        mats = z[scn.dual_unsplit].reshape(scn.n_fibers, -1, space.dim)
+        mats *= np.sqrt(scn.n_fibers)
         u, s, _ = np.linalg.svd(mats, full_matrices=False)
         # orthonormal fiber bases; cut columns are zeroed, which leaves every
         # projector and masked singular value unchanged
@@ -391,9 +454,12 @@ def check_decomposable(
         a, t, wh = np.linalg.svd(q[:, rows], full_matrices=False)
         # the masked unit direction q w lies t * |q w off the block| from the
         # fiber space: t * (1 - t**2) ** 0.5 without the cancellation
-        off = q[:, None] @ wh.conj().swapaxes(-1, -2)  # (n_fibers, n_blocks, rows, k)
-        off[:, np.arange(len(rows))[:, None], rows] = 0.0
-        worst = float(np.max(t * np.linalg.norm(off, axis=2), initial=0.0))
+        per_block = scn.n_fibers * q.shape[1] * t.shape[-1]
+        for run in _block_chunks(n_blocks, per_block, z.size):
+            # (n_fibers, blocks in the run, rows, k)
+            off = q[:, None] @ wh[:, run].conj().swapaxes(-1, -2)
+            off[:, np.arange(off.shape[1])[:, None], rows[run]] = 0.0
+            worst = max(worst, float(np.max(t[:, run] * np.linalg.norm(off, axis=2))))
     decomposable = worst <= tol
     ext = check_extra_invariance(scn, space, tol)
     if decomposable != ext.extra_invariant:
@@ -413,8 +479,12 @@ def check_decomposable(
         top = np.maximum(np.max(cs, axis=(0, 2), initial=0.0), 1.0)[:, None]
         # both projectors live on the block rows, where the masked fibers sit;
         # masked basis vectors have unit scale, so roundoff sits far below RANK_TOL
-        gap = _projectors(a, t > RANK_TOL) - _projectors(cu, cs > RANK_TOL * top)
-        match_dev = float(np.max(np.abs(gap)))
+        match_dev = 0.0
+        for run in _block_chunks(n_blocks, scn.n_fibers * size * size, z.size):
+            gap = _projectors(a[:, run], t[:, run] > RANK_TOL) - _projectors(
+                cu[:, run], cs[:, run] > RANK_TOL * top[run]
+            )
+            match_dev = max(match_dev, float(np.max(np.abs(gap))))
         if match_dev > tol:
             raise TheoremViolationError(
                 "masked-component fibers do not match block-restricted fibers",
@@ -429,14 +499,28 @@ def _projectors(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return v @ v.conj().swapaxes(-1, -2)
 
 
+def stacked_block_rows(scn: Scenario) -> np.ndarray:
+    """Weighted stacked rows of each block, shape (n_blocks, block rows).
+
+    In block-position order, each block's rows increasing: a stacked row
+    ``k * len(orbit_reps) + c`` belongs to the block of its annihilator
+    coordinate k.
+    """
+    k = np.argsort(scn.coordinate_labels, kind="stable").reshape(scn.n_blocks, -1)
+    reps = len(scn.tiling.orbit_reps)
+    return (k[:, :, None] * reps + np.arange(reps)).reshape(scn.n_blocks, -1)
+
+
 def stacked_block_masks(scn: Scenario) -> np.ndarray:
     """Row masks of the blocks in weighted stacked coordinates.
 
     Shape (n_blocks, n_cosets * len(orbit_reps)), in block-position order:
     a stacked row belongs to the block of its annihilator coordinate.
     """
-    rows = np.repeat(scn.coordinate_labels, len(scn.tiling.orbit_reps))
-    return rows[None, :] == np.arange(scn.n_blocks)[:, None]
+    rows = stacked_block_rows(scn)
+    masks = np.zeros((scn.n_blocks, scn.n_cosets * len(scn.tiling.orbit_reps)), bool)
+    masks[np.arange(scn.n_blocks)[:, None], rows] = True
+    return masks
 
 
 # -- cross-check in the sequence space over the group -------------------------

@@ -319,7 +319,8 @@ def coset_section(
             step = step[step]
             span *= 2
     domain = within.indices if within is not None else np.arange(group.order)
-    reps = np.unique(labels[domain])
+    # the distinct labels, sorted (np.unique would load numpy.ma)
+    reps = np.flatnonzero(np.bincount(labels[domain], minlength=group.order))
     positions = np.full(group.order, -1, dtype=np.intp)
     positions[domain] = np.searchsorted(reps, labels[domain])
     expected = len(domain) // subgroup.order

@@ -17,9 +17,9 @@ import numpy as np
 
 from .actions import translate
 from .errors import DegenerateGeneratorError, InvarianceError
-from .groups import Subgroup
+from .groups import Subgroup, coset_section
 from .scenario import Scenario
-from .zak import zak_base, zak_stacked, zak_stacked_inv
+from .zak import zak_base, zak_full_inv, zak_stacked
 
 RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
@@ -84,6 +84,25 @@ class Subspace:
     @classmethod
     def zero(cls, scn: Scenario) -> "Subspace":
         return cls(scn, np.zeros((scn.action.n_points, 0), dtype=complex))
+
+    @classmethod
+    def from_fibers(
+        cls, scn: Scenario, fibers: np.ndarray, vecs: np.ndarray
+    ) -> "Subspace":
+        """The subspace whose fibers are spanned by the given orthonormal vectors.
+
+        Column j of ``vecs`` is a unit vector in weighted stacked coordinates
+        at fiber position ``fibers[j]``; vectors at the same fiber must be
+        mutually orthogonal.  Frame column j is the function whose stacked
+        Zak values are that vector at that fiber and zero elsewhere, scaled
+        by ``n_fibers ** 0.5`` to unit norm, so the frame is
+        weighted-orthonormal.  One inverse transform builds every column.
+        """
+        if fibers.size == 0:
+            return cls.zero(scn)
+        stacked = np.zeros((scn.n_fibers, vecs.shape[0], fibers.size), dtype=complex)
+        stacked[fibers, :, np.arange(fibers.size)] = vecs.T * np.sqrt(scn.n_fibers)
+        return cls(scn, fibers_from_matrix(scn, stacked))
 
     @property
     def dim(self) -> int:
@@ -160,14 +179,75 @@ def span_invariant(
 ) -> Subspace:
     """Smallest subspace containing the generators and invariant under the subgroup.
 
-    Defaults to the base subgroup.  The span is taken over every translate
-    of every generator, then orthonormalized.
+    Defaults to the base subgroup; any subgroup containing the base will do
+    (another one raises ``ValueError``).  Built on the range function, one
+    Zak fiber at a time: a base translate of a function multiplies each of
+    its fibers by a unimodular character value, so the space's fiber at
+    omega is the span of the fibers there of the generators and of their
+    translates by a section of ``subgroup / base`` (no translate at all when
+    the subgroup is the base).  One batched SVD of those fiber matrices,
+    cut at ``tol`` relative to the largest singular value over all fibers,
+    gives an orthonormal basis of every fiber.  The nonzero singular values
+    are exactly those of the point-space matrix of every subgroup translate
+    of every generator, so the cut, hence the dimension, is the one a rank
+    cut of that matrix makes.  The frame is assembled from the kept vectors
+    by :meth:`Subspace.from_fibers`.
     """
+    base = scn.base
     if subgroup is None:
-        subgroup = scn.base
+        subgroup = base
+    if subgroup.group != scn.group or not base.issubset(subgroup):
+        raise ValueError("an invariant span needs a subgroup containing the base")
     mat = as_columns(scn, generators)
-    orbit = [translate(scn.action, g, mat) for g in subgroup.elements]
-    return Subspace.span(scn, np.hstack(orbit), tol)
+    if mat.shape[1] == 0:
+        return Subspace.zero(scn)
+    moved = [mat] + [translate(scn.action, a, mat) for a in _section(scn, subgroup)[1:]]
+    u, s, _ = np.linalg.svd(fiber_matrices(scn, np.hstack(moved)), full_matrices=False)
+    fibers, idx = np.nonzero(s > tol * np.max(s))
+    return Subspace.from_fibers(scn, fibers, u[fibers, :, idx].T)
+
+
+def _section(scn: Scenario, subgroup: Subgroup) -> tuple:
+    """Representatives of ``subgroup / base``, zero first, memoised on ``scn``."""
+    if subgroup == scn.base:
+        return (scn.group.zero,)
+    memo = vars(scn).setdefault("_sections", {})
+    if subgroup not in memo:
+        section = coset_section(scn.group, scn.base, within=subgroup)
+        memo[subgroup] = section.representatives
+    return memo[subgroup]
+
+
+def _probes(subgroup: Subgroup) -> tuple:
+    """The translations that test invariance under the subgroup: its generators."""
+    return tuple(subgroup.generators) or (subgroup.group.zero,)
+
+
+def _probe_maps(space: Subspace, probes: tuple) -> tuple[float, np.ndarray, np.ndarray]:
+    """The frame's translation maps for the probes, memoised on ``space``.
+
+    In weighted coordinates, with ``q`` the frame and ``T`` a probe's
+    translation: ``C = q^H T(q)`` (the part of the moved frame inside the
+    space, in coefficients on the frame) and the residual Gram
+    ``G = R^H R`` of ``R = T(q) - q C`` (the part outside), each of shape
+    (probes, dim, dim), together with the worst residual
+    ``max over probes of sqrt(lambda_max(G))``.  The frame is translated
+    once per probe list (keyed by the probe tuple, i.e. the subgroup's
+    generators), whatever asks for it.
+    """
+    memo = vars(space).setdefault("_invariance", {})
+    maps = memo.get(probes)
+    if maps is None:
+        action = space.scenario.action
+        moved = np.stack([translate(action, g, space.frame) for g in probes])
+        moved = moved * space._root
+        q = space._weighted_frame
+        inside = q.conj().T @ moved  # (probes, dim, dim)
+        resid = moved - q @ inside  # (probes, n_points, dim)
+        gram = resid.conj().swapaxes(1, 2) @ resid
+        top = np.max(np.linalg.eigvalsh(gram))
+        maps = memo[probes] = (float(np.sqrt(max(top, 0.0))), inside, gram)
+    return maps
 
 
 def is_invariant(
@@ -182,23 +262,13 @@ def is_invariant(
     is the largest singular value of each probe's residual block, computed
     as the root of the top eigenvalue of its dim x dim Gram matrix, so it
     does not depend on which orthonormal frame the space has.  It does not
-    depend on ``tol`` either; it is memoised on ``space`` per probe list
-    (the subgroup's generators), so the checks that each ask for base
+    depend on ``tol`` either; it comes from :func:`_probe_maps`, memoised on
+    ``space`` per probe list, so the checks that each ask for base
     invariance translate the frame once.
     """
     if space.dim == 0:
         return True, 0.0
-    probes = tuple(subgroup.generators) or (subgroup.group.zero,)
-    memo = vars(space).setdefault("_invariance", {})
-    worst = memo.get(probes)
-    if worst is None:
-        action = space.scenario.action
-        moved = np.stack([translate(action, g, space.frame) for g in probes])
-        moved = moved * space._root
-        q = space._weighted_frame
-        resid = moved - q @ (q.conj().T @ moved)  # (probes, n_points, dim)
-        top = np.max(np.linalg.eigvalsh(resid.conj().swapaxes(1, 2) @ resid))
-        worst = memo[probes] = float(np.sqrt(max(top, 0.0)))
+    worst = _probe_maps(space, _probes(subgroup))[0]
     return worst <= tol, worst
 
 
@@ -292,11 +362,11 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     weighted fiber vectors (scaled back) as its stacked Zak transform.
     """
     w, _, d = fiber_cols.shape
-    c = len(scn.tiling.orbit_reps)
-    vals = fiber_cols.reshape(w, scn.n_cosets, c, d) / np.sqrt(scn.rep_weights)[
-        None, None, :, None
-    ]
-    return zak_stacked_inv(scn, vals)
+    split = scn.dual_split
+    # the stacked inverse with the weights folded in: one gather, one scaling
+    full = fiber_cols.reshape(w, scn.n_cosets, -1, d)[split[:, 0], split[:, 1]]
+    full *= np.sqrt(scn.n_cosets / scn.rep_weights)[:, None]
+    return zak_full_inv(scn, full)
 
 
 def length(space: Subspace, tol: float = RANK_TOL) -> int:

@@ -16,7 +16,9 @@ the block indicators: the exhaustive allocation minimum of the
 extra-invariant problem, and the solvers' fit as one SVD per fiber and
 block, with the pooling, ordering and rank floor spelled out in Python.
 
-The extra-invariance references take the point-space route: a pivoted-QR
+The invariant span reference translates the generators by every element of
+the subgroup and cuts the rank of all those columns at once, in point
+space.  The extra-invariance references take the point-space route: a pivoted-QR
 rank cut of every block's mask image, the dense sum of the components'
 n x n projectors, and per-fiber bases with their block residuals and
 projector matches, all in Python loops over blocks and fibers.  The
@@ -41,6 +43,7 @@ from actinv import (
     ActionError,
     FreenessError,
     OrbitError,
+    Subspace,
     check_extra_invariance,
     mask_apply,
     sequence_extra_invariance,
@@ -260,6 +263,13 @@ def _projector(mat, floor):
 def _worst_direction(resid):
     """Largest singular value of a residual matrix: its worst unit direction."""
     return float(np.linalg.norm(resid, 2)) if resid.size else 0.0
+
+
+def point_space_span(scn, generators, subgroup, tol=RANK_TOL):
+    """The invariant span in point space: every subgroup translate, one rank cut."""
+    mat = np.asarray(generators, dtype=complex)
+    translates = [translate(scn.action, g, mat) for g in subgroup.elements]
+    return Subspace.span(scn, np.hstack(translates), tol)
 
 
 def point_space_checks(scn, space, tol=1e-9):

@@ -1,4 +1,5 @@
 """Dual partition, masks, the invariance equivalence, and the cross-oracles."""
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import actinv.extra as extra_mod
 import actinv.spaces as spaces_mod
+import actinv.zak as zak_mod
 import oracle
 
 from actinv import (
@@ -208,6 +210,8 @@ def test_stacked_block_masks_follow_block_coordinates(scn):
     c = len(scn.tiling.orbit_reps)
     masks = extra_mod.stacked_block_masks(scn)
     assert masks.shape == (scn.n_blocks, scn.n_cosets * c)
+    rows = np.nonzero(masks)[1].reshape(scn.n_blocks, -1)
+    assert np.array_equal(extra_mod.stacked_block_rows(scn), rows)
     for keep, xi in zip(masks, dual_partition(scn).labels):
         rows = scn.block_coordinates(xi)
         sel = (rows[:, None] * c + np.arange(c)[None, :]).ravel()
@@ -217,8 +221,10 @@ def test_stacked_block_masks_follow_block_coordinates(scn):
 def test_checks_share_one_mask_per_block(scn, monkeypatch):
     """A check pair transforms each space once and makes one mask-side SVD.
 
+    One ``zak_full`` of the frame in any module: the fiber matrices of
+    ``check_decomposable`` are a regrouping of the mask side's Zak values.
     The mask side is one batched SVD of the block-row stack, shape
-    (n_blocks, block rows, dim), shared by both checks and by the inner
+    (n_blocks, min(block rows, dim), dim), shared by both checks and by the inner
     extra-invariance check of ``check_decomposable``: a second check pair on
     the same space repeats every SVD call except that one.
     """
@@ -234,6 +240,7 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(extra_mod, "zak_full", counted_zak)
+    monkeypatch.setattr(zak_mod, "zak_full", counted_zak)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(8)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -248,7 +255,9 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
             runs.append((list(transforms), Counter(svds)))
         (cold_zak, cold_svd), (warm_zak, warm_svd) = runs
         assert cold_zak == [space.frame.shape] and warm_zak == []
-        assert cold_svd - warm_svd == Counter({(scn.n_blocks, rows, space.dim): 1})
+        # a tall stack goes through the SVD as its R factor
+        stack = (scn.n_blocks, min(rows, space.dim), space.dim)
+        assert cold_svd - warm_svd == Counter({stack: 1})
         assert not warm_svd - cold_svd
 
 
@@ -256,10 +265,11 @@ def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
     """Each probe's translation test runs once per space, whatever asks for it.
 
     ``check_extra_invariance``, ``check_decomposable`` and its inner
-    extra-invariance check all ask for base invariance, and both
-    extra-invariance checks for the extra translation test; a cold check
-    pair translates the frame once per base and extra probe, a warm one
-    not at all.
+    extra-invariance check all ask for base invariance, both
+    extra-invariance checks for the extra translation test, and the
+    component law for both; a cold check pair translates the frame once per
+    base and extra probe and nothing else (no component frame), a warm one
+    nothing at all.
     """
     rng = np.random.default_rng(10)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -271,8 +281,7 @@ def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
     translate = spaces_mod.translate
 
     def counted(action, g, mat):
-        if mat is space.frame:
-            moved.append(g)
+        moved.append((g, mat is space.frame))
         return translate(action, g, mat)
 
     monkeypatch.setattr(spaces_mod, "translate", counted)
@@ -284,8 +293,64 @@ def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
             check_decomposable(scn, space)
             runs.append(Counter(moved))
         cold, warm = runs
-        assert cold == Counter(probes[0]) + Counter(probes[1])
+        assert cold == Counter((g, True) for g in probes[0] + probes[1])
         assert not warm
+
+
+def test_component_law_matches_translated_components(scn):
+    """The invariance law of a subspace of the space, read off the frame's
+    maps, against translating its frame ``frame @ v`` in point space.
+
+    For the block components (on spaces that are not extra-invariant they
+    move by O(1)) and for random subspaces, which also move inside the
+    space; the probes are the base and extra generators.
+    """
+    rng = np.random.default_rng(18)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
+    for space in spaces:
+        s, vh, _ = extra_mod._mask_side(scn, space)
+        parts = [vh[b, s[b] > 1e-10].conj().T for b in range(scn.n_blocks)]
+        for k in range(1, space.dim):
+            shape = (space.dim, k)
+            mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            parts.append(np.linalg.qr(mat)[0])
+        maps = [
+            spaces_mod._probe_maps(space, spaces_mod._probes(sub))
+            for sub in (scn.base, scn.extra)
+        ]
+        inside = np.concatenate([m[1] for m in maps])
+        gram = np.concatenate([m[2] for m in maps])
+        for v in parts:
+            part = Subspace(scn, space.frame @ v)
+            want = max(is_invariant(part, sub)[1] for sub in (scn.base, scn.extra))
+            got = extra_mod._within_residual(inside, gram, v)
+            assert got == pytest.approx(want, abs=1e-12)
+        laws = [extra_mod._within_residual(inside, gram, v) for v in parts]
+        assert extra_mod._component_residual(scn, space) == max(laws[: scn.n_blocks])
+
+
+def test_check_pair_memory_stays_within_the_zak_values():
+    """Z_2048 on 2 orbits, trivial base, 2048 blocks, a principal space.
+
+    With many blocks and one dimension, a (points x blocks) array would
+    take 128 MiB; the checks take the blocks in runs whose temporaries are
+    no larger than the frame's Zak values, so the pair peaks at a few MiB.
+    """
+    g = FiniteAbelianGroup([2048])
+    scn = Scenario(g, Subgroup(g, []), Subgroup(g, [(1,)]), ActionSpace.regular(g, 2))
+    gen = random_function(scn, np.random.default_rng(16))
+    space = span_invariant(scn, gen[:, None])
+    dual_partition(scn)  # the scenario's own tables, built once
+    tracemalloc.start()
+    try:
+        ext = check_extra_invariance(scn, space)
+        dec = check_decomposable(scn, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 1 and not ext.extra_invariant and not dec.decomposable
+    assert peak < 4 * 2**20, peak
 
 
 def test_reports_do_not_depend_on_the_memo(scn):

@@ -5,9 +5,21 @@ array) on the six shared scenarios and on generated regular actions: rank 1
 to 3, moduli of 1 allowed, order at most 200, shuffled point labels and
 log-uniform weights over a 1e3 range.
 
+Weight range: on generated scenarios with weights log-uniform over up to
+1e14, every transform keeps the weighted norm and every inverse recovers
+the function to 1e-12 in the weighted norm (criterion 2), and the
+extra-invariant spaces pass the sequence-space cross-oracle at 1e-12
+(criterion 9).
+
+Invariant spans: the fiberwise ``span_invariant`` has the dimension and the
+weighted projector (1e-12) of the point-space span of every subgroup
+translate, and a weighted-orthonormal frame, over the same weight ranges.
+
 Group core: on the same generated groups, ``validate_action`` gives the same
 verdict and error class as the all-pairs check on valid actions and on five
-kinds of broken ones, where translating raises that class too; on valid
+kinds of broken ones, where translating raises that class too; a non-free
+action names the smallest point with a nontrivial stabiliser and the
+smallest element fixing it, also with thousands of small orbits; on valid
 actions every translate, the orbit coordinates, the tiles and the three
 gather tables are selections of the oracle's composed |G| x n table; and
 coset sections, annihilators and ``Subgroup.from_elements`` equal their
@@ -38,6 +50,7 @@ import oracle
 from actinv import (
     ActionError,
     ActionSpace,
+    FreenessError,
     FiniteAbelianGroup,
     Scenario,
     Subgroup,
@@ -61,11 +74,22 @@ from actinv import (
     zak_stacked_inv,
 )
 from actinv.spaces import RANK_TOL, orthonormal_columns
+from actinv.zak import (
+    base_norm,
+    fold_orbits,
+    full_norm,
+    stacked_norm,
+    unfold_norm,
+    unfold_orbits,
+    zak_base,
+    zak_base_inv,
+)
 
 RTOL = 1e-12
 MAX_ORDER = 200
 # the point-space route costs a pivoted QR of an n x dim mask image per block
 POINT_SPACE_MAX_ORDER = 64
+SEQUENCE_MAX_ORDER = 36
 
 
 def assert_rel_close(got, want, rtol=RTOL):
@@ -148,14 +172,17 @@ def relabelled_perms(g, orbits, rng):
     return perms
 
 
-def build(spec):
-    """Regular action with shuffled labels; extra = base + more generators."""
+def build(spec, decades=3.0):
+    """Regular action with shuffled labels; extra = base + more generators.
+
+    The weights are log-uniform over a range of ``10 ** decades``.
+    """
     moduli, base_gens, more_gens, orbits, seed = spec
     g = FiniteAbelianGroup(moduli)
     rng = np.random.default_rng(seed)
     perms = relabelled_perms(g, orbits, rng)
     n = len(perms[0])
-    weights = 10.0 ** rng.uniform(-1.5, 1.5, n)
+    weights = 10.0 ** rng.uniform(-decades / 2, decades / 2, n)
     act = ActionSpace(g, n, perms, weights)
     base = Subgroup(g, base_gens)
     extra = Subgroup(g, list(base_gens) + list(more_gens))
@@ -175,6 +202,99 @@ def test_generated_actions_match_oracle(spec):
     scn, rng = build(spec)
     check_partition_against_oracle(scn)
     check_against_oracle(scn, rng)
+
+
+# the weighted-norm contracts hold over weight ranges up to 1e14
+WEIGHT_DECADES = st.floats(0.0, 14.0)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(), decades=WEIGHT_DECADES)
+@example(spec=((4, 6), [(2, 0), (0, 3)], [(1, 0)], 2, 7), decades=14.0)
+@example(spec=((200,), [(8,)], [(2,)], 2, 8), decades=14.0)
+@example(spec=((1,), [], [], 2, 9), decades=14.0)
+def test_transforms_are_isometries_over_wide_weight_ranges(spec, decades):
+    """Criterion 2 on generated scenarios, weights log-uniform over up to 1e14.
+
+    Every transform keeps the weighted norm, and every inverse recovers the
+    function, to 1e-12 relative in the weighted norm.  The entrywise error
+    of an entry with a small weight is larger (about eps * range ** 0.5),
+    because such an entry carries little of the norm; the contract is
+    stated in the weighted norm.
+    """
+    scn, rng = build(spec, decades)
+    n = scn.action.n_points
+    flat = complex_normal(rng, n)
+    for f in (flat, complex_normal(rng, n) / np.sqrt(scn.action.weights)):
+        ref = scn.action.norm(f)
+        zb, zf, zs = zak_base(scn, f), zak_full(scn, f), zak_stacked(scn, f)
+        phi = unfold_orbits(scn, f)
+        pairs = [
+            (base_norm(scn, zb), zak_base_inv(scn, zb)),
+            (full_norm(scn, zf), zak_full_inv(scn, zf)),
+            (stacked_norm(scn, zs), zak_stacked_inv(scn, zs)),
+            (unfold_norm(scn, phi), fold_orbits(scn, phi)),
+        ]
+        for norm, back in pairs:
+            assert abs(norm - ref) <= RTOL * ref
+            assert scn.action.norm(back - f) <= RTOL * ref
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(), decades=WEIGHT_DECADES, count=st.integers(1, 3))
+@example(spec=((1,), [], [], 1, 0), decades=0.0, count=1)
+@example(spec=((12,), [], [(1,)], 2, 4), decades=14.0, count=2)
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), decades=14.0, count=3)
+@example(spec=((8, 25), [(2, 5)], [(4, 0)], 1, 2), decades=14.0, count=2)
+def test_span_invariant_matches_the_point_space_span(spec, decades, count):
+    """The fiberwise span against every subgroup translate cut in point space.
+
+    For the base and the extra subgroup: the same dimension, the same
+    weighted projector to 1e-12, and a frame that is weighted-orthonormal to
+    1e-12, with weights log-uniform over up to 1e14.
+    """
+    scn, rng = build(spec, decades)
+    gens = complex_normal(rng, (scn.action.n_points, count))
+    root = np.sqrt(scn.action.weights)[:, None]
+    for sub in (scn.base, scn.extra):
+        got = span_invariant(scn, gens, sub)
+        want = oracle.point_space_span(scn, gens, sub)
+        assert got.dim == want.dim
+        q = got.frame * root
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(got.dim), rtol=0, atol=RTOL)
+        np.testing.assert_allclose(got.projector, want.projector, rtol=0, atol=RTOL)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# the range functions span all base translates, so their QR grows with |base|
+@given(spec=scenario_specs(max_order=SEQUENCE_MAX_ORDER), decades=WEIGHT_DECADES)
+@example(spec=((12,), [], [(1,)], 2, 4), decades=14.0)
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), decades=14.0)
+@example(spec=((4, 8), [(2, 0)], [(1, 0), (0, 2)], 2, 6), decades=14.0)
+def test_sequence_oracle_over_wide_weight_ranges(spec, decades):
+    """Criterion 9 on generated scenarios, weights log-uniform over up to 1e14.
+
+    Members of the extra-invariant spaces unfold into their range
+    functions to 1e-12 relative, and every range function passes the
+    sequence-space extra-invariance test.
+    """
+    scn, rng = build(spec, decades)
+    for kind, space, truth in theorem_cases(scn, rng):
+        if truth:
+            ok = oracle.range_function_consistency(scn, space, tol=RTOL, rng=rng)
+            assert ok, kind
 
 
 def theorem_cases(scn, rng):
@@ -399,6 +519,66 @@ def test_validate_action_matches_all_pairs_oracle(spec):
         assert got == want, kind
         if kind == "valid":
             assert isinstance(got, list) and len(got) == orbits
+
+
+@ORACLE_SETTINGS
+@given(spec=scenario_specs())
+@example(spec=((4,), [], [], 3, 0))
+@example(spec=((2, 4), [], [], 2, 3))
+@example(spec=((6, 1, 2), [], [], 2, 1))
+def test_freeness_error_names_the_smallest_fixed_point(spec):
+    """A non-free action names its smallest point with a nontrivial stabiliser.
+
+    The element named is the smallest nonzero one fixing that point, both
+    read off the oracle's composed table; an accepted action fixes no point.
+    Besides the broken variants, one generator is squared on the orbit of
+    the last point only, so that the other orbits stay free.  (Whether the
+    group law holds is checked against the all-pairs oracle above.)
+    """
+    moduli, _, _, orbits, seed = spec
+    g = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(seed)
+    perms = relabelled_perms(g, orbits, rng)
+    n = len(perms[0])
+    orbit = np.zeros(n, dtype=bool)
+    orbit[n - 1] = True
+    while not all(orbit[p[orbit]].all() for p in perms):
+        for p in perms:
+            orbit[p[orbit]] = True
+    j = int(rng.integers(len(perms)))
+    half = [p.copy() for p in perms]
+    half[j][orbit] = perms[j][perms[j][orbit]]
+    for kind, variant in [*broken_variants(perms, rng), ("one orbit squared", half)]:
+        act = ActionSpace(g, len(variant[0]), variant)
+        try:
+            validate_action(act)
+            error = None
+        except FreenessError as exc:
+            error = str(exc)
+        except ActionError:
+            continue
+        table = oracle.compose_table(act)
+        fixed = table[1:] == np.arange(act.n_points)  # nonzero elements
+        if error is None:
+            assert not fixed.any(), kind
+            continue
+        x = int(np.flatnonzero(fixed.any(axis=0))[0])
+        el = g.elements[1 + int(np.flatnonzero(fixed[:, x])[0])]
+        assert error == f"element {el} fixes point {x}", kind
+
+
+@pytest.mark.parametrize("moduli, orbits", [((2,), 5000), ((2, 2, 2), 1000)])
+def test_many_orbits_match_the_composed_table(moduli, orbits):
+    """Thousands of small orbits, composed together, against the oracle."""
+    g = FiniteAbelianGroup(moduli)
+    perms = relabelled_perms(g, orbits, np.random.default_rng(17))
+    act = ActionSpace(g, len(perms[0]), perms)
+    table = oracle.compose_table(act)
+    reps = [orb[0] for orb in oracle.validate_action(act)]
+    assert len(reps) == orbits
+    assert np.array_equal(act.point_of, table[:, reps].T)
+    orbits = np.sort(table[:, reps].T, axis=1).tolist()
+    assert validate_action(act).orbits == tuple(map(tuple, orbits))
 
 
 @ORACLE_SETTINGS

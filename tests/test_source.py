@@ -1,5 +1,6 @@
 """Source-level rules for the library package."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -63,10 +64,36 @@ def test_import_does_not_load_scipy():
     assert run.stdout.strip() == "False"
 
 
+def _imports(*args: str) -> list[str]:
+    """Modules a fresh ``python -m actinv.cli ARGS`` imports.
+
+    ``-X importtime`` logs every module the command imports, to stderr.
+    """
+    run = _fresh_python("-X", "importtime", "-m", "actinv.cli", *args)
+    assert run.returncode == 0, run.stdout + run.stderr
+    return [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+
+
 def test_cli_demo_does_not_load_scipy():
-    """``-X importtime`` logs every module the command imports, to stderr."""
-    run = _fresh_python("-X", "importtime", "-m", "actinv.cli", "demo", "dilation")
-    assert run.returncode == 0, run.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+    imported = _imports("demo", "dilation")
     assert "numpy" in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def test_cli_commands_do_not_load_numpy_random_or_ma(tmp_path):
+    """A seeded generator is built only for a random subspace, and no
+    ``np.unique`` (which loads ``numpy.ma``) runs on the command path."""
+    doc = {
+        "schema": 1,
+        "group": {"moduli": [6]},
+        "base": {"generators": []},
+        "extra": {"generators": [[3]]},
+        "action": {"points": 6, "permutations": [[1, 2, 3, 4, 5, 0]]},
+        "subspace": {"generators": [[[1.0, 0.0]] + [[0.5, -0.25]] * 5]},
+    }
+    config = tmp_path / "check.json"
+    config.write_text(json.dumps(doc))
+    for args in (("demo", "dilation"), ("--config", str(config), "check")):
+        imported = _imports(*args)
+        assert "numpy" in imported
+        assert not [m for m in imported if m in ("numpy.random", "numpy.ma")], args

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import actinv.spaces as spaces_mod
 from actinv import (
     DegenerateGeneratorError,
     InvarianceError,
+    Subgroup,
     Subspace,
     fiber_generators,
     is_invariant,
@@ -23,6 +25,7 @@ from actinv.spaces import (
     require_base_invariant,
 )
 
+import oracle
 from conftest import random_function
 
 
@@ -105,6 +108,63 @@ def test_span_invariant_properties(scn):
         assert space.contains(gens[:, j])
     assert space.dim <= scn.base.order * 2
     require_base_invariant(space)  # should not raise
+
+
+def test_span_invariant_translates_a_section_only(scn, monkeypatch):
+    """The fiberwise span translates by a section of subgroup / base only.
+
+    [H : base] - 1 translates of the generators (the zero representative
+    needs none), so none at all when H is the base.
+    """
+    moved = []
+    translate_ = spaces_mod.translate
+
+    def counted(action, g, mat):
+        moved.append(g)
+        return translate_(action, g, mat)
+
+    monkeypatch.setattr(spaces_mod, "translate", counted)
+    gens = random_function(scn, np.random.default_rng(14))[:, None]
+    for sub in (scn.base, scn.extra, Subgroup(scn.group, [(1,) * scn.group.rank])):
+        if not scn.base.issubset(sub):
+            continue
+        moved.clear()
+        span_invariant(scn, gens, sub)
+        index = sub.order // scn.base.order
+        assert len(moved) == index - 1
+        assert len(set(moved)) == len(moved) and scn.group.zero not in moved
+    moved.clear()
+    span_invariant(scn, gens)
+    assert moved == []
+
+
+@pytest.mark.parametrize("name", ["chain12", "two_orbits", "product"])
+def test_span_invariant_cuts_across_fibers(bank, name):
+    """The rank cut is relative to the largest singular value of all fibers.
+
+    A generator whose second fiber is 1e-12 of its first spans only its
+    first fiber, as the point-space cut of all its base translates does.
+    """
+    scn = bank[name]
+    rng = np.random.default_rng(19)
+    rows = scn.n_cosets * len(scn.tiling.orbit_reps)
+    fibers = np.zeros((scn.n_fibers, rows, 1), dtype=complex)
+    fibers[0] = rng.standard_normal((rows, 1))
+    fibers[1] = 1e-12 * rng.standard_normal((rows, 1))
+    gen = fibers_from_matrix(scn, fibers)
+    got = span_invariant(scn, gen)
+    want = oracle.point_space_span(scn, gen, scn.base)
+    assert got.dim == want.dim == 1
+    assert_allclose(got.projector, want.projector, rtol=0, atol=1e-12)
+
+
+def test_span_invariant_requires_the_base(chain12):
+    """A subgroup that does not contain the base is refused."""
+    f = random_function(chain12, np.random.default_rng(15))[:, None]
+    for sub in (Subgroup(chain12.group, []), Subgroup(chain12.group, [(6,)])):
+        assert not chain12.base.issubset(sub)
+        with pytest.raises(ValueError, match="containing the base"):
+            span_invariant(chain12, f, sub)
 
 
 def test_is_invariant_detects_moved_spaces(chain12):
