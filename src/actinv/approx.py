@@ -29,7 +29,7 @@ import numpy as np
 from .groups import Element
 from .scenario import Scenario
 from .spaces import RANK_TOL, Subspace, as_columns, fiber_matrices
-from .extra import dual_partition, stacked_block_rows
+from .extra import dual_partition
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,8 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     singular directions across blocks.  Keeping whole blocks' directions
     makes every fiber decomposable, hence the space extra-invariant.
     """
-    rows = stacked_block_rows(scn)
-    return _fit(scn, data, ell, rows, dual_partition(scn).labels)
+    part = dual_partition(scn)
+    return _fit(scn, data, ell, part.rows, part.labels)
 
 
 def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:

@@ -239,8 +239,8 @@ def _options(doc: dict, args) -> tuple[float, int]:
     if not _is_finite(tol) or tol <= 0:
         raise ConfigError("options.tol", "expected a positive number")
     seed = args.seed if args.seed is not None else opts.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError("options.seed", "expected an integer")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError("options.seed", "expected a non-negative integer")
     return float(tol), int(seed)
 
 

@@ -15,14 +15,13 @@ space.  Both sides of the equivalence are computed independently and a
 disagreement raises :class:`TheoremViolationError`.
 
 The translation side works in point space.  The mask side never leaves the
-Zak domain: the full Zak transform is an isometry, so the masked image of a
-space is spanned by the block rows of its Zak values, and one batched SVD of
-the block-row stacks yields every component at once (its dimension, its
-directions as coefficient vectors on the frame, and the energy each
-direction keeps outside its block).  The fiberwise check likewise works on
-block rows of the fiber matrices, a regrouping of the same Zak values; no
-check builds an n x n array, and a check pair translates nothing but the
-frame, once per probe.
+Zak domain: the stacked Zak transform is an isometry, so the masked image of
+a space is spanned by the block rows of its fiber matrices, and one batched
+SVD of the block-row stacks yields every component at once (its dimension,
+its directions as coefficient vectors on the frame, and the energy each
+direction keeps outside its block).  The fiberwise check works on block rows
+of the same fiber matrices, memoised on the space; no check builds an n x n
+array, and a check pair translates nothing but the frame, once per probe.
 """
 from __future__ import annotations
 
@@ -38,6 +37,7 @@ from .spaces import (
     RANK_TOL,
     Subspace,
     _euclid_orth,
+    _fiber_cut,
     _probe_maps,
     _probes,
     is_invariant,
@@ -49,35 +49,38 @@ from .zak import _group_dft, zak_full, zak_full_inv
 
 @dataclass(frozen=True)
 class DualPartition:
-    """The block partition of the dual group, one block per label."""
+    """The block partition of the dual group, one block per label.
+
+    ``positions[i]`` is the block position (index into ``labels``) of dual
+    element ``i``, and ``rows[b]`` lists the weighted stacked rows of block
+    b (:func:`stacked_block_rows`).  Both are read-only and verified.
+    """
 
     scenario: Scenario
     labels: tuple[Element, ...]
-    masks: np.ndarray = field(repr=False)  # (n_blocks, group.order) bool
+    positions: np.ndarray = field(repr=False)  # (group.order,) block positions
+    rows: np.ndarray = field(repr=False)  # (n_blocks, rows per block)
+
+    def _members(self) -> np.ndarray:
+        """Dual element indices of each block, increasing; (n_blocks, block size)."""
+        return np.argsort(self.positions, kind="stable").reshape(len(self.labels), -1)
 
     @property
     def blocks(self) -> tuple[frozenset[Element], ...]:
-        """The dual elements of each block, read off its mask."""
+        """The dual elements of each block."""
         elements = self.scenario.group.elements
-        return tuple(
-            frozenset(elements[i] for i in np.flatnonzero(m)) for m in self.masks
-        )
+        return tuple(frozenset(elements[i] for i in m) for m in self._members())
 
     def block_of(self, tau_hat) -> Element:
         """Label of the block containing the dual element."""
-        scn = self.scenario
-        i = scn.group.index(tau_hat)
-        return self.labels[scn.coordinate_labels[scn.dual_split[i, 1]]]
+        return self.labels[self.positions[self.scenario.group.index(tau_hat)]]
 
     def as_dict(self) -> dict:
         elements = self.scenario.group.elements
         return {
             "blocks": [
-                {
-                    "label": list(label),
-                    "elements": [list(elements[i]) for i in np.flatnonzero(m)],
-                }
-                for label, m in zip(self.labels, self.masks)
+                {"label": list(label), "elements": [list(elements[i]) for i in m]}
+                for label, m in zip(self.labels, self._members())
             ]
         }
 
@@ -85,14 +88,15 @@ class DualPartition:
 def dual_partition(scn: Scenario) -> DualPartition:
     """The dual partition of the scenario, built and verified once, then cached.
 
-    The masks come from the scenario's index tables: a dual element
-    ``omega[w] + a`` (``a`` in the base annihilator) lies in the block of
-    ``a``'s label, ``coordinate_labels[dual_split[:, 1]]``.  They are checked
-    against the definition, each block being the set-sum of the fiber
-    labels, one block label, and the extra annihilator: every block has
-    ``n_fibers * |extra-annihilator|`` elements and is invariant under
+    The block positions come from the scenario's index tables: a dual
+    element ``omega[w] + a`` (``a`` in the base annihilator) lies in the
+    block of ``a``'s label, ``coordinate_labels[dual_split[:, 1]]``.  They
+    are checked against the definition, each block being the set-sum of the
+    fiber labels, one block label, and the extra annihilator: every block
+    has ``n_fibers * |extra-annihilator|`` elements and is invariant under
     adding extra-annihilator elements, and the defining set-sums are
-    disjoint, cover the dual group and match the masks.
+    disjoint, cover the dual group and match the positions.  The stacked
+    rows of a block are checked to hold its elements at every fiber.
     """
     part = vars(scn).get("_dual_partition")
     if part is None:
@@ -135,32 +139,33 @@ def _build_dual_partition(scn: Scenario) -> DualPartition:
             "dual partition blocks do not tile the dual group",
             details={"covered": int(np.count_nonzero(covered)), "order": group.order},
         )
-    if np.any(block[defined] != np.arange(len(labels))[:, None, None]):
+    position = np.arange(len(labels))[:, None]
+    if np.any(block[defined] != position[:, :, None]):
         raise TheoremViolationError(
-            "dual partition masks disagree with the block definition"
+            "dual partition positions disagree with the block definition"
         )
-    masks = block[None, :] == np.arange(len(labels))[:, None]
-    masks.flags.writeable = False
-    return DualPartition(scn, tuple(labels), masks)
+    # stacked coordinate k of fiber w holds omega[w] + annihilator_order[k]
+    k = np.argsort(block[scn.dual_unsplit[0]], kind="stable").reshape(len(labels), -1)
+    if np.any(block[scn.dual_unsplit[:, k]] != position):
+        raise TheoremViolationError(
+            "stacked block rows disagree with the dual partition"
+        )
+    reps = len(scn.tiling.orbit_reps)
+    rows = (k[:, :, None] * reps + np.arange(reps)).reshape(len(labels), -1)
+    block.flags.writeable = False
+    rows.flags.writeable = False
+    return DualPartition(scn, tuple(labels), block, rows)
 
 
-def mask_apply(scn: Scenario, xi, f: np.ndarray, part: DualPartition | None = None):
+def mask_apply(scn: Scenario, xi, f: np.ndarray):
     """Orthogonal projection onto functions whose full Zak support is xi's block."""
-    if part is None:
-        part = dual_partition(scn)
     pos = scn.block_section.position_of(xi)
     vals = zak_full(scn, f)
-    vals[~part.masks[pos]] = 0.0
+    vals[dual_partition(scn).positions != pos] = 0.0
     return zak_full_inv(scn, vals)
 
 
-def masked_component(
-    scn: Scenario,
-    space: Subspace,
-    xi,
-    tol: float = RANK_TOL,
-    part: DualPartition | None = None,
-) -> Subspace:
+def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
     """The image of a base-invariant subspace under the block mask.
 
     Computed in point space: one :func:`mask_apply` of the frame and a rank
@@ -170,15 +175,10 @@ def masked_component(
     require_base_invariant(space)
     if space.dim == 0:
         return Subspace.zero(scn)
-    masked = mask_apply(scn, xi, space.frame, part)
+    masked = mask_apply(scn, xi, space.frame)
     # masks act on unit frame columns: anything below the absolute floor
     # is roundoff, not a direction of the image
-    return Subspace.span(scn, masked, tol, floor=tol)
-
-
-def _block_rows(masks: np.ndarray) -> np.ndarray:
-    """Row indices of each (equal-sized) block, shape (n_blocks, block size)."""
-    return np.nonzero(masks)[1].reshape(len(masks), -1)
+    return Subspace.span(scn, masked, floor=RANK_TOL)
 
 
 def _block_chunks(n_blocks: int, per_block: int, budget: int) -> list[slice]:
@@ -191,56 +191,48 @@ def _block_chunks(n_blocks: int, per_block: int, budget: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_blocks, step)]
 
 
-def _frame_zak(scn: Scenario, space: Subspace) -> np.ndarray:
-    """The frame's full Zak values scaled by ``(rep_weights / group.order) ** 0.5``.
-
-    Shape (group.order, len(orbit_reps), dim), with orthonormal columns
-    (the full transform is an isometry under that scaling).  Memoised on
-    ``space``: both checks read the space's Zak side off this one transform.
-    """
-    z = vars(space).get("_zak")
-    if z is None:
-        root = np.sqrt(scn.rep_weights / scn.group.order)[:, None]
-        z = vars(space)["_zak"] = zak_full(scn, space.frame) * root
-    return z
-
-
 def _mask_side(scn: Scenario, space: Subspace):
     """Singular data of the space's block rows, memoised on ``space``.
 
-    ``z`` (:func:`_frame_zak`) has orthonormal columns.  One batched SVD of
-    the blocks' rows gives, per block, the singular values ``s`` and the
-    right singular vectors as the rows of ``vh`` (n_blocks, k, dim).  The
-    unit direction ``frame @ v`` keeps norm ``s`` in the block and
-    ``(1 - s**2) ** 0.5`` outside it, which is also the distance from the
-    space of the unit masked image along that direction.  ``worst`` is that
-    outside norm for each block's smallest singular value above
-    ``RANK_TOL`` (0 when there is none), taken from the Zak values
-    themselves, without the cancellation.  The blocks go through that
-    product in runs, so that no temporary is larger than ``z``.
+    The fiber matrices (``space._fibers``), divided by ``n_fibers ** 0.5``,
+    have orthonormal columns (the stacked transform is an isometry).  One
+    batched SVD of each block's rows, stacked across all fibers, gives per
+    block the singular values ``s`` and the right singular vectors as the
+    rows of ``vh`` (n_blocks, k, dim).  The unit direction ``frame @ v``
+    keeps norm ``s`` in the block and ``(1 - s**2) ** 0.5`` outside it,
+    which is also the distance from the space of the unit masked image
+    along that direction.  ``worst`` is that outside norm for each block's
+    smallest singular value above ``RANK_TOL`` (0 when there is none),
+    taken from the fiber matrices themselves, without the cancellation.
+    The scale is taken off ``s`` and ``worst``, not off a copy of the
+    matrices, and the blocks go through the product in runs, so that no
+    temporary is larger than the fiber matrices.
     """
     memo = vars(space).get("_mask_side")
     if memo is None:
-        rows = _block_rows(dual_partition(scn).masks)
+        rows = dual_partition(scn).rows
         n_blocks, size = rows.shape
-        z = _frame_zak(scn, space)
-        order, reps, dim = z.shape
-        stack = z[rows].reshape(n_blocks, size * reps, dim)
-        if size * reps > dim:
+        mats = space._fibers
+        n_fibers, _, dim = mats.shape
+        scale = np.sqrt(n_fibers)
+        # block b's rows of every fiber, (n_blocks, size * n_fibers, dim)
+        stack = mats.swapaxes(0, 1)[rows].reshape(n_blocks, size * n_fibers, dim)
+        if size * n_fibers > dim:
             # only s and vh are needed: the R factor of a tall stack has the
             # same singular values and right singular vectors, at less cost
             stack = np.linalg.qr(stack, mode="r")
         _, s, vh = np.linalg.svd(stack, full_matrices=False)
+        s /= scale
         count = np.sum(s > RANK_TOL, axis=1)
         worst = np.zeros(n_blocks)
         if dim:
             v = vh[np.arange(n_blocks), np.maximum(count - 1, 0)].conj()
-            flat = z.reshape(order * reps, dim)
-            for run in _block_chunks(n_blocks, order * reps, z.size):
+            flat = mats.reshape(-1, dim)
+            for run in _block_chunks(n_blocks, len(flat), mats.size):
                 # each block's worst direction, with the block's own rows zeroed
-                off = (flat @ v[run].T).reshape(order, reps, -1)
-                off[rows[run], :, np.arange(off.shape[2])[:, None]] = 0.0
-                worst[run] = np.linalg.norm(off, axis=(0, 1))
+                off = (flat @ v[run].T).reshape(n_fibers, mats.shape[1], -1)
+                off[:, rows[run], np.arange(off.shape[2])[:, None]] = 0.0
+                worst[run] = np.linalg.norm(off, axis=(0, 1)) / scale
             worst *= count > 0
         memo = vars(space)["_mask_side"] = (s, vh, worst)
     return memo
@@ -382,7 +374,7 @@ def check_extra_invariance(
     )
 
 
-def canonical_extra_invariant(scn: Scenario, tol: float = RANK_TOL) -> Subspace:
+def canonical_extra_invariant(scn: Scenario) -> Subspace:
     """A principal base-invariant space that is automatically extra-invariant.
 
     The generator is the inverse full Zak transform of the indicator of the
@@ -390,13 +382,10 @@ def canonical_extra_invariant(scn: Scenario, tol: float = RANK_TOL) -> Subspace:
     construction makes the identity-label component the whole space and
     every other component zero.
     """
-    part = dual_partition(scn)
     pos = scn.block_section.position_of(scn.group.zero)
-    vals = np.repeat(
-        part.masks[pos].astype(complex)[:, None], len(scn.tiling.orbit_reps), axis=1
-    )
-    gen = zak_full_inv(scn, vals)
-    return span_invariant(scn, gen[:, None], scn.base, tol)
+    inside = (dual_partition(scn).positions == pos).astype(complex)
+    gen = zak_full_inv(scn, np.repeat(inside[:, None], len(scn.tiling.orbit_reps), axis=1))
+    return span_invariant(scn, gen[:, None], scn.base)
 
 
 # -- fiberwise (decomposability) formulation ----------------------------------
@@ -427,8 +416,9 @@ def check_decomposable(
 
     A fiber (of stacked Zak values) is decomposable when zeroing all
     coordinates outside any one block keeps the vector inside the fiber
-    space.  The fiber bases come from one batched SVD of the fiber
-    matrices, and the block rows of all bases from one more;
+    space.  The fiber bases come from one batched SVD of the frame's fiber
+    matrices (the memo the mask side reads too), and the block rows of all
+    bases from one more;
     ``block_residual`` is the largest distance from its fiber space of a
     masked unit vector of a fiber.  This must agree with
     :func:`check_extra_invariance`; it also verifies that the fibers of
@@ -436,26 +426,21 @@ def check_decomposable(
     comparing the two projectors on the block rows.
     """
     require_base_invariant(space, tol)
-    rows = stacked_block_rows(scn)
+    rows = dual_partition(scn).rows
     n_blocks, size = rows.shape
     worst = 0.0
     if space.dim:
-        # the fiber matrices are a regrouping of the Zak values the mask side
-        # already holds: fiber w, stacked row (k, c) is dual element
-        # omega[w] + annihilator_order[k] at orbit representative c
-        z = _frame_zak(scn, space)
-        mats = z[scn.dual_unsplit].reshape(scn.n_fibers, -1, space.dim)
-        mats *= np.sqrt(scn.n_fibers)
+        mats = space._fibers
         u, s, _ = np.linalg.svd(mats, full_matrices=False)
         # orthonormal fiber bases; cut columns are zeroed, which leaves every
         # projector and masked singular value unchanged
-        q = u * (s > RANK_TOL * np.max(s))[:, None, :]
+        q = u * _fiber_cut(s)[:, None, :]
         # per fiber and block, the block rows of the basis: q[rows] = a t wh
         a, t, wh = np.linalg.svd(q[:, rows], full_matrices=False)
         # the masked unit direction q w lies t * |q w off the block| from the
         # fiber space: t * (1 - t**2) ** 0.5 without the cancellation
         per_block = scn.n_fibers * q.shape[1] * t.shape[-1]
-        for run in _block_chunks(n_blocks, per_block, z.size):
+        for run in _block_chunks(n_blocks, per_block, mats.size):
             # (n_fibers, blocks in the run, rows, k)
             off = q[:, None] @ wh[:, run].conj().swapaxes(-1, -2)
             off[:, np.arange(off.shape[1])[:, None], rows[run]] = 0.0
@@ -480,7 +465,7 @@ def check_decomposable(
         # both projectors live on the block rows, where the masked fibers sit;
         # masked basis vectors have unit scale, so roundoff sits far below RANK_TOL
         match_dev = 0.0
-        for run in _block_chunks(n_blocks, scn.n_fibers * size * size, z.size):
+        for run in _block_chunks(n_blocks, scn.n_fibers * size * size, mats.size):
             gap = _projectors(a[:, run], t[:, run] > RANK_TOL) - _projectors(
                 cu[:, run], cs[:, run] > RANK_TOL * top[run]
             )
@@ -504,23 +489,9 @@ def stacked_block_rows(scn: Scenario) -> np.ndarray:
 
     In block-position order, each block's rows increasing: a stacked row
     ``k * len(orbit_reps) + c`` belongs to the block of its annihilator
-    coordinate k.
+    coordinate k.  Read off the verified :func:`dual_partition`.
     """
-    k = np.argsort(scn.coordinate_labels, kind="stable").reshape(scn.n_blocks, -1)
-    reps = len(scn.tiling.orbit_reps)
-    return (k[:, :, None] * reps + np.arange(reps)).reshape(scn.n_blocks, -1)
-
-
-def stacked_block_masks(scn: Scenario) -> np.ndarray:
-    """Row masks of the blocks in weighted stacked coordinates.
-
-    Shape (n_blocks, n_cosets * len(orbit_reps)), in block-position order:
-    a stacked row belongs to the block of its annihilator coordinate.
-    """
-    rows = stacked_block_rows(scn)
-    masks = np.zeros((scn.n_blocks, scn.n_cosets * len(scn.tiling.orbit_reps)), bool)
-    masks[np.arange(scn.n_blocks)[:, None], rows] = True
-    return masks
+    return dual_partition(scn).rows
 
 
 # -- cross-check in the sequence space over the group -------------------------
@@ -562,10 +533,10 @@ def sequence_extra_invariance(
     extra_probes = scn.extra.generators if scn.extra.generators else [group.zero]
     res_translate = max(resid(shift(g, q)) for g in extra_probes)
     spectra = _group_dft(group, q)  # [h] = sum_t pairing(-t, h) q[t]
-    part = dual_partition(scn)
+    positions = dual_partition(scn).positions
     res_mask = 0.0
     for pos in range(scn.n_blocks):
-        masked = _group_dft(group, spectra * part.masks[pos][:, None], inverse=True)
+        masked = _group_dft(group, spectra * (positions == pos)[:, None], inverse=True)
         res_mask = max(res_mask, resid(masked))
     ok_translate, ok_mask = res_translate <= tol, res_mask <= tol
     if ok_translate != ok_mask:

@@ -181,8 +181,3 @@ class Scenario:
         """Block label position of each annihilator element (stacked coordinate)."""
         return self.block_section.positions[self.base_annihilator.indices]
 
-    def block_coordinates(self, xi) -> np.ndarray:
-        """Stacked-coordinate indices whose annihilator element lies in xi's block."""
-        pos = self.block_section.position_of(xi)
-        return np.flatnonzero(self.coordinate_labels == pos)
-

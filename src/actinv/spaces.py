@@ -118,6 +118,14 @@ class Subspace:
         return self.frame * self._root
 
     @cached_property
+    def _fibers(self) -> np.ndarray:
+        """The frame's :func:`fiber_matrices`, read-only: the one memo of the
+        space's Zak side, which the fiber bases and both checks read."""
+        mats = fiber_matrices(self.scenario, self.frame)
+        mats.flags.writeable = False
+        return mats
+
+    @cached_property
     def projector(self) -> np.ndarray:
         """Orthogonal projector in weighted coordinates (Hermitian, idempotent)."""
         q = self._weighted_frame
@@ -175,7 +183,6 @@ def span_invariant(
     scn: Scenario,
     generators: Sequence[np.ndarray] | np.ndarray,
     subgroup: Subgroup | None = None,
-    tol: float = RANK_TOL,
 ) -> Subspace:
     """Smallest subspace containing the generators and invariant under the subgroup.
 
@@ -186,12 +193,11 @@ def span_invariant(
     omega is the span of the fibers there of the generators and of their
     translates by a section of ``subgroup / base`` (no translate at all when
     the subgroup is the base).  One batched SVD of those fiber matrices,
-    cut at ``tol`` relative to the largest singular value over all fibers,
-    gives an orthonormal basis of every fiber.  The nonzero singular values
-    are exactly those of the point-space matrix of every subgroup translate
-    of every generator, so the cut, hence the dimension, is the one a rank
-    cut of that matrix makes.  The frame is assembled from the kept vectors
-    by :meth:`Subspace.from_fibers`.
+    cut by :func:`_fiber_cut`, gives an orthonormal basis of every fiber.
+    The nonzero singular values are exactly those of the point-space matrix
+    of every subgroup translate of every generator, so the cut, hence the
+    dimension, is the one a rank cut of that matrix makes.  The frame is
+    assembled from the kept vectors by :meth:`Subspace.from_fibers`.
     """
     base = scn.base
     if subgroup is None:
@@ -203,8 +209,18 @@ def span_invariant(
         return Subspace.zero(scn)
     moved = [mat] + [translate(scn.action, a, mat) for a in _section(scn, subgroup)[1:]]
     u, s, _ = np.linalg.svd(fiber_matrices(scn, np.hstack(moved)), full_matrices=False)
-    fibers, idx = np.nonzero(s > tol * np.max(s))
+    fibers, idx = np.nonzero(_fiber_cut(s))
     return Subspace.from_fibers(scn, fibers, u[fibers, :, idx].T)
+
+
+def _fiber_cut(s: np.ndarray) -> np.ndarray:
+    """The rank cut of fiber bases: which of the singular values count.
+
+    ``s`` holds the singular values of every fiber matrix of a space
+    (n_fibers, k); those above ``RANK_TOL`` times the largest over all
+    fibers count, so a fiber carrying nothing but roundoff is empty.
+    """
+    return s > RANK_TOL * np.max(s, initial=0.0)
 
 
 def _section(scn: Scenario, subgroup: Subgroup) -> tuple:
@@ -310,10 +326,15 @@ def principal_membership(
     where psi's fiber does.  On success returns the multiplier: on each
     fiber where psi's fiber is (numerically) nonzero, the coefficient of the
     orthogonal projection of f's fiber onto psi's, elsewhere zero.  Returns
-    None otherwise.  A (numerically) zero psi is rejected.
+    None otherwise.  A (numerically) zero psi is rejected, and so is input
+    of the wrong length or with non-finite entries (``ValueError``).
     """
-    zpsi = zak_base(scn, np.asarray(psi, dtype=complex))
-    zf = zak_base(scn, np.asarray(f, dtype=complex))
+    f, psi = (
+        as_columns(scn, np.ravel(v), noun)[:, 0]
+        for v, noun in ((f, "function"), (psi, "generator"))
+    )
+    zpsi = zak_base(scn, psi)
+    zf = zak_base(scn, f)
     w = scn.tile_weights
     psi_sq = np.sum(np.abs(zpsi) ** 2 * w, axis=1)  # per-fiber squared norms
     peak = float(np.max(psi_sq))
@@ -369,40 +390,35 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     return zak_full_inv(scn, full)
 
 
-def length(space: Subspace, tol: float = RANK_TOL) -> int:
+def length(space: Subspace) -> int:
     """Largest fiber dimension of a base-invariant subspace.
 
-    Fiber ranks are cut relative to the largest singular value across all
-    fibers, so fibers carrying nothing but roundoff count as empty.  This
-    is the least number of generators realizing the space; see
-    :func:`fiber_generators` for an explicit realization.
+    Fiber ranks are cut by :func:`_fiber_cut`.  This is the least number of
+    generators realizing the space; see :func:`fiber_generators` for an
+    explicit realization.
     """
     require_base_invariant(space)
     if space.dim == 0:
         return 0
-    svals = np.linalg.svd(fiber_matrices(space.scenario, space.frame), compute_uv=False)
-    top = float(np.max(svals, initial=0.0))
-    if top <= 0.0:
-        return 0
-    return int(np.max(np.sum(svals > tol * top, axis=1)))
+    svals = np.linalg.svd(space._fibers, compute_uv=False)
+    return int(np.max(np.sum(_fiber_cut(svals), axis=1)))
 
 
-def fiber_generators(space: Subspace, tol: float = RANK_TOL) -> list[np.ndarray]:
+def fiber_generators(space: Subspace) -> list[np.ndarray]:
     """``length(space)`` functions whose invariant span recovers the space.
 
     Built fiberwise: an orthonormal basis of every fiber is distributed
     across the generators (generator j takes the j-th basis vector of each
     fiber, where present), so the generators' fibers span every fiber of
     the space.  The bases come from one batched SVD of the fiber matrices,
-    cut like :func:`length` relative to the largest singular value across
-    all fibers; cut columns are zeroed.
+    cut by :func:`_fiber_cut`; cut columns are zeroed.
     """
     require_base_invariant(space)
     scn = space.scenario
     if space.dim == 0:
         return []
-    u, s, _ = np.linalg.svd(fiber_matrices(scn, space.frame), full_matrices=False)
-    keep = s > tol * np.max(s)
+    u, s, _ = np.linalg.svd(space._fibers, full_matrices=False)
+    keep = _fiber_cut(s)
     width = int(np.max(np.sum(keep, axis=1)))
     gens = fibers_from_matrix(scn, (u * keep[:, None, :])[:, :, :width])
     return [gens[:, j] for j in range(width)]

@@ -65,9 +65,16 @@ __all__ = [
 
 
 def _gathered(table, f: np.ndarray) -> np.ndarray:
-    """Weighted samples ``jhalf * f[gather]``, shape (movers, cells, *batch)."""
+    """Weighted samples ``jhalf * f[gather]``, shape (movers, cells, *batch).
+
+    The gather table visits every point once, so ``f`` must have one entry
+    (row) per point.
+    """
     gather, jhalf = table
-    values = np.asarray(f, dtype=complex)[gather]
+    f = np.atleast_1d(np.asarray(f, dtype=complex))
+    if len(f) != gather.size:
+        raise ValueError(f"function has {len(f)} entries, space has {gather.size} points")
+    values = f[gather]
     return values * jhalf.reshape(jhalf.shape + (1,) * (values.ndim - 2))
 
 

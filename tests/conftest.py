@@ -20,6 +20,7 @@ from actinv import (
     mask_apply,
     span_invariant,
 )
+from actinv.extra import stacked_block_rows
 from actinv.spaces import fibers_from_matrix
 
 SCENARIO_NAMES = [
@@ -115,8 +116,7 @@ def random_block_supported_space(scn, rng, ell):
     for w in range(scn.n_fibers):
         for j in range(ell):
             pos = int(rng.integers(0, scn.n_blocks))
-            rows = scn.block_coordinates(scn.block_labels[pos])
-            sel = (rows[:, None] * c + np.arange(c)[None, :]).ravel()
+            sel = stacked_block_rows(scn)[pos]
             stacked[w, sel, j] = rng.standard_normal(sel.size) + 1j * rng.standard_normal(
                 sel.size
             )
@@ -142,7 +142,7 @@ def random_invariant_space(scn, rng):
         seed_space = span_invariant(scn, random_function(scn, rng)[:, None])
         part = dual_partition(scn)
         xi = part.labels[int(rng.integers(0, len(part.labels)))]
-        masked = mask_apply(scn, xi, seed_space.frame, part)
+        masked = mask_apply(scn, xi, seed_space.frame)
         return span_invariant(scn, masked)
     if kind == 3:
         return random_block_supported_space(scn, rng, int(rng.integers(1, 3)))

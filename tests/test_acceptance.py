@@ -192,7 +192,7 @@ def test_c7_canonical_construction(bank):
         assert all(d == 0 for d in report.component_dims[1:])
         # the identity-label component is the whole space
         part = dual_partition(scn)
-        comp = masked_component(scn, space, part.labels[0], part=part)
+        comp = masked_component(scn, space, part.labels[0])
         dev = np.max(np.abs(comp.projector - space.projector))
         assert dev < PROJECTOR_TOL
 

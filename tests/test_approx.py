@@ -14,7 +14,7 @@ from actinv import (
     is_invariant,
     span_invariant,
 )
-from actinv.extra import dual_partition, stacked_block_masks
+from actinv.extra import dual_partition, stacked_block_rows
 from actinv.spaces import Subspace, fiber_matrices, fibers_from_matrix, length
 
 import oracle
@@ -186,12 +186,12 @@ def test_tied_blocks_keep_the_lower_position(bank, name):
     # these scenarios the round trip keeps both exactly 1, so the two block
     # singular values tie, and block position 0 must be kept
     scn = bank[name]
-    masks = stacked_block_masks(scn)
+    rows = stacked_block_rows(scn)
     labels = dual_partition(scn).labels
     for w in range(scn.n_fibers):
-        fibers = np.zeros((scn.n_fibers, masks.shape[1], 1), dtype=complex)
-        fibers[w, np.flatnonzero(masks[0])[0], 0] = 1.0
-        fibers[w, np.flatnonzero(masks[1])[-1], 0] = 1.0
+        fibers = np.zeros((scn.n_fibers, rows.size, 1), dtype=complex)
+        fibers[w, rows[0, 0], 0] = 1.0
+        fibers[w, rows[1, -1], 0] = 1.0
         spec = best_extra_invariant(scn, fibers_from_matrix(scn, fibers), 1).spectra[w]
         assert len(spec.dropped) == 1 and spec.kept == spec.dropped  # the tie
         assert spec.kept_labels == (labels[0],)

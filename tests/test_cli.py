@@ -261,6 +261,21 @@ def test_non_finite_weight_is_a_config_error(capsys, tmp_path):
     assert detail.startswith("action.weights:")
 
 
+@pytest.mark.parametrize("flag", [False, True])
+def test_negative_seed_is_a_config_error(capsys, tmp_path, flag):
+    # numpy refuses a negative seed; the CLI names the field and exits 1
+    doc = chain12_cfg(subspace={"random": {"kind": "principal"}})
+    if flag:
+        argv = ["--seed", "-1"]
+    else:
+        doc["options"] = {"seed": -3}
+        argv = []
+    cfg = write_cfg(tmp_path, doc)
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, *argv, "check"])
+    assert rc == 1 and kind == "config"
+    assert detail == "options.seed: expected a non-negative integer"
+
+
 def _set(doc, path, value):
     *keys, last = path
     for k in keys:

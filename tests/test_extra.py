@@ -68,9 +68,9 @@ def test_partition_is_periodic_partition(scn):
             for d in scn.extra_annihilator.elements:
                 assert part.block_of(scn.group.add(el, d)) == label
     assert union == set(scn.group.elements)
-    # boolean masks agree with the element sets
+    # the block positions agree with the element sets
     for i, block in enumerate(part.blocks):
-        marked = {scn.group.elements[j] for j in np.flatnonzero(part.masks[i])}
+        marked = {scn.group.elements[j] for j in np.flatnonzero(part.positions == i)}
         assert marked == set(block)
 
 
@@ -105,16 +105,16 @@ def test_masks_resolve_identity(scn):
     part = dual_partition(scn)
     rng = np.random.default_rng(1)
     f = random_function(scn, rng)
-    pieces = [mask_apply(scn, xi, f, part) for xi in part.labels]
+    pieces = [mask_apply(scn, xi, f) for xi in part.labels]
     assert_allclose(sum(pieces), f, atol=1e-12)
     total = sum(scn.action.norm(p) ** 2 for p in pieces)
     assert total == pytest.approx(scn.action.norm(f) ** 2, rel=1e-12)
     for i, xi in enumerate(part.labels):
-        assert_allclose(mask_apply(scn, xi, pieces[i], part), pieces[i], atol=1e-12)
+        assert_allclose(mask_apply(scn, xi, pieces[i]), pieces[i], atol=1e-12)
         for j, eta in enumerate(part.labels):
             if i != j:
                 assert_allclose(
-                    mask_apply(scn, eta, pieces[i], part),
+                    mask_apply(scn, eta, pieces[i]),
                     np.zeros_like(f),
                     atol=1e-12,
                 )
@@ -126,8 +126,8 @@ def test_masks_commute_with_extra_translates(scn):
     f = random_function(scn, rng)
     for delta in scn.extra.elements:
         for xi in part.labels:
-            a = mask_apply(scn, xi, translate(scn.action, delta, f), part)
-            b = translate(scn.action, delta, mask_apply(scn, xi, f, part))
+            a = mask_apply(scn, xi, translate(scn.action, delta, f))
+            b = translate(scn.action, delta, mask_apply(scn, xi, f))
             assert_allclose(a, b, atol=1e-10)
 
 
@@ -136,9 +136,9 @@ def test_mask_apply_columnwise(scn):
     rng = np.random.default_rng(3)
     mat = np.column_stack([random_function(scn, rng) for _ in range(2)])
     xi = part.labels[-1]
-    both = mask_apply(scn, xi, mat, part)
+    both = mask_apply(scn, xi, mat)
     for j in range(2):
-        assert_allclose(both[:, j], mask_apply(scn, xi, mat[:, j], part), atol=1e-12)
+        assert_allclose(both[:, j], mask_apply(scn, xi, mat[:, j]), atol=1e-12)
 
 
 # -- the equivalence -----------------------------------------------------------
@@ -199,7 +199,7 @@ def test_masked_component_object(scn):
     part = dual_partition(scn)
     total = 0
     for xi in part.labels:
-        comp = masked_component(scn, space, xi, part=part)
+        comp = masked_component(scn, space, xi)
         total += comp.dim
         for k in range(comp.dim):
             assert space.contains(comp.frame[:, k])
@@ -207,22 +207,24 @@ def test_masked_component_object(scn):
 
 
 def test_stacked_block_masks_follow_block_coordinates(scn):
+    """Each block's stacked rows are the rows of the annihilator coordinates
+    labelled with that block, increasing, and the blocks split the rows."""
     c = len(scn.tiling.orbit_reps)
-    masks = extra_mod.stacked_block_masks(scn)
-    assert masks.shape == (scn.n_blocks, scn.n_cosets * c)
-    rows = np.nonzero(masks)[1].reshape(scn.n_blocks, -1)
-    assert np.array_equal(extra_mod.stacked_block_rows(scn), rows)
-    for keep, xi in zip(masks, dual_partition(scn).labels):
-        rows = scn.block_coordinates(xi)
-        sel = (rows[:, None] * c + np.arange(c)[None, :]).ravel()
-        assert np.array_equal(np.flatnonzero(keep), sel)
+    rows = extra_mod.stacked_block_rows(scn)
+    assert rows is dual_partition(scn).rows
+    assert rows.shape == (scn.n_blocks, scn.n_cosets * c // scn.n_blocks)
+    assert np.array_equal(np.sort(rows, axis=None), np.arange(scn.n_cosets * c))
+    for pos, keep in enumerate(rows):
+        coords = np.flatnonzero(scn.coordinate_labels == pos)
+        sel = (coords[:, None] * c + np.arange(c)[None, :]).ravel()
+        assert np.array_equal(keep, sel)
 
 
 def test_checks_share_one_mask_per_block(scn, monkeypatch):
     """A check pair transforms each space once and makes one mask-side SVD.
 
-    One ``zak_full`` of the frame in any module: the fiber matrices of
-    ``check_decomposable`` are a regrouping of the mask side's Zak values.
+    One ``zak_full`` of the frame in any module: both checks read the
+    frame's fiber matrices, memoised on the space.
     The mask side is one batched SVD of the block-row stack, shape
     (n_blocks, min(block rows, dim), dim), shared by both checks and by the inner
     extra-invariance check of ``check_decomposable``: a second check pair on
@@ -351,6 +353,29 @@ def test_check_pair_memory_stays_within_the_zak_values():
         tracemalloc.stop()
     assert space.dim == 1 and not ext.extra_invariant and not dec.decomposable
     assert peak < 4 * 2**20, peak
+
+
+def test_dual_partition_holds_one_label_per_dual_element():
+    """Z_2048, trivial base, extra = G: 2048 blocks of one dual element each.
+
+    The partition keeps the block position of each dual element and the
+    stacked rows of each block, |G| entries each on one orbit, and builds
+    without a blocks x |G| table (4 MiB of bool masks here).
+    """
+    g = FiniteAbelianGroup([2048])
+    scn = Scenario(g, Subgroup(g, []), Subgroup(g, [(1,)]), ActionSpace.regular(g))
+    # the scenario's own index tables, cached on it, are built first
+    scn.dual_split, scn.dual_unsplit, scn.coordinate_labels
+    tracemalloc.start()
+    try:
+        part = dual_partition(scn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scn.n_blocks == g.order
+    arrays = [v for v in vars(part).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2 and max(a.size for a in arrays) == g.order
+    assert peak < 2**20, peak
 
 
 def test_reports_do_not_depend_on_the_memo(scn):

@@ -120,10 +120,11 @@ def check_against_oracle(scn, rng):
 def check_partition_against_oracle(scn):
     part = dual_partition(scn)
     assert dual_partition(scn) is part  # built once per scenario
-    assert not part.masks.flags.writeable
-    for pos, xi in enumerate(part.labels):
+    assert not part.positions.flags.writeable and not part.rows.flags.writeable
+    for pos, (xi, rows) in enumerate(zip(part.labels, oracle.block_rows(scn))):
         want = oracle.block_indicator(scn, xi)
-        assert np.array_equal(part.masks[pos], want)
+        assert np.array_equal(part.positions == pos, want)
+        assert np.array_equal(part.rows[pos], rows)
         assert part.blocks[pos] == {
             el for el, keep in zip(scn.group.elements, want) if keep
         }

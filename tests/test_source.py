@@ -1,5 +1,6 @@
 """Source-level rules for the library package."""
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import actinv
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "actinv"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -97,3 +99,32 @@ def test_cli_commands_do_not_load_numpy_random_or_ma(tmp_path):
         imported = _imports(*args)
         assert "numpy" in imported
         assert not [m for m in imported if m in ("numpy.random", "numpy.ma")], args
+
+
+def test_tracer_targets_exist():
+    """Every ``actinv`` name the benchmark tracer patches is still defined.
+
+    ``TARGETS`` in ``perfbench/tracer.py`` is read from the file, and each
+    entry is looked up the way ``Recorder.install`` does: walk the dotted
+    path with ``getattr``, then take the leaf from the owner's own
+    ``vars``.  A deleted or renamed traced name fails here instead of in a
+    traced benchmark run.
+    """
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    missing = []
+    for name, module, attr in targets:
+        if module.split(".")[0] != "actinv":
+            continue
+        owner = importlib.import_module(module)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or leaf not in vars(owner):
+            missing.append(name)
+    assert len(targets) > 30 and not missing, missing

@@ -244,6 +244,22 @@ def test_principal_membership_rejects_zero_generator(chain12):
         principal_membership(chain12, np.ones(12), np.zeros(12))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_principal_membership_rejects_bad_input(chain12, bad):
+    """Non-finite entries and wrong lengths fail at the boundary, for the
+    function and for the generator, instead of a NaN multiplier that
+    claims membership."""
+    psi = random_function(chain12, np.random.default_rng(26))
+    f = psi.copy()
+    f[3] = bad
+    for args in ((f, psi), (psi, f)):
+        with pytest.raises(ValueError, match="finite"):
+            principal_membership(chain12, *args)
+    for args in ((psi[:11], psi), (psi, np.append(psi, 1.0))):
+        with pytest.raises(ValueError, match="space has 12 points"):
+            principal_membership(chain12, *args)
+
+
 # -- fiber structure -----------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from actinv import (
     Scenario,
     Subgroup,
     fold_orbits,
+    mask_apply,
     translate,
     unfold_orbits,
     zak_base,
@@ -241,3 +242,18 @@ def test_order_4096_scenario_builds_in_linear_memory():
     back = zak_full_inv(scn, zak_full(scn, f))
     for j in range(2):
         assert act.norm(back[:, j] - f[:, j]) <= 1e-12 * act.norm(f[:, j])
+
+
+@pytest.mark.parametrize("shape", [(29,), (29, 2), (23,)])
+def test_transforms_reject_a_function_of_the_wrong_length(bank, shape):
+    """A vector longer or shorter than the point set is refused, not cut.
+
+    On 24 points, 29 entries would otherwise transform the first 24.
+    """
+    scn = bank["two_orbits"]
+    f = np.ones(shape, dtype=complex)
+    for transform in (zak_full, zak_base, zak_stacked, unfold_orbits):
+        with pytest.raises(ValueError, match=f"{shape[0]} entries, space has 24 points"):
+            transform(scn, f)
+    with pytest.raises(ValueError, match="space has 24 points"):
+        mask_apply(scn, scn.block_labels[0], f)
