@@ -119,6 +119,8 @@ def _fit(
     block, sing = pos[order[fibers, slot]], idx[order[fibers, slot]]
     vecs = np.zeros((mats.shape[1], fibers.size), dtype=complex)
     vecs[rows[block], np.arange(fibers.size)[:, None]] = u[fibers, block, :, sing]
+    basis = np.zeros((n_fibers, mats.shape[1], np.max(keep)), dtype=complex)
+    basis[fibers, :, slot] = _fix_phase(vecs).T
     spectra = tuple(
         FiberSpectrum(
             fiber=scn.omega[w],
@@ -130,8 +132,7 @@ def _fit(
         )
         for w, (vals, n) in enumerate(zip(sig.tolist(), keep.tolist()))
     )
-    space = Subspace.from_fibers(scn, fibers, _fix_phase(vecs))
-    return ApproxResult(space, error, int(ell), spectra)
+    return ApproxResult(Subspace.from_fibers(scn, basis), error, int(ell), spectra)
 
 
 def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:

@@ -11,17 +11,26 @@ projection ``mask_apply`` on the function space.  The central result
 implemented here: a base-invariant subspace is invariant under the whole
 extra subgroup exactly when every masked image of it stays inside it, and
 in that case the masked images are mutually orthogonal and sum to the
-space.  Both sides of the equivalence are computed independently and a
-disagreement raises :class:`TheoremViolationError`.
+space.  Both sides of the equivalence are computed and a disagreement
+raises :class:`TheoremViolationError`.
 
-The translation side works in point space.  The mask side never leaves the
-Zak domain: the stacked Zak transform is an isometry, so the masked image of
-a space is spanned by the block rows of its fiber matrices, and one batched
-SVD of the block-row stacks yields every component at once (its dimension,
-its directions as coefficient vectors on the frame, and the energy each
-direction keeps outside its block).  The fiberwise check works on block rows
-of the same fiber matrices, memoised on the space; no check builds an n x n
-array, and a check pair translates nothing but the frame, once per probe.
+Both checks read the space's range function (one orthonormal basis per Zak
+fiber, :mod:`actinv.spaces`) and nothing else.  The translation side
+modulates each fiber basis by the extra generators' pairings.  The mask
+side never leaves the fibers either: the stacked Zak transform is an
+isometry, so the masked image of a space is spanned by the block rows of
+its fiber bases, and one batched SVD of those block rows per fiber and
+block (:func:`_split`) yields every component at once: its dimension, its
+directions as coefficient vectors on the fiber basis, and the norm each
+direction keeps outside its block.  No check builds an n x n array, a
+frame or a translate of a fiber-built space.
+
+Independence: the two sides share the fiber bases, so a disagreement
+(:class:`TheoremViolationError`) exposes a fault in the partition rows,
+the modulation table or the per-block algebra, not in the transform that
+produced the bases.  The transform is guarded by the isometry criteria and
+by the point-space references of the test suite (translated frames, mask
+images, n x n projectors).
 """
 from __future__ import annotations
 
@@ -37,8 +46,8 @@ from .spaces import (
     RANK_TOL,
     Subspace,
     _euclid_orth,
-    _fiber_cut,
-    _probe_maps,
+    _modulations,
+    _moved,
     _probes,
     is_invariant,
     require_base_invariant,
@@ -53,7 +62,9 @@ class DualPartition:
 
     ``positions[i]`` is the block position (index into ``labels``) of dual
     element ``i``, and ``rows[b]`` lists the weighted stacked rows of block
-    b (:func:`stacked_block_rows`).  Both are read-only and verified.
+    b: a stacked row ``k * len(orbit_reps) + c`` belongs to the block of its
+    annihilator coordinate k, each block's rows increasing.  Both are
+    read-only and verified.
     """
 
     scenario: Scenario
@@ -181,105 +192,65 @@ def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
     return Subspace.span(scn, masked, floor=RANK_TOL)
 
 
-def _block_chunks(n_blocks: int, per_block: int, budget: int) -> list[slice]:
-    """Runs of consecutive blocks whose temporaries stay within ``budget`` entries.
+def _pair_runs(scn: Scenario, per_pair: int, basis: np.ndarray):
+    """Runs of (fiber, block) pairs, as fiber and block positions, whose
+    temporaries (``per_pair`` entries each) fit in the size of the basis,
+    and at least one pair per run."""
+    n_pairs = scn.n_fibers * scn.n_blocks
+    step = max(1, basis.size // per_pair) if per_pair else n_pairs
+    for lo in range(0, n_pairs, step):
+        yield np.divmod(np.arange(lo, min(lo + step, n_pairs)), scn.n_blocks)
 
-    A block's temporary has ``per_block`` entries; a run holds as many
-    blocks as fit, and at least one.
+
+def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
+    """The range function split along the dual partition, memoised on ``space``.
+
+    One batched SVD of the block rows of every fiber basis,
+    ``basis[:, rows] = a t v^H`` per fiber and block, shape (n_fibers,
+    n_blocks, ...).  Column i of ``v[w, b]`` holds the coefficients of the
+    unit direction ``basis[w] @ v[w, b, :, i]`` of fiber w: it keeps norm
+    ``t[w, b, i]`` in block b, and ``off[w, b, i]`` is its norm outside,
+    taken from the direction itself, without the cancellation of
+    ``(1 - t**2) ** 0.5``.  Returns ``a``, ``t``, ``kv`` (``v`` with the
+    directions at or below ``RANK_TOL`` zeroed: the components' fibers are
+    ``basis @ kv``) and ``off``.
     """
-    step = max(1, budget // max(per_block, 1))
-    return [slice(lo, lo + step) for lo in range(0, n_blocks, step)]
-
-
-def _mask_side(scn: Scenario, space: Subspace):
-    """Singular data of the space's block rows, memoised on ``space``.
-
-    The fiber matrices (``space._fibers``), divided by ``n_fibers ** 0.5``,
-    have orthonormal columns (the stacked transform is an isometry).  One
-    batched SVD of each block's rows, stacked across all fibers, gives per
-    block the singular values ``s`` and the right singular vectors as the
-    rows of ``vh`` (n_blocks, k, dim).  The unit direction ``frame @ v``
-    keeps norm ``s`` in the block and ``(1 - s**2) ** 0.5`` outside it,
-    which is also the distance from the space of the unit masked image
-    along that direction.  ``worst`` is that outside norm for each block's
-    smallest singular value above ``RANK_TOL`` (0 when there is none),
-    taken from the fiber matrices themselves, without the cancellation.
-    The scale is taken off ``s`` and ``worst``, not off a copy of the
-    matrices, and the blocks go through the product in runs, so that no
-    temporary is larger than the fiber matrices.
-    """
-    memo = vars(space).get("_mask_side")
+    memo = vars(space).get("_split")
     if memo is None:
         rows = dual_partition(scn).rows
-        n_blocks, size = rows.shape
-        mats = space._fibers
-        n_fibers, _, dim = mats.shape
-        scale = np.sqrt(n_fibers)
-        # block b's rows of every fiber, (n_blocks, size * n_fibers, dim)
-        stack = mats.swapaxes(0, 1)[rows].reshape(n_blocks, size * n_fibers, dim)
-        if size * n_fibers > dim:
-            # only s and vh are needed: the R factor of a tall stack has the
-            # same singular values and right singular vectors, at less cost
-            stack = np.linalg.qr(stack, mode="r")
-        _, s, vh = np.linalg.svd(stack, full_matrices=False)
-        s /= scale
-        count = np.sum(s > RANK_TOL, axis=1)
-        worst = np.zeros(n_blocks)
-        if dim:
-            v = vh[np.arange(n_blocks), np.maximum(count - 1, 0)].conj()
-            flat = mats.reshape(-1, dim)
-            for run in _block_chunks(n_blocks, len(flat), mats.size):
-                # each block's worst direction, with the block's own rows zeroed
-                off = (flat @ v[run].T).reshape(n_fibers, mats.shape[1], -1)
-                off[:, rows[run], np.arange(off.shape[2])[:, None]] = 0.0
-                worst[run] = np.linalg.norm(off, axis=(0, 1)) / scale
-            worst *= count > 0
-        memo = vars(space)["_mask_side"] = (s, vh, worst)
+        a, t, vh = np.linalg.svd(basis[:, rows], full_matrices=False)
+        v = vh.conj().swapaxes(-1, -2)
+        off = np.zeros(t.shape)
+        for w, b in _pair_runs(scn, basis[0].size, basis):
+            moved = basis[w] @ v[w, b]
+            moved[np.arange(len(w))[:, None], rows[b]] = 0.0
+            off[w, b] = np.linalg.norm(moved, axis=1)
+        memo = space._split = (a, t, v * (t > RANK_TOL)[:, :, None, :], off)
     return memo
 
 
-def _component_residual(scn: Scenario, space: Subspace) -> float:
-    """Worst base/extra-invariance residual among the block components.
+def _component_law(scn: Scenario, basis: np.ndarray, coeffs: np.ndarray) -> float:
+    """Worst base/extra-invariance residual of the subspaces, one per block b,
+    whose fiber w is spanned by ``basis[w] @ coeffs[w, b]`` (orthonormal or
+    zero columns).
 
-    Block b's component is spanned by ``frame @ V_b`` (its kept right
-    singular vectors from :func:`_mask_side`, conjugated); its residual
-    comes from the frame's probe maps (:func:`_within_residual`), with no
-    translate beyond the frame's own.  Blocks go one at a time; the result
-    is memoised on ``space``.
+    A probe moves ``basis[w] @ x`` out by its part inside the space but
+    outside the subspace, ``(I - x x^H) N x`` in coefficients on the basis,
+    and by the space's own part moved out (:func:`_moved`), ``u s wh x`` in
+    its singular value decomposition.
+    The two are orthogonal, so the residual is the top singular value of
+    ``[(I - x x^H) N x; s wh x]``, a (2r, k) matrix per fiber and block.
     """
-    worst = vars(space).get("_component_law")
-    if worst is None:
-        worst = 0.0
-        if space.dim:
-            s, vh, _ = _mask_side(scn, space)
-            kept = s > RANK_TOL
-            maps = [_probe_maps(space, _probes(sub)) for sub in (scn.base, scn.extra)]
-            inside = np.concatenate([m[1] for m in maps])
-            gram = np.concatenate([m[2] for m in maps])
-            for b in range(len(vh)):
-                v = vh[b, kept[b]].conj().T  # (dim, k)
-                worst = max(worst, _within_residual(inside, gram, v))
-        vars(space)["_component_law"] = worst
+    worst = 0.0
+    for d in _modulations(scn, _probes(scn.base) + _probes(scn.extra)):
+        inside, out = _moved(d, basis)
+        _, top, wh = np.linalg.svd(out, full_matrices=False)
+        nx = inside[:, None] @ coeffs
+        within = nx - coeffs @ (coeffs.conj().swapaxes(-1, -2) @ nx)
+        out = (top[..., None] * wh)[:, None] @ coeffs
+        law = np.linalg.svd(np.concatenate([within, out], axis=-2), compute_uv=False)
+        worst = max(worst, float(np.max(law, initial=0.0)))
     return worst
-
-
-def _within_residual(inside: np.ndarray, gram: np.ndarray, v: np.ndarray) -> float:
-    """Worst residual of the subspace ``frame @ v`` under the frame's probes.
-
-    ``v`` (dim, k) has orthonormal columns; ``inside`` and ``gram`` are the
-    frame's maps ``C`` and ``G`` (:func:`_probe_maps`).  A probe moves the
-    unit vector ``frame @ v x`` to ``frame @ C v x`` plus a part outside the
-    space, so its distance from ``frame @ v`` is the norm of
-    ``E x + R v x`` with ``E = (I - v v^H) C v``, two mutually orthogonal
-    parts.  The worst one is ``sqrt(lambda_max(v^H G v + E^H E))``, the
-    largest over the probes: exact and free of cancellation.
-    """
-    if not v.shape[1]:
-        return 0.0
-    cv = inside @ v
-    e = cv - v @ (v.conj().T @ cv)
-    law = v.conj().T @ (gram @ v) + e.conj().swapaxes(1, 2) @ e
-    return float(np.sqrt(max(np.max(np.linalg.eigvalsh(law)), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -317,33 +288,31 @@ class ExtraInvarianceReport:
 def check_extra_invariance(
     scn: Scenario, space: Subspace, tol: float = DEFAULT_TOL
 ) -> ExtraInvarianceReport:
-    """Test invariance under the extra subgroup two independent ways.
+    """Test invariance under the extra subgroup two ways, off the range function.
 
-    Side one translates the frame by the extra subgroup's generators and
-    measures residuals in point space.  Side two masks the space's Zak
-    values block by block: a block's component dimension is the number of
-    singular values of its rows above ``RANK_TOL``, and its inclusion
-    residual is the distance from the space of the worst unit vector of the
-    masked image, which does not depend on a choice of basis.  The two
-    verdicts must agree (that is the theorem); if they do not, a
-    :class:`TheoremViolationError` is raised with both residuals.
+    Side one translates: the extra generators modulate every fiber basis
+    (:func:`is_invariant`).  Side two masks: a block's component dimension
+    is the number of singular values of its fiber bases' block rows above
+    ``RANK_TOL``, and its inclusion residual is the distance from the space
+    of the worst unit vector of the masked image, the largest ``off`` of a
+    kept direction (:func:`_split`), which does not depend on a choice of
+    basis.  The two verdicts must agree (that is the theorem); if they do
+    not, a :class:`TheoremViolationError` is raised with both residuals.
 
-    When the space is extra-invariant, the component of block b is spanned
-    by ``frame @ v`` over its kept right singular vectors v.  The report
-    then also carries the largest entry of ``sum_b V_b V_b^H - I`` (the
-    components' projectors summed, in coefficients on the frame, against
-    the identity) and the worst base/extra-invariance residual among the
-    components (all of which must be invariant too), read off the frame's
-    translation maps (:func:`_component_residual`).
+    When the space is extra-invariant, block b's component has fiber
+    ``basis[w] @ kv[w, b]``, the kept directions of fiber w.  The
+    report then also carries the largest entry of ``sum_b V_b V_b^H - I``
+    per fiber (the components' projectors summed, in coefficients on the
+    fiber basis, against the identity) and the worst base/extra-invariance
+    residual among the components, all of which must be invariant too.
     """
-    require_base_invariant(space, tol)
+    basis = require_base_invariant(space, tol)
     ok_translate, res_translate = is_invariant(space, scn.extra, tol)
-    s, vh, worst = _mask_side(scn, space)
-    kept = s > RANK_TOL  # the absolute floor: frame directions are unit
-    inc_res = [float(r) for r in worst]
+    _, t, kv, off = _split(scn, space, basis)
+    kept = t > RANK_TOL  # the absolute floor: basis directions are unit
+    inc_res = [float(r) for r in np.max(off * kept, axis=(0, 2), initial=0.0)]
     inc_ok = tuple(r <= tol for r in inc_res)
-    ok_masks = all(inc_ok)
-    if ok_translate != ok_masks:
+    if ok_translate != all(inc_ok):
         raise TheoremViolationError(
             "translation test and mask-inclusion test disagree",
             details={
@@ -354,10 +323,14 @@ def check_extra_invariance(
     deviation = None
     comp_res = None
     if ok_translate:
-        coeffs = vh[kept]  # (sum of component dims, dim), conjugated directions
-        gram = coeffs.conj().T @ coeffs
-        deviation = float(np.max(np.abs(gram - np.eye(space.dim)), initial=0.0))
-        comp_res = _component_residual(scn, space)
+        n_fibers, _, width = basis.shape
+        summed = kv.swapaxes(1, 2).reshape(n_fibers, width, t[0].size)
+        ident = np.eye(width) * np.any(basis, axis=1)[:, None, :]
+        gap = summed @ summed.conj().swapaxes(1, 2) - ident
+        deviation = float(np.max(np.abs(gap), initial=0.0))
+        comp_res = vars(space).get("_component_law")
+        if comp_res is None:
+            comp_res = space._component_law = _component_law(scn, basis, kv)
         if deviation > tol or comp_res > tol:
             raise TheoremViolationError(
                 "components of an extra-invariant space fail their structure laws",
@@ -368,7 +341,7 @@ def check_extra_invariance(
         translation_residual=res_translate,
         inclusion_residuals=tuple(inc_res),
         inclusion_ok=inc_ok,
-        component_dims=tuple(int(k) for k in np.sum(kept, axis=1)),
+        component_dims=tuple(int(k) for k in np.sum(kept, axis=(0, 2))),
         decomposition_deviation=deviation,
         component_invariance_residual=comp_res,
     )
@@ -416,35 +389,17 @@ def check_decomposable(
 
     A fiber (of stacked Zak values) is decomposable when zeroing all
     coordinates outside any one block keeps the vector inside the fiber
-    space.  The fiber bases come from one batched SVD of the frame's fiber
-    matrices (the memo the mask side reads too), and the block rows of all
-    bases from one more;
-    ``block_residual`` is the largest distance from its fiber space of a
-    masked unit vector of a fiber.  This must agree with
-    :func:`check_extra_invariance`; it also verifies that the fibers of
-    each masked component equal the block-restricted fibers of the space,
-    comparing the two projectors on the block rows.
+    space.  ``block_residual`` is the largest distance from its fiber space
+    of a masked unit vector of a fiber, ``t * off`` over the directions of
+    the block-row SVD that :func:`check_extra_invariance` reads too.  The
+    verdict must agree with that check; it also verifies that the fibers of
+    each component (the kept directions ``basis[w] @ kv[w, b]``) equal the
+    block-restricted fibers of the space, comparing the two projectors on
+    the block rows.
     """
-    require_base_invariant(space, tol)
-    rows = dual_partition(scn).rows
-    n_blocks, size = rows.shape
-    worst = 0.0
-    if space.dim:
-        mats = space._fibers
-        u, s, _ = np.linalg.svd(mats, full_matrices=False)
-        # orthonormal fiber bases; cut columns are zeroed, which leaves every
-        # projector and masked singular value unchanged
-        q = u * _fiber_cut(s)[:, None, :]
-        # per fiber and block, the block rows of the basis: q[rows] = a t wh
-        a, t, wh = np.linalg.svd(q[:, rows], full_matrices=False)
-        # the masked unit direction q w lies t * |q w off the block| from the
-        # fiber space: t * (1 - t**2) ** 0.5 without the cancellation
-        per_block = scn.n_fibers * q.shape[1] * t.shape[-1]
-        for run in _block_chunks(n_blocks, per_block, mats.size):
-            # (n_fibers, blocks in the run, rows, k)
-            off = q[:, None] @ wh[:, run].conj().swapaxes(-1, -2)
-            off[:, np.arange(off.shape[1])[:, None], rows[run]] = 0.0
-            worst = max(worst, float(np.max(t[:, run] * np.linalg.norm(off, axis=2))))
+    basis = require_base_invariant(space, tol)
+    a, t, kv, off = _split(scn, space, basis)
+    worst = float(np.max(t * off, initial=0.0))
     decomposable = worst <= tol
     ext = check_extra_invariance(scn, space, tol)
     if decomposable != ext.extra_invariant:
@@ -457,18 +412,14 @@ def check_decomposable(
         )
     match_dev = None
     if decomposable and space.dim:
-        # the components' fibers are linear in the frame: fibers @ v per block
-        ms, mvh, _ = _mask_side(scn, space)
-        comp = mvh.conj().swapaxes(1, 2) * (ms > RANK_TOL)[:, None, :]
-        cu, cs, _ = np.linalg.svd(mats[:, rows] @ comp, full_matrices=False)
-        top = np.maximum(np.max(cs, axis=(0, 2), initial=0.0), 1.0)[:, None]
-        # both projectors live on the block rows, where the masked fibers sit;
-        # masked basis vectors have unit scale, so roundoff sits far below RANK_TOL
+        rows = dual_partition(scn).rows
+        kept = t > RANK_TOL
         match_dev = 0.0
-        for run in _block_chunks(n_blocks, scn.n_fibers * size * size, mats.size):
-            gap = _projectors(a[:, run], t[:, run] > RANK_TOL) - _projectors(
-                cu[:, run], cs[:, run] > RANK_TOL * top[run]
-            )
+        for w, b in _pair_runs(scn, rows.shape[1] ** 2, basis):
+            # the space's fibers on the block rows, against the components'
+            ak = a[w, b] * kept[w, b][:, None, :]
+            comps = basis[w[:, None], rows[b]] @ kv[w, b]
+            gap = ak @ ak.conj().swapaxes(1, 2) - comps @ comps.conj().swapaxes(1, 2)
             match_dev = max(match_dev, float(np.max(np.abs(gap))))
         if match_dev > tol:
             raise TheoremViolationError(
@@ -476,22 +427,6 @@ def check_decomposable(
                 details={"component_match_deviation": match_dev},
             )
     return DecomposabilityReport(decomposable, worst, match_dev)
-
-
-def _projectors(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Projectors onto the kept columns of a stack of orthonormal columns."""
-    v = u * keep[..., None, :]
-    return v @ v.conj().swapaxes(-1, -2)
-
-
-def stacked_block_rows(scn: Scenario) -> np.ndarray:
-    """Weighted stacked rows of each block, shape (n_blocks, block rows).
-
-    In block-position order, each block's rows increasing: a stacked row
-    ``k * len(orbit_reps) + c`` belongs to the block of its annihilator
-    coordinate k.  Read off the verified :func:`dual_partition`.
-    """
-    return dual_partition(scn).rows
 
 
 # -- cross-check in the sequence space over the group -------------------------
@@ -514,6 +449,8 @@ def sequence_extra_invariance(
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"basis must have {n} rows")
+    if not np.all(np.isfinite(basis)):
+        raise ValueError("basis must be finite")
     q = _euclid_orth(basis)
 
     def shift(el, mat):

@@ -129,7 +129,11 @@ class FiniteAbelianGroup:
         """Matrix of pairings ``[i, j] -> pairing(xs[i], xis[j])``."""
         a = np.array([self.reduce(x) for x in xs], dtype=np.int64)
         b = np.array([self.reduce(x) for x in xis], dtype=np.int64)
-        return np.exp(2j * np.pi * self.phase_numerators(a, b) / self._lcm)
+        return self.characters(a, b)
+
+    def characters(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+        """``[i, j] = pairing(xs[i], xis[j])`` for reduced coordinate rows."""
+        return np.exp(2j * np.pi * self.phase_numerators(xs, xis) / self._lcm)
 
 
 class Subgroup:

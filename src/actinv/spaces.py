@@ -1,11 +1,19 @@
 """Subspaces of the weighted function space and invariance machinery.
 
-A :class:`Subspace` stores an orthonormal frame for the weighted inner
-product.  Numerical work happens in *weighted coordinates*: scaling a
-function's entries by ``weights ** 0.5`` turns the weighted inner product
-into the Euclidean one, so ranks, projectors and singular values can use
-plain linear algebra.  Frames are stored unscaled (as functions on the
-point set).
+A :class:`Subspace` is held by a weighted-orthonormal frame or, when it is
+base-invariant, by its range function: one orthonormal basis per Zak fiber
+in weighted stacked coordinates (:func:`fiber_matrices`), as one
+zero-padded (n_fibers, rows, r_max) array.  The fiber builders produce the
+range function and assemble the frame only when it is read; a frame-given
+space gets one at the base gate (:func:`require_base_invariant`).
+A translation acts on the range function as a modulation of each fiber's
+rows (:func:`_modulations`); only a frame-given space is translated in point
+space, and only until it passes the base gate.
+
+Numerical work happens in *weighted coordinates*: scaling a function's
+entries by ``weights ** 0.5`` turns the weighted inner product into the
+Euclidean one, so ranks and singular values can use plain linear algebra.
+Frames are stored unscaled (as functions on the point set).
 """
 from __future__ import annotations
 
@@ -63,12 +71,16 @@ def _euclid_orth(
     return u[:, : int(np.sum(s > max(tol * s[0], floor)))]
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace given by a weighted-orthonormal frame of columns."""
+    """A subspace given by a weighted-orthonormal frame of columns.
 
-    scenario: Scenario
-    frame: np.ndarray  # (n_points, dim)
+    A fiber-built space (:meth:`from_fibers`) is given by its range
+    function instead, and assembles its frame on first access.
+    """
+
+    def __init__(self, scenario: Scenario, frame: np.ndarray):
+        self.scenario = scenario
+        self.frame = frame  # (n_points, dim)
 
     @classmethod
     def span(
@@ -86,27 +98,36 @@ class Subspace:
         return cls(scn, np.zeros((scn.action.n_points, 0), dtype=complex))
 
     @classmethod
-    def from_fibers(
-        cls, scn: Scenario, fibers: np.ndarray, vecs: np.ndarray
-    ) -> "Subspace":
-        """The subspace whose fibers are spanned by the given orthonormal vectors.
+    def from_fibers(cls, scn: Scenario, basis: np.ndarray) -> "Subspace":
+        """The base-invariant subspace with the given range function.
 
-        Column j of ``vecs`` is a unit vector in weighted stacked coordinates
-        at fiber position ``fibers[j]``; vectors at the same fiber must be
-        mutually orthogonal.  Frame column j is the function whose stacked
-        Zak values are that vector at that fiber and zero elsewhere, scaled
-        by ``n_fibers ** 0.5`` to unit norm, so the frame is
-        weighted-orthonormal.  One inverse transform builds every column.
+        ``basis[w]`` (rows, r_max) holds orthonormal columns in weighted
+        stacked coordinates spanning fiber w, then zero columns.  The frame
+        is assembled on first access: column j is the function whose stacked
+        Zak values are the j-th nonzero column, fiber by fiber, at its fiber
+        and zero elsewhere, scaled by ``n_fibers ** 0.5`` to unit norm, so
+        the frame is weighted-orthonormal.  One inverse transform builds it.
         """
-        if fibers.size == 0:
-            return cls.zero(scn)
-        stacked = np.zeros((scn.n_fibers, vecs.shape[0], fibers.size), dtype=complex)
-        stacked[fibers, :, np.arange(fibers.size)] = vecs.T * np.sqrt(scn.n_fibers)
-        return cls(scn, fibers_from_matrix(scn, stacked))
+        space = cls.__new__(cls)
+        space.scenario, space._basis = scn, basis
+        return space
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        scn, (fibers, slot) = self.scenario, self._columns
+        stacked = np.zeros((scn.n_fibers, self._basis.shape[1], fibers.size), dtype=complex)
+        cols = self._basis[fibers, :, slot]
+        stacked[fibers, :, np.arange(fibers.size)] = cols * np.sqrt(scn.n_fibers)
+        return fibers_from_matrix(scn, stacked)
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fiber and slot of each frame column of a fiber-built space."""
+        return np.nonzero(np.any(self._basis, axis=1))
 
     @property
     def dim(self) -> int:
-        return self.frame.shape[1]
+        return self.frame.shape[1] if "frame" in vars(self) else self._columns[0].size
 
     @cached_property
     def _root(self) -> np.ndarray:
@@ -116,20 +137,6 @@ class Subspace:
     @cached_property
     def _weighted_frame(self) -> np.ndarray:
         return self.frame * self._root
-
-    @cached_property
-    def _fibers(self) -> np.ndarray:
-        """The frame's :func:`fiber_matrices`, read-only: the one memo of the
-        space's Zak side, which the fiber bases and both checks read."""
-        mats = fiber_matrices(self.scenario, self.frame)
-        mats.flags.writeable = False
-        return mats
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector in weighted coordinates (Hermitian, idempotent)."""
-        q = self._weighted_frame
-        return q @ q.conj().T
 
     def project(self, f: np.ndarray) -> np.ndarray:
         q = self._weighted_frame
@@ -196,8 +203,8 @@ def span_invariant(
     cut by :func:`_fiber_cut`, gives an orthonormal basis of every fiber.
     The nonzero singular values are exactly those of the point-space matrix
     of every subgroup translate of every generator, so the cut, hence the
-    dimension, is the one a rank cut of that matrix makes.  The frame is
-    assembled from the kept vectors by :meth:`Subspace.from_fibers`.
+    dimension, is the one a rank cut of that matrix makes.  The kept
+    vectors are the space's range function (:meth:`Subspace.from_fibers`).
     """
     base = scn.base
     if subgroup is None:
@@ -208,19 +215,21 @@ def span_invariant(
     if mat.shape[1] == 0:
         return Subspace.zero(scn)
     moved = [mat] + [translate(scn.action, a, mat) for a in _section(scn, subgroup)[1:]]
-    u, s, _ = np.linalg.svd(fiber_matrices(scn, np.hstack(moved)), full_matrices=False)
-    fibers, idx = np.nonzero(_fiber_cut(s))
-    return Subspace.from_fibers(scn, fibers, u[fibers, :, idx].T)
+    return Subspace.from_fibers(scn, _fiber_cut(fiber_matrices(scn, np.hstack(moved))))
 
 
-def _fiber_cut(s: np.ndarray) -> np.ndarray:
-    """The rank cut of fiber bases: which of the singular values count.
+def _fiber_cut(mats: np.ndarray) -> np.ndarray:
+    """The rank cut of fiber bases, as a range function.
 
-    ``s`` holds the singular values of every fiber matrix of a space
-    (n_fibers, k); those above ``RANK_TOL`` times the largest over all
-    fibers count, so a fiber carrying nothing but roundoff is empty.
+    ``mats`` holds the fiber matrices of a space (n_fibers, rows, k).  Their
+    left singular vectors count when their singular values are above
+    ``RANK_TOL`` times the largest over all fibers, so a fiber carrying
+    nothing but roundoff is empty; cut columns are zeroed, and the result
+    is as wide as the widest fiber.
     """
-    return s > RANK_TOL * np.max(s, initial=0.0)
+    u, s, _ = np.linalg.svd(mats, full_matrices=False)
+    keep = s > RANK_TOL * np.max(s, initial=0.0)
+    return (u * keep[:, None, :])[:, :, : int(np.max(np.sum(keep, axis=1), initial=0))]
 
 
 def _section(scn: Scenario, subgroup: Subgroup) -> tuple:
@@ -239,31 +248,54 @@ def _probes(subgroup: Subgroup) -> tuple:
     return tuple(subgroup.generators) or (subgroup.group.zero,)
 
 
-def _probe_maps(space: Subspace, probes: tuple) -> tuple[float, np.ndarray, np.ndarray]:
-    """The frame's translation maps for the probes, memoised on ``space``.
+def _residual(space: Subspace, g) -> float:
+    """Largest distance from the space of a unit vector of it translated by g.
 
-    In weighted coordinates, with ``q`` the frame and ``T`` a probe's
-    translation: ``C = q^H T(q)`` (the part of the moved frame inside the
-    space, in coefficients on the frame) and the residual Gram
-    ``G = R^H R`` of ``R = T(q) - q C`` (the part outside), each of shape
-    (probes, dim, dim), together with the worst residual
-    ``max over probes of sqrt(lambda_max(G))``.  The frame is translated
-    once per probe list (keyed by the probe tuple, i.e. the subgroup's
-    generators), whatever asks for it.
+    Memoised on ``space`` per probe.  A space with a range function reads
+    it off its fiber bases under g's modulation (:func:`_moved`); a
+    frame-given space translates its frame in point space and takes the top
+    singular value of its part outside the space, in weighted coordinates.
     """
     memo = vars(space).setdefault("_invariance", {})
-    maps = memo.get(probes)
-    if maps is None:
-        action = space.scenario.action
-        moved = np.stack([translate(action, g, space.frame) for g in probes])
-        moved = moved * space._root
-        q = space._weighted_frame
-        inside = q.conj().T @ moved  # (probes, dim, dim)
-        resid = moved - q @ inside  # (probes, n_points, dim)
-        gram = resid.conj().swapaxes(1, 2) @ resid
-        top = np.max(np.linalg.eigvalsh(gram))
-        maps = memo[probes] = (float(np.sqrt(max(top, 0.0))), inside, gram)
-    return maps
+    if g not in memo:
+        basis = vars(space).get("_basis")
+        if basis is not None:
+            _, out = _moved(_modulations(space.scenario, (g,))[0], basis)
+            memo[g] = float(np.max(np.linalg.svd(out, compute_uv=False), initial=0.0))
+        else:
+            q = space._weighted_frame
+            moved = translate(space.scenario.action, g, space.frame) * space._root
+            memo[g] = float(np.linalg.norm(moved - q @ (q.conj().T @ moved), 2))
+    return memo[g]
+
+
+def _modulations(scn: Scenario, probes: tuple) -> np.ndarray:
+    """Each probe's translation on the range function, (probes, n_fibers, rows).
+
+    Translating by e multiplies the full Zak value at the dual element h
+    by ``pairing(e, h)``, so it multiplies stacked row ``k * reps + c`` of
+    fiber w by ``pairing(e, omega[w] + annihilator_order[k])``.
+    """
+    group = scn.group
+    dual = group.coords[scn.dual_unsplit.ravel()]
+    chars = group.characters(np.array(probes, dtype=np.int64), dual)
+    chars = chars.reshape(len(probes), scn.n_fibers, scn.n_cosets)
+    return np.repeat(chars, len(scn.tiling.orbit_reps), axis=2)
+
+
+def _moved(d: np.ndarray, basis: np.ndarray):
+    """A modulation's action on the fiber bases, split along them.
+
+    ``basis`` (n_fibers, rows, r) holds orthonormal or zero columns B per
+    fiber; the modulation d (n_fibers, rows) multiplies their rows.  Returns,
+    per fiber, ``N = B^H d B`` (the part of d B inside the span, in
+    coefficients on B) and the part outside, ``d B - B N``, whose top
+    singular value is the largest distance from the span of a modulated
+    unit vector of it.
+    """
+    moved = d[..., None] * basis
+    inside = basis.conj().swapaxes(-1, -2) @ moved
+    return inside, moved - basis @ inside
 
 
 def is_invariant(
@@ -274,26 +306,44 @@ def is_invariant(
     Tests the subgroup's generators (enough, since the translations form a
     representation and generators reach everything).  Returns the verdict
     and the worst residual: the largest distance from the space of a
-    translated unit vector of the space, maximised over the probes.  That
-    is the largest singular value of each probe's residual block, computed
-    as the root of the top eigenvalue of its dim x dim Gram matrix, so it
-    does not depend on which orthonormal frame the space has.  It does not
-    depend on ``tol`` either; it comes from :func:`_probe_maps`, memoised on
-    ``space`` per probe list, so the checks that each ask for base
-    invariance translate the frame once.
+    translated unit vector of the space, maximised over the probes, which
+    does not depend on ``tol`` or on a choice of basis.  A space with a
+    range function (fiber-built, or past the base gate) reads it off its
+    fiber bases under the probes' modulations; a frame-given space
+    translates its frame in point space, once per probe, the only route
+    valid before the space is known to be base-invariant (:func:`_residual`).
     """
     if space.dim == 0:
         return True, 0.0
-    worst = _probe_maps(space, _probes(subgroup))[0]
+    worst = max(_residual(space, g) for g in _probes(subgroup))
     return worst <= tol, worst
 
 
-def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> None:
-    ok, res = is_invariant(space, space.scenario.base, tol)
+def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The space's range function; ``InvarianceError`` if it is not base-invariant.
+
+    A frame-given space passes when its point-space residual is at most
+    ``tol`` and its fibers hold its whole dimension: the ranks of its
+    frame's fiber matrices, cut by :func:`_fiber_cut`, sum to ``dim``.
+    That cut basis (cut columns zeroed) then becomes its range function,
+    and every later residual is read off it.
+    """
+    scn = space.scenario
+    ok, res = is_invariant(space, scn.base, tol)
     if not ok:
         raise InvarianceError(
             f"subspace is not invariant under the base subgroup (residual {res:.3e})"
         )
+    if "_basis" not in vars(space):
+        basis = _fiber_cut(fiber_matrices(scn, space.frame))
+        total = np.count_nonzero(np.any(basis, axis=1))
+        if total != space.dim:
+            raise InvarianceError(
+                f"subspace fibers have {total} dimensions, the space has {space.dim}"
+            )
+        space._basis = basis
+        vars(space).pop("_invariance", None)  # from now on the range function answers
+    return space._basis
 
 
 # -- principal (single-generator) spaces --------------------------------------
@@ -385,7 +435,8 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     w, _, d = fiber_cols.shape
     split = scn.dual_split
     # the stacked inverse with the weights folded in: one gather, one scaling
-    full = fiber_cols.reshape(w, scn.n_cosets, -1, d)[split[:, 0], split[:, 1]]
+    stacked = fiber_cols.reshape(w, scn.n_cosets, len(scn.tiling.orbit_reps), d)
+    full = stacked[split[:, 0], split[:, 1]]
     full *= np.sqrt(scn.n_cosets / scn.rep_weights)[:, None]
     return zak_full_inv(scn, full)
 
@@ -393,32 +444,21 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
 def length(space: Subspace) -> int:
     """Largest fiber dimension of a base-invariant subspace.
 
-    Fiber ranks are cut by :func:`_fiber_cut`.  This is the least number of
+    The width of its range function.  This is the least number of
     generators realizing the space; see :func:`fiber_generators` for an
     explicit realization.
     """
-    require_base_invariant(space)
-    if space.dim == 0:
-        return 0
-    svals = np.linalg.svd(space._fibers, compute_uv=False)
-    return int(np.max(np.sum(_fiber_cut(svals), axis=1)))
+    return require_base_invariant(space).shape[2]
 
 
 def fiber_generators(space: Subspace) -> list[np.ndarray]:
     """``length(space)`` functions whose invariant span recovers the space.
 
-    Built fiberwise: an orthonormal basis of every fiber is distributed
+    Built fiberwise: the range function's basis vectors are distributed
     across the generators (generator j takes the j-th basis vector of each
     fiber, where present), so the generators' fibers span every fiber of
-    the space.  The bases come from one batched SVD of the fiber matrices,
-    cut by :func:`_fiber_cut`; cut columns are zeroed.
+    the space.
     """
-    require_base_invariant(space)
-    scn = space.scenario
-    if space.dim == 0:
-        return []
-    u, s, _ = np.linalg.svd(space._fibers, full_matrices=False)
-    keep = _fiber_cut(s)
-    width = int(np.max(np.sum(keep, axis=1)))
-    gens = fibers_from_matrix(scn, (u * keep[:, None, :])[:, :, :width])
-    return [gens[:, j] for j in range(width)]
+    basis = require_base_invariant(space)
+    gens = fibers_from_matrix(space.scenario, basis)
+    return [gens[:, j] for j in range(basis.shape[2])]

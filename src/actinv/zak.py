@@ -38,7 +38,8 @@ plain index translation, and their discrete Fourier transform recovers the
 full Zak values at the negated dual element.
 
 Every function accepts a trailing batch axis: 2-D input transforms
-columnwise.
+columnwise.  Every inverse refuses a wrong leading shape and non-finite
+values with ``ValueError``.
 """
 from __future__ import annotations
 
@@ -78,13 +79,25 @@ def _gathered(table, f: np.ndarray) -> np.ndarray:
     return values * jhalf.reshape(jhalf.shape + (1,) * (values.ndim - 2))
 
 
+def _checked(values, **counts: int) -> np.ndarray:
+    """``values`` as a complex array; ``ValueError`` unless its leading axes
+    have the sizes ``counts`` names (what each axis counts) and it is finite."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape[: len(counts)] != tuple(counts.values()):
+        names = " x ".join(f"{n} {noun.replace('_', ' ')}" for noun, n in counts.items())
+        raise ValueError(f"expected {names}, got shape {values.shape}")
+    if not (np.isfinite(values.real).all() and np.isfinite(values.imag).all()):
+        raise ValueError("transform values must be finite")
+    return values
+
+
 def _scattered(scn: Scenario, table, samples: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_gathered`: the function with those weighted samples."""
     gather, jhalf = table
     batch = samples.shape[2:]
     f = np.empty((scn.action.n_points,) + batch, dtype=complex)
     scale = jhalf.reshape(jhalf.shape + (1,) * len(batch))
-    f[gather.ravel()] = (samples / scale).reshape((-1,) + batch)
+    f[gather.ravel()] = (samples / scale).reshape((gather.size,) + batch)
     return f
 
 
@@ -110,7 +123,7 @@ def zak_base(scn: Scenario, f: np.ndarray) -> np.ndarray:
 
 
 def zak_base_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
+    values = _checked(values, fibers=scn.n_fibers, tile_points=len(scn.tiling.tiles))
     chars = scn.chars_base_omega  # [g, w] = pairing(-base[g], omega[w])
     a = np.tensordot(np.conj(chars), values, axes=(1, 0)) / scn.base.order
     return _scattered(scn, scn._base_gather, a)
@@ -122,8 +135,9 @@ def zak_full(scn: Scenario, f: np.ndarray) -> np.ndarray:
 
 
 def zak_full_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
-    a = _group_dft(scn.group, values, inverse=True)
-    return _scattered(scn, scn._full_gather, a)
+    reps = len(scn.tiling.orbit_reps)
+    values = _checked(values, dual_elements=scn.group.order, orbits=reps)
+    return _scattered(scn, scn._full_gather, _group_dft(scn.group, values, inverse=True))
 
 
 def zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
@@ -137,7 +151,8 @@ def zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
 
 
 def zak_stacked_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
+    reps = len(scn.tiling.orbit_reps)
+    values = _checked(values, fibers=scn.n_fibers, cosets=scn.n_cosets, orbits=reps)
     split = scn.dual_split
     full = values[split[:, 0], split[:, 1]] * np.sqrt(scn.n_cosets)
     return zak_full_inv(scn, full)
@@ -149,8 +164,9 @@ def unfold_orbits(scn: Scenario, f: np.ndarray) -> np.ndarray:
 
 
 def fold_orbits(scn: Scenario, phi: np.ndarray) -> np.ndarray:
-    orbit = np.moveaxis(np.asarray(phi, dtype=complex), 1, 0)
-    return _scattered(scn, scn._unfold_gather, orbit)
+    reps = len(scn.tiling.orbit_reps)
+    phi = _checked(phi, orbits=reps, group_elements=scn.group.order)
+    return _scattered(scn, scn._unfold_gather, np.moveaxis(phi, 1, 0))
 
 
 # -- norms under the transform conventions ------------------------------------

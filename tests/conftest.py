@@ -20,7 +20,6 @@ from actinv import (
     mask_apply,
     span_invariant,
 )
-from actinv.extra import stacked_block_rows
 from actinv.spaces import fibers_from_matrix
 
 SCENARIO_NAMES = [
@@ -116,7 +115,7 @@ def random_block_supported_space(scn, rng, ell):
     for w in range(scn.n_fibers):
         for j in range(ell):
             pos = int(rng.integers(0, scn.n_blocks))
-            sel = stacked_block_rows(scn)[pos]
+            sel = dual_partition(scn).rows[pos]
             stacked[w, sel, j] = rng.standard_normal(sel.size) + 1j * rng.standard_normal(
                 sel.size
             )

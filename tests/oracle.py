@@ -18,10 +18,11 @@ block, with the pooling, ordering and rank floor spelled out in Python.
 
 The invariant span reference translates the generators by every element of
 the subgroup and cuts the rank of all those columns at once, in point
-space.  The extra-invariance references take the point-space route: a pivoted-QR
-rank cut of every block's mask image, the dense sum of the components'
-n x n projectors, and per-fiber bases with their block residuals and
-projector matches, all in Python loops over blocks and fibers.  The
+space.  The extra-invariance references take the point-space route: the
+frame translated by each probe, a pivoted-QR rank cut of every block's
+mask image, the dense sum of the components' n x n projectors, and
+per-fiber bases with their block residuals and projector matches, all in
+Python loops over blocks and fibers.  The
 fiberized range-function check unfolds orbit samples into sequences over
 the group.  Both are too slow for large groups and meant for test sizes.
 
@@ -265,6 +266,29 @@ def _worst_direction(resid):
     return float(np.linalg.norm(resid, 2)) if resid.size else 0.0
 
 
+def projector(space):
+    """The space's n x n orthogonal projector in weighted coordinates."""
+    q = space.frame * np.sqrt(space.scenario.action.weights)[:, None]
+    return q @ q.conj().T
+
+
+def translation_residual(space, subgroup):
+    """Worst unit direction of the space moved out by a generator of the subgroup.
+
+    The frame translated in point space by each generator (zero for the
+    trivial subgroup), its part outside the space in weighted coordinates,
+    and the largest singular value of that part, the largest over probes.
+    """
+    scn = space.scenario
+    root = np.sqrt(scn.action.weights)[:, None]
+    q = space.frame * root
+    worst = 0.0
+    for g in tuple(subgroup.generators) or (scn.group.zero,):
+        moved = translate(scn.action, g, space.frame) * root
+        worst = max(worst, _worst_direction(moved - q @ (q.conj().T @ moved)))
+    return worst
+
+
 def point_space_span(scn, generators, subgroup, tol=RANK_TOL):
     """The invariant span in point space: every subgroup translate, one rank cut."""
     mat = np.asarray(generators, dtype=complex)
@@ -280,7 +304,10 @@ def point_space_checks(scn, space, tol=1e-9):
     inclusion residual is the worst unit direction of the component's part
     outside the space, and when every component is included the deviation
     is the largest entry of the space's n x n projector minus the
-    components'.  Fiber side: per fiber, a pivoted-QR basis cut at
+    components', and the component law the worst translation residual of a
+    component's frame under the base and extra generators.  Translation
+    side: :func:`translation_residual` of the space under the extra
+    generators.  Fiber side: per fiber, a pivoted-QR basis cut at
     ``RANK_TOL`` of the largest fiber singular value; per block, the worst
     unit direction of the masked basis outside the fiber space, and when
     every block passes, the largest gap between the projectors of the
@@ -295,15 +322,25 @@ def point_space_checks(scn, space, tol=1e-9):
     inclusion = [_worst_direction(c - qs @ (qs.conj().T @ c)) for c in comps]
     out = {
         "extra_invariant": all(r <= tol for r in inclusion),
+        "translation_residual": translation_residual(space, scn.extra),
         "component_dims": tuple(c.shape[1] for c in comps),
         "inclusion_residuals": inclusion,
         "decomposition_deviation": None,
+        "component_invariance_residual": None,
         "block_residual": 0.0,
         "component_match_deviation": None,
     }
     if out["extra_invariant"]:
         total = sum(c @ c.conj().T for c in comps)
         out["decomposition_deviation"] = float(np.max(np.abs(qs @ qs.conj().T - total)))
+        out["component_invariance_residual"] = max(
+            (
+                translation_residual(Subspace(scn, c / root), sub)
+                for c in comps
+                for sub in (scn.base, scn.extra)
+            ),
+            default=0.0,
+        )
     if space.dim == 0:
         out["decomposable"] = True
         return out

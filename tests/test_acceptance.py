@@ -193,7 +193,7 @@ def test_c7_canonical_construction(bank):
         # the identity-label component is the whole space
         part = dual_partition(scn)
         comp = masked_component(scn, space, part.labels[0])
-        dev = np.max(np.abs(comp.projector - space.projector))
+        dev = np.max(np.abs(oracle.projector(comp) - oracle.projector(space)))
         assert dev < PROJECTOR_TOL
 
 

@@ -210,8 +210,7 @@ def test_stacked_block_masks_follow_block_coordinates(scn):
     """Each block's stacked rows are the rows of the annihilator coordinates
     labelled with that block, increasing, and the blocks split the rows."""
     c = len(scn.tiling.orbit_reps)
-    rows = extra_mod.stacked_block_rows(scn)
-    assert rows is dual_partition(scn).rows
+    rows = dual_partition(scn).rows
     assert rows.shape == (scn.n_blocks, scn.n_cosets * c // scn.n_blocks)
     assert np.array_equal(np.sort(rows, axis=None), np.arange(scn.n_cosets * c))
     for pos, keep in enumerate(rows):
@@ -220,116 +219,126 @@ def test_stacked_block_masks_follow_block_coordinates(scn):
         assert np.array_equal(keep, sel)
 
 
+def _counted(monkeypatch, module, name, calls):
+    """Patch ``module.name`` to log the shape of its input, or its probe."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((name, args[1] if name == "translate" else np.shape(args[1])))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_checks_share_one_mask_per_block(scn, monkeypatch):
-    """A check pair transforms each space once and makes one mask-side SVD.
+    """A check pair on a fiber-built space reads nothing but its range function.
 
-    One ``zak_full`` of the frame in any module: both checks read the
-    frame's fiber matrices, memoised on the space.
-    The mask side is one batched SVD of the block-row stack, shape
-    (n_blocks, min(block rows, dim), dim), shared by both checks and by the inner
-    extra-invariance check of ``check_decomposable``: a second check pair on
-    the same space repeats every SVD call except that one.
+    No transform, inverse transform or translation runs (the frame is never
+    assembled).  One SVD of the block rows of every fiber basis, shape
+    (n_fibers, n_blocks, block rows, r_max), is shared by both checks and
+    by the inner extra-invariance check of ``check_decomposable``; every
+    other SVD is of a residual of the whole basis or of a small per-block
+    matrix, and a second check pair on the same space makes none at all.
     """
-    transforms, svds = [], []
-    zak_full, svd = extra_mod.zak_full, np.linalg.svd
-
-    def counted_zak(*args, **kwargs):
-        transforms.append(args[1].shape)
-        return zak_full(*args, **kwargs)
-
-    def counted_svd(a, *args, **kwargs):
-        svds.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(extra_mod, "zak_full", counted_zak)
-    monkeypatch.setattr(zak_mod, "zak_full", counted_zak)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(8)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
-    rows = scn.group.order // scn.n_blocks * len(scn.tiling.orbit_reps)  # per block
-    for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
+    spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
+    calls = []
+    for module in (zak_mod, spaces_mod, extra_mod):
+        for name in ("zak_full", "zak_full_inv", "zak_stacked", "zak_stacked_inv"):
+            if hasattr(module, name):
+                _counted(monkeypatch, module, name, calls)
+    _counted(monkeypatch, spaces_mod, "translate", calls)
+    svd = np.linalg.svd
+    svds = []
+
+    def counted_svd(a, *args, **kwargs):
+        svds.append((a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    size = dual_partition(scn).rows.shape[1]
+    for space in spaces:
         runs = []
         for _ in range(2):
-            transforms.clear()
             svds.clear()
             check_extra_invariance(scn, space)
             check_decomposable(scn, space)
-            runs.append((list(transforms), Counter(svds)))
-        (cold_zak, cold_svd), (warm_zak, warm_svd) = runs
-        assert cold_zak == [space.frame.shape] and warm_zak == []
-        # a tall stack goes through the SVD as its R factor
-        stack = (scn.n_blocks, min(rows, space.dim), space.dim)
-        assert cold_svd - warm_svd == Counter({stack: 1})
-        assert not warm_svd - cold_svd
+            runs.append(Counter(shape for shape, vectors in svds if vectors))
+        cold, warm = runs
+        width = space._basis.shape[2]
+        split = (scn.n_fibers, scn.n_blocks, size, width)
+        moved = (scn.n_fibers, size * scn.n_blocks, width)  # one modulated basis
+        assert cold[split] == 1 and set(cold) <= {split, moved} and not warm
+        assert "frame" not in vars(space)
+    assert calls == []
 
 
 def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
-    """Each probe's translation test runs once per space, whatever asks for it.
+    """Only a frame-given space is translated, and only at the base gate.
 
     ``check_extra_invariance``, ``check_decomposable`` and its inner
-    extra-invariance check all ask for base invariance, both
-    extra-invariance checks for the extra translation test, and the
-    component law for both; a cold check pair translates the frame once per
-    base and extra probe and nothing else (no component frame), a warm one
-    nothing at all.
+    extra-invariance check all ask for base invariance: a cold check pair
+    on a frame-given space translates its frame once per base probe and
+    takes one transform of it (for its range function), a warm one
+    nothing at all; a fiber-built space is never translated.
     """
     rng = np.random.default_rng(10)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = [span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)]
-    probes = [
-        tuple(sub.generators) or (scn.group.zero,) for sub in (scn.base, scn.extra)
-    ]
-    moved = []
-    translate = spaces_mod.translate
-
-    def counted(action, g, mat):
-        moved.append((g, mat is space.frame))
-        return translate(action, g, mat)
-
-    monkeypatch.setattr(spaces_mod, "translate", counted)
+    probes = tuple(scn.base.generators) or (scn.group.zero,)
+    calls = []
+    _counted(monkeypatch, spaces_mod, "translate", calls)
+    _counted(monkeypatch, zak_mod, "zak_full", calls)
     for space in spaces:
-        runs = []
-        for _ in range(2):
-            moved.clear()
-            check_extra_invariance(scn, space)
-            check_decomposable(scn, space)
-            runs.append(Counter(moved))
-        cold, warm = runs
-        assert cold == Counter((g, True) for g in probes[0] + probes[1])
-        assert not warm
+        given = Subspace(scn, space.frame)
+        for subject, want in ((space, []), (given, [("zak_full", space.frame.shape)])):
+            runs = []
+            for _ in range(2):
+                calls.clear()
+                check_extra_invariance(scn, subject)
+                check_decomposable(scn, subject)
+                runs.append(list(calls))
+            cold, warm = runs
+            moved = [("translate", g) for g in probes] if subject is given else []
+            assert cold == moved + want and warm == []
 
 
 def test_component_law_matches_translated_components(scn):
-    """The invariance law of a subspace of the space, read off the frame's
-    maps, against translating its frame ``frame @ v`` in point space.
+    """The component law, read off the range function, against translating
+    each component in point space.
 
-    For the block components (on spaces that are not extra-invariant they
-    move by O(1)) and for random subspaces, which also move inside the
-    space; the probes are the base and extra generators.
+    For the block components of a space (kept directions of the block-row
+    SVD; on spaces that are not extra-invariant they move by O(1)) and for
+    random subspaces of its fibers, one per block: ``_component_law`` under
+    the base and extra generators equals the largest singular value of the
+    translated frame's residual in point space, and so does ``_moved`` for
+    the space itself.
     """
     rng = np.random.default_rng(18)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
+    subs = (scn.base, scn.extra)
+    mods = spaces_mod._modulations(scn, sum((spaces_mod._probes(h) for h in subs), ()))
     for space in spaces:
-        s, vh, _ = extra_mod._mask_side(scn, space)
-        parts = [vh[b, s[b] > 1e-10].conj().T for b in range(scn.n_blocks)]
-        for k in range(1, space.dim):
-            shape = (space.dim, k)
-            mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            parts.append(np.linalg.qr(mat)[0])
-        maps = [
-            spaces_mod._probe_maps(space, spaces_mod._probes(sub))
-            for sub in (scn.base, scn.extra)
-        ]
-        inside = np.concatenate([m[1] for m in maps])
-        gram = np.concatenate([m[2] for m in maps])
-        for v in parts:
-            part = Subspace(scn, space.frame @ v)
-            want = max(is_invariant(part, sub)[1] for sub in (scn.base, scn.extra))
-            got = extra_mod._within_residual(inside, gram, v)
+        basis = space._basis
+        outs = [spaces_mod._moved(d, basis)[1] for d in mods]
+        moved = max(float(np.max(np.linalg.svd(out, compute_uv=False))) for out in outs)
+        want = max(oracle.translation_residual(space, h) for h in subs)
+        assert moved == pytest.approx(want, abs=1e-12)
+        kv = extra_mod._split(scn, space, basis)[2]
+        width = basis.shape[2]
+        shape = (scn.n_fibers, scn.n_blocks, width, width)
+        mix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for coeffs in (kv, np.linalg.qr(mix)[0][..., : 1 + width // 2]):
+            got = extra_mod._component_law(scn, basis, coeffs)
+            parts = [basis @ coeffs[:, b] for b in range(scn.n_blocks)]
+            want = max(
+                oracle.translation_residual(Subspace.from_fibers(scn, p), h)
+                for p in parts
+                for h in subs
+            )
             assert got == pytest.approx(want, abs=1e-12)
-        laws = [extra_mod._within_residual(inside, gram, v) for v in parts]
-        assert extra_mod._component_residual(scn, space) == max(laws[: scn.n_blocks])
 
 
 def test_check_pair_memory_stays_within_the_zak_values():
@@ -353,6 +362,36 @@ def test_check_pair_memory_stays_within_the_zak_values():
         tracemalloc.stop()
     assert space.dim == 1 and not ext.extra_invariant and not dec.decomposable
     assert peak < 4 * 2**20, peak
+
+
+def test_extra_spanned_check_pair_stays_within_the_range_function():
+    """Z_64 x Z_64 on 2 orbits, base <(8,0),(0,8)>, extra <(4,0),(0,4)>.
+
+    The extra-spanned space has dim 512, 8 per fiber: its frame alone
+    takes 64 MiB, its range function 1 MiB.  The check pair reads the
+    range function only, so it peaks far below the frame and leaves the
+    frame unassembled.
+    """
+    rng = np.random.default_rng(29)
+    g = FiniteAbelianGroup([64, 64])
+    weights = np.exp(rng.uniform(0.0, np.log(1e3), 2 * g.order))
+    act = ActionSpace.regular(g, orbits=2, weights=weights)
+    scn = Scenario(g, Subgroup(g, [(8, 0), (0, 8)]), Subgroup(g, [(4, 0), (0, 4)]), act)
+    shape = (act.n_points, 2)
+    gens = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    space = span_invariant(scn, gens, scn.extra)
+    dual_partition(scn)  # the scenario's own tables, built once
+    tracemalloc.start()
+    try:
+        ext = check_extra_invariance(scn, space)
+        dec = check_decomposable(scn, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 512 and ext.extra_invariant and dec.decomposable
+    assert ext.component_dims == (128, 128, 128, 128)
+    assert "frame" not in vars(space)
+    assert peak < 64 * 2**20, peak
 
 
 def test_dual_partition_holds_one_label_per_dual_element():
@@ -379,18 +418,45 @@ def test_dual_partition_holds_one_label_per_dual_element():
 
 
 def test_reports_do_not_depend_on_the_memo(scn):
+    """Reports are the same cold, warm and on a fresh copy, also when the
+    cold copy was asked for its extra invariance before the base gate; a
+    frame-given space keeps its range function, the block split and one
+    residual per base and extra probe, and the fiber-built original agrees
+    with it in every verdict and dimension."""
     rng = np.random.default_rng(9)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    probes = {g for h in (scn.base, scn.extra) for g in spaces_mod._probes(h)}
     for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
         cold = Subspace(scn, space.frame)
-        assert "_mask_side" not in vars(cold) and "_invariance" not in vars(cold)
+        assert not {"_basis", "_split", "_invariance"} & set(vars(cold))
+        is_invariant(cold, scn.extra)  # in point space, before the base gate
         first = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
-        assert "_mask_side" in vars(cold) and len(vars(cold)["_invariance"]) == 2
+        assert "_basis" in vars(cold) and "_split" in vars(cold)
+        assert set(vars(cold)["_invariance"]) == probes
         warm = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
         fresh = Subspace(scn, space.frame)
         again = (check_extra_invariance(scn, fresh), check_decomposable(scn, fresh))
         assert [r.as_dict() for r in first] == [r.as_dict() for r in warm]
         assert [r.as_dict() for r in first] == [r.as_dict() for r in again]
+        built = check_extra_invariance(scn, space)
+        assert built.extra_invariant == first[0].extra_invariant
+        assert built.component_dims == first[0].component_dims
+
+
+def test_frame_given_gate_needs_the_whole_dimension(chain12):
+    """A frame-given space passes the base gate only when its fibers, cut by
+    the rank rule, hold exactly its dimension, whatever its residual.
+
+    A principal space moved by 1e-6 is invariant at ``tol=1e-3``, but its
+    fibers, cut at 1e-10 of the largest, have more dimensions than it.
+    """
+    rng = np.random.default_rng(27)
+    space = span_invariant(chain12, random_function(chain12, rng))
+    noise = np.column_stack([random_function(chain12, rng) for _ in range(space.dim)])
+    moved = Subspace.span(chain12, space.frame + 1e-6 * noise)
+    assert is_invariant(moved, chain12.base, 1e-3)[0]
+    with pytest.raises(InvarianceError, match=f"the space has {space.dim}"):
+        check_extra_invariance(chain12, moved, 1e-3)
 
 
 def test_check_requires_base_invariance(chain12):
@@ -473,6 +539,16 @@ def test_sequence_oracle_requires_base_invariance(chain12):
 def test_sequence_oracle_input_validation(shear):
     with pytest.raises(ValueError):
         sequence_extra_invariance(shear, np.zeros((5, 1), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sequence_oracle_refuses_a_non_finite_basis(bank, bad):
+    """A ``ValueError`` at the boundary, not numpy's ``LinAlgError`` from the SVD."""
+    scn = bank["two_orbits"]
+    basis = np.eye(scn.group.order, dtype=complex)[:, :3]
+    basis[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sequence_extra_invariance(scn, basis)
 
 
 def test_range_function_consistency(scn):

@@ -30,9 +30,11 @@ pooled one-SVD-per-fiber-and-block reference in error (1e-12 relative),
 spectra, kept block labels and projector.
 
 Extra invariance: on the generated scenarios, both checks obey the theorem
-up to order 200, and up to order 64 they match the point-space route
-(mask images cut by pivoted QR, n x n projectors, per-fiber bases) in
-verdicts, component dimensions and worst unit directions.
+up to order 200, and up to order 64, with weights log-uniform over up to
+1e14, they match the point-space route (translated frames, mask images cut
+by pivoted QR, n x n projectors, per-fiber bases) in verdicts, component
+dimensions and worst unit directions, the translation and component-law
+residuals included.
 
 Rank cut: on matrices of planted rank (up to 200 rows, weights log-uniform
 over up to 1e14), ``orthonormal_columns`` keeps the rank and the weighted
@@ -271,7 +273,9 @@ def test_span_invariant_matches_the_point_space_span(spec, decades, count):
         assert got.dim == want.dim
         q = got.frame * root
         np.testing.assert_allclose(q.conj().T @ q, np.eye(got.dim), rtol=0, atol=RTOL)
-        np.testing.assert_allclose(got.projector, want.projector, rtol=0, atol=RTOL)
+        np.testing.assert_allclose(
+            oracle.projector(got), oracle.projector(want), rtol=0, atol=RTOL
+        )
 
 
 @settings(
@@ -361,7 +365,7 @@ def test_solvers_match_the_pooled_reference(spec, batch, ell):
                 got.dropped, dropped, rtol=RTOL, atol=RTOL * np.sqrt(energy)
             )
             assert got.kept_labels == labels
-        np.testing.assert_allclose(res.space.projector, projector, atol=RTOL)
+        np.testing.assert_allclose(oracle.projector(res.space), projector, atol=RTOL)
 
 
 @settings(
@@ -369,20 +373,22 @@ def test_solvers_match_the_pooled_reference(spec, batch, ell):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(spec=scenario_specs(max_order=POINT_SPACE_MAX_ORDER))
-@example(spec=((1,), [], [], 1, 0))
-@example(spec=((12,), [], [(1,)], 2, 4))
-@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5))
-@example(spec=((4, 8), [(2, 0)], [(1, 0), (0, 2)], 2, 6))
-def test_checks_match_the_point_space_route(spec):
-    """The Zak-side checks against mask images, QR rank cuts and n x n projectors.
+@given(spec=scenario_specs(max_order=POINT_SPACE_MAX_ORDER), decades=WEIGHT_DECADES)
+@example(spec=((1,), [], [], 1, 0), decades=0.0)
+@example(spec=((12,), [], [(1,)], 2, 4), decades=14.0)
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), decades=14.0)
+@example(spec=((4, 8), [(2, 0)], [(1, 0), (0, 2)], 2, 6), decades=14.0)
+def test_checks_match_the_point_space_route(spec, decades):
+    """The range-function checks against translates, mask images, QR rank
+    cuts and n x n projectors, with weights log-uniform over up to 1e14.
 
-    Verdicts and component dimensions are identical.  The inclusion and
-    block residuals are worst unit directions on both routes, so they agree
-    to 1e-9 whatever the basis.  On invariant spaces the masked component
-    spans ``frame @ v`` over the block's kept right singular vectors.
+    Verdicts and component dimensions are identical.  The translation,
+    inclusion, block and component-law residuals are worst unit directions
+    on both routes, so they agree to 1e-9 whatever the basis.  On invariant
+    spaces the masked component has the fibers ``basis[w] @ v`` over the
+    block's kept right singular vectors v.
     """
-    scn, rng = build(spec)
+    scn, rng = build(spec, decades)
     for kind, space, _ in theorem_cases(scn, rng):
         ext = check_extra_invariance(scn, space)
         dec = check_decomposable(scn, space)
@@ -390,6 +396,10 @@ def test_checks_match_the_point_space_route(spec):
         assert ext.extra_invariant == want["extra_invariant"], kind
         assert dec.decomposable == want["decomposable"], kind
         assert ext.component_dims == want["component_dims"], kind
+        for field in ("translation_residual", "component_invariance_residual"):
+            got, ref = getattr(ext, field), want[field]
+            assert (got is None) == (ref is None), (kind, field)
+            assert got is None or got == pytest.approx(ref, abs=1e-9), (kind, field)
         np.testing.assert_allclose(
             ext.inclusion_residuals, want["inclusion_residuals"], rtol=0, atol=1e-9
         )
@@ -397,13 +407,14 @@ def test_checks_match_the_point_space_route(spec):
         if not ext.extra_invariant:
             continue
         assert want["decomposition_deviation"] <= 1e-9
-        if space.dim:
-            assert want["component_match_deviation"] <= 1e-9
-        s, vh, _ = extra_mod._mask_side(scn, space)
+        if not space.dim:
+            continue
+        assert want["component_match_deviation"] <= 1e-9
+        basis = space._basis
+        kv = extra_mod._split(scn, space, basis)[2]
         for b, xi in enumerate(scn.block_labels):
+            zak_side = Subspace.from_fibers(scn, basis @ kv[:, b])
             comp = masked_component(scn, space, xi)
-            kept = vh[b, s[b] > oracle.RANK_TOL]
-            zak_side = Subspace(scn, space.frame @ kept.conj().T)
             assert comp.dim == zak_side.dim, kind
             assert np.max(comp.residuals(zak_side.frame), initial=0.0) <= 1e-9
             assert np.max(zak_side.residuals(comp.frame), initial=0.0) <= 1e-9

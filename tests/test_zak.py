@@ -257,3 +257,32 @@ def test_transforms_reject_a_function_of_the_wrong_length(bank, shape):
             transform(scn, f)
     with pytest.raises(ValueError, match="space has 24 points"):
         mask_apply(scn, scn.block_labels[0], f)
+
+
+@pytest.mark.parametrize(
+    "inverse, forward, counted",
+    [
+        (zak_base_inv, zak_base, "3 fibers x 8 tile points"),
+        (zak_full_inv, zak_full, "12 dual elements x 2 orbits"),
+        (zak_stacked_inv, zak_stacked, "3 fibers x 4 cosets x 2 orbits"),
+        (fold_orbits, unfold_orbits, "2 orbits x 12 group elements"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_inverse_transforms_check_their_input(bank, inverse, forward, counted):
+    """An inverse refuses values with a slot too many on a leading axis (not
+    dropping it) and non-finite values (not returning NaN), naming the
+    counts its input must have; a batch axis behind them is free."""
+    scn = bank["two_orbits"]
+    values = forward(scn, random_function(scn, np.random.default_rng(77)))
+    for axis in range(values.ndim):
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (0, 1)
+        with pytest.raises(ValueError, match=f"expected {counted}, got shape"):
+            inverse(scn, np.pad(values, pad))
+    for bad in (np.nan, np.inf):
+        broken = values.copy()
+        broken.flat[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            inverse(scn, broken)
+    assert inverse(scn, values[..., None]).shape == (scn.action.n_points, 1)
