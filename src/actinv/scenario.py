@@ -106,16 +106,23 @@ class Scenario:
 
     # -- gather tables for the transforms ------------------------------------
 
-    def _gather(self, elements: np.ndarray):
-        """Points ``sigma_t(orbit_reps[c])`` for the element indices t of ``elements``.
+    def _gather(self, elements: np.ndarray, orbit_major: bool = False):
+        """Gather plan for the points ``sigma_t(orbit_reps[c])``, t in ``elements``.
 
-        Row ``m`` runs over ``elements[m]`` (flattened) major and the orbits
-        minor; the jacobian roots are taken against row 0, which must hold
-        the zero element.  Returns the index and root tables.
-        """
+        Row ``m`` of the table runs over ``elements[m]`` (flattened) major and
+        the orbits minor, or the transpose if ``orbit_major``; jacobian roots
+        are taken against ``elements[0]``, the zero element.  The table is a
+        permutation of the points, so the flat tuple adds its inverse ``where``
+        (``where[gather.ravel()] == arange(n)``) and the reciprocal roots in
+        point order."""
         gather = self.action.point_of.T[elements].reshape(len(elements), -1)
         w = self.action.weights
-        return gather, np.sqrt(w[gather] / w[gather[0]])
+        jhalf = np.sqrt(w[gather] / w[gather[0]])
+        if orbit_major:
+            gather, jhalf = gather.T.copy(), jhalf.T.copy()
+        where = np.empty(gather.size, dtype=np.intp)
+        where[gather.ravel()] = np.arange(gather.size)
+        return gather, jhalf, where, (1.0 / jhalf.ravel())[where]
 
     @cached_property
     def _base_gather(self):
@@ -132,16 +139,17 @@ class Scenario:
 
     @cached_property
     def _unfold_gather(self):
-        """sigma_{+tau}(x) for tau in group, x in orbit_reps, plus jacobian roots."""
-        return self._gather(np.arange(self.group.order))
+        """sigma_{+tau}(x) for x in orbit_reps, tau in group, plus jacobian roots."""
+        return self._gather(np.arange(self.group.order), orbit_major=True)
 
     # -- character tables -----------------------------------------------------
 
     @cached_property
     def chars_base_omega(self) -> np.ndarray:
         """``[i, j] = pairing(-base[i], omega[j])``."""
-        negs = [self.group.neg(g) for g in self.base.elements]
-        return self.group.char_matrix(negs, list(self.omega))
+        c = self.group.coords
+        negs = -c[self.base.indices] % self.group.moduli
+        return self.group.characters(negs, c[self.dual_section.rep_indices])
 
     @property
     def coset_dft(self) -> np.ndarray:
@@ -152,8 +160,9 @@ class Scenario:
         Built on each access, not cached: it has ``n_cosets ** 2`` entries
         (``group.order ** 2`` for a trivial base) and only checks use it.
         """
-        negs = [self.group.neg(a) for a in self.transversal.representatives]
-        return self.group.char_matrix(negs, list(self.annihilator_order)).T
+        c = self.group.coords
+        negs = -c[self.transversal.rep_indices] % self.group.moduli
+        return self.group.characters(negs, c[self.base_annihilator.indices]).T
 
     # -- dual bookkeeping ------------------------------------------------------
 

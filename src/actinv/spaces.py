@@ -417,10 +417,9 @@ def fiber_matrices(scn: Scenario, vectors: np.ndarray) -> np.ndarray:
     Euclidean norms per fiber then reproduce the weighted fiber norms.
     """
     vals = zak_stacked(scn, vectors)  # (w, k, c, d)
-    root = np.sqrt(scn.rep_weights)
     if vals.ndim == 3:
         vals = vals[..., None]
-    vals = vals * root[None, None, :, None]
+    vals.view(np.float64)[...] *= np.sqrt(scn.rep_weights)[:, None]
     w, k, c, d = vals.shape
     return vals.reshape(w, k * c, d)
 
@@ -434,10 +433,10 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     """
     w, _, d = fiber_cols.shape
     split = scn.dual_split
-    # the stacked inverse with the weights folded in: one gather, one scaling
-    stacked = fiber_cols.reshape(w, scn.n_cosets, len(scn.tiling.orbit_reps), d)
-    full = stacked[split[:, 0], split[:, 1]]
-    full *= np.sqrt(scn.n_cosets / scn.rep_weights)[:, None]
+    # the stacked inverse with the weights folded in: one take, one scaling
+    rows = fiber_cols.reshape(w * scn.n_cosets, len(scn.tiling.orbit_reps), d)
+    full = np.take(rows, split[:, 0] * scn.n_cosets + split[:, 1], axis=0)
+    full.view(np.float64)[...] *= np.sqrt(scn.n_cosets / scn.rep_weights)[:, None]
     return zak_full_inv(scn, full)
 
 

@@ -26,9 +26,13 @@ dual side carries weight ``1/n_fibers`` per fiber for the base and stacked
 transforms and ``1/group.order`` per dual element for the full transform.
 
 Memory: besides the |base|^2 base table, every transform works in
-O(|G| * orbits) = O(n) per function: an index/weight gather table of that
-size, a column selection of the action's orbit coordinates
-``point_of`` (orbits x |G|), and the transform values themselves.  No
+O(|G| * orbits) = O(n) per function.  Each reads its samples through a
+gather plan cached on the scenario, four arrays of n entries: a column
+selection of the action's orbit coordinates ``point_of``, the jacobian
+roots, the inverse permutation and the reciprocal roots in point order.
+Forward transforms and inverses are each one ``take`` (no scatter); real
+factors scale the float64 view of the transform's own buffer in place,
+and the full transform's FFT overwrites its gathered samples.  No
 |G| x |G| or |G| x n table is built.
 
 ``unfold_orbits`` is the companion fiberization into sequences over the
@@ -38,8 +42,9 @@ plain index translation, and their discrete Fourier transform recovers the
 full Zak values at the negated dual element.
 
 Every function accepts a trailing batch axis: 2-D input transforms
-columnwise.  Every inverse refuses a wrong leading shape and non-finite
-values with ``ValueError``.
+columnwise.  Every forward transform refuses a non-finite function, and
+every inverse a wrong leading shape and non-finite values, with
+``ValueError``.
 """
 from __future__ import annotations
 
@@ -65,55 +70,70 @@ __all__ = [
 ]
 
 
-def _gathered(table, f: np.ndarray) -> np.ndarray:
-    """Weighted samples ``jhalf * f[gather]``, shape (movers, cells, *batch).
-
-    The gather table visits every point once, so ``f`` must have one entry
-    (row) per point.
-    """
-    gather, jhalf = table
-    f = np.atleast_1d(np.asarray(f, dtype=complex))
-    if len(f) != gather.size:
-        raise ValueError(f"function has {len(f)} entries, space has {gather.size} points")
-    values = f[gather]
-    return values * jhalf.reshape(jhalf.shape + (1,) * (values.ndim - 2))
-
-
-def _checked(values, **counts: int) -> np.ndarray:
-    """``values`` as a complex array; ``ValueError`` unless its leading axes
-    have the sizes ``counts`` names (what each axis counts) and it is finite."""
-    values = np.asarray(values, dtype=complex)
-    if values.shape[: len(counts)] != tuple(counts.values()):
-        names = " x ".join(f"{n} {noun.replace('_', ' ')}" for noun, n in counts.items())
-        raise ValueError(f"expected {names}, got shape {values.shape}")
-    if not (np.isfinite(values.real).all() and np.isfinite(values.imag).all()):
-        raise ValueError("transform values must be finite")
+def _scaled(values: np.ndarray, factor) -> np.ndarray:
+    """The complex C-contiguous ``values`` times the real ``factor`` (a scalar
+    or one number per row of the leading axes it covers), in place.  Rows of
+    several entries scale their float64 view, which matches numpy's product
+    with ``factor + 0j`` up to the sign of an exact zero; rows of one entry
+    take numpy's complex loop, which streams where the view would not."""
+    factor = np.asarray(factor)
+    rows = values.reshape(factor.size, -1, copy=False)
+    target = rows if rows.shape[1] == 1 else rows.view(np.float64)
+    target *= factor.reshape(-1, 1)
     return values
 
 
-def _scattered(scn: Scenario, table, samples: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_gathered`: the function with those weighted samples."""
-    gather, jhalf = table
-    batch = samples.shape[2:]
-    f = np.empty((scn.action.n_points,) + batch, dtype=complex)
-    scale = jhalf.reshape(jhalf.shape + (1,) * len(batch))
-    f[gather.ravel()] = (samples / scale).reshape((gather.size,) + batch)
-    return f
+def _gathered(table, f: np.ndarray) -> np.ndarray:
+    """Weighted samples ``jhalf * f[gather]``, shape (*gather.shape, *batch).
+
+    The gather table visits every point once, so ``f`` must have one entry
+    (row) per point, and every entry must be finite.
+    """
+    gather, jhalf = table[:2]
+    f = np.atleast_1d(np.asarray(f, dtype=complex))
+    if len(f) != gather.size:
+        raise ValueError(f"function has {len(f)} entries, space has {gather.size} points")
+    return _scaled(_checked(np.take(f, gather, axis=0), "function values"), jhalf)
+
+
+def _checked(values, what: str = "transform values", **counts: int) -> np.ndarray:
+    """``values`` as a C-contiguous complex array; ``ValueError`` unless its
+    leading axes have the sizes ``counts`` names (what each axis counts) and
+    it is finite, tested on the float64 view."""
+    values = np.ascontiguousarray(values, dtype=complex)
+    if values.shape[: len(counts)] != tuple(counts.values()):
+        names = " x ".join(f"{n} {noun.replace('_', ' ')}" for noun, n in counts.items())
+        raise ValueError(f"expected {names}, got shape {values.shape}")
+    if not np.isfinite(values.view(np.float64)).all():
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
+def _scattered(table, samples: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_gathered`: the function with those weighted samples.
+
+    One ``take`` through the stored inverse permutation, then the reciprocal
+    roots in point order.
+    """
+    where, inverse_roots = table[2:]
+    samples = samples.reshape((where.size,) + samples.shape[2:])
+    return _scaled(np.take(samples, where, axis=0), inverse_roots)
 
 
 def _group_dft(
-    group: FiniteAbelianGroup, a: np.ndarray, inverse: bool = False
+    group: FiniteAbelianGroup, a: np.ndarray, inverse: bool = False, in_place: bool = False
 ) -> np.ndarray:
     """DFT over the group along axis 0 (indexed like ``group.elements``).
 
     Forward: ``out[h] = sum_t pairing(-t, h) * a[t]``; inverse: the
     conjugate characters, divided by ``group.order``.  Trailing axes are
-    carried along.
+    carried along.  ``in_place`` lets the transform overwrite ``a``.
     """
     a = np.asarray(a, dtype=complex)
     grid = a.reshape(group.moduli + a.shape[1:])
     fft = np.fft.ifftn if inverse else np.fft.fftn
-    return fft(grid, axes=tuple(range(group.rank))).reshape(a.shape)
+    out = grid if in_place else None
+    return fft(grid, axes=tuple(range(group.rank)), out=out).reshape(a.shape)
 
 
 def zak_base(scn: Scenario, f: np.ndarray) -> np.ndarray:
@@ -125,48 +145,49 @@ def zak_base(scn: Scenario, f: np.ndarray) -> np.ndarray:
 def zak_base_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
     values = _checked(values, fibers=scn.n_fibers, tile_points=len(scn.tiling.tiles))
     chars = scn.chars_base_omega  # [g, w] = pairing(-base[g], omega[w])
-    a = np.tensordot(np.conj(chars), values, axes=(1, 0)) / scn.base.order
-    return _scattered(scn, scn._base_gather, a)
+    a = _scaled(np.tensordot(np.conj(chars), values, axes=(1, 0)), 1.0 / scn.base.order)
+    return _scattered(scn._base_gather, a)
 
 
 def zak_full(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Full Zak values, shape (group.order, len(orbit_reps))."""
-    return _group_dft(scn.group, _gathered(scn._full_gather, f))
+    return _group_dft(scn.group, _gathered(scn._full_gather, f), in_place=True)
 
 
 def zak_full_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
     reps = len(scn.tiling.orbit_reps)
     values = _checked(values, dual_elements=scn.group.order, orbits=reps)
-    return _scattered(scn, scn._full_gather, _group_dft(scn.group, values, inverse=True))
+    return _scattered(scn._full_gather, _group_dft(scn.group, values, inverse=True))
 
 
 def zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Stacked Zak values, shape (n_fibers, n_cosets, len(orbit_reps))."""
     full = zak_full(scn, f)
-    split = scn.dual_split
-    shape = (scn.n_fibers, scn.n_cosets) + full.shape[1:]
-    out = np.empty(shape, dtype=complex)
-    out[split[:, 0], split[:, 1]] = full
-    return out / np.sqrt(scn.n_cosets)
+    out = np.take(full, scn.dual_unsplit.ravel(), axis=0)
+    out = _scaled(out, 1.0 / np.sqrt(scn.n_cosets))
+    return out.reshape((scn.n_fibers, scn.n_cosets) + full.shape[1:])
 
 
 def zak_stacked_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
     reps = len(scn.tiling.orbit_reps)
     values = _checked(values, fibers=scn.n_fibers, cosets=scn.n_cosets, orbits=reps)
     split = scn.dual_split
-    full = values[split[:, 0], split[:, 1]] * np.sqrt(scn.n_cosets)
-    return zak_full_inv(scn, full)
+    at = split[:, 0] * scn.n_cosets + split[:, 1]  # stacked row of each dual element
+    rows = values.reshape((-1,) + values.shape[2:])
+    full = _scaled(np.take(rows, at, axis=0), np.sqrt(scn.n_cosets))
+    full = _group_dft(scn.group, full, inverse=True, in_place=True)
+    return _scattered(scn._full_gather, full)
 
 
 def unfold_orbits(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Weighted orbit samples; shape (len(orbit_reps), group.order)."""
-    return np.moveaxis(_gathered(scn._unfold_gather, f), 0, 1)
+    return _gathered(scn._unfold_gather, f)
 
 
 def fold_orbits(scn: Scenario, phi: np.ndarray) -> np.ndarray:
     reps = len(scn.tiling.orbit_reps)
     phi = _checked(phi, orbits=reps, group_elements=scn.group.order)
-    return _scattered(scn, scn._unfold_gather, np.moveaxis(phi, 1, 0))
+    return _scattered(scn._unfold_gather, phi)
 
 
 # -- norms under the transform conventions ------------------------------------
@@ -214,8 +235,9 @@ def zak_relation_deviation(scn: Scenario, f: np.ndarray) -> float:
         raise ValueError("relation check expects a single function")
     n_reps = len(scn.tiling.orbit_reps)
     vb = zak_base(scn, f).reshape(scn.n_fibers, scn.n_cosets, n_reps)
-    negs = [scn.group.neg(a) for a in scn.transversal.representatives]
-    chars_tr = scn.group.char_matrix(negs, list(scn.omega))  # [j, w]
+    coords = scn.group.coords
+    negs = -coords[scn.transversal.rep_indices] % scn.group.moduli
+    chars_tr = scn.group.characters(negs, coords[scn.dual_section.rep_indices])  # [j, w]
     # tiles[j * n_reps + c] is sigma_{-a_j}(orbit_reps[c])
     jhalf = np.sqrt(scn.tile_weights.reshape(scn.n_cosets, n_reps) / scn.rep_weights)
     dv = chars_tr.T[:, :, None] * jhalf[None, :, :] * vb  # (w, j, c)

@@ -11,6 +11,11 @@ O(|G|^2) and meant for test sizes only.
 Every transform takes a single function (1-D) or a batch of columns (2-D),
 like the library.
 
+The reference kernels (``kernel_*``) are the library's transforms in their
+first index-and-scale form: fancy-index gathers and scatters, complex
+products and quotients with the real roots, two-index stacked regrouping.
+They are as fast as the library, and the library must match their bits.
+
 The approximation references start from the dense stacked transform and
 the block indicators: the exhaustive allocation minimum of the
 extra-invariant problem, and the solvers' fit as one SVD per fiber and
@@ -156,6 +161,118 @@ def mask(scn, xi, f):
     values = full(scn, f)
     keep = block_indicator(scn, xi)
     return full_inv(scn, values * keep.reshape((-1,) + (1,) * (values.ndim - 1)))
+
+
+# -- reference kernels: the library's bits ---------------------------------------
+
+
+def kernel_tables(scn):
+    """Base, full and unfold gather tables (points, roots), movers major."""
+    group, act = scn.group, scn.action
+    c = group.coords
+    w = act.weights
+
+    def table(elements):
+        points = act.point_of.T[elements].reshape(len(elements), -1)
+        return points, np.sqrt(w[points] / w[points[0]])
+
+    moved = c[scn.base.indices][:, None] + c[scn.transversal.rep_indices]
+    return {
+        "base": table(group.indices(-moved)),
+        "full": table(group.indices(-c)),
+        "unfold": table(np.arange(group.order)),
+    }
+
+
+def kernel_chars_base_omega(scn):
+    negs = [scn.group.neg(g) for g in scn.base.elements]
+    return scn.group.char_matrix(negs, list(scn.omega))
+
+
+def kernel_coset_dft(scn):
+    negs = [scn.group.neg(a) for a in scn.transversal.representatives]
+    return scn.group.char_matrix(negs, list(scn.annihilator_order)).T
+
+
+def _kernel_gathered(table, f):
+    points, roots = table
+    values = np.atleast_1d(np.asarray(f, dtype=complex))[points]
+    return values * roots.reshape(roots.shape + (1,) * (values.ndim - 2))
+
+
+def _kernel_scattered(scn, table, samples):
+    points, roots = table
+    batch = samples.shape[2:]
+    f = np.empty((scn.action.n_points,) + batch, dtype=complex)
+    scale = roots.reshape(roots.shape + (1,) * len(batch))
+    f[points.ravel()] = (samples / scale).reshape((points.size,) + batch)
+    return f
+
+
+def _kernel_dft(group, a, inverse=False):
+    grid = a.reshape(group.moduli + a.shape[1:])
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    return fft(grid, axes=tuple(range(group.rank))).reshape(a.shape)
+
+
+def kernel_base(scn, f):
+    orbit = _kernel_gathered(kernel_tables(scn)["base"], f)
+    return np.tensordot(kernel_chars_base_omega(scn), orbit, axes=(0, 0))
+
+
+def kernel_base_inv(scn, values):
+    chars = kernel_chars_base_omega(scn)
+    a = np.tensordot(np.conj(chars), values, axes=(1, 0)) / scn.base.order
+    return _kernel_scattered(scn, kernel_tables(scn)["base"], a)
+
+
+def kernel_full(scn, f):
+    return _kernel_dft(scn.group, _kernel_gathered(kernel_tables(scn)["full"], f))
+
+
+def kernel_full_inv(scn, values):
+    samples = _kernel_dft(scn.group, values, inverse=True)
+    return _kernel_scattered(scn, kernel_tables(scn)["full"], samples)
+
+
+def kernel_stacked(scn, f):
+    full = kernel_full(scn, f)
+    split = scn.dual_split
+    out = np.empty((scn.n_fibers, scn.n_cosets) + full.shape[1:], dtype=complex)
+    out[split[:, 0], split[:, 1]] = full
+    return out / np.sqrt(scn.n_cosets)
+
+
+def kernel_stacked_inv(scn, values):
+    split = scn.dual_split
+    return kernel_full_inv(scn, values[split[:, 0], split[:, 1]] * np.sqrt(scn.n_cosets))
+
+
+def kernel_unfold(scn, f):
+    return np.moveaxis(_kernel_gathered(kernel_tables(scn)["unfold"], f), 0, 1)
+
+
+def kernel_fold(scn, phi):
+    samples = np.moveaxis(phi, 1, 0)
+    return _kernel_scattered(scn, kernel_tables(scn)["unfold"], samples)
+
+
+def kernel_fiber_matrices(scn, vectors):
+    vals = kernel_stacked(scn, vectors)
+    if vals.ndim == 3:
+        vals = vals[..., None]
+    vals = vals * np.sqrt(scn.rep_weights)[None, None, :, None]
+    w, k, c, d = vals.shape
+    return vals.reshape(w, k * c, d)
+
+
+def kernel_fibers_from_matrix(scn, fiber_cols):
+    w, _, d = fiber_cols.shape
+    split = scn.dual_split
+    stacked = fiber_cols.reshape(w, scn.n_cosets, len(scn.tiling.orbit_reps), d)
+    full = stacked[split[:, 0], split[:, 1]]
+    full *= np.sqrt(scn.n_cosets / scn.rep_weights)[:, None]
+    return kernel_full_inv(scn, full)
 
 
 # -- approximation ---------------------------------------------------------------

@@ -5,6 +5,11 @@ array) on the six shared scenarios and on generated regular actions: rank 1
 to 3, moduli of 1 allowed, order at most 200, shuffled point labels and
 log-uniform weights over a 1e3 range.
 
+Bits: on generated scenarios with weights log-uniform over up to 1e14,
+every transform, inverse and weighted fiber stacking is byte-identical to
+the fancy-index reference kernels, on 1-D and batched input; on input
+with exact zeros, only the signs of zeros may differ.
+
 Weight range: on generated scenarios with weights log-uniform over up to
 1e14, every transform keeps the weighted norm and every inverse recovers
 the function to 1e-12 in the weighted norm (criterion 2), and the
@@ -75,7 +80,7 @@ from actinv import (
     zak_stacked,
     zak_stacked_inv,
 )
-from actinv.spaces import RANK_TOL, orthonormal_columns
+from actinv.spaces import RANK_TOL, fiber_matrices, fibers_from_matrix, orthonormal_columns
 from actinv.zak import (
     base_norm,
     fold_orbits,
@@ -245,6 +250,70 @@ def test_transforms_are_isometries_over_wide_weight_ranges(spec, decades):
         for norm, back in pairs:
             assert abs(norm - ref) <= RTOL * ref
             assert scn.action.norm(back - f) <= RTOL * ref
+
+
+def assert_same_bits(got, want, zero_sign=False):
+    """Byte for byte on the float64 views, so a flipped sign of an exact zero
+    fails too, unless ``zero_sign`` lets it pass (adding +0.0 clears it)."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    got, want = (np.ascontiguousarray(a).view(np.float64) for a in (got, want))
+    if zero_sign:
+        got, want = got + 0.0, want + 0.0
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(), decades=WEIGHT_DECADES)
+@example(spec=((1,), [], [], 1, 0), decades=0.0)
+@example(spec=((4, 6), [(2, 0), (0, 3)], [(1, 0)], 2, 7), decades=14.0)
+@example(spec=((3, 1, 4), [(1, 0, 2)], [(0, 0, 1)], 2, 1), decades=14.0)
+@example(spec=((200,), [(8,)], [(2,)], 2, 8), decades=14.0)
+def test_transforms_reproduce_the_reference_kernels_bitwise(spec, decades):
+    """Every transform, inverse and weighted stacking has the bits of the
+    fancy-index reference kernels in ``oracle.py``, on 1-D and batched
+    input, with weights log-uniform over up to 1e14; on input with exact
+    zeros, only the sign of a zero may differ."""
+    scn, rng = build(spec, decades)
+    n, reps = scn.action.n_points, len(scn.tiling.orbit_reps)
+    tiles = len(scn.tiling.tiles)
+    assert_same_bits(scn.chars_base_omega, oracle.kernel_chars_base_omega(scn))
+    assert_same_bits(scn.coset_dft, oracle.kernel_coset_dft(scn))
+    forward = [
+        (zak_base, oracle.kernel_base),
+        (zak_full, oracle.kernel_full),
+        (zak_stacked, oracle.kernel_stacked),
+        (unfold_orbits, oracle.kernel_unfold),
+        (fiber_matrices, oracle.kernel_fiber_matrices),
+    ]
+    inverse = [
+        (zak_base_inv, oracle.kernel_base_inv, (scn.n_fibers, tiles)),
+        (zak_full_inv, oracle.kernel_full_inv, (scn.group.order, reps)),
+        (zak_stacked_inv, oracle.kernel_stacked_inv, (scn.n_fibers, scn.n_cosets, reps)),
+        (fold_orbits, oracle.kernel_fold, (reps, scn.group.order)),
+    ]
+    for batch in ((), (3,)):
+        f = complex_normal(rng, (n,) + batch)
+        for ours, reference in forward:
+            assert_same_bits(ours(scn, f), reference(scn, f))
+            assert_same_bits(ours(scn, f.real), reference(scn, f.real))
+        for ours, reference, lead in inverse:
+            values = complex_normal(rng, lead + batch)
+            assert_same_bits(ours(scn, values), reference(scn, values))
+        cols = complex_normal(rng, (scn.n_fibers, scn.n_cosets * reps) + (batch or (1,)))
+        assert_same_bits(fibers_from_matrix(scn, cols), oracle.kernel_fibers_from_matrix(scn, cols))
+    # exact zeros (negated point deltas, conjugated real functions, their
+    # transforms): numpy's complex product and quotient with ``root + 0j``
+    # fix the sign of some zero results differently; every other bit agrees
+    for f in (-np.eye(n, 3, dtype=complex), np.conj(complex_normal(rng, n).real + 0j)):
+        for ours, reference in forward:
+            assert_same_bits(ours(scn, f), reference(scn, f), zero_sign=True)
+        for (ours, reference, _), (transform, _) in zip(inverse, forward):
+            values = transform(scn, f)
+            assert_same_bits(ours(scn, values), reference(scn, values), zero_sign=True)
 
 
 @settings(
@@ -611,14 +680,20 @@ def test_orbit_coordinates_match_the_composed_table(spec):
     tiles, _ = oracle.gather(scn, tile_movers, reps)
     assert list(scn.tiling.tiles) == tiles.ravel().tolist()
     base_movers = [group.neg(g) for g in scn.base.elements]
+    unfold_points, unfold_roots = oracle.gather(scn, group.elements, reps)
     cases = [
         (scn._full_gather, oracle._orbit_points(scn)),
-        (scn._unfold_gather, oracle.gather(scn, group.elements, reps)),
+        (scn._unfold_gather, (unfold_points.T, unfold_roots.T)),  # orbit-major
         (scn._base_gather, oracle.gather(scn, base_movers, scn.tiling.tiles)),
     ]
-    for (points, roots), (want_points, want_roots) in cases:
+    n = act.n_points
+    for (points, roots, where, recip), (want_points, want_roots) in cases:
         assert np.array_equal(points, want_points)
         np.testing.assert_allclose(roots, want_roots, rtol=1e-15)
+        # the plan: the inverse permutation and the reciprocal roots in point order
+        assert np.array_equal(where[points.ravel()], np.arange(n))
+        assert np.array_equal(points.ravel()[where], np.arange(n))
+        assert recip.tobytes() == (1.0 / roots.ravel()[where]).tobytes()
 
 
 @ORACLE_SETTINGS

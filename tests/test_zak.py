@@ -203,7 +203,8 @@ def held_arrays(obj):
 
 def test_scenario_caches_no_group_squared_table(scn):
     """After every transform has run, no cached array has |G|^2 entries,
-    and the action holds no array larger than its point count."""
+    every array of the three gather plans has one entry per point, and the
+    action holds no array larger than its point count."""
     rng = np.random.default_rng(71)
     f = random_function(scn, rng)
     zak_base_inv(scn, zak_base(scn, f))
@@ -214,6 +215,10 @@ def test_scenario_caches_no_group_squared_table(scn):
     limit = scn.group.order ** 2
     for name, arr in held_arrays(scn):
         assert arr.size < limit, name
+    plans = ("_base_gather", "_full_gather", "_unfold_gather")
+    assert set(plans) <= set(vars(scn))
+    for name in plans:
+        assert [arr.size for arr in vars(scn)[name]] == [scn.action.n_points] * 4, name
     for name, arr in held_arrays(scn.action):
         assert arr.size <= scn.action.n_points, name
     assert {"point_of", "coordinates"} <= set(vars(scn.action))
@@ -286,3 +291,23 @@ def test_inverse_transforms_check_their_input(bank, inverse, forward, counted):
         with pytest.raises(ValueError, match="finite"):
             inverse(scn, broken)
     assert inverse(scn, values[..., None]).shape == (scn.action.n_points, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=str)
+@pytest.mark.parametrize(
+    "forward",
+    [zak_base, zak_full, zak_stacked, unfold_orbits, zak_relation_deviation],
+    ids=lambda f: f.__name__,
+)
+def test_forward_transforms_refuse_non_finite_functions(bank, forward, bad):
+    """A non-finite value at one point is refused, not spread over the
+    transform values; the relation check so cannot pass on a NaN deviation."""
+    scn = bank["two_orbits"]
+    f = random_function(scn, np.random.default_rng(79))
+    batches = [f] if forward is zak_relation_deviation else [f, np.column_stack([f, f])]
+    for good in batches:
+        broken = good.copy()
+        broken[5] = bad
+        with pytest.raises(ValueError, match="function values must be finite"):
+            forward(scn, broken)
+        forward(scn, good)
