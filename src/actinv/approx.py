@@ -102,8 +102,9 @@ def _fit(
     value, descending, over the pool in (block position, singular index)
     order gives the determinism rule of the module.
     """
-    if ell < 1:
-        raise ValueError("generator budget must be at least 1")
+    # bool is an int subclass, so an explicit refusal; numpy integers pass
+    if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
+        raise ValueError("generator budget must be a positive integer")
     mats = fiber_matrices(scn, _data_matrix(scn, data))
     u, s, _ = np.linalg.svd(mats[:, rows, :], full_matrices=False)
     n_fibers, n_blocks, k = s.shape

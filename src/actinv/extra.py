@@ -46,9 +46,8 @@ from .spaces import (
     RANK_TOL,
     Subspace,
     _euclid_orth,
-    _modulations,
-    _moved,
-    _probes,
+    _probe_pass,
+    checked_tol,
     is_invariant,
     require_base_invariant,
     span_invariant,
@@ -229,28 +228,31 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
     return memo
 
 
-def _component_law(scn: Scenario, basis: np.ndarray, coeffs: np.ndarray) -> float:
+def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
     """Worst base/extra-invariance residual of the subspaces, one per block b,
     whose fiber w is spanned by ``basis[w] @ coeffs[w, b]`` (orthonormal or
-    zero columns).
+    zero columns), ``basis`` being the space's range function.
 
-    A probe moves ``basis[w] @ x`` out by its part inside the space but
+    Reads the space's probe passes (:func:`actinv.spaces._probe_pass`),
+    one per distinct base and extra probe, shared with the residuals.  A
+    probe moves ``basis[w] @ x`` out by its part inside the space but
     outside the subspace, ``(I - x x^H) N x`` in coefficients on the basis,
-    and by the space's own part moved out (:func:`_moved`), ``u s wh x`` in
-    its singular value decomposition.
-    The two are orthogonal, so the residual is the top singular value of
-    ``[(I - x x^H) N x; s wh x]``, a (2r, k) matrix per fiber and block.
+    and by the space's own part moved out, whose norm is that of ``F x``
+    for the pass's r x r factor F.  The two are orthogonal, so the
+    residual is the top singular value of ``[(I - x x^H) N x; F x]``, a
+    (2r, k) matrix per probe, fiber and block, all in one values-only SVD.
+    Since the blocks' k add up to at most the rows, the batch holds at
+    most twice as many entries per probe as the basis.
     """
-    worst = 0.0
-    for d in _modulations(scn, _probes(scn.base) + _probes(scn.extra)):
-        inside, out = _moved(d, basis)
-        _, top, wh = np.linalg.svd(out, full_matrices=False)
-        nx = inside[:, None] @ coeffs
-        within = nx - coeffs @ (coeffs.conj().swapaxes(-1, -2) @ nx)
-        out = (top[..., None] * wh)[:, None] @ coeffs
-        law = np.linalg.svd(np.concatenate([within, out], axis=-2), compute_uv=False)
-        worst = max(worst, float(np.max(law, initial=0.0)))
-    return worst
+    probes = space.scenario.probe_rows
+    n_fibers, n_blocks, r, k = coeffs.shape
+    law = np.empty((len(probes), n_fibers, n_blocks, 2 * r, k), dtype=complex)
+    for stack, g in zip(law, probes):
+        _, inside, factor = _probe_pass(space, g)
+        within = np.matmul(inside[:, None], coeffs, out=stack[..., :r, :])
+        within -= coeffs @ (coeffs.conj().swapaxes(-1, -2) @ within)
+        np.matmul(factor[:, None], coeffs, out=stack[..., r:, :])
+    return float(np.max(np.linalg.svd(law, compute_uv=False), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -304,8 +306,11 @@ def check_extra_invariance(
     report then also carries the largest entry of ``sum_b V_b V_b^H - I``
     per fiber (the components' projectors summed, in coefficients on the
     fiber basis, against the identity) and the worst base/extra-invariance
-    residual among the components, all of which must be invariant too.
+    residual among the components, all of which must be invariant too
+    (:func:`_component_law`).  ``ValueError`` unless ``tol`` is a finite
+    positive number.
     """
+    tol = checked_tol(tol)
     basis = require_base_invariant(space, tol)
     ok_translate, res_translate = is_invariant(space, scn.extra, tol)
     _, t, kv, off = _split(scn, space, basis)
@@ -330,7 +335,7 @@ def check_extra_invariance(
         deviation = float(np.max(np.abs(gap), initial=0.0))
         comp_res = vars(space).get("_component_law")
         if comp_res is None:
-            comp_res = space._component_law = _component_law(scn, basis, kv)
+            comp_res = space._component_law = _component_law(space, kv)
         if deviation > tol or comp_res > tol:
             raise TheoremViolationError(
                 "components of an extra-invariant space fail their structure laws",
@@ -395,8 +400,10 @@ def check_decomposable(
     verdict must agree with that check; it also verifies that the fibers of
     each component (the kept directions ``basis[w] @ kv[w, b]``) equal the
     block-restricted fibers of the space, comparing the two projectors on
-    the block rows.
+    the block rows.  ``ValueError`` unless ``tol`` is a finite positive
+    number.
     """
+    tol = checked_tol(tol)
     basis = require_base_invariant(space, tol)
     a, t, kv, off = _split(scn, space, basis)
     worst = float(np.max(t * off, initial=0.0))
@@ -443,9 +450,11 @@ def sequence_extra_invariance(
     verdict is computed both by translating along the extra subgroup's
     generators and by masking discrete Fourier transforms with the block
     indicators; disagreement raises :class:`TheoremViolationError`.
+    ``ValueError`` unless ``tol`` is a finite positive number.
     """
     group = scn.group
     n = group.order
+    tol = checked_tol(tol)
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"basis must have {n} rows")

@@ -190,3 +190,40 @@ class Scenario:
         """Block label position of each annihilator element (stacked coordinate)."""
         return self.block_section.positions[self.base_annihilator.indices]
 
+    # -- probe modulations -----------------------------------------------------
+
+    @cached_property
+    def probe_rows(self) -> dict[Element, int]:
+        """Row of each probe of base and extra in :attr:`probe_modulations`.
+
+        The probes are the translations the invariance checks apply: the
+        generators of each subgroup, or its zero element when it has none;
+        one row per distinct probe, base first.
+        """
+        probes = dict.fromkeys(_probes(self.base) + _probes(self.extra))
+        return {g: i for i, g in enumerate(probes)}
+
+    @cached_property
+    def probe_modulations(self) -> np.ndarray:
+        """:meth:`modulations` of the base and extra probes, one row each
+        (:attr:`probe_rows`), shape (probes, n_fibers, n_cosets): built once
+        per scenario, 16 bytes per probe and dual element."""
+        return self.modulations(tuple(self.probe_rows))
+
+    def modulations(self, probes: tuple[Element, ...]) -> np.ndarray:
+        """Each probe's translation on the stacked Zak values, (probes, n_fibers, n_cosets).
+
+        Translating by e multiplies the full Zak value at the dual element h
+        by ``pairing(e, h)``, so it multiplies the stacked values of fiber w
+        at annihilator position k, on every orbit, by
+        ``pairing(e, omega[w] + annihilator_order[k])``.
+        """
+        dual = self.group.coords[self.dual_unsplit.ravel()]
+        chars = self.group.characters(np.array(probes, dtype=np.int64), dual)
+        return chars.reshape(len(probes), self.n_fibers, self.n_cosets)
+
+
+def _probes(subgroup: Subgroup) -> tuple[Element, ...]:
+    """The translations that test invariance under the subgroup: its generators,
+    or its zero element when it has none."""
+    return tuple(subgroup.generators) or (subgroup.group.zero,)

@@ -7,8 +7,10 @@ zero-padded (n_fibers, rows, r_max) array.  The fiber builders produce the
 range function and assemble the frame only when it is read; a frame-given
 space gets one at the base gate (:func:`require_base_invariant`).
 A translation acts on the range function as a modulation of each fiber's
-rows (:func:`_modulations`); only a frame-given space is translated in point
-space, and only until it passes the base gate.
+rows (:meth:`Scenario.modulations`); only a frame-given space is translated
+in point space, and only until it passes the base gate.  A space with a
+range function makes one probe pass per probe (:func:`_probe_pass`), which
+every reader of it shares.
 
 Numerical work happens in *weighted coordinates*: scaling a function's
 entries by ``weights ** 0.5`` turns the weighted inner product into the
@@ -17,8 +19,10 @@ Frames are stored unscaled (as functions on the point set).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -26,11 +30,25 @@ import numpy as np
 from .actions import translate
 from .errors import DegenerateGeneratorError, InvarianceError
 from .groups import Subgroup, coset_section
-from .scenario import Scenario
+from .scenario import Scenario, _probes
 from .zak import zak_base, zak_full_inv, zak_stacked
 
 RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
+
+
+def checked_tol(tol) -> float:
+    """``tol`` as a float; ``ValueError`` unless it is a finite positive number.
+
+    The boundary rule of every public function taking a tolerance: a NaN
+    would pass every ``<=`` test as false and every ``>`` test as false,
+    so a verdict read against it would be arbitrary.  ``bool`` is refused
+    although it is an ``int``.
+    """
+    number = type(tol) is float or (isinstance(tol, Real) and not isinstance(tol, bool))
+    if not (number and 0.0 < tol < math.inf):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+    return float(tol)
 
 
 def orthonormal_columns(
@@ -160,6 +178,7 @@ class Subspace:
         return float(self.residuals(np.asarray(f)[:, None])[0])
 
     def contains(self, f: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+        tol = checked_tol(tol)
         scale = max(1.0, self.scenario.action.norm(f))
         return self.residual(f) <= tol * scale
 
@@ -243,59 +262,55 @@ def _section(scn: Scenario, subgroup: Subgroup) -> tuple:
     return memo[subgroup]
 
 
-def _probes(subgroup: Subgroup) -> tuple:
-    """The translations that test invariance under the subgroup: its generators."""
-    return tuple(subgroup.generators) or (subgroup.group.zero,)
+def _probe_pass(space: Subspace, g) -> tuple:
+    """g's residual and, on a space with a range function, its :func:`_moved`
+    pair ``(inside, factor)``; memoised on ``space`` per probe.
 
-
-def _residual(space: Subspace, g) -> float:
-    """Largest distance from the space of a unit vector of it translated by g.
-
-    Memoised on ``space`` per probe.  A space with a range function reads
-    it off its fiber bases under g's modulation (:func:`_moved`); a
+    The residual is the largest distance from the space of a unit vector
+    of it translated by g.  A space with a range function moves its fiber
+    bases once by g's modulation, the scenario's cached row for a base or
+    extra probe and built on demand for any other, and the residual is the
+    top singular value of the r x r factor of the part moved out.  A
     frame-given space translates its frame in point space and takes the top
-    singular value of its part outside the space, in weighted coordinates.
+    singular value of its part outside the space, in weighted coordinates;
+    it holds ``(residual, None, None)`` until its base gate drops the memo.
     """
     memo = vars(space).setdefault("_invariance", {})
     if g not in memo:
         basis = vars(space).get("_basis")
         if basis is not None:
-            _, out = _moved(_modulations(space.scenario, (g,))[0], basis)
-            memo[g] = float(np.max(np.linalg.svd(out, compute_uv=False), initial=0.0))
+            scn = space.scenario
+            row = scn.probe_rows.get(g)
+            d = scn.modulations((g,))[0] if row is None else scn.probe_modulations[row]
+            inside, factor = _moved(d, basis)
+            top = np.linalg.svd(factor, compute_uv=False)
+            memo[g] = (float(np.max(top, initial=0.0)), inside, factor)
         else:
             q = space._weighted_frame
             moved = translate(space.scenario.action, g, space.frame) * space._root
-            memo[g] = float(np.linalg.norm(moved - q @ (q.conj().T @ moved), 2))
+            memo[g] = (float(np.linalg.norm(moved - q @ (q.conj().T @ moved), 2)), None, None)
     return memo[g]
 
 
-def _modulations(scn: Scenario, probes: tuple) -> np.ndarray:
-    """Each probe's translation on the range function, (probes, n_fibers, rows).
-
-    Translating by e multiplies the full Zak value at the dual element h
-    by ``pairing(e, h)``, so it multiplies stacked row ``k * reps + c`` of
-    fiber w by ``pairing(e, omega[w] + annihilator_order[k])``.
-    """
-    group = scn.group
-    dual = group.coords[scn.dual_unsplit.ravel()]
-    chars = group.characters(np.array(probes, dtype=np.int64), dual)
-    chars = chars.reshape(len(probes), scn.n_fibers, scn.n_cosets)
-    return np.repeat(chars, len(scn.tiling.orbit_reps), axis=2)
-
-
-def _moved(d: np.ndarray, basis: np.ndarray):
+def _moved(d: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A modulation's action on the fiber bases, split along them.
 
     ``basis`` (n_fibers, rows, r) holds orthonormal or zero columns B per
-    fiber; the modulation d (n_fibers, rows) multiplies their rows.  Returns,
+    fiber; the modulation d (n_fibers, n_cosets) multiplies stacked row
+    ``k * reps + c`` by ``d[w, k]``, a broadcast over the orbits.  Returns,
     per fiber, ``N = B^H d B`` (the part of d B inside the span, in
-    coefficients on B) and the part outside, ``d B - B N``, whose top
-    singular value is the largest distance from the span of a modulated
-    unit vector of it.
+    coefficients on B) and an r x r factor F of the part outside,
+    ``O = d B - B N``: the R of its QR decomposition, so ``F^H F = O^H O``
+    and ``|F x| = |O x|`` for every coefficient vector x.  The top singular
+    value of F is the largest distance from the span of a modulated unit
+    vector of it.  Temporaries are the size of the basis.
     """
-    moved = d[..., None] * basis
+    n_fibers, rows, r = basis.shape
+    moved = basis.reshape(n_fibers, d.shape[1], rows // d.shape[1], r) * d[..., None, None]
+    moved = moved.reshape(basis.shape)
     inside = basis.conj().swapaxes(-1, -2) @ moved
-    return inside, moved - basis @ inside
+    moved -= basis @ inside
+    return inside, np.linalg.qr(moved, mode="r")
 
 
 def is_invariant(
@@ -308,14 +323,21 @@ def is_invariant(
     and the worst residual: the largest distance from the space of a
     translated unit vector of the space, maximised over the probes, which
     does not depend on ``tol`` or on a choice of basis.  A space with a
-    range function (fiber-built, or past the base gate) reads it off its
-    fiber bases under the probes' modulations; a frame-given space
-    translates its frame in point space, once per probe, the only route
-    valid before the space is known to be base-invariant (:func:`_residual`).
+    range function (fiber-built, or past the base gate) makes one probe
+    pass per probe (:func:`_probe_pass`): the probe's modulation, the
+    scenario's cached row for a base or extra generator, moves its fiber
+    bases once, and the residual, the part kept inside and a small factor
+    of the part moved out are memoised for every later reader, the
+    component law of :func:`actinv.extra.check_extra_invariance` included.
+    A frame-given space translates its frame in point space, once per
+    probe, the only route valid before the space is known to be
+    base-invariant.  ``ValueError`` unless ``tol`` is a finite positive
+    number.
     """
+    tol = checked_tol(tol)
     if space.dim == 0:
         return True, 0.0
-    worst = max(_residual(space, g) for g in _probes(subgroup))
+    worst = max(_probe_pass(space, g)[0] for g in _probes(subgroup))
     return worst <= tol, worst
 
 
@@ -326,10 +348,11 @@ def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndar
     ``tol`` and its fibers hold its whole dimension: the ranks of its
     frame's fiber matrices, cut by :func:`_fiber_cut`, sum to ``dim``.
     That cut basis (cut columns zeroed) then becomes its range function,
-    and every later residual is read off it.
+    and every later residual is read off it.  ``ValueError`` unless ``tol``
+    is a finite positive number.
     """
     scn = space.scenario
-    ok, res = is_invariant(space, scn.base, tol)
+    ok, res = is_invariant(space, scn.base, checked_tol(tol))
     if not ok:
         raise InvarianceError(
             f"subspace is not invariant under the base subgroup (residual {res:.3e})"
@@ -377,8 +400,10 @@ def principal_membership(
     fiber where psi's fiber is (numerically) nonzero, the coefficient of the
     orthogonal projection of f's fiber onto psi's, elsewhere zero.  Returns
     None otherwise.  A (numerically) zero psi is rejected, and so is input
-    of the wrong length or with non-finite entries (``ValueError``).
+    of the wrong length or with non-finite entries (``ValueError``), and
+    so is a ``tol`` that is not a finite positive number.
     """
+    tol = checked_tol(tol)
     f, psi = (
         as_columns(scn, np.ravel(v), noun)[:, 0]
         for v, noun in ((f, "function"), (psi, "generator"))

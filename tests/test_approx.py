@@ -245,6 +245,19 @@ def test_argument_validation(shear):
         best_invariant(shear, np.zeros((5, 2), dtype=complex), 1)
 
 
+@pytest.mark.parametrize("ell", [2.5, 2.0, "2", True, False, None, np.float64(3.0), 0, -1])
+def test_generator_budget_must_be_a_positive_integer(shear, ell):
+    """A budget that is not an integer (``bool`` included, although it is
+    an ``int``) fails at the boundary with one message; numpy integers
+    work like Python integers."""
+    data = data_matrix(shear, np.random.default_rng(30))
+    for solver in (best_invariant, best_extra_invariant):
+        with pytest.raises(ValueError, match="generator budget must be a positive integer"):
+            solver(shear, data, ell)
+        got, want = solver(shear, data, np.int64(2)), solver(shear, data, 2)
+        assert got.as_dict() == want.as_dict() and type(got.ell) is int
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_data_is_rejected(bank, bad):
     scn = bank["chain12"]

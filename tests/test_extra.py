@@ -1,6 +1,5 @@
 """Dual partition, masks, the invariance equivalence, and the cross-oracles."""
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -230,15 +229,52 @@ def _counted(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+def _passes(monkeypatch):
+    """Log every probe pass (``_moved``), modulation table and SVD, as
+    ``(kind, shape, vectors)`` entries of the returned list."""
+    log = []
+    moved, modulations, svd = spaces_mod._moved, Scenario.modulations, np.linalg.svd
+
+    def counted_moved(d, basis):
+        log.append(("moved", basis.shape, None))
+        return moved(d, basis)
+
+    def counted_modulations(self, probes):
+        log.append(("table", tuple(probes), None))
+        return modulations(self, probes)
+
+    def counted_svd(a, *args, **kwargs):
+        log.append(("svd", a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(spaces_mod, "_moved", counted_moved)
+    monkeypatch.setattr(Scenario, "modulations", counted_modulations)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return log
+
+
+def _pair(scn, space, log):
+    """One check pair; the log entries it made, by kind."""
+    log.clear()
+    check_extra_invariance(scn, space)
+    check_decomposable(scn, space)
+    return {kind: [(shape, vectors) for k, shape, vectors in log if k == kind]
+            for kind in ("moved", "table", "svd")}
+
+
 def test_checks_share_one_mask_per_block(scn, monkeypatch):
     """A check pair on a fiber-built space reads nothing but its range function.
 
     No transform, inverse transform or translation runs (the frame is never
-    assembled).  One SVD of the block rows of every fiber basis, shape
-    (n_fibers, n_blocks, block rows, r_max), is shared by both checks and
-    by the inner extra-invariance check of ``check_decomposable``; every
-    other SVD is of a residual of the whole basis or of a small per-block
-    matrix, and a second check pair on the same space makes none at all.
+    assembled).  A cold pair makes one probe pass (``_moved``, one
+    modulated basis and one decomposition of its part outside the space)
+    per distinct probe of base and extra, which the residuals and the
+    component law share, and one SVD with vectors, of the block rows of
+    every fiber basis, shape (n_fibers, n_blocks, block rows, r_max), which
+    both checks and the inner extra-invariance check of
+    ``check_decomposable`` share.  A warm pair makes no pass and no SVD at
+    all.  The scenario builds the modulation table of its probes once: a
+    second space on it reads the cached rows.
     """
     rng = np.random.default_rng(8)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -249,29 +285,84 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
             if hasattr(module, name):
                 _counted(monkeypatch, module, name, calls)
     _counted(monkeypatch, spaces_mod, "translate", calls)
-    svd = np.linalg.svd
-    svds = []
-
-    def counted_svd(a, *args, **kwargs):
-        svds.append((a.shape, kwargs.get("compute_uv", True)))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    log = _passes(monkeypatch)
     size = dual_partition(scn).rows.shape[1]
-    for space in spaces:
-        runs = []
-        for _ in range(2):
-            svds.clear()
-            check_extra_invariance(scn, space)
-            check_decomposable(scn, space)
-            runs.append(Counter(shape for shape, vectors in svds if vectors))
-        cold, warm = runs
-        width = space._basis.shape[2]
-        split = (scn.n_fibers, scn.n_blocks, size, width)
-        moved = (scn.n_fibers, size * scn.n_blocks, width)  # one modulated basis
-        assert cold[split] == 1 and set(cold) <= {split, moved} and not warm
+    probes = tuple(scn.probe_rows)
+    built = "probe_modulations" in vars(scn)  # the scenario is shared with other tests
+    for i, space in enumerate(spaces):
+        cold, warm = _pair(scn, space, log), _pair(scn, space, log)
+        split = (scn.n_fibers, scn.n_blocks, size, space._basis.shape[2])
+        assert cold["moved"] == [(space._basis.shape, None)] * len(probes)
+        assert set(vars(space)["_invariance"]) == set(probes)
+        assert [shape for shape, vectors in cold["svd"] if vectors] == [split]
+        assert cold["table"] == ([] if i or built else [(probes, None)])
+        assert warm == {"moved": [], "table": [], "svd": []}
         assert "frame" not in vars(space)
+    assert "probe_modulations" in vars(scn)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "moduli,base,extra,probes",
+    [
+        ((12,), [], [(3,)], [(0,), (3,)]),  # trivial base: the zero probe
+        ((12,), [(4,)], [(4,)], [(4,)]),  # extra == base: every probe twice
+        ((6,), [], [], [(0,)]),  # both trivial: one zero probe
+        ((2, 6), [(0, 2)], [(1, 0), (0, 2)], [(0, 2), (1, 0)]),  # a shared generator
+    ],
+)
+def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypatch):
+    """The scenario keeps one modulation row per distinct probe, base first,
+    and a cold check pair makes one pass per row; its residuals agree with
+    translating the frame in point space, and the components of an
+    extra-invariant space keep the law."""
+    g = FiniteAbelianGroup(list(moduli))
+    weights = np.exp(np.random.default_rng(33).uniform(0.0, np.log(1e3), 2 * g.order))
+    scn = Scenario(g, Subgroup(g, base), Subgroup(g, extra), ActionSpace.regular(g, 2, weights))
+    assert list(scn.probe_rows) == probes
+    assert scn.probe_modulations.shape == (len(probes), scn.n_fibers, scn.n_cosets)
+    assert scn.probe_modulations.nbytes == 16 * len(probes) * g.order
+    rng = np.random.default_rng(34)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    log = _passes(monkeypatch)
+    for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
+        ext = check_extra_invariance(scn, space)
+        check_decomposable(scn, space)
+        assert [k for k, *_ in log].count("moved") == len(probes)
+        log.clear()
+        want = oracle.translation_residual(space, scn.extra)
+        assert ext.translation_residual == pytest.approx(want, abs=1e-12)
+        if ext.extra_invariant:
+            assert ext.component_invariance_residual <= 1e-12
+
+
+def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
+    """Before its base gate a frame-given space is translated in point space
+    and makes no probe pass; the gate drops those residuals, and a cold
+    check pair then makes one pass per distinct probe, a warm one none,
+    with the reports of the fiber-built original's verdicts and dimensions."""
+    rng = np.random.default_rng(35)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    log = _passes(monkeypatch)
+    probes = set(scn.probe_rows)
+    built = "probe_modulations" in vars(scn)  # the scenario is shared with other tests
+    pair = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
+    for i, space in enumerate(pair):
+        given = Subspace(scn, space.frame)
+        log.clear()
+        ok, res = is_invariant(given, scn.extra)  # in point space, before the gate
+        assert [k for k, *_ in log if k != "svd"] == []
+        assert set(vars(given)["_invariance"]) == set(spaces_mod._probes(scn.extra))
+        assert res == pytest.approx(oracle.translation_residual(space, scn.extra), abs=1e-12)
+        cold, warm = _pair(scn, given, log), _pair(scn, given, log)
+        assert len(cold["moved"]) == len(probes)
+        assert cold["table"] == ([] if i or built else [(tuple(scn.probe_rows), None)])
+        assert set(vars(given)["_invariance"]) == probes
+        assert warm == {"moved": [], "table": [], "svd": []}
+        ext = check_extra_invariance(scn, given)
+        assert ext.extra_invariant == ok == check_extra_invariance(scn, space).extra_invariant
+        assert ext.translation_residual == pytest.approx(res, abs=1e-12)
+        assert ext.component_dims == check_extra_invariance(scn, space).component_dims
 
 
 def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
@@ -319,7 +410,7 @@ def test_component_law_matches_translated_components(scn):
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
     subs = (scn.base, scn.extra)
-    mods = spaces_mod._modulations(scn, sum((spaces_mod._probes(h) for h in subs), ()))
+    mods = scn.modulations(sum((spaces_mod._probes(h) for h in subs), ()))
     for space in spaces:
         basis = space._basis
         outs = [spaces_mod._moved(d, basis)[1] for d in mods]
@@ -331,7 +422,7 @@ def test_component_law_matches_translated_components(scn):
         shape = (scn.n_fibers, scn.n_blocks, width, width)
         mix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for coeffs in (kv, np.linalg.qr(mix)[0][..., : 1 + width // 2]):
-            got = extra_mod._component_law(scn, basis, coeffs)
+            got = extra_mod._component_law(space, coeffs)
             parts = [basis @ coeffs[:, b] for b in range(scn.n_blocks)]
             want = max(
                 oracle.translation_residual(Subspace.from_fibers(scn, p), h)
@@ -425,7 +516,7 @@ def test_reports_do_not_depend_on_the_memo(scn):
     with it in every verdict and dimension."""
     rng = np.random.default_rng(9)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
-    probes = {g for h in (scn.base, scn.extra) for g in spaces_mod._probes(h)}
+    probes = set(scn.probe_rows)
     for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
         cold = Subspace(scn, space.frame)
         assert not {"_basis", "_split", "_invariance"} & set(vars(cold))
@@ -433,6 +524,7 @@ def test_reports_do_not_depend_on_the_memo(scn):
         first = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
         assert "_basis" in vars(cold) and "_split" in vars(cold)
         assert set(vars(cold)["_invariance"]) == probes
+        assert all(factor is not None for *_, factor in vars(cold)["_invariance"].values())
         warm = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
         fresh = Subspace(scn, space.frame)
         again = (check_extra_invariance(scn, fresh), check_decomposable(scn, fresh))

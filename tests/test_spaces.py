@@ -9,10 +9,13 @@ from actinv import (
     InvarianceError,
     Subgroup,
     Subspace,
+    check_decomposable,
+    check_extra_invariance,
     fiber_generators,
     is_invariant,
     length,
     principal_membership,
+    sequence_extra_invariance,
     span_invariant,
     translate,
     zak_base,
@@ -242,6 +245,51 @@ def test_principal_membership_agrees_with_projector_oracle(scn):
 def test_principal_membership_rejects_zero_generator(chain12):
     with pytest.raises(DegenerateGeneratorError):
         principal_membership(chain12, np.ones(12), np.zeros(12))
+
+
+def test_principal_membership_refuses_a_nan_tolerance(bank):
+    """With ``tol=nan`` every ``residual > tol`` test is false, so a
+    non-member would come back with a multiplier; the tolerance is refused
+    instead (Z_12 on 2 orbits)."""
+    scn = bank["two_orbits"]
+    rng = np.random.default_rng(31)
+    psi, outsider = random_function(scn, rng), random_function(scn, rng)
+    assert principal_membership(scn, outsider, psi) is None
+    with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+        principal_membership(scn, outsider, psi, tol=np.nan)
+
+
+BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-9, True, "1e-9", None, np.array([1e-9])]
+
+
+# every public function taking ``tol``, as ``call(scn, space, tol)``
+TOL_CALLERS = {
+    "is_invariant": lambda scn, space, tol: is_invariant(space, scn.extra, tol),
+    "require_base_invariant": lambda scn, space, tol: require_base_invariant(space, tol),
+    "check_extra_invariance": check_extra_invariance,
+    "check_decomposable": check_decomposable,
+    "principal_membership": lambda scn, space, tol: principal_membership(
+        scn, space.frame[:, 0], space.frame[:, 0], tol
+    ),
+    "sequence_extra_invariance": lambda scn, space, tol: sequence_extra_invariance(
+        scn, np.eye(scn.group.order), tol
+    ),
+    "Subspace.contains": lambda scn, space, tol: space.contains(space.frame[:, 0], tol),
+}
+
+
+@pytest.mark.parametrize("name", list(TOL_CALLERS))
+def test_bad_tolerance_is_refused(chain12, name):
+    """Each public function taking ``tol`` refuses one that is not a finite
+    positive number (the CLI's rule for ``options.tol``) with ``ValueError``,
+    on fiber-built and frame-given spaces alike; a numpy float is a number."""
+    call = TOL_CALLERS[name]
+    space = span_invariant(chain12, random_function(chain12, np.random.default_rng(32)))
+    for subject in (space, Subspace(chain12, space.frame)):
+        for tol in BAD_TOLS:
+            with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+                call(chain12, subject, tol)
+        call(chain12, subject, np.float64(1e-9))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
