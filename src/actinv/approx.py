@@ -28,7 +28,7 @@ import numpy as np
 
 from .groups import Element
 from .scenario import Scenario
-from .spaces import RANK_TOL, Subspace, as_columns, fiber_matrices
+from .spaces import Subspace, _kept, as_columns, fiber_matrices
 from .extra import dual_partition
 
 
@@ -100,7 +100,9 @@ def _fit(
     labels).  All fibers' block submatrices go through one batched SVD.
     Each fiber pools its blocks' singular values; a stable sort on the
     value, descending, over the pool in (block position, singular index)
-    order gives the determinism rule of the module.
+    order gives the determinism rule of the module.  A fiber keeps at most
+    ``ell`` values, and only those that pass the rank rule
+    (:func:`actinv.spaces._kept`) over every fiber's pool.
     """
     # bool is an int subclass, so an explicit refusal; numpy integers pass
     if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
@@ -112,8 +114,7 @@ def _fit(
     s = s.reshape(n_fibers, n_blocks * k)
     order = np.argsort(-s, axis=1, kind="stable")
     sig = np.take_along_axis(s, order, axis=1)
-    floor = RANK_TOL * float(np.max(sig[:, 0]))
-    keep = np.minimum(ell, np.sum(sig > floor, axis=1))
+    keep = np.minimum(ell, np.sum(_kept(sig), axis=1))
     kept = np.arange(sig.shape[1]) < keep[:, None]
     error = float(np.sum(sig[~kept] ** 2)) / n_fibers
     fibers, slot = np.nonzero(kept)

@@ -37,6 +37,7 @@ from .errors import (
     ChainError,
     ConfigError,
     InvarianceError,
+    OrbitError,
     TheoremViolationError,
 )
 from .extra import (
@@ -73,7 +74,11 @@ def load_config(path: str) -> dict:
     if not p.exists():
         raise ConfigError(str(path), "configuration file not found")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -115,30 +120,25 @@ def build_scenario(doc: dict) -> Scenario:
     moduli = _int_list(_require(group_doc, "moduli", list, "group"), "group.moduli")
     if not moduli or any(n < 1 for n in moduli):
         raise ConfigError("group.moduli", "moduli must be positive integers")
-    group = FiniteAbelianGroup(moduli)
+    rank = len(moduli)
 
-    def subgroup(name: str) -> Subgroup:
+    def generators(name: str) -> list[list[int]]:
         sub_doc = _require(doc, name, dict, "")
         gens_raw = _require(sub_doc, "generators", list, name)
         gens = []
         for i, g in enumerate(gens_raw):
             g = _int_list(g, f"{name}.generators[{i}]")
-            if len(g) != group.rank:
-                raise ConfigError(
-                    f"{name}.generators[{i}]",
-                    f"expected {group.rank} coordinates",
-                )
+            if len(g) != rank:
+                raise ConfigError(f"{name}.generators[{i}]", f"expected {rank} coordinates")
             gens.append(g)
-        return Subgroup(group, gens)
+        return gens
 
-    base, extra = subgroup("base"), subgroup("extra")
+    base_gens, extra_gens = generators("base"), generators("extra")
     action_doc = _require(doc, "action", dict, "")
     points = _require(action_doc, "points", int, "action")
     perms_raw = _require(action_doc, "permutations", list, "action")
-    if len(perms_raw) != group.rank:
-        raise ConfigError(
-            "action.permutations", f"expected {group.rank} permutations"
-        )
+    if len(perms_raw) != rank:
+        raise ConfigError("action.permutations", f"expected {rank} permutations")
     perms = []
     for i, p in enumerate(perms_raw):
         p = _int_list(p, f"action.permutations[{i}]")
@@ -154,6 +154,14 @@ def build_scenario(doc: dict) -> Scenario:
             raise ConfigError("action.weights", f"expected {points} numbers")
         if not all(_is_finite(v) and v > 0 for v in weights):
             raise ConfigError("action.weights", "weights must be finite positive numbers")
+    order = math.prod(moduli)
+    if points > 0 and points % order:
+        # before the group is built: a small config can name a group too
+        # large to hold, and no free action of it on these points exists
+        # (a count below 1 is ActionSpace's to refuse, as a config error)
+        raise OrbitError(f"{points} points cannot split into free orbits of size {order}")
+    group = FiniteAbelianGroup(moduli)
+    base, extra = Subgroup(group, base_gens), Subgroup(group, extra_gens)
     try:
         action = ActionSpace(group, points, perms, weights)
     except (ActionError, ValueError) as exc:
@@ -187,6 +195,8 @@ def _vectors_from(
             [_complex_vector(v, n, f"{section}.{key}[{i}]") for i, v in enumerate(raws)]
         )
     if "csv" in sec:
+        if not isinstance(sec["csv"], str):
+            raise ConfigError(f"{section}.csv", "expected a file name")
         path = Path(config_dir) / sec["csv"]
         try:
             mat = read_columns_csv(path)
@@ -258,39 +268,24 @@ def _emit(obj: dict, out: str | None) -> None:
 def _self_test(scn: Scenario, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     n = scn.action.n_points
-    worst: dict[str, float] = {
-        "base_round_trip": 0.0,
-        "full_round_trip": 0.0,
-        "stacked_round_trip": 0.0,
-        "base_isometry": 0.0,
-        "full_isometry": 0.0,
-        "stacked_isometry": 0.0,
-        "relation": 0.0,
+    transforms = {
+        "base": (zak_base, zak_base_inv, base_norm),
+        "full": (zak_full, zak_full_inv, full_norm),
+        "stacked": (zak_stacked, zak_stacked_inv, stacked_norm),
     }
+    worst: dict[str, float] = {}
+
+    def note(key: str, value: float) -> None:
+        worst[key] = max(worst.get(key, 0.0), value)
+
     for _ in range(5):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = scn.action.norm(f)
-        zb, zf, zs = zak_base(scn, f), zak_full(scn, f), zak_stacked(scn, f)
-        worst["base_round_trip"] = max(
-            worst["base_round_trip"], float(np.max(np.abs(zak_base_inv(scn, zb) - f)))
-        )
-        worst["full_round_trip"] = max(
-            worst["full_round_trip"], float(np.max(np.abs(zak_full_inv(scn, zf) - f)))
-        )
-        worst["stacked_round_trip"] = max(
-            worst["stacked_round_trip"],
-            float(np.max(np.abs(zak_stacked_inv(scn, zs) - f))),
-        )
-        worst["base_isometry"] = max(
-            worst["base_isometry"], abs(base_norm(scn, zb) - ref) / ref
-        )
-        worst["full_isometry"] = max(
-            worst["full_isometry"], abs(full_norm(scn, zf) - ref) / ref
-        )
-        worst["stacked_isometry"] = max(
-            worst["stacked_isometry"], abs(stacked_norm(scn, zs) - ref) / ref
-        )
-        worst["relation"] = max(worst["relation"], zak_relation_deviation(scn, f))
+        for name, (forward, inverse, norm) in transforms.items():
+            z = forward(scn, f)
+            note(f"{name}_round_trip", float(np.max(np.abs(inverse(scn, z) - f))))
+            note(f"{name}_isometry", abs(norm(scn, z) - ref) / ref)
+        note("relation", zak_relation_deviation(scn, f))
     dft = scn.coset_dft / np.sqrt(scn.n_cosets)
     worst["coset_dft_unitarity"] = float(
         np.max(np.abs(dft @ dft.conj().T - np.eye(scn.n_cosets)))

@@ -40,12 +40,12 @@ import numpy as np
 
 from .errors import InvarianceError, TheoremViolationError
 from .groups import Element
-from .scenario import Scenario
+from .scenario import Scenario, _probes
 from .spaces import (
     DEFAULT_TOL,
     RANK_TOL,
     Subspace,
-    _euclid_orth,
+    _fiber_cut,
     _probe_pass,
     checked_tol,
     is_invariant,
@@ -210,9 +210,11 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
     unit direction ``basis[w] @ v[w, b, :, i]`` of fiber w: it keeps norm
     ``t[w, b, i]`` in block b, and ``off[w, b, i]`` is its norm outside,
     taken from the direction itself, without the cancellation of
-    ``(1 - t**2) ** 0.5``.  Returns ``a``, ``t``, ``kv`` (``v`` with the
-    directions at or below ``RANK_TOL`` zeroed: the components' fibers are
-    ``basis @ kv``) and ``off``.
+    ``(1 - t**2) ** 0.5``.  A direction is kept when ``t`` is above
+    ``RANK_TOL``, an absolute floor, since basis directions are unit.
+    Returns ``a``, ``t``, ``kv`` (``v`` with the directions not kept
+    zeroed: the components' fibers are ``basis @ kv``), ``off`` and the
+    mask ``kept``.
     """
     memo = vars(space).get("_split")
     if memo is None:
@@ -224,7 +226,8 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
             moved = basis[w] @ v[w, b]
             moved[np.arange(len(w))[:, None], rows[b]] = 0.0
             off[w, b] = np.linalg.norm(moved, axis=1)
-        memo = space._split = (a, t, v * (t > RANK_TOL)[:, :, None, :], off)
+        kept = t > RANK_TOL
+        memo = space._split = (a, t, v * kept[:, :, None, :], off, kept)
     return memo
 
 
@@ -313,8 +316,7 @@ def check_extra_invariance(
     tol = checked_tol(tol)
     basis = require_base_invariant(space, tol)
     ok_translate, res_translate = is_invariant(space, scn.extra, tol)
-    _, t, kv, off = _split(scn, space, basis)
-    kept = t > RANK_TOL  # the absolute floor: basis directions are unit
+    _, t, kv, off, kept = _split(scn, space, basis)
     inc_res = [float(r) for r in np.max(off * kept, axis=(0, 2), initial=0.0)]
     inc_ok = tuple(r <= tol for r in inc_res)
     if ok_translate != all(inc_ok):
@@ -405,7 +407,7 @@ def check_decomposable(
     """
     tol = checked_tol(tol)
     basis = require_base_invariant(space, tol)
-    a, t, kv, off = _split(scn, space, basis)
+    a, t, kv, off, kept = _split(scn, space, basis)
     worst = float(np.max(t * off, initial=0.0))
     decomposable = worst <= tol
     ext = check_extra_invariance(scn, space, tol)
@@ -420,7 +422,6 @@ def check_decomposable(
     match_dev = None
     if decomposable and space.dim:
         rows = dual_partition(scn).rows
-        kept = t > RANK_TOL
         match_dev = 0.0
         for w, b in _pair_runs(scn, rows.shape[1] ** 2, basis):
             # the space's fibers on the block rows, against the components'
@@ -460,7 +461,7 @@ def sequence_extra_invariance(
         raise ValueError(f"basis must have {n} rows")
     if not np.all(np.isfinite(basis)):
         raise ValueError("basis must be finite")
-    q = _euclid_orth(basis)
+    q = _fiber_cut(basis[None])[0]
 
     def shift(el, mat):
         return mat[group.indices(group.coords - el)]
@@ -470,14 +471,12 @@ def sequence_extra_invariance(
             return 0.0
         return float(np.max(np.abs(mat - q @ (q.conj().T @ mat))))
 
-    base_probes = scn.base.generators if scn.base.generators else [group.zero]
-    worst_base = max(resid(shift(g, q)) for g in base_probes)
+    worst_base = max(resid(shift(g, q)) for g in _probes(scn.base))
     if worst_base > tol:
         raise InvarianceError(
             f"sequence subspace is not base-translation invariant (residual {worst_base:.3e})"
         )
-    extra_probes = scn.extra.generators if scn.extra.generators else [group.zero]
-    res_translate = max(resid(shift(g, q)) for g in extra_probes)
+    res_translate = max(resid(shift(g, q)) for g in _probes(scn.extra))
     spectra = _group_dft(group, q)  # [h] = sum_t pairing(-t, h) q[t]
     positions = dual_partition(scn).positions
     res_mask = 0.0

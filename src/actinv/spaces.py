@@ -31,7 +31,7 @@ from .actions import translate
 from .errors import DegenerateGeneratorError, InvarianceError
 from .groups import Subgroup, coset_section
 from .scenario import Scenario, _probes
-from .zak import zak_base, zak_full_inv, zak_stacked
+from .zak import zak_full_inv, zak_stacked
 
 RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
@@ -52,41 +52,22 @@ def checked_tol(tol) -> float:
 
 
 def orthonormal_columns(
-    weights: np.ndarray,
-    vectors: np.ndarray,
-    tol: float = RANK_TOL,
-    floor: float = 0.0,
+    weights: np.ndarray, vectors: np.ndarray, *, floor: float = 0.0
 ) -> np.ndarray:
     """Orthonormal frame for the span of the columns, weighted inner product.
 
-    The singular-value rank cut of :func:`_euclid_orth` in weighted
-    coordinates: the columns are scaled by ``weights ** 0.5``, cut, and
-    scaled back.
+    The rank cut of :func:`_fiber_cut` in weighted coordinates: the columns
+    are scaled by ``weights ** 0.5``, cut as a single fiber, and scaled
+    back.  ``floor`` is an absolute threshold on the singular values on top
+    of the relative one; derived inputs (mask images, projections of unit
+    vectors) must pass it so that a matrix of pure roundoff noise ranks as
+    zero instead of relative-to-itself.
     """
     a = np.asarray(vectors, dtype=complex)
     if a.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
     root = np.sqrt(weights)[:, None]
-    return _euclid_orth(a * root, tol, floor) / root
-
-
-def _euclid_orth(
-    mat: np.ndarray, tol: float = RANK_TOL, floor: float = 0.0
-) -> np.ndarray:
-    """Orthonormal columns spanning the columns of ``mat`` (Euclidean).
-
-    Deterministic: the left singular vectors, rank cut at ``tol`` relative
-    to the largest singular value.  ``floor`` is an absolute threshold on
-    the singular values on top of the relative one; derived inputs (mask
-    images, projections of unit vectors) must pass it so that a matrix of
-    pure roundoff noise ranks as zero instead of relative-to-itself.
-    """
-    if mat.shape[1] == 0:
-        return mat.copy()
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] <= max(floor, 0.0):
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    return u[:, : int(np.sum(s > max(tol * s[0], floor)))]
+    return _fiber_cut((a * root)[None], floor=floor)[0] / root
 
 
 class Subspace:
@@ -105,11 +86,11 @@ class Subspace:
         cls,
         scn: Scenario,
         vectors: Sequence[np.ndarray] | np.ndarray,
-        tol: float = RANK_TOL,
+        *,
         floor: float = 0.0,
     ) -> "Subspace":
         mat = as_columns(scn, vectors)
-        return cls(scn, orthonormal_columns(scn.action.weights, mat, tol, floor))
+        return cls(scn, orthonormal_columns(scn.action.weights, mat, floor=floor))
 
     @classmethod
     def zero(cls, scn: Scenario) -> "Subspace":
@@ -237,17 +218,28 @@ def span_invariant(
     return Subspace.from_fibers(scn, _fiber_cut(fiber_matrices(scn, np.hstack(moved))))
 
 
-def _fiber_cut(mats: np.ndarray) -> np.ndarray:
+def _kept(s: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """The rank rule: which singular values count.
+
+    Those above ``RANK_TOL`` times the largest of ``s`` and above the
+    absolute ``floor``: the cut of every span (:func:`_fiber_cut`), of the
+    approximation solvers' pools and of a principal generator's support.
+    """
+    return s > max(RANK_TOL * np.max(s, initial=0.0), floor)
+
+
+def _fiber_cut(mats: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
     """The rank cut of fiber bases, as a range function.
 
     ``mats`` holds the fiber matrices of a space (n_fibers, rows, k).  Their
-    left singular vectors count when their singular values are above
-    ``RANK_TOL`` times the largest over all fibers, so a fiber carrying
-    nothing but roundoff is empty; cut columns are zeroed, and the result
-    is as wide as the widest fiber.
+    left singular vectors count when their singular values pass
+    :func:`_kept` over all fibers at once, so a fiber carrying nothing but
+    roundoff is empty; cut columns are zeroed, and the result is as wide
+    as the widest fiber.  Deterministic: the singular vectors of
+    ``numpy.linalg.svd``.  A single matrix is the one-fiber case.
     """
     u, s, _ = np.linalg.svd(mats, full_matrices=False)
-    keep = s > RANK_TOL * np.max(s, initial=0.0)
+    keep = _kept(s, floor)
     return (u * keep[:, None, :])[:, :, : int(np.max(np.sum(keep, axis=1), initial=0))]
 
 
@@ -376,7 +368,7 @@ def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndar
 class FiberMultiplier:
     """Fiberwise ratio tying a member of a principal space to its generator.
 
-    ``values[w]`` multiplies the generator's base Zak fiber at
+    ``values[w]`` multiplies the generator's Zak fiber at
     ``dual_section[w]``; ``support[w]`` flags fibers where the generator is
     (numerically) nonzero.
     """
@@ -394,36 +386,35 @@ def principal_membership(
 ) -> FiberMultiplier | None:
     """Decide membership of f in the base-invariant space generated by psi.
 
-    Works fiberwise on base Zak values: f belongs iff its fiber is a scalar
-    multiple of psi's fiber wherever psi's fiber is nonzero, and vanishes
-    where psi's fiber does.  On success returns the multiplier: on each
-    fiber where psi's fiber is (numerically) nonzero, the coefficient of the
-    orthogonal projection of f's fiber onto psi's, elsewhere zero.  Returns
-    None otherwise.  A (numerically) zero psi is rejected, and so is input
-    of the wrong length or with non-finite entries (``ValueError``), and
-    so is a ``tol`` that is not a finite positive number.
+    Works fiberwise on the range function, one :func:`fiber_matrices` of
+    psi and f: f belongs iff its fiber is a scalar multiple of psi's fiber
+    wherever psi's fiber is nonzero, and vanishes where psi's fiber does.
+    The stacked fibers are a unitary image of the base Zak fibers, so the
+    multipliers are those of the base Zak values.  On success returns the
+    multiplier: on each fiber where psi's fiber norm passes :func:`_kept`,
+    the coefficient of the orthogonal projection of f's fiber onto psi's,
+    elsewhere zero.  Returns None otherwise.  A (numerically) zero psi is
+    rejected, and so is input of the wrong length or with non-finite
+    entries (``ValueError``), and so is a ``tol`` that is not a finite
+    positive number.
     """
     tol = checked_tol(tol)
     f, psi = (
         as_columns(scn, np.ravel(v), noun)[:, 0]
         for v, noun in ((f, "function"), (psi, "generator"))
     )
-    zpsi = zak_base(scn, psi)
-    zf = zak_base(scn, f)
-    w = scn.tile_weights
-    psi_sq = np.sum(np.abs(zpsi) ** 2 * w, axis=1)  # per-fiber squared norms
-    peak = float(np.max(psi_sq))
-    if peak <= 0.0 or scn.action.norm(psi) == 0.0:
+    mats = fiber_matrices(scn, np.column_stack([psi, f]))
+    zpsi, zf = mats[..., 0], mats[..., 1]
+    norms = np.linalg.norm(zpsi, axis=1)
+    if np.max(norms) <= 0.0 or scn.action.norm(psi) == 0.0:
         raise DegenerateGeneratorError("generator is zero")
-    support = psi_sq > (RANK_TOL**2) * peak
+    support = _kept(norms)
     values = np.zeros(scn.n_fibers, dtype=complex)
-    cross = np.sum(zf * np.conj(zpsi) * w, axis=1)
-    values[support] = cross[support] / psi_sq[support]
-    # residual of f against the fiberwise multiple, in the function norm
-    diff = zf - values[:, None] * zpsi
-    resid_sq = np.sum(np.abs(diff) ** 2 * w, axis=1)
-    off = np.sum(np.abs(zf[~support]) ** 2 * w, axis=1) if np.any(~support) else 0.0
-    total = float(np.sqrt((np.sum(resid_sq[support]) + np.sum(off)) / scn.n_fibers))
+    cross = np.sum(zf[support] * np.conj(zpsi[support]), axis=1)
+    values[support] = cross / norms[support] ** 2
+    # f against the fiberwise multiple, in the function norm: the whole of
+    # f's fiber where psi's is zero
+    total = float(np.linalg.norm(zf - values[:, None] * zpsi) / np.sqrt(scn.n_fibers))
     scale = max(1.0, scn.action.norm(f))
     if total > tol * scale:
         return None

@@ -13,8 +13,9 @@ like the library.
 
 The reference kernels (``kernel_*``) are the library's transforms in their
 first index-and-scale form: fancy-index gathers and scatters, complex
-products and quotients with the real roots, two-index stacked regrouping.
-They are as fast as the library, and the library must match their bits.
+products and quotients with the real roots, two-index stacked regrouping;
+and the rank cut of a single matrix as one SVD, sliced.  They are as fast
+as the library, and the library must match their bits.
 
 The approximation references start from the dense stacked transform and
 the block indicators: the exhaustive allocation minimum of the
@@ -257,6 +258,21 @@ def kernel_fold(scn, phi):
     return _kernel_scattered(scn, kernel_tables(scn)["unfold"], samples)
 
 
+def kernel_euclid_orth(mat, tol=RANK_TOL, floor=0.0):
+    """Orthonormal columns for the span of ``mat``'s columns (Euclidean).
+
+    The left singular vectors of one SVD, cut at ``tol`` times the largest
+    singular value and at the absolute ``floor``: the rank cut of a single
+    matrix in its first, sliced form.
+    """
+    if mat.shape[1] == 0:
+        return mat.copy()
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    if s.size == 0 or s[0] <= max(floor, 0.0):
+        return np.zeros((mat.shape[0], 0), dtype=complex)
+    return u[:, : int(np.sum(s > max(tol * s[0], floor)))]
+
+
 def kernel_fiber_matrices(scn, vectors):
     vals = kernel_stacked(scn, vectors)
     if vals.ndim == 3:
@@ -406,11 +422,11 @@ def translation_residual(space, subgroup):
     return worst
 
 
-def point_space_span(scn, generators, subgroup, tol=RANK_TOL):
+def point_space_span(scn, generators, subgroup):
     """The invariant span in point space: every subgroup translate, one rank cut."""
     mat = np.asarray(generators, dtype=complex)
     translates = [translate(scn.action, g, mat) for g in subgroup.elements]
-    return Subspace.span(scn, np.hstack(translates), tol)
+    return Subspace.span(scn, np.hstack(translates))
 
 
 def point_space_checks(scn, space, tol=1e-9):

@@ -368,7 +368,47 @@ def test_missing_csv_file(capsys, tmp_path):
     assert rc == 1 and kind == "config"
 
 
+@pytest.mark.parametrize("section", ["subspace", "data"])
+@pytest.mark.parametrize("name", [5, ["a"]])
+def test_non_string_csv_name_is_a_config_error(capsys, tmp_path, section, name):
+    cfg = write_cfg(tmp_path, chain12_cfg(**{section: {"csv": name}}, options={"ell": 1}))
+    command = "check" if section == "subspace" else "approx"
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, command])
+    assert rc == 1 and kind == "config"
+    assert detail == f"{section}.csv: expected a file name"
+
+
+def test_config_directory_is_a_config_error(capsys, tmp_path):
+    rc, kind, detail = error_detail(capsys, ["--config", str(tmp_path), "validate"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith(f"{tmp_path}: cannot read")
+
+
+def test_non_utf8_config_is_a_config_error(capsys, tmp_path):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(json.dumps(chain12_cfg(note="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+    rc, kind, detail = error_detail(capsys, ["--config", str(cfg), "validate"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith(f"{cfg}: not UTF-8 text")
+
+
 # -- validation failures (exit 2) ----------------------------------------------
+
+
+def test_point_count_is_refused_before_the_group_is_built(capsys, tmp_path, monkeypatch):
+    """A small config naming a huge group: the orbit count is checked first."""
+
+    def unbuilt(moduli):
+        raise RuntimeError(f"group of moduli {moduli} was built")
+
+    monkeypatch.setattr(cli, "FiniteAbelianGroup", unbuilt)
+    doc = shear_cfg(group={"moduli": [1000000]}, extra={"generators": []})
+    doc["action"] = {"points": 2, "permutations": [[1, 0]]}
+    cfg = write_cfg(tmp_path, doc)
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "validate"])
+    assert rc == 2 and kind == "validation"
+    assert detail == "2 points cannot split into free orbits of size 1000000"
+
 
 
 def test_non_free_action_exits_2(capsys, tmp_path):

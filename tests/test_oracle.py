@@ -43,7 +43,9 @@ residuals included.
 
 Rank cut: on matrices of planted rank (up to 200 rows, weights log-uniform
 over up to 1e14), ``orthonormal_columns`` keeps the rank and the weighted
-projector of the pivoted-QR cut, and ranks their roundoff as zero.
+projector of the pivoted-QR cut, and ranks their roundoff as zero; it and
+the one-fiber ``_fiber_cut`` have the bits of the SVD-and-slice reference
+kernel.
 """
 import math
 
@@ -80,7 +82,13 @@ from actinv import (
     zak_stacked,
     zak_stacked_inv,
 )
-from actinv.spaces import RANK_TOL, fiber_matrices, fibers_from_matrix, orthonormal_columns
+from actinv.spaces import (
+    RANK_TOL,
+    _fiber_cut,
+    fiber_matrices,
+    fibers_from_matrix,
+    orthonormal_columns,
+)
 from actinv.zak import (
     base_norm,
     fold_orbits,
@@ -538,6 +546,46 @@ def test_rank_cut_matches_the_pivoted_qr_oracle(spec):
     noise = weighted - got @ (got.conj().T @ weighted)
     assert orthonormal_columns(weights, noise / root, floor=RANK_TOL).shape == (n, 0)
     assert oracle.euclid_orth(noise, floor=RANK_TOL).shape == (n, 0)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    spec=planted_ranks(),
+    noise=st.sampled_from([0.0, 1e-13, 1e-9]),
+    floor=st.sampled_from([0.0, RANK_TOL]),
+)
+@example(spec=(7, 0, 0, 14.0, 0), noise=0.0, floor=0.0)  # zero width
+@example(spec=(7, 3, 0, 14.0, 1), noise=0.0, floor=RANK_TOL)  # all zeros
+@example(spec=(200, 16, 0, 14.0, 2), noise=1e-13, floor=RANK_TOL)  # roundoff only
+@example(spec=(200, 16, 5, 14.0, 3), noise=1e-13, floor=0.0)
+@example(spec=(40, 16, 16, 14.0, 4), noise=1e-9, floor=RANK_TOL)
+def test_rank_cut_reproduces_the_reference_kernel_bitwise(spec, noise, floor):
+    """The one-fiber ``_fiber_cut`` and ``orthonormal_columns`` have the bits
+    of the SVD-and-slice reference kernel in ``oracle.py``: floor 0 and
+    ``RANK_TOL``, zero width, all zeros, planted rank under noise, weights
+    log-uniform over up to 1e14.  On input with exact zeros (real-valued
+    columns, point deltas), only the sign of a zero may differ: the cut
+    multiplies its columns by the keep mask, and the real part of
+    ``(a + bj) * (1 + 0j)``, ``a - b * 0``, is ``+0.0`` for ``a = -0.0``
+    and ``b < 0``."""
+    n, m, rank, decades, seed = spec
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(0.0, decades, n)
+    root = np.sqrt(weights)[:, None]
+    planted = complex_normal(rng, (n, rank)) @ complex_normal(rng, (rank, m))
+    weighted = planted + noise * complex_normal(rng, (n, m))
+    want = oracle.kernel_euclid_orth(weighted, RANK_TOL, floor)
+    assert_same_bits(_fiber_cut(weighted[None], floor=floor)[0], want)
+    vectors = weighted / root
+    want = oracle.kernel_euclid_orth(vectors * root, RANK_TOL, floor) / root
+    assert_same_bits(orthonormal_columns(weights, vectors, floor=floor), want)
+    for exact in (weighted.real + 0j, -np.eye(n, m, dtype=complex)):
+        want = oracle.kernel_euclid_orth(exact, RANK_TOL, floor)
+        assert_same_bits(_fiber_cut(exact[None], floor=floor)[0], want, zero_sign=True)
 
 
 # -- group core ----------------------------------------------------------------

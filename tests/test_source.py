@@ -48,6 +48,53 @@ def test_no_scipy_imports(path):
     assert not lines, f"{path.name} imports scipy at lines {lines}"
 
 
+def _rank_tol_uses(tree: ast.AST) -> list[int]:
+    """Lines reading ``RANK_TOL`` outside the places allowed to cut on it.
+
+    The rank rule is written once, in ``spaces._kept``; ``extra._split``
+    holds the absolute floor of unit basis directions, and
+    ``masked_component`` passes ``RANK_TOL`` as the ``floor=`` of its span.
+    """
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_kept", "_split"):
+            allowed.update(id(n) for n in ast.walk(node))
+        if isinstance(node, ast.FunctionDef) and node.name == "masked_component":
+            for call in ast.walk(node):
+                for kw in getattr(call, "keywords", ()):
+                    if kw.arg == "floor":
+                        allowed.update(id(n) for n in ast.walk(kw.value))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and node.id == "RANK_TOL"
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in allowed
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_rank_tol_is_read_only_by_the_rank_rule(path):
+    """A hand-written rank cut would be a second copy of ``spaces._kept``."""
+    lines = _rank_tol_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} compares against RANK_TOL at lines {lines}"
+
+
+def test_rank_tol_rule_catches_a_hand_written_cut():
+    source = """
+def _kept(s):
+    return s > RANK_TOL * s[0]
+
+def masked_component(scn, space, xi):
+    return span(scn, space, floor=RANK_TOL)
+
+def cut(s):
+    return s[s > RANK_TOL * s[0]]
+"""
+    assert _rank_tol_uses(ast.parse(source)) == [9]
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that finds this checkout's ``actinv`` first."""
     env = dict(os.environ)

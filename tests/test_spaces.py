@@ -5,8 +5,11 @@ from numpy.testing import assert_allclose
 
 import actinv.spaces as spaces_mod
 from actinv import (
+    ActionSpace,
     DegenerateGeneratorError,
+    FiniteAbelianGroup,
     InvarianceError,
+    Scenario,
     Subgroup,
     Subspace,
     check_decomposable,
@@ -240,6 +243,26 @@ def test_principal_membership_agrees_with_projector_oracle(scn):
             f = random_function(scn, rng)
         got = principal_membership(scn, f, psi) is not None
         assert got == space.contains(f)
+
+
+def test_principal_membership_reads_the_range_function():
+    """Membership needs only per-fiber inner products, and the stacked fibers
+    are a unitary image of the base Zak fibers: no |base|^2 character table
+    is built (Z_6 on 2 weighted orbits, base = G)."""
+    group = FiniteAbelianGroup([6])
+    act = ActionSpace.regular(group, orbits=2, weights=np.arange(1.0, 13.0))
+    whole = Subgroup(group, [(1,)])
+    scn = Scenario(group, whole, whole, act)
+    rng = np.random.default_rng(32)
+    psi = random_function(scn, rng)
+    space = span_invariant(scn, psi[:, None])
+    member = space.frame @ (rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim))
+    mult = principal_membership(scn, member, psi)
+    assert mult is not None and mult.support.all()
+    assert principal_membership(scn, random_function(scn, rng), psi) is None
+    assert "chars_base_omega" not in vars(scn)
+    recon = zak_base_inv(scn, mult.values[:, None] * zak_base(scn, psi))
+    assert_allclose(recon, member, atol=1e-9 * scn.action.norm(member))
 
 
 def test_principal_membership_rejects_zero_generator(chain12):
