@@ -81,6 +81,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(str(path), f"not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(str(path), "invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top level must be an object")
     doc.setdefault("_dir", str(p.parent))
@@ -136,6 +138,8 @@ def build_scenario(doc: dict) -> Scenario:
     base_gens, extra_gens = generators("base"), generators("extra")
     action_doc = _require(doc, "action", dict, "")
     points = _require(action_doc, "points", int, "action")
+    if points < 1:
+        raise ConfigError("action.points", "need at least one point")
     perms_raw = _require(action_doc, "permutations", list, "action")
     if len(perms_raw) != rank:
         raise ConfigError("action.permutations", f"expected {rank} permutations")
@@ -155,10 +159,9 @@ def build_scenario(doc: dict) -> Scenario:
         if not all(_is_finite(v) and v > 0 for v in weights):
             raise ConfigError("action.weights", "weights must be finite positive numbers")
     order = math.prod(moduli)
-    if points > 0 and points % order:
+    if points % order:
         # before the group is built: a small config can name a group too
         # large to hold, and no free action of it on these points exists
-        # (a count below 1 is ActionSpace's to refuse, as a config error)
         raise OrbitError(f"{points} points cannot split into free orbits of size {order}")
     group = FiniteAbelianGroup(moduli)
     base, extra = Subgroup(group, base_gens), Subgroup(group, extra_gens)
@@ -260,7 +263,10 @@ def _options(doc: dict, args) -> tuple[float, int]:
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
-        ensure_parent(out).write_text(text)
+        try:
+            ensure_parent(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

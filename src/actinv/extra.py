@@ -191,12 +191,18 @@ def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
     return Subspace.span(scn, masked, floor=RANK_TOL)
 
 
+# Entries the per-pair temporaries of one run may reach when the basis is smaller.
+RUN_ENTRIES = 2**14
+
+
 def _pair_runs(scn: Scenario, per_pair: int, basis: np.ndarray):
     """Runs of (fiber, block) pairs, as fiber and block positions, whose
-    temporaries (``per_pair`` entries each) fit in the size of the basis,
-    and at least one pair per run."""
+    temporaries (``per_pair`` entries each) fit in the larger of the size
+    of the basis and :data:`RUN_ENTRIES`, and at least one pair per run.
+    The floor lets a small space (a principal or canonical one, r = 1) take
+    its pairs in one run instead of one run per few fibers."""
     n_pairs = scn.n_fibers * scn.n_blocks
-    step = max(1, basis.size // per_pair) if per_pair else n_pairs
+    step = max(1, max(basis.size, RUN_ENTRIES) // per_pair) if per_pair else n_pairs
     for lo in range(0, n_pairs, step):
         yield np.divmod(np.arange(lo, min(lo + step, n_pairs)), scn.n_blocks)
 
@@ -236,18 +242,22 @@ def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
     whose fiber w is spanned by ``basis[w] @ coeffs[w, b]`` (orthonormal or
     zero columns), ``basis`` being the space's range function.
 
-    Reads the space's probe passes (:func:`actinv.spaces._probe_pass`),
-    one per distinct base and extra probe, shared with the residuals.  A
-    probe moves ``basis[w] @ x`` out by its part inside the space but
-    outside the subspace, ``(I - x x^H) N x`` in coefficients on the basis,
-    and by the space's own part moved out, whose norm is that of ``F x``
-    for the pass's r x r factor F.  The two are orthogonal, so the
+    The subspaces are range functions, so a base probe moves none of them;
+    the law reads the space's probe passes (:func:`actinv.spaces._probe_pass`)
+    of the probes outside the base (:attr:`Scenario.probe_rows`), shared
+    with the residuals, and is ``0.0`` when there are none.  A probe moves
+    ``basis[w] @ x`` out by its part inside the space but outside the
+    subspace, ``(I - x x^H) N x`` in coefficients on the basis, and by the
+    space's own part moved out, whose norm is that of ``F x`` for the
+    pass's r x r factor F.  The two are orthogonal, so the
     residual is the top singular value of ``[(I - x x^H) N x; F x]``, a
     (2r, k) matrix per probe, fiber and block, all in one values-only SVD.
     Since the blocks' k add up to at most the rows, the batch holds at
     most twice as many entries per probe as the basis.
     """
     probes = space.scenario.probe_rows
+    if not probes:
+        return 0.0
     n_fibers, n_blocks, r, k = coeffs.shape
     law = np.empty((len(probes), n_fibers, n_blocks, 2 * r, k), dtype=complex)
     for stack, g in zip(law, probes):

@@ -58,6 +58,7 @@ class Scenario:
         self.block_section = coset_section(
             group, self.extra_annihilator, within=self.base_annihilator
         )
+        self._moves_fibers: dict[Element, bool] = {}
 
     def __repr__(self) -> str:
         return (
@@ -194,21 +195,39 @@ class Scenario:
 
     @cached_property
     def probe_rows(self) -> dict[Element, int]:
-        """Row of each probe of base and extra in :attr:`probe_modulations`.
+        """Row of each probe that can move a range function, in
+        :attr:`probe_modulations`.
 
         The probes are the translations the invariance checks apply: the
-        generators of each subgroup, or its zero element when it has none;
-        one row per distinct probe, base first.
+        generators of each subgroup, or its zero element when it has none.
+        A probe in the base maps every fiber basis to itself
+        (:meth:`moves_fibers`), so the rows are the distinct probes of base
+        and extra outside the base: the extra generators outside it, in
+        order.
         """
-        probes = dict.fromkeys(_probes(self.base) + _probes(self.extra))
+        probes = dict.fromkeys(g for g in _probes(self.extra) if self.moves_fibers(g))
         return {g: i for i, g in enumerate(probes)}
 
     @cached_property
     def probe_modulations(self) -> np.ndarray:
-        """:meth:`modulations` of the base and extra probes, one row each
-        (:attr:`probe_rows`), shape (probes, n_fibers, n_cosets): built once
-        per scenario, 16 bytes per probe and dual element."""
+        """:meth:`modulations` of the probes of :attr:`probe_rows`, one row
+        each, shape (probes, n_fibers, n_cosets): built once per scenario,
+        16 bytes per probe and dual element."""
         return self.modulations(tuple(self.probe_rows))
+
+    def moves_fibers(self, g: Element) -> bool:
+        """Whether translating by the reduced element g can move a range
+        function: whether g lies outside the base.
+
+        A base element pairs to one with the base annihilator, so its
+        modulation is the constant ``pairing(g, omega[w])`` on fiber w and
+        maps every fiber basis to itself.  Exact integer membership,
+        memoised per element on the scenario.
+        """
+        memo = self._moves_fibers
+        if g not in memo:
+            memo[g] = g not in self.base
+        return memo[g]
 
     def modulations(self, probes: tuple[Element, ...]) -> np.ndarray:
         """Each probe's translation on the stacked Zak values, (probes, n_fibers, n_cosets).
@@ -219,7 +238,8 @@ class Scenario:
         ``pairing(e, omega[w] + annihilator_order[k])``.
         """
         dual = self.group.coords[self.dual_unsplit.ravel()]
-        chars = self.group.characters(np.array(probes, dtype=np.int64), dual)
+        coords = np.array(probes, dtype=np.int64).reshape(len(probes), self.group.rank)
+        chars = self.group.characters(coords, dual)
         return chars.reshape(len(probes), self.n_fibers, self.n_cosets)
 
 

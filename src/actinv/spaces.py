@@ -7,10 +7,11 @@ zero-padded (n_fibers, rows, r_max) array.  The fiber builders produce the
 range function and assemble the frame only when it is read; a frame-given
 space gets one at the base gate (:func:`require_base_invariant`).
 A translation acts on the range function as a modulation of each fiber's
-rows (:meth:`Scenario.modulations`); only a frame-given space is translated
-in point space, and only until it passes the base gate.  A space with a
-range function makes one probe pass per probe (:func:`_probe_pass`), which
-every reader of it shares.
+rows (:meth:`Scenario.modulations`), and a base translation leaves every
+fiber basis where it is; only a frame-given space is translated in point
+space, and only until it passes the base gate.  A space with a range
+function makes one probe pass per probe outside the base
+(:func:`_probe_pass`), which every reader of it shares.
 
 Numerical work happens in *weighted coordinates*: scaling a function's
 entries by ``weights ** 0.5`` turns the weighted inner product into the
@@ -198,9 +199,12 @@ def span_invariant(
     Zak fiber at a time: a base translate of a function multiplies each of
     its fibers by a unimodular character value, so the space's fiber at
     omega is the span of the fibers there of the generators and of their
-    translates by a section of ``subgroup / base`` (no translate at all when
-    the subgroup is the base).  One batched SVD of those fiber matrices,
-    cut by :func:`_fiber_cut`, gives an orthonormal basis of every fiber.
+    translates by a section of ``subgroup / base``.  The generators are
+    transformed once; a translate's fibers are theirs times the section
+    element's :meth:`Scenario.modulations` row (none when the subgroup is
+    the base), appended section by section, so no function is translated
+    in point space.  One batched SVD of those fiber matrices, cut by
+    :func:`_fiber_cut`, gives an orthonormal basis of every fiber.
     The nonzero singular values are exactly those of the point-space matrix
     of every subgroup translate of every generator, so the cut, hence the
     dimension, is the one a rank cut of that matrix makes.  The kept
@@ -214,8 +218,12 @@ def span_invariant(
     mat = as_columns(scn, generators)
     if mat.shape[1] == 0:
         return Subspace.zero(scn)
-    moved = [mat] + [translate(scn.action, a, mat) for a in _section(scn, subgroup)[1:]]
-    return Subspace.from_fibers(scn, _fiber_cut(fiber_matrices(scn, np.hstack(moved))))
+    fibers = fiber_matrices(scn, mat)
+    section = _section(scn, subgroup)[1:]
+    if section:
+        moved = [_modulate(d, fibers) for d in scn.modulations(section)]
+        fibers = np.concatenate([fibers, *moved], axis=2)
+    return Subspace.from_fibers(scn, _fiber_cut(fibers))
 
 
 def _kept(s: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -256,20 +264,25 @@ def _section(scn: Scenario, subgroup: Subgroup) -> tuple:
 
 def _probe_pass(space: Subspace, g) -> tuple:
     """g's residual and, on a space with a range function, its :func:`_moved`
-    pair ``(inside, factor)``; memoised on ``space`` per probe.
+    pair ``(inside, factor)``; memoised on ``space`` per probe that moves.
 
     The residual is the largest distance from the space of a unit vector
-    of it translated by g.  A space with a range function moves its fiber
-    bases once by g's modulation, the scenario's cached row for a base or
-    extra probe and built on demand for any other, and the residual is the
-    top singular value of the r x r factor of the part moved out.  A
-    frame-given space translates its frame in point space and takes the top
-    singular value of its part outside the space, in weighted coordinates;
-    it holds ``(residual, None, None)`` until its base gate drops the memo.
+    of it translated by g.  On a range function a base element g modulates
+    each fiber by a constant (:meth:`Scenario.moves_fibers`), so its
+    residual is exactly ``0.0``, with no pass and no memo entry.  Any other
+    g moves the fiber bases once by its modulation, the scenario's cached
+    row for an extra probe and built on demand otherwise, and the residual
+    is the top singular value of the r x r factor of the part moved out.
+    A frame-given space translates its frame in point space and takes the
+    top singular value of its part outside the space, in weighted
+    coordinates; it holds ``(residual, None, None)`` until its base gate
+    drops the memo.
     """
+    basis = vars(space).get("_basis")
+    if basis is not None and not space.scenario.moves_fibers(g):
+        return 0.0, None, None
     memo = vars(space).setdefault("_invariance", {})
     if g not in memo:
-        basis = vars(space).get("_basis")
         if basis is not None:
             scn = space.scenario
             row = scn.probe_rows.get(g)
@@ -284,12 +297,20 @@ def _probe_pass(space: Subspace, g) -> tuple:
     return memo[g]
 
 
+def _modulate(d: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The modulation d (n_fibers, n_cosets) applied to fiber matrices
+    (n_fibers, rows, k): stacked row ``k * reps + c`` of fiber w times
+    ``d[w, k]``, a broadcast over the orbits.  A new array."""
+    n_fibers, rows, k = mats.shape
+    split = mats.reshape(n_fibers, d.shape[1], rows // d.shape[1], k)
+    return (split * d[..., None, None]).reshape(mats.shape)
+
+
 def _moved(d: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A modulation's action on the fiber bases, split along them.
 
     ``basis`` (n_fibers, rows, r) holds orthonormal or zero columns B per
-    fiber; the modulation d (n_fibers, n_cosets) multiplies stacked row
-    ``k * reps + c`` by ``d[w, k]``, a broadcast over the orbits.  Returns,
+    fiber, and the modulation d moves them (:func:`_modulate`).  Returns,
     per fiber, ``N = B^H d B`` (the part of d B inside the span, in
     coefficients on B) and an r x r factor F of the part outside,
     ``O = d B - B N``: the R of its QR decomposition, so ``F^H F = O^H O``
@@ -297,9 +318,7 @@ def _moved(d: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value of F is the largest distance from the span of a modulated unit
     vector of it.  Temporaries are the size of the basis.
     """
-    n_fibers, rows, r = basis.shape
-    moved = basis.reshape(n_fibers, d.shape[1], rows // d.shape[1], r) * d[..., None, None]
-    moved = moved.reshape(basis.shape)
+    moved = _modulate(d, basis)
     inside = basis.conj().swapaxes(-1, -2) @ moved
     moved -= basis @ inside
     return inside, np.linalg.qr(moved, mode="r")
@@ -314,17 +333,18 @@ def is_invariant(
     representation and generators reach everything).  Returns the verdict
     and the worst residual: the largest distance from the space of a
     translated unit vector of the space, maximised over the probes, which
-    does not depend on ``tol`` or on a choice of basis.  A space with a
-    range function (fiber-built, or past the base gate) makes one probe
-    pass per probe (:func:`_probe_pass`): the probe's modulation, the
-    scenario's cached row for a base or extra generator, moves its fiber
-    bases once, and the residual, the part kept inside and a small factor
-    of the part moved out are memoised for every later reader, the
-    component law of :func:`actinv.extra.check_extra_invariance` included.
-    A frame-given space translates its frame in point space, once per
-    probe, the only route valid before the space is known to be
-    base-invariant.  ``ValueError`` unless ``tol`` is a finite positive
-    number.
+    does not depend on ``tol`` or on a choice of basis.  On a space with a
+    range function (fiber-built, or past the base gate) a probe in the
+    base reads exactly ``0.0`` at no cost, so the base gate of a
+    fiber-built space makes no pass at all; every other probe makes one
+    probe pass (:func:`_probe_pass`): its modulation, the scenario's cached
+    row for an extra generator, moves the fiber bases once, and the
+    residual, the part kept inside and a small factor of the part moved
+    out are memoised for every later reader, the component law of
+    :func:`actinv.extra.check_extra_invariance` included.  A frame-given
+    space translates its frame in point space, once per probe, the only
+    route valid before the space is known to be base-invariant.
+    ``ValueError`` unless ``tol`` is a finite positive number.
     """
     tol = checked_tol(tol)
     if space.dim == 0:

@@ -392,6 +392,29 @@ def test_non_utf8_config_is_a_config_error(capsys, tmp_path):
     assert detail.startswith(f"{cfg}: not UTF-8 text")
 
 
+def test_deeply_nested_config_is_a_config_error(capsys, tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100000)
+    rc, kind, detail = error_detail(capsys, ["--config", str(cfg), "validate"])
+    assert rc == 1 and kind == "config"
+    assert detail == f"{cfg}: invalid JSON: nested too deeply"
+
+
+def test_out_directory_is_a_config_error(capsys, tmp_path):
+    rc, kind, detail = error_detail(capsys, ["--out", str(tmp_path), "demo", "shear"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith(f"--out: cannot write {tmp_path}")
+
+
+def test_zero_points_is_refused_under_its_field(capsys, tmp_path):
+    doc = shear_cfg()
+    doc["action"] = {"points": 0, "permutations": [[]]}
+    cfg = write_cfg(tmp_path, doc)
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "validate"])
+    assert rc == 1 and kind == "config"
+    assert detail == "action.points: need at least one point"
+
+
 # -- validation failures (exit 2) ----------------------------------------------
 
 

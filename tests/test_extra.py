@@ -253,6 +253,13 @@ def _passes(monkeypatch):
     return log
 
 
+def _moving(scn):
+    """The distinct probes of base and extra that lie outside the base, in
+    order: the only ones that can move a range function."""
+    probes = spaces_mod._probes(scn.base) + spaces_mod._probes(scn.extra)
+    return tuple(g for g in dict.fromkeys(probes) if g not in scn.base)
+
+
 def _pair(scn, space, log):
     """One check pair; the log entries it made, by kind."""
     log.clear()
@@ -268,12 +275,13 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
     No transform, inverse transform or translation runs (the frame is never
     assembled).  A cold pair makes one probe pass (``_moved``, one
     modulated basis and one decomposition of its part outside the space)
-    per distinct probe of base and extra, which the residuals and the
-    component law share, and one SVD with vectors, of the block rows of
-    every fiber basis, shape (n_fibers, n_blocks, block rows, r_max), which
-    both checks and the inner extra-invariance check of
+    per distinct probe of base and extra outside the base, which the
+    residuals and the component law share, and none for a base probe (the
+    base gate makes no pass at all), and one SVD with vectors, of the block
+    rows of every fiber basis, shape (n_fibers, n_blocks, block rows,
+    r_max), which both checks and the inner extra-invariance check of
     ``check_decomposable`` share.  A warm pair makes no pass and no SVD at
-    all.  The scenario builds the modulation table of its probes once: a
+    all.  The scenario builds the modulation table of those probes once: a
     second space on it reads the cached rows.
     """
     rng = np.random.default_rng(8)
@@ -287,9 +295,13 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
     _counted(monkeypatch, spaces_mod, "translate", calls)
     log = _passes(monkeypatch)
     size = dual_partition(scn).rows.shape[1]
-    probes = tuple(scn.probe_rows)
+    probes = _moving(scn)
+    assert tuple(scn.probe_rows) == probes
     built = "probe_modulations" in vars(scn)  # the scenario is shared with other tests
     for i, space in enumerate(spaces):
+        log.clear()
+        spaces_mod.require_base_invariant(space)
+        assert log == []
         cold, warm = _pair(scn, space, log), _pair(scn, space, log)
         split = (scn.n_fibers, scn.n_blocks, size, space._basis.shape[2])
         assert cold["moved"] == [(space._basis.shape, None)] * len(probes)
@@ -305,16 +317,16 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
 @pytest.mark.parametrize(
     "moduli,base,extra,probes",
     [
-        ((12,), [], [(3,)], [(0,), (3,)]),  # trivial base: the zero probe
-        ((12,), [(4,)], [(4,)], [(4,)]),  # extra == base: every probe twice
-        ((6,), [], [], [(0,)]),  # both trivial: one zero probe
-        ((2, 6), [(0, 2)], [(1, 0), (0, 2)], [(0, 2), (1, 0)]),  # a shared generator
+        ((12,), [], [(3,)], [(3,)]),  # trivial base: the zero probe is in it
+        ((12,), [(4,)], [(4,)], []),  # extra == base: no probe moves a fiber
+        ((6,), [], [], []),  # both trivial: the zero probe only
+        ((2, 6), [(0, 2)], [(1, 0), (0, 2)], [(1, 0)]),  # a shared generator
     ],
 )
 def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypatch):
-    """The scenario keeps one modulation row per distinct probe, base first,
-    and a cold check pair makes one pass per row; its residuals agree with
-    translating the frame in point space, and the components of an
+    """The scenario keeps one modulation row per distinct probe outside the
+    base, and a cold check pair makes one pass per row; its residuals agree
+    with translating the frame in point space, and the components of an
     extra-invariant space keep the law."""
     g = FiniteAbelianGroup(list(moduli))
     weights = np.exp(np.random.default_rng(33).uniform(0.0, np.log(1e3), 2 * g.order))
@@ -339,12 +351,13 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
 def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
     """Before its base gate a frame-given space is translated in point space
     and makes no probe pass; the gate drops those residuals, and a cold
-    check pair then makes one pass per distinct probe, a warm one none,
-    with the reports of the fiber-built original's verdicts and dimensions."""
+    check pair then makes one pass per distinct probe outside the base, a
+    warm one none, with the reports of the fiber-built original's verdicts
+    and dimensions."""
     rng = np.random.default_rng(35)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     log = _passes(monkeypatch)
-    probes = set(scn.probe_rows)
+    probes = set(_moving(scn))
     built = "probe_modulations" in vars(scn)  # the scenario is shared with other tests
     pair = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
     for i, space in enumerate(pair):
@@ -356,7 +369,7 @@ def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatc
         assert res == pytest.approx(oracle.translation_residual(space, scn.extra), abs=1e-12)
         cold, warm = _pair(scn, given, log), _pair(scn, given, log)
         assert len(cold["moved"]) == len(probes)
-        assert cold["table"] == ([] if i or built else [(tuple(scn.probe_rows), None)])
+        assert cold["table"] == ([] if i or built else [(_moving(scn), None)])
         assert set(vars(given)["_invariance"]) == probes
         assert warm == {"moved": [], "table": [], "svd": []}
         ext = check_extra_invariance(scn, given)
@@ -437,7 +450,8 @@ def test_check_pair_memory_stays_within_the_zak_values():
 
     With many blocks and one dimension, a (points x blocks) array would
     take 128 MiB; the checks take the blocks in runs whose temporaries are
-    no larger than the frame's Zak values, so the pair peaks at a few MiB.
+    no larger than the frame's Zak values or 2^14 entries, so the pair
+    peaks at a few MiB.
     """
     g = FiniteAbelianGroup([2048])
     scn = Scenario(g, Subgroup(g, []), Subgroup(g, [(1,)]), ActionSpace.regular(g, 2))
@@ -512,11 +526,11 @@ def test_reports_do_not_depend_on_the_memo(scn):
     """Reports are the same cold, warm and on a fresh copy, also when the
     cold copy was asked for its extra invariance before the base gate; a
     frame-given space keeps its range function, the block split and one
-    residual per base and extra probe, and the fiber-built original agrees
-    with it in every verdict and dimension."""
+    residual per base and extra probe outside the base, and the fiber-built
+    original agrees with it in every verdict and dimension."""
     rng = np.random.default_rng(9)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
-    probes = set(scn.probe_rows)
+    probes = set(_moving(scn))
     for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
         cold = Subspace(scn, space.frame)
         assert not {"_basis", "_split", "_invariance"} & set(vars(cold))

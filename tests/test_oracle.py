@@ -72,6 +72,7 @@ from actinv import (
     check_extra_invariance,
     coset_section,
     dual_partition,
+    is_invariant,
     mask_apply,
     masked_component,
     span_invariant,
@@ -337,14 +338,15 @@ def test_transforms_reproduce_the_reference_kernels_bitwise(spec, decades):
 def test_span_invariant_matches_the_point_space_span(spec, decades, count):
     """The fiberwise span against every subgroup translate cut in point space.
 
-    For the base and the extra subgroup: the same dimension, the same
-    weighted projector to 1e-12, and a frame that is weighted-orthonormal to
-    1e-12, with weights log-uniform over up to 1e14.
+    For the base, the extra subgroup and the whole group (the last two
+    spanned by modulating the generators' fibers): the same dimension, the
+    same weighted projector to 1e-12, and a frame that is
+    weighted-orthonormal to 1e-12, with weights log-uniform over up to 1e14.
     """
     scn, rng = build(spec, decades)
     gens = complex_normal(rng, (scn.action.n_points, count))
     root = np.sqrt(scn.action.weights)[:, None]
-    for sub in (scn.base, scn.extra):
+    for sub in (scn.base, scn.extra, Subgroup(scn.group, scn.group.elements)):
         got = span_invariant(scn, gens, sub)
         want = oracle.point_space_span(scn, gens, sub)
         assert got.dim == want.dim
@@ -353,6 +355,37 @@ def test_span_invariant_matches_the_point_space_span(spec, decades, count):
         np.testing.assert_allclose(
             oracle.projector(got), oracle.projector(want), rtol=0, atol=RTOL
         )
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(), decades=WEIGHT_DECADES)
+@example(spec=((1,), [], [], 1, 0), decades=0.0)
+@example(spec=((12,), [(4,)], [(4,)], 2, 4), decades=14.0)
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), decades=14.0)
+def test_base_translations_fix_every_range_function(spec, decades):
+    """The premise of skipping base probes on a range function.
+
+    Every base element's modulation row is constant on each fiber, exactly;
+    on fiber-built spaces every base probe reads exactly 0.0 and translating
+    the frame in point space moves no unit vector by more than 1e-12, with
+    weights log-uniform over up to 1e14.
+    """
+    scn, rng = build(spec, decades)
+    mods = scn.modulations(tuple(scn.base.elements))
+    assert np.array_equal(mods, np.broadcast_to(mods[..., :1], mods.shape))
+    gens = complex_normal(rng, (scn.action.n_points, 2))
+    spaces = (
+        span_invariant(scn, gens[:, :1]),
+        span_invariant(scn, gens, scn.extra),
+        canonical_extra_invariant(scn),
+    )
+    for space in spaces:
+        assert is_invariant(space, scn.base) == (True, 0.0)
+        assert oracle.translation_residual(space, scn.base) <= RTOL
 
 
 @settings(

@@ -95,6 +95,59 @@ def cut(s):
     assert _rank_tol_uses(ast.parse(source)) == [9]
 
 
+def _translate_calls(tree: ast.AST) -> list[int]:
+    """Lines calling ``translate`` outside the frame-given gate.
+
+    A range function moves by modulations, so point-space translation is
+    left to one place: the branch of ``spaces._probe_pass`` taken when the
+    space has no range function yet (``basis is None``), which is how a
+    frame-given space passes its base gate.
+    """
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_probe_pass":
+            for branch in ast.walk(node):
+                if (
+                    isinstance(branch, ast.If)
+                    and isinstance(branch.test, ast.Compare)
+                    and getattr(branch.test.left, "id", None) == "basis"
+                    and isinstance(branch.test.ops[0], ast.IsNot)
+                ):
+                    for stmt in branch.orelse:
+                        allowed.update(id(n) for n in ast.walk(stmt))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "translate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and id(node) not in allowed
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_translate_stays_in_the_frame_given_gate(path):
+    """``span_invariant`` and the probe passes of a range function modulate
+    fibers instead of translating functions in point space."""
+    lines = _translate_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} translates in point space at lines {lines}"
+
+
+def test_translate_rule_catches_a_point_space_translate():
+    source = """
+def span_invariant(scn, mat, a):
+    return translate(scn.action, a, mat)
+
+def _probe_pass(space, g):
+    basis = vars(space).get("_basis")
+    if basis is not None:
+        moved = actions.translate(space.scenario.action, g, space.frame)
+    else:
+        moved = translate(space.scenario.action, g, space.frame)
+    return moved
+"""
+    assert _translate_calls(ast.parse(source)) == [3, 8]
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that finds this checkout's ``actinv`` first."""
     env = dict(os.environ)

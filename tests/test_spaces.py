@@ -12,6 +12,7 @@ from actinv import (
     Scenario,
     Subgroup,
     Subspace,
+    canonical_extra_invariant,
     check_decomposable,
     check_extra_invariance,
     fiber_generators,
@@ -117,31 +118,83 @@ def test_span_invariant_properties(scn):
 
 
 def test_span_invariant_translates_a_section_only(scn, monkeypatch):
-    """The fiberwise span translates by a section of subgroup / base only.
+    """The fiberwise span translates by a section of subgroup / base only,
+    and as modulations of the generators' fibers.
 
-    [H : base] - 1 translates of the generators (the zero representative
-    needs none), so none at all when H is the base.
+    One modulation table of the [H : base] - 1 nonzero representatives
+    (the zero representative needs none), so none at all when H is the
+    base, and no translate in point space.
     """
-    moved = []
-    translate_ = spaces_mod.translate
+    moved, tables = [], []
+    modulations = Scenario.modulations
 
-    def counted(action, g, mat):
-        moved.append(g)
-        return translate_(action, g, mat)
+    def counted(self, probes):
+        tables.append(tuple(probes))
+        return modulations(self, probes)
 
-    monkeypatch.setattr(spaces_mod, "translate", counted)
+    monkeypatch.setattr(spaces_mod, "translate", lambda *args: moved.append(args))
+    monkeypatch.setattr(Scenario, "modulations", counted)
     gens = random_function(scn, np.random.default_rng(14))[:, None]
     for sub in (scn.base, scn.extra, Subgroup(scn.group, [(1,) * scn.group.rank])):
         if not scn.base.issubset(sub):
             continue
-        moved.clear()
+        tables.clear()
         span_invariant(scn, gens, sub)
         index = sub.order // scn.base.order
-        assert len(moved) == index - 1
-        assert len(set(moved)) == len(moved) and scn.group.zero not in moved
-    moved.clear()
+        assert [len(t) for t in tables] == ([index - 1] if index > 1 else [])
+        section = [a for t in tables for a in t]
+        assert len(set(section)) == len(section) and scn.group.zero not in section
+        assert all(a in sub and a not in scn.base for a in section)
+    tables.clear()
     span_invariant(scn, gens)
-    assert moved == []
+    assert tables == [] and moved == []
+
+
+# -- translations on the range function -----------------------------------------
+
+
+def test_base_modulations_are_constant_on_every_fiber(scn):
+    """A base element g pairs to one with the base annihilator, so its
+    modulation row is ``pairing(g, omega[w])`` at every annihilator position
+    of fiber w, exactly: it maps every fiber basis to itself."""
+    mods = scn.modulations(tuple(scn.base.elements))
+    omega = scn.group.coords[scn.dual_section.rep_indices]
+    base = scn.group.coords[scn.base.indices]
+    want = scn.group.characters(base, omega)[:, :, None]
+    assert np.array_equal(mods, np.broadcast_to(want, mods.shape))
+    assert all(not scn.moves_fibers(g) for g in scn.base.elements)
+    outside = [g for g in scn.group.elements if g not in scn.base]
+    assert all(scn.moves_fibers(g) for g in outside)
+
+
+def test_base_translations_fix_fiber_built_spaces(scn):
+    """On a fiber-built space every base probe reads exactly 0.0 without a
+    probe pass, and translating its frame in point space agrees to 1e-12."""
+    rng = np.random.default_rng(41)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    spaces = (
+        span_invariant(scn, gens[:, :1]),
+        span_invariant(scn, gens),
+        span_invariant(scn, gens, scn.extra),
+        canonical_extra_invariant(scn),
+    )
+    for space in spaces:
+        assert is_invariant(space, scn.base) == (True, 0.0)
+        assert "_invariance" not in vars(space)
+        assert oracle.translation_residual(space, scn.base) <= 1e-12
+
+
+def test_translates_are_modulated_fibers(scn):
+    """The fibers of a point-space translate by any element a are the
+    fibers of the function times a's modulation row."""
+    rng = np.random.default_rng(42)
+    mat = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    fibers = fiber_matrices(scn, mat)
+    mods = scn.modulations(tuple(scn.group.elements))
+    for a, d in zip(scn.group.elements, mods):
+        got = spaces_mod._modulate(d, fibers)
+        want = fiber_matrices(scn, translate(scn.action, a, mat))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(fibers))
 
 
 @pytest.mark.parametrize("name", ["chain12", "two_orbits", "product"])
