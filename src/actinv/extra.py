@@ -47,10 +47,10 @@ from .spaces import (
     Subspace,
     _fiber_cut,
     _probe_pass,
+    _top,
     checked_tol,
     is_invariant,
     require_base_invariant,
-    span_invariant,
 )
 from .zak import _group_dft, zak_full, zak_full_inv
 
@@ -247,25 +247,27 @@ def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
     of the probes outside the base (:attr:`Scenario.probe_rows`), shared
     with the residuals, and is ``0.0`` when there are none.  A probe moves
     ``basis[w] @ x`` out by its part inside the space but outside the
-    subspace, ``(I - x x^H) N x`` in coefficients on the basis, and by the
-    space's own part moved out, whose norm is that of ``F x`` for the
-    pass's r x r factor F.  The two are orthogonal, so the
-    residual is the top singular value of ``[(I - x x^H) N x; F x]``, a
-    (2r, k) matrix per probe, fiber and block, all in one values-only SVD.
-    Since the blocks' k add up to at most the rows, the batch holds at
-    most twice as many entries per probe as the basis.
+    subspace, ``W = (I - x x^H) N x`` in coefficients on the basis, and by
+    the space's own part moved out, whose squared norms are those of the
+    pass's Gram matrix G.  The two are orthogonal, so the residual is the
+    top singular value read off the k x k Gram matrix ``W^H W + x^H G x``
+    per probe, fiber and block, all in one :func:`actinv.spaces._top`.
+    Since the blocks' k add up to at most r, the stack holds at most as
+    many entries per probe as the r x r Gram matrices of the pass.
     """
     probes = space.scenario.probe_rows
     if not probes:
         return 0.0
-    n_fibers, n_blocks, r, k = coeffs.shape
-    law = np.empty((len(probes), n_fibers, n_blocks, 2 * r, k), dtype=complex)
+    n_fibers, n_blocks, _, k = coeffs.shape
+    herm = coeffs.conj().swapaxes(-1, -2)
+    law = np.empty((len(probes), n_fibers, n_blocks, k, k), dtype=complex)
     for stack, g in zip(law, probes):
-        _, inside, factor = _probe_pass(space, g)
-        within = np.matmul(inside[:, None], coeffs, out=stack[..., :r, :])
-        within -= coeffs @ (coeffs.conj().swapaxes(-1, -2) @ within)
-        np.matmul(factor[:, None], coeffs, out=stack[..., r:, :])
-    return float(np.max(np.linalg.svd(law, compute_uv=False), initial=0.0))
+        _, inside, gram = _probe_pass(space, g)
+        within = inside[:, None] @ coeffs
+        within -= coeffs @ (herm @ within)
+        np.matmul(within.conj().swapaxes(-1, -2), within, out=stack)
+        stack += herm @ (gram[:, None] @ coeffs)
+    return _top(law)
 
 
 @dataclass(frozen=True)
@@ -320,11 +322,16 @@ def check_extra_invariance(
     per fiber (the components' projectors summed, in coefficients on the
     fiber basis, against the identity) and the worst base/extra-invariance
     residual among the components, all of which must be invariant too
-    (:func:`_component_law`).  ``ValueError`` unless ``tol`` is a finite
-    positive number.
+    (:func:`_component_law`).  The report is memoised on the space per
+    ``tol``, after the base gate, so the inner call of
+    :func:`check_decomposable` reads it.  ``ValueError`` unless ``tol`` is
+    a finite positive number.
     """
     tol = checked_tol(tol)
     basis = require_base_invariant(space, tol)
+    reports = vars(space).setdefault("_reports", {})
+    if tol in reports:
+        return reports[tol]
     ok_translate, res_translate = is_invariant(space, scn.extra, tol)
     _, t, kv, off, kept = _split(scn, space, basis)
     inc_res = [float(r) for r in np.max(off * kept, axis=(0, 2), initial=0.0)]
@@ -345,15 +352,13 @@ def check_extra_invariance(
         ident = np.eye(width) * np.any(basis, axis=1)[:, None, :]
         gap = summed @ summed.conj().swapaxes(1, 2) - ident
         deviation = float(np.max(np.abs(gap), initial=0.0))
-        comp_res = vars(space).get("_component_law")
-        if comp_res is None:
-            comp_res = space._component_law = _component_law(space, kv)
+        comp_res = _component_law(space, kv)
         if deviation > tol or comp_res > tol:
             raise TheoremViolationError(
                 "components of an extra-invariant space fail their structure laws",
                 details={"decomposition": deviation, "component_invariance": comp_res},
             )
-    return ExtraInvarianceReport(
+    reports[tol] = ExtraInvarianceReport(
         extra_invariant=ok_translate,
         translation_residual=res_translate,
         inclusion_residuals=tuple(inc_res),
@@ -362,6 +367,7 @@ def check_extra_invariance(
         decomposition_deviation=deviation,
         component_invariance_residual=comp_res,
     )
+    return reports[tol]
 
 
 def canonical_extra_invariant(scn: Scenario) -> Subspace:
@@ -370,12 +376,17 @@ def canonical_extra_invariant(scn: Scenario) -> Subspace:
     The generator is the inverse full Zak transform of the indicator of the
     identity-label block (constant across orbit representatives).  The
     construction makes the identity-label component the whole space and
-    every other component zero.
+    every other component zero.  Its range function is known in closed
+    form, so it is built directly, with no transform: every fiber holds one
+    unit column, ``rep_weights ** 0.5`` on the identity-label block rows
+    (the weighted stacked coordinates of the indicator) and zero elsewhere.
     """
-    pos = scn.block_section.position_of(scn.group.zero)
-    inside = (dual_partition(scn).positions == pos).astype(complex)
-    gen = zak_full_inv(scn, np.repeat(inside[:, None], len(scn.tiling.orbit_reps), axis=1))
-    return span_invariant(scn, gen[:, None], scn.base)
+    reps = len(scn.tiling.orbit_reps)
+    rows = dual_partition(scn).rows[scn.block_section.position_of(scn.group.zero)]
+    column = np.zeros(scn.n_cosets * reps, dtype=complex)
+    column[rows] = np.sqrt(scn.rep_weights)[rows % reps]
+    column /= np.linalg.norm(column)
+    return Subspace.from_fibers(scn, np.repeat(column[None, :, None], scn.n_fibers, axis=0))
 
 
 # -- fiberwise (decomposability) formulation ----------------------------------
@@ -412,12 +423,13 @@ def check_decomposable(
     verdict must agree with that check; it also verifies that the fibers of
     each component (the kept directions ``basis[w] @ kv[w, b]``) equal the
     block-restricted fibers of the space, comparing the two projectors on
-    the block rows.  ``ValueError`` unless ``tol`` is a finite positive
-    number.
+    the block rows by their diagonals (:func:`_match_deviation`).  The
+    inner extra-invariance check reads the report memoised for ``tol``.
+    ``ValueError`` unless ``tol`` is a finite positive number.
     """
     tol = checked_tol(tol)
     basis = require_base_invariant(space, tol)
-    a, t, kv, off, kept = _split(scn, space, basis)
+    _, t, _, off, _ = _split(scn, space, basis)
     worst = float(np.max(t * off, initial=0.0))
     decomposable = worst <= tol
     ext = check_extra_invariance(scn, space, tol)
@@ -431,20 +443,37 @@ def check_decomposable(
         )
     match_dev = None
     if decomposable and space.dim:
-        rows = dual_partition(scn).rows
-        match_dev = 0.0
-        for w, b in _pair_runs(scn, rows.shape[1] ** 2, basis):
-            # the space's fibers on the block rows, against the components'
-            ak = a[w, b] * kept[w, b][:, None, :]
-            comps = basis[w[:, None], rows[b]] @ kv[w, b]
-            gap = ak @ ak.conj().swapaxes(1, 2) - comps @ comps.conj().swapaxes(1, 2)
-            match_dev = max(match_dev, float(np.max(np.abs(gap))))
+        match_dev = _match_deviation(scn, space, basis)
         if match_dev > tol:
             raise TheoremViolationError(
                 "masked-component fibers do not match block-restricted fibers",
                 details={"component_match_deviation": match_dev},
             )
     return DecomposabilityReport(decomposable, worst, match_dev)
+
+
+def _match_deviation(scn: Scenario, space: Subspace, basis: np.ndarray) -> float:
+    """Largest entry of the gap between the projectors of the space's fibers
+    on the block rows and of the components' fibers there, over every fiber
+    and block.
+
+    With ``basis[w][rows[b]] = a t v^H`` (:func:`_split`), the first is
+    ``ak ak^H`` over the kept columns ``ak`` of ``a``, and the component's
+    fiber on the block rows is ``comps = basis[w][rows[b]] @ kv[w, b]``.
+    The gap ``ak ak^H - comps comps^H = a diag(kept (1 - t**2)) a^H`` is
+    positive semidefinite, so its largest entry lies on its diagonal: the
+    gap of the row energies of ``ak`` and ``comps``.  Temporaries are
+    ``rows * r`` entries per pair, never ``rows ** 2``.
+    """
+    a, _, kv, _, kept = _split(scn, space, basis)
+    rows = dual_partition(scn).rows
+    worst = 0.0
+    for w, b in _pair_runs(scn, rows.shape[1] * basis.shape[2], basis):
+        ak = a[w, b] * kept[w, b][:, None, :]
+        comps = basis[w[:, None], rows[b]] @ kv[w, b]
+        gap = np.sum(np.abs(ak) ** 2, axis=2) - np.sum(np.abs(comps) ** 2, axis=2)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
 
 
 # -- cross-check in the sequence space over the group -------------------------

@@ -264,7 +264,7 @@ def _section(scn: Scenario, subgroup: Subgroup) -> tuple:
 
 def _probe_pass(space: Subspace, g) -> tuple:
     """g's residual and, on a space with a range function, its :func:`_moved`
-    pair ``(inside, factor)``; memoised on ``space`` per probe that moves.
+    pair ``(inside, gram)``; memoised on ``space`` per probe that moves.
 
     The residual is the largest distance from the space of a unit vector
     of it translated by g.  On a range function a base element g modulates
@@ -272,11 +272,11 @@ def _probe_pass(space: Subspace, g) -> tuple:
     residual is exactly ``0.0``, with no pass and no memo entry.  Any other
     g moves the fiber bases once by its modulation, the scenario's cached
     row for an extra probe and built on demand otherwise, and the residual
-    is the top singular value of the r x r factor of the part moved out.
-    A frame-given space translates its frame in point space and takes the
-    top singular value of its part outside the space, in weighted
-    coordinates; it holds ``(residual, None, None)`` until its base gate
-    drops the memo.
+    is the top singular value of the part moved out, read off its r x r
+    Gram matrix by :func:`_top`.  A frame-given space translates its frame
+    in point space and takes the top singular value of its part outside
+    the space, in weighted coordinates; it holds ``(residual, None, None)``
+    until its base gate drops the memo.
     """
     basis = vars(space).get("_basis")
     if basis is not None and not space.scenario.moves_fibers(g):
@@ -287,14 +287,29 @@ def _probe_pass(space: Subspace, g) -> tuple:
             scn = space.scenario
             row = scn.probe_rows.get(g)
             d = scn.modulations((g,))[0] if row is None else scn.probe_modulations[row]
-            inside, factor = _moved(d, basis)
-            top = np.linalg.svd(factor, compute_uv=False)
-            memo[g] = (float(np.max(top, initial=0.0)), inside, factor)
+            inside, gram = _moved(d, basis)
+            memo[g] = (_top(gram), inside, gram)
         else:
             q = space._weighted_frame
             moved = translate(space.scenario.action, g, space.frame) * space._root
             memo[g] = (float(np.linalg.norm(moved - q @ (q.conj().T @ moved), 2)), None, None)
     return memo[g]
+
+
+def _top(gram: np.ndarray) -> float:
+    """The largest singular value of a stack of matrices, from their Gram
+    matrices ``gram`` (..., k, k): ``sqrt`` of the largest eigenvalue, by
+    one batched ``eigvalsh``; ``0.0`` for width 0.
+
+    ``eigvalsh`` finds that eigenvalue to within a few eps times
+    ``|gram| = s_max ** 2``, so ``s_max`` keeps a relative error of about
+    eps; a negative eigenvalue is roundoff and reads as zero.  Small
+    singular values lose half their digits in the square, so only the top
+    one is ever read off a Gram matrix.
+    """
+    if gram.size == 0:
+        return 0.0
+    return math.sqrt(max(float(np.max(np.linalg.eigvalsh(gram))), 0.0))
 
 
 def _modulate(d: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -312,16 +327,18 @@ def _moved(d: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``basis`` (n_fibers, rows, r) holds orthonormal or zero columns B per
     fiber, and the modulation d moves them (:func:`_modulate`).  Returns,
     per fiber, ``N = B^H d B`` (the part of d B inside the span, in
-    coefficients on B) and an r x r factor F of the part outside,
-    ``O = d B - B N``: the R of its QR decomposition, so ``F^H F = O^H O``
-    and ``|F x| = |O x|`` for every coefficient vector x.  The top singular
-    value of F is the largest distance from the span of a modulated unit
-    vector of it.  Temporaries are the size of the basis.
+    coefficients on B) and the r x r Gram matrix ``G = O^H O`` of the part
+    outside, ``O = d B - B N``, so ``|O x| ** 2 = x^H G x`` for every
+    coefficient vector x.  O is formed as a difference and never as
+    ``I - N^H N``, which cancels for the small residuals the checks
+    decide on.  The top singular value of O, :func:`_top` of G, is the
+    largest distance from the span of a modulated unit vector of it.
+    Temporaries are the size of the basis.
     """
     moved = _modulate(d, basis)
     inside = basis.conj().swapaxes(-1, -2) @ moved
     moved -= basis @ inside
-    return inside, np.linalg.qr(moved, mode="r")
+    return inside, moved.conj().swapaxes(-1, -2) @ moved
 
 
 def is_invariant(
@@ -339,8 +356,9 @@ def is_invariant(
     fiber-built space makes no pass at all; every other probe makes one
     probe pass (:func:`_probe_pass`): its modulation, the scenario's cached
     row for an extra generator, moves the fiber bases once, and the
-    residual, the part kept inside and a small factor of the part moved
-    out are memoised for every later reader, the component law of
+    residual (the top singular value of the part moved out, from its r x r
+    Gram matrix and one ``eigvalsh``), the part kept inside and that Gram
+    matrix are memoised for every later reader, the component law of
     :func:`actinv.extra.check_extra_invariance` included.  A frame-given
     space translates its frame in point space, once per probe, the only
     route valid before the space is known to be base-invariant.

@@ -32,6 +32,12 @@ Python loops over blocks and fibers.  The
 fiberized range-function check unfolds orbit samples into sequences over
 the group.  Both are too slow for large groups and meant for test sizes.
 
+The check pair's decompositions are kept in their first form: a probe
+pass as the R factor of a QR and a values-only SVD, the component law as
+a values-only SVD of a (2r, k) stack per probe, fiber and block, the
+match deviation as a (block rows)^2 projector gap, and the canonical
+space built through the inverse transform and a point-space span.
+
 The action references compose the whole |G| x n table of the action from
 its generator permutations (``compose_table``) and read every translate off
 it.  The group-core references at the end work element by element on
@@ -535,6 +541,63 @@ def range_function_consistency(scn, space, tol=1e-9, rng=None, samples=3):
         if ext.extra_invariant:
             ok = ok and sequence_extra_invariance(scn, w, tol)
     return ok
+
+
+# -- the check pair's decompositions, in their first form ------------------------
+
+
+def moved_top(d, basis):
+    """A modulation's probe pass as a QR and a values-only SVD.
+
+    ``d`` (n_fibers, n_cosets) multiplies every orbit slot of stacked row
+    ``k * reps + c`` by ``d[w, k]``.  Returns ``N = B^H d B``, the R factor
+    of the part outside, ``O = d B - B N``, and the top singular value of
+    R, which is that of O.
+    """
+    reps = basis.shape[1] // d.shape[1]
+    moved = basis * np.repeat(d, reps, axis=1)[:, :, None]
+    inside = basis.conj().swapaxes(-1, -2) @ moved
+    factor = np.linalg.qr(moved - basis @ inside, mode="r")
+    top = np.linalg.svd(factor, compute_uv=False)
+    return inside, factor, float(np.max(top, initial=0.0))
+
+
+def component_law(passes, coeffs):
+    """The component law as one values-only SVD of ``[(I - x x^H) N x; R x]``
+    per probe, fiber and block, from the ``(N, R)`` of each probe pass."""
+    herm = coeffs.conj().swapaxes(-1, -2)
+    worst = 0.0
+    for inside, factor in passes:
+        within = inside[:, None] @ coeffs
+        within = within - coeffs @ (herm @ within)
+        law = np.concatenate([within, factor[:, None] @ coeffs], axis=-2)
+        top = np.linalg.svd(law, compute_uv=False)
+        worst = max(worst, float(np.max(top, initial=0.0)))
+    return worst
+
+
+def match_deviation(scn, basis, a, kv, kept):
+    """Largest entry of the (block rows)^2 gap between the projector onto the
+    kept left singular vectors of each fiber's block rows and the projector
+    onto the component's fiber there, fiber by fiber and block by block."""
+    worst = 0.0
+    for w in range(scn.n_fibers):
+        for b, rows in enumerate(block_rows(scn)):
+            ak = a[w, b][:, kept[w, b]]
+            comps = basis[w][rows] @ kv[w, b]
+            gap = ak @ ak.conj().T - comps @ comps.conj().T
+            worst = max(worst, float(np.max(np.abs(gap), initial=0.0)))
+    return worst
+
+
+def canonical_space(scn):
+    """The canonical extra-invariant space built through the transforms: the
+    inverse full Zak transform of the identity block's indicator, constant
+    across orbit representatives, spanned under the base in point space."""
+    inside = block_indicator(scn, scn.group.zero).astype(complex)
+    reps = len(scn.tiling.orbit_reps)
+    gen = full_inv(scn, np.repeat(inside[:, None], reps, axis=1))
+    return point_space_span(scn, gen[:, None], scn.base)
 
 
 # -- group core ----------------------------------------------------------------

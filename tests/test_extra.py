@@ -230,10 +230,12 @@ def _counted(monkeypatch, module, name, calls):
 
 
 def _passes(monkeypatch):
-    """Log every probe pass (``_moved``), modulation table and SVD, as
-    ``(kind, shape, vectors)`` entries of the returned list."""
+    """Log every probe pass (``_moved``), modulation table, SVD and
+    ``eigvalsh``, as ``(kind, shape, vectors)`` entries of the returned
+    list."""
     log = []
     moved, modulations, svd = spaces_mod._moved, Scenario.modulations, np.linalg.svd
+    eigvalsh = np.linalg.eigvalsh
 
     def counted_moved(d, basis):
         log.append(("moved", basis.shape, None))
@@ -247,9 +249,14 @@ def _passes(monkeypatch):
         log.append(("svd", a.shape, kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
+    def counted_eigvalsh(a, *args, **kwargs):
+        log.append(("eigvalsh", a.shape, None))
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(spaces_mod, "_moved", counted_moved)
     monkeypatch.setattr(Scenario, "modulations", counted_modulations)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     return log
 
 
@@ -266,7 +273,7 @@ def _pair(scn, space, log):
     check_extra_invariance(scn, space)
     check_decomposable(scn, space)
     return {kind: [(shape, vectors) for k, shape, vectors in log if k == kind]
-            for kind in ("moved", "table", "svd")}
+            for kind in ("moved", "table", "svd", "eigvalsh")}
 
 
 def test_checks_share_one_mask_per_block(scn, monkeypatch):
@@ -274,15 +281,19 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
 
     No transform, inverse transform or translation runs (the frame is never
     assembled).  A cold pair makes one probe pass (``_moved``, one
-    modulated basis and one decomposition of its part outside the space)
-    per distinct probe of base and extra outside the base, which the
-    residuals and the component law share, and none for a base probe (the
-    base gate makes no pass at all), and one SVD with vectors, of the block
-    rows of every fiber basis, shape (n_fibers, n_blocks, block rows,
-    r_max), which both checks and the inner extra-invariance check of
-    ``check_decomposable`` share.  A warm pair makes no pass and no SVD at
-    all.  The scenario builds the modulation table of those probes once: a
-    second space on it reads the cached rows.
+    modulated basis and the r x r Gram matrix of its part outside the
+    space, read by one ``eigvalsh``) per distinct probe of base and extra
+    outside the base, which the residuals and the component law share,
+    and none for a base probe (the base gate makes no pass at all); one
+    SVD with vectors, of the block rows of every fiber basis, shape
+    (n_fibers, n_blocks, block rows, r_max), which both checks and the
+    inner extra-invariance check of ``check_decomposable`` share; and, on
+    an extra-invariant space with a probe outside the base, one
+    ``eigvalsh`` of the component law's (probes, n_fibers, n_blocks, k, k)
+    stack.  No QR and no values-only SVD runs.  A warm pair makes no pass,
+    no SVD and no ``eigvalsh`` at all.  The scenario builds the
+    modulation table of those probes once: a second space on it reads the
+    cached rows.
     """
     rng = np.random.default_rng(8)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -303,12 +314,20 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
         spaces_mod.require_base_invariant(space)
         assert log == []
         cold, warm = _pair(scn, space, log), _pair(scn, space, log)
-        split = (scn.n_fibers, scn.n_blocks, size, space._basis.shape[2])
+        r = space._basis.shape[2]
+        split = (scn.n_fibers, scn.n_blocks, size, r)
         assert cold["moved"] == [(space._basis.shape, None)] * len(probes)
         assert set(vars(space)["_invariance"]) == set(probes)
-        assert [shape for shape, vectors in cold["svd"] if vectors] == [split]
+        assert cold["svd"] == [(split, True)]
+        gram = (scn.n_fibers, r, r)
+        k = min(size, r)
+        law = (len(probes), scn.n_fibers, scn.n_blocks, k, k)
+        invariant = check_extra_invariance(scn, space).extra_invariant
+        assert cold["eigvalsh"] == [(gram, None)] * len(probes) + (
+            [(law, None)] if invariant and probes else []
+        )
         assert cold["table"] == ([] if i or built else [(probes, None)])
-        assert warm == {"moved": [], "table": [], "svd": []}
+        assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
         assert "frame" not in vars(space)
     assert "probe_modulations" in vars(scn)
     assert calls == []
@@ -371,7 +390,7 @@ def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatc
         assert len(cold["moved"]) == len(probes)
         assert cold["table"] == ([] if i or built else [(_moving(scn), None)])
         assert set(vars(given)["_invariance"]) == probes
-        assert warm == {"moved": [], "table": [], "svd": []}
+        assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
         ext = check_extra_invariance(scn, given)
         assert ext.extra_invariant == ok == check_extra_invariance(scn, space).extra_invariant
         assert ext.translation_residual == pytest.approx(res, abs=1e-12)
@@ -416,8 +435,8 @@ def test_component_law_matches_translated_components(scn):
     SVD; on spaces that are not extra-invariant they move by O(1)) and for
     random subspaces of its fibers, one per block: ``_component_law`` under
     the base and extra generators equals the largest singular value of the
-    translated frame's residual in point space, and so does ``_moved`` for
-    the space itself.
+    translated frame's residual in point space, and so does the top
+    singular value read off ``_moved``'s Gram matrix for the space itself.
     """
     rng = np.random.default_rng(18)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -426,8 +445,8 @@ def test_component_law_matches_translated_components(scn):
     mods = scn.modulations(sum((spaces_mod._probes(h) for h in subs), ()))
     for space in spaces:
         basis = space._basis
-        outs = [spaces_mod._moved(d, basis)[1] for d in mods]
-        moved = max(float(np.max(np.linalg.svd(out, compute_uv=False))) for out in outs)
+        grams = [spaces_mod._moved(d, basis)[1] for d in mods]
+        moved = max(np.sqrt(max(np.max(np.linalg.eigvalsh(g)), 0.0)) for g in grams)
         want = max(oracle.translation_residual(space, h) for h in subs)
         assert moved == pytest.approx(want, abs=1e-12)
         kv = extra_mod._split(scn, space, basis)[2]
@@ -547,6 +566,57 @@ def test_reports_do_not_depend_on_the_memo(scn):
         built = check_extra_invariance(scn, space)
         assert built.extra_invariant == first[0].extra_invariant
         assert built.component_dims == first[0].component_dims
+
+
+def test_report_memo_is_keyed_by_tol(chain12):
+    """The same ``tol`` returns the same report object; a ``tol`` on the
+    other side of the space's translation residual makes a new report with
+    the other verdict, and the first stays memoised.
+
+    The space spans the extra translates of one function with its fiber
+    bases moved by about 1e-11: its residuals sit well between the two
+    ``tol``, and the directions the noise adds to a block stay below the
+    rank floor, so both sides of the theorem agree at both.
+    """
+    rng = np.random.default_rng(36)
+    basis = span_invariant(chain12, random_function(chain12, rng), chain12.extra)._basis
+    noise = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+    moved = basis + 1e-11 * noise * np.any(basis, axis=1, keepdims=True)
+    space = Subspace.from_fibers(chain12, spaces_mod._fiber_cut(moved))
+    loose = check_extra_invariance(chain12, space)
+    assert check_extra_invariance(chain12, space, 1e-9) is loose
+    strict = check_extra_invariance(chain12, space, 1e-13)
+    assert strict is not loose
+    assert 1e-13 < strict.translation_residual == loose.translation_residual < 1e-9
+    assert loose.extra_invariant and not strict.extra_invariant
+    assert check_decomposable(chain12, space).decomposable
+    assert not check_decomposable(chain12, space, 1e-13).decomposable
+    assert check_extra_invariance(chain12, space) is loose
+
+
+def test_canonical_check_pair_stays_within_the_range_function():
+    """Z_16384 on 2 orbits, base <1024> (order 16), extra <256> (order 64).
+
+    The canonical space has one dimension on each of its 16 fibers, and
+    each of the 4 blocks has 512 of a fiber's 2048 rows.  The match
+    deviation reads the diagonals of the projectors on the block rows, so
+    the pair peaks at a few MiB; a (block rows)^2 gap would take 4 MiB per
+    fiber and block.
+    """
+    g = FiniteAbelianGroup([16384])
+    scn = Scenario(g, Subgroup(g, [(1024,)]), Subgroup(g, [(256,)]), ActionSpace.regular(g, 2))
+    space = canonical_extra_invariant(scn)
+    dual_partition(scn)  # the scenario's own tables, built once
+    tracemalloc.start()
+    try:
+        ext = check_extra_invariance(scn, space)
+        dec = check_decomposable(scn, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 16 and ext.extra_invariant and dec.decomposable
+    assert ext.component_dims == (16, 0, 0, 0)
+    assert peak < 4 * 2**20, peak
 
 
 def test_frame_given_gate_needs_the_whole_dimension(chain12):

@@ -39,7 +39,12 @@ up to order 200, and up to order 64, with weights log-uniform over up to
 1e14, they match the point-space route (translated frames, mask images cut
 by pivoted QR, n x n projectors, per-fiber bases) in verdicts, component
 dimensions and worst unit directions, the translation and component-law
-residuals included.
+residuals included.  The check pair's linear algebra matches its first
+form at roundoff on fiber bases moved by noise from 0 to 1e-6: the probe
+residuals and the component law read off Gram matrices against the QR and
+values-only SVDs, the match deviation against the (block rows)^2
+projector gap (1e-12 relative plus 1e-15 absolute), and the closed-form
+canonical space against the transform-built one (projector to 1e-12).
 
 Rank cut: on matrices of planted rank (up to 200 rows, weights log-uniform
 over up to 1e14), ``orthonormal_columns`` keeps the rank and the weighted
@@ -55,6 +60,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import actinv.extra as extra_mod
+import actinv.spaces as spaces_mod
 import oracle
 from actinv import (
     ActionError,
@@ -528,6 +534,59 @@ def test_checks_match_the_point_space_route(spec, decades):
             assert comp.dim == zak_side.dim, kind
             assert np.max(comp.residuals(zak_side.frame), initial=0.0) <= 1e-9
             assert np.max(zak_side.residuals(comp.frame), initial=0.0) <= 1e-9
+
+
+def noisy(space, noise, rng):
+    """The space's range function with each nonzero column moved by about
+    ``noise`` in norm, cut again: a base-invariant space near it with the
+    same fiber dimensions."""
+    basis = space._basis
+    nonzero = np.any(basis, axis=1, keepdims=True)
+    moved = basis + noise / np.sqrt(basis.shape[1]) * complex_normal(rng, basis.shape) * nonzero
+    return Subspace.from_fibers(space.scenario, _fiber_cut(moved))
+
+
+def assert_roundoff(got, want):
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(), noise=st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]))
+@example(spec=((1,), [], [], 1, 0), noise=0.0)
+@example(spec=((12,), [], [(1,)], 2, 4), noise=1e-14)
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), noise=1e-6)
+@example(spec=((4, 8), [(2, 0)], [(1, 0), (0, 2)], 2, 6), noise=1e-10)
+def test_check_pair_matches_its_decomposition_references(spec, noise):
+    """Gram matrices and row energies against the QR, SVD and (block rows)^2
+    references, and the closed-form canonical space against the transforms.
+
+    ``_probe_pass``, ``_component_law`` and ``_match_deviation`` do not
+    raise, so they are called directly on spaces whose fiber bases are
+    moved by the noise; the checks themselves would raise near ``tol``.
+    """
+    scn, rng = build(spec)
+    canon = canonical_extra_invariant(scn)
+    ref = oracle.canonical_space(scn)
+    assert canon.dim == ref.dim == scn.n_fibers
+    np.testing.assert_allclose(oracle.projector(canon), oracle.projector(ref), rtol=0, atol=1e-12)
+    for kind, space, _ in theorem_cases(scn, rng):
+        space = noisy(space, noise, rng)
+        basis = space._basis
+        passes = []
+        for g, d in zip(scn.probe_rows, scn.probe_modulations):
+            inside, factor, top = oracle.moved_top(d, basis)
+            assert_roundoff(spaces_mod._probe_pass(space, g)[0], top)
+            passes.append((inside, factor))
+        a, _, kv, _, kept = extra_mod._split(scn, space, basis)
+        assert_roundoff(extra_mod._component_law(space, kv), oracle.component_law(passes, kv))
+        assert_roundoff(
+            extra_mod._match_deviation(scn, space, basis),
+            oracle.match_deviation(scn, basis, a, kv, kept),
+        )
 
 
 # -- rank cut ------------------------------------------------------------------

@@ -95,6 +95,44 @@ def cut(s):
     assert _rank_tol_uses(ast.parse(source)) == [9]
 
 
+def _eigvalsh_calls(tree: ast.AST) -> list[int]:
+    """Lines calling ``eigvalsh`` outside ``spaces._top``.
+
+    A Gram matrix squares the singular values, so its small eigenvalues
+    keep only half the digits; ``_top`` reads the largest one alone, and a
+    second call site could read a small singular value off a Gram matrix.
+    """
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_top":
+            allowed.update(id(n) for n in ast.walk(node))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "eigvalsh" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and id(node) not in allowed
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_gram_matrices_are_read_only_by_the_top_rule(path):
+    """Only the largest singular value is ever read from a Gram matrix."""
+    lines = _eigvalsh_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} calls eigvalsh at lines {lines}"
+
+
+def test_top_rule_catches_a_second_eigvalsh():
+    source = """
+def _top(gram):
+    return np.linalg.eigvalsh(gram)[..., -1]
+
+def smallest(gram):
+    return eigvalsh(gram)[..., 0]
+"""
+    assert _eigvalsh_calls(ast.parse(source)) == [6]
+
+
 def _translate_calls(tree: ast.AST) -> list[int]:
     """Lines calling ``translate`` outside the frame-given gate.
 
