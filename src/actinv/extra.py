@@ -27,7 +27,7 @@ frame or a translate of a fiber-built space.
 
 Independence: the two sides share the fiber bases, so a disagreement
 (:class:`TheoremViolationError`) exposes a fault in the partition rows,
-the modulation table or the per-block algebra, not in the transform that
+the modulation rows or the per-block algebra, not in the transform that
 produced the bases.  The transform is guarded by the isometry criteria and
 by the point-space references of the test suite (translated frames, mask
 images, n x n projectors).
@@ -46,6 +46,7 @@ from .spaces import (
     RANK_TOL,
     Subspace,
     _fiber_cut,
+    _kept,
     _probe_pass,
     _top,
     checked_tol,
@@ -216,8 +217,10 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
     unit direction ``basis[w] @ v[w, b, :, i]`` of fiber w: it keeps norm
     ``t[w, b, i]`` in block b, and ``off[w, b, i]`` is its norm outside,
     taken from the direction itself, without the cancellation of
-    ``(1 - t**2) ** 0.5``.  A direction is kept when ``t`` is above
-    ``RANK_TOL``, an absolute floor, since basis directions are unit.
+    ``(1 - t**2) ** 0.5``.  A direction is kept by the rank rule
+    (:func:`actinv.spaces._kept`) with ``RANK_TOL`` as its absolute floor:
+    basis directions are unit, so every ``t`` is at most 1 up to roundoff
+    and the floor is the cut that counts.
     Returns ``a``, ``t``, ``kv`` (``v`` with the directions not kept
     zeroed: the components' fibers are ``basis @ kv``), ``off`` and the
     mask ``kept``.
@@ -232,7 +235,7 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
             moved = basis[w] @ v[w, b]
             moved[np.arange(len(w))[:, None], rows[b]] = 0.0
             off[w, b] = np.linalg.norm(moved, axis=1)
-        kept = t > RANK_TOL
+        kept = _kept(t, floor=RANK_TOL)
         memo = space._split = (a, t, v * kept[:, :, None, :], off, kept)
     return memo
 
@@ -244,7 +247,7 @@ def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
 
     The subspaces are range functions, so a base probe moves none of them;
     the law reads the space's probe passes (:func:`actinv.spaces._probe_pass`)
-    of the probes outside the base (:attr:`Scenario.probe_rows`), shared
+    of the probes outside the base (:attr:`Scenario.moving_probes`), shared
     with the residuals, and is ``0.0`` when there are none.  A probe moves
     ``basis[w] @ x`` out by its part inside the space but outside the
     subspace, ``W = (I - x x^H) N x`` in coefficients on the basis, and by
@@ -255,7 +258,7 @@ def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
     Since the blocks' k add up to at most r, the stack holds at most as
     many entries per probe as the r x r Gram matrices of the pass.
     """
-    probes = space.scenario.probe_rows
+    probes = space.scenario.moving_probes
     if not probes:
         return 0.0
     n_fibers, n_blocks, _, k = coeffs.shape

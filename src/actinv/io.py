@@ -18,18 +18,14 @@ def write_columns_csv(path, matrix: np.ndarray) -> None:
     mat = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if mat.shape[0] == 1 and matrix.ndim == 1:
         mat = mat.T
-    n, d = mat.shape
-    header = []
-    for j in range(d):
-        header += [f"c{j}_re", f"c{j}_im"]
+    header = [f"c{j}_{part}" for j in range(mat.shape[1]) for part in ("re", "im")]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for x in range(n):
-            row = []
-            for j in range(d):
-                row += [mat[x, j].real, mat[x, j].imag]
-            writer.writerow(row)
+        # row x of the float64 view is re, im of each column in turn; rows
+        # go out as lists of Python floats, which format faster than
+        # numpy scalars, to the same text
+        writer.writerows(map(np.ndarray.tolist, np.ascontiguousarray(mat).view(np.float64)))
 
 
 def read_columns_csv(path) -> np.ndarray:

@@ -58,7 +58,8 @@ class Scenario:
         self.block_section = coset_section(
             group, self.extra_annihilator, within=self.base_annihilator
         )
-        self._moves_fibers: dict[Element, bool] = {}
+        self._sections: dict[Subgroup, tuple[Element, ...]] = {}
+        self._modulation: dict[Element, np.ndarray | None] = {}
 
     def __repr__(self) -> str:
         return (
@@ -191,47 +192,43 @@ class Scenario:
         """Block label position of each annihilator element (stacked coordinate)."""
         return self.block_section.positions[self.base_annihilator.indices]
 
-    # -- probe modulations -----------------------------------------------------
+    # -- translations on the Zak side ----------------------------------------
+
+    def section(self, subgroup: Subgroup) -> tuple[Element, ...]:
+        """Representatives of ``subgroup / base``, zero first, memoised per
+        subgroup; the zero element alone for the base."""
+        if subgroup == self.base:
+            return (self.group.zero,)
+        if subgroup not in self._sections:
+            section = coset_section(self.group, self.base, within=subgroup)
+            self._sections[subgroup] = section.representatives
+        return self._sections[subgroup]
 
     @cached_property
-    def probe_rows(self) -> dict[Element, int]:
-        """Row of each probe that can move a range function, in
-        :attr:`probe_modulations`.
+    def moving_probes(self) -> tuple[Element, ...]:
+        """The distinct extra generators outside the base, in order: the
+        probes of base and extra that can move a range function."""
+        return tuple(dict.fromkeys(g for g in self.extra.generators if g not in self.base))
 
-        The probes are the translations the invariance checks apply: the
-        generators of each subgroup, or its zero element when it has none.
-        A probe in the base maps every fiber basis to itself
-        (:meth:`moves_fibers`), so the rows are the distinct probes of base
-        and extra outside the base: the extra generators outside it, in
-        order.
-        """
-        probes = dict.fromkeys(g for g in _probes(self.extra) if self.moves_fibers(g))
-        return {g: i for i, g in enumerate(probes)}
-
-    @cached_property
-    def probe_modulations(self) -> np.ndarray:
-        """:meth:`modulations` of the probes of :attr:`probe_rows`, one row
-        each, shape (probes, n_fibers, n_cosets): built once per scenario,
-        16 bytes per probe and dual element."""
-        return self.modulations(tuple(self.probe_rows))
-
-    def moves_fibers(self, g: Element) -> bool:
-        """Whether translating by the reduced element g can move a range
-        function: whether g lies outside the base.
+    def modulation(self, g: Element) -> np.ndarray | None:
+        """The reduced element g's row of :meth:`modulations`, (n_fibers,
+        n_cosets), memoised per element; ``None`` when g is in the base.
 
         A base element pairs to one with the base annihilator, so its
         modulation is the constant ``pairing(g, omega[w])`` on fiber w and
-        maps every fiber basis to itself.  Exact integer membership,
-        memoised per element on the scenario.
+        maps every fiber basis to itself.  Exact integer membership; a row
+        takes 16 bytes per dual element.
         """
-        memo = self._moves_fibers
-        if g not in memo:
-            memo[g] = g not in self.base
-        return memo[g]
+        if g not in self._modulation:
+            self._modulation[g] = None if g in self.base else self.modulations((g,))[0]
+        return self._modulation[g]
 
     def modulations(self, probes: tuple[Element, ...]) -> np.ndarray:
         """Each probe's translation on the stacked Zak values, (probes, n_fibers, n_cosets).
 
+        Built on each call: the invariance checks read single rows through
+        :meth:`modulation`, which keeps them, and
+        :func:`actinv.spaces.span_invariant` builds the table of a section.
         Translating by e multiplies the full Zak value at the dual element h
         by ``pairing(e, h)``, so it multiplies the stacked values of fiber w
         at annihilator position k, on every orbit, by

@@ -30,7 +30,7 @@ import numpy as np
 
 from .actions import translate
 from .errors import DegenerateGeneratorError, InvarianceError
-from .groups import Subgroup, coset_section
+from .groups import Subgroup
 from .scenario import Scenario, _probes
 from .zak import zak_full_inv, zak_stacked
 
@@ -201,9 +201,10 @@ def span_invariant(
     omega is the span of the fibers there of the generators and of their
     translates by a section of ``subgroup / base``.  The generators are
     transformed once; a translate's fibers are theirs times the section
-    element's :meth:`Scenario.modulations` row (none when the subgroup is
-    the base), appended section by section, so no function is translated
-    in point space.  One batched SVD of those fiber matrices, cut by
+    element's row of one :meth:`Scenario.modulations` table over the
+    memoised :meth:`Scenario.section` (none when the subgroup is the
+    base), appended section by section, so no function is translated in
+    point space.  One batched SVD of those fiber matrices, cut by
     :func:`_fiber_cut`, gives an orthonormal basis of every fiber.
     The nonzero singular values are exactly those of the point-space matrix
     of every subgroup translate of every generator, so the cut, hence the
@@ -219,7 +220,7 @@ def span_invariant(
     if mat.shape[1] == 0:
         return Subspace.zero(scn)
     fibers = fiber_matrices(scn, mat)
-    section = _section(scn, subgroup)[1:]
+    section = scn.section(subgroup)[1:]
     if section:
         moved = [_modulate(d, fibers) for d in scn.modulations(section)]
         fibers = np.concatenate([fibers, *moved], axis=2)
@@ -251,49 +252,36 @@ def _fiber_cut(mats: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
     return (u * keep[:, None, :])[:, :, : int(np.max(np.sum(keep, axis=1), initial=0))]
 
 
-def _section(scn: Scenario, subgroup: Subgroup) -> tuple:
-    """Representatives of ``subgroup / base``, zero first, memoised on ``scn``."""
-    if subgroup == scn.base:
-        return (scn.group.zero,)
-    memo = vars(scn).setdefault("_sections", {})
-    if subgroup not in memo:
-        section = coset_section(scn.group, scn.base, within=subgroup)
-        memo[subgroup] = section.representatives
-    return memo[subgroup]
-
-
 def _probe_pass(space: Subspace, g) -> tuple:
     """g's residual and, on a space with a range function, its :func:`_moved`
-    pair ``(inside, gram)``; memoised on ``space`` per probe that moves.
+    pair ``(inside, gram)``.
 
     The residual is the largest distance from the space of a unit vector
-    of it translated by g.  On a range function a base element g modulates
-    each fiber by a constant (:meth:`Scenario.moves_fibers`), so its
-    residual is exactly ``0.0``, with no pass and no memo entry.  Any other
-    g moves the fiber bases once by its modulation, the scenario's cached
-    row for an extra probe and built on demand otherwise, and the residual
-    is the top singular value of the part moved out, read off its r x r
-    Gram matrix by :func:`_top`.  A frame-given space translates its frame
-    in point space and takes the top singular value of its part outside
-    the space, in weighted coordinates; it holds ``(residual, None, None)``
-    until its base gate drops the memo.
+    of it translated by g.  A space with a range function reads g's
+    modulation from :meth:`Scenario.modulation`: ``None`` for a base
+    element, which modulates each fiber by a constant, so the residual is
+    exactly ``0.0`` with no pass; any other row moves the fiber bases
+    once, the residual is the top singular value of the part moved out,
+    read off its r x r Gram matrix by :func:`_top`, and all three are
+    memoised on ``space`` per probe.  A frame-given space translates its
+    frame in point space and takes the top singular value of its part
+    outside the space, in weighted coordinates, and memoises nothing: that
+    route runs only until the base gate gives the space a range function.
     """
     basis = vars(space).get("_basis")
-    if basis is not None and not space.scenario.moves_fibers(g):
-        return 0.0, None, None
-    memo = vars(space).setdefault("_invariance", {})
-    if g not in memo:
-        if basis is not None:
-            scn = space.scenario
-            row = scn.probe_rows.get(g)
-            d = scn.modulations((g,))[0] if row is None else scn.probe_modulations[row]
+    if basis is not None:
+        d = space.scenario.modulation(g)
+        if d is None:
+            return 0.0, None, None
+        memo = vars(space).setdefault("_invariance", {})
+        if g not in memo:
             inside, gram = _moved(d, basis)
             memo[g] = (_top(gram), inside, gram)
-        else:
-            q = space._weighted_frame
-            moved = translate(space.scenario.action, g, space.frame) * space._root
-            memo[g] = (float(np.linalg.norm(moved - q @ (q.conj().T @ moved), 2)), None, None)
-    return memo[g]
+        return memo[g]
+    else:
+        q = space._weighted_frame
+        moved = translate(space.scenario.action, g, space.frame) * space._root
+        return float(np.linalg.norm(moved - q @ (q.conj().T @ moved), 2)), None, None
 
 
 def _top(gram: np.ndarray) -> float:
@@ -354,15 +342,17 @@ def is_invariant(
     range function (fiber-built, or past the base gate) a probe in the
     base reads exactly ``0.0`` at no cost, so the base gate of a
     fiber-built space makes no pass at all; every other probe makes one
-    probe pass (:func:`_probe_pass`): its modulation, the scenario's cached
-    row for an extra generator, moves the fiber bases once, and the
-    residual (the top singular value of the part moved out, from its r x r
-    Gram matrix and one ``eigvalsh``), the part kept inside and that Gram
-    matrix are memoised for every later reader, the component law of
+    probe pass (:func:`_probe_pass`): its modulation row, built once per
+    scenario by :meth:`Scenario.modulation` whatever the subgroup, moves
+    the fiber bases once, and the residual (the top singular value of the
+    part moved out, from its r x r Gram matrix and one ``eigvalsh``), the
+    part kept inside and that Gram matrix are memoised on the space for
+    every later reader, the component law of
     :func:`actinv.extra.check_extra_invariance` included.  A frame-given
-    space translates its frame in point space, once per probe, the only
-    route valid before the space is known to be base-invariant.
-    ``ValueError`` unless ``tol`` is a finite positive number.
+    space translates its frame in point space, once per probe and call,
+    and keeps nothing: the only route valid before the space is known to
+    be base-invariant.  ``ValueError`` unless ``tol`` is a finite positive
+    number.
     """
     tol = checked_tol(tol)
     if space.dim == 0:
@@ -378,8 +368,9 @@ def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndar
     ``tol`` and its fibers hold its whole dimension: the ranks of its
     frame's fiber matrices, cut by :func:`_fiber_cut`, sum to ``dim``.
     That cut basis (cut columns zeroed) then becomes its range function,
-    and every later residual is read off it.  ``ValueError`` unless ``tol``
-    is a finite positive number.
+    and every later residual is read off it; the gate's point-space
+    residuals are not kept.  ``ValueError`` unless ``tol`` is a finite
+    positive number.
     """
     scn = space.scenario
     ok, res = is_invariant(space, scn.base, checked_tol(tol))
@@ -395,7 +386,6 @@ def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndar
                 f"subspace fibers have {total} dimensions, the space has {space.dim}"
             )
         space._basis = basis
-        vars(space).pop("_invariance", None)  # from now on the range function answers
     return space._basis
 
 

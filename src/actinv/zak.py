@@ -145,7 +145,10 @@ def zak_base(scn: Scenario, f: np.ndarray) -> np.ndarray:
 def zak_base_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
     values = _checked(values, fibers=scn.n_fibers, tile_points=len(scn.tiling.tiles))
     chars = scn.chars_base_omega  # [g, w] = pairing(-base[g], omega[w])
-    a = _scaled(np.tensordot(np.conj(chars), values, axes=(1, 0)), 1.0 / scn.base.order)
+    # conj(chars) @ values as conj(chars @ conj(values)): same bits, and
+    # no conjugated copy of the |base|^2 table
+    a = np.tensordot(chars, np.conj(values), axes=(1, 0))
+    a = _scaled(np.conjugate(a, out=a), 1.0 / scn.base.order)
     return _scattered(scn._base_gather, a)
 
 

@@ -46,7 +46,10 @@ all-pairs group-law check on that table, coset representatives as a
 lexicographic minimum over the subgroup, the annihilator by the pairing
 test against every subgroup element, and subgroup membership by closure
 under all pairs.  They are O(|G|^2) as well.
+
+The CSV reference writes a matrix one entry at a time, in Python loops.
 """
+import csv
 import itertools
 
 import numpy as np
@@ -661,3 +664,23 @@ def greedy_generators(group, elements):
             frontier = [b for b in nxt if b not in have]
             have.update(frontier)
     return gens
+
+
+def write_columns_csv(path, matrix):
+    """Paired re/im columns, the header and then one row per point, built
+    entry by entry."""
+    mat = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    if mat.shape[0] == 1 and matrix.ndim == 1:
+        mat = mat.T
+    n, d = mat.shape
+    header = []
+    for j in range(d):
+        header += [f"c{j}_re", f"c{j}_im"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for x in range(n):
+            row = []
+            for j in range(d):
+                row += [mat[x, j].real, mat[x, j].imag]
+            writer.writerow(row)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import actinv.cli as cli
 from actinv.io import read_columns_csv, write_columns_csv
 
+import oracle
 from conftest import random_function
 
 
@@ -468,6 +469,25 @@ def test_columns_csv_round_trip(tmp_path):
     vec = mat[:, 0]
     write_columns_csv(path, vec)
     assert read_columns_csv(path).shape == (7, 1)
+
+
+def test_columns_csv_matches_the_entrywise_writer(tmp_path):
+    """The file has the bytes of the entry-by-entry writer: values over 600
+    decades, signed zeros, the smallest subnormal and the largest double,
+    a transposed matrix, a 1-D vector and a matrix of no columns."""
+    rng = np.random.default_rng(47)
+    shape = (9, 3)
+    spread = 10.0 ** rng.uniform(-300, 300, (2,) + shape)
+    signs = rng.choice([-1.0, 1.0], (2,) + shape)
+    wide = spread[0] * signs[0] + 1j * spread[1] * signs[1]
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    edges = np.array([[0.0, -0.0], [tiny, -tiny], [huge, -huge]]) @ np.array([1.0, 1j])
+    cases = [wide, wide.T, edges, edges[:, None], wide[:, 0], np.zeros((4, 0), dtype=complex)]
+    for k, mat in enumerate(cases):
+        ours, ref = tmp_path / f"ours{k}.csv", tmp_path / f"ref{k}.csv"
+        write_columns_csv(ours, mat)
+        oracle.write_columns_csv(ref, mat)
+        assert ours.read_bytes() == ref.read_bytes(), k
 
 
 def test_columns_csv_errors(tmp_path):

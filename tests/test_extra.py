@@ -267,6 +267,22 @@ def _moving(scn):
     return tuple(g for g in dict.fromkeys(probes) if g not in scn.base)
 
 
+def _fresh(scn):
+    """A scenario with the same group, chain and action and no memo: the
+    bank's scenarios are shared with other tests."""
+    return Scenario(scn.group, scn.base, scn.extra, scn.action)
+
+
+def _rows(scn, probes):
+    """The probes each have one memoised modulation row, bit for bit their
+    row of the table; every base element reads ``None``."""
+    table = scn.modulations(tuple(probes))
+    for g, row in zip(probes, table):
+        assert scn.modulation(g) is scn.modulation(g)
+        assert scn.modulation(g).tobytes() == row.tobytes()
+    assert all(scn.modulation(g) is None for g in spaces_mod._probes(scn.base))
+
+
 def _pair(scn, space, log):
     """One check pair; the log entries it made, by kind."""
     log.clear()
@@ -291,10 +307,11 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
     an extra-invariant space with a probe outside the base, one
     ``eigvalsh`` of the component law's (probes, n_fibers, n_blocks, k, k)
     stack.  No QR and no values-only SVD runs.  A warm pair makes no pass,
-    no SVD and no ``eigvalsh`` at all.  The scenario builds the
-    modulation table of those probes once: a second space on it reads the
-    cached rows.
+    no SVD and no ``eigvalsh`` at all.  The scenario builds the modulation
+    row of each of those probes once, for the first space; a second space
+    on it reads the memoised rows.
     """
+    scn = _fresh(scn)
     rng = np.random.default_rng(8)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
@@ -307,8 +324,7 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
     log = _passes(monkeypatch)
     size = dual_partition(scn).rows.shape[1]
     probes = _moving(scn)
-    assert tuple(scn.probe_rows) == probes
-    built = "probe_modulations" in vars(scn)  # the scenario is shared with other tests
+    assert scn.moving_probes == probes
     for i, space in enumerate(spaces):
         log.clear()
         spaces_mod.require_base_invariant(space)
@@ -326,10 +342,10 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
         assert cold["eigvalsh"] == [(gram, None)] * len(probes) + (
             [(law, None)] if invariant and probes else []
         )
-        assert cold["table"] == ([] if i or built else [(probes, None)])
+        assert cold["table"] == ([] if i else [((g,), None) for g in probes])
         assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
         assert "frame" not in vars(space)
-    assert "probe_modulations" in vars(scn)
+    _rows(scn, probes)
     assert calls == []
 
 
@@ -343,53 +359,56 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
     ],
 )
 def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypatch):
-    """The scenario keeps one modulation row per distinct probe outside the
-    base, and a cold check pair makes one pass per row; its residuals agree
-    with translating the frame in point space, and the components of an
-    extra-invariant space keep the law."""
+    """The scenario memoises one modulation row per distinct probe outside
+    the base, 16 bytes per dual element, and none for a base probe; a cold
+    check pair makes one pass per such probe and a warm one none; its
+    residuals agree with translating the frame in point space, and the
+    components of an extra-invariant space keep the law."""
     g = FiniteAbelianGroup(list(moduli))
     weights = np.exp(np.random.default_rng(33).uniform(0.0, np.log(1e3), 2 * g.order))
     scn = Scenario(g, Subgroup(g, base), Subgroup(g, extra), ActionSpace.regular(g, 2, weights))
-    assert list(scn.probe_rows) == probes
-    assert scn.probe_modulations.shape == (len(probes), scn.n_fibers, scn.n_cosets)
-    assert scn.probe_modulations.nbytes == 16 * len(probes) * g.order
+    assert list(scn.moving_probes) == probes
     rng = np.random.default_rng(34)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
     log = _passes(monkeypatch)
-    for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
+    for i, space in enumerate(spaces):
+        cold, warm = _pair(scn, space, log), _pair(scn, space, log)
+        assert len(cold["moved"]) == len(probes)
+        assert cold["table"] == ([] if i else [((p,), None) for p in probes])
+        assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
         ext = check_extra_invariance(scn, space)
-        check_decomposable(scn, space)
-        assert [k for k, *_ in log].count("moved") == len(probes)
-        log.clear()
         want = oracle.translation_residual(space, scn.extra)
         assert ext.translation_residual == pytest.approx(want, abs=1e-12)
         if ext.extra_invariant:
             assert ext.component_invariance_residual <= 1e-12
+    _rows(scn, probes)
+    assert all(scn.modulation(p).nbytes == 16 * g.order for p in probes)
 
 
 def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
     """Before its base gate a frame-given space is translated in point space
-    and makes no probe pass; the gate drops those residuals, and a cold
-    check pair then makes one pass per distinct probe outside the base, a
-    warm one none, with the reports of the fiber-built original's verdicts
-    and dimensions."""
+    and makes no probe pass, with the point-space oracle's residuals; after
+    it a cold check pair makes one pass per distinct probe outside the
+    base, a warm one none, with the reports of the fiber-built original's
+    verdicts and dimensions."""
+    scn = _fresh(scn)
     rng = np.random.default_rng(35)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     log = _passes(monkeypatch)
-    probes = set(_moving(scn))
-    built = "probe_modulations" in vars(scn)  # the scenario is shared with other tests
+    probes = _moving(scn)
     pair = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
     for i, space in enumerate(pair):
         given = Subspace(scn, space.frame)
         log.clear()
-        ok, res = is_invariant(given, scn.extra)  # in point space, before the gate
+        for sub in (scn.base, scn.extra):  # in point space, before the gate
+            ok, res = is_invariant(given, sub)
+            assert res == pytest.approx(oracle.translation_residual(space, sub), abs=1e-12)
         assert [k for k, *_ in log if k != "svd"] == []
-        assert set(vars(given)["_invariance"]) == set(spaces_mod._probes(scn.extra))
-        assert res == pytest.approx(oracle.translation_residual(space, scn.extra), abs=1e-12)
         cold, warm = _pair(scn, given, log), _pair(scn, given, log)
         assert len(cold["moved"]) == len(probes)
-        assert cold["table"] == ([] if i or built else [(_moving(scn), None)])
-        assert set(vars(given)["_invariance"]) == probes
+        assert cold["table"] == ([] if i else [((g,), None) for g in probes])
+        assert set(vars(given)["_invariance"]) == set(probes)
         assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
         ext = check_extra_invariance(scn, given)
         assert ext.extra_invariant == ok == check_extra_invariance(scn, space).extra_invariant

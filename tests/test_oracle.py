@@ -577,7 +577,7 @@ def test_check_pair_matches_its_decomposition_references(spec, noise):
         space = noisy(space, noise, rng)
         basis = space._basis
         passes = []
-        for g, d in zip(scn.probe_rows, scn.probe_modulations):
+        for g, d in zip(scn.moving_probes, scn.modulations(scn.moving_probes)):
             inside, factor, top = oracle.moved_top(d, basis)
             assert_roundoff(spaces_mod._probe_pass(space, g)[0], top)
             passes.append((inside, factor))

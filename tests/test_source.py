@@ -52,26 +52,26 @@ def _rank_tol_uses(tree: ast.AST) -> list[int]:
     """Lines reading ``RANK_TOL`` outside the places allowed to cut on it.
 
     The rank rule is written once, in ``spaces._kept``; ``extra._split``
-    holds the absolute floor of unit basis directions, and
-    ``masked_component`` passes ``RANK_TOL`` as the ``floor=`` of its span.
+    passes ``RANK_TOL`` as the ``floor=`` of its cut of unit basis
+    directions, and ``masked_component`` as the ``floor=`` of its span.
     """
     allowed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("_kept", "_split"):
+        if isinstance(node, ast.FunctionDef) and node.name == "_kept":
             allowed.update(id(n) for n in ast.walk(node))
-        if isinstance(node, ast.FunctionDef) and node.name == "masked_component":
+        if isinstance(node, ast.FunctionDef) and node.name in ("masked_component", "_split"):
             for call in ast.walk(node):
                 for kw in getattr(call, "keywords", ()):
                     if kw.arg == "floor":
                         allowed.update(id(n) for n in ast.walk(kw.value))
-    return [
+    return sorted(
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Name)
         and node.id == "RANK_TOL"
         and isinstance(node.ctx, ast.Load)
         and id(node) not in allowed
-    ]
+    )
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -91,8 +91,12 @@ def masked_component(scn, space, xi):
 
 def cut(s):
     return s[s > RANK_TOL * s[0]]
+
+def _split(scn, space, basis):
+    kept = _kept(t, floor=RANK_TOL)
+    return kept, t > RANK_TOL
 """
-    assert _rank_tol_uses(ast.parse(source)) == [9]
+    assert _rank_tol_uses(ast.parse(source)) == [9, 13]
 
 
 def _eigvalsh_calls(tree: ast.AST) -> list[int]:

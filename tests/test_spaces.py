@@ -156,15 +156,19 @@ def test_span_invariant_translates_a_section_only(scn, monkeypatch):
 def test_base_modulations_are_constant_on_every_fiber(scn):
     """A base element g pairs to one with the base annihilator, so its
     modulation row is ``pairing(g, omega[w])`` at every annihilator position
-    of fiber w, exactly: it maps every fiber basis to itself."""
+    of fiber w, exactly: it maps every fiber basis to itself, and
+    ``Scenario.modulation`` reads ``None`` for it.  Every other element's
+    row there is its row of the table, bit for bit."""
     mods = scn.modulations(tuple(scn.base.elements))
     omega = scn.group.coords[scn.dual_section.rep_indices]
     base = scn.group.coords[scn.base.indices]
     want = scn.group.characters(base, omega)[:, :, None]
     assert np.array_equal(mods, np.broadcast_to(want, mods.shape))
-    assert all(not scn.moves_fibers(g) for g in scn.base.elements)
+    fresh = Scenario(scn.group, scn.base, scn.extra, scn.action)  # the bank's is shared
+    assert all(fresh.modulation(g) is None for g in scn.base.elements)
     outside = [g for g in scn.group.elements if g not in scn.base]
-    assert all(scn.moves_fibers(g) for g in outside)
+    for g, row in zip(outside, scn.modulations(tuple(outside))):
+        assert fresh.modulation(g).tobytes() == row.tobytes()
 
 
 def test_base_translations_fix_fiber_built_spaces(scn):
@@ -182,6 +186,47 @@ def test_base_translations_fix_fiber_built_spaces(scn):
         assert is_invariant(space, scn.base) == (True, 0.0)
         assert "_invariance" not in vars(space)
         assert oracle.translation_residual(space, scn.base) <= 1e-12
+
+
+def test_probe_rows_are_built_once_per_scenario(chain12, monkeypatch):
+    """``is_invariant`` against subgroups other than base and extra, on two
+    fiber-built spaces of one scenario, builds each probe's modulation row
+    once, for the first space, and agrees with the point-space oracle."""
+    scn = Scenario(chain12.group, chain12.base, chain12.extra, chain12.action)
+    tables = []
+    modulations = Scenario.modulations
+
+    def counted(self, probes):
+        tables.append(tuple(probes))
+        return modulations(self, probes)
+
+    rng = np.random.default_rng(43)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
+    subs = (Subgroup(scn.group, [(1,)]), Subgroup(scn.group, [(3,)]))
+    assert all(sub not in (scn.base, scn.extra) for sub in subs)
+    monkeypatch.setattr(Scenario, "modulations", counted)
+    for space in spaces:
+        for sub in subs:
+            _, res = is_invariant(space, sub)
+            assert res == pytest.approx(oracle.translation_residual(space, sub), abs=1e-12)
+    assert tables == [((1,),), ((3,),)]
+
+
+def test_frame_given_space_keeps_no_probe_memo_before_its_gate(scn):
+    """Before the base gate a frame-given space is translated in point space
+    on each call and memoises nothing; after it, its probe passes are
+    memoised on its range function."""
+    rng = np.random.default_rng(44)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    given = Subspace(scn, span_invariant(scn, gens, scn.extra).frame)
+    for sub in (scn.base, scn.extra):
+        assert is_invariant(given, sub)[0]
+    assert not {"_basis", "_invariance"} & set(vars(given))
+    require_base_invariant(given)
+    assert "_invariance" not in vars(given)
+    is_invariant(given, scn.extra)
+    assert set(vars(given).get("_invariance", ())) == set(scn.moving_probes)
 
 
 def test_translates_are_modulated_fibers(scn):

@@ -249,6 +249,27 @@ def test_order_4096_scenario_builds_in_linear_memory():
         assert act.norm(back[:, j] - f[:, j]) <= 1e-12 * act.norm(f[:, j])
 
 
+def test_base_inverse_does_not_copy_the_character_table():
+    """Z_32 x Z_32 on 2 orbits with base = G: the base table has 1024^2
+    entries, 16 MiB, and one inverse of a single function (32 KiB of
+    values) conjugates the values and the product instead, so it peaks
+    far below the table and still inverts ``zak_base``."""
+    g = FiniteAbelianGroup([32, 32])
+    whole = Subgroup(g, [(1, 0), (0, 1)])
+    scn = Scenario(g, whole, whole, ActionSpace.regular(g, orbits=2))
+    f = random_function(scn, np.random.default_rng(74))
+    zb = zak_base(scn, f)  # the scenario's table and gather plan, built once
+    tracemalloc.start()
+    try:
+        back = zak_base_inv(scn, zb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scn.chars_base_omega.nbytes == 16 * 2**20
+    assert peak < 2**20, peak
+    assert scn.action.norm(back - f) <= 1e-12 * scn.action.norm(f)
+
+
 @pytest.mark.parametrize("shape", [(29,), (29, 2), (23,)])
 def test_transforms_reject_a_function_of_the_wrong_length(bank, shape):
     """A vector longer or shorter than the point set is refused, not cut.
