@@ -28,7 +28,7 @@ import numpy as np
 
 from .groups import Element
 from .scenario import Scenario
-from .spaces import Subspace, _kept, as_columns, fiber_matrices
+from .spaces import Subspace, _kept, as_columns, fiber_matrices, require_scenario
 from .extra import dual_partition
 
 
@@ -160,5 +160,6 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
 
 
 def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:
-    """Summed squared weighted distances of the data to the subspace."""
+    """Summed squared weighted distances of the data to the subspace of ``scn``."""
+    require_scenario(scn, space)
     return float(np.sum(space.residuals(_data_matrix(scn, data)) ** 2))

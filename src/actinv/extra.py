@@ -52,6 +52,7 @@ from .spaces import (
     checked_tol,
     is_invariant,
     require_base_invariant,
+    require_scenario,
 )
 from .zak import _group_dft, zak_full, zak_full_inv
 
@@ -183,6 +184,7 @@ def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
     cut.  The checks do not call it; they read the same components off the
     Zak side (:func:`check_extra_invariance`).
     """
+    require_scenario(scn, space)
     require_base_invariant(space)
     if space.dim == 0:
         return Subspace.zero(scn)
@@ -192,51 +194,43 @@ def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
     return Subspace.span(scn, masked, floor=RANK_TOL)
 
 
-# Entries the per-pair temporaries of one run may reach when the basis is smaller.
-RUN_ENTRIES = 2**14
-
-
-def _pair_runs(scn: Scenario, per_pair: int, basis: np.ndarray):
-    """Runs of (fiber, block) pairs, as fiber and block positions, whose
-    temporaries (``per_pair`` entries each) fit in the larger of the size
-    of the basis and :data:`RUN_ENTRIES`, and at least one pair per run.
-    The floor lets a small space (a principal or canonical one, r = 1) take
-    its pairs in one run instead of one run per few fibers."""
-    n_pairs = scn.n_fibers * scn.n_blocks
-    step = max(1, max(basis.size, RUN_ENTRIES) // per_pair) if per_pair else n_pairs
-    for lo in range(0, n_pairs, step):
-        yield np.divmod(np.arange(lo, min(lo + step, n_pairs)), scn.n_blocks)
-
-
 def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
     """The range function split along the dual partition, memoised on ``space``.
 
     One batched SVD of the block rows of every fiber basis,
     ``basis[:, rows] = a t v^H`` per fiber and block, shape (n_fibers,
     n_blocks, ...).  Column i of ``v[w, b]`` holds the coefficients of the
-    unit direction ``basis[w] @ v[w, b, :, i]`` of fiber w: it keeps norm
-    ``t[w, b, i]`` in block b, and ``off[w, b, i]`` is its norm outside,
-    taken from the direction itself, without the cancellation of
-    ``(1 - t**2) ** 0.5``.  A direction is kept by the rank rule
-    (:func:`actinv.spaces._kept`) with ``RANK_TOL`` as its absolute floor:
-    basis directions are unit, so every ``t`` is at most 1 up to roundoff
-    and the floor is the cut that counts.
-    Returns ``a``, ``t``, ``kv`` (``v`` with the directions not kept
-    zeroed: the components' fibers are ``basis @ kv``), ``off`` and the
-    mask ``kept``.
+    unit direction ``x = basis[w] @ v[w, b, :, i]``: it keeps norm
+    ``t[w, b, i]`` in block b and ``off[w, b, i]`` outside, read off the
+    factors.  x's rows in block p are ``a[w, p] (t[w, p] * (v^H[w, p] @
+    v[w, b, :, i]))``; for the 2r largest ``t`` of a fiber (r the basis
+    width), ``off`` is the root of those squared norms over the others.  A
+    fiber's ``t ** 2`` sum to its dimension, so any other ``t ** 2`` is
+    below 1/2, and ``off ** 2 = |x| ** 2 - t ** 2`` (the columns are
+    orthonormal or zero) is above 1/2, free of cancellation.  The rank
+    rule (:func:`actinv.spaces._kept`) keeps directions above its absolute
+    floor ``RANK_TOL``, the cut that counts as every ``t`` is at most 1.
+    Returns ``a``, ``t``, ``kv`` (``v``, the directions not kept zeroed:
+    the components' fibers are ``basis @ kv``), ``off`` and ``kept``.
     """
     memo = vars(space).get("_split")
     if memo is None:
-        rows = dual_partition(scn).rows
-        a, t, vh = np.linalg.svd(basis[:, rows], full_matrices=False)
-        v = vh.conj().swapaxes(-1, -2)
-        off = np.zeros(t.shape)
-        for w, b in _pair_runs(scn, basis[0].size, basis):
-            moved = basis[w] @ v[w, b]
-            moved[np.arange(len(w))[:, None], rows[b]] = 0.0
-            off[w, b] = np.linalg.norm(moved, axis=1)
+        a, t, vh = np.linalg.svd(basis[:, dual_partition(scn).rows], full_matrices=False)
+        n_fibers, n_blocks, k = t.shape
+        r, n_dirs = basis.shape[2], n_blocks * k
+        rows = vh.reshape(n_fibers, n_dirs, r)  # direction (b, i) conjugated, as a row
+        norm2 = (np.abs(rows) ** 2 @ np.any(basis, axis=1)[..., None])[..., 0]
+        off = np.sqrt(np.maximum(norm2 - t.reshape(n_fibers, n_dirs) ** 2, 0.0))
+        heavy = np.argsort(-t.reshape(n_fibers, n_dirs), axis=1, kind="stable")[:, : 2 * r]
+        fibers = np.arange(n_fibers)[:, None]
+        picked = rows[fibers, heavy].conj().swapaxes(1, 2)
+        parts = (t.reshape(n_fibers, n_dirs, 1) * rows) @ picked  # [w, (p, l), heavy]
+        block = np.repeat(np.arange(n_blocks), k)
+        parts *= block[:, None] != block[heavy][:, None]
+        off[fibers, heavy] = np.linalg.norm(parts, axis=1)
         kept = _kept(t, floor=RANK_TOL)
-        memo = space._split = (a, t, v * kept[:, :, None, :], off, kept)
+        kv = vh.conj().swapaxes(2, 3) * kept[:, :, None]
+        memo = space._split = (a, t, kv, off.reshape(t.shape), kept)
     return memo
 
 
@@ -328,9 +322,10 @@ def check_extra_invariance(
     (:func:`_component_law`).  The report is memoised on the space per
     ``tol``, after the base gate, so the inner call of
     :func:`check_decomposable` reads it.  ``ValueError`` unless ``tol`` is
-    a finite positive number.
+    a finite positive number or the space belongs to another scenario.
     """
     tol = checked_tol(tol)
+    require_scenario(scn, space)
     basis = require_base_invariant(space, tol)
     reports = vars(space).setdefault("_reports", {})
     if tol in reports:
@@ -427,15 +422,15 @@ def check_decomposable(
     each component (the kept directions ``basis[w] @ kv[w, b]``) equal the
     block-restricted fibers of the space, comparing the two projectors on
     the block rows by their diagonals (:func:`_match_deviation`).  The
-    inner extra-invariance check reads the report memoised for ``tol``.
-    ``ValueError`` unless ``tol`` is a finite positive number.
+    inner extra-invariance check comes first: it reads the report memoised
+    for ``tol``, and it raises ``ValueError`` unless ``tol`` is a finite
+    positive number and the space belongs to ``scn``.
     """
-    tol = checked_tol(tol)
-    basis = require_base_invariant(space, tol)
+    ext = check_extra_invariance(scn, space, tol)
+    basis = space._basis  # set by the base gate of the inner check
     _, t, _, off, _ = _split(scn, space, basis)
     worst = float(np.max(t * off, initial=0.0))
     decomposable = worst <= tol
-    ext = check_extra_invariance(scn, space, tol)
     if decomposable != ext.extra_invariant:
         raise TheoremViolationError(
             "fiberwise decomposability disagrees with the translation test",
@@ -462,21 +457,17 @@ def _match_deviation(scn: Scenario, space: Subspace, basis: np.ndarray) -> float
 
     With ``basis[w][rows[b]] = a t v^H`` (:func:`_split`), the first is
     ``ak ak^H`` over the kept columns ``ak`` of ``a``, and the component's
-    fiber on the block rows is ``comps = basis[w][rows[b]] @ kv[w, b]``.
-    The gap ``ak ak^H - comps comps^H = a diag(kept (1 - t**2)) a^H`` is
-    positive semidefinite, so its largest entry lies on its diagonal: the
-    gap of the row energies of ``ak`` and ``comps``.  Temporaries are
-    ``rows * r`` entries per pair, never ``rows ** 2``.
+    fiber on the block rows is ``comps = basis[w][rows[b]] @ kv[w, b]``,
+    one batched product over every pair.  The gap ``ak ak^H - comps
+    comps^H = a diag(kept (1 - t**2)) a^H`` is positive semidefinite, so
+    its largest entry lies on its diagonal: the gap of the row energies of
+    ``ak`` and ``comps``.  Each temporary is at most the basis's size.
     """
     a, _, kv, _, kept = _split(scn, space, basis)
-    rows = dual_partition(scn).rows
-    worst = 0.0
-    for w, b in _pair_runs(scn, rows.shape[1] * basis.shape[2], basis):
-        ak = a[w, b] * kept[w, b][:, None, :]
-        comps = basis[w[:, None], rows[b]] @ kv[w, b]
-        gap = np.sum(np.abs(ak) ** 2, axis=2) - np.sum(np.abs(comps) ** 2, axis=2)
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    comps = basis[:, dual_partition(scn).rows] @ kv
+    ak = a * kept[:, :, None, :]
+    gap = np.sum(np.abs(ak) ** 2, axis=3) - np.sum(np.abs(comps) ** 2, axis=3)
+    return float(np.max(np.abs(gap), initial=0.0))
 
 
 # -- cross-check in the sequence space over the group -------------------------

@@ -361,6 +361,12 @@ def is_invariant(
     return worst <= tol, worst
 
 
+def require_scenario(scn: Scenario, space: Subspace) -> None:
+    """``ValueError`` unless the space, and so every memo on it, is ``scn``'s."""
+    if space.scenario is not scn:
+        raise ValueError("the subspace belongs to another scenario")
+
+
 def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The space's range function; ``InvarianceError`` if it is not base-invariant.
 

@@ -579,6 +579,22 @@ def component_law(passes, coeffs):
     return worst
 
 
+def off_block_norms(scn, basis):
+    """The block-row SVD's singular values ``t`` and the norm ``off`` of each
+    of its directions outside its block, read from the direction itself:
+    ``basis[w] @ v[w, b]`` over every row with block b's rows zeroed, one
+    fiber and block at a time.  (n_fibers, n_blocks, k) each."""
+    rows = block_rows(scn)
+    _, t, vh = np.linalg.svd(basis[:, np.array(rows)], full_matrices=False)
+    off = np.zeros(t.shape)
+    for w in range(scn.n_fibers):
+        for b, block in enumerate(rows):
+            moved = basis[w] @ vh[w, b].conj().T
+            moved[block] = 0.0
+            off[w, b] = np.linalg.norm(moved, axis=0)
+    return t, off
+
+
 def match_deviation(scn, basis, a, kv, kept):
     """Largest entry of the (block rows)^2 gap between the projector onto the
     kept left singular vectors of each fiber's block rows and the projector

@@ -21,6 +21,7 @@ from actinv import (
     check_decomposable,
     check_extra_invariance,
     dual_partition,
+    evaluate_candidate,
     is_invariant,
     mask_apply,
     masked_component,
@@ -487,9 +488,9 @@ def test_check_pair_memory_stays_within_the_zak_values():
     """Z_2048 on 2 orbits, trivial base, 2048 blocks, a principal space.
 
     With many blocks and one dimension, a (points x blocks) array would
-    take 128 MiB; the checks take the blocks in runs whose temporaries are
-    no larger than the frame's Zak values or 2^14 entries, so the pair
-    peaks at a few MiB.
+    take 128 MiB, and so would the block SVD's (blocks x blocks) products
+    of every direction with every block; the checks multiply only the 2r
+    heaviest directions, so the pair peaks well below 1 MiB.
     """
     g = FiniteAbelianGroup([2048])
     scn = Scenario(g, Subgroup(g, []), Subgroup(g, [(1,)]), ActionSpace.regular(g, 2))
@@ -662,6 +663,41 @@ def test_check_requires_base_invariance(chain12):
         check_extra_invariance(chain12, space)
     with pytest.raises(InvarianceError):
         check_decomposable(chain12, space)
+
+
+def test_space_of_another_scenario_is_refused():
+    """Z_12 on 2 orbits, base <4>; A has extra <2>, B extra <1>.
+
+    A space spanned on A holds A's memos.  Every reader taking the scenario
+    and a space refuses B before it reads or writes them, so A's report
+    stays ``True, (3, 3)``, also when B comes first on a fresh space.
+    Without the refusal, a check against B memoised B's four-block split,
+    and A's check read it as ``False, (3, 3, 3, 3)``.
+    """
+    g = FiniteAbelianGroup([12])
+    act = ActionSpace.regular(g, orbits=2)
+    scn_a = Scenario(g, Subgroup(g, [(4,)]), Subgroup(g, [(2,)]), act)
+    scn_b = Scenario(g, Subgroup(g, [(4,)]), Subgroup(g, [(1,)]), act)
+    space = span_invariant(scn_a, random_function(scn_a, np.random.default_rng(40)), scn_a.extra)
+    ext = check_extra_invariance(scn_a, space)
+    assert (ext.extra_invariant, ext.component_dims) == (True, (3, 3))
+    data = space.frame[:, :1]
+    memos = dict(vars(space))
+    for reader in (check_extra_invariance, check_decomposable, evaluate_candidate):
+        args = (data, space) if reader is evaluate_candidate else (space,)
+        with pytest.raises(ValueError, match="another scenario"):
+            reader(scn_b, *args)
+    with pytest.raises(ValueError, match="another scenario"):
+        masked_component(scn_b, space, (0,))
+    assert vars(space).keys() == memos.keys()
+    assert all(vars(space)[key] is memo for key, memo in memos.items())
+    assert check_extra_invariance(scn_a, space) is ext
+    assert check_decomposable(scn_a, space).decomposable
+    fresh = span_invariant(scn_a, random_function(scn_a, np.random.default_rng(41)), scn_a.extra)
+    with pytest.raises(ValueError, match="another scenario"):
+        check_extra_invariance(scn_b, fresh)
+    ext = check_extra_invariance(scn_a, fresh)
+    assert (ext.extra_invariant, ext.component_dims) == (True, (3, 3))
 
 
 def test_equivalence_sweep(scn):

@@ -43,8 +43,10 @@ residuals included.  The check pair's linear algebra matches its first
 form at roundoff on fiber bases moved by noise from 0 to 1e-6: the probe
 residuals and the component law read off Gram matrices against the QR and
 values-only SVDs, the match deviation against the (block rows)^2
-projector gap (1e-12 relative plus 1e-15 absolute), and the closed-form
-canonical space against the transform-built one (projector to 1e-12).
+projector gap (1e-12 relative plus 1e-15 absolute), the off-block norms
+read off the block SVD factors against the rows of each direction outside
+its block (1e-13 absolute), and the closed-form canonical space against
+the transform-built one (projector to 1e-12).
 
 Rank cut: on matrices of planted rank (up to 200 rows, weights log-uniform
 over up to 1e14), ``orthonormal_columns`` keeps the rank and the weighted
@@ -560,13 +562,24 @@ def assert_roundoff(got, want):
 @example(spec=((12,), [], [(1,)], 2, 4), noise=1e-14)
 @example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), noise=1e-6)
 @example(spec=((4, 8), [(2, 0)], [(1, 0), (0, 2)], 2, 6), noise=1e-10)
+@example(spec=((200,), [], [(1,)], 2, 0), noise=1e-10)
 def test_check_pair_matches_its_decomposition_references(spec, noise):
-    """Gram matrices and row energies against the QR, SVD and (block rows)^2
-    references, and the closed-form canonical space against the transforms.
+    """Gram matrices, row energies and off-block norms against the QR, SVD,
+    (block rows)^2 and row-space references, and the closed-form canonical
+    space against the transforms.
 
-    ``_probe_pass``, ``_component_law`` and ``_match_deviation`` do not
-    raise, so they are called directly on spaces whose fiber bases are
-    moved by the noise; the checks themselves would raise near ``tol``.
+    ``_probe_pass``, ``_split``, ``_component_law`` and ``_match_deviation``
+    do not raise, so they are called directly on spaces whose fiber bases
+    are moved by the noise; the checks themselves would raise near ``tol``.
+
+    ``_split`` reads ``off`` off the block SVD factors (exact sums of
+    squares for the heaviest directions, ``|x| ** 2 - t ** 2`` above 1/2
+    for the others); the reference multiplies each direction by the basis
+    rows.  Both are norms of the same direction with a few eps of roundoff
+    per unit factor: the largest deviation in two sweeps of 400 generated
+    cases was 3.4e-15 (16 eps).  1e-13 leaves room for longer sums and is a
+    thousand times below ``RANK_TOL``, the smallest threshold a report is
+    read against.  ``t`` is the same LAPACK call on the same rows.
     """
     scn, rng = build(spec)
     canon = canonical_extra_invariant(scn)
@@ -581,7 +594,11 @@ def test_check_pair_matches_its_decomposition_references(spec, noise):
             inside, factor, top = oracle.moved_top(d, basis)
             assert_roundoff(spaces_mod._probe_pass(space, g)[0], top)
             passes.append((inside, factor))
-        a, _, kv, _, kept = extra_mod._split(scn, space, basis)
+        a, t, kv, off, kept = extra_mod._split(scn, space, basis)
+        t_ref, off_ref = oracle.off_block_norms(scn, basis)
+        np.testing.assert_array_equal(t, t_ref)
+        np.testing.assert_allclose(off, off_ref, rtol=0, atol=1e-13, err_msg=kind)
+        np.testing.assert_allclose(t * off, t * off_ref, rtol=0, atol=1e-13, err_msg=kind)
         assert_roundoff(extra_mod._component_law(space, kv), oracle.component_law(passes, kv))
         assert_roundoff(
             extra_mod._match_deviation(scn, space, basis),
