@@ -6,11 +6,11 @@ in weighted stacked coordinates (:func:`fiber_matrices`), as one
 zero-padded (n_fibers, rows, r_max) array.  The fiber builders produce the
 range function and assemble the frame only when it is read; a frame-given
 space gets one at the base gate (:func:`require_base_invariant`).
-A translation acts on the range function as a modulation of each fiber's
-rows (:meth:`Scenario.modulations`), and a base translation leaves every
-fiber basis where it is; only a frame-given space is translated in point
-space, and only until it passes the base gate.  A space with a range
-function makes one probe pass per probe outside the base
+A translation acts on stacked Zak values as a modulation of their rows
+(:meth:`Scenario.modulations`), so no space is translated in point space.
+A base translation leaves every fiber basis where it is; a frame-given
+space is probed, until its base gate, on its whole stacked frame.  A space
+with a range function makes one probe pass per probe outside the base
 (:func:`_probe_pass`), which every reader of it shares.
 
 Numerical work happens in *weighted coordinates*: scaling a function's
@@ -28,11 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import translate
 from .errors import DegenerateGeneratorError, InvarianceError
 from .groups import Subgroup
 from .scenario import Scenario, _probes
-from .zak import zak_full_inv, zak_stacked
+from .zak import _checked, _unstacked, zak_stacked
 
 RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
@@ -79,8 +78,11 @@ class Subspace:
     """
 
     def __init__(self, scenario: Scenario, frame: np.ndarray):
+        n, frame = scenario.action.n_points, np.asarray(frame)
+        if frame.ndim != 2 or len(frame) != n:
+            raise ValueError(f"frame must have shape ({n}, dim), got {frame.shape}")
         self.scenario = scenario
-        self.frame = frame  # (n_points, dim)
+        self.frame = _checked(frame, "frame entries")
 
     @classmethod
     def span(
@@ -107,9 +109,15 @@ class Subspace:
         Zak values are the j-th nonzero column, fiber by fiber, at its fiber
         and zero elsewhere, scaled by ``n_fibers ** 0.5`` to unit norm, so
         the frame is weighted-orthonormal.  One inverse transform builds it.
+        ``ValueError`` unless ``basis`` has that shape and is finite.
         """
+        rows, basis = scn.n_cosets * len(scn.tiling.orbit_reps), np.asarray(basis)
+        if basis.ndim != 3 or basis.shape[:2] != (scn.n_fibers, rows):
+            raise ValueError(
+                f"fiber bases must have shape ({scn.n_fibers}, {rows}, r_max), got {basis.shape}"
+            )
         space = cls.__new__(cls)
-        space.scenario, space._basis = scn, basis
+        space.scenario, space._basis = scn, _checked(basis, "fiber bases")
         return space
 
     @cached_property
@@ -257,31 +265,28 @@ def _probe_pass(space: Subspace, g) -> tuple:
     pair ``(inside, gram)``.
 
     The residual is the largest distance from the space of a unit vector
-    of it translated by g.  A space with a range function reads g's
-    modulation from :meth:`Scenario.modulation`: ``None`` for a base
-    element, which modulates each fiber by a constant, so the residual is
-    exactly ``0.0`` with no pass; any other row moves the fiber bases
-    once, the residual is the top singular value of the part moved out,
-    read off its r x r Gram matrix by :func:`_top`, and all three are
-    memoised on ``space`` per probe.  A frame-given space translates its
-    frame in point space and takes the top singular value of its part
-    outside the space, in weighted coordinates, and memoises nothing: that
-    route runs only until the base gate gives the space a range function.
+    of it translated by g, :func:`_top` of the Gram matrix of the part g's
+    modulation moves out.  A space with a range function reads g's row
+    from :meth:`Scenario.modulation`: ``None`` for a base element, a
+    constant per fiber, so exactly ``0.0`` with no pass; any other row
+    moves the fiber bases once, all three memoised on ``space`` per probe.
+    A frame-given space, until its base gate, is one fiber of orthonormal
+    columns, its whole stacked frame times ``n_fibers ** -0.5``, moved by
+    a fresh :meth:`Scenario.modulations` row; it memoises nothing.
     """
-    basis = vars(space).get("_basis")
-    if basis is not None:
-        d = space.scenario.modulation(g)
-        if d is None:
-            return 0.0, None, None
-        memo = vars(space).setdefault("_invariance", {})
-        if g not in memo:
-            inside, gram = _moved(d, basis)
-            memo[g] = (_top(gram), inside, gram)
-        return memo[g]
-    else:
-        q = space._weighted_frame
-        moved = translate(space.scenario.action, g, space.frame) * space._root
-        return float(np.linalg.norm(moved - q @ (q.conj().T @ moved), 2)), None, None
+    scn, basis = space.scenario, vars(space).get("_basis")
+    if basis is None:
+        whole = fiber_matrices(scn, space.frame).reshape(1, -1, space.dim)
+        whole.view(np.float64)[...] *= scn.n_fibers**-0.5
+        return _top(_moved(scn.modulations((g,)).reshape(1, -1), whole)[1]), None, None
+    d = scn.modulation(g)
+    if d is None:
+        return 0.0, None, None
+    memo = vars(space).setdefault("_invariance", {})
+    if g not in memo:
+        inside, gram = _moved(d, basis)
+        memo[g] = (_top(gram), inside, gram)
+    return memo[g]
 
 
 def _top(gram: np.ndarray) -> float:
@@ -349,10 +354,10 @@ def is_invariant(
     part kept inside and that Gram matrix are memoised on the space for
     every later reader, the component law of
     :func:`actinv.extra.check_extra_invariance` included.  A frame-given
-    space translates its frame in point space, once per probe and call,
-    and keeps nothing: the only route valid before the space is known to
-    be base-invariant.  ``ValueError`` unless ``tol`` is a finite positive
-    number.
+    space, before it is known to be base-invariant, makes the same pass on
+    its whole stacked frame as one fiber, one transform per probe and
+    call, and keeps nothing.  ``ValueError`` unless ``tol`` is a finite
+    positive number.
     """
     tol = checked_tol(tol)
     if space.dim == 0:
@@ -370,13 +375,13 @@ def require_scenario(scn: Scenario, space: Subspace) -> None:
 def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The space's range function; ``InvarianceError`` if it is not base-invariant.
 
-    A frame-given space passes when its point-space residual is at most
-    ``tol`` and its fibers hold its whole dimension: the ranks of its
-    frame's fiber matrices, cut by :func:`_fiber_cut`, sum to ``dim``.
-    That cut basis (cut columns zeroed) then becomes its range function,
-    and every later residual is read off it; the gate's point-space
-    residuals are not kept.  ``ValueError`` unless ``tol`` is a finite
-    positive number.
+    A frame-given space passes when its residual on its whole stacked
+    frame (:func:`_probe_pass`) is at most ``tol`` and its fibers hold its
+    whole dimension: the ranks of its frame's fiber matrices, cut by
+    :func:`_fiber_cut`, sum to ``dim``.  That cut basis (cut columns
+    zeroed) then becomes its range function, and every later residual is
+    read off it; the gate's residuals are not kept.  ``ValueError`` unless
+    ``tol`` is a finite positive number.
     """
     scn = space.scenario
     ok, res = is_invariant(space, scn.base, checked_tol(tol))
@@ -480,14 +485,11 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     ``fiber_cols`` has shape (n_fibers, n_cosets * len(orbit_reps), d); the
     result stacks d functions as columns, where function j has the given
     weighted fiber vectors (scaled back) as its stacked Zak transform.
+    The stacked inverse's kernel with the weights folded in; unchecked.
     """
     w, _, d = fiber_cols.shape
-    split = scn.dual_split
-    # the stacked inverse with the weights folded in: one take, one scaling
     rows = fiber_cols.reshape(w * scn.n_cosets, len(scn.tiling.orbit_reps), d)
-    full = np.take(rows, split[:, 0] * scn.n_cosets + split[:, 1], axis=0)
-    full.view(np.float64)[...] *= np.sqrt(scn.n_cosets / scn.rep_weights)[:, None]
-    return zak_full_inv(scn, full)
+    return _unstacked(scn, rows, np.sqrt(scn.n_cosets / scn.rep_weights)[:, None])
 
 
 def length(space: Subspace) -> int:

@@ -174,10 +174,16 @@ def zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
 def zak_stacked_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
     reps = len(scn.tiling.orbit_reps)
     values = _checked(values, fibers=scn.n_fibers, cosets=scn.n_cosets, orbits=reps)
+    return _unstacked(scn, values.reshape((-1,) + values.shape[2:]), np.sqrt(scn.n_cosets))
+
+
+def _unstacked(scn: Scenario, rows: np.ndarray, factor) -> np.ndarray:
+    """The function whose full Zak values are ``factor`` times the stacked
+    ``rows`` (n_fibers * n_cosets, orbits, *batch), unchecked: one ``take``, one
+    real scaling of the float64 view, an in-place inverse DFT, one scatter."""
     split = scn.dual_split
-    at = split[:, 0] * scn.n_cosets + split[:, 1]  # stacked row of each dual element
-    rows = values.reshape((-1,) + values.shape[2:])
-    full = _scaled(np.take(rows, at, axis=0), np.sqrt(scn.n_cosets))
+    full = np.take(rows, split[:, 0] * scn.n_cosets + split[:, 1], axis=0)
+    full.view(np.float64)[...] *= factor
     full = _group_dft(scn.group, full, inverse=True, in_place=True)
     return _scattered(scn._full_gather, full)
 

@@ -192,6 +192,40 @@ def test_demo_expectation_failure_exits_3(capsys, monkeypatch):
     assert any("component dimensions" in f for f in doc["failures"])
 
 
+def test_theorem_violation_exits_3_with_plain_details(tmp_path, capsys, monkeypatch):
+    """A check that raises ``TheoremViolationError`` exits 3 with its message
+    and its details as plain JSON numbers: numpy scalars, also inside lists
+    and tuples, become floats and ints, and other values pass unchanged."""
+
+    def violated(scn, space, tol):
+        raise cli.TheoremViolationError(
+            "translation test and mask-inclusion test disagree",
+            details={
+                "translation_residual": np.float64(0.25),
+                "inclusion_residuals": [np.float64(0.5), 1.0],
+                "dims": (np.int64(3), np.int32(0)),
+                "label": "xi",
+            },
+        )
+
+    monkeypatch.setattr(cli, "check_extra_invariance", violated)
+    cfg = write_cfg(tmp_path, chain12_cfg(subspace={"canonical": True}))
+    rc, out = run(capsys, ["--config", cfg, "check"])
+    assert rc == 3
+    error = json.loads(out)["error"]
+    assert error == {
+        "kind": "theorem-violation",
+        "detail": "translation test and mask-inclusion test disagree",
+        "details": {
+            "translation_residual": 0.25,
+            "inclusion_residuals": [0.5, 1.0],
+            "dims": [3, 0],
+            "label": "xi",
+        },
+    }
+    assert [type(d) for d in error["details"]["dims"]] == [int, int]
+
+
 # -- configuration errors (exit 1) ---------------------------------------------
 
 
@@ -488,6 +522,27 @@ def test_columns_csv_matches_the_entrywise_writer(tmp_path):
         write_columns_csv(ours, mat)
         oracle.write_columns_csv(ref, mat)
         assert ours.read_bytes() == ref.read_bytes(), k
+
+
+def test_columns_csv_round_trip_is_bitwise(tmp_path):
+    """Reading back what the writer wrote returns every bit, signed zeros
+    included: an entry is never rebuilt as ``re + 1j * im``, which turns a
+    -0.0 imaginary part, and a -0.0 real part beside ``1j``, into +0.0."""
+    rng = np.random.default_rng(47)
+    shape = (9, 3)
+    spread = 10.0 ** rng.uniform(-300, 300, (2,) + shape)
+    signs = rng.choice([-1.0, 1.0], (2,) + shape)
+    wide = spread[0] * signs[0] + 1j * spread[1] * signs[1]
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    edges = np.array([[0.0, -0.0], [tiny, -tiny], [huge, -huge]]) @ np.array([1.0, 1j])
+    zeros = np.array([[complex(-0.0, -0.0), complex(-0.0, 1.0)], [complex(1.5, -0.0), 0j]])
+    for k, mat in enumerate([wide, wide.T, edges, edges[:, None], wide[:, 0], zeros]):
+        path = tmp_path / f"round{k}.csv"
+        write_columns_csv(path, mat)
+        back = read_columns_csv(path)
+        want = mat if mat.ndim == 2 else mat[:, None]
+        assert back.dtype == complex and back.shape == want.shape, k
+        assert back.tobytes() == np.ascontiguousarray(want).tobytes(), k
 
 
 def test_columns_csv_errors(tmp_path):

@@ -1,4 +1,5 @@
 """Dual partition, masks, the invariance equivalence, and the cross-oracles."""
+import copy
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from actinv import (
     Scenario,
     Subgroup,
     Subspace,
+    TheoremViolationError,
     canonical_extra_invariant,
     check_decomposable,
     check_extra_invariance,
@@ -296,11 +298,12 @@ def _pair(scn, space, log):
 def test_checks_share_one_mask_per_block(scn, monkeypatch):
     """A check pair on a fiber-built space reads nothing but its range function.
 
-    No transform, inverse transform or translation runs (the frame is never
-    assembled).  A cold pair makes one probe pass (``_moved``, one
-    modulated basis and the r x r Gram matrix of its part outside the
-    space, read by one ``eigvalsh``) per distinct probe of base and extra
-    outside the base, which the residuals and the component law share,
+    No transform or inverse transform runs (the frame is never assembled;
+    that no module but ``actions`` translates in point space is a source
+    rule, ``test_source.py``).  A cold pair makes one probe pass
+    (``_moved``, one modulated basis and the r x r Gram matrix of its part
+    outside the space, read by one ``eigvalsh``) per distinct probe of base
+    and extra outside the base, which the residuals and the component law share,
     and none for a base probe (the base gate makes no pass at all); one
     SVD with vectors, of the block rows of every fiber basis, shape
     (n_fibers, n_blocks, block rows, r_max), which both checks and the
@@ -321,7 +324,6 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
         for name in ("zak_full", "zak_full_inv", "zak_stacked", "zak_stacked_inv"):
             if hasattr(module, name):
                 _counted(monkeypatch, module, name, calls)
-    _counted(monkeypatch, spaces_mod, "translate", calls)
     log = _passes(monkeypatch)
     size = dual_partition(scn).rows.shape[1]
     probes = _moving(scn)
@@ -388,27 +390,37 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
 
 
 def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
-    """Before its base gate a frame-given space is translated in point space
-    and makes no probe pass, with the point-space oracle's residuals; after
-    it a cold check pair makes one pass per distinct probe outside the
-    base, a warm one none, with the reports of the fiber-built original's
-    verdicts and dimensions."""
+    """Before its base gate a frame-given space makes one probe pass per
+    probe and call on its whole stacked frame, as one fiber of n_points
+    rows moved by the probe's row of a fresh modulation table, with the
+    point-space oracle's residuals, and memoises no probe; after it a cold
+    check pair makes one pass on the range function per distinct probe
+    outside the base, a warm one none, with the reports of the fiber-built
+    original's verdicts and dimensions."""
     scn = _fresh(scn)
     rng = np.random.default_rng(35)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     log = _passes(monkeypatch)
-    probes = _moving(scn)
+    probes, base_probes = _moving(scn), spaces_mod._probes(scn.base)
     pair = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
     for i, space in enumerate(pair):
         given = Subspace(scn, space.frame)
-        log.clear()
-        for sub in (scn.base, scn.extra):  # in point space, before the gate
+        whole = (1, scn.action.n_points, space.dim)
+        for sub in (scn.base, scn.extra):  # on the whole frame, before the gate
+            log.clear()
             ok, res = is_invariant(given, sub)
             assert res == pytest.approx(oracle.translation_residual(space, sub), abs=1e-12)
-        assert [k for k, *_ in log if k != "svd"] == []
+            sub_probes = spaces_mod._probes(sub)
+            assert [(k, s) for k, s, _ in log if k in ("moved", "table")] == [
+                entry for g in sub_probes for entry in (("table", (g,)), ("moved", whole))
+            ]
+            assert not {"_basis", "_invariance"} & set(vars(given))
         cold, warm = _pair(scn, given, log), _pair(scn, given, log)
-        assert len(cold["moved"]) == len(probes)
-        assert cold["table"] == ([] if i else [((g,), None) for g in probes])
+        gate = [(whole, None)] * len(base_probes)
+        assert cold["moved"] == gate + [(given._basis.shape, None)] * len(probes)
+        assert cold["table"] == [((g,), None) for g in base_probes] + (
+            [] if i else [((g,), None) for g in probes]
+        )
         assert set(vars(given)["_invariance"]) == set(probes)
         assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
         ext = check_extra_invariance(scn, given)
@@ -418,24 +430,25 @@ def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatc
 
 
 def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
-    """Only a frame-given space is translated, and only at the base gate.
+    """Only a frame-given space is transformed, and only at the base gate.
 
     ``check_extra_invariance``, ``check_decomposable`` and its inner
     extra-invariance check all ask for base invariance: a cold check pair
-    on a frame-given space translates its frame once per base probe and
-    takes one transform of it (for its range function), a warm one
-    nothing at all; a fiber-built space is never translated.
+    on a frame-given space transforms its frame once per base probe (its
+    probe pass on the whole stacked frame) and once more for its range
+    function, a warm one nothing at all; a fiber-built space is never
+    transformed.
     """
     rng = np.random.default_rng(10)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = [span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)]
     probes = tuple(scn.base.generators) or (scn.group.zero,)
     calls = []
-    _counted(monkeypatch, spaces_mod, "translate", calls)
     _counted(monkeypatch, zak_mod, "zak_full", calls)
     for space in spaces:
         given = Subspace(scn, space.frame)
-        for subject, want in ((space, []), (given, [("zak_full", space.frame.shape)])):
+        once = [("zak_full", space.frame.shape)]
+        for subject, want in ((space, []), (given, once * (len(probes) + 1))):
             runs = []
             for _ in range(2):
                 calls.clear()
@@ -443,8 +456,7 @@ def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
                 check_decomposable(scn, subject)
                 runs.append(list(calls))
             cold, warm = runs
-            moved = [("translate", g) for g in probes] if subject is given else []
-            assert cold == moved + want and warm == []
+            assert cold == want and warm == []
 
 
 def test_component_law_matches_translated_components(scn):
@@ -698,6 +710,135 @@ def test_space_of_another_scenario_is_refused():
         check_extra_invariance(scn_b, fresh)
     ext = check_extra_invariance(scn_a, fresh)
     assert (ext.extra_invariant, ext.component_dims) == (True, (3, 3))
+
+
+# -- fault injection: every theorem guard raises on a corrupted input -------------
+#
+# chain12 is Z_12 with base <4> and extra <2>: three fibers, four stacked
+# coordinates (the base annihilator 0, 3, 6, 9), two blocks labelled 0 and
+# 3, and the extra annihilator <6>.  Each test corrupts one input its guard
+# reads, on a fresh scenario, so the bank's shared memos stay clean.
+
+
+def _corrupt_partition_input(chain12, name, value):
+    """A fresh chain12 with ``name`` replaced before its partition is built."""
+    scn = _fresh(chain12)
+    setattr(scn, name, value)
+    assert "_dual_partition" not in vars(scn)
+    return scn
+
+
+@pytest.mark.parametrize(
+    "labels,message,details",
+    [
+        ([0, 0, 0, 1], "block has the wrong size", {"label": [0], "size": 9}),
+        ([1, 0, 0, 1], "is not extra-annihilator invariant", {"label": [3], "element": [0]}),
+        ([1, 0, 1, 0], "positions disagree with the block definition", {}),
+    ],
+)
+def test_partition_guards_catch_corrupted_coordinate_labels(chain12, labels, message, details):
+    """The block label of each stacked coordinate, ``coordinate_labels``
+    (``[0, 1, 0, 1]`` when clean), decides every block position.  One
+    coordinate moved to the wrong label breaks the block sizes; two swapped
+    keep the sizes but break invariance under the extra annihilator; the
+    two labels swapped everywhere keep both but contradict the block
+    definition."""
+    assert chain12.coordinate_labels.tolist() == [0, 1, 0, 1]
+    scn = _corrupt_partition_input(chain12, "coordinate_labels", np.array(labels))
+    with pytest.raises(TheoremViolationError, match=message) as err:
+        dual_partition(scn)
+    assert err.value.details == details
+
+
+def test_partition_guard_catches_blocks_that_do_not_tile(chain12):
+    """The defining set-sums omega + xi + d read the extra annihilator's
+    elements; with every element read as zero, the six sums omega + xi
+    each cover one dual element |extra-annihilator| times."""
+    ann = copy.copy(chain12.extra_annihilator)
+    ann.indices = np.zeros_like(ann.indices)
+    scn = _corrupt_partition_input(chain12, "extra_annihilator", ann)
+    with pytest.raises(TheoremViolationError, match="do not tile the dual group") as err:
+        dual_partition(scn)
+    assert err.value.details == {"covered": 6, "order": 12}
+
+
+def test_partition_guard_catches_corrupted_stacked_rows(chain12):
+    """The stacked block rows are read off fiber 0 and checked at every
+    fiber; two coordinates of fiber 1 swapped put dual elements of both
+    blocks on one block's rows."""
+    unsplit = chain12.dual_unsplit.copy()
+    unsplit[1, [0, 1]] = unsplit[1, [1, 0]]
+    scn = _corrupt_partition_input(chain12, "dual_unsplit", unsplit)
+    with pytest.raises(TheoremViolationError, match="stacked block rows disagree") as err:
+        dual_partition(scn)
+    assert err.value.details == {}
+
+
+def _check_inputs(chain12, seed, extra_spanned):
+    """A fresh chain12 and a space on it: a principal space (not
+    extra-invariant) or an extra span (extra-invariant)."""
+    scn = _fresh(chain12)
+    f = random_function(scn, np.random.default_rng(seed))
+    space = span_invariant(scn, f, scn.extra if extra_spanned else None)
+    clean = check_extra_invariance(chain12, Subspace.from_fibers(chain12, space._basis))
+    assert clean.extra_invariant == extra_spanned
+    return scn, space, clean
+
+
+def test_check_guard_catches_a_corrupted_modulation_row(chain12):
+    """The extra probe's memoised modulation row replaced by ones (the
+    identity) makes a space that is not extra-invariant pass the
+    translation test, while the mask side, which never reads the row,
+    keeps its inclusion residuals."""
+    scn, space, clean = _check_inputs(chain12, 50, extra_spanned=False)
+    (g,) = scn.moving_probes
+    scn._modulation[g] = np.ones((scn.n_fibers, scn.n_cosets), dtype=complex)
+    with pytest.raises(TheoremViolationError, match="translation test and mask-inclusion") as err:
+        check_extra_invariance(scn, space)
+    moved = spaces_mod._moved(scn._modulation[g], space._basis)[1]
+    assert err.value.details == {
+        "translation_residual": spaces_mod._top(moved),
+        "inclusion_residuals": list(clean.inclusion_residuals),
+    }
+    assert err.value.details["translation_residual"] < 1e-12
+
+
+def test_check_guard_catches_corrupted_component_coefficients(chain12):
+    """The components' coefficients ``kv`` zeroed in the memoised split,
+    before the first check, leave both verdicts alone (they read ``off``
+    and ``kept``) but sum to no projector: the gap is the identity."""
+    scn, space, _ = _check_inputs(chain12, 51, extra_spanned=True)
+    a, t, kv, off, kept = extra_mod._split(scn, space, space._basis)
+    space._split = (a, t, np.zeros_like(kv), off, kept)
+    with pytest.raises(TheoremViolationError, match="fail their structure laws") as err:
+        check_extra_invariance(scn, space)
+    assert err.value.details == {"decomposition": 1.0, "component_invariance": 0.0}
+
+
+def test_decomposable_guards_catch_a_split_corrupted_between_the_checks(chain12):
+    """``check_decomposable`` reads the split that its inner check
+    memoised.  Corrupted between the two checks: with ``off`` set to one,
+    the block residual is the largest ``t`` and contradicts the memoised
+    translation verdict; with ``kv`` zeroed, the components' fibers are
+    empty and their row energies miss the block rows' by the largest
+    kept row energy."""
+    scn, space, _ = _check_inputs(chain12, 52, extra_spanned=True)
+    ext = check_extra_invariance(scn, space)
+    a, t, kv, off, kept = split = space._split
+    space._split = (a, t, kv, np.ones_like(off), kept)
+    with pytest.raises(TheoremViolationError, match="decomposability disagrees") as err:
+        check_decomposable(scn, space)
+    assert err.value.details == {
+        "block_residual": float(np.max(t)),
+        "translation_residual": ext.translation_residual,
+    }
+    space._split = (a, t, np.zeros_like(kv), off, kept)
+    with pytest.raises(TheoremViolationError, match="fibers do not match") as err:
+        check_decomposable(scn, space)
+    energies = np.sum(np.abs(a * kept[:, :, None, :]) ** 2, axis=3)
+    assert err.value.details == {"component_match_deviation": float(np.max(energies))}
+    space._split = split
+    assert check_decomposable(scn, space).decomposable
 
 
 def test_equivalence_sweep(scn):

@@ -137,47 +137,40 @@ def smallest(gram):
     assert _eigvalsh_calls(ast.parse(source)) == [6]
 
 
-def _translate_calls(tree: ast.AST) -> list[int]:
-    """Lines calling ``translate`` outside the frame-given gate.
+def _translate_names(tree: ast.AST, *, reexport: bool = False) -> list[int]:
+    """Lines naming ``translate``: a name, an attribute or an import of it.
 
-    A range function moves by modulations, so point-space translation is
-    left to one place: the branch of ``spaces._probe_pass`` taken when the
-    space has no range function yet (``basis is None``), which is how a
-    frame-given space passes its base gate.
+    A translation is a modulation on the Zak side, so no module but
+    ``actions`` (which defines it) translates in point space, and no other
+    module names it; ``reexport`` lets the package's ``__init__`` import
+    it into the public API, and nothing more.
     """
-    allowed = set()
+    lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_probe_pass":
-            for branch in ast.walk(node):
-                if (
-                    isinstance(branch, ast.If)
-                    and isinstance(branch.test, ast.Compare)
-                    and getattr(branch.test.left, "id", None) == "basis"
-                    and isinstance(branch.test.ops[0], ast.IsNot)
-                ):
-                    for stmt in branch.orelse:
-                        allowed.update(id(n) for n in ast.walk(stmt))
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and "translate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        and id(node) not in allowed
-    ]
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not reexport:
+            lines += [node.lineno for a in node.names if a.name.split(".")[-1] == "translate"]
+        elif "translate" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_translate_stays_in_the_frame_given_gate(path):
-    """``span_invariant`` and the probe passes of a range function modulate
-    fibers instead of translating functions in point space."""
-    lines = _translate_calls(ast.parse(path.read_text(), filename=str(path)))
-    assert not lines, f"{path.name} translates in point space at lines {lines}"
+    """``span_invariant`` and every probe pass, a frame-given space's before
+    its base gate included, modulate stacked Zak values instead of
+    translating functions in point space: only ``actions`` names
+    ``translate``."""
+    if path.name == "actions.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _translate_names(tree, reexport=path.name == "__init__.py")
+    assert not lines, f"{path.name} names translate at lines {lines}"
 
 
 def test_translate_rule_catches_a_point_space_translate():
     source = """
-def span_invariant(scn, mat, a):
-    return translate(scn.action, a, mat)
+from .actions import jacobian, translate
+import actinv.actions.translate
 
 def _probe_pass(space, g):
     basis = vars(space).get("_basis")
@@ -185,9 +178,11 @@ def _probe_pass(space, g):
         moved = actions.translate(space.scenario.action, g, space.frame)
     else:
         moved = translate(space.scenario.action, g, space.frame)
-    return moved
+    return moved, "translate", space.translated
 """
-    assert _translate_calls(ast.parse(source)) == [3, 8]
+    tree = ast.parse(source)
+    assert _translate_names(tree) == [2, 3, 8, 10]
+    assert _translate_names(tree, reexport=True) == [8, 10]
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

@@ -123,16 +123,16 @@ def test_span_invariant_translates_a_section_only(scn, monkeypatch):
 
     One modulation table of the [H : base] - 1 nonzero representatives
     (the zero representative needs none), so none at all when H is the
-    base, and no translate in point space.
+    base.  That no module but ``actions`` translates in point space is a
+    source rule (``test_source.py``).
     """
-    moved, tables = [], []
+    tables = []
     modulations = Scenario.modulations
 
     def counted(self, probes):
         tables.append(tuple(probes))
         return modulations(self, probes)
 
-    monkeypatch.setattr(spaces_mod, "translate", lambda *args: moved.append(args))
     monkeypatch.setattr(Scenario, "modulations", counted)
     gens = random_function(scn, np.random.default_rng(14))[:, None]
     for sub in (scn.base, scn.extra, Subgroup(scn.group, [(1,) * scn.group.rank])):
@@ -147,7 +147,7 @@ def test_span_invariant_translates_a_section_only(scn, monkeypatch):
         assert all(a in sub and a not in scn.base for a in section)
     tables.clear()
     span_invariant(scn, gens)
-    assert tables == [] and moved == []
+    assert tables == []
 
 
 # -- translations on the range function -----------------------------------------
@@ -214,9 +214,9 @@ def test_probe_rows_are_built_once_per_scenario(chain12, monkeypatch):
 
 
 def test_frame_given_space_keeps_no_probe_memo_before_its_gate(scn):
-    """Before the base gate a frame-given space is translated in point space
-    on each call and memoises nothing; after it, its probe passes are
-    memoised on its range function."""
+    """Before the base gate a frame-given space is probed on its whole
+    stacked frame on each call and memoises nothing; after it, its probe
+    passes are memoised on its range function."""
     rng = np.random.default_rng(44)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     given = Subspace(scn, span_invariant(scn, gens, scn.extra).frame)
@@ -513,3 +513,37 @@ def test_non_finite_generators_are_rejected(bank, bad):
         span_invariant(scn, gen[:, None])
     with pytest.raises(ValueError, match="finite"):
         Subspace.span(scn, [gen])
+
+
+def test_frame_constructor_refuses_malformed_frames(bank):
+    """``Subspace(scn, frame)`` takes an (n_points, dim) matrix of finite
+    entries and refuses anything else at the boundary, naming the shape."""
+    scn = bank["two_orbits"]
+    n = scn.action.n_points
+    for bad in (np.ones(n), np.ones((n - 1, 2)), np.ones((n, 2, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=rf"frame must have shape \({n}, dim\), got"):
+            Subspace(scn, bad)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        frame = np.ones((n, 2), dtype=complex)
+        frame[3, 1] = bad
+        with pytest.raises(ValueError, match="frame entries must be finite"):
+            Subspace(scn, frame)
+    assert Subspace(scn, np.ones((n, 2))).frame.dtype == complex
+
+
+def test_fiber_constructor_refuses_malformed_bases(bank):
+    """``Subspace.from_fibers`` takes (n_fibers, rows, r_max) finite fiber
+    bases and refuses anything else at the boundary, naming the shape."""
+    scn = bank["two_orbits"]
+    basis = span_invariant(scn, random_function(scn, np.random.default_rng(9)))._basis
+    w, rows, _ = basis.shape
+    want = rf"fiber bases must have shape \({w}, {rows}, r_max\), got"
+    for bad in (basis[0], basis[:, :-1], basis[:-1], basis[..., None]):
+        with pytest.raises(ValueError, match=want):
+            Subspace.from_fibers(scn, bad)
+    for bad in (np.nan, np.inf, complex(np.nan, 0.0)):
+        broken = basis.copy()
+        broken[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="fiber bases must be finite"):
+            Subspace.from_fibers(scn, broken)
+    assert Subspace.from_fibers(scn, basis).dim == w
