@@ -143,8 +143,7 @@ def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     The one-block case of the fit: per fiber, the top ``ell`` left singular
     vectors of the whole fiber data matrix.
     """
-    rows = np.arange(scn.n_cosets * len(scn.tiling.orbit_reps))[None, :]
-    return _fit(scn, data, ell, rows)
+    return _fit(scn, data, ell, scn.block_rows(scn.base))
 
 
 def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:

@@ -108,7 +108,8 @@ def dual_partition(scn: Scenario) -> DualPartition:
     has ``n_fibers * |extra-annihilator|`` elements and is invariant under
     adding extra-annihilator elements, and the defining set-sums are
     disjoint, cover the dual group and match the positions.  The stacked
-    rows of a block are checked to hold its elements at every fiber.
+    rows of a block, :meth:`Scenario.block_rows` of the extra subgroup, are
+    checked to hold its elements at every fiber.
     """
     part = vars(scn).get("_dual_partition")
     if part is None:
@@ -157,15 +158,14 @@ def _build_dual_partition(scn: Scenario) -> DualPartition:
             "dual partition positions disagree with the block definition"
         )
     # stacked coordinate k of fiber w holds omega[w] + annihilator_order[k]
-    k = np.argsort(block[scn.dual_unsplit[0]], kind="stable").reshape(len(labels), -1)
+    reps = len(scn.tiling.orbit_reps)
+    rows = scn.block_rows(scn.extra)
+    k = rows[:, ::reps] // reps
     if np.any(block[scn.dual_unsplit[:, k]] != position):
         raise TheoremViolationError(
             "stacked block rows disagree with the dual partition"
         )
-    reps = len(scn.tiling.orbit_reps)
-    rows = (k[:, :, None] * reps + np.arange(reps)).reshape(len(labels), -1)
     block.flags.writeable = False
-    rows.flags.writeable = False
     return DualPartition(scn, tuple(labels), block, rows)
 
 

@@ -29,6 +29,7 @@ from .groups import (
     Element,
     FiniteAbelianGroup,
     Subgroup,
+    annihilator,
     coset_section,
     validate_chain,
 )
@@ -58,7 +59,7 @@ class Scenario:
         self.block_section = coset_section(
             group, self.extra_annihilator, within=self.base_annihilator
         )
-        self._sections: dict[Subgroup, tuple[Element, ...]] = {}
+        self._block_rows: dict[Subgroup, np.ndarray] = {}
         self._modulation: dict[Element, np.ndarray | None] = {}
 
     def __repr__(self) -> str:
@@ -192,17 +193,36 @@ class Scenario:
         """Block label position of each annihilator element (stacked coordinate)."""
         return self.block_section.positions[self.base_annihilator.indices]
 
-    # -- translations on the Zak side ----------------------------------------
+    def block_rows(self, subgroup: Subgroup) -> np.ndarray:
+        """The stacked rows of each block of a subgroup containing the base,
+        (n_blocks, rows per block), read-only and memoised per subgroup.
 
-    def section(self, subgroup: Subgroup) -> tuple[Element, ...]:
-        """Representatives of ``subgroup / base``, zero first, memoised per
-        subgroup; the zero element alone for the base."""
-        if subgroup == self.base:
-            return (self.group.zero,)
-        if subgroup not in self._sections:
-            section = coset_section(self.group, self.base, within=subgroup)
-            self._sections[subgroup] = section.representatives
-        return self._sections[subgroup]
+        The subgroup's annihilator cuts the base annihilator into its
+        cosets, the blocks, one per character of ``subgroup / base``; a
+        stacked row ``k * len(orbit_reps) + c`` belongs to the block of its
+        annihilator coordinate k.  Blocks are in coset-section order, each
+        block's rows increasing.  The base has one block of every row; the
+        extra subgroup's blocks are those of :attr:`coordinate_labels`, the
+        table the dual partition verifies, so they are its ``rows``.
+        """
+        if subgroup not in self._block_rows:
+            if subgroup == self.base:
+                labels = np.zeros(self.n_cosets, dtype=np.intp)
+            elif subgroup == self.extra:
+                labels = self.coordinate_labels
+            else:
+                section = coset_section(
+                    self.group, annihilator(subgroup), within=self.base_annihilator
+                )
+                labels = section.positions[self.base_annihilator.indices]
+            k = np.argsort(labels, kind="stable").reshape(subgroup.order // self.base.order, -1)
+            reps = len(self.tiling.orbit_reps)
+            rows = (k[:, :, None] * reps + np.arange(reps)).reshape(len(k), -1)
+            rows.flags.writeable = False
+            self._block_rows[subgroup] = rows
+        return self._block_rows[subgroup]
+
+    # -- translations on the Zak side ----------------------------------------
 
     @cached_property
     def moving_probes(self) -> tuple[Element, ...]:
@@ -227,8 +247,10 @@ class Scenario:
         """Each probe's translation on the stacked Zak values, (probes, n_fibers, n_cosets).
 
         Built on each call: the invariance checks read single rows through
-        :meth:`modulation`, which keeps them, and
-        :func:`actinv.spaces.span_invariant` builds the table of a section.
+        :meth:`modulation`, which keeps them; a frame-given space's probe
+        pass before its base gate takes a fresh row.  No span is built from
+        modulations: :func:`actinv.spaces.span_invariant` cuts the block rows
+        of the generators' fibers instead (:meth:`block_rows`).
         Translating by e multiplies the full Zak value at the dual element h
         by ``pairing(e, h)``, so it multiplies the stacked values of fiber w
         at annihilator position k, on every orbit, by

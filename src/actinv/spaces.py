@@ -202,22 +202,26 @@ def span_invariant(
 ) -> Subspace:
     """Smallest subspace containing the generators and invariant under the subgroup.
 
-    Defaults to the base subgroup; any subgroup containing the base will do
-    (another one raises ``ValueError``).  Built on the range function, one
-    Zak fiber at a time: a base translate of a function multiplies each of
-    its fibers by a unimodular character value, so the space's fiber at
-    omega is the span of the fibers there of the generators and of their
-    translates by a section of ``subgroup / base``.  The generators are
-    transformed once; a translate's fibers are theirs times the section
-    element's row of one :meth:`Scenario.modulations` table over the
-    memoised :meth:`Scenario.section` (none when the subgroup is the
-    base), appended section by section, so no function is translated in
-    point space.  One batched SVD of those fiber matrices, cut by
-    :func:`_fiber_cut`, gives an orthonormal basis of every fiber.
-    The nonzero singular values are exactly those of the point-space matrix
-    of every subgroup translate of every generator, so the cut, hence the
-    dimension, is the one a rank cut of that matrix makes.  The kept
-    vectors are the space's range function (:meth:`Subspace.from_fibers`).
+    Defaults to the base subgroup; any subgroup H containing the base will
+    do (another one raises ``ValueError``).  Built on the range function,
+    one Zak fiber at a time, from the generators' fibers, transformed once.
+    A base-invariant space is H-invariant exactly when each of its fibers
+    splits along the blocks of H (:meth:`Scenario.block_rows`), so the
+    space's fiber at omega is the direct sum of the spans of the
+    generators' block rows there.  One batched SVD of those block rows,
+    (n_fibers, n_blocks, rows per block, k), cut once by :func:`_kept`
+    over every fiber and block, gives an orthonormal basis of every fiber:
+    the kept left singular vectors, each put back in its block's rows and
+    packed per fiber, as wide as the widest fiber (:func:`_block_cut`).
+    The base is the one-block case, :func:`_fiber_cut` of the fibers with
+    no gather.  An element e of H multiplies block b of fiber w by
+    ``pairing(e, omega[w]) * chi_b(e)``, the ``chi_b`` being distinct
+    characters of ``H / base``; characters are orthogonal, so the nonzero
+    singular values of the point-space matrix of every H-translate of
+    every generator are the block rows' times ``[H : base] ** 0.5``: the
+    relative cut, hence the dimension, is the one a rank cut of that
+    matrix makes.  The kept vectors are the space's range function
+    (:meth:`Subspace.from_fibers`).
     """
     base = scn.base
     if subgroup is None:
@@ -228,19 +232,18 @@ def span_invariant(
     if mat.shape[1] == 0:
         return Subspace.zero(scn)
     fibers = fiber_matrices(scn, mat)
-    section = scn.section(subgroup)[1:]
-    if section:
-        moved = [_modulate(d, fibers) for d in scn.modulations(section)]
-        fibers = np.concatenate([fibers, *moved], axis=2)
-    return Subspace.from_fibers(scn, _fiber_cut(fibers))
+    rows = scn.block_rows(subgroup)
+    basis = _fiber_cut(fibers) if len(rows) == 1 else _block_cut(fibers, rows)
+    return Subspace.from_fibers(scn, basis)
 
 
 def _kept(s: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """The rank rule: which singular values count.
 
     Those above ``RANK_TOL`` times the largest of ``s`` and above the
-    absolute ``floor``: the cut of every span (:func:`_fiber_cut`), of the
-    approximation solvers' pools and of a principal generator's support.
+    absolute ``floor``: the cut of every span (:func:`_fiber_cut`,
+    :func:`_block_cut`), of the approximation solvers' pools and of a
+    principal generator's support.
     """
     return s > max(RANK_TOL * np.max(s, initial=0.0), floor)
 
@@ -258,6 +261,26 @@ def _fiber_cut(mats: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
     u, s, _ = np.linalg.svd(mats, full_matrices=False)
     keep = _kept(s, floor)
     return (u * keep[:, None, :])[:, :, : int(np.max(np.sum(keep, axis=1), initial=0))]
+
+
+def _block_cut(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rank cut of fiber bases that split along blocks, as a range function.
+
+    ``mats`` holds fiber matrices (n_fibers, rows, k) and ``rows`` the
+    stacked rows of each block (n_blocks, rows per block).  One batched SVD
+    of the block rows; the left singular vectors whose singular values pass
+    :func:`_kept` over every fiber and block are put back in their block's
+    rows, in (block, singular index) order per fiber, and the result is as
+    wide as the widest fiber, its trailing columns zero.
+    """
+    u, s, _ = np.linalg.svd(np.take(mats, rows, axis=1), full_matrices=False)
+    keep = _kept(s)
+    fibers, block, sing = np.nonzero(keep)
+    counts = np.sum(keep, axis=(1, 2))
+    slot = np.arange(fibers.size) - (np.cumsum(counts) - counts)[fibers]
+    basis = np.zeros(mats.shape[:2] + (int(np.max(counts, initial=0)),), dtype=complex)
+    basis[fibers[:, None], rows[block], slot[:, None]] = u[fibers, block, :, sing]
+    return basis
 
 
 def _probe_pass(space: Subspace, g) -> tuple:
@@ -485,8 +508,11 @@ def fibers_from_matrix(scn: Scenario, fiber_cols: np.ndarray) -> np.ndarray:
     ``fiber_cols`` has shape (n_fibers, n_cosets * len(orbit_reps), d); the
     result stacks d functions as columns, where function j has the given
     weighted fiber vectors (scaled back) as its stacked Zak transform.
-    The stacked inverse's kernel with the weights folded in; unchecked.
+    The stacked inverse's kernel with the weights folded in; unchecked but
+    for the conversion to complex, which the kernel's real scaling of the
+    float64 view needs.
     """
+    fiber_cols = np.asarray(fiber_cols, dtype=complex)
     w, _, d = fiber_cols.shape
     rows = fiber_cols.reshape(w * scn.n_cosets, len(scn.tiling.orbit_reps), d)
     return _unstacked(scn, rows, np.sqrt(scn.n_cosets / scn.rep_weights)[:, None])

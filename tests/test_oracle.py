@@ -338,23 +338,49 @@ def test_transforms_reproduce_the_reference_kernels_bitwise(spec, decades):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(spec=scenario_specs(), decades=WEIGHT_DECADES, count=st.integers(1, 3))
-@example(spec=((1,), [], [], 1, 0), decades=0.0, count=1)
-@example(spec=((12,), [], [(1,)], 2, 4), decades=14.0, count=2)
-@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), decades=14.0, count=3)
-@example(spec=((8, 25), [(2, 5)], [(4, 0)], 1, 2), decades=14.0, count=2)
-def test_span_invariant_matches_the_point_space_span(spec, decades, count):
+@given(
+    spec=scenario_specs(),
+    decades=WEIGHT_DECADES,
+    count=st.integers(1, 3),
+    one_block=st.booleans(),
+)
+@example(spec=((1,), [], [], 1, 0), decades=0.0, count=1, one_block=False)
+@example(spec=((12,), [], [(1,)], 2, 4), decades=14.0, count=2, one_block=False)
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), decades=14.0, count=3, one_block=False)
+@example(spec=((8, 25), [(2, 5)], [(4, 0)], 1, 2), decades=14.0, count=2, one_block=False)
+@example(spec=((4, 6), [(2, 0)], [(0, 1)], 2, 3), decades=14.0, count=3, one_block=True)
+def test_span_invariant_matches_the_point_space_span(spec, decades, count, one_block):
     """The fiberwise span against every subgroup translate cut in point space.
 
-    For the base, the extra subgroup and the whole group (the last two
-    spanned by modulating the generators' fibers): the same dimension, the
-    same weighted projector to 1e-12, and a frame that is
-    weighted-orthonormal to 1e-12, with weights log-uniform over up to 1e14.
+    For the base, the extra subgroup, the whole group and, where there is
+    one, a subgroup between the base and the group that is neither (the
+    base and one more element), whose blocks no other table holds: the
+    same dimension, the same weighted projector to 1e-12, and a frame that
+    is weighted-orthonormal to 1e-12, with weights log-uniform over up to
+    1e14.  With ``one_block`` the generators' fibers are supported in the
+    rows of one extra block, on a random number of columns per fiber, so
+    that blocks have rank 0 and fibers unequal widths.
     """
     scn, rng = build(spec, decades)
-    gens = complex_normal(rng, (scn.action.n_points, count))
+    if one_block:
+        rows = dual_partition(scn).rows[-1]
+        cols = np.zeros((scn.n_fibers, scn.n_cosets * len(scn.tiling.orbit_reps), count), complex)
+        widths = rng.integers(0, count + 1, scn.n_fibers)
+        widths[0] = count
+        for w, width in enumerate(widths):
+            cols[w, rows, :width] = complex_normal(rng, (rows.size, width))
+        gens = fibers_from_matrix(scn, cols)
+    else:
+        gens = complex_normal(rng, (scn.action.n_points, count))
+    group = scn.group
+    subs = [scn.base, scn.extra, Subgroup(group, group.elements)]
+    for i in rng.permutation(group.order):
+        between = Subgroup(group, scn.base.generators + [group.elements[i]])
+        if between not in subs:
+            subs.append(between)
+            break
     root = np.sqrt(scn.action.weights)[:, None]
-    for sub in (scn.base, scn.extra, Subgroup(scn.group, scn.group.elements)):
+    for sub in subs:
         got = span_invariant(scn, gens, sub)
         want = oracle.point_space_span(scn, gens, sub)
         assert got.dim == want.dim

@@ -137,6 +137,49 @@ def smallest(gram):
     assert _eigvalsh_calls(ast.parse(source)) == [6]
 
 
+def _modulations_calls(tree: ast.AST) -> list[int]:
+    """Lines calling ``modulations`` outside ``Scenario.modulation`` and
+    ``spaces._probe_pass``.
+
+    Those two read one probe's row each.  A span splits the generators'
+    fibers along the block rows of its subgroup instead of modulating them
+    by a section of it, so no builder makes a table of modulations.
+    """
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("modulation", "_probe_pass"):
+            allowed.update(id(n) for n in ast.walk(node))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "modulations" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and id(node) not in allowed
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_modulation_tables_are_built_only_per_probe(path):
+    """Only a probe's row is ever built from ``Scenario.modulations``."""
+    lines = _modulations_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} calls modulations at lines {lines}"
+
+
+def test_modulations_rule_catches_a_section_table():
+    source = """
+def modulation(self, g):
+    return self.modulations((g,))[0]
+
+def _probe_pass(space, g):
+    return scn.modulations((g,))
+
+def span_invariant(scn, gens, subgroup):
+    moved = [d * gens for d in scn.modulations(scn.section(subgroup))]
+    return modulations(section)
+"""
+    assert _modulations_calls(ast.parse(source)) == [9, 10]
+
+
 def _translate_names(tree: ast.AST, *, reexport: bool = False) -> list[int]:
     """Lines naming ``translate``: a name, an attribute or an import of it.
 
@@ -156,10 +199,10 @@ def _translate_names(tree: ast.AST, *, reexport: bool = False) -> list[int]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_translate_stays_in_the_frame_given_gate(path):
-    """``span_invariant`` and every probe pass, a frame-given space's before
-    its base gate included, modulate stacked Zak values instead of
-    translating functions in point space: only ``actions`` names
-    ``translate``."""
+    """``span_invariant`` cuts the block rows of stacked Zak values, and
+    every probe pass, a frame-given space's before its base gate included,
+    modulates them, instead of translating functions in point space: only
+    ``actions`` names ``translate``."""
     if path.name == "actions.py":
         return
     tree = ast.parse(path.read_text(), filename=str(path))

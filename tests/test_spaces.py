@@ -118,36 +118,47 @@ def test_span_invariant_properties(scn):
 
 
 def test_span_invariant_translates_a_section_only(scn, monkeypatch):
-    """The fiberwise span translates by a section of subgroup / base only,
-    and as modulations of the generators' fibers.
+    """No section of H / base is translated, not even as modulations:
+    the fiberwise span cuts the generators' block rows.
 
-    One modulation table of the [H : base] - 1 nonzero representatives
-    (the zero representative needs none), so none at all when H is the
-    base.  That no module but ``actions`` translates in point space is a
-    source rule (``test_source.py``).
+    For H the base, the extra subgroup and <(1, ..., 1)>: no modulation
+    table, and one SVD, of n_fibers * rows * k entries (the block rows of
+    the k generators' fibers, [H : base] times fewer than a matrix of the
+    generators' fibers and their translates by a section of H / base).
+    Every nonzero basis column lies in the rows of one block of H, the
+    stacked coordinates whose annihilator elements pair alike with H's
+    generators.  That no module but ``actions`` translates in point space
+    is a source rule (``test_source.py``).
     """
-    tables = []
-    modulations = Scenario.modulations
+    tables, svds = [], []
+    modulations, svd = Scenario.modulations, np.linalg.svd
 
-    def counted(self, probes):
+    def counted_modulations(self, probes):
         tables.append(tuple(probes))
         return modulations(self, probes)
 
-    monkeypatch.setattr(Scenario, "modulations", counted)
-    gens = random_function(scn, np.random.default_rng(14))[:, None]
+    def counted_svd(a, *args, **kwargs):
+        svds.append(a.size)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "modulations", counted_modulations)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    rng = np.random.default_rng(14)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    reps = len(scn.tiling.orbit_reps)
+    ann = scn.group.coords[scn.base_annihilator.indices]
     for sub in (scn.base, scn.extra, Subgroup(scn.group, [(1,) * scn.group.rank])):
         if not scn.base.issubset(sub):
             continue
-        tables.clear()
-        span_invariant(scn, gens, sub)
-        index = sub.order // scn.base.order
-        assert [len(t) for t in tables] == ([index - 1] if index > 1 else [])
-        section = [a for t in tables for a in t]
-        assert len(set(section)) == len(section) and scn.group.zero not in section
-        assert all(a in sub and a not in scn.base for a in section)
-    tables.clear()
-    span_invariant(scn, gens)
-    assert tables == []
+        svds.clear()
+        basis = span_invariant(scn, gens, sub)._basis
+        assert tables == []
+        assert svds == [scn.n_fibers * scn.n_cosets * reps * 2]
+        probes = np.array(sub.generators, dtype=np.int64).reshape(-1, scn.group.rank)
+        labels = scn.group.phase_numerators(ann, probes)
+        for w, j in zip(*np.nonzero(np.any(basis, axis=1))):
+            coords = np.flatnonzero(basis[w, :, j]) // reps
+            assert len({labels[k].tobytes() for k in coords}) == 1
 
 
 # -- translations on the range function -----------------------------------------
@@ -447,6 +458,16 @@ def test_fiber_matrix_round_trip(scn):
         assert total / scn.n_fibers == pytest.approx(
             scn.action.norm(mat[:, j]) ** 2, rel=1e-12
         )
+
+
+def test_fibers_from_integer_columns(scn):
+    """Integer fiber columns are read as numbers, not as the bits of
+    doubles: the functions are those of the same columns as complex."""
+    kc = scn.n_cosets * len(scn.tiling.orbit_reps)
+    ints = np.random.default_rng(12).integers(-3, 4, (scn.n_fibers, kc, 2))
+    for cols in (np.ones((scn.n_fibers, kc, 1), dtype=np.int64), ints):
+        want = fibers_from_matrix(scn, cols.astype(complex))
+        assert np.array_equal(fibers_from_matrix(scn, cols), want)
 
 
 def test_dim_is_sum_of_fiber_ranks(scn):
