@@ -134,7 +134,7 @@ def _fit(
         )
         for w, (vals, n) in enumerate(zip(sig.tolist(), keep.tolist()))
     )
-    return ApproxResult(Subspace.from_fibers(scn, basis), error, int(ell), spectra)
+    return ApproxResult(Subspace._of_range(scn, basis), error, int(ell), spectra)
 
 
 def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:

@@ -48,9 +48,10 @@ from .spaces import (
     _fiber_cut,
     _kept,
     _probe_pass,
+    _range_function,
+    _residual,
     _top,
     checked_tol,
-    is_invariant,
     require_base_invariant,
     require_scenario,
 )
@@ -123,7 +124,7 @@ def _build_dual_partition(scn: Scenario) -> DualPartition:
     size = scn.n_fibers * scn.extra_annihilator.order
     block = scn.coordinate_labels[scn.dual_split[:, 1]]
     counts = np.bincount(block, minlength=len(labels))
-    if np.any(counts != size):
+    if (counts != size).any():
         pos = int(np.flatnonzero(counts != size)[0])
         raise TheoremViolationError(
             "dual partition block has the wrong size",
@@ -131,7 +132,7 @@ def _build_dual_partition(scn: Scenario) -> DualPartition:
         )
     for d in scn.extra_annihilator.generators:
         moved = block[group.indices(group.coords + d)]
-        if np.any(moved != block):
+        if (moved != block).any():
             el = int(np.flatnonzero(moved != block)[0])
             raise TheoremViolationError(
                 "dual partition block is not extra-annihilator invariant",
@@ -147,13 +148,13 @@ def _build_dual_partition(scn: Scenario) -> DualPartition:
     # [label, fiber, d] = omega + xi + d, the blocks by definition
     defined = group.indices(xi[:, None, None] + omega[None, :, None] + d[None, None, :])
     covered = np.bincount(defined.ravel(), minlength=group.order)
-    if np.any(covered != 1):
+    if (covered != 1).any():
         raise TheoremViolationError(
             "dual partition blocks do not tile the dual group",
             details={"covered": int(np.count_nonzero(covered)), "order": group.order},
         )
     position = np.arange(len(labels))[:, None]
-    if np.any(block[defined] != position[:, :, None]):
+    if (block[defined] != position[:, :, None]).any():
         raise TheoremViolationError(
             "dual partition positions disagree with the block definition"
         )
@@ -161,7 +162,7 @@ def _build_dual_partition(scn: Scenario) -> DualPartition:
     reps = len(scn.tiling.orbit_reps)
     rows = scn.block_rows(scn.extra)
     k = rows[:, ::reps] // reps
-    if np.any(block[scn.dual_unsplit[:, k]] != position):
+    if (block[scn.dual_unsplit[:, k]] != position).any():
         raise TheoremViolationError(
             "stacked block rows disagree with the dual partition"
         )
@@ -219,7 +220,7 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
         n_fibers, n_blocks, k = t.shape
         r, n_dirs = basis.shape[2], n_blocks * k
         rows = vh.reshape(n_fibers, n_dirs, r)  # direction (b, i) conjugated, as a row
-        norm2 = (np.abs(rows) ** 2 @ np.any(basis, axis=1)[..., None])[..., 0]
+        norm2 = (np.abs(rows) ** 2 @ basis.any(axis=1)[..., None])[..., 0]
         off = np.sqrt(np.maximum(norm2 - t.reshape(n_fibers, n_dirs) ** 2, 0.0))
         heavy = np.argsort(-t.reshape(n_fibers, n_dirs), axis=1, kind="stable")[:, : 2 * r]
         fibers = np.arange(n_fibers)[:, None]
@@ -305,13 +306,14 @@ def check_extra_invariance(
     """Test invariance under the extra subgroup two ways, off the range function.
 
     Side one translates: the extra generators modulate every fiber basis
-    (:func:`is_invariant`).  Side two masks: a block's component dimension
-    is the number of singular values of its fiber bases' block rows above
-    ``RANK_TOL``, and its inclusion residual is the distance from the space
-    of the worst unit vector of the masked image, the largest ``off`` of a
-    kept direction (:func:`_split`), which does not depend on a choice of
-    basis.  The two verdicts must agree (that is the theorem); if they do
-    not, a :class:`TheoremViolationError` is raised with both residuals.
+    (:func:`actinv.spaces.is_invariant`).  Side two masks: a block's
+    component dimension is the number of singular values of its fiber
+    bases' block rows above ``RANK_TOL``, and its inclusion residual is the
+    distance from the space of the worst unit vector of the masked image,
+    the largest ``off`` of a kept direction (:func:`_split`), which does
+    not depend on a choice of basis.  The two verdicts must agree (that is
+    the theorem); if they do not, a :class:`TheoremViolationError` is
+    raised with both residuals.
 
     When the space is extra-invariant, block b's component has fiber
     ``basis[w] @ kv[w, b]``, the kept directions of fiber w.  The
@@ -320,19 +322,22 @@ def check_extra_invariance(
     fiber basis, against the identity) and the worst base/extra-invariance
     residual among the components, all of which must be invariant too
     (:func:`_component_law`).  The report is memoised on the space per
-    ``tol``, after the base gate, so the inner call of
-    :func:`check_decomposable` reads it.  ``ValueError`` unless ``tol`` is
-    a finite positive number or the space belongs to another scenario.
+    ``tol``.  Once ``tol`` and the scenario are checked, a memoised report
+    is returned before the base gate, which it has passed: the inner call
+    of :func:`check_decomposable` does no other work.  ``ValueError``
+    unless ``tol`` is a finite positive number or the space belongs to
+    another scenario.
     """
     tol = checked_tol(tol)
     require_scenario(scn, space)
-    basis = require_base_invariant(space, tol)
-    reports = vars(space).setdefault("_reports", {})
-    if tol in reports:
+    reports = vars(space).get("_reports")
+    if reports is not None and tol in reports:
         return reports[tol]
-    ok_translate, res_translate = is_invariant(space, scn.extra, tol)
+    basis = _range_function(space, tol)
+    res_translate = _residual(space, scn.extra)
+    ok_translate = res_translate <= tol
     _, t, kv, off, kept = _split(scn, space, basis)
-    inc_res = [float(r) for r in np.max(off * kept, axis=(0, 2), initial=0.0)]
+    inc_res = (off * kept).max(axis=(0, 2), initial=0.0).tolist()
     inc_ok = tuple(r <= tol for r in inc_res)
     if ok_translate != all(inc_ok):
         raise TheoremViolationError(
@@ -347,25 +352,26 @@ def check_extra_invariance(
     if ok_translate:
         n_fibers, _, width = basis.shape
         summed = kv.swapaxes(1, 2).reshape(n_fibers, width, t[0].size)
-        ident = np.eye(width) * np.any(basis, axis=1)[:, None, :]
+        ident = np.eye(width) * basis.any(axis=1)[:, None, :]
         gap = summed @ summed.conj().swapaxes(1, 2) - ident
-        deviation = float(np.max(np.abs(gap), initial=0.0))
+        deviation = float(np.abs(gap).max(initial=0.0))
         comp_res = _component_law(space, kv)
         if deviation > tol or comp_res > tol:
             raise TheoremViolationError(
                 "components of an extra-invariant space fail their structure laws",
                 details={"decomposition": deviation, "component_invariance": comp_res},
             )
-    reports[tol] = ExtraInvarianceReport(
+    report = ExtraInvarianceReport(
         extra_invariant=ok_translate,
         translation_residual=res_translate,
         inclusion_residuals=tuple(inc_res),
         inclusion_ok=inc_ok,
-        component_dims=tuple(int(k) for k in np.sum(kept, axis=(0, 2))),
+        component_dims=tuple(kept.sum(axis=(0, 2)).tolist()),
         decomposition_deviation=deviation,
         component_invariance_residual=comp_res,
     )
-    return reports[tol]
+    vars(space).setdefault("_reports", {})[tol] = report
+    return report
 
 
 def canonical_extra_invariant(scn: Scenario) -> Subspace:
@@ -384,7 +390,7 @@ def canonical_extra_invariant(scn: Scenario) -> Subspace:
     column = np.zeros(scn.n_cosets * reps, dtype=complex)
     column[rows] = np.sqrt(scn.rep_weights)[rows % reps]
     column /= np.linalg.norm(column)
-    return Subspace.from_fibers(scn, np.repeat(column[None, :, None], scn.n_fibers, axis=0))
+    return Subspace._of_range(scn, np.repeat(column[None, :, None], scn.n_fibers, axis=0))
 
 
 # -- fiberwise (decomposability) formulation ----------------------------------
@@ -429,7 +435,7 @@ def check_decomposable(
     ext = check_extra_invariance(scn, space, tol)
     basis = space._basis  # set by the base gate of the inner check
     _, t, _, off, _ = _split(scn, space, basis)
-    worst = float(np.max(t * off, initial=0.0))
+    worst = float((t * off).max(initial=0.0))
     decomposable = worst <= tol
     if decomposable != ext.extra_invariant:
         raise TheoremViolationError(
@@ -466,8 +472,8 @@ def _match_deviation(scn: Scenario, space: Subspace, basis: np.ndarray) -> float
     a, _, kv, _, kept = _split(scn, space, basis)
     comps = basis[:, dual_partition(scn).rows] @ kv
     ak = a * kept[:, :, None, :]
-    gap = np.sum(np.abs(ak) ** 2, axis=3) - np.sum(np.abs(comps) ** 2, axis=3)
-    return float(np.max(np.abs(gap), initial=0.0))
+    gap = (np.abs(ak) ** 2).sum(axis=3) - (np.abs(comps) ** 2).sum(axis=3)
+    return float(np.abs(gap).max(initial=0.0))
 
 
 # -- cross-check in the sequence space over the group -------------------------
@@ -492,7 +498,7 @@ def sequence_extra_invariance(
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"basis must have {n} rows")
-    if not np.all(np.isfinite(basis)):
+    if not np.isfinite(basis).all():
         raise ValueError("basis must be finite")
     q = _fiber_cut(basis[None])[0]
 
@@ -502,7 +508,7 @@ def sequence_extra_invariance(
     def resid(mat):
         if mat.shape[1] == 0:
             return 0.0
-        return float(np.max(np.abs(mat - q @ (q.conj().T @ mat))))
+        return float(np.abs(mat - q @ (q.conj().T @ mat)).max())
 
     worst_base = max(resid(shift(g, q)) for g in _probes(scn.base))
     if worst_base > tol:

@@ -154,6 +154,9 @@ class Subgroup:
             members = _extend(group, members, mask, g).ravel()
         self.indices = np.flatnonzero(mask)
         self.indices.flags.writeable = False
+        # indices are read-only, so the hash is fixed: a lookup keyed by the
+        # subgroup costs no pass over its elements
+        self._hash = hash((group, self.indices.tobytes()))
         self._mask = mask
         self.elements: list[Element] = [group.elements[i] for i in self.indices]
         self.order = len(self.elements)
@@ -212,14 +215,14 @@ class Subgroup:
         return bool(self._mask[self.group.index(el)])
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Subgroup)
             and self.group == other.group
             and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self) -> int:
-        return hash((self.group, self.indices.tobytes()))
+        return self._hash
 
     def issubset(self, other: "Subgroup") -> bool:
         return self.group == other.group and bool(other._mask[self.indices].all())

@@ -109,15 +109,25 @@ class Subspace:
         Zak values are the j-th nonzero column, fiber by fiber, at its fiber
         and zero elsewhere, scaled by ``n_fibers ** 0.5`` to unit norm, so
         the frame is weighted-orthonormal.  One inverse transform builds it.
-        ``ValueError`` unless ``basis`` has that shape and is finite.
+        ``ValueError`` unless ``basis`` has that shape and is finite: the
+        boundary check of a caller's range function.  The library's own
+        builders (:func:`span_invariant`, the canonical space, the
+        approximation fit) make theirs from checked input and skip it.
         """
         rows, basis = scn.n_cosets * len(scn.tiling.orbit_reps), np.asarray(basis)
         if basis.ndim != 3 or basis.shape[:2] != (scn.n_fibers, rows):
             raise ValueError(
                 f"fiber bases must have shape ({scn.n_fibers}, {rows}, r_max), got {basis.shape}"
             )
+        return cls._of_range(scn, _checked(basis, "fiber bases"))
+
+    @classmethod
+    def _of_range(cls, scn: Scenario, basis: np.ndarray) -> "Subspace":
+        """The space of a range function the library built from checked
+        input, a C-contiguous complex array shaped as :meth:`from_fibers`
+        asks, taken as it is."""
         space = cls.__new__(cls)
-        space.scenario, space._basis = scn, _checked(basis, "fiber bases")
+        space.scenario, space._basis = scn, basis
         return space
 
     @cached_property
@@ -131,7 +141,7 @@ class Subspace:
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Fiber and slot of each frame column of a fiber-built space."""
-        return np.nonzero(np.any(self._basis, axis=1))
+        return np.nonzero(self._basis.any(axis=1))
 
     @property
     def dim(self) -> int:
@@ -190,7 +200,7 @@ def as_columns(scn: Scenario, vectors, noun: str = "vector") -> np.ndarray:
         raise ValueError(
             f"{noun}s have {mat.shape[0]} entries, space has {scn.action.n_points} points"
         )
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError(f"{noun}s must be finite")
     return mat
 
@@ -220,8 +230,8 @@ def span_invariant(
     singular values of the point-space matrix of every H-translate of
     every generator are the block rows' times ``[H : base] ** 0.5``: the
     relative cut, hence the dimension, is the one a rank cut of that
-    matrix makes.  The kept vectors are the space's range function
-    (:meth:`Subspace.from_fibers`).
+    matrix makes.  The kept vectors are the space's range function, as
+    :meth:`Subspace.from_fibers` takes it.
     """
     base = scn.base
     if subgroup is None:
@@ -234,7 +244,7 @@ def span_invariant(
     fibers = fiber_matrices(scn, mat)
     rows = scn.block_rows(subgroup)
     basis = _fiber_cut(fibers) if len(rows) == 1 else _block_cut(fibers, rows)
-    return Subspace.from_fibers(scn, basis)
+    return Subspace._of_range(scn, basis)
 
 
 def _kept(s: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -245,7 +255,7 @@ def _kept(s: np.ndarray, floor: float = 0.0) -> np.ndarray:
     :func:`_block_cut`), of the approximation solvers' pools and of a
     principal generator's support.
     """
-    return s > max(RANK_TOL * np.max(s, initial=0.0), floor)
+    return s > max(RANK_TOL * s.max(initial=0.0), floor)
 
 
 def _fiber_cut(mats: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
@@ -260,7 +270,8 @@ def _fiber_cut(mats: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
     """
     u, s, _ = np.linalg.svd(mats, full_matrices=False)
     keep = _kept(s, floor)
-    return (u * keep[:, None, :])[:, :, : int(np.max(np.sum(keep, axis=1), initial=0))]
+    width = int(keep.sum(axis=1).max(initial=0))
+    return u[:, :, :width] * keep[:, None, :width]
 
 
 def _block_cut(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -276,9 +287,9 @@ def _block_cut(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(np.take(mats, rows, axis=1), full_matrices=False)
     keep = _kept(s)
     fibers, block, sing = np.nonzero(keep)
-    counts = np.sum(keep, axis=(1, 2))
-    slot = np.arange(fibers.size) - (np.cumsum(counts) - counts)[fibers]
-    basis = np.zeros(mats.shape[:2] + (int(np.max(counts, initial=0)),), dtype=complex)
+    counts = keep.sum(axis=(1, 2))
+    slot = np.arange(fibers.size) - (counts.cumsum() - counts)[fibers]
+    basis = np.zeros(mats.shape[:2] + (int(counts.max(initial=0)),), dtype=complex)
     basis[fibers[:, None], rows[block], slot[:, None]] = u[fibers, block, :, sing]
     return basis
 
@@ -325,7 +336,7 @@ def _top(gram: np.ndarray) -> float:
     """
     if gram.size == 0:
         return 0.0
-    return math.sqrt(max(float(np.max(np.linalg.eigvalsh(gram))), 0.0))
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram).max()), 0.0))
 
 
 def _modulate(d: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -364,29 +375,35 @@ def is_invariant(
 
     Tests the subgroup's generators (enough, since the translations form a
     representation and generators reach everything).  Returns the verdict
-    and the worst residual: the largest distance from the space of a
-    translated unit vector of the space, maximised over the probes, which
-    does not depend on ``tol`` or on a choice of basis.  On a space with a
-    range function (fiber-built, or past the base gate) a probe in the
-    base reads exactly ``0.0`` at no cost, so the base gate of a
-    fiber-built space makes no pass at all; every other probe makes one
-    probe pass (:func:`_probe_pass`): its modulation row, built once per
-    scenario by :meth:`Scenario.modulation` whatever the subgroup, moves
-    the fiber bases once, and the residual (the top singular value of the
-    part moved out, from its r x r Gram matrix and one ``eigvalsh``), the
-    part kept inside and that Gram matrix are memoised on the space for
-    every later reader, the component law of
+    and the worst residual (:func:`_residual`): the largest distance from
+    the space of a translated unit vector of the space, maximised over the
+    probes, which does not depend on ``tol`` or on a choice of basis.
+    ``ValueError`` unless ``tol`` is a finite positive number.
+    """
+    tol = checked_tol(tol)
+    worst = _residual(space, subgroup)
+    return worst <= tol, worst
+
+
+def _residual(space: Subspace, subgroup: Subgroup) -> float:
+    """The worst residual of :func:`is_invariant`, ``0.0`` for dimension 0.
+
+    On a space with a range function (fiber-built, or past the base gate)
+    a probe in the base reads exactly ``0.0`` at no cost; every other
+    probe makes one probe pass (:func:`_probe_pass`): its modulation row,
+    built once per scenario by :meth:`Scenario.modulation` whatever the
+    subgroup, moves the fiber bases once, and the residual (the top
+    singular value of the part moved out, from its r x r Gram matrix and
+    one ``eigvalsh``), the part kept inside and that Gram matrix are
+    memoised on the space for every later reader, the component law of
     :func:`actinv.extra.check_extra_invariance` included.  A frame-given
     space, before it is known to be base-invariant, makes the same pass on
     its whole stacked frame as one fiber, one transform per probe and
-    call, and keeps nothing.  ``ValueError`` unless ``tol`` is a finite
-    positive number.
+    call, and keeps nothing.  The callers check their ``tol``.
     """
-    tol = checked_tol(tol)
     if space.dim == 0:
-        return True, 0.0
-    worst = max(_probe_pass(space, g)[0] for g in _probes(subgroup))
-    return worst <= tol, worst
+        return 0.0
+    return max([_probe_pass(space, g)[0] for g in _probes(subgroup)])
 
 
 def require_scenario(scn: Scenario, space: Subspace) -> None:
@@ -398,29 +415,37 @@ def require_scenario(scn: Scenario, space: Subspace) -> None:
 def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The space's range function; ``InvarianceError`` if it is not base-invariant.
 
-    A frame-given space passes when its residual on its whole stacked
-    frame (:func:`_probe_pass`) is at most ``tol`` and its fibers hold its
-    whole dimension: the ranks of its frame's fiber matrices, cut by
-    :func:`_fiber_cut`, sum to ``dim``.  That cut basis (cut columns
-    zeroed) then becomes its range function, and every later residual is
-    read off it; the gate's residuals are not kept.  ``ValueError`` unless
-    ``tol`` is a finite positive number.
+    A space that has a range function (fiber-built, or past this gate once)
+    returns it at once: a base translation moves no fiber basis, so its
+    base residual is exactly ``0.0``.  A frame-given space passes when its
+    residual on its whole stacked frame (:func:`_residual`) is at most
+    ``tol`` and its fibers hold its whole dimension: the ranks of its
+    frame's fiber matrices, cut by :func:`_fiber_cut`, sum to ``dim``.
+    That cut basis (cut columns zeroed) then becomes its range function,
+    and every later residual is read off it; the gate's residuals are not
+    kept.  ``ValueError`` unless ``tol`` is a finite positive number.
     """
-    scn = space.scenario
-    ok, res = is_invariant(space, scn.base, checked_tol(tol))
-    if not ok:
+    return _range_function(space, checked_tol(tol))
+
+
+def _range_function(space: Subspace, tol: float) -> np.ndarray:
+    """:func:`require_base_invariant` with ``tol`` already checked."""
+    basis = vars(space).get("_basis")
+    if basis is not None:
+        return basis
+    res = _residual(space, space.scenario.base)
+    if not res <= tol:
         raise InvarianceError(
             f"subspace is not invariant under the base subgroup (residual {res:.3e})"
         )
-    if "_basis" not in vars(space):
-        basis = _fiber_cut(fiber_matrices(scn, space.frame))
-        total = np.count_nonzero(np.any(basis, axis=1))
-        if total != space.dim:
-            raise InvarianceError(
-                f"subspace fibers have {total} dimensions, the space has {space.dim}"
-            )
-        space._basis = basis
-    return space._basis
+    basis = _fiber_cut(fiber_matrices(space.scenario, space.frame))
+    total = np.count_nonzero(basis.any(axis=1))
+    if total != space.dim:
+        raise InvarianceError(
+            f"subspace fibers have {total} dimensions, the space has {space.dim}"
+        )
+    space._basis = basis
+    return basis
 
 
 # -- principal (single-generator) spaces --------------------------------------
@@ -468,11 +493,11 @@ def principal_membership(
     mats = fiber_matrices(scn, np.column_stack([psi, f]))
     zpsi, zf = mats[..., 0], mats[..., 1]
     norms = np.linalg.norm(zpsi, axis=1)
-    if np.max(norms) <= 0.0 or scn.action.norm(psi) == 0.0:
+    if norms.max() <= 0.0 or scn.action.norm(psi) == 0.0:
         raise DegenerateGeneratorError("generator is zero")
     support = _kept(norms)
     values = np.zeros(scn.n_fibers, dtype=complex)
-    cross = np.sum(zf[support] * np.conj(zpsi[support]), axis=1)
+    cross = (zf[support] * np.conj(zpsi[support])).sum(axis=1)
     values[support] = cross / norms[support] ** 2
     # f against the fiberwise multiple, in the function norm: the whole of
     # f's fiber where psi's is zero

@@ -14,7 +14,8 @@ Three transforms, all bijective isometries:
   element, orbit representative).  Since ``group.elements`` is in
   lexicographic order, the character sum over the group is the
   multidimensional DFT of the orbit samples reshaped to the moduli shape,
-  so it is computed with ``np.fft.fftn`` (and inverted with ``ifftn``);
+  computed one cyclic factor at a time with ``np.fft.fft`` (inverted with
+  ``ifft``), bit for bit ``np.fft.fftn``;
 
 * stacked Zak: the full Zak values regrouped per fiber into a vector of
   length ``n_cosets`` (one slot per base-annihilator element, in
@@ -128,12 +129,20 @@ def _group_dft(
     Forward: ``out[h] = sum_t pairing(-t, h) * a[t]``; inverse: the
     conjugate characters, divided by ``group.order``.  Trailing axes are
     carried along.  ``in_place`` lets the transform overwrite ``a``.
+
+    One ``np.fft.fft`` (``ifft``) per cyclic factor, last axis first, the
+    order ``np.fft.fftn`` takes, so the bits are fftn's.  The first writes
+    into ``a`` or into one new array, and every later one into that
+    output, so a transform that is not in place allocates one array.
     """
     a = np.asarray(a, dtype=complex)
     grid = a.reshape(group.moduli + a.shape[1:])
-    fft = np.fft.ifftn if inverse else np.fft.fftn
-    out = grid if in_place else None
-    return fft(grid, axes=tuple(range(group.rank)), out=out).reshape(a.shape)
+    fft = np.fft.ifft if inverse else np.fft.fft
+    axes = range(group.rank - 1, -1, -1)
+    out = fft(grid, axis=axes[0], out=grid if in_place else None)
+    for axis in axes[1:]:
+        fft(out, axis=axis, out=out)
+    return out.reshape(a.shape)
 
 
 def zak_base(scn: Scenario, f: np.ndarray) -> np.ndarray:

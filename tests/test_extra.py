@@ -459,6 +459,44 @@ def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
             assert cold == want and warm == []
 
 
+def test_warm_check_returns_its_report_before_the_gate(scn, monkeypatch):
+    """After ``check_extra_invariance(scn, space, tol)``,
+    ``check_decomposable(scn, space, tol)`` makes no probe pass, no SVD and
+    no ``eigvalsh``: its inner check returns the memoised report before the
+    base gate.  The gate of a fiber-built space returns its range function
+    itself with no probe pass.  The scenario and ``tol`` are still checked
+    before the memo is read: a space of another scenario is refused, and a
+    new ``tol`` makes a new report with the same residuals."""
+    scn = _fresh(scn)
+    rng = np.random.default_rng(41)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    spaces = (
+        span_invariant(scn, gens[:, :1]),
+        span_invariant(scn, gens, scn.extra),
+        canonical_extra_invariant(scn),
+    )
+    log, passes = _passes(monkeypatch), []
+    for module in (spaces_mod, extra_mod):
+        _counted(monkeypatch, module, "_probe_pass", passes)
+    for space in spaces:
+        passes.clear()
+        assert spaces_mod.require_base_invariant(space) is space._basis
+        assert passes == []
+        ext = check_extra_invariance(scn, space, 1e-8)
+        log.clear()
+        passes.clear()
+        dec = check_decomposable(scn, space, 1e-8)
+        assert log == [] and passes == []
+        assert dec.decomposable == ext.extra_invariant
+        with pytest.raises(ValueError, match="another scenario"):
+            check_extra_invariance(_fresh(scn), space, 1e-8)
+        with pytest.raises(ValueError, match="finite positive"):
+            check_extra_invariance(scn, space, np.nan)
+        new = check_extra_invariance(scn, space, 1e-7)
+        assert new is not ext and set(vars(space)["_reports"]) == {1e-8, 1e-7}
+        assert new.as_dict() == ext.as_dict()
+
+
 def test_component_law_matches_translated_components(scn):
     """The component law, read off the range function, against translating
     each component in point space.

@@ -147,6 +147,20 @@ def test_subgroup_from_elements_rejects_non_closed():
         Subgroup.from_elements(g, [(4,), (8,)])  # misses zero
 
 
+def test_equal_subgroups_share_their_hash_and_memo(chain12):
+    """A subgroup closed over again from its elements is another object
+    that hashes and compares equal, so a memo keyed by subgroup, such as
+    ``Scenario.block_rows``, hands it the array the original got."""
+    extra = chain12.extra
+    twin = Subgroup.from_elements(chain12.group, reversed(extra.elements))
+    assert twin is not extra and twin == extra and extra == twin
+    assert hash(twin) == hash(extra)
+    assert chain12.block_rows(twin) is chain12.block_rows(extra)
+    assert chain12.block_rows(Subgroup(chain12.group, chain12.base.generators)) is (
+        chain12.block_rows(chain12.base)
+    )
+
+
 def test_subgroup_issubset():
     g = FiniteAbelianGroup([12])
     small, big = Subgroup(g, [(4,)]), Subgroup(g, [(2,)])

@@ -180,6 +180,41 @@ def span_invariant(scn, gens, subgroup):
     assert _modulations_calls(ast.parse(source)) == [9, 10]
 
 
+def _fftn_names(tree: ast.AST) -> list[int]:
+    """Lines naming ``fftn`` or ``ifftn``: a name, an attribute or an import.
+
+    The group DFT, ``zak._group_dft``, transforms one cyclic factor at a
+    time into one output array; the n-dimensional transforms allocate one
+    array per axis when not in place.
+    """
+    banned = {"fftn", "ifftn"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines += [node.lineno for a in node.names if a.name.split(".")[-1] in banned]
+        elif {getattr(node, "id", None), getattr(node, "attr", None)} & banned:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_group_dft_goes_axis_by_axis(path):
+    """No library module calls ``np.fft.fftn`` or ``ifftn``."""
+    lines = _fftn_names(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} names fftn at lines {lines}"
+
+
+def test_fftn_rule_catches_a_hand_written_call():
+    source = """
+from numpy.fft import fft, ifftn
+
+def _group_dft(group, a, inverse=False):
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    return np.fft.fft(a, axis=0), fftn(a), ifftn(a)
+"""
+    assert _fftn_names(ast.parse(source)) == [2, 5, 5, 6, 6]
+
+
 def _translate_names(tree: ast.AST, *, reexport: bool = False) -> list[int]:
     """Lines naming ``translate``: a name, an attribute or an import of it.
 

@@ -22,7 +22,7 @@ from actinv import (
     zak_stacked,
     zak_stacked_inv,
 )
-from actinv.zak import base_norm, full_norm, stacked_norm, unfold_norm
+from actinv.zak import _group_dft, base_norm, full_norm, stacked_norm, unfold_norm
 
 import oracle
 from conftest import random_function
@@ -332,3 +332,26 @@ def test_forward_transforms_refuse_non_finite_functions(bank, forward, bad):
         with pytest.raises(ValueError, match="function values must be finite"):
             forward(scn, broken)
         forward(scn, good)
+
+
+@pytest.mark.parametrize("moduli", [(12,), (4, 6), (2, 3, 4)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_group_dft_has_the_bits_of_fftn(moduli, batch):
+    """``_group_dft`` goes one cyclic factor at a time; forward and inverse,
+    in place or not, it has the bits of ``np.fft.fftn``/``ifftn`` over the
+    group axes, trailing batch axes carried along.  Out of place it leaves
+    its input as it was; in place it writes into it."""
+    group = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(42)
+    shape = (group.order,) + batch
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(group.rank))
+    for inverse, reference in ((False, np.fft.fftn), (True, np.fft.ifftn)):
+        want = reference(a.reshape(moduli + batch), axes=axes).reshape(a.shape)
+        kept = a.copy()
+        out = _group_dft(group, a, inverse=inverse)
+        assert out.tobytes() == want.tobytes()
+        assert a.tobytes() == kept.tobytes() and not np.shares_memory(out, a)
+        out = _group_dft(group, kept, inverse=inverse, in_place=True)
+        assert out.tobytes() == want.tobytes()
+        assert kept.tobytes() == want.tobytes() and np.shares_memory(out, kept)
