@@ -12,7 +12,14 @@ weighted by ``1/n_fibers``.
 
 Both problems are one batched fit: the fiber data matrices are cut into
 their block submatrices (the plain problem has a single block holding
-every row), and all of them go through one SVD call.
+every row, the fiber matrix itself), and all of them go through one SVD
+call.  The data is checked for finiteness once, by
+:func:`actinv.spaces.as_columns`; the pools stay arrays, and only the
+kept entries are traced back to their blocks.  A result builds its
+per-fiber report tuples (:class:`FiberSpectrum`) when its ``spectra``
+are first read.  Errors are sums of squares: finite data whose
+discarded energy, or summed squared distance to a candidate, overflows
+the float range raises ``ValueError``.
 
 Determinism: fibers are processed in dual-section order; pooled entries
 are ordered by (singular value desc, block position, singular index);
@@ -21,7 +28,10 @@ made real positive).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -54,10 +64,37 @@ class FiberSpectrum:
 
 @dataclass(frozen=True)
 class ApproxResult:
+    """A fit: its space, attained error and generator budget.
+
+    The fit keeps its pools as arrays: per fiber the pooled singular
+    values, sorted by the determinism rule, the number kept, and the block
+    positions of the kept entries, fiber after fiber (None for the
+    one-block fit).  :attr:`spectra` turns them into report tuples on
+    first read.
+    """
+
     space: Subspace
     error: float
     ell: int
-    spectra: tuple[FiberSpectrum, ...]
+    _values: np.ndarray = field(repr=False, compare=False)  # (n_fibers, pool)
+    _counts: np.ndarray = field(repr=False, compare=False)  # (n_fibers,)
+    _blocks: np.ndarray | None = field(repr=False, compare=False)  # (sum of counts,)
+    _labels: Sequence[Element] | None = field(repr=False, compare=False)
+
+    @cached_property
+    def spectra(self) -> tuple[FiberSpectrum, ...]:
+        """Per fiber, in dual-section order, the kept and dropped values."""
+        counts = self._counts.tolist()
+        if self._labels is None:
+            kept_labels = [None] * len(counts)
+        else:
+            names = [self._labels[p] for p in self._blocks.tolist()]
+            kept_labels = [tuple(names[e - n : e]) for n, e in zip(counts, accumulate(counts))]
+        omega, values = self.space.scenario.omega, self._values.tolist()
+        return tuple(
+            FiberSpectrum(fiber, tuple(vals[:n]), tuple(vals[n:]), labels)
+            for fiber, vals, n, labels in zip(omega, values, counts, kept_labels)
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -75,66 +112,69 @@ def _data_matrix(scn: Scenario, data) -> np.ndarray:
     return mat
 
 
+def _finite(total: float, what: str) -> float:
+    """``total`` if finite; ``ValueError`` for a sum of squares of finite
+    data that overflowed the float range."""
+    if not math.isfinite(total):
+        raise ValueError(f"data vectors too large: the {what} overflows the float range")
+    return total
+
+
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant coordinate is real positive."""
+    """Rotate each row so its first significant coordinate is real positive."""
     mag = np.abs(vecs)
-    peak = mag.max(axis=0)
-    first = np.argmax(mag > 1e-8 * peak, axis=0)
-    z = vecs[first, np.arange(vecs.shape[1])]
-    # zero columns keep their phase
+    peak = mag.max(axis=1)
+    first = np.argmax(mag > 1e-8 * peak[:, None], axis=1)
+    z = vecs[np.arange(len(vecs)), first]
+    # zero rows keep their phase
     phase = np.divide(np.conj(z), np.abs(z), out=np.ones_like(z), where=peak > 0.0)
-    return vecs * phase
+    return vecs * phase[:, None]
 
 
 def _fit(
     scn: Scenario,
     data,
     ell: int,
-    rows: np.ndarray,
+    rows: np.ndarray | None = None,
     labels: Sequence[Element] | None = None,
 ) -> ApproxResult:
     """Keep the ``ell`` largest block-restricted singular directions per fiber.
 
     ``rows`` (n_blocks, block size) lists the weighted stacked rows of each
-    block; ``labels`` names the blocks in the spectra (None: one block, no
-    labels).  All fibers' block submatrices go through one batched SVD.
-    Each fiber pools its blocks' singular values; a stable sort on the
-    value, descending, over the pool in (block position, singular index)
-    order gives the determinism rule of the module.  A fiber keeps at most
-    ``ell`` values, and only those that pass the rank rule
-    (:func:`actinv.spaces._kept`) over every fiber's pool.
+    block and ``labels`` names the blocks in the spectra; None for both is
+    the one-block fit, whose block is the whole fiber matrix, handed to
+    the SVD as it is.  All fibers' block submatrices go through one
+    batched SVD.  Each fiber pools its blocks' singular values; a stable
+    sort on the value, descending, over the pool in (block position,
+    singular index) order gives the determinism rule of the module.  A
+    fiber keeps at most ``ell`` values, and only those that pass the rank
+    rule (:func:`actinv.spaces._kept`) over every fiber's pool; only the
+    kept entries are traced back to their block and singular vector.
+    ``ValueError`` if the discarded energy overflows the float range.
     """
     # bool is an int subclass, so an explicit refusal; numpy integers pass
     if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
         raise ValueError("generator budget must be a positive integer")
     mats = fiber_matrices(scn, _data_matrix(scn, data))
-    u, s, _ = np.linalg.svd(mats[:, rows, :], full_matrices=False)
+    u, s, _ = np.linalg.svd(mats[:, None] if rows is None else mats[:, rows], full_matrices=False)
     n_fibers, n_blocks, k = s.shape
-    pos, idx = np.divmod(np.arange(n_blocks * k), k)  # pool entry -> block, index
     s = s.reshape(n_fibers, n_blocks * k)
     order = np.argsort(-s, axis=1, kind="stable")
-    sig = np.take_along_axis(s, order, axis=1)
-    keep = np.minimum(ell, np.sum(_kept(sig), axis=1))
+    sig = s[np.arange(n_fibers)[:, None], order]
+    keep = np.minimum(ell, _kept(sig).sum(axis=1))
     kept = np.arange(sig.shape[1]) < keep[:, None]
-    error = float(np.sum(sig[~kept] ** 2)) / n_fibers
+    with np.errstate(over="ignore"):
+        error = _finite(float((sig[~kept] ** 2).sum()) / n_fibers, "discarded energy")
     fibers, slot = np.nonzero(kept)
-    block, sing = pos[order[fibers, slot]], idx[order[fibers, slot]]
-    vecs = np.zeros((mats.shape[1], fibers.size), dtype=complex)
-    vecs[rows[block], np.arange(fibers.size)[:, None]] = u[fibers, block, :, sing]
-    basis = np.zeros((n_fibers, mats.shape[1], np.max(keep)), dtype=complex)
-    basis[fibers, :, slot] = _fix_phase(vecs).T
-    spectra = tuple(
-        FiberSpectrum(
-            fiber=scn.omega[w],
-            kept=tuple(vals[:n]),
-            dropped=tuple(vals[n:]),
-            kept_labels=(
-                None if labels is None else tuple(labels[p] for p in pos[order[w, :n]])
-            ),
-        )
-        for w, (vals, n) in enumerate(zip(sig.tolist(), keep.tolist()))
-    )
-    return ApproxResult(Subspace._of_range(scn, basis), error, int(ell), spectra)
+    block, sing = np.divmod(order[fibers, slot], k)  # pool entry -> block, index
+    vecs = u[fibers, block, :, sing]  # (kept entries, block size)
+    if rows is not None:
+        cols, vecs = vecs, np.zeros((fibers.size, mats.shape[1]), dtype=complex)
+        vecs[np.arange(fibers.size)[:, None], rows[block]] = cols
+    basis = np.zeros((n_fibers, mats.shape[1], keep.max()), dtype=complex)
+    basis[fibers, :, slot] = _fix_phase(vecs)
+    space = Subspace._of_range(scn, basis)
+    return ApproxResult(space, error, int(ell), sig, keep, None if rows is None else block, labels)
 
 
 def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
@@ -143,7 +183,7 @@ def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     The one-block case of the fit: per fiber, the top ``ell`` left singular
     vectors of the whole fiber data matrix.
     """
-    return _fit(scn, data, ell, scn.block_rows(scn.base))
+    return _fit(scn, data, ell)
 
 
 def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
@@ -159,6 +199,13 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
 
 
 def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:
-    """Summed squared weighted distances of the data to the subspace of ``scn``."""
+    """Summed squared weighted distances of the data to the subspace of ``scn``.
+
+    ``ValueError`` if that sum of squares of finite data overflows the
+    float range.
+    """
     require_scenario(scn, space)
-    return float(np.sum(space.residuals(_data_matrix(scn, data)) ** 2))
+    mat = _data_matrix(scn, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((space.residuals(mat) ** 2).sum())
+    return _finite(total, "summed squared distance")

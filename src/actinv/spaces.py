@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DegenerateGeneratorError, InvarianceError
 from .groups import Subgroup
 from .scenario import Scenario, _probes
-from .zak import _checked, _unstacked, zak_stacked
+from .zak import _checked, _unstacked, _zak_stacked
 
 RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
@@ -187,14 +187,25 @@ def as_columns(scn: Scenario, vectors, noun: str = "vector") -> np.ndarray:
     """The vectors as the columns of a finite complex matrix on the point set.
 
     Takes a matrix of columns, a single function as a 1-D array, or a
-    sequence of functions; ``noun`` names them in the error messages.
+    sequence of 1-D functions; ``noun`` names them in the error messages.
+    An array of another rank, or a sequence item that is not 1-D, is
+    refused (``ValueError``), not reshaped into columns.  The one
+    finiteness pass over the vectors: every reader downstream takes them
+    as checked.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim in (1, 2):
+    if isinstance(vectors, (np.ndarray, np.generic)):
+        if vectors.ndim not in (1, 2):
+            raise ValueError(
+                f"{noun}s must be a 1-D function or a matrix of columns, got shape {vectors.shape}"
+            )
         mat = np.asarray(vectors if vectors.ndim == 2 else vectors[:, None], dtype=complex)
     else:
         vecs = [np.asarray(v, dtype=complex) for v in vectors]
         if not vecs:
             raise ValueError(f"need at least one {noun}")
+        shapes = [v.shape for v in vecs if v.ndim != 1]
+        if shapes:
+            raise ValueError(f"each {noun} must be 1-D, got shape {shapes[0]}")
         mat = np.column_stack(vecs)
     if mat.shape[0] != scn.action.n_points:
         raise ValueError(
@@ -518,8 +529,11 @@ def fiber_matrices(scn: Scenario, vectors: np.ndarray) -> np.ndarray:
     fiber w is the stacked Zak vector of ``vectors[:, j]`` at that fiber,
     with each orbit-representative slot scaled by ``rep_weight ** 0.5``.
     Euclidean norms per fiber then reproduce the weighted fiber norms.
+    The vectors are taken as finite: every library caller passes
+    :func:`as_columns` output or a ``Subspace`` frame, both checked, so
+    the transform makes no finiteness pass (:func:`actinv.zak._zak_stacked`).
     """
-    vals = zak_stacked(scn, vectors)  # (w, k, c, d)
+    vals = _zak_stacked(scn, vectors)  # (w, k, c, d)
     if vals.ndim == 3:
         vals = vals[..., None]
     vals.view(np.float64)[...] *= np.sqrt(scn.rep_weights)[:, None]

@@ -45,7 +45,9 @@ full Zak values at the negated dual element.
 Every function accepts a trailing batch axis: 2-D input transforms
 columnwise.  Every forward transform refuses a non-finite function, and
 every inverse a wrong leading shape and non-finite values, with
-``ValueError``.
+``ValueError``.  The library's own stacking of input it has already
+checked goes through the private kernel ``_zak_stacked``, which makes no
+second pass over the values.
 """
 from __future__ import annotations
 
@@ -90,11 +92,17 @@ def _gathered(table, f: np.ndarray) -> np.ndarray:
     The gather table visits every point once, so ``f`` must have one entry
     (row) per point, and every entry must be finite.
     """
-    gather, jhalf = table[:2]
+    return _scaled(_checked(_taken(table, f), "function values"), table[1])
+
+
+def _taken(table, f: np.ndarray) -> np.ndarray:
+    """``f[gather]`` as complex; ``ValueError`` unless ``f`` has one entry
+    (row) per point.  No pass over the values."""
+    gather = table[0]
     f = np.atleast_1d(np.asarray(f, dtype=complex))
     if len(f) != gather.size:
         raise ValueError(f"function has {len(f)} entries, space has {gather.size} points")
-    return _scaled(_checked(np.take(f, gather, axis=0), "function values"), jhalf)
+    return np.take(f, gather, axis=0)
 
 
 def _checked(values, what: str = "transform values", **counts: int) -> np.ndarray:
@@ -174,7 +182,23 @@ def zak_full_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
 
 def zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Stacked Zak values, shape (n_fibers, n_cosets, len(orbit_reps))."""
-    full = zak_full(scn, f)
+    return _stacked(scn, zak_full(scn, f))
+
+
+def _zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
+    """:func:`zak_stacked` of finite input, with no pass over its values.
+
+    ``f`` must be finite, as :func:`actinv.spaces.as_columns` output and a
+    ``Subspace`` frame are; its length is still checked.  The bits are
+    those of :func:`zak_stacked`.
+    """
+    table = scn._full_gather
+    samples = _scaled(_taken(table, f), table[1])
+    return _stacked(scn, _group_dft(scn.group, samples, in_place=True))
+
+
+def _stacked(scn: Scenario, full: np.ndarray) -> np.ndarray:
+    """Full Zak values regrouped per fiber, times ``n_cosets ** -0.5``."""
     out = np.take(full, scn.dual_unsplit.ravel(), axis=0)
     out = _scaled(out, 1.0 / np.sqrt(scn.n_cosets))
     return out.reshape((scn.n_fibers, scn.n_cosets) + full.shape[1:])

@@ -1,5 +1,7 @@
 """Best-approximation results vs independent minimization oracles."""
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from actinv import (
     is_invariant,
     span_invariant,
 )
+import actinv.approx as approx_mod
 from actinv.extra import dual_partition
 from actinv.spaces import Subspace, fiber_matrices, fibers_from_matrix, length
 
@@ -267,3 +270,77 @@ def test_non_finite_data_is_rejected(bank, bad):
         best_invariant(scn, data, 1)
     with pytest.raises(ValueError, match="finite"):
         best_extra_invariant(scn, list(data.T), 1)
+
+
+# -- the fit's route: one finiteness pass, spectra built when read ------------
+
+
+def test_spectra_are_built_on_first_read(scn, monkeypatch):
+    """A fit builds no ``FiberSpectrum``; reading ``spectra`` builds one
+    per fiber, once, and the report reads the same tuple."""
+    built = []
+    original = approx_mod.FiberSpectrum
+
+    def counted(*args, **kwargs):
+        spectrum = original(*args, **kwargs)
+        built.append(spectrum.fiber)
+        return spectrum
+
+    monkeypatch.setattr(approx_mod, "FiberSpectrum", counted)
+    data = data_matrix(scn, np.random.default_rng(31))
+    for solver in (best_invariant, best_extra_invariant):
+        built.clear()
+        res = solver(scn, data, 2)
+        assert res.error >= 0.0 and res.space.dim > 0
+        assert built == []
+        spectra = res.spectra
+        assert built == list(scn.omega) and len(spectra) == scn.n_fibers
+        assert res.spectra is spectra
+        res.as_dict()
+        assert len(built) == scn.n_fibers
+
+
+def test_each_call_checks_its_data_once(scn, monkeypatch):
+    """``as_columns`` makes the one finiteness pass over the data; the
+    transform of ``fiber_matrices`` and the fit take it as checked."""
+    passes = []
+    original = np.isfinite
+
+    def counted(x, *args, **kwargs):
+        passes.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    data = data_matrix(scn, np.random.default_rng(32))
+    calls = (
+        lambda: best_invariant(scn, data, 2),
+        lambda: best_extra_invariant(scn, data, 2),
+        lambda: span_invariant(scn, data),
+        lambda: span_invariant(scn, data, scn.extra),
+    )
+    for call in calls:
+        passes.clear()
+        call()
+        assert passes == [data.size]
+
+
+def test_data_whose_error_overflows_is_refused(chain12):
+    """Finite data whose discarded energy, or summed squared distance,
+    passes the float range raises ``ValueError`` instead of returning
+    ``inf``, and no ``RuntimeWarning`` is emitted on the way; data 1e10
+    times smaller still fits."""
+    data = data_matrix(chain12, np.random.default_rng(33), m=2)
+    solvers = (best_invariant, best_extra_invariant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = [solver(chain12, data * 1e150, 1) for solver in solvers]
+        for res in fits:
+            assert 1e290 < res.error < math.inf
+            attained = evaluate_candidate(chain12, data * 1e150, res.space)
+            assert attained == pytest.approx(res.error, rel=1e-9)
+        for solver in solvers:
+            with pytest.raises(ValueError, match="too large: the discarded energy overflows"):
+                solver(chain12, data * 1e160, 1)
+        for res in fits:
+            with pytest.raises(ValueError, match="too large: the summed squared distance"):
+                evaluate_candidate(chain12, data * 1e160, res.space)

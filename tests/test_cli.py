@@ -226,6 +226,33 @@ def test_theorem_violation_exits_3_with_plain_details(tmp_path, capsys, monkeypa
     assert [type(d) for d in error["details"]["dims"]] == [int, int]
 
 
+def _strict(text):
+    """The JSON document, refusing ``Infinity``, ``-Infinity`` and ``NaN``."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_approx_refuses_data_whose_error_overflows(tmp_path, capsys):
+    """Finite data whose approximation errors pass the float range exits 2
+    (validation) with a strict JSON report, not ``"error": Infinity``."""
+    rng = np.random.default_rng(6)
+    cols = rng.standard_normal((2, 12)) + 1j * rng.standard_normal((2, 12))
+    for scale, rc_want in ((1e150, 0), (1e160, 2)):
+        vecs = [[[float(v.real * scale), float(v.imag * scale)] for v in col] for col in cols]
+        cfg = write_cfg(tmp_path, chain12_cfg(data={"vectors": vecs}, options={"ell": 1}))
+        rc, out = run(capsys, ["--config", cfg, "approx"])
+        doc = _strict(out)
+        assert rc == rc_want
+        if rc == 0:
+            assert 0.0 < doc["plain"]["error"] <= doc["extra"]["error"]
+        else:
+            assert doc["error"]["kind"] == "validation"
+            assert "too large: the discarded energy overflows" in doc["error"]["detail"]
+
+
 # -- configuration errors (exit 1) ---------------------------------------------
 
 

@@ -437,17 +437,18 @@ def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
     on a frame-given space transforms its frame once per base probe (its
     probe pass on the whole stacked frame) and once more for its range
     function, a warm one nothing at all; a fiber-built space is never
-    transformed.
+    transformed.  ``fiber_matrices`` transforms through the unchecked
+    stacking kernel ``zak._zak_stacked``, which ``spaces`` holds by name.
     """
     rng = np.random.default_rng(10)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = [span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)]
     probes = tuple(scn.base.generators) or (scn.group.zero,)
     calls = []
-    _counted(monkeypatch, zak_mod, "zak_full", calls)
+    _counted(monkeypatch, spaces_mod, "_zak_stacked", calls)
     for space in spaces:
         given = Subspace(scn, space.frame)
-        once = [("zak_full", space.frame.shape)]
+        once = [("_zak_stacked", space.frame.shape)]
         for subject, want in ((space, []), (given, once * (len(probes) + 1))):
             runs = []
             for _ in range(2):

@@ -180,6 +180,51 @@ def span_invariant(scn, gens, subgroup):
     assert _modulations_calls(ast.parse(source)) == [9, 10]
 
 
+def _fiber_spectrum_calls(tree: ast.AST) -> list[int]:
+    """Lines calling ``FiberSpectrum`` outside ``ApproxResult.spectra``.
+
+    A fit keeps its pools as arrays and builds the report tuples only when
+    its spectra are read, so a fit whose report nobody reads builds none.
+    """
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "ApproxResult":
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "spectra":
+                    allowed.update(id(n) for n in ast.walk(node))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "FiberSpectrum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and id(node) not in allowed
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_fiber_spectra_are_built_only_when_read(path):
+    """Only ``ApproxResult.spectra`` constructs a ``FiberSpectrum``."""
+    lines = _fiber_spectrum_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} calls FiberSpectrum at lines {lines}"
+
+
+def test_fiber_spectrum_rule_catches_a_fit_that_builds_them():
+    source = """
+class ApproxResult:
+    @cached_property
+    def spectra(self):
+        return tuple(FiberSpectrum(w, k, d, None) for w, k, d in self._pools())
+
+def spectra(result):
+    return [FiberSpectrum(*p) for p in result._pools()]
+
+def _fit(scn, data, ell, rows=None, labels=None):
+    spectra = tuple(approx.FiberSpectrum(w, k, d, None) for w, k, d in pools)
+    return ApproxResult(space, error, ell, spectra)
+"""
+    assert _fiber_spectrum_calls(ast.parse(source)) == [8, 11]
+
+
 def _fftn_names(tree: ast.AST) -> list[int]:
     """Lines naming ``fftn`` or ``ifftn``: a name, an attribute or an import.
 

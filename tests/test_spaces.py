@@ -12,9 +12,12 @@ from actinv import (
     Scenario,
     Subgroup,
     Subspace,
+    best_extra_invariant,
+    best_invariant,
     canonical_extra_invariant,
     check_decomposable,
     check_extra_invariance,
+    evaluate_candidate,
     fiber_generators,
     is_invariant,
     length,
@@ -523,6 +526,34 @@ def test_span_input_validation(scn):
         Subspace.span(scn, np.zeros((scn.action.n_points - 1, 1), dtype=complex))
     with pytest.raises(ValueError):
         span_invariant(scn, [])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 24, 2), (3, 24, 1), (24, 2, 1), (), [(24, 2)], [(24,), (24, 1)], [(24,), ()]],
+    ids=str,
+)
+def test_vectors_of_another_rank_are_refused(bank, shape):
+    """Vectors come as one 1-D function, a matrix of columns or a sequence
+    of 1-D functions.  Any other array, or a sequence item that is not
+    1-D, is refused naming the noun, not reshaped into columns: a
+    (2, 24, 2) array used to become 4 columns and a (3, 24, 1) one 3."""
+    scn = bank["two_orbits"]
+    rng = np.random.default_rng(12)
+    make = lambda s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    bad = [make(s) for s in shape] if isinstance(shape, list) else make(shape)
+    space = span_invariant(scn, make((24, 2)))
+    calls = (
+        ("vector", lambda: span_invariant(scn, bad)),
+        ("vector", lambda: span_invariant(scn, bad, scn.extra)),
+        ("vector", lambda: Subspace.span(scn, bad)),
+        ("data vector", lambda: best_invariant(scn, bad, 1)),
+        ("data vector", lambda: best_extra_invariant(scn, bad, 1)),
+        ("data vector", lambda: evaluate_candidate(scn, bad, space)),
+    )
+    for noun, call in calls:
+        with pytest.raises(ValueError, match=rf"^(each )?{noun}s? must be .*got shape"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
