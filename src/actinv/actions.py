@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ActionError, FreenessError, OrbitError, TheoremViolationError
-from .groups import CosetSection, FiniteAbelianGroup, Subgroup
+from .groups import CosetSection, FiniteAbelianGroup, Subgroup, _orbit_minimum
 
 
 class ActionSpace:
@@ -217,10 +217,7 @@ def _orbit_points(action: ActionSpace) -> np.ndarray:
         )
     labels = ident
     for j in used:
-        step, span = perms[j], 1
-        while span < group.moduli[j]:
-            labels = np.minimum(labels, labels[step])
-            step, span = step[step], span * 2
+        labels = _orbit_minimum(labels, perms[j], group.moduli[j])
     reps = np.flatnonzero(labels == ident)
     if len(reps) != n // group.order:
         sizes = np.bincount(labels, minlength=n)[reps]

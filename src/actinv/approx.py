@@ -11,9 +11,9 @@ fibers).  The attained error is exactly the discarded singular energy,
 weighted by ``1/n_fibers``.
 
 Both problems are one batched fit: the fiber data matrices are cut into
-their block submatrices (the plain problem has a single block holding
-every row, the fiber matrix itself), and all of them go through one SVD
-call.  The data is checked for finiteness once, by
+their block submatrices (:func:`actinv.spaces._blocks`; the plain problem
+has the base's single block, the fiber matrix itself), and all of them go
+through one SVD call.  The data is checked for finiteness once, by
 :func:`actinv.spaces.as_columns`; the pools stay arrays, and only the
 kept entries are traced back to their blocks.  A result builds its
 per-fiber report tuples (:class:`FiberSpectrum`) when its ``spectra``
@@ -28,7 +28,6 @@ made real positive).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -38,7 +37,7 @@ import numpy as np
 
 from .groups import Element
 from .scenario import Scenario
-from .spaces import Subspace, _kept, as_columns, fiber_matrices, require_scenario
+from .spaces import Subspace, _blocks, _finite, _kept, as_columns, fiber_matrices, require_scenario
 from .extra import dual_partition
 
 
@@ -68,9 +67,8 @@ class ApproxResult:
 
     The fit keeps its pools as arrays: per fiber the pooled singular
     values, sorted by the determinism rule, the number kept, and the block
-    positions of the kept entries, fiber after fiber (None for the
-    one-block fit).  :attr:`spectra` turns them into report tuples on
-    first read.
+    positions of the kept entries, fiber after fiber.  :attr:`spectra`
+    turns them into report tuples on first read.
     """
 
     space: Subspace
@@ -78,7 +76,7 @@ class ApproxResult:
     ell: int
     _values: np.ndarray = field(repr=False, compare=False)  # (n_fibers, pool)
     _counts: np.ndarray = field(repr=False, compare=False)  # (n_fibers,)
-    _blocks: np.ndarray | None = field(repr=False, compare=False)  # (sum of counts,)
+    _blocks: np.ndarray = field(repr=False, compare=False)  # (sum of counts,)
     _labels: Sequence[Element] | None = field(repr=False, compare=False)
 
     @cached_property
@@ -112,14 +110,6 @@ def _data_matrix(scn: Scenario, data) -> np.ndarray:
     return mat
 
 
-def _finite(total: float, what: str) -> float:
-    """``total`` if finite; ``ValueError`` for a sum of squares of finite
-    data that overflowed the float range."""
-    if not math.isfinite(total):
-        raise ValueError(f"data vectors too large: the {what} overflows the float range")
-    return total
-
-
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     """Rotate each row so its first significant coordinate is real positive."""
     mag = np.abs(vecs)
@@ -135,28 +125,28 @@ def _fit(
     scn: Scenario,
     data,
     ell: int,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
     labels: Sequence[Element] | None = None,
 ) -> ApproxResult:
     """Keep the ``ell`` largest block-restricted singular directions per fiber.
 
-    ``rows`` (n_blocks, block size) lists the weighted stacked rows of each
-    block and ``labels`` names the blocks in the spectra; None for both is
-    the one-block fit, whose block is the whole fiber matrix, handed to
-    the SVD as it is.  All fibers' block submatrices go through one
-    batched SVD.  Each fiber pools its blocks' singular values; a stable
-    sort on the value, descending, over the pool in (block position,
-    singular index) order gives the determinism rule of the module.  A
-    fiber keeps at most ``ell`` values, and only those that pass the rank
-    rule (:func:`actinv.spaces._kept`) over every fiber's pool; only the
-    kept entries are traced back to their block and singular vector.
+    ``rows`` is a block table (:meth:`Scenario.block_rows`, one block for
+    the base) and ``labels`` names the blocks in the spectra, None for a
+    report without them.  All fibers' block submatrices
+    (:func:`actinv.spaces._blocks`) go through one batched SVD.  Each
+    fiber pools its blocks' singular values; a stable sort on the value,
+    descending, over the pool in (block position, singular index) order
+    gives the determinism rule of the module.  A fiber keeps at most
+    ``ell`` values, and only those that pass the rank rule
+    (:func:`actinv.spaces._kept`) over every fiber's pool; only the kept
+    entries are traced back to their block's rows and singular vector.
     ``ValueError`` if the discarded energy overflows the float range.
     """
     # bool is an int subclass, so an explicit refusal; numpy integers pass
     if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
         raise ValueError("generator budget must be a positive integer")
     mats = fiber_matrices(scn, _data_matrix(scn, data))
-    u, s, _ = np.linalg.svd(mats[:, None] if rows is None else mats[:, rows], full_matrices=False)
+    u, s, _ = np.linalg.svd(_blocks(mats, rows), full_matrices=False)
     n_fibers, n_blocks, k = s.shape
     s = s.reshape(n_fibers, n_blocks * k)
     order = np.argsort(-s, axis=1, kind="stable")
@@ -164,17 +154,14 @@ def _fit(
     keep = np.minimum(ell, _kept(sig).sum(axis=1))
     kept = np.arange(sig.shape[1]) < keep[:, None]
     with np.errstate(over="ignore"):
-        error = _finite(float((sig[~kept] ** 2).sum()) / n_fibers, "discarded energy")
+        energy = float((sig[~kept] ** 2).sum()) / n_fibers
+    error = _finite(energy, "data vectors", "discarded energy")
     fibers, slot = np.nonzero(kept)
     block, sing = np.divmod(order[fibers, slot], k)  # pool entry -> block, index
-    vecs = u[fibers, block, :, sing]  # (kept entries, block size)
-    if rows is not None:
-        cols, vecs = vecs, np.zeros((fibers.size, mats.shape[1]), dtype=complex)
-        vecs[np.arange(fibers.size)[:, None], rows[block]] = cols
     basis = np.zeros((n_fibers, mats.shape[1], keep.max()), dtype=complex)
-    basis[fibers, :, slot] = _fix_phase(vecs)
+    basis[fibers[:, None], rows[block], slot[:, None]] = _fix_phase(u[fibers, block, :, sing])
     space = Subspace._of_range(scn, basis)
-    return ApproxResult(space, error, int(ell), sig, keep, None if rows is None else block, labels)
+    return ApproxResult(space, error, int(ell), sig, keep, block, labels)
 
 
 def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
@@ -183,7 +170,7 @@ def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     The one-block case of the fit: per fiber, the top ``ell`` left singular
     vectors of the whole fiber data matrix.
     """
-    return _fit(scn, data, ell)
+    return _fit(scn, data, ell, scn.block_rows(scn.base))
 
 
 def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
@@ -208,4 +195,4 @@ def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:
     mat = _data_matrix(scn, data)
     with np.errstate(over="ignore", invalid="ignore"):
         total = float((space.residuals(mat) ** 2).sum())
-    return _finite(total, "summed squared distance")
+    return _finite(total, "data vectors", "summed squared distance")

@@ -45,7 +45,8 @@ from .spaces import (
     DEFAULT_TOL,
     RANK_TOL,
     Subspace,
-    _fiber_cut,
+    _block_cut,
+    _blocks,
     _kept,
     _probe_pass,
     _range_function,
@@ -216,7 +217,7 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
     """
     memo = vars(space).get("_split")
     if memo is None:
-        a, t, vh = np.linalg.svd(basis[:, dual_partition(scn).rows], full_matrices=False)
+        a, t, vh = np.linalg.svd(_blocks(basis, dual_partition(scn).rows), full_matrices=False)
         n_fibers, n_blocks, k = t.shape
         r, n_dirs = basis.shape[2], n_blocks * k
         rows = vh.reshape(n_fibers, n_dirs, r)  # direction (b, i) conjugated, as a row
@@ -470,7 +471,7 @@ def _match_deviation(scn: Scenario, space: Subspace, basis: np.ndarray) -> float
     ``ak`` and ``comps``.  Each temporary is at most the basis's size.
     """
     a, _, kv, _, kept = _split(scn, space, basis)
-    comps = basis[:, dual_partition(scn).rows] @ kv
+    comps = _blocks(basis, dual_partition(scn).rows) @ kv
     ak = a * kept[:, :, None, :]
     gap = (np.abs(ak) ** 2).sum(axis=3) - (np.abs(comps) ** 2).sum(axis=3)
     return float(np.abs(gap).max(initial=0.0))
@@ -500,7 +501,7 @@ def sequence_extra_invariance(
         raise ValueError(f"basis must have {n} rows")
     if not np.isfinite(basis).all():
         raise ValueError("basis must be finite")
-    q = _fiber_cut(basis[None])[0]
+    q = _block_cut(basis[None], np.arange(n)[None])[0]
 
     def shift(el, mat):
         return mat[group.indices(group.coords - el)]

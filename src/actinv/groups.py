@@ -298,6 +298,16 @@ class CosetSection:
         return len(self.representatives)
 
 
+def _orbit_minimum(labels: np.ndarray, step: np.ndarray, order: int) -> np.ndarray:
+    """The minimum of ``labels`` over each orbit of the permutation ``step``,
+    whose ``order``-th power is the identity, by doubling the step."""
+    span = 1
+    while span < order:
+        labels = np.minimum(labels, labels[step])
+        step, span = step[step], span * 2
+    return labels
+
+
 def coset_section(
     group: FiniteAbelianGroup,
     subgroup: Subgroup,
@@ -319,12 +329,7 @@ def coset_section(
         raise ValueError("section inside a subgroup requires a nested pair")
     labels = np.arange(group.order)
     for g in subgroup.generators:
-        step = group.indices(group.coords + g)
-        span = 1
-        while span < group.element_order(g):
-            labels = np.minimum(labels, labels[step])
-            step = step[step]
-            span *= 2
+        labels = _orbit_minimum(labels, group.indices(group.coords + g), group.element_order(g))
     domain = within.indices if within is not None else np.arange(group.order)
     # the distinct labels, sorted (np.unique would load numpy.ma)
     reps = np.flatnonzero(np.bincount(labels[domain], minlength=group.order))

@@ -11,7 +11,9 @@ A translation acts on stacked Zak values as a modulation of their rows
 A base translation leaves every fiber basis where it is; a frame-given
 space is probed, until its base gate, on its whole stacked frame.  A space
 with a range function makes one probe pass per probe outside the base
-(:func:`_probe_pass`), which every reader of it shares.
+(:func:`_probe_pass`), which every reader of it shares.  Every range
+function is one rank cut along the blocks of a subgroup containing the
+base (:func:`_block_cut`), the base itself being one block.
 
 Numerical work happens in *weighted coordinates*: scaling a function's
 entries by ``weights ** 0.5`` turns the weighted inner product into the
@@ -56,7 +58,7 @@ def orthonormal_columns(
 ) -> np.ndarray:
     """Orthonormal frame for the span of the columns, weighted inner product.
 
-    The rank cut of :func:`_fiber_cut` in weighted coordinates: the columns
+    The rank cut of :func:`_block_cut` in weighted coordinates: the columns
     are scaled by ``weights ** 0.5``, cut as a single fiber, and scaled
     back.  ``floor`` is an absolute threshold on the singular values on top
     of the relative one; derived inputs (mask images, projections of unit
@@ -67,7 +69,7 @@ def orthonormal_columns(
     if a.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
     root = np.sqrt(weights)[:, None]
-    return _fiber_cut((a * root)[None], floor=floor)[0] / root
+    return _block_cut((a * root)[None], np.arange(len(a))[None], floor=floor)[0] / root
 
 
 class Subspace:
@@ -167,20 +169,34 @@ class Subspace:
 
         One product ``q @ (q^H @ m)`` with the frame ``q`` and the columns
         ``m`` in weighted coordinates, whose Euclidean norms are the
-        weighted ones.
+        weighted ones; one that overflows reads ``inf``, with no warning.
         """
         mw = np.asarray(mat, dtype=complex) * self._root
         q = self._weighted_frame
-        return np.linalg.norm(mw - q @ (q.conj().T @ mw), axis=0)
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(mw - q @ (q.conj().T @ mw), axis=0)
 
     def residual(self, f: np.ndarray) -> float:
-        """Weighted norm of the part of f outside the subspace."""
-        return float(self.residuals(np.asarray(f)[:, None])[0])
+        """Weighted norm of the part of finite f outside the subspace (:func:`_finite`)."""
+        col = as_columns(self.scenario, np.ravel(f), "function")
+        return _finite(float(self.residuals(col)[0]), "function", "residual")
 
     def contains(self, f: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         tol = checked_tol(tol)
-        scale = max(1.0, self.scenario.action.norm(f))
-        return self.residual(f) <= tol * scale
+        return self.residual(f) <= tol * max(1.0, _norm(self.scenario, f, "function"))
+
+
+def _finite(value: float, subject: str, what: str) -> float:
+    """``value`` if finite; ``ValueError`` if a norm, residual or sum of squares
+    of finite input overflowed, which ``inf <= tol * inf`` would pass."""
+    if not math.isfinite(value):
+        raise ValueError(f"{subject} too large: the {what} overflows the float range")
+    return value
+
+
+def _norm(scn: Scenario, f: np.ndarray, subject: str) -> float:
+    with np.errstate(over="ignore"):
+        return _finite(scn.action.norm(f), subject, "norm")
 
 
 def as_columns(scn: Scenario, vectors, noun: str = "vector") -> np.ndarray:
@@ -234,8 +250,8 @@ def span_invariant(
     over every fiber and block, gives an orthonormal basis of every fiber:
     the kept left singular vectors, each put back in its block's rows and
     packed per fiber, as wide as the widest fiber (:func:`_block_cut`).
-    The base is the one-block case, :func:`_fiber_cut` of the fibers with
-    no gather.  An element e of H multiplies block b of fiber w by
+    The base is the one-block case, with no gather (:func:`_blocks`).  An
+    element e of H multiplies block b of fiber w by
     ``pairing(e, omega[w]) * chi_b(e)``, the ``chi_b`` being distinct
     characters of ``H / base``; characters are orthogonal, so the nonzero
     singular values of the point-space matrix of every H-translate of
@@ -252,9 +268,7 @@ def span_invariant(
     mat = as_columns(scn, generators)
     if mat.shape[1] == 0:
         return Subspace.zero(scn)
-    fibers = fiber_matrices(scn, mat)
-    rows = scn.block_rows(subgroup)
-    basis = _fiber_cut(fibers) if len(rows) == 1 else _block_cut(fibers, rows)
+    basis = _block_cut(fiber_matrices(scn, mat), scn.block_rows(subgroup))
     return Subspace._of_range(scn, basis)
 
 
@@ -262,41 +276,33 @@ def _kept(s: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """The rank rule: which singular values count.
 
     Those above ``RANK_TOL`` times the largest of ``s`` and above the
-    absolute ``floor``: the cut of every span (:func:`_fiber_cut`,
-    :func:`_block_cut`), of the approximation solvers' pools and of a
-    principal generator's support.
+    absolute ``floor``: the cut of every span (:func:`_block_cut`), of the
+    approximation solvers' pools and of a principal generator's support.
     """
     return s > max(RANK_TOL * s.max(initial=0.0), floor)
 
 
-def _fiber_cut(mats: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
-    """The rank cut of fiber bases, as a range function.
-
-    ``mats`` holds the fiber matrices of a space (n_fibers, rows, k).  Their
-    left singular vectors count when their singular values pass
-    :func:`_kept` over all fibers at once, so a fiber carrying nothing but
-    roundoff is empty; cut columns are zeroed, and the result is as wide
-    as the widest fiber.  Deterministic: the singular vectors of
-    ``numpy.linalg.svd``.  A single matrix is the one-fiber case.
-    """
-    u, s, _ = np.linalg.svd(mats, full_matrices=False)
-    keep = _kept(s, floor)
-    width = int(keep.sum(axis=1).max(initial=0))
-    return u[:, :, :width] * keep[:, None, :width]
+def _blocks(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fiber matrices (n_fibers, rows, k) cut along a block table (n_blocks,
+    rows per block) that partitions the rows, each block increasing
+    (:meth:`Scenario.block_rows`).  One block lists every row in order, so
+    it is a view of ``mats``; more blocks take one gather."""
+    return mats[:, None] if len(rows) == 1 else np.take(mats, rows, axis=1)
 
 
-def _block_cut(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _block_cut(mats: np.ndarray, rows: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
     """The rank cut of fiber bases that split along blocks, as a range function.
 
-    ``mats`` holds fiber matrices (n_fibers, rows, k) and ``rows`` the
-    stacked rows of each block (n_blocks, rows per block).  One batched SVD
-    of the block rows; the left singular vectors whose singular values pass
-    :func:`_kept` over every fiber and block are put back in their block's
-    rows, in (block, singular index) order per fiber, and the result is as
-    wide as the widest fiber, its trailing columns zero.
+    ``mats`` holds fiber matrices (n_fibers, rows, k) and ``rows`` a block
+    table (:func:`_blocks`), one block for the base or a single matrix.  One
+    batched SVD of the block rows; the left singular vectors whose singular
+    values pass :func:`_kept` over every fiber and block are copied back
+    into their block's rows, in (block, singular index) order per fiber, so
+    a fiber of roundoff is empty.  The result is as wide as the widest
+    fiber, every other entry zero.
     """
-    u, s, _ = np.linalg.svd(np.take(mats, rows, axis=1), full_matrices=False)
-    keep = _kept(s)
+    u, s, _ = np.linalg.svd(_blocks(mats, rows), full_matrices=False)
+    keep = _kept(s, floor)
     fibers, block, sing = np.nonzero(keep)
     counts = keep.sum(axis=(1, 2))
     slot = np.arange(fibers.size) - (counts.cumsum() - counts)[fibers]
@@ -431,8 +437,8 @@ def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndar
     base residual is exactly ``0.0``.  A frame-given space passes when its
     residual on its whole stacked frame (:func:`_residual`) is at most
     ``tol`` and its fibers hold its whole dimension: the ranks of its
-    frame's fiber matrices, cut by :func:`_fiber_cut`, sum to ``dim``.
-    That cut basis (cut columns zeroed) then becomes its range function,
+    frame's fiber matrices, cut by :func:`_block_cut` along the base's one
+    block, sum to ``dim``.  That cut basis then becomes its range function,
     and every later residual is read off it; the gate's residuals are not
     kept.  ``ValueError`` unless ``tol`` is a finite positive number.
     """
@@ -444,12 +450,13 @@ def _range_function(space: Subspace, tol: float) -> np.ndarray:
     basis = vars(space).get("_basis")
     if basis is not None:
         return basis
-    res = _residual(space, space.scenario.base)
+    scn = space.scenario
+    res = _residual(space, scn.base)
     if not res <= tol:
         raise InvarianceError(
             f"subspace is not invariant under the base subgroup (residual {res:.3e})"
         )
-    basis = _fiber_cut(fiber_matrices(space.scenario, space.frame))
+    basis = _block_cut(fiber_matrices(scn, space.frame), scn.block_rows(scn.base))
     total = np.count_nonzero(basis.any(axis=1))
     if total != space.dim:
         raise InvarianceError(
@@ -494,7 +501,7 @@ def principal_membership(
     elsewhere zero.  Returns None otherwise.  A (numerically) zero psi is
     rejected, and so is input of the wrong length or with non-finite
     entries (``ValueError``), and so is a ``tol`` that is not a finite
-    positive number.
+    positive number, and so are norms that overflow (:func:`_finite`).
     """
     tol = checked_tol(tol)
     f, psi = (
@@ -503,18 +510,20 @@ def principal_membership(
     )
     mats = fiber_matrices(scn, np.column_stack([psi, f]))
     zpsi, zf = mats[..., 0], mats[..., 1]
-    norms = np.linalg.norm(zpsi, axis=1)
-    if norms.max() <= 0.0 or scn.action.norm(psi) == 0.0:
-        raise DegenerateGeneratorError("generator is zero")
-    support = _kept(norms)
-    values = np.zeros(scn.n_fibers, dtype=complex)
-    cross = (zf[support] * np.conj(zpsi[support])).sum(axis=1)
-    values[support] = cross / norms[support] ** 2
-    # f against the fiberwise multiple, in the function norm: the whole of
-    # f's fiber where psi's is zero
-    total = float(np.linalg.norm(zf - values[:, None] * zpsi) / np.sqrt(scn.n_fibers))
-    scale = max(1.0, scn.action.norm(f))
-    if total > tol * scale:
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(zpsi, axis=1)
+        if norms.max() <= 0.0 or scn.action.norm(psi) == 0.0:
+            raise DegenerateGeneratorError("generator is zero")
+        _finite(float((norms**2).max()), "generator", "squared fiber norm")
+        support = _kept(norms)
+        values = np.zeros(scn.n_fibers, dtype=complex)
+        cross = (zf[support] * np.conj(zpsi[support])).sum(axis=1)
+        values[support] = cross / norms[support] ** 2
+        # f against the fiberwise multiple, in the function norm: the whole
+        # of f's fiber where psi's is zero
+        total = float(np.linalg.norm(zf - values[:, None] * zpsi) / np.sqrt(scn.n_fibers))
+    _finite(total, "function", "residual")
+    if total > tol * max(1.0, _norm(scn, f, "function")):
         return None
     return FiberMultiplier(scn, values, support)
 

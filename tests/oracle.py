@@ -282,6 +282,34 @@ def kernel_euclid_orth(mat, tol=RANK_TOL, floor=0.0):
     return u[:, : int(np.sum(s > max(tol * s[0], floor)))]
 
 
+def kernel_block_cut(mats, rows, tol=RANK_TOL, floor=0.0):
+    """The rank cut of fiber matrices along blocks, as a range function.
+
+    One SVD per fiber and block of ``mats[w][rows[b]]``; a left singular
+    vector counts when its value is above ``tol`` times the largest over
+    every fiber and block and above ``floor``.  Fiber w's kept vectors, in
+    (block, singular index) order, are its columns, each zero outside its
+    block's rows; the result is complex, as wide as the widest fiber and
+    zero-filled.
+    """
+    n_fibers, n_rows, _ = mats.shape
+    factors = [
+        [np.linalg.svd(mats[w][rows[b]], full_matrices=False)[:2] for b in range(len(rows))]
+        for w in range(n_fibers)
+    ]
+    top = max((float(s.max(initial=0.0)) for fiber in factors for _, s in fiber), default=0.0)
+    cut = max(tol * top, floor)
+    columns = [
+        [(b, u[:, i]) for b, (u, s) in enumerate(fiber) for i in np.flatnonzero(s > cut)]
+        for fiber in factors
+    ]
+    out = np.zeros((n_fibers, n_rows, max(map(len, columns), default=0)), dtype=complex)
+    for w, fiber in enumerate(columns):
+        for j, (b, col) in enumerate(fiber):
+            out[w, rows[b], j] = col
+    return out
+
+
 def kernel_fiber_matrices(scn, vectors):
     vals = kernel_stacked(scn, vectors)
     if vals.ndim == 3:

@@ -51,8 +51,10 @@ the transform-built one (projector to 1e-12).
 Rank cut: on matrices of planted rank (up to 200 rows, weights log-uniform
 over up to 1e14), ``orthonormal_columns`` keeps the rank and the weighted
 projector of the pivoted-QR cut, and ranks their roundoff as zero; it and
-the one-fiber ``_fiber_cut`` have the bits of the SVD-and-slice reference
-kernel.
+the one-fiber, one-block ``_block_cut`` have the bits of the SVD-and-slice
+reference kernel.  On fibers of ragged rank, real and complex, cut along
+one block or several, ``_block_cut`` has the bits of one SVD per fiber and
+block, sliced and zero-filled.
 """
 import math
 
@@ -93,7 +95,7 @@ from actinv import (
 )
 from actinv.spaces import (
     RANK_TOL,
-    _fiber_cut,
+    _block_cut,
     fiber_matrices,
     fibers_from_matrix,
     orthonormal_columns,
@@ -571,7 +573,8 @@ def noisy(space, noise, rng):
     basis = space._basis
     nonzero = np.any(basis, axis=1, keepdims=True)
     moved = basis + noise / np.sqrt(basis.shape[1]) * complex_normal(rng, basis.shape) * nonzero
-    return Subspace.from_fibers(space.scenario, _fiber_cut(moved))
+    scn = space.scenario
+    return Subspace.from_fibers(scn, _block_cut(moved, scn.block_rows(scn.base)))
 
 
 def assert_roundoff(got, want):
@@ -699,28 +702,75 @@ def test_rank_cut_matches_the_pivoted_qr_oracle(spec):
 @example(spec=(200, 16, 5, 14.0, 3), noise=1e-13, floor=0.0)
 @example(spec=(40, 16, 16, 14.0, 4), noise=1e-9, floor=RANK_TOL)
 def test_rank_cut_reproduces_the_reference_kernel_bitwise(spec, noise, floor):
-    """The one-fiber ``_fiber_cut`` and ``orthonormal_columns`` have the bits
-    of the SVD-and-slice reference kernel in ``oracle.py``: floor 0 and
-    ``RANK_TOL``, zero width, all zeros, planted rank under noise, weights
-    log-uniform over up to 1e14.  On input with exact zeros (real-valued
-    columns, point deltas), only the sign of a zero may differ: the cut
-    multiplies its columns by the keep mask, and the real part of
-    ``(a + bj) * (1 + 0j)``, ``a - b * 0``, is ``+0.0`` for ``a = -0.0``
-    and ``b < 0``."""
+    """The one-fiber, one-block ``_block_cut`` and ``orthonormal_columns``
+    have the bits of the SVD-and-slice reference kernel in ``oracle.py``:
+    floor 0 and ``RANK_TOL``, zero width, all zeros, planted rank under
+    noise, weights log-uniform over up to 1e14.  The cut copies the kept
+    singular vectors, so on input with exact zeros (real-valued columns,
+    point deltas) the sign of a zero agrees too."""
     n, m, rank, decades, seed = spec
     rng = np.random.default_rng(seed)
     weights = 10.0 ** rng.uniform(0.0, decades, n)
     root = np.sqrt(weights)[:, None]
+    one_block = np.arange(n)[None]
     planted = complex_normal(rng, (n, rank)) @ complex_normal(rng, (rank, m))
     weighted = planted + noise * complex_normal(rng, (n, m))
     want = oracle.kernel_euclid_orth(weighted, RANK_TOL, floor)
-    assert_same_bits(_fiber_cut(weighted[None], floor=floor)[0], want)
+    assert_same_bits(_block_cut(weighted[None], one_block, floor=floor)[0], want)
     vectors = weighted / root
     want = oracle.kernel_euclid_orth(vectors * root, RANK_TOL, floor) / root
     assert_same_bits(orthonormal_columns(weights, vectors, floor=floor), want)
     for exact in (weighted.real + 0j, -np.eye(n, m, dtype=complex)):
         want = oracle.kernel_euclid_orth(exact, RANK_TOL, floor)
-        assert_same_bits(_fiber_cut(exact[None], floor=floor)[0], want, zero_sign=True)
+        assert_same_bits(_block_cut(exact[None], one_block, floor=floor)[0], want)
+
+
+@st.composite
+def ragged_fibers(draw):
+    """Fibers of ragged planted rank, a block count, real or complex, a seed."""
+    n_blocks = draw(st.sampled_from([1, 2, 3, 4]))
+    size = draw(st.integers(1, 6))
+    n_fibers = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 8))
+    real = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n_fibers, n_blocks, size, k, real, seed
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=ragged_fibers(), floor=st.sampled_from([0.0, RANK_TOL]))
+@example(spec=(3, 1, 5, 4, False, 0), floor=0.0)  # one block
+@example(spec=(4, 3, 4, 6, True, 1), floor=RANK_TOL)
+@example(spec=(2, 4, 1, 0, False, 2), floor=0.0)  # zero width
+@example(spec=(5, 2, 6, 8, False, 3), floor=0.0)
+def test_block_cut_reproduces_per_block_svds_bitwise(spec, floor):
+    """``_block_cut`` has the bits of ``oracle.kernel_block_cut``: one SVD
+    per fiber and block, sliced at the cut over every fiber and block, the
+    kept vectors put back in their block's rows, packed per fiber in
+    (block, singular index) order and zero-filled to the widest fiber.
+
+    Each fiber and block gets its own planted rank, zero included, so the
+    fibers' dimensions are ragged and some fibers or blocks are empty; the
+    rows of a block are scattered over the fiber (a random permutation cut
+    into increasing blocks), and the entries are real or complex."""
+    n_fibers, n_blocks, size, k, real, seed = spec
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n_blocks * size).reshape(n_blocks, size)
+    rows = np.sort(perm, axis=1)[np.argsort(perm.min(axis=1))]
+    mats = np.zeros((n_fibers, n_blocks * size, k), dtype=float if real else complex)
+    for w in range(n_fibers):
+        for b in range(n_blocks):
+            rank = int(rng.integers(0, min(size, k) + 1))
+            left, right = rng.standard_normal((size, rank)), rng.standard_normal((rank, k))
+            if not real:
+                left, right = left + 1j * rng.standard_normal(left.shape), right + 0j
+            mats[w, rows[b]] = left @ right
+    want = oracle.kernel_block_cut(mats, rows, RANK_TOL, floor)
+    assert_same_bits(_block_cut(mats, rows, floor=floor), want)
 
 
 # -- group core ----------------------------------------------------------------

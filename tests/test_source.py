@@ -137,6 +137,61 @@ def smallest(gram):
     assert _eigvalsh_calls(ast.parse(source)) == [6]
 
 
+SVD_SITES = ("_block_cut", "_fit", "_split")
+
+
+def _svd_calls(tree: ast.AST) -> list[int]:
+    """Lines calling ``svd`` outside ``spaces._block_cut``,
+    ``approx._fit`` and ``extra._split``, or there on anything but a
+    ``_blocks(...)`` call.
+
+    Every SVD of the library factors the block submatrices of fiber
+    matrices, and ``spaces._blocks`` is their one reader: a view of the
+    fibers for one block, one gather for more.  A fourth site would be a
+    second rank cut; a fancy-indexed argument, a second reader of blocks.
+    """
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in SVD_SITES:
+            allowed.update(id(n) for n in ast.walk(node))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "svd" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and not (
+            id(node) in allowed
+            and node.args
+            and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "_blocks"
+        )
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_svds_factor_blocks_read_by_one_reader(path):
+    """``np.linalg.svd`` runs only in the three block SVDs, on ``_blocks``."""
+    lines = _svd_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} calls svd at lines {lines}"
+
+
+def test_svd_rule_catches_a_fourth_site_and_a_fancy_index():
+    source = """
+def _block_cut(mats, rows, *, floor=0.0):
+    u, s, _ = np.linalg.svd(_blocks(mats, rows), full_matrices=False)
+
+def _fit(scn, data, ell, rows, labels=None):
+    u, s, _ = np.linalg.svd(mats[:, rows], full_matrices=False)
+
+def _split(scn, space, basis):
+    return svd(_blocks(basis, rows)), np.linalg.svd(np.take(basis, rows, axis=1))
+
+def _fiber_cut(mats):
+    return np.linalg.svd(_blocks(mats, rows))
+"""
+    assert _svd_calls(ast.parse(source)) == [6, 9, 12]
+
+
 def _modulations_calls(tree: ast.AST) -> list[int]:
     """Lines calling ``modulations`` outside ``Scenario.modulation`` and
     ``spaces._probe_pass``.
@@ -218,7 +273,7 @@ class ApproxResult:
 def spectra(result):
     return [FiberSpectrum(*p) for p in result._pools()]
 
-def _fit(scn, data, ell, rows=None, labels=None):
+def _fit(scn, data, ell, rows, labels=None):
     spectra = tuple(approx.FiberSpectrum(w, k, d, None) for w, k, d in pools)
     return ApproxResult(space, error, ell, spectra)
 """

@@ -1,4 +1,6 @@
 """Subspace machinery: frames, invariance, principal membership, fibers."""
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -441,6 +443,39 @@ def test_principal_membership_rejects_bad_input(chain12, bad):
     for args in ((psi[:11], psi), (psi, np.append(psi, 1.0))):
         with pytest.raises(ValueError, match="space has 12 points"):
             principal_membership(chain12, *args)
+
+
+def test_membership_refuses_norms_that_overflow(chain12):
+    """h lies outside the principal space of f (residual about 4.15).  At a
+    scale of 1e153 every verdict still reads that; from 1e154 on the
+    squared norms pass the float range, and ``inf <= tol * inf`` would
+    admit h, so ``contains``, ``residual`` and ``principal_membership``
+    (h and f both scaled, or h alone) raise ``ValueError`` naming the
+    function or generator, with no ``RuntimeWarning`` on the way."""
+    rng = np.random.default_rng(0)
+    f, h = random_function(chain12, rng), random_function(chain12, rng)
+    space = span_invariant(chain12, f)
+    assert space.residual(h) == pytest.approx(4.15, abs=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scale = 1e153
+        assert not space.contains(h * scale)
+        assert space.residual(h * scale) == pytest.approx(space.residual(h) * scale, rel=1e-9)
+        assert principal_membership(chain12, h * scale, f * scale) is None
+        assert principal_membership(chain12, h * scale, f) is None
+        scale = 1e154
+        calls = {
+            "function": [
+                lambda: space.contains(h * scale),
+                lambda: space.residual(h * scale),
+                lambda: principal_membership(chain12, h * scale, f),
+            ],
+            "generator": [lambda: principal_membership(chain12, h * scale, f * scale)],
+        }
+        for subject, group in calls.items():
+            for call in group:
+                with pytest.raises(ValueError, match=f"^{subject} too large: the .* overflows"):
+                    call()
 
 
 # -- fiber structure -----------------------------------------------------------
