@@ -37,7 +37,16 @@ import numpy as np
 
 from .groups import Element
 from .scenario import Scenario
-from .spaces import Subspace, _blocks, _finite, _kept, as_columns, fiber_matrices, require_scenario
+from .spaces import (
+    Subspace,
+    _blocks,
+    _finite,
+    _kept,
+    _too_large,
+    as_columns,
+    fiber_matrices,
+    require_scenario,
+)
 from .extra import dual_partition
 
 
@@ -140,18 +149,22 @@ def _fit(
     ``ell`` values, and only those that pass the rank rule
     (:func:`actinv.spaces._kept`) over every fiber's pool; only the kept
     entries are traced back to their block's rows and singular vector.
-    ``ValueError`` if the discarded energy overflows the float range.
+    ``ValueError`` if the fiber matrices or the discarded energy overflow
+    the float range.
     """
     # bool is an int subclass, so an explicit refusal; numpy integers pass
     if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
         raise ValueError("generator budget must be a positive integer")
     mats = fiber_matrices(scn, _data_matrix(scn, data))
-    u, s, _ = np.linalg.svd(_blocks(mats, rows), full_matrices=False)
-    n_fibers, n_blocks, k = s.shape
-    s = s.reshape(n_fibers, n_blocks * k)
-    order = np.argsort(-s, axis=1, kind="stable")
-    sig = s[np.arange(n_fibers)[:, None], order]
-    keep = np.minimum(ell, _kept(sig).sum(axis=1))
+    try:
+        u, s, _ = np.linalg.svd(_blocks(mats, rows), full_matrices=False)
+        n_fibers, n_blocks, k = s.shape
+        s = s.reshape(n_fibers, n_blocks * k)
+        order = np.argsort(-s, axis=1, kind="stable")
+        sig = s[np.arange(n_fibers)[:, None], order]
+        keep = np.minimum(ell, _kept(sig).sum(axis=1))
+    except np.linalg.LinAlgError:
+        raise _too_large("data vectors", "Zak transform") from None
     kept = np.arange(sig.shape[1]) < keep[:, None]
     with np.errstate(over="ignore"):
         energy = float((sig[~kept] ** 2).sum()) / n_fibers
@@ -194,5 +207,5 @@ def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:
     require_scenario(scn, space)
     mat = _data_matrix(scn, data)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float((space.residuals(mat) ** 2).sum())
+        total = float((space._residuals(mat) ** 2).sum())
     return _finite(total, "data vectors", "summed squared distance")

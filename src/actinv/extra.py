@@ -6,6 +6,11 @@ label xi is
 
     block(xi) = { omega + xi + d : omega in dual_section, d in extra-annihilator }.
 
+This is the extra subgroup's entry of the scenario's block tables, one
+verified :class:`DualPartition` per subgroup H containing the base
+(:meth:`Scenario.partition`): the tables a span along any H cuts, and the
+base's one block, pass the same guards.
+
 Masking full Zak values by a block's indicator defines an orthogonal
 projection ``mask_apply`` on the function space.  The central result
 implemented here: a base-invariant subspace is invariant under the whole
@@ -34,13 +39,12 @@ images, n x n projectors).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvarianceError, TheoremViolationError
-from .groups import Element
-from .scenario import Scenario, _probes
+from .scenario import DualPartition, Scenario, _probes
 from .spaces import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -59,116 +63,12 @@ from .spaces import (
 from .zak import _group_dft, zak_full, zak_full_inv
 
 
-@dataclass(frozen=True)
-class DualPartition:
-    """The block partition of the dual group, one block per label.
-
-    ``positions[i]`` is the block position (index into ``labels``) of dual
-    element ``i``, and ``rows[b]`` lists the weighted stacked rows of block
-    b: a stacked row ``k * len(orbit_reps) + c`` belongs to the block of its
-    annihilator coordinate k, each block's rows increasing.  Both are
-    read-only and verified.
-    """
-
-    scenario: Scenario
-    labels: tuple[Element, ...]
-    positions: np.ndarray = field(repr=False)  # (group.order,) block positions
-    rows: np.ndarray = field(repr=False)  # (n_blocks, rows per block)
-
-    def _members(self) -> np.ndarray:
-        """Dual element indices of each block, increasing; (n_blocks, block size)."""
-        return np.argsort(self.positions, kind="stable").reshape(len(self.labels), -1)
-
-    @property
-    def blocks(self) -> tuple[frozenset[Element], ...]:
-        """The dual elements of each block."""
-        elements = self.scenario.group.elements
-        return tuple(frozenset(elements[i] for i in m) for m in self._members())
-
-    def block_of(self, tau_hat) -> Element:
-        """Label of the block containing the dual element."""
-        return self.labels[self.positions[self.scenario.group.index(tau_hat)]]
-
-    def as_dict(self) -> dict:
-        elements = self.scenario.group.elements
-        return {
-            "blocks": [
-                {"label": list(label), "elements": [list(elements[i]) for i in m]}
-                for label, m in zip(self.labels, self._members())
-            ]
-        }
-
-
 def dual_partition(scn: Scenario) -> DualPartition:
-    """The dual partition of the scenario, built and verified once, then cached.
-
-    The block positions come from the scenario's index tables: a dual
-    element ``omega[w] + a`` (``a`` in the base annihilator) lies in the
-    block of ``a``'s label, ``coordinate_labels[dual_split[:, 1]]``.  They
-    are checked against the definition, each block being the set-sum of the
-    fiber labels, one block label, and the extra annihilator: every block
-    has ``n_fibers * |extra-annihilator|`` elements and is invariant under
-    adding extra-annihilator elements, and the defining set-sums are
-    disjoint, cover the dual group and match the positions.  The stacked
-    rows of a block, :meth:`Scenario.block_rows` of the extra subgroup, are
-    checked to hold its elements at every fiber.
-    """
-    part = vars(scn).get("_dual_partition")
-    if part is None:
-        part = scn._dual_partition = _build_dual_partition(scn)
-    return part
-
-
-def _build_dual_partition(scn: Scenario) -> DualPartition:
-    group = scn.group
-    labels = scn.block_labels
-    size = scn.n_fibers * scn.extra_annihilator.order
-    block = scn.coordinate_labels[scn.dual_split[:, 1]]
-    counts = np.bincount(block, minlength=len(labels))
-    if (counts != size).any():
-        pos = int(np.flatnonzero(counts != size)[0])
-        raise TheoremViolationError(
-            "dual partition block has the wrong size",
-            details={"label": list(labels[pos]), "size": int(counts[pos])},
-        )
-    for d in scn.extra_annihilator.generators:
-        moved = block[group.indices(group.coords + d)]
-        if (moved != block).any():
-            el = int(np.flatnonzero(moved != block)[0])
-            raise TheoremViolationError(
-                "dual partition block is not extra-annihilator invariant",
-                details={
-                    "label": list(labels[block[el]]),
-                    "element": list(group.elements[el]),
-                },
-            )
-    coords = group.coords
-    omega = coords[scn.dual_section.rep_indices]
-    xi = coords[scn.block_section.rep_indices]
-    d = coords[scn.extra_annihilator.indices]
-    # [label, fiber, d] = omega + xi + d, the blocks by definition
-    defined = group.indices(xi[:, None, None] + omega[None, :, None] + d[None, None, :])
-    covered = np.bincount(defined.ravel(), minlength=group.order)
-    if (covered != 1).any():
-        raise TheoremViolationError(
-            "dual partition blocks do not tile the dual group",
-            details={"covered": int(np.count_nonzero(covered)), "order": group.order},
-        )
-    position = np.arange(len(labels))[:, None]
-    if (block[defined] != position[:, :, None]).any():
-        raise TheoremViolationError(
-            "dual partition positions disagree with the block definition"
-        )
-    # stacked coordinate k of fiber w holds omega[w] + annihilator_order[k]
-    reps = len(scn.tiling.orbit_reps)
-    rows = scn.block_rows(scn.extra)
-    k = rows[:, ::reps] // reps
-    if (block[scn.dual_unsplit[:, k]] != position).any():
-        raise TheoremViolationError(
-            "stacked block rows disagree with the dual partition"
-        )
-    block.flags.writeable = False
-    return DualPartition(scn, tuple(labels), block, rows)
+    """The dual partition of the scenario: the extra subgroup's entry of
+    the verified partitions the scenario builds once per subgroup
+    (:meth:`Scenario.partition`).  Its ``rows`` are
+    :meth:`Scenario.block_rows` of the extra subgroup."""
+    return scn.partition(scn.extra)
 
 
 def mask_apply(scn: Scenario, xi, f: np.ndarray):

@@ -20,11 +20,13 @@ Naming used throughout the package:
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .actions import ActionSpace, tiling_sets, validate_action
+from .errors import TheoremViolationError
 from .groups import (
     Element,
     FiniteAbelianGroup,
@@ -59,7 +61,11 @@ class Scenario:
         self.block_section = coset_section(
             group, self.extra_annihilator, within=self.base_annihilator
         )
-        self._block_rows: dict[Subgroup, np.ndarray] = {}
+        # the annihilator and section of each subgroup H, seeded with the
+        # chain's, so that none is computed twice
+        self._annihilators = {base: self.base_annihilator, extra: self.extra_annihilator}
+        self._sections = {extra: self.block_section}
+        self._partitions: dict[Subgroup, DualPartition] = {}
         self._modulation: dict[Element, np.ndarray | None] = {}
 
     def __repr__(self) -> str:
@@ -188,39 +194,26 @@ class Scenario:
         out[self.dual_split[:, 0], self.dual_split[:, 1]] = np.arange(self.group.order)
         return out
 
-    @cached_property
-    def coordinate_labels(self) -> np.ndarray:
-        """Block label position of each annihilator element (stacked coordinate)."""
-        return self.block_section.positions[self.base_annihilator.indices]
+    def partition(self, subgroup: Subgroup) -> DualPartition:
+        """The dual partition along the blocks of a subgroup containing the
+        base, built and verified on first request (:func:`_build_partition`)
+        and memoised per subgroup."""
+        part = self._partitions.get(subgroup)
+        if part is None:
+            part = self._partitions[subgroup] = _build_partition(self, subgroup)
+        return part
 
     def block_rows(self, subgroup: Subgroup) -> np.ndarray:
         """The stacked rows of each block of a subgroup containing the base,
-        (n_blocks, rows per block), read-only and memoised per subgroup.
+        (n_blocks, rows per block), read-only: the ``rows`` of its verified
+        partition (:meth:`partition`), the one block table of every subgroup.
 
-        The subgroup's annihilator cuts the base annihilator into its
-        cosets, the blocks, one per character of ``subgroup / base``; a
-        stacked row ``k * len(orbit_reps) + c`` belongs to the block of its
-        annihilator coordinate k.  Blocks are in coset-section order, each
-        block's rows increasing.  The base has one block of every row; the
-        extra subgroup's blocks are those of :attr:`coordinate_labels`, the
-        table the dual partition verifies, so they are its ``rows``.
+        The subgroup's annihilator cuts the base annihilator into cosets, the
+        blocks; a stacked row ``k * len(orbit_reps) + c`` belongs to the block
+        of its annihilator coordinate k.  Blocks are in coset-section order,
+        each block's rows increasing; the base has one block of every row.
         """
-        if subgroup not in self._block_rows:
-            if subgroup == self.base:
-                labels = np.zeros(self.n_cosets, dtype=np.intp)
-            elif subgroup == self.extra:
-                labels = self.coordinate_labels
-            else:
-                section = coset_section(
-                    self.group, annihilator(subgroup), within=self.base_annihilator
-                )
-                labels = section.positions[self.base_annihilator.indices]
-            k = np.argsort(labels, kind="stable").reshape(subgroup.order // self.base.order, -1)
-            reps = len(self.tiling.orbit_reps)
-            rows = (k[:, :, None] * reps + np.arange(reps)).reshape(len(k), -1)
-            rows.flags.writeable = False
-            self._block_rows[subgroup] = rows
-        return self._block_rows[subgroup]
+        return self.partition(subgroup).rows
 
     # -- translations on the Zak side ----------------------------------------
 
@@ -266,3 +259,106 @@ def _probes(subgroup: Subgroup) -> tuple[Element, ...]:
     """The translations that test invariance under the subgroup: its generators,
     or its zero element when it has none."""
     return tuple(subgroup.generators) or (subgroup.group.zero,)
+
+
+@dataclass(frozen=True)
+class DualPartition:
+    """The dual group cut into the blocks of a subgroup H containing the base.
+
+    The labels are the coset section of H's annihilator inside the base
+    annihilator.  ``positions[i]`` is the block position (index into
+    ``labels``) of dual element ``i``, and ``rows[b]`` lists the weighted
+    stacked rows of block b (:meth:`Scenario.block_rows`).  Both are
+    read-only and verified (:func:`_build_partition`).
+    """
+
+    scenario: Scenario
+    labels: tuple[Element, ...]
+    positions: np.ndarray = field(repr=False)  # (group.order,) block positions
+    rows: np.ndarray = field(repr=False)  # (n_blocks, rows per block)
+
+    def _members(self) -> np.ndarray:
+        """Dual element indices of each block, increasing; (n_blocks, block size)."""
+        return np.argsort(self.positions, kind="stable").reshape(len(self.labels), -1)
+
+    @property
+    def blocks(self) -> tuple[frozenset[Element], ...]:
+        """The dual elements of each block."""
+        elements = self.scenario.group.elements
+        return tuple(frozenset(elements[i] for i in m) for m in self._members())
+
+    def block_of(self, tau_hat) -> Element:
+        """Label of the block containing the dual element."""
+        return self.labels[self.positions[self.scenario.group.index(tau_hat)]]
+
+    def as_dict(self) -> dict:
+        elements = self.scenario.group.elements
+        return {
+            "blocks": [
+                {"label": list(label), "elements": [list(elements[i]) for i in m]}
+                for label, m in zip(self.labels, self._members())
+            ]
+        }
+
+
+def _build_partition(scn: Scenario, subgroup: Subgroup) -> DualPartition:
+    """The dual partition along ``subgroup``, checked against its definition.
+
+    A dual element ``omega[w] + a`` (``a`` in the base annihilator) lies in
+    the block of ``a``'s coset of H's annihilator; block xi is the set-sum
+    of the fiber labels, xi and that annihilator, of ``n_fibers *
+    |annihilator|`` elements and invariant under it.  Every guard runs for
+    every H; the messages call H's annihilator the extra one, as the
+    paper's pair base <= extra does.
+    """
+    group = scn.group
+    ann = scn._annihilators.get(subgroup)
+    if ann is None:
+        ann = annihilator(subgroup)
+    section = scn._sections.get(subgroup)
+    if section is None:
+        section = coset_section(group, ann, within=scn.base_annihilator)
+    labels = section.representatives
+    # the block of each annihilator coordinate k, the coset of annihilator_order[k]
+    coordinate = section.positions[scn.base_annihilator.indices]
+    block = coordinate[scn.dual_split[:, 1]]
+    size = scn.n_fibers * ann.order
+    counts = np.bincount(block, minlength=len(labels))
+    if (counts != size).any():
+        pos = int(np.flatnonzero(counts != size)[0])
+        raise TheoremViolationError(
+            "dual partition block has the wrong size",
+            details={"label": list(labels[pos]), "size": int(counts[pos])},
+        )
+    for d in ann.generators:
+        moved = block[group.indices(group.coords + d)]
+        if (moved != block).any():
+            el = int(np.flatnonzero(moved != block)[0])
+            raise TheoremViolationError(
+                "dual partition block is not extra-annihilator invariant",
+                details={"label": list(labels[block[el]]), "element": list(group.elements[el])},
+            )
+    coords = group.coords
+    omega = coords[scn.dual_section.rep_indices]
+    xi = coords[section.rep_indices]
+    d = coords[ann.indices]
+    # [label, fiber, d] = omega + xi + d, the blocks by definition
+    defined = group.indices(xi[:, None, None] + omega[None, :, None] + d[None, None, :])
+    covered = np.bincount(defined.ravel(), minlength=group.order)
+    if (covered != 1).any():
+        raise TheoremViolationError(
+            "dual partition blocks do not tile the dual group",
+            details={"covered": int(np.count_nonzero(covered)), "order": group.order},
+        )
+    position = np.arange(len(labels))[:, None]
+    if (block[defined] != position[:, :, None]).any():
+        raise TheoremViolationError("dual partition positions disagree with the block definition")
+    # stacked coordinate k of fiber w holds omega[w] + annihilator_order[k]
+    reps = len(scn.tiling.orbit_reps)
+    k = np.argsort(coordinate, kind="stable").reshape(len(labels), -1)
+    rows = (k[:, :, None] * reps + np.arange(reps)).reshape(len(k), -1)
+    if (block[scn.dual_unsplit[:, rows[:, ::reps] // reps]] != position).any():
+        raise TheoremViolationError("stacked block rows disagree with the dual partition")
+    block.flags.writeable = False
+    rows.flags.writeable = False
+    return DualPartition(scn, labels, block, rows)

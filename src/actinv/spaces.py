@@ -95,11 +95,19 @@ class Subspace:
         floor: float = 0.0,
     ) -> "Subspace":
         mat = as_columns(scn, vectors)
-        return cls(scn, orthonormal_columns(scn.action.weights, mat, floor=floor))
+        return cls._of_frame(scn, orthonormal_columns(scn.action.weights, mat, floor=floor))
 
     @classmethod
     def zero(cls, scn: Scenario) -> "Subspace":
-        return cls(scn, np.zeros((scn.action.n_points, 0), dtype=complex))
+        return cls._of_frame(scn, np.zeros((scn.action.n_points, 0), dtype=complex))
+
+    @classmethod
+    def _of_frame(cls, scn: Scenario, frame: np.ndarray) -> "Subspace":
+        """The space of a frame the library built from checked input, a
+        C-contiguous complex (n_points, dim) array, taken as it is."""
+        space = cls.__new__(cls)
+        space.scenario, space.frame = scn, frame
+        return space
 
     @classmethod
     def from_fibers(cls, scn: Scenario, basis: np.ndarray) -> "Subspace":
@@ -159,27 +167,36 @@ class Subspace:
         return self.frame * self._root
 
     def project(self, f: np.ndarray) -> np.ndarray:
+        """The orthogonal projection of a finite function, or of each column
+        of a matrix of them (:func:`as_columns`)."""
+        f = np.asarray(f)
+        fw = as_columns(self.scenario, f, "function") * self._root
         q = self._weighted_frame
-        root = self._root[:, 0] if np.ndim(f) == 1 else self._root
-        fw = np.asarray(f, dtype=complex) * root
-        return (q @ (q.conj().T @ fw)) / root
+        out = (q @ (q.conj().T @ fw)) / self._root
+        return out[:, 0] if f.ndim == 1 else out
 
     def residuals(self, mat: np.ndarray) -> np.ndarray:
-        """Weighted norm of each column's part outside the subspace.
+        """Weighted norm of the part outside the subspace of each finite
+        column (:func:`as_columns`), by :meth:`_residuals`."""
+        return self._residuals(as_columns(self.scenario, mat, "function"))
+
+    def _residuals(self, mat: np.ndarray) -> np.ndarray:
+        """:meth:`residuals` of checked columns, with no pass over them.
 
         One product ``q @ (q^H @ m)`` with the frame ``q`` and the columns
         ``m`` in weighted coordinates, whose Euclidean norms are the
-        weighted ones; one that overflows reads ``inf``, with no warning.
+        weighted ones; one that overflows, in the weighting or the norm,
+        reads ``inf`` or ``nan``, with no warning.
         """
-        mw = np.asarray(mat, dtype=complex) * self._root
         q = self._weighted_frame
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mw = mat * self._root
             return np.linalg.norm(mw - q @ (q.conj().T @ mw), axis=0)
 
     def residual(self, f: np.ndarray) -> float:
         """Weighted norm of the part of finite f outside the subspace (:func:`_finite`)."""
         col = as_columns(self.scenario, np.ravel(f), "function")
-        return _finite(float(self.residuals(col)[0]), "function", "residual")
+        return _finite(float(self._residuals(col)[0]), "function", "residual")
 
     def contains(self, f: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         tol = checked_tol(tol)
@@ -190,8 +207,13 @@ def _finite(value: float, subject: str, what: str) -> float:
     """``value`` if finite; ``ValueError`` if a norm, residual or sum of squares
     of finite input overflowed, which ``inf <= tol * inf`` would pass."""
     if not math.isfinite(value):
-        raise ValueError(f"{subject} too large: the {what} overflows the float range")
+        raise _too_large(subject, what)
     return value
+
+
+def _too_large(subject: str, what: str) -> ValueError:
+    """The refusal of finite input whose ``what`` overflows the float range."""
+    return ValueError(f"{subject} too large: the {what} overflows the float range")
 
 
 def _norm(scn: Scenario, f: np.ndarray, subject: str) -> float:
@@ -243,9 +265,10 @@ def span_invariant(
     do (another one raises ``ValueError``).  Built on the range function,
     one Zak fiber at a time, from the generators' fibers, transformed once.
     A base-invariant space is H-invariant exactly when each of its fibers
-    splits along the blocks of H (:meth:`Scenario.block_rows`), so the
-    space's fiber at omega is the direct sum of the spans of the
-    generators' block rows there.  One batched SVD of those block rows,
+    splits along the blocks of H (:meth:`Scenario.block_rows`, the rows
+    of H's verified partition), so the space's fiber at omega is the
+    direct sum of the spans of the generators' block rows there.  One
+    batched SVD of those block rows,
     (n_fibers, n_blocks, rows per block, k), cut once by :func:`_kept`
     over every fiber and block, gives an orthonormal basis of every fiber:
     the kept left singular vectors, each put back in its block's rows and
@@ -258,7 +281,8 @@ def span_invariant(
     every generator are the block rows' times ``[H : base] ** 0.5``: the
     relative cut, hence the dimension, is the one a rank cut of that
     matrix makes.  The kept vectors are the space's range function, as
-    :meth:`Subspace.from_fibers` takes it.
+    :meth:`Subspace.from_fibers` takes it.  ``ValueError`` naming the
+    generators if their fiber matrices overflow the float range.
     """
     base = scn.base
     if subgroup is None:
@@ -268,7 +292,10 @@ def span_invariant(
     mat = as_columns(scn, generators)
     if mat.shape[1] == 0:
         return Subspace.zero(scn)
-    basis = _block_cut(fiber_matrices(scn, mat), scn.block_rows(subgroup))
+    try:
+        basis = _block_cut(fiber_matrices(scn, mat), scn.block_rows(subgroup))
+    except np.linalg.LinAlgError:
+        raise _too_large("generators", "Zak transform") from None
     return Subspace._of_range(scn, basis)
 
 
@@ -278,8 +305,13 @@ def _kept(s: np.ndarray, floor: float = 0.0) -> np.ndarray:
     Those above ``RANK_TOL`` times the largest of ``s`` and above the
     absolute ``floor``: the cut of every span (:func:`_block_cut`), of the
     approximation solvers' pools and of a principal generator's support.
+    ``LinAlgError`` if the largest is not finite, as numpy's SVD raises
+    when it fails: the factored fibers overflowed (:func:`fiber_matrices`).
     """
-    return s > max(RANK_TOL * s.max(initial=0.0), floor)
+    top = s.max(initial=0.0)
+    if not math.isfinite(top):
+        raise np.linalg.LinAlgError("singular values are not finite")
+    return s > max(RANK_TOL * top, floor)
 
 
 def _blocks(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -541,11 +573,15 @@ def fiber_matrices(scn: Scenario, vectors: np.ndarray) -> np.ndarray:
     The vectors are taken as finite: every library caller passes
     :func:`as_columns` output or a ``Subspace`` frame, both checked, so
     the transform makes no finiteness pass (:func:`actinv.zak._zak_stacked`).
+    Values that overflow the float range read ``inf`` or ``nan``, with no
+    warning; an SVD of them fails (:func:`_kept`), and the spans and fits
+    refuse their input with ``ValueError`` (:func:`_too_large`).
     """
-    vals = _zak_stacked(scn, vectors)  # (w, k, c, d)
-    if vals.ndim == 3:
-        vals = vals[..., None]
-    vals.view(np.float64)[...] *= np.sqrt(scn.rep_weights)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _zak_stacked(scn, vectors)  # (w, k, c, d)
+        if vals.ndim == 3:
+            vals = vals[..., None]
+        vals.view(np.float64)[...] *= np.sqrt(scn.rep_weights)[:, None]
     w, k, c, d = vals.shape
     return vals.reshape(w, k * c, d)
 

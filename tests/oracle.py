@@ -21,6 +21,10 @@ The approximation references start from the dense stacked transform and
 the block indicators: the exhaustive allocation minimum of the
 extra-invariant problem, and the solvers' fit as one SVD per fiber and
 block, with the pooling, ordering and rank floor spelled out in Python.
+The block table of any subgroup between the base and the group groups the
+annihilator coordinates by their coset of the subgroup's annihilator,
+found by the pairing test; the subgroups themselves by closing over one
+more element at a time.
 
 The invariant span reference translates the generators by every element of
 the subgroup and cuts the rank of all those columns at once, in point
@@ -59,6 +63,7 @@ from actinv import (
     ActionError,
     FreenessError,
     OrbitError,
+    Subgroup,
     Subspace,
     check_extra_invariance,
     mask_apply,
@@ -340,13 +345,44 @@ def fiber_data(scn, data):
 
 
 def block_rows(scn):
-    """Stacked rows of each block in label order, from ``block_indicator``."""
+    """Stacked rows of each extra block in label order (:func:`subgroup_blocks`)."""
+    return subgroup_blocks(scn, scn.extra)[1]
+
+
+def subgroups_containing(base):
+    """Every subgroup between ``base`` and its group, by closing over one
+    more element at a time until no new subgroup appears."""
+    group = base.group
+    found = {base.indices.tobytes(): base}
+    todo = [base]
+    while todo:
+        sub = todo.pop()
+        for el in group.elements:
+            if el not in sub:
+                grown = Subgroup(group, list(sub.generators) + [el])
+                if grown.indices.tobytes() not in found:
+                    found[grown.indices.tobytes()] = grown
+                    todo.append(grown)
+    return sorted(found.values(), key=lambda h: (h.order, h.indices.tolist()))
+
+
+def subgroup_blocks(scn, subgroup):
+    """The blocks of a subgroup containing the base, by definition.
+
+    Block b holds the annihilator coordinates k (``annihilator_order[k]``)
+    in the coset ``xi_b + annihilator(subgroup)``, the ``xi_b`` being the
+    smallest element of each coset, increasing.  Returns the labels and
+    the stacked rows ``k * len(orbit_reps) + c`` of each block.
+    """
+    group = scn.group
+    ann = annihilator_elements(subgroup)
+    cosets = {}
+    for k, a in enumerate(sorted(scn.base_annihilator.elements)):
+        cosets.setdefault(min(group.add(a, d) for d in ann), []).append(k)
     reps = len(scn.tiling.orbit_reps)
-    first_fiber = _dual_index(scn)[0]
-    return [
-        np.flatnonzero(np.repeat(block_indicator(scn, xi)[first_fiber], reps))
-        for xi in scn.block_labels
-    ]
+    labels = sorted(cosets)
+    rows = [np.array([k * reps + c for k in cosets[xi] for c in range(reps)]) for xi in labels]
+    return labels, rows
 
 
 def allocation_minimum(scn, data, ell):

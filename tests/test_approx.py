@@ -8,6 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from actinv import (
+    ActionSpace,
+    FiniteAbelianGroup,
+    Scenario,
+    Subgroup,
     best_extra_invariant,
     best_invariant,
     check_decomposable,
@@ -302,7 +306,8 @@ def test_spectra_are_built_on_first_read(scn, monkeypatch):
 
 def test_each_call_checks_its_data_once(scn, monkeypatch):
     """``as_columns`` makes the one finiteness pass over the data; the
-    transform of ``fiber_matrices`` and the fit take it as checked."""
+    transform of ``fiber_matrices``, the fit and the residuals of
+    ``evaluate_candidate`` take it as checked."""
     passes = []
     original = np.isfinite
 
@@ -312,11 +317,13 @@ def test_each_call_checks_its_data_once(scn, monkeypatch):
 
     monkeypatch.setattr(np, "isfinite", counted)
     data = data_matrix(scn, np.random.default_rng(32))
+    fitted = best_invariant(scn, data, 1).space
     calls = (
         lambda: best_invariant(scn, data, 2),
         lambda: best_extra_invariant(scn, data, 2),
         lambda: span_invariant(scn, data),
         lambda: span_invariant(scn, data, scn.extra),
+        lambda: evaluate_candidate(scn, data, fitted),
     )
     for call in calls:
         passes.clear()
@@ -344,3 +351,36 @@ def test_data_whose_error_overflows_is_refused(chain12):
         for res in fits:
             with pytest.raises(ValueError, match="too large: the summed squared distance"):
                 evaluate_candidate(chain12, data * 1e160, res.space)
+
+
+@pytest.mark.parametrize("seed", [0, 53])
+def test_input_whose_transform_overflows_is_refused(seed):
+    """Z_2 x Z_6 on 2 orbits, base <(0, 2)>, extra <(1, 0), (0, 2)>: at a
+    scale of 1e307 the Zak transform of finite generators or data passes
+    the float range.  The spans and fits raise ``ValueError`` naming the
+    generators or the data vectors, with no ``RuntimeWarning``, instead of
+    returning the zero space or failing in the SVD; at 1e305 the spans
+    keep their dimension.  The two draws reach the spans' SVD by both
+    routes: it returns singular values that are not finite (seed 0), or
+    it fails (seed 53).  The distances to a space, whose weighting
+    overflows first, raise naming the function or the data vectors."""
+    rng = np.random.default_rng(seed)
+    g = FiniteAbelianGroup([2, 6])
+    act = ActionSpace.regular(g, 2, weights=np.exp(rng.uniform(0.0, np.log(1e3), 24)))
+    scn = Scenario(g, Subgroup(g, [(0, 2)]), Subgroup(g, [(1, 0), (0, 2)]), act)
+    gens, data = data_matrix(scn, rng, 2), data_matrix(scn, rng, 4)
+    spans = (lambda v: span_invariant(scn, v), lambda v: span_invariant(scn, v, scn.extra))
+    fits = (lambda v: best_invariant(scn, v, 2), lambda v: best_extra_invariant(scn, v, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dims = [span(gens).dim for span in spans]
+        assert [span(gens * 1e305).dim for span in spans] == dims == [6, 12]
+        for subject, calls, vectors in (("generators", spans, gens), ("data vectors", fits, data)):
+            for call in calls:
+                with pytest.raises(ValueError, match=f"^{subject} too large: the Zak transform"):
+                    call(vectors * 1e307)
+        space = spans[0](gens)
+        with pytest.raises(ValueError, match="^function too large: the residual"):
+            space.residual(data[:, 0] * 1e307)
+        with pytest.raises(ValueError, match="^data vectors too large: the summed squared"):
+            evaluate_candidate(scn, data * 1e307, space)

@@ -253,6 +253,48 @@ def test_approx_refuses_data_whose_error_overflows(tmp_path, capsys):
             assert "too large: the discarded energy overflows" in doc["error"]["detail"]
 
 
+def test_input_whose_transform_overflows_exits_2(tmp_path, capsys):
+    """Z_2 x Z_6 on 2 orbits, weights log-uniform over a 1e3 range:
+    generators or data scaled to 1e307 overflow
+    the Zak transform.  ``check`` and ``approx`` exit 2 (validation),
+    naming the generators or the data vectors, with no ``RuntimeWarning``
+    (the suite turns one into an error); at 1e150 both run."""
+    from actinv import ActionSpace, FiniteAbelianGroup
+
+    rng = np.random.default_rng(53)
+    act = ActionSpace.regular(FiniteAbelianGroup([2, 6]), 2)
+    weights = np.exp(rng.uniform(0.0, np.log(1e3), 24)).tolist()
+    cols = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
+    doc = {
+        "schema": 1,
+        "group": {"moduli": [2, 6]},
+        "base": {"generators": [[0, 2]]},
+        "extra": {"generators": [[1, 0], [0, 2]]},
+        "action": {
+            "points": 24,
+            "permutations": [p.tolist() for p in act.generator_perms],
+            "weights": weights,
+        },
+        "options": {"ell": 1},
+    }
+    for scale, rc_want in ((1e150, 0), (1e307, 2)):
+        vecs = [[[float(v.real * scale), float(v.imag * scale)] for v in col] for col in cols]
+        for command, key, subject in (
+            ("check", "subspace", "generators"),
+            ("approx", "data", "data vectors"),
+        ):
+            field = "generators" if key == "subspace" else "vectors"
+            cfg = write_cfg(tmp_path, dict(doc, **{key: {field: vecs}}))
+            rc, out = run(capsys, ["--config", cfg, command])
+            assert rc == rc_want, out
+            if rc:
+                error = _strict(out)["error"]
+                assert error["kind"] == "validation"
+                assert error["detail"] == (
+                    f"{subject} too large: the Zak transform overflows the float range"
+                )
+
+
 # -- configuration errors (exit 1) ---------------------------------------------
 
 

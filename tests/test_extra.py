@@ -1,5 +1,6 @@
 """Dual partition, masks, the invariance equivalence, and the cross-oracles."""
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,9 +20,11 @@ from actinv import (
     Subgroup,
     Subspace,
     TheoremViolationError,
+    annihilator,
     canonical_extra_invariant,
     check_decomposable,
     check_extra_invariance,
+    coset_section,
     dual_partition,
     evaluate_candidate,
     is_invariant,
@@ -92,9 +95,10 @@ def test_partition_single_block_when_subgroups_coincide():
 def test_stacked_coordinates_follow_block_labels(scn):
     # translating by an extra-subgroup element scales a stacked coordinate by
     # the pairing with its block label, the mechanism behind decomposability
+    part = dual_partition(scn)
     for delta in scn.extra.elements:
-        for k, eta in enumerate(scn.annihilator_order):
-            label = scn.block_labels[scn.coordinate_labels[k]]
+        for eta in scn.annihilator_order:
+            label = part.block_of(eta)
             assert scn.group.pairing(delta, eta) == pytest.approx(
                 scn.group.pairing(delta, label), abs=1e-12
             )
@@ -212,11 +216,14 @@ def test_stacked_block_masks_follow_block_coordinates(scn):
     """Each block's stacked rows are the rows of the annihilator coordinates
     labelled with that block, increasing, and the blocks split the rows."""
     c = len(scn.tiling.orbit_reps)
-    rows = dual_partition(scn).rows
+    part = dual_partition(scn)
+    rows = part.rows
     assert rows.shape == (scn.n_blocks, scn.n_cosets * c // scn.n_blocks)
     assert np.array_equal(np.sort(rows, axis=None), np.arange(scn.n_cosets * c))
+    # annihilator coordinate k is the dual element annihilator_order[k] of fiber 0
+    labels = part.positions[scn.base_annihilator.indices]
     for pos, keep in enumerate(rows):
-        coords = np.flatnonzero(scn.coordinate_labels == pos)
+        coords = np.flatnonzero(labels == pos)
         sel = (coords[:, None] * c + np.arange(c)[None, :]).ravel()
         assert np.array_equal(keep, sel)
 
@@ -599,7 +606,7 @@ def test_dual_partition_holds_one_label_per_dual_element():
     g = FiniteAbelianGroup([2048])
     scn = Scenario(g, Subgroup(g, []), Subgroup(g, [(1,)]), ActionSpace.regular(g))
     # the scenario's own index tables, cached on it, are built first
-    scn.dual_split, scn.dual_unsplit, scn.coordinate_labels
+    scn.dual_split, scn.dual_unsplit
     tracemalloc.start()
     try:
         part = dual_partition(scn)
@@ -760,12 +767,20 @@ def test_space_of_another_scenario_is_refused():
 # reads, on a fresh scenario, so the bank's shared memos stay clean.
 
 
-def _corrupt_partition_input(chain12, name, value):
-    """A fresh chain12 with ``name`` replaced before its partition is built."""
-    scn = _fresh(chain12)
-    setattr(scn, name, value)
-    assert "_dual_partition" not in vars(scn)
-    return scn
+def _corrupted_section(scn, subgroup, labels):
+    """A fresh copy of ``scn`` whose partition along ``subgroup`` reads the
+    block labels ``labels`` at the annihilator coordinates: the subgroup's
+    coset section with those positions there, put in the scenario's
+    section memo before any partition is built."""
+    fresh = _fresh(scn)
+    section = fresh._sections.get(subgroup) or coset_section(
+        scn.group, annihilator(subgroup), within=scn.base_annihilator
+    )
+    positions = section.positions.copy()
+    positions[scn.base_annihilator.indices] = labels
+    fresh._sections[subgroup] = dataclasses.replace(section, positions=positions)
+    assert not fresh._partitions
+    return fresh
 
 
 @pytest.mark.parametrize(
@@ -777,26 +792,60 @@ def _corrupt_partition_input(chain12, name, value):
     ],
 )
 def test_partition_guards_catch_corrupted_coordinate_labels(chain12, labels, message, details):
-    """The block label of each stacked coordinate, ``coordinate_labels``
-    (``[0, 1, 0, 1]`` when clean), decides every block position.  One
-    coordinate moved to the wrong label breaks the block sizes; two swapped
-    keep the sizes but break invariance under the extra annihilator; the
-    two labels swapped everywhere keep both but contradict the block
-    definition."""
-    assert chain12.coordinate_labels.tolist() == [0, 1, 0, 1]
-    scn = _corrupt_partition_input(chain12, "coordinate_labels", np.array(labels))
+    """The block label of each annihilator coordinate, read off the extra
+    subgroup's coset section (``[0, 1, 0, 1]`` when clean), decides every
+    block position.  One coordinate moved to the wrong label breaks the
+    block sizes; two swapped keep the sizes but break invariance under the
+    extra annihilator; the two labels swapped everywhere keep both but
+    contradict the block definition."""
+    coordinate = chain12.block_section.positions[chain12.base_annihilator.indices]
+    assert coordinate.tolist() == [0, 1, 0, 1]
+    scn = _corrupted_section(chain12, chain12.extra, labels)
     with pytest.raises(TheoremViolationError, match=message) as err:
         dual_partition(scn)
     assert err.value.details == details
 
 
+@pytest.mark.parametrize(
+    "labels,message,details",
+    [
+        ([0, 1, 1, 3], "block has the wrong size", {"label": [3], "size": 6}),
+        ([1, 0, 2, 3], "positions disagree with the block definition", {}),
+    ],
+)
+def test_partition_guards_hold_for_every_subgroup(chain12, labels, message, details):
+    """The guards check every subgroup's table, not only the extra one's:
+    along the whole group, neither the base nor the extra subgroup, the
+    annihilator is trivial and each of the four annihilator coordinates
+    is its own block (``[0, 1, 2, 3]`` when clean).  One coordinate moved
+    to another label breaks the block sizes; two swapped contradict the
+    block definition.  The corrupted table reaches neither ``block_rows``
+    nor a span along the subgroup."""
+    whole = Subgroup(chain12.group, [(1,)])
+    assert whole not in (chain12.base, chain12.extra)
+    assert chain12.partition(whole).positions[chain12.base_annihilator.indices].tolist() == [
+        0, 1, 2, 3
+    ]
+    for reader in (
+        lambda scn: scn.block_rows(whole),
+        lambda scn: span_invariant(scn, random_function(scn, np.random.default_rng(0)), whole),
+    ):
+        scn = _corrupted_section(chain12, whole, labels)
+        with pytest.raises(TheoremViolationError, match=message) as err:
+            reader(scn)
+        assert err.value.details == details
+        assert dual_partition(scn).rows.tolist() == chain12.block_rows(chain12.extra).tolist()
+
+
 def test_partition_guard_catches_blocks_that_do_not_tile(chain12):
     """The defining set-sums omega + xi + d read the extra annihilator's
-    elements; with every element read as zero, the six sums omega + xi
-    each cover one dual element |extra-annihilator| times."""
+    elements, taken from the scenario's annihilator memo; with every
+    element read as zero, the six sums omega + xi each cover one dual
+    element |extra-annihilator| times."""
     ann = copy.copy(chain12.extra_annihilator)
     ann.indices = np.zeros_like(ann.indices)
-    scn = _corrupt_partition_input(chain12, "extra_annihilator", ann)
+    scn = _fresh(chain12)
+    scn._annihilators[scn.extra] = ann
     with pytest.raises(TheoremViolationError, match="do not tile the dual group") as err:
         dual_partition(scn)
     assert err.value.details == {"covered": 6, "order": 12}
@@ -808,7 +857,8 @@ def test_partition_guard_catches_corrupted_stacked_rows(chain12):
     blocks on one block's rows."""
     unsplit = chain12.dual_unsplit.copy()
     unsplit[1, [0, 1]] = unsplit[1, [1, 0]]
-    scn = _corrupt_partition_input(chain12, "dual_unsplit", unsplit)
+    scn = _fresh(chain12)
+    scn.dual_unsplit = unsplit
     with pytest.raises(TheoremViolationError, match="stacked block rows disagree") as err:
         dual_partition(scn)
     assert err.value.details == {}

@@ -19,6 +19,9 @@ extra-invariant spaces pass the sequence-space cross-oracle at 1e-12
 Invariant spans: the fiberwise ``span_invariant`` has the dimension and the
 weighted projector (1e-12) of the point-space span of every subgroup
 translate, and a weighted-orthonormal frame, over the same weight ranges.
+Up to order 64 that holds for every subgroup between the base and the
+group, and each one's block table is the cut of the annihilator
+coordinates by the cosets of its annihilator.
 
 Group core: on the same generated groups, ``validate_action`` gives the same
 verdict and error class as the all-pairs check on valid actions and on five
@@ -333,6 +336,42 @@ def test_transforms_reproduce_the_reference_kernels_bitwise(spec, decades):
         for (ours, reference, _), (transform, _) in zip(inverse, forward):
             values = transform(scn, f)
             assert_same_bits(ours(scn, values), reference(scn, values), zero_sign=True)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(max_order=POINT_SPACE_MAX_ORDER), decades=WEIGHT_DECADES)
+@example(spec=((1,), [], [], 1, 0), decades=0.0)
+@example(spec=((12,), [(4,)], [(2,)], 1, 0), decades=0.0)
+@example(spec=((2, 6), [(0, 2)], [(1, 0), (0, 2)], 2, 53), decades=3.0)
+@example(spec=((4, 4), [], [(2, 2)], 2, 6), decades=14.0)
+def test_every_subgroup_block_table_matches_its_definition(spec, decades):
+    """For every subgroup H between the base and the group, the base and
+    the extra subgroup among them: ``block_rows(H)`` and the labels of H's
+    partition are the blocks of ``oracle.subgroup_blocks``, and
+    ``span_invariant(scn, gens, H)`` has the dimension and the weighted
+    projector (1e-12) of the point-space span of every H-translate, with
+    weights log-uniform over up to 1e14."""
+    scn, rng = build(spec, decades)
+    gens = complex_normal(rng, (scn.action.n_points, 2))
+    root = np.sqrt(scn.action.weights)[:, None]
+    subgroups = oracle.subgroups_containing(scn.base)
+    assert scn.base in subgroups and scn.extra in subgroups
+    for sub in subgroups:
+        labels, rows = oracle.subgroup_blocks(scn, sub)
+        assert list(scn.partition(sub).labels) == labels
+        assert scn.block_rows(sub).tolist() == [r.tolist() for r in rows]
+        got = span_invariant(scn, gens, sub)
+        want = oracle.point_space_span(scn, gens, sub)
+        assert got.dim == want.dim
+        q = got.frame * root
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(got.dim), rtol=0, atol=RTOL)
+        np.testing.assert_allclose(
+            oracle.projector(got), oracle.projector(want), rtol=0, atol=RTOL
+        )
 
 
 @settings(

@@ -363,6 +363,155 @@ def _probe_pass(space, g):
     assert _translate_names(tree, reexport=True) == [8, 10]
 
 
+# the block-table code of ``scenario.py``: one path for every subgroup
+BLOCK_TABLE_CODE = ("partition", "block_rows", "_build_partition")
+
+
+def _chain_subgroup(node) -> bool:
+    """``self.base``, ``self.extra``, ``scn.base`` or ``scn.extra``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("base", "extra")
+        and getattr(node.value, "id", None) in ("self", "scn")
+    )
+
+
+def _special_subgroup_compares(tree: ast.AST) -> tuple[set[str], list[int]]:
+    """The block-table functions found, and the lines where they compare
+    anything with the scenario's base or extra subgroup.
+
+    Every subgroup's block table is one verified partition
+    (``Scenario.partition``), built by one path: a comparison with the
+    base or the extra subgroup would fork it into shortcuts the guards do
+    not see.
+    """
+    found, lines = set(), []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name in BLOCK_TABLE_CODE:
+            found.add(func.name)
+            lines += [
+                node.lineno
+                for node in ast.walk(func)
+                if isinstance(node, ast.Compare) and any(map(_chain_subgroup, ast.walk(node)))
+            ]
+    return found, sorted(lines)
+
+
+def test_block_tables_take_one_path_for_every_subgroup():
+    """The block-table code of ``scenario.py`` compares no subgroup with
+    the base or the extra one."""
+    path = PACKAGE / "scenario.py"
+    found, lines = _special_subgroup_compares(ast.parse(path.read_text(), filename=str(path)))
+    assert found == set(BLOCK_TABLE_CODE) and not lines, (found, lines)
+
+
+def test_block_table_rule_catches_a_special_case():
+    source = """
+class Scenario:
+    def block_rows(self, subgroup):
+        if subgroup == self.base:
+            return self._one_block
+        return self.partition(subgroup).rows
+
+    def partition(self, subgroup):
+        return self._partitions[subgroup]
+
+    def moving_probes(self):
+        return [g for g in self.extra.generators if g not in self.base]
+
+def _build_partition(scn, subgroup):
+    ann = scn._annihilators.get(subgroup)
+    if subgroup in (scn.base, scn.extra) or scn.extra is subgroup:
+        ann = scn.extra_annihilator
+"""
+    found, lines = _special_subgroup_compares(ast.parse(source))
+    assert found == set(BLOCK_TABLE_CODE) and lines == [4, 16, 16]
+
+
+def _scenario_expression(node) -> bool:
+    """A name for a scenario: ``scn``, ``scenario`` or ``<x>.scenario``."""
+    if isinstance(node, ast.Name):
+        return node.id in ("scn", "scenario")
+    return isinstance(node, ast.Attribute) and node.attr == "scenario"
+
+
+def _scenario_writes(tree: ast.AST) -> list[int]:
+    """Lines writing an attribute onto a scenario: an assignment to one of
+    its attributes or to an item of its ``vars``/``__dict__``, or a
+    ``setattr``, ``setdefault`` or ``update`` on them.
+
+    A scenario's memos are its own (``scenario.py``): a module that wrote
+    one would hold a table the scenario does not build or verify.
+    """
+
+    def scenario_dict(node) -> bool:
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars":
+            return bool(node.args) and _scenario_expression(node.args[0])
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__dict__"
+            and _scenario_expression(node.value)
+        )
+
+    def written(target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(written, target.elts))
+        if isinstance(target, ast.Attribute):
+            return _scenario_expression(target.value)
+        return isinstance(target, ast.Subscript) and scenario_dict(target.value)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            hit = any(map(written, node.targets))
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            hit = written(node.target)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            setter = "setattr" in (getattr(func, "id", None), getattr(func, "attr", None))
+            setter |= getattr(func, "attr", None) == "__setattr__"
+            hit = setter and bool(node.args) and _scenario_expression(node.args[0])
+            hit |= (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("setdefault", "update")
+                and scenario_dict(func.value)
+            )
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_scenario_writes_onto_a_scenario(path):
+    """No module but ``scenario.py`` writes an attribute onto a ``Scenario``."""
+    if path.name == "scenario.py":
+        return
+    lines = _scenario_writes(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} writes onto a scenario at lines {lines}"
+
+
+def test_scenario_write_rule_catches_every_form():
+    source = """
+def dual_partition(scn):
+    part = vars(scn).get("_dual_partition")
+    if part is None:
+        part = scn._dual_partition = build(scn)
+    space.scenario._memo, other = {}, 1
+    setattr(scn, "_rows", rows)
+    vars(space.scenario)["_rows"] = rows
+    vars(scn).setdefault("_rows", {})
+    scn.__dict__.update(rows=rows)
+    object.__setattr__(scenario, "_rows", rows)
+    scn.counter += 1
+    space._basis, space.scenario = basis, scn
+    vars(space).setdefault("_reports", {})
+    return part
+"""
+    assert _scenario_writes(ast.parse(source)) == [5, 6, 7, 8, 9, 10, 11, 12]
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that finds this checkout's ``actinv`` first."""
     env = dict(os.environ)

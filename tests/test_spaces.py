@@ -634,3 +634,45 @@ def test_fiber_constructor_refuses_malformed_bases(bank):
         with pytest.raises(ValueError, match="fiber bases must be finite"):
             Subspace.from_fibers(scn, broken)
     assert Subspace.from_fibers(scn, basis).dim == w
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_residuals_and_projection_refuse_non_finite_functions(chain12, bad):
+    """``residuals`` and ``project`` take a function or a matrix of them
+    and refuse a non-finite entry as ``residual`` does, instead of reading
+    ``nan``; finite input keeps its shape."""
+    rng = np.random.default_rng(0)
+    space = span_invariant(chain12, random_function(chain12, rng))
+    f = random_function(chain12, rng)
+    mat = np.column_stack([f, 2.0 * f])
+    assert space.residuals(mat).shape == (2,) and space.project(mat).shape == (12, 2)
+    assert space.project(f).shape == (12,)
+    assert space.residuals(f)[0] == space.residual(f)
+    f[3] = bad
+    calls = [(space.residual, f)]
+    for call in (space.residuals, space.project):
+        calls += [(call, f), (call, mat + f[:, None])]
+    for call, arg in calls:
+        with pytest.raises(ValueError, match="functions must be finite"):
+            call(arg)
+
+
+def test_span_checks_its_vectors_once(monkeypatch):
+    """``Subspace.span`` checks its vectors once, in ``as_columns``, and
+    takes the frame it computes from them as it is: on 192 points and 4
+    columns, one pass of 768 entries and none of the frame's 1536 float64
+    entries."""
+    g = FiniteAbelianGroup([8, 12])
+    scn = Scenario(g, Subgroup(g, [(4, 0)]), Subgroup(g, [(2, 0)]), ActionSpace.regular(g, 2))
+    vectors = np.column_stack([random_function(scn, np.random.default_rng(j)) for j in range(4)])
+    passes = []
+    original = np.isfinite
+
+    def counted(x, *args, **kwargs):
+        passes.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    space = Subspace.span(scn, vectors)
+    assert vectors.shape == (192, 4) and space.dim == 4
+    assert passes == [768]
