@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -258,22 +259,30 @@ def jacobian(action: ActionSpace, tau: Iterable[int], x: int | None = None):
 
     With ``x`` omitted, returns the whole row over all points.  Satisfies
     the cocycle rule ``jacobian(a + b, x) == jacobian(a, sigma_b(x)) *
-    jacobian(b, x)``.
+    jacobian(b, x)``.  ``ValueError`` unless ``x`` is a point: an integer
+    (not a ``bool``) in ``0..n_points - 1``.
     """
+    n = action.n_points
+    if x is not None and (isinstance(x, bool) or not isinstance(x, Integral) or not 0 <= x < n):
+        raise ValueError(f"point must be an integer in 0..{n - 1}, got {x!r}")
     row = action.sigma(tau)
     ratios = action.weights[row] / action.weights
     if x is None:
         return ratios
-    return float(ratios[int(x)])
+    return float(ratios[x])
 
 
 def translate(action: ActionSpace, tau: Iterable[int], f: np.ndarray) -> np.ndarray:
-    """Apply the weighted translation unitary for ``tau`` (columnwise on 2-D)."""
-    f = np.asarray(f)
-    if f.shape[0] != action.n_points:
-        raise ValueError(
-            f"function has {f.shape[0]} entries, space has {action.n_points} points"
-        )
+    """Apply the weighted translation unitary for ``tau`` (columnwise on 2-D).
+
+    ``ValueError`` unless ``f`` is a finite function, 1-D, or a matrix of
+    them as columns, with one entry per point.
+    """
+    f, n = np.asarray(f), action.n_points
+    if f.ndim not in (1, 2) or f.shape[0] != n:
+        raise ValueError(f"function must have shape ({n},) or ({n}, k), got {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("function must be finite")
     row = action.sigma(action.group.neg(tau))
     jhalf = np.sqrt(action.weights[row] / action.weights)
     if f.ndim == 1:

@@ -66,7 +66,7 @@ class Scenario:
         self._annihilators = {base: self.base_annihilator, extra: self.extra_annihilator}
         self._sections = {extra: self.block_section}
         self._partitions: dict[Subgroup, DualPartition] = {}
-        self._modulation: dict[Element, np.ndarray | None] = {}
+        self._modulation: dict[Element, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return (
@@ -223,36 +223,22 @@ class Scenario:
         probes of base and extra that can move a range function."""
         return tuple(dict.fromkeys(g for g in self.extra.generators if g not in self.base))
 
-    def modulation(self, g: Element) -> np.ndarray | None:
-        """The reduced element g's row of :meth:`modulations`, (n_fibers,
-        n_cosets), memoised per element; ``None`` when g is in the base.
+    def modulation(self, g: Element) -> np.ndarray:
+        """The reduced element g's translation on the stacked Zak values,
+        (n_fibers, n_cosets), memoised per element: the one row builder.
 
-        A base element pairs to one with the base annihilator, so its
-        modulation is the constant ``pairing(g, omega[w])`` on fiber w and
-        maps every fiber basis to itself.  Exact integer membership; a row
-        takes 16 bytes per dual element.
+        Translating by g multiplies the full Zak value at the dual element h
+        by ``pairing(g, h)``, so it multiplies the stacked values of fiber w
+        at annihilator position k, on every orbit, by
+        ``pairing(g, omega[w] + annihilator_order[k])``.  For a base element
+        that is the constant ``pairing(g, omega[w])`` on fiber w, which maps
+        every fiber basis to itself.  A row takes 16 bytes per dual element.
         """
         if g not in self._modulation:
-            self._modulation[g] = None if g in self.base else self.modulations((g,))[0]
+            dual = self.group.coords[self.dual_unsplit.ravel()]
+            chars = self.group.characters(np.array([g], dtype=np.int64), dual)
+            self._modulation[g] = chars.reshape(self.n_fibers, self.n_cosets)
         return self._modulation[g]
-
-    def modulations(self, probes: tuple[Element, ...]) -> np.ndarray:
-        """Each probe's translation on the stacked Zak values, (probes, n_fibers, n_cosets).
-
-        Built on each call: the invariance checks read single rows through
-        :meth:`modulation`, which keeps them; a frame-given space's probe
-        pass before its base gate takes a fresh row.  No span is built from
-        modulations: :func:`actinv.spaces.span_invariant` cuts the block rows
-        of the generators' fibers instead (:meth:`block_rows`).
-        Translating by e multiplies the full Zak value at the dual element h
-        by ``pairing(e, h)``, so it multiplies the stacked values of fiber w
-        at annihilator position k, on every orbit, by
-        ``pairing(e, omega[w] + annihilator_order[k])``.
-        """
-        dual = self.group.coords[self.dual_unsplit.ravel()]
-        coords = np.array(probes, dtype=np.int64).reshape(len(probes), self.group.rank)
-        chars = self.group.characters(coords, dual)
-        return chars.reshape(len(probes), self.n_fibers, self.n_cosets)
 
 
 def _probes(subgroup: Subgroup) -> tuple[Element, ...]:

@@ -24,7 +24,8 @@ block, with the pooling, ordering and rank floor spelled out in Python.
 The block table of any subgroup between the base and the group groups the
 annihilator coordinates by their coset of the subgroup's annihilator,
 found by the pairing test; the subgroups themselves by closing over one
-more element at a time.
+more element at a time.  A modulation row pairs a translation with the
+dual element of each stacked coordinate, added in group coordinates.
 
 The invariant span reference translates the generators by every element of
 the subgroup and cuts the rank of all those columns at once, in point
@@ -55,6 +56,7 @@ The CSV reference writes a matrix one entry at a time, in Python loops.
 """
 import csv
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -383,6 +385,24 @@ def subgroup_blocks(scn, subgroup):
     labels = sorted(cosets)
     rows = [np.array([k * reps + c for k in cosets[xi] for c in range(reps)]) for xi in labels]
     return labels, rows
+
+
+def modulation_row(scn, g):
+    """The translation by g on stacked Zak values, by definition.
+
+    Fiber w at annihilator position k holds the pairing of g with
+    ``omega[w] + annihilator_order[k]``: the sum by ``group.add`` and its
+    phase numerator by ``group.phase_numerator``, exact integers on
+    coordinate tuples.  The numerators become characters by the float
+    expression of ``FiniteAbelianGroup.characters``, so the library's row
+    must match these bits.
+    """
+    group = scn.group
+    nums = [
+        [group.phase_numerator(g, group.add(w, a)) for a in scn.annihilator_order]
+        for w in scn.omega
+    ]
+    return np.exp(2j * np.pi * np.array(nums, dtype=np.int64) / math.lcm(*group.moduli))
 
 
 def allocation_minimum(scn, data, ell):

@@ -91,6 +91,31 @@ def test_jacobian_cocycle(scn):
     assert_allclose(jacobian(act, scn.group.zero), np.ones(act.n_points))
 
 
+@pytest.mark.parametrize("x", [-1, 2.7, 4, True], ids=["negative", "fraction", "past-end", "bool"])
+def test_jacobian_refuses_a_point_outside_the_space(x):
+    """A point is an integer in 0..n_points - 1: a negative one does not
+    wrap to the last point, a fraction is not truncated, one past the end
+    is not an ``IndexError``."""
+    g = FiniteAbelianGroup([4])
+    act = ActionSpace.regular(g, weights=[1.0, 2.0, 4.0, 8.0])
+    with pytest.raises(ValueError, match=r"^point must be an integer in 0\.\.3, got"):
+        jacobian(act, (1,), x)
+    assert jacobian(act, (1,), np.int64(3)) == 0.125
+
+
+def test_translate_refuses_a_function_with_a_nan_entry(scn):
+    f = random_function(scn, np.random.default_rng(6))
+    f[2] = np.nan
+    with pytest.raises(ValueError, match="^function must be finite"):
+        translate(scn.action, scn.group.elements[1], f)
+
+
+def test_translate_refuses_an_array_of_rank_three(scn):
+    n = scn.action.n_points
+    with pytest.raises(ValueError, match=rf"^function must have shape \({n},\) or \({n}, k\)"):
+        translate(scn.action, scn.group.elements[1], np.ones((n, 2, 2)))
+
+
 def test_validate_action_reports_orbits():
     g = FiniteAbelianGroup([12])
     act = ActionSpace.regular(g, orbits=2)

@@ -240,20 +240,21 @@ def _counted(monkeypatch, module, name, calls):
 
 
 def _passes(monkeypatch):
-    """Log every probe pass (``_moved``), modulation table, SVD and
-    ``eigvalsh``, as ``(kind, shape, vectors)`` entries of the returned
-    list."""
+    """Log every probe pass (``_moved``), modulation row the scenario
+    builds (its probe), SVD and ``eigvalsh``, as ``(kind, shape, vectors)``
+    entries of the returned list."""
     log = []
-    moved, modulations, svd = spaces_mod._moved, Scenario.modulations, np.linalg.svd
+    moved, modulation, svd = spaces_mod._moved, Scenario.modulation, np.linalg.svd
     eigvalsh = np.linalg.eigvalsh
 
     def counted_moved(d, basis):
         log.append(("moved", basis.shape, None))
         return moved(d, basis)
 
-    def counted_modulations(self, probes):
-        log.append(("table", tuple(probes), None))
-        return modulations(self, probes)
+    def counted_modulation(self, g):
+        if g not in self._modulation:
+            log.append(("row", g, None))
+        return modulation(self, g)
 
     def counted_svd(a, *args, **kwargs):
         log.append(("svd", a.shape, kwargs.get("compute_uv", True)))
@@ -264,7 +265,7 @@ def _passes(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(spaces_mod, "_moved", counted_moved)
-    monkeypatch.setattr(Scenario, "modulations", counted_modulations)
+    monkeypatch.setattr(Scenario, "modulation", counted_modulation)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     return log
@@ -284,13 +285,12 @@ def _fresh(scn):
 
 
 def _rows(scn, probes):
-    """The probes each have one memoised modulation row, bit for bit their
-    row of the table; every base element reads ``None``."""
-    table = scn.modulations(tuple(probes))
-    for g, row in zip(probes, table):
+    """The probes each have one memoised modulation row, bit for bit its
+    definition (``oracle.modulation_row``); no base probe has one."""
+    for g in probes:
         assert scn.modulation(g) is scn.modulation(g)
-        assert scn.modulation(g).tobytes() == row.tobytes()
-    assert all(scn.modulation(g) is None for g in spaces_mod._probes(scn.base))
+        assert scn.modulation(g).tobytes() == oracle.modulation_row(scn, g).tobytes()
+    assert not set(spaces_mod._probes(scn.base)) & set(scn._modulation)
 
 
 def _pair(scn, space, log):
@@ -299,7 +299,7 @@ def _pair(scn, space, log):
     check_extra_invariance(scn, space)
     check_decomposable(scn, space)
     return {kind: [(shape, vectors) for k, shape, vectors in log if k == kind]
-            for kind in ("moved", "table", "svd", "eigvalsh")}
+            for kind in ("moved", "row", "svd", "eigvalsh")}
 
 
 def test_checks_share_one_mask_per_block(scn, monkeypatch):
@@ -352,8 +352,8 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
         assert cold["eigvalsh"] == [(gram, None)] * len(probes) + (
             [(law, None)] if invariant and probes else []
         )
-        assert cold["table"] == ([] if i else [((g,), None) for g in probes])
-        assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
+        assert cold["row"] == ([] if i else [(g, None) for g in probes])
+        assert warm == {"moved": [], "row": [], "svd": [], "eigvalsh": []}
         assert "frame" not in vars(space)
     _rows(scn, probes)
     assert calls == []
@@ -385,8 +385,8 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
     for i, space in enumerate(spaces):
         cold, warm = _pair(scn, space, log), _pair(scn, space, log)
         assert len(cold["moved"]) == len(probes)
-        assert cold["table"] == ([] if i else [((p,), None) for p in probes])
-        assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
+        assert cold["row"] == ([] if i else [(p, None) for p in probes])
+        assert warm == {"moved": [], "row": [], "svd": [], "eigvalsh": []}
         ext = check_extra_invariance(scn, space)
         want = oracle.translation_residual(space, scn.extra)
         assert ext.translation_residual == pytest.approx(want, abs=1e-12)
@@ -399,37 +399,40 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
 def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
     """Before its base gate a frame-given space makes one probe pass per
     probe and call on its whole stacked frame, as one fiber of n_points
-    rows moved by the probe's row of a fresh modulation table, with the
-    point-space oracle's residuals, and memoises no probe; after it a cold
-    check pair makes one pass on the range function per distinct probe
-    outside the base, a warm one none, with the reports of the fiber-built
-    original's verdicts and dimensions."""
+    rows moved by the probe's modulation row, with the point-space
+    oracle's residuals, and memoises no probe; the scenario builds each
+    probe's row once, base probes included.  After the gate a cold check
+    pair makes one pass on the whole frame per base probe and one on the
+    range function per distinct probe outside the base, and builds no row;
+    a warm one makes none, with the reports of the fiber-built original's
+    verdicts and dimensions."""
     scn = _fresh(scn)
     rng = np.random.default_rng(35)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     log = _passes(monkeypatch)
     probes, base_probes = _moving(scn), spaces_mod._probes(scn.base)
     pair = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
-    for i, space in enumerate(pair):
+    built = set()
+    for space in pair:
         given = Subspace(scn, space.frame)
         whole = (1, scn.action.n_points, space.dim)
         for sub in (scn.base, scn.extra):  # on the whole frame, before the gate
             log.clear()
             ok, res = is_invariant(given, sub)
             assert res == pytest.approx(oracle.translation_residual(space, sub), abs=1e-12)
-            sub_probes = spaces_mod._probes(sub)
-            assert [(k, s) for k, s, _ in log if k in ("moved", "table")] == [
-                entry for g in sub_probes for entry in (("table", (g,)), ("moved", whole))
-            ]
+            want = []
+            for g in spaces_mod._probes(sub):
+                want += [] if g in built else [("row", g)]
+                want.append(("moved", whole))
+                built.add(g)
+            assert [(k, s) for k, s, _ in log if k in ("moved", "row")] == want
             assert not {"_basis", "_invariance"} & set(vars(given))
         cold, warm = _pair(scn, given, log), _pair(scn, given, log)
         gate = [(whole, None)] * len(base_probes)
         assert cold["moved"] == gate + [(given._basis.shape, None)] * len(probes)
-        assert cold["table"] == [((g,), None) for g in base_probes] + (
-            [] if i else [((g,), None) for g in probes]
-        )
+        assert cold["row"] == []
         assert set(vars(given)["_invariance"]) == set(probes)
-        assert warm == {"moved": [], "table": [], "svd": [], "eigvalsh": []}
+        assert warm == {"moved": [], "row": [], "svd": [], "eigvalsh": []}
         ext = check_extra_invariance(scn, given)
         assert ext.extra_invariant == ok == check_extra_invariance(scn, space).extra_invariant
         assert ext.translation_residual == pytest.approx(res, abs=1e-12)
@@ -437,26 +440,31 @@ def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatc
 
 
 def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
-    """Only a frame-given space is transformed, and only at the base gate.
+    """Only a frame-given space is transformed, and once per call until
+    its base gate.
 
     ``check_extra_invariance``, ``check_decomposable`` and its inner
     extra-invariance check all ask for base invariance: a cold check pair
-    on a frame-given space transforms its frame once per base probe (its
-    probe pass on the whole stacked frame) and once more for its range
-    function, a warm one nothing at all; a fiber-built space is never
+    on a frame-given space transforms its frame once, for the base probes'
+    passes on the whole stacked frame and its range function alike, a warm
+    one nothing at all; before the gate every ``is_invariant`` transforms
+    it once, whatever the number of probes; a fiber-built space is never
     transformed.  ``fiber_matrices`` transforms through the unchecked
     stacking kernel ``zak._zak_stacked``, which ``spaces`` holds by name.
     """
     rng = np.random.default_rng(10)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = [span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)]
-    probes = tuple(scn.base.generators) or (scn.group.zero,)
     calls = []
     _counted(monkeypatch, spaces_mod, "_zak_stacked", calls)
     for space in spaces:
         given = Subspace(scn, space.frame)
         once = [("_zak_stacked", space.frame.shape)]
-        for subject, want in ((space, []), (given, once * (len(probes) + 1))):
+        for sub in (scn.base, scn.extra, scn.base):
+            calls.clear()
+            is_invariant(given, sub)
+            assert calls == once
+        for subject, want in ((space, []), (given, once)):
             runs = []
             for _ in range(2):
                 calls.clear()
@@ -520,7 +528,7 @@ def test_component_law_matches_translated_components(scn):
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
     subs = (scn.base, scn.extra)
-    mods = scn.modulations(sum((spaces_mod._probes(h) for h in subs), ()))
+    mods = [oracle.modulation_row(scn, g) for h in subs for g in spaces_mod._probes(h)]
     for space in spaces:
         basis = space._basis
         grams = [spaces_mod._moved(d, basis)[1] for d in mods]

@@ -437,6 +437,26 @@ def test_span_invariant_matches_the_point_space_span(spec, decades, count, one_b
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+@given(spec=scenario_specs(max_order=POINT_SPACE_MAX_ORDER))
+@example(spec=((1,), [], [], 1, 0))
+@example(spec=((12,), [(4,)], [(2,)], 2, 1))
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5))
+def test_modulation_rows_match_their_definition(spec):
+    """``Scenario.modulation(g)`` is ``oracle.modulation_row(scn, g)`` bit
+    for bit, for every element g, base elements included: one
+    (n_fibers, n_cosets) row, memoised per element."""
+    scn, _ = build(spec)
+    for g in scn.group.elements:
+        row = scn.modulation(g)
+        assert row.shape == (scn.n_fibers, scn.n_cosets) and scn.modulation(g) is row
+        assert row.tobytes() == oracle.modulation_row(scn, g).tobytes()
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(spec=scenario_specs(), decades=WEIGHT_DECADES)
 @example(spec=((1,), [], [], 1, 0), decades=0.0)
 @example(spec=((12,), [(4,)], [(4,)], 2, 4), decades=14.0)
@@ -450,8 +470,9 @@ def test_base_translations_fix_every_range_function(spec, decades):
     weights log-uniform over up to 1e14.
     """
     scn, rng = build(spec, decades)
-    mods = scn.modulations(tuple(scn.base.elements))
-    assert np.array_equal(mods, np.broadcast_to(mods[..., :1], mods.shape))
+    for g in scn.base.elements:
+        row = oracle.modulation_row(scn, g)
+        assert np.array_equal(row, np.broadcast_to(row[:, :1], row.shape))
     gens = complex_normal(rng, (scn.action.n_points, 2))
     spaces = (
         span_invariant(scn, gens[:, :1]),
@@ -658,8 +679,8 @@ def test_check_pair_matches_its_decomposition_references(spec, noise):
         space = noisy(space, noise, rng)
         basis = space._basis
         passes = []
-        for g, d in zip(scn.moving_probes, scn.modulations(scn.moving_probes)):
-            inside, factor, top = oracle.moved_top(d, basis)
+        for g in scn.moving_probes:
+            inside, factor, top = oracle.moved_top(oracle.modulation_row(scn, g), basis)
             assert_roundoff(spaces_mod._probe_pass(space, g)[0], top)
             passes.append((inside, factor))
         a, t, kv, off, kept = extra_mod._split(scn, space, basis)

@@ -192,47 +192,86 @@ def _fiber_cut(mats):
     assert _svd_calls(ast.parse(source)) == [6, 9, 12]
 
 
-def _modulations_calls(tree: ast.AST) -> list[int]:
-    """Lines calling ``modulations`` outside ``Scenario.modulation`` and
-    ``spaces._probe_pass``.
+def _modulation_builders(tree: ast.AST) -> list[int]:
+    """Lines defining or calling a modulation builder other than the
+    one-row ``Scenario.modulation``: any function whose name holds
+    ``modulation`` but is not that one (``modulations``,
+    ``modulation_table``, ...).
 
-    Those two read one probe's row each.  A span splits the generators'
-    fibers along the block rows of its subgroup instead of modulating them
-    by a section of it, so no builder makes a table of modulations.
+    Every library caller reads one probe's row; a span splits the
+    generators' fibers along the block rows of its subgroup instead of
+    modulating them by a section of it, so no builder makes a table.
     """
-    allowed = set()
+    lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("modulation", "_probe_pass"):
-            allowed.update(id(n) for n in ast.walk(node))
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and "modulations" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        and id(node) not in allowed
-    )
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        else:
+            continue
+        if name and "modulation" in name and name != "modulation":
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_modulation_tables_are_built_only_per_probe(path):
-    """Only a probe's row is ever built from ``Scenario.modulations``."""
-    lines = _modulations_calls(ast.parse(path.read_text(), filename=str(path)))
-    assert not lines, f"{path.name} calls modulations at lines {lines}"
+    """No library module defines or calls a multi-row modulation builder:
+    ``Scenario.modulation`` builds every row, one element at a time."""
+    lines = _modulation_builders(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} builds modulation tables at lines {lines}"
 
 
 def test_modulations_rule_catches_a_section_table():
     source = """
 def modulation(self, g):
-    return self.modulations((g,))[0]
+    return self._modulation[g]
 
 def _probe_pass(space, g):
-    return scn.modulations((g,))
+    return scn.modulation(g), scn._modulation.get(g)
+
+def modulation_table(self, probes):
+    return np.stack([self.modulation(g) for g in probes])
 
 def span_invariant(scn, gens, subgroup):
     moved = [d * gens for d in scn.modulations(scn.section(subgroup))]
-    return modulations(section)
+    return _modulation_rows(section)
 """
-    assert _modulations_calls(ast.parse(source)) == [9, 10]
+    assert _modulation_builders(ast.parse(source)) == [8, 12, 13]
+
+
+def _frame_transforms(tree: ast.AST) -> list[int]:
+    """Lines transforming a space's frame: ``fiber_matrices`` called on
+    a ``.frame`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "fiber_matrices" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and any(getattr(arg, "attr", None) == "frame" for arg in node.args)
+    )
+
+
+def test_spaces_transforms_a_frame_at_one_site():
+    """A frame-given space's base residuals, its gate's cut and its
+    residuals before the gate all read the fiber matrices of one
+    transform, made at one site of ``spaces.py`` (``_frame_pass``)."""
+    path = PACKAGE / "spaces.py"
+    lines = _frame_transforms(ast.parse(path.read_text(), filename=str(path)))
+    assert len(lines) == 1, f"spaces.py transforms a frame at lines {lines}"
+
+
+def test_frame_transform_rule_catches_a_second_site():
+    source = """
+def _frame_pass(space, probes):
+    mats = fiber_matrices(space.scenario, space.frame)
+
+def _range_function(space, tol):
+    cut = _block_cut(spaces.fiber_matrices(scn, space.frame), rows)
+    fiber_matrices(scn, mat), fiber_matrices(scn, frame)
+"""
+    assert _frame_transforms(ast.parse(source)) == [3, 6]
 
 
 def _fiber_spectrum_calls(tree: ast.AST) -> list[int]:

@@ -23,6 +23,7 @@ from actinv import (
     fiber_generators,
     is_invariant,
     length,
+    masked_component,
     principal_membership,
     sequence_extra_invariance,
     span_invariant,
@@ -127,7 +128,7 @@ def test_span_invariant_translates_a_section_only(scn, monkeypatch):
     the fiberwise span cuts the generators' block rows.
 
     For H the base, the extra subgroup and <(1, ..., 1)>: no modulation
-    table, and one SVD, of n_fibers * rows * k entries (the block rows of
+    row, and one SVD, of n_fibers * rows * k entries (the block rows of
     the k generators' fibers, [H : base] times fewer than a matrix of the
     generators' fibers and their translates by a section of H / base).
     Every nonzero basis column lies in the rows of one block of H, the
@@ -135,18 +136,18 @@ def test_span_invariant_translates_a_section_only(scn, monkeypatch):
     generators.  That no module but ``actions`` translates in point space
     is a source rule (``test_source.py``).
     """
-    tables, svds = [], []
-    modulations, svd = Scenario.modulations, np.linalg.svd
+    rows, svds = [], []
+    modulation, svd = Scenario.modulation, np.linalg.svd
 
-    def counted_modulations(self, probes):
-        tables.append(tuple(probes))
-        return modulations(self, probes)
+    def counted_modulation(self, g):
+        rows.append(g)
+        return modulation(self, g)
 
     def counted_svd(a, *args, **kwargs):
         svds.append(a.size)
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(Scenario, "modulations", counted_modulations)
+    monkeypatch.setattr(Scenario, "modulation", counted_modulation)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(14)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -157,7 +158,7 @@ def test_span_invariant_translates_a_section_only(scn, monkeypatch):
             continue
         svds.clear()
         basis = span_invariant(scn, gens, sub)._basis
-        assert tables == []
+        assert rows == []
         assert svds == [scn.n_fibers * scn.n_cosets * reps * 2]
         probes = np.array(sub.generators, dtype=np.int64).reshape(-1, scn.group.rank)
         labels = scn.group.phase_numerators(ann, probes)
@@ -172,19 +173,19 @@ def test_span_invariant_translates_a_section_only(scn, monkeypatch):
 def test_base_modulations_are_constant_on_every_fiber(scn):
     """A base element g pairs to one with the base annihilator, so its
     modulation row is ``pairing(g, omega[w])`` at every annihilator position
-    of fiber w, exactly: it maps every fiber basis to itself, and
-    ``Scenario.modulation`` reads ``None`` for it.  Every other element's
-    row there is its row of the table, bit for bit."""
-    mods = scn.modulations(tuple(scn.base.elements))
-    omega = scn.group.coords[scn.dual_section.rep_indices]
-    base = scn.group.coords[scn.base.indices]
-    want = scn.group.characters(base, omega)[:, :, None]
-    assert np.array_equal(mods, np.broadcast_to(want, mods.shape))
+    of fiber w, exactly: it maps every fiber basis to itself.  Every row,
+    a base element's included, is its definition bit for bit
+    (``oracle.modulation_row``).  A probe pass on a range function reads a
+    base probe by membership and builds no row for it."""
     fresh = Scenario(scn.group, scn.base, scn.extra, scn.action)  # the bank's is shared
-    assert all(fresh.modulation(g) is None for g in scn.base.elements)
-    outside = [g for g in scn.group.elements if g not in scn.base]
-    for g, row in zip(outside, scn.modulations(tuple(outside))):
-        assert fresh.modulation(g).tobytes() == row.tobytes()
+    space = span_invariant(fresh, random_function(fresh, np.random.default_rng(45)))
+    assert is_invariant(space, fresh.base) == (True, 0.0)
+    assert fresh._modulation == {}
+    for g in scn.group.elements:
+        row = fresh.modulation(g)
+        assert row.tobytes() == oracle.modulation_row(scn, g).tobytes()
+        if g in scn.base:
+            assert np.array_equal(row, np.broadcast_to(row[:, :1], row.shape))
 
 
 def test_base_translations_fix_fiber_built_spaces(scn):
@@ -209,24 +210,25 @@ def test_probe_rows_are_built_once_per_scenario(chain12, monkeypatch):
     fiber-built spaces of one scenario, builds each probe's modulation row
     once, for the first space, and agrees with the point-space oracle."""
     scn = Scenario(chain12.group, chain12.base, chain12.extra, chain12.action)
-    tables = []
-    modulations = Scenario.modulations
+    rows = []
+    modulation = Scenario.modulation
 
-    def counted(self, probes):
-        tables.append(tuple(probes))
-        return modulations(self, probes)
+    def counted(self, g):
+        if g not in self._modulation:
+            rows.append(g)
+        return modulation(self, g)
 
     rng = np.random.default_rng(43)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
     subs = (Subgroup(scn.group, [(1,)]), Subgroup(scn.group, [(3,)]))
     assert all(sub not in (scn.base, scn.extra) for sub in subs)
-    monkeypatch.setattr(Scenario, "modulations", counted)
+    monkeypatch.setattr(Scenario, "modulation", counted)
     for space in spaces:
         for sub in subs:
             _, res = is_invariant(space, sub)
             assert res == pytest.approx(oracle.translation_residual(space, sub), abs=1e-12)
-    assert tables == [((1,),), ((3,),)]
+    assert rows == [(1,), (3,)]
 
 
 def test_frame_given_space_keeps_no_probe_memo_before_its_gate(scn):
@@ -251,9 +253,8 @@ def test_translates_are_modulated_fibers(scn):
     rng = np.random.default_rng(42)
     mat = np.column_stack([random_function(scn, rng) for _ in range(2)])
     fibers = fiber_matrices(scn, mat)
-    mods = scn.modulations(tuple(scn.group.elements))
-    for a, d in zip(scn.group.elements, mods):
-        got = spaces_mod._modulate(d, fibers)
+    for a in scn.group.elements:
+        got = spaces_mod._modulate(scn.modulation(a), fibers)
         want = fiber_matrices(scn, translate(scn.action, a, mat))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(fibers))
 
@@ -478,6 +479,24 @@ def test_membership_refuses_norms_that_overflow(chain12):
                     call()
 
 
+def test_span_refuses_vectors_whose_weighting_overflows():
+    """On Z_2 x Z_6 on 2 orbits with weights over a 1e3 range, two finite
+    vectors scaled by 1e307 overflow when weighted: ``Subspace.span``
+    raises ``ValueError`` naming the vectors, with no ``RuntimeWarning``;
+    at 1e150 they still span two dimensions."""
+    g = FiniteAbelianGroup([2, 6])
+    rng = np.random.default_rng(0)
+    weights = np.exp(rng.uniform(0.0, np.log(1e3), 2 * g.order))
+    act = ActionSpace.regular(g, 2, weights)
+    scn = Scenario(g, Subgroup(g, [(0, 2)]), Subgroup(g, [(1, 0), (0, 2)]), act)
+    vecs = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Subspace.span(scn, vecs * 1e150).dim == 2
+        with pytest.raises(ValueError, match="^vectors too large: the weighting overflows"):
+            Subspace.span(scn, vecs * 1e307)
+
+
 # -- fiber structure -----------------------------------------------------------
 
 
@@ -615,7 +634,39 @@ def test_frame_constructor_refuses_malformed_frames(bank):
         frame[3, 1] = bad
         with pytest.raises(ValueError, match="frame entries must be finite"):
             Subspace(scn, frame)
-    assert Subspace(scn, np.ones((n, 2))).frame.dtype == complex
+    real = np.eye(n)[:, :2] / np.sqrt(scn.action.weights)[:, None]
+    assert Subspace(scn, real).frame.dtype == complex
+
+
+def test_frame_constructor_refuses_frames_that_are_not_orthonormal(chain12):
+    """``Subspace(scn, frame)`` refuses a frame whose weighted Gram matrix
+    is not the identity to within ``_FRAME_TOL``, naming its largest
+    deviation, and one whose Gram matrix overflows, with no warning; the
+    library's own frames pass."""
+    rng = np.random.default_rng(0)
+    principal = span_invariant(chain12, random_function(chain12, rng))
+    with pytest.raises(ValueError, match=r"\|Q\^H W Q - I\| is 3\.000e\+00, above 1e-10"):
+        Subspace(chain12, principal.frame * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="frame too large: the weighted Gram matrix"):
+            Subspace(chain12, principal.frame * 1e307)
+    gens = np.column_stack([random_function(chain12, rng) for _ in range(2)])
+    spaces = (
+        principal,
+        span_invariant(chain12, gens, chain12.extra),
+        canonical_extra_invariant(chain12),
+        Subspace.span(chain12, gens),
+        masked_component(chain12, principal, chain12.block_labels[0]),
+    )
+    for space in spaces:
+        assert Subspace(chain12, space.frame).dim == space.dim
+    tilted = principal.frame.copy()
+    tilted[:, 0] *= 1 + 0.25 * spaces_mod._FRAME_TOL
+    assert Subspace(chain12, tilted).dim == principal.dim
+    tilted[:, 0] *= 1 + 2 * spaces_mod._FRAME_TOL
+    with pytest.raises(ValueError, match="not weighted-orthonormal"):
+        Subspace(chain12, tilted)
 
 
 def test_fiber_constructor_refuses_malformed_bases(bank):
