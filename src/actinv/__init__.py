@@ -34,7 +34,6 @@ from .extra import (
     dual_partition,
     mask_apply,
     masked_component,
-    sequence_extra_invariance,
 )
 from .groups import (
     ChainReport,

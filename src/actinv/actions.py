@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class ActionSpace:
         ]
         return cls(group, n, perms, weights)
 
-    def sigma(self, tau: Iterable[int]) -> np.ndarray:
+    def sigma(self, tau: Sequence[int]) -> np.ndarray:
         """Permutation of ``tau``: ``sigma(tau)[x]`` is the image of x.
 
         ``tau`` moves the element coordinate only:
@@ -254,7 +254,7 @@ def _compose_orbits(action: ActionSpace, starts: np.ndarray) -> np.ndarray:
     return images
 
 
-def jacobian(action: ActionSpace, tau: Iterable[int], x: int | None = None):
+def jacobian(action: ActionSpace, tau: Sequence[int], x: int | None = None):
     """Weight ratio of the action: ``weights[sigma_tau(x)] / weights[x]``.
 
     With ``x`` omitted, returns the whole row over all points.  Satisfies
@@ -272,7 +272,7 @@ def jacobian(action: ActionSpace, tau: Iterable[int], x: int | None = None):
     return float(ratios[x])
 
 
-def translate(action: ActionSpace, tau: Iterable[int], f: np.ndarray) -> np.ndarray:
+def translate(action: ActionSpace, tau: Sequence[int], f: np.ndarray) -> np.ndarray:
     """Apply the weighted translation unitary for ``tau`` (columnwise on 2-D).
 
     ``ValueError`` unless ``f`` is a finite function, 1-D, or a matrix of

@@ -27,8 +27,8 @@ isometry, so the masked image of a space is spanned by the block rows of
 its fiber bases, and one batched SVD of those block rows per fiber and
 block (:func:`_split`) yields every component at once: its dimension, its
 directions as coefficient vectors on the fiber basis, and the norm each
-direction keeps outside its block.  No check builds an n x n array, a
-frame or a translate of a fiber-built space.
+direction keeps outside its block.  Neither a check nor a masked component
+(:func:`masked_component`) builds an n x n array, a frame or a translate.
 
 Independence: the two sides share the fiber bases, so a disagreement
 (:class:`TheoremViolationError`) exposes a fault in the partition rows,
@@ -43,15 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvarianceError, TheoremViolationError
-from .scenario import DualPartition, Scenario, _probes
+from .errors import TheoremViolationError
+from .scenario import DualPartition, Scenario
 from .spaces import (
     DEFAULT_TOL,
     RANK_TOL,
     Subspace,
-    _block_cut,
     _blocks,
     _kept,
+    _packed,
     _probe_pass,
     _range_function,
     _residual,
@@ -60,7 +60,7 @@ from .spaces import (
     require_base_invariant,
     require_scenario,
 )
-from .zak import _group_dft, zak_full, zak_full_inv
+from .zak import zak_full, zak_full_inv
 
 
 def dual_partition(scn: Scenario) -> DualPartition:
@@ -80,20 +80,20 @@ def mask_apply(scn: Scenario, xi, f: np.ndarray):
 
 
 def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
-    """The image of a base-invariant subspace under the block mask.
-
-    Computed in point space: one :func:`mask_apply` of the frame and a rank
-    cut.  The checks do not call it; they read the same components off the
-    Zak side (:func:`check_extra_invariance`).
-    """
+    """The image of a base-invariant subspace under xi's block mask, read
+    off the checks' block split (:func:`_split`): the kept left singular
+    vectors of xi's block rows, so its dimension is xi's ``component_dims``
+    entry.  ``ValueError`` for another scenario, then ``InvarianceError``
+    at the base gate, the zero space for dimension 0, then ``KeyError``
+    for an unknown label."""
     require_scenario(scn, space)
-    require_base_invariant(space)
+    basis = require_base_invariant(space)
     if space.dim == 0:
         return Subspace.zero(scn)
-    masked = mask_apply(scn, xi, space.frame)
-    # masks act on unit frame columns: anything below the absolute floor
-    # is roundoff, not a direction of the image
-    return Subspace.span(scn, masked, floor=RANK_TOL)
+    pos = scn.block_section.position_of(xi)
+    a, _, _, _, kept = _split(scn, space, basis)
+    only = kept & (np.arange(scn.n_blocks) == pos)[:, None]
+    return Subspace._of_range(scn, _packed(a, only, dual_partition(scn).rows))
 
 
 def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
@@ -375,59 +375,3 @@ def _match_deviation(scn: Scenario, space: Subspace, basis: np.ndarray) -> float
     ak = a * kept[:, :, None, :]
     gap = (np.abs(ak) ** 2).sum(axis=3) - (np.abs(comps) ** 2).sum(axis=3)
     return float(np.abs(gap).max(initial=0.0))
-
-
-# -- cross-check in the sequence space over the group -------------------------
-
-
-def sequence_extra_invariance(
-    scn: Scenario, basis: np.ndarray, tol: float = DEFAULT_TOL
-) -> bool:
-    """Extra-invariance test for a subspace of sequences over the group.
-
-    ``basis`` columns span a subspace of complex sequences indexed by group
-    elements (plain Euclidean inner product; index translation as the group
-    action).  Requires invariance under base-subgroup translations.  The
-    verdict is computed both by translating along the extra subgroup's
-    generators and by masking discrete Fourier transforms with the block
-    indicators; disagreement raises :class:`TheoremViolationError`.
-    ``ValueError`` unless ``tol`` is a finite positive number.
-    """
-    group = scn.group
-    n = group.order
-    tol = checked_tol(tol)
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[0] != n:
-        raise ValueError(f"basis must have {n} rows")
-    if not np.isfinite(basis).all():
-        raise ValueError("basis must be finite")
-    q = _block_cut(basis[None], np.arange(n)[None])[0]
-
-    def shift(el, mat):
-        return mat[group.indices(group.coords - el)]
-
-    def resid(mat):
-        if mat.shape[1] == 0:
-            return 0.0
-        return float(np.abs(mat - q @ (q.conj().T @ mat)).max())
-
-    worst_base = max(resid(shift(g, q)) for g in _probes(scn.base))
-    if worst_base > tol:
-        raise InvarianceError(
-            f"sequence subspace is not base-translation invariant (residual {worst_base:.3e})"
-        )
-    res_translate = max(resid(shift(g, q)) for g in _probes(scn.extra))
-    spectra = _group_dft(group, q)  # [h] = sum_t pairing(-t, h) q[t]
-    positions = dual_partition(scn).positions
-    res_mask = 0.0
-    for pos in range(scn.n_blocks):
-        masked = _group_dft(group, spectra * (positions == pos)[:, None], inverse=True)
-        res_mask = max(res_mask, resid(masked))
-    ok_translate, ok_mask = res_translate <= tol, res_mask <= tol
-    if ok_translate != ok_mask:
-        raise TheoremViolationError(
-            "sequence-space translation and mask tests disagree",
-            details={"translation": res_translate, "mask": res_mask},
-        )
-    return ok_translate
-

@@ -66,27 +66,39 @@ class FiniteAbelianGroup:
     def zero(self) -> Element:
         return (0,) * self.rank
 
-    def reduce(self, coords: Iterable[int]) -> Element:
-        """Reduce coordinates modulo the moduli; rejects wrong arity."""
-        c = tuple(int(v) for v in coords)
-        if len(c) != self.rank:
-            raise ValueError(
-                f"element has {len(c)} coordinates, group has rank {self.rank}"
-            )
-        return tuple(v % n for v, n in zip(c, self.moduli))
+    def reduce(self, coords: Sequence[int]) -> Element:
+        """Reduce coordinates modulo the moduli.
 
-    def add(self, a: Iterable[int], b: Iterable[int]) -> Element:
+        The boundary of every element argument: ``ValueError`` unless
+        ``coords`` is a sequence (a tuple, a list or a 1-D array) of
+        ``rank`` integers.  A float coordinate is refused, not truncated,
+        and so is a ``bool``; numpy integers pass.
+        """
+        if not isinstance(coords, (tuple, list)) and not (
+            isinstance(coords, np.ndarray) and coords.ndim == 1
+        ):
+            raise ValueError(f"element must be a sequence of integers, got {coords!r}")
+        # ``type(v) is int`` refuses a bool, an int subclass
+        if not all(type(v) is int or isinstance(v, np.integer) for v in coords):
+            raise ValueError(f"element coordinates must be integers, got {tuple(coords)!r}")
+        if len(coords) != self.rank:
+            raise ValueError(
+                f"element has {len(coords)} coordinates, group has rank {self.rank}"
+            )
+        return tuple(int(v) % n for v, n in zip(coords, self.moduli))
+
+    def add(self, a: Sequence[int], b: Sequence[int]) -> Element:
         a, b = self.reduce(a), self.reduce(b)
         return tuple((x + y) % n for x, y, n in zip(a, b, self.moduli))
 
-    def neg(self, a: Iterable[int]) -> Element:
+    def neg(self, a: Sequence[int]) -> Element:
         a = self.reduce(a)
         return tuple((-x) % n for x, n in zip(a, self.moduli))
 
-    def sub(self, a: Iterable[int], b: Iterable[int]) -> Element:
+    def sub(self, a: Sequence[int], b: Sequence[int]) -> Element:
         return self.add(a, self.neg(b))
 
-    def index(self, el: Iterable[int]) -> int:
+    def index(self, el: Sequence[int]) -> int:
         """Position in ``elements``; one element's case of :meth:`indices`."""
         return sum(c * s for c, s in zip(self.reduce(el), self._strides))
 
@@ -100,7 +112,7 @@ class FiniteAbelianGroup:
         """Order of the cyclic subgroup generated by a reduced element."""
         return math.lcm(*(n // math.gcd(c, n) for c, n in zip(el, self.moduli)))
 
-    def phase_numerator(self, x: Iterable[int], xi: Iterable[int]) -> int:
+    def phase_numerator(self, x: Sequence[int], xi: Sequence[int]) -> int:
         """Numerator of the pairing phase over the common denominator lcm(moduli).
 
         ``pairing(x, xi) == exp(2 pi i * numerator / lcm)``; the numerator is
@@ -115,21 +127,12 @@ class FiniteAbelianGroup:
         """``[i, j] = phase_numerator(xs[i], xis[j])`` for reduced coordinate rows."""
         return (xs * self._scale) @ xis.T % self._lcm
 
-    def pairing(self, x: Iterable[int], xi: Iterable[int]) -> complex:
+    def pairing(self, x: Sequence[int], xi: Sequence[int]) -> complex:
         """Character value of the (self-)dual pairing; exactly 1 when trivial."""
         num = self.phase_numerator(x, xi)
         if num == 0:
             return complex(1.0)
         return complex(np.exp(2j * np.pi * num / self._lcm))
-
-    def pairing_is_one(self, x: Iterable[int], xi: Iterable[int]) -> bool:
-        return self.phase_numerator(x, xi) == 0
-
-    def char_matrix(self, xs: Sequence[Element], xis: Sequence[Element]) -> np.ndarray:
-        """Matrix of pairings ``[i, j] -> pairing(xs[i], xis[j])``."""
-        a = np.array([self.reduce(x) for x in xs], dtype=np.int64)
-        b = np.array([self.reduce(x) for x in xis], dtype=np.int64)
-        return self.characters(a, b)
 
     def characters(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
         """``[i, j] = pairing(xs[i], xis[j])`` for reduced coordinate rows."""
@@ -137,14 +140,14 @@ class FiniteAbelianGroup:
 
 
 class Subgroup:
-    """A subgroup, closed over from a generator list (or explicit elements).
+    """A subgroup, closed over from a generator list.
 
     ``elements`` is the full element list in lexicographic order; the zero
     element always comes first.  ``indices`` holds the same elements as
     sorted positions in ``group.elements``.
     """
 
-    def __init__(self, group: FiniteAbelianGroup, generators: Iterable[Iterable[int]]):
+    def __init__(self, group: FiniteAbelianGroup, generators: Iterable[Sequence[int]]):
         self.group = group
         self.generators: list[Element] = [group.reduce(g) for g in generators]
         mask = np.zeros(group.order, dtype=bool)
@@ -160,16 +163,6 @@ class Subgroup:
         self._mask = mask
         self.elements: list[Element] = [group.elements[i] for i in self.indices]
         self.order = len(self.elements)
-
-    @classmethod
-    def from_elements(
-        cls, group: FiniteAbelianGroup, elements: Iterable[Iterable[int]]
-    ) -> "Subgroup":
-        """Build from an explicit element set, deriving a small generator list."""
-        members = np.zeros(group.order, dtype=bool)
-        for e in elements:
-            members[group.index(e)] = True
-        return cls._from_mask(group, members)
 
     @classmethod
     def _from_mask(cls, group: FiniteAbelianGroup, members: np.ndarray) -> "Subgroup":
@@ -282,11 +275,7 @@ class CosetSection:
     rep_indices: np.ndarray = field(repr=False, hash=False, compare=False)
     positions: np.ndarray = field(repr=False, hash=False, compare=False)
 
-    def rep_of(self, el: Iterable[int]) -> Element:
-        """Representative of the coset containing ``el``."""
-        return self.representatives[self.position_of(el)]
-
-    def position_of(self, el: Iterable[int]) -> int:
+    def position_of(self, el: Sequence[int]) -> int:
         """Position (coset index) of the coset containing ``el``."""
         key = self.group.reduce(el)
         pos = int(self.positions[self.group.index(key)])

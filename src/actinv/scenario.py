@@ -273,10 +273,6 @@ class DualPartition:
         elements = self.scenario.group.elements
         return tuple(frozenset(elements[i] for i in m) for m in self._members())
 
-    def block_of(self, tau_hat) -> Element:
-        """Label of the block containing the dual element."""
-        return self.labels[self.positions[self.scenario.group.index(tau_hat)]]
-
     def as_dict(self) -> dict:
         elements = self.scenario.group.elements
         return {

@@ -59,19 +59,15 @@ def checked_tol(tol) -> float:
     return float(tol)
 
 
-def orthonormal_columns(
-    weights: np.ndarray, vectors: np.ndarray, *, floor: float = 0.0
-) -> np.ndarray:
+def orthonormal_columns(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Orthonormal frame for the span of the columns, weighted inner product.
 
     The rank cut of :func:`_block_cut` in weighted coordinates: the columns
     are scaled by ``weights ** 0.5``, cut as a single fiber, and scaled
-    back.  ``floor`` is an absolute threshold on the singular values on top
-    of the relative one; derived inputs (mask images, projections of unit
-    vectors) must pass it so that a matrix of pure roundoff noise ranks as
-    zero instead of relative-to-itself.  Weighted values that overflow
-    read ``inf``, with no warning, and the cut raises ``LinAlgError``
-    (:func:`_kept`).
+    back.  The cut is relative to the largest singular value only, so it
+    suits the caller's own vectors, not a derived matrix that may be pure
+    roundoff.  Weighted values that overflow read ``inf``, with no
+    warning, and the cut raises ``LinAlgError`` (:func:`_kept`).
     """
     a = np.asarray(vectors, dtype=complex)
     if a.ndim != 2:
@@ -79,7 +75,7 @@ def orthonormal_columns(
     root = np.sqrt(weights)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         a = a * root
-    return _block_cut(a[None], np.arange(len(a))[None], floor=floor)[0] / root
+    return _block_cut(a[None], np.arange(len(a))[None])[0] / root
 
 
 class Subspace:
@@ -111,19 +107,13 @@ class Subspace:
         self.scenario, self.frame = scenario, frame
 
     @classmethod
-    def span(
-        cls,
-        scn: Scenario,
-        vectors: Sequence[np.ndarray] | np.ndarray,
-        *,
-        floor: float = 0.0,
-    ) -> "Subspace":
+    def span(cls, scn: Scenario, vectors: Sequence[np.ndarray] | np.ndarray) -> "Subspace":
         """The space the vectors span, cut by :func:`orthonormal_columns`;
         ``ValueError`` naming the vectors if their weighted values overflow
         the float range."""
         mat = as_columns(scn, vectors)
         try:
-            frame = orthonormal_columns(scn.action.weights, mat, floor=floor)
+            frame = orthonormal_columns(scn.action.weights, mat)
         except np.linalg.LinAlgError:
             raise _too_large("vectors", "weighting") from None
         return cls._of_frame(scn, frame)
@@ -353,23 +343,28 @@ def _blocks(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return mats[:, None] if len(rows) == 1 else np.take(mats, rows, axis=1)
 
 
-def _block_cut(mats: np.ndarray, rows: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
+def _block_cut(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The rank cut of fiber bases that split along blocks, as a range function.
 
     ``mats`` holds fiber matrices (n_fibers, rows, k) and ``rows`` a block
     table (:func:`_blocks`), one block for the base or a single matrix.  One
     batched SVD of the block rows; the left singular vectors whose singular
-    values pass :func:`_kept` over every fiber and block are copied back
-    into their block's rows, in (block, singular index) order per fiber, so
-    a fiber of roundoff is empty.  The result is as wide as the widest
-    fiber, every other entry zero.
+    values pass :func:`_kept` over every fiber and block are put back into
+    their block's rows (:func:`_packed`), so a fiber of roundoff is empty.
     """
     u, s, _ = np.linalg.svd(_blocks(mats, rows), full_matrices=False)
-    keep = _kept(s, floor)
+    return _packed(u, _kept(s), rows)
+
+
+def _packed(u: np.ndarray, keep: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The left singular vectors ``u`` of a block table's rows flagged by
+    ``keep`` (n_fibers, n_blocks, k), copied into their block's rows in
+    (block, singular index) order per fiber: a range function as wide as
+    the widest fiber, every other entry zero."""
     fibers, block, sing = np.nonzero(keep)
     counts = keep.sum(axis=(1, 2))
     slot = np.arange(fibers.size) - (counts.cumsum() - counts)[fibers]
-    basis = np.zeros(mats.shape[:2] + (int(counts.max(initial=0)),), dtype=complex)
+    basis = np.zeros((len(u), rows.size, int(counts.max(initial=0))), dtype=complex)
     basis[fibers[:, None], rows[block], slot[:, None]] = u[fibers, block, :, sing]
     return basis
 

@@ -3,7 +3,7 @@
 The library computes the full Zak transform with an FFT over the moduli
 shape and regroups it through index tables.  The functions here do neither:
 each one contracts the orbit samples with the whole |G| x |G| character
-table from :meth:`FiniteAbelianGroup.char_matrix` and regroups dual
+table from :meth:`FiniteAbelianGroup.characters` and regroups dual
 elements by explicit group addition, so agreement with the library is a
 check of its kernels and bookkeeping, not a restatement of them.  They are
 O(|G|^2) and meant for test sizes only.
@@ -31,11 +31,13 @@ The invariant span reference translates the generators by every element of
 the subgroup and cuts the rank of all those columns at once, in point
 space.  The extra-invariance references take the point-space route: the
 frame translated by each probe, a pivoted-QR rank cut of every block's
-mask image, the dense sum of the components' n x n projectors, and
-per-fiber bases with their block residuals and projector matches, all in
-Python loops over blocks and fibers.  The
-fiberized range-function check unfolds orbit samples into sequences over
-the group.  Both are too slow for large groups and meant for test sizes.
+mask image (the masked component), the dense sum of the components' n x n
+projectors, and per-fiber bases with their block residuals and projector
+matches, all in Python loops over blocks and fibers.  The fiberized
+range-function check unfolds orbit samples into sequences over the group,
+where criterion 9's sequence-space test translates them and masks their
+dense DFT by the block indicators.  Both are too slow for large groups and
+meant for test sizes.
 
 The check pair's decompositions are kept in their first form: a probe
 pass as the R factor of a QR and a values-only SVD, the component law as
@@ -48,9 +50,9 @@ its generator permutations (``compose_table``) and read every translate off
 it.  The group-core references at the end work element by element on
 coordinate tuples, with ``FiniteAbelianGroup.add`` and set membership: the
 all-pairs group-law check on that table, coset representatives as a
-lexicographic minimum over the subgroup, the annihilator by the pairing
-test against every subgroup element, and subgroup membership by closure
-under all pairs.  They are O(|G|^2) as well.
+lexicographic minimum over the subgroup, the annihilator by the exact
+phase test against every subgroup element, and subgroup membership by
+closure under all pairs.  They are O(|G|^2) as well.
 
 The CSV reference writes a matrix one entry at a time, in Python loops.
 """
@@ -64,23 +66,35 @@ import scipy.linalg
 from actinv import (
     ActionError,
     FreenessError,
+    InvarianceError,
     OrbitError,
     Subgroup,
     Subspace,
+    TheoremViolationError,
     check_extra_invariance,
     mask_apply,
-    sequence_extra_invariance,
     translate,
     unfold_orbits,
 )
+from actinv.spaces import checked_tol
 
 RANK_TOL = 1e-10
+
+
+def char_matrix(group, xs, xis):
+    """``[i, j] = pairing(xs[i], xis[j])``: the characters of the elements'
+    reduced coordinate rows."""
+
+    def rows(elements):
+        return np.array([group.reduce(x) for x in elements], dtype=np.int64).reshape(-1, group.rank)
+
+    return group.characters(rows(xs), rows(xis))
 
 
 def analysis_chars(group):
     """``[t, h] = pairing(-t, h)`` over ``group.elements`` on both axes."""
     negs = [group.neg(t) for t in group.elements]
-    return group.char_matrix(negs, group.elements)
+    return char_matrix(group, negs, group.elements)
 
 
 def compose_table(action):
@@ -203,12 +217,12 @@ def kernel_tables(scn):
 
 def kernel_chars_base_omega(scn):
     negs = [scn.group.neg(g) for g in scn.base.elements]
-    return scn.group.char_matrix(negs, list(scn.omega))
+    return char_matrix(scn.group, negs, scn.omega)
 
 
 def kernel_coset_dft(scn):
     negs = [scn.group.neg(a) for a in scn.transversal.representatives]
-    return scn.group.char_matrix(negs, list(scn.annihilator_order)).T
+    return char_matrix(scn.group, negs, scn.annihilator_order).T
 
 
 def _kernel_gathered(table, f):
@@ -274,30 +288,29 @@ def kernel_fold(scn, phi):
     return _kernel_scattered(scn, kernel_tables(scn)["unfold"], samples)
 
 
-def kernel_euclid_orth(mat, tol=RANK_TOL, floor=0.0):
+def kernel_euclid_orth(mat, tol=RANK_TOL):
     """Orthonormal columns for the span of ``mat``'s columns (Euclidean).
 
     The left singular vectors of one SVD, cut at ``tol`` times the largest
-    singular value and at the absolute ``floor``: the rank cut of a single
-    matrix in its first, sliced form.
+    singular value: the rank cut of a single matrix in its first, sliced
+    form.
     """
     if mat.shape[1] == 0:
         return mat.copy()
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] <= max(floor, 0.0):
+    if s.size == 0 or s[0] <= 0.0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
-    return u[:, : int(np.sum(s > max(tol * s[0], floor)))]
+    return u[:, : int(np.sum(s > tol * s[0]))]
 
 
-def kernel_block_cut(mats, rows, tol=RANK_TOL, floor=0.0):
+def kernel_block_cut(mats, rows, tol=RANK_TOL):
     """The rank cut of fiber matrices along blocks, as a range function.
 
     One SVD per fiber and block of ``mats[w][rows[b]]``; a left singular
     vector counts when its value is above ``tol`` times the largest over
-    every fiber and block and above ``floor``.  Fiber w's kept vectors, in
-    (block, singular index) order, are its columns, each zero outside its
-    block's rows; the result is complex, as wide as the widest fiber and
-    zero-filled.
+    every fiber and block.  Fiber w's kept vectors, in (block, singular
+    index) order, are its columns, each zero outside its block's rows; the
+    result is complex, as wide as the widest fiber and zero-filled.
     """
     n_fibers, n_rows, _ = mats.shape
     factors = [
@@ -305,7 +318,7 @@ def kernel_block_cut(mats, rows, tol=RANK_TOL, floor=0.0):
         for w in range(n_fibers)
     ]
     top = max((float(s.max(initial=0.0)) for fiber in factors for _, s in fiber), default=0.0)
-    cut = max(tol * top, floor)
+    cut = tol * top
     columns = [
         [(b, u[:, i]) for b, (u, s) in enumerate(fiber) for i in np.flatnonzero(s > cut)]
         for fiber in factors
@@ -522,6 +535,15 @@ def point_space_span(scn, generators, subgroup):
     return Subspace.span(scn, np.hstack(translates))
 
 
+def masked_component(scn, space, xi):
+    """Block xi's masked component in point space, in weighted coordinates:
+    the dense span of the frame's mask image, cut by pivoted QR at the
+    absolute floor ``RANK_TOL`` (the frame is orthonormal, so anything
+    below it is roundoff)."""
+    root = np.sqrt(scn.action.weights)[:, None]
+    return euclid_orth(mask_apply(scn, xi, space.frame) * root, floor=RANK_TOL)
+
+
 def point_space_checks(scn, space, tol=1e-9):
     """Both sides of the extra-invariance checks on the point-space route.
 
@@ -541,10 +563,7 @@ def point_space_checks(scn, space, tol=1e-9):
     """
     root = np.sqrt(scn.action.weights)[:, None]
     qs = space.frame * root
-    comps = []
-    for xi in scn.block_labels:
-        masked = mask_apply(scn, xi, space.frame) * root
-        comps.append(euclid_orth(masked, floor=RANK_TOL))
+    comps = [masked_component(scn, space, xi) for xi in scn.block_labels]
     inclusion = [_worst_direction(c - qs @ (qs.conj().T @ c)) for c in comps]
     out = {
         "extra_invariant": all(r <= tol for r in inclusion),
@@ -604,7 +623,7 @@ def range_function_consistency(scn, space, tol=1e-9, rng=None, samples=3):
     over the group, of the unfolded orbit samples of all base translates of
     the frame columns.  Random members of the space must unfold into the
     range function at every x, and when the space is extra-invariant,
-    every range function must pass ``sequence_extra_invariance``.
+    every range function must pass :func:`sequence_extra_invariance`.
     """
     if space.dim == 0:
         return True
@@ -628,6 +647,59 @@ def range_function_consistency(scn, space, tol=1e-9, rng=None, samples=3):
         if ext.extra_invariant:
             ok = ok and sequence_extra_invariance(scn, w, tol)
     return ok
+
+
+def sequence_extra_invariance(scn, basis, tol=1e-9):
+    """Extra-invariance test for a subspace of sequences over the group.
+
+    ``basis`` columns span a subspace of complex sequences indexed by group
+    elements (plain Euclidean inner product; index translation as the group
+    action).  Requires invariance under base-subgroup translations
+    (:class:`InvarianceError`).  The verdict is computed both by translating
+    along the extra subgroup's generators and by masking discrete Fourier
+    transforms with the block indicators; disagreement raises
+    :class:`TheoremViolationError`.  ``ValueError`` unless ``tol`` is a
+    finite positive number and the basis has one finite row per element.
+    """
+    group = scn.group
+    n = group.order
+    tol = checked_tol(tol)
+    basis = np.asarray(basis, dtype=complex)
+    if basis.ndim != 2 or basis.shape[0] != n:
+        raise ValueError(f"basis must have {n} rows")
+    if not np.isfinite(basis).all():
+        raise ValueError("basis must be finite")
+    q = kernel_euclid_orth(basis)
+
+    def shift(el, mat):
+        return mat[group.indices(group.coords - el)]
+
+    def resid(mat):
+        if mat.shape[1] == 0:
+            return 0.0
+        return float(np.abs(mat - q @ (q.conj().T @ mat)).max())
+
+    def probes(subgroup):
+        return tuple(subgroup.generators) or (group.zero,)
+
+    worst_base = max(resid(shift(g, q)) for g in probes(scn.base))
+    if worst_base > tol:
+        raise InvarianceError(
+            f"sequence subspace is not base-translation invariant (residual {worst_base:.3e})"
+        )
+    res_translate = max(resid(shift(g, q)) for g in probes(scn.extra))
+    spectra = _kernel_dft(group, q)  # [h] = sum_t pairing(-t, h) q[t]
+    res_mask = 0.0
+    for xi in scn.block_labels:
+        keep = block_indicator(scn, xi)[:, None]
+        res_mask = max(res_mask, resid(_kernel_dft(group, spectra * keep, inverse=True)))
+    ok_translate, ok_mask = res_translate <= tol, res_mask <= tol
+    if ok_translate != ok_mask:
+        raise TheoremViolationError(
+            "sequence-space translation and mask tests disagree",
+            details={"translation": res_translate, "mask": res_mask},
+        )
+    return ok_translate
 
 
 # -- the check pair's decompositions, in their first form ------------------------
@@ -739,8 +811,17 @@ def annihilator_elements(subgroup):
     return [
         xi
         for xi in group.elements
-        if all(group.pairing_is_one(h, xi) for h in subgroup.elements)
+        if all(group.phase_numerator(h, xi) == 0 for h in subgroup.elements)
     ]
+
+
+def members(group, elements):
+    """The bool mask of an element set over the group, as
+    ``Subgroup._from_mask`` takes it."""
+    mask = np.zeros(group.order, dtype=bool)
+    for el in elements:
+        mask[group.index(el)] = True
+    return mask
 
 
 def is_subgroup(group, elements):

@@ -103,6 +103,27 @@ def test_jacobian_refuses_a_point_outside_the_space(x):
     assert jacobian(act, (1,), np.int64(3)) == 0.125
 
 
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        ((1.7,), "element coordinates must be integers"),
+        ((True,), "element coordinates must be integers"),
+        (1, "element must be a sequence of integers"),
+    ],
+    ids=["fraction", "bool", "bare-integer"],
+)
+def test_jacobian_refuses_an_element_that_is_not_integer_coordinates(tau, message):
+    """The translation is read off integer coordinates: (1.7,) is not the
+    element (1,), and a bare integer is not an element of Z_4."""
+    g = FiniteAbelianGroup([4])
+    act = ActionSpace.regular(g, weights=[1.0, 2.0, 4.0, 8.0])
+    with pytest.raises(ValueError, match=message):
+        jacobian(act, tau, 0)
+    with pytest.raises(ValueError, match=message):
+        translate(act, tau, np.ones(4))
+    assert jacobian(act, (np.int64(1),), 0) == 2.0
+
+
 def test_translate_refuses_a_function_with_a_nan_entry(scn):
     f = random_function(scn, np.random.default_rng(6))
     f[2] = np.nan

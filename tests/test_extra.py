@@ -30,7 +30,6 @@ from actinv import (
     is_invariant,
     mask_apply,
     masked_component,
-    sequence_extra_invariance,
     span_invariant,
     translate,
 )
@@ -45,8 +44,9 @@ def test_partition_golden_shear(shear):
         [(0,), (2,), (4,)],
         [(1,), (3,), (5,)],
     ]
-    assert part.block_of((3,)) == (1,)
-    assert part.block_of((7,)) == (1,)  # reduced mod 6
+    g = shear.group
+    assert part.labels[part.positions[g.index((3,))]] == (1,)
+    assert part.labels[part.positions[g.index((7,))]] == (1,)  # reduced mod 6
     d = part.as_dict()
     assert d["blocks"][0] == {"label": [0], "elements": [[0], [2], [4]]}
 
@@ -71,7 +71,8 @@ def test_partition_is_periodic_partition(scn):
         union |= set(block)
         for el in block:
             for d in scn.extra_annihilator.elements:
-                assert part.block_of(scn.group.add(el, d)) == label
+                moved = scn.group.index(scn.group.add(el, d))
+                assert part.labels[part.positions[moved]] == label
     assert union == set(scn.group.elements)
     # the block positions agree with the element sets
     for i, block in enumerate(part.blocks):
@@ -98,7 +99,7 @@ def test_stacked_coordinates_follow_block_labels(scn):
     part = dual_partition(scn)
     for delta in scn.extra.elements:
         for eta in scn.annihilator_order:
-            label = part.block_of(eta)
+            label = part.labels[part.positions[scn.group.index(eta)]]
             assert scn.group.pairing(delta, eta) == pytest.approx(
                 scn.group.pairing(delta, label), abs=1e-12
             )
@@ -210,6 +211,25 @@ def test_masked_component_object(scn):
         for k in range(comp.dim):
             assert space.contains(comp.frame[:, k])
     assert total == space.dim
+
+
+def test_masked_component_refusals_keep_their_order(chain12, shear):
+    """Another scenario, then the base gate, then dimension 0, then the
+    label: (1,) is not a block label of chain12."""
+    rng = np.random.default_rng(7)
+    space = span_invariant(chain12, random_function(chain12, rng))
+    with pytest.raises(ValueError, match="another scenario"):
+        masked_component(shear, space, (1,))
+    atom = np.zeros(chain12.action.n_points, dtype=complex)
+    atom[0] = 1.0
+    with pytest.raises(InvarianceError, match="not invariant under the base"):
+        masked_component(chain12, Subspace.span(chain12, atom), (1,))
+    assert masked_component(chain12, Subspace.zero(chain12), (1,)).dim == 0
+    with pytest.raises(KeyError):
+        masked_component(chain12, space, (1,))
+    comp = masked_component(chain12, space, chain12.block_labels[1])
+    assert "frame" not in vars(comp)  # assembled only when read
+    assert comp.dim == check_extra_invariance(chain12, space).component_dims[1]
 
 
 def test_stacked_block_masks_follow_block_coordinates(scn):
@@ -983,10 +1003,10 @@ def test_canonical_space_degenerate_chains():
 
 
 def test_sequence_oracle_full_space_and_atom(shear):
-    assert sequence_extra_invariance(shear, np.eye(6, dtype=complex)) is True
+    assert oracle.sequence_extra_invariance(shear, np.eye(6, dtype=complex)) is True
     atom = np.zeros((6, 1), dtype=complex)
     atom[0, 0] = 1.0
-    assert sequence_extra_invariance(shear, atom) is False
+    assert oracle.sequence_extra_invariance(shear, atom) is False
 
 
 def test_sequence_oracle_character_span(shear):
@@ -996,19 +1016,19 @@ def test_sequence_oracle_character_span(shear):
     ]
     basis = np.column_stack(cols)
     # spectra sit inside one block, so masking preserves the span
-    assert sequence_extra_invariance(shear, basis) is True
+    assert oracle.sequence_extra_invariance(shear, basis) is True
 
 
 def test_sequence_oracle_requires_base_invariance(chain12):
     atom = np.zeros((12, 1), dtype=complex)
     atom[0, 0] = 1.0
     with pytest.raises(InvarianceError):
-        sequence_extra_invariance(chain12, atom)
+        oracle.sequence_extra_invariance(chain12, atom)
 
 
 def test_sequence_oracle_input_validation(shear):
     with pytest.raises(ValueError):
-        sequence_extra_invariance(shear, np.zeros((5, 1), dtype=complex))
+        oracle.sequence_extra_invariance(shear, np.zeros((5, 1), dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1018,7 +1038,7 @@ def test_sequence_oracle_refuses_a_non_finite_basis(bank, bad):
     basis = np.eye(scn.group.order, dtype=complex)[:, :3]
     basis[4, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        sequence_extra_invariance(scn, basis)
+        oracle.sequence_extra_invariance(scn, basis)
 
 
 def test_range_function_consistency(scn):

@@ -30,8 +30,8 @@ action names the smallest point with a nontrivial stabiliser and the
 smallest element fixing it, also with thousands of small orbits; on valid
 actions every translate, the orbit coordinates, the tiles and the three
 gather tables are selections of the oracle's composed |G| x n table; and
-coset sections, annihilators and ``Subgroup.from_elements`` equal their
-element-by-element references.
+coset sections, annihilators and subgroups closed over from their element
+sets (``Subgroup._from_mask``) equal their element-by-element references.
 
 Approximation: on the generated scenarios, both batched solvers match the
 pooled one-SVD-per-fiber-and-block reference in error (1e-12 relative),
@@ -42,22 +42,27 @@ up to order 200, and up to order 64, with weights log-uniform over up to
 1e14, they match the point-space route (translated frames, mask images cut
 by pivoted QR, n x n projectors, per-fiber bases) in verdicts, component
 dimensions and worst unit directions, the translation and component-law
-residuals included.  The check pair's linear algebra matches its first
-form at roundoff on fiber bases moved by noise from 0 to 1e-6: the probe
-residuals and the component law read off Gram matrices against the QR and
-values-only SVDs, the match deviation against the (block rows)^2
-projector gap (1e-12 relative plus 1e-15 absolute), the off-block norms
-read off the block SVD factors against the rows of each direction outside
-its block (1e-13 absolute), and the closed-form canonical space against
-the transform-built one (projector to 1e-12).
+residuals included.  Over the same scenarios and on the six shared ones,
+``masked_component`` spans what the pivoted-QR cut of the frame's mask
+image spans (equal dimensions, mutual residuals to 1e-12) on principal,
+spanned, extra-spanned, canonical, frame-given and zero spaces, and its
+dimension is the component dimension the check reports.  The check pair's
+linear algebra matches its first form at roundoff on fiber bases moved by
+noise from 0 to 1e-6: the probe residuals and the component law read off
+Gram matrices against the QR and values-only SVDs, the match deviation
+against the (block rows)^2 projector gap (1e-12 relative plus 1e-15
+absolute), the off-block norms read off the block SVD factors against the
+rows of each direction outside its block (1e-13 absolute), and the
+closed-form canonical space against the transform-built one (projector to
+1e-12).
 
 Rank cut: on matrices of planted rank (up to 200 rows, weights log-uniform
 over up to 1e14), ``orthonormal_columns`` keeps the rank and the weighted
-projector of the pivoted-QR cut, and ranks their roundoff as zero; it and
-the one-fiber, one-block ``_block_cut`` have the bits of the SVD-and-slice
-reference kernel.  On fibers of ragged rank, real and complex, cut along
-one block or several, ``_block_cut`` has the bits of one SVD per fiber and
-block, sliced and zero-filled.
+projector of the pivoted-QR cut; it and the one-fiber, one-block
+``_block_cut`` have the bits of the SVD-and-slice reference kernel.  On
+fibers of ragged rank, real and complex, cut along one block or several,
+``_block_cut`` has the bits of one SVD per fiber and block, sliced and
+zero-filled.
 """
 import math
 
@@ -590,9 +595,7 @@ def test_checks_match_the_point_space_route(spec, decades):
 
     Verdicts and component dimensions are identical.  The translation,
     inclusion, block and component-law residuals are worst unit directions
-    on both routes, so they agree to 1e-9 whatever the basis.  On invariant
-    spaces the masked component has the fibers ``basis[w] @ v`` over the
-    block's kept right singular vectors v.
+    on both routes, so they agree to 1e-9 whatever the basis.
     """
     scn, rng = build(spec, decades)
     for kind, space, _ in theorem_cases(scn, rng):
@@ -616,14 +619,62 @@ def test_checks_match_the_point_space_route(spec, decades):
         if not space.dim:
             continue
         assert want["component_match_deviation"] <= 1e-9
-        basis = space._basis
-        kv = extra_mod._split(scn, space, basis)[2]
-        for b, xi in enumerate(scn.block_labels):
-            zak_side = Subspace.from_fibers(scn, basis @ kv[:, b])
-            comp = masked_component(scn, space, xi)
-            assert comp.dim == zak_side.dim, kind
-            assert np.max(comp.residuals(zak_side.frame), initial=0.0) <= 1e-9
-            assert np.max(zak_side.residuals(comp.frame), initial=0.0) <= 1e-9
+
+
+def component_cases(scn, rng):
+    """(kind, space) for every kind of space a masked component is read
+    off: fiber-built, frame-given (gated by the component itself), extra-
+    invariant or not, and zero."""
+    gens = complex_normal(rng, (scn.action.n_points, 2))
+    spanned = span_invariant(scn, gens)
+    extra_spanned = span_invariant(scn, gens, scn.extra)
+    return [
+        ("principal", span_invariant(scn, gens[:, :1])),
+        ("spanned", spanned),
+        ("extra-spanned", extra_spanned),
+        ("canonical", canonical_extra_invariant(scn)),
+        ("frame-given spanned", Subspace(scn, spanned.frame)),
+        ("frame-given extra-spanned", Subspace(scn, extra_spanned.frame)),
+        ("zero", Subspace.zero(scn)),
+    ]
+
+
+def check_masked_components(scn, rng):
+    """Each block's ``masked_component`` against the point-space span of the
+    frame's mask image (``oracle.masked_component``): equal dimensions,
+    each frame's columns within 1e-12 of the other space in the weighted
+    norm, and the dimension the check reports for the block."""
+    root = np.sqrt(scn.action.weights)[:, None]
+    for kind, space in component_cases(scn, rng):
+        comps = [masked_component(scn, space, xi) for xi in scn.block_labels]
+        dims = check_extra_invariance(scn, space).component_dims
+        for xi, comp, dim in zip(scn.block_labels, comps, dims, strict=True):
+            want = oracle.masked_component(scn, space, xi)
+            assert comp.dim == want.shape[1] == dim, (kind, xi)
+            assert np.max(comp.residuals(want / root), initial=0.0) <= 1e-12, (kind, xi)
+            got = comp.frame * root
+            outside = np.linalg.norm(got - want @ (want.conj().T @ got), axis=0)
+            assert np.max(outside, initial=0.0) <= 1e-12, (kind, xi)
+
+
+def test_bank_masked_components_match_the_point_space_span(scn):
+    check_masked_components(scn, np.random.default_rng(71))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(max_order=POINT_SPACE_MAX_ORDER), decades=WEIGHT_DECADES)
+@example(spec=((1,), [], [], 1, 0), decades=0.0)
+@example(spec=((12,), [], [(1,)], 2, 4), decades=14.0)
+@example(spec=((2, 6), [(0, 3)], [(1, 0), (0, 1)], 1, 5), decades=14.0)
+@example(spec=((4, 8), [(2, 0)], [(1, 0), (0, 2)], 2, 6), decades=14.0)
+def test_masked_components_match_the_point_space_span(spec, decades):
+    """Generated scenarios, weights log-uniform over up to 1e14."""
+    scn, rng = build(spec, decades)
+    check_masked_components(scn, rng)
 
 
 def noisy(space, noise, rng):
@@ -726,7 +777,8 @@ def test_rank_cut_matches_the_pivoted_qr_oracle(spec):
     values between 1 and 1e3, so both cuts see a clear gap; the weights are
     log-uniform over up to 1e14.  Both give the planted rank and the same
     weighted projector.  What the frame leaves of the matrix is pure
-    roundoff, and at the absolute floor ``RANK_TOL`` both rank it as zero.
+    roundoff, and the pivoted-QR cut at the absolute floor ``RANK_TOL``
+    (the masked components' reference) ranks it as zero.
     """
     n, m, rank, decades, seed = spec
     rng = np.random.default_rng(seed)
@@ -742,7 +794,6 @@ def test_rank_cut_matches_the_pivoted_qr_oracle(spec):
         got @ got.conj().T, want @ want.conj().T, rtol=0, atol=1e-12
     )
     noise = weighted - got @ (got.conj().T @ weighted)
-    assert orthonormal_columns(weights, noise / root, floor=RANK_TOL).shape == (n, 0)
     assert oracle.euclid_orth(noise, floor=RANK_TOL).shape == (n, 0)
 
 
@@ -751,21 +802,17 @@ def test_rank_cut_matches_the_pivoted_qr_oracle(spec):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(
-    spec=planted_ranks(),
-    noise=st.sampled_from([0.0, 1e-13, 1e-9]),
-    floor=st.sampled_from([0.0, RANK_TOL]),
-)
-@example(spec=(7, 0, 0, 14.0, 0), noise=0.0, floor=0.0)  # zero width
-@example(spec=(7, 3, 0, 14.0, 1), noise=0.0, floor=RANK_TOL)  # all zeros
-@example(spec=(200, 16, 0, 14.0, 2), noise=1e-13, floor=RANK_TOL)  # roundoff only
-@example(spec=(200, 16, 5, 14.0, 3), noise=1e-13, floor=0.0)
-@example(spec=(40, 16, 16, 14.0, 4), noise=1e-9, floor=RANK_TOL)
-def test_rank_cut_reproduces_the_reference_kernel_bitwise(spec, noise, floor):
+@given(spec=planted_ranks(), noise=st.sampled_from([0.0, 1e-13, 1e-9]))
+@example(spec=(7, 0, 0, 14.0, 0), noise=0.0)  # zero width
+@example(spec=(7, 3, 0, 14.0, 1), noise=0.0)  # all zeros
+@example(spec=(200, 16, 0, 14.0, 2), noise=1e-13)  # roundoff only
+@example(spec=(200, 16, 5, 14.0, 3), noise=1e-13)
+@example(spec=(40, 16, 16, 14.0, 4), noise=1e-9)
+def test_rank_cut_reproduces_the_reference_kernel_bitwise(spec, noise):
     """The one-fiber, one-block ``_block_cut`` and ``orthonormal_columns``
     have the bits of the SVD-and-slice reference kernel in ``oracle.py``:
-    floor 0 and ``RANK_TOL``, zero width, all zeros, planted rank under
-    noise, weights log-uniform over up to 1e14.  The cut copies the kept
+    zero width, all zeros, planted rank under noise, weights log-uniform
+    over up to 1e14.  The cut copies the kept
     singular vectors, so on input with exact zeros (real-valued columns,
     point deltas) the sign of a zero agrees too."""
     n, m, rank, decades, seed = spec
@@ -775,14 +822,14 @@ def test_rank_cut_reproduces_the_reference_kernel_bitwise(spec, noise, floor):
     one_block = np.arange(n)[None]
     planted = complex_normal(rng, (n, rank)) @ complex_normal(rng, (rank, m))
     weighted = planted + noise * complex_normal(rng, (n, m))
-    want = oracle.kernel_euclid_orth(weighted, RANK_TOL, floor)
-    assert_same_bits(_block_cut(weighted[None], one_block, floor=floor)[0], want)
+    want = oracle.kernel_euclid_orth(weighted)
+    assert_same_bits(_block_cut(weighted[None], one_block)[0], want)
     vectors = weighted / root
-    want = oracle.kernel_euclid_orth(vectors * root, RANK_TOL, floor) / root
-    assert_same_bits(orthonormal_columns(weights, vectors, floor=floor), want)
+    want = oracle.kernel_euclid_orth(vectors * root) / root
+    assert_same_bits(orthonormal_columns(weights, vectors), want)
     for exact in (weighted.real + 0j, -np.eye(n, m, dtype=complex)):
-        want = oracle.kernel_euclid_orth(exact, RANK_TOL, floor)
-        assert_same_bits(_block_cut(exact[None], one_block, floor=floor)[0], want)
+        want = oracle.kernel_euclid_orth(exact)
+        assert_same_bits(_block_cut(exact[None], one_block)[0], want)
 
 
 @st.composite
@@ -802,12 +849,12 @@ def ragged_fibers(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(spec=ragged_fibers(), floor=st.sampled_from([0.0, RANK_TOL]))
-@example(spec=(3, 1, 5, 4, False, 0), floor=0.0)  # one block
-@example(spec=(4, 3, 4, 6, True, 1), floor=RANK_TOL)
-@example(spec=(2, 4, 1, 0, False, 2), floor=0.0)  # zero width
-@example(spec=(5, 2, 6, 8, False, 3), floor=0.0)
-def test_block_cut_reproduces_per_block_svds_bitwise(spec, floor):
+@given(spec=ragged_fibers())
+@example(spec=(3, 1, 5, 4, False, 0))  # one block
+@example(spec=(4, 3, 4, 6, True, 1))
+@example(spec=(2, 4, 1, 0, False, 2))  # zero width
+@example(spec=(5, 2, 6, 8, False, 3))
+def test_block_cut_reproduces_per_block_svds_bitwise(spec):
     """``_block_cut`` has the bits of ``oracle.kernel_block_cut``: one SVD
     per fiber and block, sliced at the cut over every fiber and block, the
     kept vectors put back in their block's rows, packed per fiber in
@@ -829,8 +876,8 @@ def test_block_cut_reproduces_per_block_svds_bitwise(spec, floor):
             if not real:
                 left, right = left + 1j * rng.standard_normal(left.shape), right + 0j
             mats[w, rows[b]] = left @ right
-    want = oracle.kernel_block_cut(mats, rows, RANK_TOL, floor)
-    assert_same_bits(_block_cut(mats, rows, floor=floor), want)
+    want = oracle.kernel_block_cut(mats, rows)
+    assert_same_bits(_block_cut(mats, rows), want)
 
 
 # -- group core ----------------------------------------------------------------
@@ -1026,11 +1073,11 @@ def test_group_core_matches_oracle(spec):
         sec = coset_section(g, sub, within)
         rep = oracle.coset_representatives(g, sub, within)
         assert sec.representatives == tuple(sorted(set(rep.values())))
-        assert all(sec.rep_of(el) == r for el, r in rep.items())
+        assert all(sec.representatives[sec.position_of(el)] == r for el, r in rep.items())
     for sub in (small, big):
         ann = annihilator(sub)
         assert ann.elements == oracle.annihilator_elements(sub)
-        again = Subgroup.from_elements(g, sub.elements)
+        again = Subgroup._from_mask(g, oracle.members(g, sub.elements))
         assert again == sub
         assert again.generators == oracle.greedy_generators(g, sub.elements)
     rng = np.random.default_rng(seed)
@@ -1039,10 +1086,9 @@ def test_group_core_matches_oracle(spec):
     if outside:
         candidates.append(big.elements + [outside[rng.integers(len(outside))]])
     for elements in candidates:
+        mask = oracle.members(g, elements)
         if oracle.is_subgroup(g, elements):
-            assert sorted(Subgroup.from_elements(g, elements).elements) == sorted(
-                set(elements)
-            )
+            assert sorted(Subgroup._from_mask(g, mask).elements) == sorted(set(elements))
         else:
             with pytest.raises(ValueError):
-                Subgroup.from_elements(g, elements)
+                Subgroup._from_mask(g, mask)

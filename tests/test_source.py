@@ -52,14 +52,14 @@ def _rank_tol_uses(tree: ast.AST) -> list[int]:
     """Lines reading ``RANK_TOL`` outside the places allowed to cut on it.
 
     The rank rule is written once, in ``spaces._kept``; ``extra._split``
-    passes ``RANK_TOL`` as the ``floor=`` of its cut of unit basis
-    directions, and ``masked_component`` as the ``floor=`` of its span.
+    alone passes ``RANK_TOL`` as the ``floor=`` of its cut of unit basis
+    directions, which every masked component reads.
     """
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "_kept":
             allowed.update(id(n) for n in ast.walk(node))
-        if isinstance(node, ast.FunctionDef) and node.name in ("masked_component", "_split"):
+        if isinstance(node, ast.FunctionDef) and node.name == "_split":
             for call in ast.walk(node):
                 for kw in getattr(call, "keywords", ()):
                     if kw.arg == "floor":
@@ -96,7 +96,64 @@ def _split(scn, space, basis):
     kept = _kept(t, floor=RANK_TOL)
     return kept, t > RANK_TOL
 """
-    assert _rank_tol_uses(ast.parse(source)) == [9, 13]
+    assert _rank_tol_uses(ast.parse(source)) == [6, 9, 13]
+
+
+# what a masked component must not call: it reads the checks' block split
+# instead of transforming and cutting the frame in point space
+POINT_SPACE_ROUTE = (
+    "fiber_matrices",
+    "mask_apply",
+    "orthonormal_columns",
+    "span",
+    "zak_full",
+    "zak_full_inv",
+    "zak_stacked",
+    "zak_stacked_inv",
+    "_zak_stacked",
+)
+
+
+def _point_space_component_calls(tree: ast.AST) -> tuple[bool, list[int]]:
+    """Whether ``masked_component`` is defined, and the lines where it
+    calls a transform, ``mask_apply``, ``Subspace.span``,
+    ``orthonormal_columns`` or ``fiber_matrices``."""
+    found, lines = False, []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name == "masked_component":
+            found = True
+            lines += [
+                node.lineno
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                in POINT_SPACE_ROUTE
+            ]
+    return found, sorted(lines)
+
+
+def test_masked_component_reads_the_block_split():
+    """``extra.masked_component`` builds its range function from the block
+    split the checks share: no transform of the frame, no mask image and
+    no point-space rank cut."""
+    path = PACKAGE / "extra.py"
+    found, lines = _point_space_component_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert found and not lines, (found, lines)
+
+
+def test_point_space_component_rule_catches_a_frame_route():
+    source = """
+def mask_apply(scn, xi, f):
+    return zak_full_inv(scn, zak_full(scn, f))
+
+def masked_component(scn, space, xi):
+    basis = require_base_invariant(space)
+    masked = mask_apply(scn, xi, space.frame)
+    mats = spaces.fiber_matrices(scn, space.frame)
+    frame = orthonormal_columns(scn.action.weights, masked)
+    return Subspace.span(scn, _zak_stacked(scn, masked))
+"""
+    assert _point_space_component_calls(ast.parse(source)) == (True, [7, 8, 9, 10, 10])
 
 
 def _eigvalsh_calls(tree: ast.AST) -> list[int]:

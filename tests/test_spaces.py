@@ -25,7 +25,6 @@ from actinv import (
     length,
     masked_component,
     principal_membership,
-    sequence_extra_invariance,
     span_invariant,
     translate,
     zak_base,
@@ -56,12 +55,16 @@ def test_orthonormal_columns_weighted():
 
 
 def test_rank_floor_policy():
+    """A span cuts relative to its largest singular value; only the block
+    split of unit basis directions (``extra._split``) adds the absolute
+    floor ``RANK_TOL``."""
     w = np.ones(4)
     noise = np.full((4, 2), 1e-16, dtype=complex)
     # relative cut alone ranks a pure-roundoff matrix against itself
     assert orthonormal_columns(w, noise).shape[1] >= 1
     # the absolute floor recognizes it as zero
-    assert orthonormal_columns(w, noise, floor=1e-9).shape[1] == 0
+    s = np.linalg.svd(noise, compute_uv=False)
+    assert not spaces_mod._kept(s, floor=spaces_mod.RANK_TOL).any()
     empty = orthonormal_columns(w, np.zeros((4, 0), dtype=complex))
     assert empty.shape == (4, 0)
 
@@ -400,7 +403,8 @@ def test_principal_membership_refuses_a_nan_tolerance(bank):
 BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-9, True, "1e-9", None, np.array([1e-9])]
 
 
-# every public function taking ``tol``, as ``call(scn, space, tol)``
+# every public function taking ``tol``, and criterion 9's sequence-space
+# oracle, as ``call(scn, space, tol)``
 TOL_CALLERS = {
     "is_invariant": lambda scn, space, tol: is_invariant(space, scn.extra, tol),
     "require_base_invariant": lambda scn, space, tol: require_base_invariant(space, tol),
@@ -409,7 +413,7 @@ TOL_CALLERS = {
     "principal_membership": lambda scn, space, tol: principal_membership(
         scn, space.frame[:, 0], space.frame[:, 0], tol
     ),
-    "sequence_extra_invariance": lambda scn, space, tol: sequence_extra_invariance(
+    "sequence_extra_invariance": lambda scn, space, tol: oracle.sequence_extra_invariance(
         scn, np.eye(scn.group.order), tol
     ),
     "Subspace.contains": lambda scn, space, tol: space.contains(space.frame[:, 0], tol),
