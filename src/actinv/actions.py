@@ -73,6 +73,15 @@ class ActionSpace:
                 raise ValueError("weights must be finite")
             if not np.all(w > 0):
                 raise ValueError("weights must be strictly positive")
+            with np.errstate(over="ignore"):
+                ratio = w.max() / w.min()
+            if not np.isfinite(ratio):
+                # every weight ratio the transforms and translations take is
+                # at most this one, so each of them stays finite
+                raise ValueError(
+                    f"weight ratio max/min overflows the float range "
+                    f"({w.max():.3g} / {w.min():.3g})"
+                )
         self.weights = w
 
     @cached_property

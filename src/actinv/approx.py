@@ -201,8 +201,10 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
 def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:
     """Summed squared weighted distances of the data to the subspace of ``scn``.
 
-    ``ValueError`` if that sum of squares of finite data overflows the
-    float range.
+    The squares of :meth:`Subspace._residuals`: on a space with a range
+    function, as every fit's is, one forward transform of the data and a
+    projection per fiber, with no frame assembled.  ``ValueError`` if
+    that sum of squares of finite data overflows the float range.
     """
     require_scenario(scn, space)
     mat = _data_matrix(scn, data)

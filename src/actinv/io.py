@@ -32,10 +32,15 @@ def read_columns_csv(path) -> np.ndarray:
     """Read complex column vectors written by :func:`write_columns_csv`.
 
     Its exact inverse: each row's fields are read back as the float64 view
-    of a complex row, so every bit returns as written, signed zeros too."""
+    of a complex row, so every bit returns as written, signed zeros too.
+    Every refusal is a ``ValueError`` naming the file: an empty file (no
+    header), a bad header, a row of the wrong width, a non-finite value,
+    no data rows."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header")
         if len(header) % 2 or not header:
             raise ValueError(f"{path}: expected paired re/im columns")
         d = len(header) // 2

@@ -14,7 +14,12 @@ transformed once per call (:func:`_frame_pass`).  A space with a range
 function makes one probe pass per probe outside the base
 (:func:`_probe_pass`), which every reader of it shares.  Every range
 function is one rank cut along the blocks of a subgroup containing the
-base (:func:`_block_cut`), the base itself being one block.
+base (:func:`_block_cut`), the base itself being one block.  The
+point-space queries (:meth:`Subspace.residuals`, ``residual``,
+``contains``, ``project``, and so
+:func:`actinv.approx.evaluate_candidate`) read the range function too:
+one forward transform of the columns and one projection per fiber, so a
+fiber-built space never assembles its frame to answer them.
 
 Numerical work happens in *weighted coordinates*: scaling a function's
 entries by ``weights ** 0.5`` turns the weighted inner product into the
@@ -82,7 +87,10 @@ class Subspace:
     """A subspace given by a weighted-orthonormal frame of columns.
 
     A fiber-built space (:meth:`from_fibers`) is given by its range
-    function instead, and assembles its frame on first access.  The
+    function instead, and assembles its frame on first access; its
+    residuals, memberships and projections read the range function, not
+    the frame, as do a frame-given space's once it is past its base gate
+    (:func:`require_base_invariant`).  The
     constructor refuses (``ValueError``) a frame of the wrong shape, with
     non-finite entries, or whose weighted Gram matrix ``Q^H W Q`` overflows
     or differs from the identity by more than ``_FRAME_TOL`` in some entry:
@@ -189,11 +197,20 @@ class Subspace:
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """The orthogonal projection of a finite function, or of each column
-        of a matrix of them (:func:`as_columns`)."""
+        of a matrix of them (:func:`as_columns`).
+
+        On a space with a range function, each fiber's projection
+        ``B (B^H F)`` (:meth:`_inside`) taken back by one inverse transform
+        (:func:`fibers_from_matrix`); on a frame-given space before its base
+        gate, ``q (q^H m)`` with the frame in weighted coordinates.
+        """
         f = np.asarray(f)
-        fw = as_columns(self.scenario, f, "function") * self._root
-        q = self._weighted_frame
-        out = (q @ (q.conj().T @ fw)) / self._root
+        mat = as_columns(self.scenario, f, "function")
+        if "_basis" in vars(self):
+            out = fibers_from_matrix(self.scenario, self._inside(mat)[1])
+        else:
+            q, fw = self._weighted_frame, mat * self._root
+            out = (q @ (q.conj().T @ fw)) / self._root
         return out[:, 0] if f.ndim == 1 else out
 
     def residuals(self, mat: np.ndarray) -> np.ndarray:
@@ -204,15 +221,32 @@ class Subspace:
     def _residuals(self, mat: np.ndarray) -> np.ndarray:
         """:meth:`residuals` of checked columns, with no pass over them.
 
-        One product ``q @ (q^H @ m)`` with the frame ``q`` and the columns
-        ``m`` in weighted coordinates, whose Euclidean norms are the
-        weighted ones; one that overflows, in the weighting or the norm,
-        reads ``inf`` or ``nan``, with no warning.
+        On a space with a range function (fiber-built, or past the base
+        gate) the columns' fiber matrices F minus their projection
+        ``B (B^H F)`` on every fiber (:meth:`_inside`): the stacked
+        transform is an isometry onto weighted stacked coordinates, so a
+        column's residual is ``sqrt(sum_w |F_w - B_w B_w^H F_w| ** 2 /
+        n_fibers)``, and no frame is assembled.  A frame-given space
+        before its gate has no range function, and may not be
+        base-invariant: one product ``q @ (q^H @ m)`` with the frame ``q``
+        and the columns ``m`` in weighted coordinates.  A value that
+        overflows, in the transform, the weighting or the norm, reads
+        ``inf`` or ``nan``, with no warning.
         """
-        q = self._weighted_frame
         with np.errstate(over="ignore", invalid="ignore"):
-            mw = mat * self._root
+            if "_basis" in vars(self):
+                mats, inside = self._inside(mat)
+                mats -= inside
+                return np.linalg.norm(mats, axis=(0, 1)) / math.sqrt(self.scenario.n_fibers)
+            q, mw = self._weighted_frame, mat * self._root
             return np.linalg.norm(mw - q @ (q.conj().T @ mw), axis=0)
+
+    def _inside(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The fiber matrices F of checked columns (:func:`fiber_matrices`)
+        and their projection ``B (B^H F)`` onto the range function B, fiber
+        by fiber."""
+        mats, basis = fiber_matrices(self.scenario, mat), self._basis
+        return mats, basis @ (basis.conj().swapaxes(-1, -2) @ mats)
 
     def residual(self, f: np.ndarray) -> float:
         """Weighted norm of the part of finite f outside the subspace (:func:`_finite`)."""
@@ -566,10 +600,14 @@ def principal_membership(
     multipliers are those of the base Zak values.  On success returns the
     multiplier: on each fiber where psi's fiber norm passes :func:`_kept`,
     the coefficient of the orthogonal projection of f's fiber onto psi's,
-    elsewhere zero.  Returns None otherwise.  A (numerically) zero psi is
-    rejected, and so is input of the wrong length or with non-finite
-    entries (``ValueError``), and so is a ``tol`` that is not a finite
-    positive number, and so are norms that overflow (:func:`_finite`).
+    elsewhere zero: f's fiber against psi's unit fiber, divided once by
+    the norm, which ``hypot`` gives.  Nothing small is squared, so tiny
+    input keeps its digits down to the scale where psi's own squared norm
+    underflows (about 1e-163 on unit-size entries) and psi reads as zero.
+    Returns None otherwise.  A (numerically) zero psi is rejected, and so
+    is input of the wrong length or with non-finite entries
+    (``ValueError``), and so is a ``tol`` that is not a finite positive
+    number, and so are norms that overflow (:func:`_finite`).
     """
     tol = checked_tol(tol)
     f, psi = (
@@ -579,14 +617,14 @@ def principal_membership(
     mats = fiber_matrices(scn, np.column_stack([psi, f]))
     zpsi, zf = mats[..., 0], mats[..., 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(zpsi, axis=1)
+        norms = np.hypot.reduce(np.abs(zpsi), axis=1)
         if norms.max() <= 0.0 or scn.action.norm(psi) == 0.0:
             raise DegenerateGeneratorError("generator is zero")
         _finite(float((norms**2).max()), "generator", "squared fiber norm")
         support = _kept(norms)
         values = np.zeros(scn.n_fibers, dtype=complex)
-        cross = (zf[support] * np.conj(zpsi[support])).sum(axis=1)
-        values[support] = cross / norms[support] ** 2
+        unit = zpsi[support] / norms[support, None]
+        values[support] = (zf[support] * np.conj(unit)).sum(axis=1) / norms[support]
         # f against the fiberwise multiple, in the function norm: the whole
         # of f's fiber where psi's is zero
         total = float(np.linalg.norm(zf - values[:, None] * zpsi) / np.sqrt(scn.n_fibers))

@@ -216,6 +216,16 @@ def test_action_rejects_non_finite_weights(bad):
         ActionSpace.regular(g, 1, weights=[bad, 1.0, 1.0, 1.0])
 
 
+def test_action_rejects_a_weight_ratio_that_overflows():
+    """Finite positive weights whose ratio max/min overflows are refused:
+    the translations and transforms divide by square roots of such ratios.
+    A ratio of 1e308 still passes."""
+    g = FiniteAbelianGroup([4])
+    with pytest.raises(ValueError, match="^weight ratio max/min overflows the float range"):
+        ActionSpace.regular(g, 1, weights=[1e-300, 1e300, 1e-300, 1e300])
+    assert ActionSpace.regular(g, 1, weights=[1e-154, 1e154, 1.0, 1.0]).weights[1] == 1e154
+
+
 # -- tilings -------------------------------------------------------------------
 
 

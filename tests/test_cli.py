@@ -365,6 +365,18 @@ def test_non_finite_weight_is_a_config_error(capsys, tmp_path):
     assert detail.startswith("action.weights:")
 
 
+def test_weight_ratio_that_overflows_is_a_config_error(capsys, tmp_path):
+    """Weights 1e-300 and 1e300, alternating, are finite and positive, but
+    their ratio is not: exit 1 at ``action``, where ``validate`` used to
+    print ``"full_round_trip": Infinity``, which is not JSON."""
+    doc = chain12_cfg()
+    doc["action"]["weights"] = [1e-300, 1e300] * 6
+    cfg = write_cfg(tmp_path, doc)
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "validate"])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith("action: weight ratio max/min overflows the float range")
+
+
 @pytest.mark.parametrize("flag", [False, True])
 def test_negative_seed_is_a_config_error(capsys, tmp_path, flag):
     # numpy refuses a negative seed; the CLI names the field and exits 1
@@ -473,6 +485,18 @@ def test_missing_csv_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("section", ["subspace", "data"])
+def test_empty_csv_is_a_config_error(capsys, tmp_path, section):
+    """A 0-byte CSV has no header: exit 1 at the section's ``csv`` field,
+    not a ``StopIteration`` traceback (exit 4)."""
+    (tmp_path / "empty.csv").write_text("")
+    cfg = write_cfg(tmp_path, chain12_cfg(**{section: {"csv": "empty.csv"}}, options={"ell": 1}))
+    command = "check" if section == "subspace" else "approx"
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, command])
+    assert rc == 1 and kind == "config"
+    assert detail.startswith(f"{section}.csv:") and detail.endswith("empty.csv: no header")
+
+
+@pytest.mark.parametrize("section", ["subspace", "data"])
 @pytest.mark.parametrize("name", [5, ["a"]])
 def test_non_string_csv_name_is_a_config_error(capsys, tmp_path, section, name):
     cfg = write_cfg(tmp_path, chain12_cfg(**{section: {"csv": name}}, options={"ell": 1}))
@@ -561,6 +585,13 @@ def test_non_nested_chain_exits_2(capsys, tmp_path):
 
 
 # -- CSV helpers ---------------------------------------------------------------
+
+
+def test_read_columns_csv_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv: no header$"):
+        read_columns_csv(path)
 
 
 def test_columns_csv_round_trip(tmp_path):

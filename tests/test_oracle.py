@@ -56,6 +56,13 @@ rows of each direction outside its block (1e-13 absolute), and the
 closed-form canonical space against the transform-built one (projector to
 1e-12).
 
+Point-space queries: on the generated scenarios, with weights
+log-uniform over up to 1e14, ``residuals``, ``residual``, ``contains``,
+``project`` and ``evaluate_candidate`` match the dense weighted projector
+of the frame within 1e-12 times the function's weighted norm, on spans,
+the canonical space, both fits and frame-given spaces before and after
+their base gate; no fiber-built space assembles its frame to answer them.
+
 Rank cut: on matrices of planted rank (up to 200 rows, weights log-uniform
 over up to 1e14), ``orthonormal_columns`` keeps the rank and the weighted
 projector of the pivoted-QR cut; it and the one-fiber, one-block
@@ -90,6 +97,7 @@ from actinv import (
     check_extra_invariance,
     coset_section,
     dual_partition,
+    evaluate_candidate,
     is_invariant,
     mask_apply,
     masked_component,
@@ -744,6 +752,79 @@ def test_check_pair_matches_its_decomposition_references(spec, noise):
             extra_mod._match_deviation(scn, space, basis),
             oracle.match_deviation(scn, basis, a, kv, kept),
         )
+
+
+# -- point-space queries -------------------------------------------------------
+
+
+def query_cases(scn, rng):
+    """(kind, space, route) for every kind of space a query reads: spans,
+    the canonical space and both fits (route "fibers"), and frame-given
+    spaces: an invariant one after its base gate ("gated") and before it,
+    and one that is not base-invariant ("frame")."""
+    gens, data = complex_normal(rng, (scn.action.n_points, 2)), complex_normal(rng, (scn.action.n_points, 3))
+    gated = Subspace(scn, span_invariant(scn, gens).frame)
+    spaces_mod.require_base_invariant(gated)
+    return [
+        ("principal", span_invariant(scn, gens[:, :1]), "fibers"),
+        ("spanned", span_invariant(scn, gens), "fibers"),
+        ("extra-spanned", span_invariant(scn, gens, scn.extra), "fibers"),
+        ("canonical", canonical_extra_invariant(scn), "fibers"),
+        ("plain fit", best_invariant(scn, data, 1).space, "fibers"),
+        ("extra fit", best_extra_invariant(scn, data, 2).space, "fibers"),
+        ("frame-given past its gate", gated, "gated"),
+        ("frame-given before its gate", Subspace(scn, span_invariant(scn, gens).frame), "frame"),
+        ("frame-given span", Subspace.span(scn, gens), "frame"),
+    ]
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs(), decades=WEIGHT_DECADES)
+@example(spec=((1,), [], [], 1, 0), decades=0.0)
+@example(spec=((12,), [], [(1,)], 2, 4), decades=14.0)
+@example(spec=((4, 8), [(2, 0)], [(1, 0), (0, 2)], 2, 6), decades=14.0)
+@example(spec=((200,), [(8,)], [(2,)], 2, 8), decades=14.0)
+def test_queries_match_the_dense_projector(spec, decades):
+    """``residuals``, ``residual``, ``contains``, ``project`` and
+    ``evaluate_candidate`` against the n x n weighted projector of the
+    space's frame (``oracle.projector``), weights log-uniform over up to
+    1e14: every residual and projection within 1e-12 times the function's
+    weighted norm.  A space with a range function answers from it, so no
+    fiber-built space has assembled its frame by the time the reference
+    reads it, and no space with a range function has read its weighted
+    frame."""
+    scn, rng = build(spec, decades)
+    w, root = scn.action.weights, np.sqrt(scn.action.weights)[:, None]
+    for kind, space, route in query_cases(scn, rng):
+        f = complex_normal(rng, (scn.action.n_points, 4))
+        f[:, 3] = 0.0
+        norms = np.sqrt(w @ np.abs(f) ** 2)
+        got_res, got_proj = space.residuals(f), space.project(f)
+        got_one, got_col = space.residual(f[:, 0]), space.project(f[:, 0])
+        got_total = evaluate_candidate(scn, f, space)
+        if route != "frame":
+            assert "_weighted_frame" not in vars(space), kind
+        if route == "fibers":
+            assert "frame" not in vars(space), kind
+        p = oracle.projector(space)
+        want_proj = p @ (f * root) / root
+        want_res = np.linalg.norm((f - want_proj) * root, axis=0)
+        bound = RTOL * np.maximum(norms, np.finfo(float).tiny)
+        assert np.all(np.abs(got_res - want_res) <= bound), kind
+        assert abs(got_one - want_res[0]) <= bound[0], kind
+        assert np.all(np.sqrt(w @ np.abs(got_proj - want_proj) ** 2) <= bound), kind
+        assert np.sqrt(w @ np.abs(got_col - want_proj[:, 0]) ** 2) <= bound[0], kind
+        assert got_res[3] == 0.0 and not got_proj[:, 3].any(), kind
+        energy = float(norms @ norms)
+        assert abs(got_total - float(want_res @ want_res)) <= 4 * RTOL * energy, kind
+        assert space.contains(want_proj[:, 0]), kind
+        for j in range(3):
+            if want_res[j] > 1e-6 * norms[j]:
+                assert not space.contains(f[:, j]), kind
 
 
 # -- rank cut ------------------------------------------------------------------

@@ -483,6 +483,26 @@ def test_membership_refuses_norms_that_overflow(chain12):
                     call()
 
 
+def test_membership_of_tiny_functions_keeps_its_multiplier(chain12):
+    """2 psi s is a member of psi s's principal space with multiplier 2 at
+    every scale s from 1e-150 down to 1e-162: the fiber norms are taken
+    without squaring, and f's fiber is projected onto the unit fiber, so
+    nothing small is squared (at the parent, ``norms ** 2`` underflowed
+    from 1e-155 and the quotient raised "function too large").  From
+    1e-163 the squared norm of psi itself underflows, and psi is zero."""
+    psi = random_function(chain12, np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(150, 163):
+            s = 10.0**-e
+            mult = principal_membership(chain12, 2 * psi * s, psi * s)
+            assert mult is not None and mult.support.any(), e
+            assert_allclose(mult.values[mult.support], 2.0, rtol=1e-14, err_msg=str(e))
+            assert not mult.values[~mult.support].any()
+        with pytest.raises(DegenerateGeneratorError):
+            principal_membership(chain12, 2 * psi * 1e-163, psi * 1e-163)
+
+
 def test_span_refuses_vectors_whose_weighting_overflows():
     """On Z_2 x Z_6 on 2 orbits with weights over a 1e3 range, two finite
     vectors scaled by 1e307 overflow when weighted: ``Subspace.span``
