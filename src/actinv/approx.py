@@ -146,7 +146,8 @@ def _fit(
     fiber pools its blocks' singular values; a stable sort on the value,
     descending, over the pool in (block position, singular index) order
     gives the determinism rule of the module.  A fiber keeps at most
-    ``ell`` values, and only those that pass the rank rule
+    ``ell`` values (the report keeps ``ell`` as given), and only those
+    that pass the rank rule
     (:func:`actinv.spaces._kept`) over every fiber's pool; only the kept
     entries are traced back to their block's rows and singular vector.
     ``ValueError`` if the fiber matrices or the discarded energy overflow
@@ -162,7 +163,9 @@ def _fit(
         s = s.reshape(n_fibers, n_blocks * k)
         order = np.argsort(-s, axis=1, kind="stable")
         sig = s[np.arange(n_fibers)[:, None], order]
-        keep = np.minimum(ell, _kept(sig).sum(axis=1))
+        # a fiber keeps at most its pool, so a budget past it is clamped
+        # before numpy reads it: ``ell`` may exceed every integer dtype
+        keep = np.minimum(min(ell, sig.shape[1]), _kept(sig).sum(axis=1))
     except np.linalg.LinAlgError:
         raise _too_large("data vectors", "Zak transform") from None
     kept = np.arange(sig.shape[1]) < keep[:, None]

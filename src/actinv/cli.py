@@ -228,11 +228,14 @@ def build_subspace(doc: dict, scn: Scenario, seed: int) -> Subspace:
         count = rnd.get("count", 1)
         if kind not in ("principal", "spanned"):
             raise ConfigError("subspace.random.kind", "expected 'principal' or 'spanned'")
+        n = scn.action.n_points
         if not _is_int(count) or count < 1:
             raise ConfigError("subspace.random.count", "expected a positive integer")
+        if count > n:
+            # more generators than points span nothing more
+            raise ConfigError("subspace.random.count", f"expected at most {n} (action.points)")
         if kind == "principal":
             count = 1
-        n = scn.action.n_points
         rng = np.random.default_rng(seed)
         gens = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
         return span_invariant(scn, gens)

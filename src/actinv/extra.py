@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoremViolationError
-from .scenario import DualPartition, Scenario
+from .scenario import DualPartition, Scenario, _probes
 from .spaces import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -143,8 +143,8 @@ def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
 
     The subspaces are range functions, so a base probe moves none of them;
     the law reads the space's probe passes (:func:`actinv.spaces._probe_pass`)
-    of the probes outside the base (:attr:`Scenario.moving_probes`), shared
-    with the residuals, and is ``0.0`` when there are none.  A probe moves
+    of the distinct extra probes outside the base, shared with the
+    residuals, and is ``0.0`` when there are none.  A probe moves
     ``basis[w] @ x`` out by its part inside the space but outside the
     subspace, ``W = (I - x x^H) N x`` in coefficients on the basis, and by
     the space's own part moved out, whose squared norms are those of the
@@ -154,7 +154,8 @@ def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
     Since the blocks' k add up to at most r, the stack holds at most as
     many entries per probe as the r x r Gram matrices of the pass.
     """
-    probes = space.scenario.moving_probes
+    scn = space.scenario
+    probes = [g for g in dict.fromkeys(_probes(scn.extra)) if g not in scn.base]
     if not probes:
         return 0.0
     n_fibers, n_blocks, _, k = coeffs.shape

@@ -217,12 +217,6 @@ class Scenario:
 
     # -- translations on the Zak side ----------------------------------------
 
-    @cached_property
-    def moving_probes(self) -> tuple[Element, ...]:
-        """The distinct extra generators outside the base, in order: the
-        probes of base and extra that can move a range function."""
-        return tuple(dict.fromkeys(g for g in self.extra.generators if g not in self.base))
-
     def modulation(self, g: Element) -> np.ndarray:
         """The reduced element g's translation on the stacked Zak values,
         (n_fibers, n_cosets), memoised per element: the one row builder.

@@ -1,25 +1,24 @@
 """Subspaces of the weighted function space and invariance machinery.
 
-A :class:`Subspace` is held by a weighted-orthonormal frame or, when it is
-base-invariant, by its range function: one orthonormal basis per Zak fiber
-in weighted stacked coordinates (:func:`fiber_matrices`), as one
-zero-padded (n_fibers, rows, r_max) array.  The fiber builders produce the
-range function and assemble the frame only when it is read; a frame-given
-space gets one at the base gate (:func:`require_base_invariant`).
-A translation acts on stacked Zak values as a modulation of their rows
-(:meth:`Scenario.modulation`), so no space is translated in point space.
-A base translation leaves every fiber basis where it is; a frame-given
-space is probed, until its base gate, on its whole stacked frame,
-transformed once per call (:func:`_frame_pass`).  A space with a range
-function makes one probe pass per probe outside the base
-(:func:`_probe_pass`), which every reader of it shares.  Every range
-function is one rank cut along the blocks of a subgroup containing the
-base (:func:`_block_cut`), the base itself being one block.  The
-point-space queries (:meth:`Subspace.residuals`, ``residual``,
-``contains``, ``project``, and so
-:func:`actinv.approx.evaluate_candidate`) read the range function too:
-one forward transform of the columns and one projection per fiber, so a
-fiber-built space never assembles its frame to answer them.
+Every :class:`Subspace` is read through orthonormal columns in weighted
+stacked coordinates (:func:`fiber_matrices`), one set per fiber.  A
+base-invariant space has its range function: one orthonormal basis per Zak
+fiber, as one zero-padded (n_fibers, rows, r_max) array.  A frame-given
+space, not known to be base-invariant until its base gate
+(:func:`require_base_invariant`), is one fiber: its whole stacked frame,
+transformed once, which the gate cuts into its range function.  The fiber
+builders produce the range function and assemble the frame only when it
+is read.  A translation acts on stacked Zak values as a modulation of
+their rows (:meth:`Scenario.modulation`), so no space is translated in
+point space: each probe moves a space's columns once (:func:`_probe_pass`),
+and every reader of the space shares that pass; a base translation leaves
+every basis of a range function where it is.  Every range function is one
+rank cut along the blocks of a subgroup containing the base
+(:func:`_block_cut`), the base itself being one block.  The point-space
+queries (:meth:`Subspace.residuals`, ``residual``, ``contains``,
+``project``, and so :func:`actinv.approx.evaluate_candidate`) read the
+same columns: one forward transform of the functions and one projection
+per fiber, so a fiber-built space never assembles its frame to answer them.
 
 Numerical work happens in *weighted coordinates*: scaling a function's
 entries by ``weights ** 0.5`` turns the weighted inner product into the
@@ -87,24 +86,27 @@ class Subspace:
     """A subspace given by a weighted-orthonormal frame of columns.
 
     A fiber-built space (:meth:`from_fibers`) is given by its range
-    function instead, and assembles its frame on first access; its
-    residuals, memberships and projections read the range function, not
-    the frame, as do a frame-given space's once it is past its base gate
-    (:func:`require_base_invariant`).  The
-    constructor refuses (``ValueError``) a frame of the wrong shape, with
-    non-finite entries, or whose weighted Gram matrix ``Q^H W Q`` overflows
-    or differs from the identity by more than ``_FRAME_TOL`` in some entry:
-    every reader takes the frame as orthonormal.
+    function instead, and assembles its frame on first access.  Every
+    probe and query reads the space's columns in weighted stacked
+    coordinates (:attr:`_stacked`): its range function, or, for a
+    frame-given space before its base gate (:func:`require_base_invariant`),
+    its whole stacked frame as one fiber (:attr:`_whole`).  The constructor
+    refuses (``ValueError``) a frame of the wrong shape, with non-finite
+    entries, or whose weighted Gram matrix ``Q^H W Q`` overflows or differs
+    from the identity by more than ``_FRAME_TOL`` in some entry: every
+    reader takes the frame as orthonormal.  By the stacked isometry that
+    Gram matrix is ``S^H S`` of the whole stacked frame S, so the check
+    reads the one transform of the frame that every later reader shares.
     """
 
     def __init__(self, scenario: Scenario, frame: np.ndarray):
         n, frame = scenario.action.n_points, np.asarray(frame)
         if frame.ndim != 2 or len(frame) != n:
             raise ValueError(f"frame must have shape ({n}, dim), got {frame.shape}")
-        frame = _checked(frame, "frame entries")
+        self.scenario, self.frame = scenario, _checked(frame, "frame entries")
         with np.errstate(over="ignore", invalid="ignore"):
-            q = frame * np.sqrt(scenario.action.weights)[:, None]
-            gap = np.abs(q.conj().T @ q - np.eye(frame.shape[1])).max(initial=0.0)
+            whole = self._whole[0]
+            gap = np.abs(whole.conj().T @ whole - np.eye(whole.shape[1])).max(initial=0.0)
         if not math.isfinite(gap):
             raise _too_large("frame", "weighted Gram matrix")
         if gap > _FRAME_TOL:
@@ -112,7 +114,6 @@ class Subspace:
                 "frame is not weighted-orthonormal: the largest entry of "
                 f"|Q^H W Q - I| is {gap:.3e}, above {_FRAME_TOL:.0e}"
             )
-        self.scenario, self.frame = scenario, frame
 
     @classmethod
     def span(cls, scn: Scenario, vectors: Sequence[np.ndarray] | np.ndarray) -> "Subspace":
@@ -187,30 +188,32 @@ class Subspace:
         return self.frame.shape[1] if "frame" in vars(self) else self._columns[0].size
 
     @cached_property
-    def _root(self) -> np.ndarray:
-        """``weights ** 0.5`` as a column, the scale into weighted coordinates."""
-        return np.sqrt(self.scenario.action.weights)[:, None]
+    def _whole(self) -> np.ndarray:
+        """The whole stacked frame as one fiber of orthonormal columns, (1,
+        n_fibers * rows, dim): its fiber matrices (:func:`fiber_matrices`)
+        times ``n_fibers ** -0.5``.  The columns of a frame-given space
+        until its base gate, which cuts them and drops them."""
+        scn = self.scenario
+        mats = fiber_matrices(scn, self.frame)
+        mats.view(np.float64)[...] *= scn.n_fibers**-0.5
+        return mats.reshape(1, scn.action.n_points, mats.shape[2])
 
-    @cached_property
-    def _weighted_frame(self) -> np.ndarray:
-        return self.frame * self._root
+    @property
+    def _stacked(self) -> np.ndarray:
+        """The space's orthonormal columns in weighted stacked coordinates,
+        (fibers, rows, r): its range function if it has one, else its whole
+        stacked frame as one fiber (:attr:`_whole`)."""
+        basis = vars(self).get("_basis")
+        return self._whole if basis is None else basis
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """The orthogonal projection of a finite function, or of each column
-        of a matrix of them (:func:`as_columns`).
-
-        On a space with a range function, each fiber's projection
-        ``B (B^H F)`` (:meth:`_inside`) taken back by one inverse transform
-        (:func:`fibers_from_matrix`); on a frame-given space before its base
-        gate, ``q (q^H m)`` with the frame in weighted coordinates.
-        """
+        of a matrix of them (:func:`as_columns`): the projection ``B (B^H
+        F)`` onto the space's columns (:meth:`_inside`) taken back by one
+        inverse transform (:func:`fibers_from_matrix`)."""
         f = np.asarray(f)
         mat = as_columns(self.scenario, f, "function")
-        if "_basis" in vars(self):
-            out = fibers_from_matrix(self.scenario, self._inside(mat)[1])
-        else:
-            q, fw = self._weighted_frame, mat * self._root
-            out = (q @ (q.conj().T @ fw)) / self._root
+        out = fibers_from_matrix(self.scenario, self._inside(mat)[1])
         return out[:, 0] if f.ndim == 1 else out
 
     def residuals(self, mat: np.ndarray) -> np.ndarray:
@@ -221,32 +224,27 @@ class Subspace:
     def _residuals(self, mat: np.ndarray) -> np.ndarray:
         """:meth:`residuals` of checked columns, with no pass over them.
 
-        On a space with a range function (fiber-built, or past the base
-        gate) the columns' fiber matrices F minus their projection
-        ``B (B^H F)`` on every fiber (:meth:`_inside`): the stacked
-        transform is an isometry onto weighted stacked coordinates, so a
-        column's residual is ``sqrt(sum_w |F_w - B_w B_w^H F_w| ** 2 /
-        n_fibers)``, and no frame is assembled.  A frame-given space
-        before its gate has no range function, and may not be
-        base-invariant: one product ``q @ (q^H @ m)`` with the frame ``q``
-        and the columns ``m`` in weighted coordinates.  A value that
-        overflows, in the transform, the weighting or the norm, reads
-        ``inf`` or ``nan``, with no warning.
+        The columns' fiber matrices F minus their projection ``B (B^H F)``
+        onto the space's columns (:meth:`_inside`): the stacked transform is
+        an isometry onto weighted stacked coordinates, so a column's
+        residual is ``sqrt(sum_w |F_w - B_w B_w^H F_w| ** 2 / n_fibers)``,
+        and no frame is assembled.  A value that overflows, in the
+        transform, the weighting or the norm, reads ``inf`` or ``nan``, with
+        no warning.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            if "_basis" in vars(self):
-                mats, inside = self._inside(mat)
-                mats -= inside
-                return np.linalg.norm(mats, axis=(0, 1)) / math.sqrt(self.scenario.n_fibers)
-            q, mw = self._weighted_frame, mat * self._root
-            return np.linalg.norm(mw - q @ (q.conj().T @ mw), axis=0)
+            mats, inside = self._inside(mat)
+            mats -= inside
+            return np.linalg.norm(mats, axis=(0, 1)) / math.sqrt(self.scenario.n_fibers)
 
     def _inside(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The fiber matrices F of checked columns (:func:`fiber_matrices`)
-        and their projection ``B (B^H F)`` onto the range function B, fiber
-        by fiber."""
-        mats, basis = fiber_matrices(self.scenario, mat), self._basis
-        return mats, basis @ (basis.conj().swapaxes(-1, -2) @ mats)
+        and their projection ``B (B^H F)`` onto the space's columns B
+        (:attr:`_stacked`), F read with B's fiber count: fiber by fiber on
+        a range function, as one fiber on a whole stacked frame."""
+        mats, basis = fiber_matrices(self.scenario, mat), self._stacked
+        cols = mats.reshape(basis.shape[:2] + mats.shape[2:])
+        return mats, (basis @ (basis.conj().swapaxes(-1, -2) @ cols)).reshape(mats.shape)
 
     def residual(self, f: np.ndarray) -> float:
         """Weighted norm of the part of finite f outside the subspace (:func:`_finite`)."""
@@ -342,7 +340,8 @@ def span_invariant(
     base = scn.base
     if subgroup is None:
         subgroup = base
-    if subgroup.group != scn.group or not base.issubset(subgroup):
+    foreign = not isinstance(subgroup, Subgroup) or subgroup.group != scn.group
+    if foreign or not base.issubset(subgroup):
         raise ValueError("an invariant span needs a subgroup containing the base")
     mat = as_columns(scn, generators)
     if mat.shape[1] == 0:
@@ -404,39 +403,27 @@ def _packed(u: np.ndarray, keep: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _probe_pass(space: Subspace, g) -> tuple:
-    """g's residual on a space with a range function, and its :func:`_moved`
-    pair ``(inside, gram)``.
+    """g's residual on the space's columns (:attr:`Subspace._stacked`), and
+    its :func:`_moved` pair ``(inside, gram)``.
 
     The residual is the largest distance from the space of a unit vector
     of it translated by g, :func:`_top` of the Gram matrix of the part g's
     modulation moves out.  A base element's row is constant per fiber, so
-    a probe in the base reads exactly ``0.0`` by exact membership, tested
-    after the memo and before anything is built; any other probe's row
-    (:meth:`Scenario.modulation`) moves the fiber bases once, all three
+    on a range function (one basis per Zak fiber) a probe in the base reads
+    exactly ``0.0`` by exact membership, tested after the memo and before
+    anything is built; any other probe's row (:meth:`Scenario.modulation`),
+    read with the columns' fiber count, moves them once, all three
     memoised on ``space`` per probe.
     """
     scn, memo = space.scenario, vars(space).get("_invariance", {})
     if g not in memo:
-        if g in scn.base:
+        basis = space._stacked
+        if len(basis) == scn.n_fibers and g in scn.base:
             return 0.0, None, None
-        inside, gram = _moved(scn.modulation(g), space._basis)
+        inside, gram = _moved(scn.modulation(g).reshape(len(basis), -1), basis)
         memo[g] = (_top(gram), inside, gram)
         space._invariance = memo
     return memo[g]
-
-
-def _frame_pass(space: Subspace, probes) -> tuple[float, np.ndarray]:
-    """A frame-given space's worst residual over the probes, ``0.0`` for
-    dimension 0, and its frame's fiber matrices, from the one transform of
-    a frame: the whole stacked frame times ``n_fibers ** -0.5`` is one
-    fiber of orthonormal columns, which each probe's row moves once
-    (:func:`_moved`).  Nothing is memoised."""
-    scn = space.scenario
-    mats = fiber_matrices(scn, space.frame)
-    if space.dim == 0:
-        return 0.0, mats
-    whole = (mats.view(np.float64) * scn.n_fibers**-0.5).view(complex).reshape(1, -1, space.dim)
-    return max([_top(_moved(scn.modulation(g).reshape(1, -1), whole)[1]) for g in probes]), mats
 
 
 def _top(gram: np.ndarray) -> float:
@@ -494,9 +481,12 @@ def is_invariant(
     and the worst residual (:func:`_residual`): the largest distance from
     the space of a translated unit vector of the space, maximised over the
     probes, which does not depend on ``tol`` or on a choice of basis.
-    ``ValueError`` unless ``tol`` is a finite positive number.
+    ``ValueError`` unless ``tol`` is a finite positive number and the
+    subgroup is one of the space's group.
     """
     tol = checked_tol(tol)
+    if not isinstance(subgroup, Subgroup) or subgroup.group != space.scenario.group:
+        raise ValueError("an invariance test needs a subgroup of the space's group")
     worst = _residual(space, subgroup)
     return worst <= tol, worst
 
@@ -504,23 +494,19 @@ def is_invariant(
 def _residual(space: Subspace, subgroup: Subgroup) -> float:
     """The worst residual of :func:`is_invariant`, ``0.0`` for dimension 0.
 
-    On a space with a range function (fiber-built, or past the base gate)
-    a probe in the base reads exactly ``0.0`` at no cost; every other
-    probe makes one probe pass (:func:`_probe_pass`): its modulation row,
-    built once per scenario by :meth:`Scenario.modulation` whatever the
-    subgroup, moves the fiber bases once, and the residual (the top
-    singular value of the part moved out, from its r x r Gram matrix and
-    one ``eigvalsh``), the part kept inside and that Gram matrix are
-    memoised on the space for every later reader, the component law of
-    :func:`actinv.extra.check_extra_invariance` included.  A frame-given
-    space, before it is known to be base-invariant, moves its whole stacked
-    frame, transformed once per call, by each probe's row
-    (:func:`_frame_pass`) and keeps nothing.  The callers check ``tol``.
+    Every probe makes one probe pass (:func:`_probe_pass`) on the space's
+    columns, a range function or, before the base gate, the whole stacked
+    frame: its modulation row, built once per scenario by
+    :meth:`Scenario.modulation` whatever the subgroup, moves the columns
+    once, and the residual (the top singular value of the part moved out,
+    from its r x r Gram matrix and one ``eigvalsh``), the part kept inside
+    and that Gram matrix are memoised on the space for every later reader,
+    the component law of :func:`actinv.extra.check_extra_invariance`
+    included.  A probe in the base reads exactly ``0.0`` at no cost on a
+    range function.  The callers check ``tol``.
     """
     if space.dim == 0:
         return 0.0
-    if "_basis" not in vars(space):
-        return _frame_pass(space, _probes(subgroup))[0]
     return max([_probe_pass(space, g)[0] for g in _probes(subgroup)])
 
 
@@ -536,35 +522,40 @@ def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndar
     A space that has a range function (fiber-built, or past this gate once)
     returns it at once: a base translation moves no fiber basis, so its
     base residual is exactly ``0.0``.  A frame-given space passes when its
-    residual on its whole stacked frame (:func:`_frame_pass`) is at most
+    base residual on its whole stacked frame (:func:`_residual`) is at most
     ``tol`` and its fibers hold its whole dimension: the ranks of the same
-    fiber matrices, cut by :func:`_block_cut` along the base's one block,
-    sum to ``dim``.  That cut basis then becomes its range function,
-    and every later residual is read off it; the gate's residuals are not
-    kept.  ``ValueError`` unless ``tol`` is a finite positive number.
+    columns read one Zak fiber at a time, cut by :func:`_block_cut` along
+    the base's one block, sum to ``dim``.  That cut basis then becomes its
+    range function, and every later residual is read off it; the whole
+    stacked frame and the probe passes made on it are dropped.
+    ``ValueError`` unless ``tol`` is a finite positive number.
     """
     return _range_function(space, checked_tol(tol))
 
 
 def _range_function(space: Subspace, tol: float) -> np.ndarray:
-    """:func:`require_base_invariant` with ``tol`` already checked; one
-    transform of a frame serves its base residuals and its cut."""
+    """:func:`require_base_invariant` with ``tol`` already checked; the
+    one transform of a frame serves its base residuals and its cut."""
     basis = vars(space).get("_basis")
     if basis is not None:
         return basis
     scn = space.scenario
-    res, mats = _frame_pass(space, _probes(scn.base))
+    res = _residual(space, scn.base)
     if not res <= tol:
         raise InvarianceError(
             f"subspace is not invariant under the base subgroup (residual {res:.3e})"
         )
-    basis = _block_cut(mats, scn.block_rows(scn.base))
+    whole = space._whole
+    rows = scn.block_rows(scn.base)
+    basis = _block_cut(whole.reshape(scn.n_fibers, rows.size, whole.shape[2]), rows)
     total = np.count_nonzero(basis.any(axis=1))
     if total != space.dim:
         raise InvarianceError(
             f"subspace fibers have {total} dimensions, the space has {space.dim}"
         )
     space._basis = basis
+    del space._whole
+    vars(space).pop("_invariance", None)
     return basis
 
 

@@ -384,3 +384,16 @@ def test_input_whose_transform_overflows_is_refused(seed):
             space.residual(data[:, 0] * 1e307)
         with pytest.raises(ValueError, match="^data vectors too large: the summed squared"):
             evaluate_candidate(scn, data * 1e307, space)
+
+
+@pytest.mark.parametrize("ell", [2**63, 10**30, np.uint64(2**64 - 1)])
+def test_budget_past_every_integer_dtype_is_the_pool_width(bank, ell):
+    """A budget no int64 holds keeps every direction that passes the rank
+    rule, as a budget of the pool width does, and is reported as given."""
+    scn = bank["two_orbits"]
+    data = data_matrix(scn, np.random.default_rng(31), m=5)
+    pool = scn.n_cosets * len(scn.tiling.orbit_reps)  # rows per fiber
+    for solver in (best_invariant, best_extra_invariant):
+        got, want = solver(scn, data, ell), solver(scn, data, pool)
+        assert got.ell == ell and type(got.ell) is int
+        assert {**got.as_dict(), "ell": pool} == want.as_dict()

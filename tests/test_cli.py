@@ -1,5 +1,6 @@
 """End-to-end command line runs (in-process) and the CSV helpers."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from actinv.io import read_columns_csv, write_columns_csv
 
 import oracle
 from conftest import random_function
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def rotate(n):
@@ -465,6 +468,39 @@ def test_approx_needs_data_and_ell(capsys, tmp_path):
     cfg = write_cfg(tmp_path, chain12_cfg(data={"vectors": [[[1.0, 0.0]] * 12]}))
     rc, _, detail = error_detail(capsys, ["--config", cfg, "approx"])
     assert rc == 1 and "options.ell" in detail
+
+
+def test_budget_past_every_integer_dtype_is_the_pool_width(capsys, tmp_path):
+    """``options.ell`` of 10**30 runs (exit 0) with the spectra, errors and
+    dimensions of a budget of the point count, which no fiber's pool
+    exceeds, and reports the budget as given."""
+    doc = json.loads((GOLDEN / "configs" / "chain12_approx_ell1.json").read_text())
+    reports = []
+    for ell in (10**30, 12):
+        doc["options"]["ell"] = ell
+        rc, out = run(capsys, ["--config", write_cfg(tmp_path, doc), "approx"])
+        assert rc == 0
+        reports.append(json.loads(out))
+    huge, full = reports
+    assert huge["ell"] == huge["plain"]["ell"] == huge["extra"]["ell"] == 10**30
+    for report in (huge, full, huge["plain"], full["plain"], huge["extra"], full["extra"]):
+        report.pop("ell")
+    assert huge == full
+
+
+@pytest.mark.parametrize("count", [13, 10**30])
+def test_random_count_above_the_points_is_a_config_error(capsys, tmp_path, count):
+    """More random generators than points span nothing more: a count above
+    ``action.points`` is refused at its field (exit 1) before any draw;
+    the point count itself runs."""
+    for kind in ("spanned", "principal"):
+        sub = {"random": {"kind": kind, "count": count}}
+        cfg = write_cfg(tmp_path, chain12_cfg(subspace=sub))
+        rc, kind_, detail = error_detail(capsys, ["--config", cfg, "check"])
+        assert rc == 1 and kind_ == "config"
+        assert detail == "subspace.random.count: expected at most 12 (action.points)"
+    cfg = write_cfg(tmp_path, chain12_cfg(subspace={"random": {"kind": "spanned", "count": 12}}))
+    assert run(capsys, ["--config", cfg, "check"])[0] == 0
 
 
 def test_bad_vector_arity(capsys, tmp_path):

@@ -354,7 +354,6 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
     log = _passes(monkeypatch)
     size = dual_partition(scn).rows.shape[1]
     probes = _moving(scn)
-    assert scn.moving_probes == probes
     for i, space in enumerate(spaces):
         log.clear()
         spaces_mod.require_base_invariant(space)
@@ -397,7 +396,7 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
     g = FiniteAbelianGroup(list(moduli))
     weights = np.exp(np.random.default_rng(33).uniform(0.0, np.log(1e3), 2 * g.order))
     scn = Scenario(g, Subgroup(g, base), Subgroup(g, extra), ActionSpace.regular(g, 2, weights))
-    assert list(scn.moving_probes) == probes
+    assert list(_moving(scn)) == probes
     rng = np.random.default_rng(34)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     spaces = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
@@ -418,40 +417,52 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
 
 def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
     """Before its base gate a frame-given space makes one probe pass per
-    probe and call on its whole stacked frame, as one fiber of n_points
+    distinct probe on its whole stacked frame, as one fiber of n_points
     rows moved by the probe's modulation row, with the point-space
-    oracle's residuals, and memoises no probe; the scenario builds each
-    probe's row once, base probes included.  After the gate a cold check
-    pair makes one pass on the whole frame per base probe and one on the
-    range function per distinct probe outside the base, and builds no row;
+    oracle's residuals, and memoises it on the space, base probes
+    included, unless the base is trivial: then the whole stacked frame is
+    the one Zak fiber, and a base probe reads 0.0 with no pass.  A
+    repeated call makes none.  The scenario builds each probe's row once.
+    The gate reads those base passes, cuts the whole stacked frame and
+    drops it with its memo; a cold check pair then makes one pass on the
+    range function per distinct probe outside the base and builds no row,
     a warm one makes none, with the reports of the fiber-built original's
     verdicts and dimensions."""
     scn = _fresh(scn)
     rng = np.random.default_rng(35)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     log = _passes(monkeypatch)
-    probes, base_probes = _moving(scn), spaces_mod._probes(scn.base)
+    probes = _moving(scn)
     pair = (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra))
     built = set()
     for space in pair:
         given = Subspace(scn, space.frame)
         whole = (1, scn.action.n_points, space.dim)
-        for sub in (scn.base, scn.extra):  # on the whole frame, before the gate
+        assert vars(given)["_whole"].shape == whole
+        passed = set()
+        for sub in (scn.base, scn.extra, scn.base):  # on the whole frame, before the gate
             log.clear()
-            ok, res = is_invariant(given, sub)
-            assert res == pytest.approx(oracle.translation_residual(space, sub), abs=1e-12)
+            verdict = is_invariant(given, sub)
+            assert verdict[1] == pytest.approx(oracle.translation_residual(space, sub), abs=1e-12)
+            if sub is scn.extra:
+                ok, res = verdict
             want = []
-            for g in spaces_mod._probes(sub):
-                want += [] if g in built else [("row", g)]
-                want.append(("moved", whole))
+            for g in dict.fromkeys(spaces_mod._probes(sub)):
+                if scn.n_fibers == 1 and g in scn.base:
+                    continue
+                if g not in passed:
+                    want += [] if g in built else [("row", g)]
+                    want.append(("moved", whole))
                 built.add(g)
+                passed.add(g)
             assert [(k, s) for k, s, _ in log if k in ("moved", "row")] == want
-            assert not {"_basis", "_invariance"} & set(vars(given))
+            assert "_basis" not in vars(given)
+            assert set(vars(given).get("_invariance", ())) == passed
         cold, warm = _pair(scn, given, log), _pair(scn, given, log)
-        gate = [(whole, None)] * len(base_probes)
-        assert cold["moved"] == gate + [(given._basis.shape, None)] * len(probes)
+        assert cold["moved"] == [(given._basis.shape, None)] * len(probes)
         assert cold["row"] == []
         assert set(vars(given)["_invariance"]) == set(probes)
+        assert "_whole" not in vars(given)
         assert warm == {"moved": [], "row": [], "svd": [], "eigvalsh": []}
         ext = check_extra_invariance(scn, given)
         assert ext.extra_invariant == ok == check_extra_invariance(scn, space).extra_invariant
@@ -460,17 +471,19 @@ def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatc
 
 
 def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
-    """Only a frame-given space is transformed, and once per call until
-    its base gate.
+    """Only a frame-given space is transformed, and once in its life.
 
-    ``check_extra_invariance``, ``check_decomposable`` and its inner
-    extra-invariance check all ask for base invariance: a cold check pair
-    on a frame-given space transforms its frame once, for the base probes'
-    passes on the whole stacked frame and its range function alike, a warm
-    one nothing at all; before the gate every ``is_invariant`` transforms
-    it once, whatever the number of probes; a fiber-built space is never
-    transformed.  ``fiber_matrices`` transforms through the unchecked
-    stacking kernel ``zak._zak_stacked``, which ``spaces`` holds by name.
+    Its constructor transforms the frame once, for its orthonormality
+    check and its whole stacked frame, which every ``is_invariant``
+    before the base gate reads without a transform, whatever the number
+    of probes and calls; ``check_extra_invariance``, ``check_decomposable``
+    and its inner extra-invariance check all ask for base invariance, and
+    the gate cuts the same whole stacked frame, so a check pair on it
+    transforms nothing.  A space the library built from a frame
+    (``Subspace.span``) is transformed once, on its first probe.  A
+    fiber-built space is never transformed.  ``fiber_matrices`` transforms
+    through the unchecked stacking kernel ``zak._zak_stacked``, which
+    ``spaces`` holds by name.
     """
     rng = np.random.default_rng(10)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -478,13 +491,16 @@ def test_checks_translate_the_frame_once_per_probe(scn, monkeypatch):
     calls = []
     _counted(monkeypatch, spaces_mod, "_zak_stacked", calls)
     for space in spaces:
-        given = Subspace(scn, space.frame)
         once = [("_zak_stacked", space.frame.shape)]
+        calls.clear()
+        given = Subspace(scn, space.frame)
+        assert calls == once
         for sub in (scn.base, scn.extra, scn.base):
             calls.clear()
             is_invariant(given, sub)
-            assert calls == once
-        for subject, want in ((space, []), (given, once)):
+            assert calls == []
+        spanned = Subspace.span(scn, space.frame)
+        for subject, want in ((space, []), (given, []), (spanned, once)):
             runs = []
             for _ in range(2):
                 calls.clear()
@@ -909,7 +925,7 @@ def test_check_guard_catches_a_corrupted_modulation_row(chain12):
     translation test, while the mask side, which never reads the row,
     keeps its inclusion residuals."""
     scn, space, clean = _check_inputs(chain12, 50, extra_spanned=False)
-    (g,) = scn.moving_probes
+    (g,) = _moving(scn)
     scn._modulation[g] = np.ones((scn.n_fibers, scn.n_cosets), dtype=complex)
     with pytest.raises(TheoremViolationError, match="translation test and mask-inclusion") as err:
         check_extra_invariance(scn, space)

@@ -361,13 +361,29 @@ def test_transforms_reproduce_the_reference_kernels_bitwise(spec, decades):
 @example(spec=((12,), [(4,)], [(2,)], 1, 0), decades=0.0)
 @example(spec=((2, 6), [(0, 2)], [(1, 0), (0, 2)], 2, 53), decades=3.0)
 @example(spec=((4, 4), [], [(2, 2)], 2, 6), decades=14.0)
+@example(spec=((3,), [], [], 1, 0), decades=13.0)  # kappa 7.0e4, gap 3.7e-12
+@example(spec=((6,), [], [], 1, 1072017868), decades=11.131231352037116)  # kappa 1.2e4
 def test_every_subgroup_block_table_matches_its_definition(spec, decades):
     """For every subgroup H between the base and the group, the base and
     the extra subgroup among them: ``block_rows(H)`` and the labels of H's
     partition are the blocks of ``oracle.subgroup_blocks``, and
     ``span_invariant(scn, gens, H)`` has the dimension and the weighted
-    projector (1e-12) of the point-space span of every H-translate, with
-    weights log-uniform over up to 1e14."""
+    projector of the point-space span of every H-translate, with weights
+    log-uniform over up to 1e14.
+
+    The projectors agree within 1e-12 or ``4 eps kappa``, whichever is
+    larger, kappa being the condition number of what both routes cut: the
+    weighted matrix of H-translates over its kept singular values.  Each
+    route is a backward-stable rank cut of that matrix, the projector of
+    ``A + dA`` with ``|dA| <= c eps |A|``, and by Wedin's sin-theta theorem
+    such a projector moves by at most about ``|dA| / s_min = c eps kappa``;
+    two routes make twice that, and a factor 2 more covers the constants
+    c of these small matrices.  Measured over 1855 drawn cases with kappa
+    above 1e3, the gap was at most 0.48 eps kappa (0.24 for the first
+    pinned example, where a 50-digit projector puts the library 2.1e-12
+    and the oracle 3.9e-12 from the exact one); with kappa near 1 the
+    bound is 1e-12, and the gap is a few eps.
+    """
     scn, rng = build(spec, decades)
     gens = complex_normal(rng, (scn.action.n_points, 2))
     root = np.sqrt(scn.action.weights)[:, None]
@@ -382,8 +398,12 @@ def test_every_subgroup_block_table_matches_its_definition(spec, decades):
         assert got.dim == want.dim
         q = got.frame * root
         np.testing.assert_allclose(q.conj().T @ q, np.eye(got.dim), rtol=0, atol=RTOL)
+        cut = np.hstack([translate(scn.action, g, gens) for g in sub.elements]) * root
+        s = np.linalg.svd(cut, compute_uv=False)
+        kappa = s[0] / s[s > RANK_TOL * s[0]][-1]
+        bound = max(RTOL, 4 * np.finfo(float).eps * kappa)
         np.testing.assert_allclose(
-            oracle.projector(got), oracle.projector(want), rtol=0, atol=RTOL
+            oracle.projector(got), oracle.projector(want), rtol=0, atol=bound
         )
 
 
@@ -738,7 +758,9 @@ def test_check_pair_matches_its_decomposition_references(spec, noise):
         space = noisy(space, noise, rng)
         basis = space._basis
         passes = []
-        for g in scn.moving_probes:
+        for g in dict.fromkeys(spaces_mod._probes(scn.extra)):
+            if g in scn.base:
+                continue
             inside, factor, top = oracle.moved_top(oracle.modulation_row(scn, g), basis)
             assert_roundoff(spaces_mod._probe_pass(space, g)[0], top)
             passes.append((inside, factor))
@@ -795,8 +817,12 @@ def test_queries_match_the_dense_projector(spec, decades):
     1e14: every residual and projection within 1e-12 times the function's
     weighted norm.  A space with a range function answers from it, so no
     fiber-built space has assembled its frame by the time the reference
-    reads it, and no space with a range function has read its weighted
-    frame."""
+    reads it, and no space with a range function holds a whole stacked
+    frame.  Every space's ``is_invariant`` residuals under the base and the
+    extra subgroup match the point-space translates of its frame
+    (``oracle.translation_residual``) within 1e-12: a frame-given space
+    before its gate is probed on its whole stacked frame, base-invariant
+    or not."""
     scn, rng = build(spec, decades)
     w, root = scn.action.weights, np.sqrt(scn.action.weights)[:, None]
     for kind, space, route in query_cases(scn, rng):
@@ -807,7 +833,7 @@ def test_queries_match_the_dense_projector(spec, decades):
         got_one, got_col = space.residual(f[:, 0]), space.project(f[:, 0])
         got_total = evaluate_candidate(scn, f, space)
         if route != "frame":
-            assert "_weighted_frame" not in vars(space), kind
+            assert "_whole" not in vars(space), kind
         if route == "fibers":
             assert "frame" not in vars(space), kind
         p = oracle.projector(space)
@@ -825,6 +851,9 @@ def test_queries_match_the_dense_projector(spec, decades):
         for j in range(3):
             if want_res[j] > 1e-6 * norms[j]:
                 assert not space.contains(f[:, j]), kind
+        for sub in (scn.base, scn.extra):
+            want = oracle.translation_residual(space, sub)
+            assert abs(is_invariant(space, sub)[1] - want) <= RTOL, kind
 
 
 # -- rank cut ------------------------------------------------------------------

@@ -311,9 +311,9 @@ def _frame_transforms(tree: ast.AST) -> list[int]:
 
 
 def test_spaces_transforms_a_frame_at_one_site():
-    """A frame-given space's base residuals, its gate's cut and its
-    residuals before the gate all read the fiber matrices of one
-    transform, made at one site of ``spaces.py`` (``_frame_pass``)."""
+    """A frame-given space's orthonormality check, its probes and queries
+    before the gate and its gate's cut all read the fiber matrices of one
+    transform, made at one site of ``spaces.py`` (``Subspace._whole``)."""
     path = PACKAGE / "spaces.py"
     lines = _frame_transforms(ast.parse(path.read_text(), filename=str(path)))
     assert len(lines) == 1, f"spaces.py transforms a frame at lines {lines}"
@@ -321,8 +321,8 @@ def test_spaces_transforms_a_frame_at_one_site():
 
 def test_frame_transform_rule_catches_a_second_site():
     source = """
-def _frame_pass(space, probes):
-    mats = fiber_matrices(space.scenario, space.frame)
+def _whole(self):
+    mats = fiber_matrices(self.scenario, self.frame)
 
 def _range_function(space, tol):
     cut = _block_cut(spaces.fiber_matrices(scn, space.frame), rows)

@@ -235,19 +235,26 @@ def test_probe_rows_are_built_once_per_scenario(chain12, monkeypatch):
 
 
 def test_frame_given_space_keeps_no_probe_memo_before_its_gate(scn):
-    """Before the base gate a frame-given space is probed on its whole
-    stacked frame on each call and memoises nothing; after it, its probe
-    passes are memoised on its range function."""
+    """A frame-given space keeps none of the probe passes it made before
+    its base gate past the gate.  Before it, the space memoises its passes
+    on its whole stacked frame, one per distinct probe, base probes
+    included unless the base is trivial (then the whole stacked frame is
+    the one Zak fiber, which no base probe moves); the gate drops them with the whole stacked frame, and after
+    it the space memoises its passes on its range function, one per
+    distinct probe outside the base."""
     rng = np.random.default_rng(44)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     given = Subspace(scn, span_invariant(scn, gens, scn.extra).frame)
     for sub in (scn.base, scn.extra):
         assert is_invariant(given, sub)[0]
-    assert not {"_basis", "_invariance"} & set(vars(given))
+    assert "_basis" not in vars(given)
+    probes = spaces_mod._probes(scn.base) + spaces_mod._probes(scn.extra)
+    moving = {g for g in probes if g not in scn.base}
+    assert set(vars(given)["_invariance"]) == (moving if scn.n_fibers == 1 else set(probes))
     require_base_invariant(given)
-    assert "_invariance" not in vars(given)
+    assert not {"_whole", "_invariance"} & set(vars(given))
     is_invariant(given, scn.extra)
-    assert set(vars(given).get("_invariance", ())) == set(scn.moving_probes)
+    assert set(vars(given).get("_invariance", ())) == moving
 
 
 def test_translates_are_modulated_fibers(scn):
@@ -751,3 +758,22 @@ def test_span_checks_its_vectors_once(monkeypatch):
     space = Subspace.span(scn, vectors)
     assert vectors.shape == (192, 4) and space.dim == 4
     assert passes == [768]
+
+
+def test_foreign_subgroups_are_refused_at_the_boundary(bank):
+    """``is_invariant`` refuses a subgroup of another group with
+    ``ValueError`` before any probe, and so is a group passed for a
+    subgroup, there and in ``span_invariant``; a subgroup of an equal
+    group built anew is the scenario's own.  (13 reduced mod 12 is 1,
+    whose verdict the foreign subgroup used to get.)"""
+    scn = bank["two_orbits"]
+    rng = np.random.default_rng(45)
+    span = span_invariant(scn, np.column_stack([random_function(scn, rng) for _ in range(2)]))
+    for foreign in (Subgroup(FiniteAbelianGroup((24,)), [(13,)]), scn.group):
+        with pytest.raises(ValueError, match="subgroup of the space's group"):
+            is_invariant(span, foreign)
+        assert "_invariance" not in vars(span)
+    with pytest.raises(ValueError, match="containing the base"):
+        span_invariant(scn, span.frame, scn.group)
+    again = Subgroup(FiniteAbelianGroup((12,)), [(2,)])
+    assert is_invariant(span, again) == is_invariant(span, scn.extra)
