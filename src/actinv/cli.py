@@ -218,7 +218,10 @@ def build_subspace(doc: dict, scn: Scenario, seed: int) -> Subspace:
     sec = doc["subspace"]
     if not isinstance(sec, dict):
         raise ConfigError("subspace", "expected an object")
-    if sec.get("canonical"):
+    canonical = sec.get("canonical", False)
+    if not isinstance(canonical, bool):
+        raise ConfigError("subspace.canonical", "expected true or false")
+    if canonical:
         return canonical_extra_invariant(scn)
     if "random" in sec:
         rnd = sec["random"]

@@ -156,8 +156,6 @@ def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
     """
     scn = space.scenario
     probes = [g for g in dict.fromkeys(_probes(scn.extra)) if g not in scn.base]
-    if not probes:
-        return 0.0
     n_fibers, n_blocks, _, k = coeffs.shape
     herm = coeffs.conj().swapaxes(-1, -2)
     law = np.empty((len(probes), n_fibers, n_blocks, k, k), dtype=complex)

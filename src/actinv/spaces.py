@@ -1,20 +1,20 @@
 """Subspaces of the weighted function space and invariance machinery.
 
-Every :class:`Subspace` is read through orthonormal columns in weighted
-stacked coordinates (:func:`fiber_matrices`), one set per fiber.  A
-base-invariant space has its range function: one orthonormal basis per Zak
-fiber, as one zero-padded (n_fibers, rows, r_max) array.  A frame-given
-space, not known to be base-invariant until its base gate
-(:func:`require_base_invariant`), is one fiber: its whole stacked frame,
-transformed once, which the gate cuts into its range function.  The fiber
-builders produce the range function and assemble the frame only when it
-is read.  A translation acts on stacked Zak values as a modulation of
-their rows (:meth:`Scenario.modulation`), so no space is translated in
-point space: each probe moves a space's columns once (:func:`_probe_pass`),
-and every reader of the space shares that pass; a base translation leaves
-every basis of a range function where it is.  Every range function is one
-rank cut along the blocks of a subgroup containing the base
-(:func:`_block_cut`), the base itself being one block.  The point-space
+Every :class:`Subspace` is a stack of orthonormal fiber bases in weighted
+stacked coordinates (:func:`fiber_matrices`), ``Subspace._basis``.  A
+base-invariant space has its range function, one basis per Zak fiber in
+one zero-padded (n_fibers, rows, r_max) array: the zero space's has width
+0.  A frame-given space, not known to be base-invariant until its base
+gate (:func:`require_base_invariant`), is one fiber, its whole stacked
+frame, transformed once, which the gate cuts into its range function (on
+a trivial base, one Zak fiber, it already is).  The fiber builders
+assemble the frame only when it is read.  A translation acts on stacked
+Zak values as a modulation of their rows (:meth:`Scenario.modulation`), so
+no space is translated in point space: each probe moves a space's columns
+once (:func:`_probe_pass`), and every reader of the space shares that
+pass; a base translation leaves every basis of a range function where it
+is.  Every range function is one rank cut along the blocks of a subgroup
+containing the base (:func:`_block_cut`), the base itself being one block.  The point-space
 queries (:meth:`Subspace.residuals`, ``residual``, ``contains``,
 ``project``, and so :func:`actinv.approx.evaluate_candidate`) read the
 same columns: one forward transform of the functions and one projection
@@ -45,7 +45,8 @@ DEFAULT_TOL = 1e-9
 # The largest entry of |Q^H W Q - I| a caller's frame may have.  Library-built
 # frames (spans, canonical, both fits, Subspace.span, masked components)
 # measured at most 4.7e-15 over 300 generated scenarios of order up to 200
-# with weight ranges up to 1e14, and 3.8e-15 on the benchmark's scenarios.
+# with weight ranges up to 1e14, and 3.8e-15 on the benchmark's scenarios;
+# their range functions' |B^H B - I| at most 2.2e-15 (Subspace.from_fibers).
 _FRAME_TOL = 1e-10
 
 
@@ -88,9 +89,9 @@ class Subspace:
     A fiber-built space (:meth:`from_fibers`) is given by its range
     function instead, and assembles its frame on first access.  Every
     probe and query reads the space's columns in weighted stacked
-    coordinates (:attr:`_stacked`): its range function, or, for a
+    coordinates (:attr:`_basis`): its range function, or, for a
     frame-given space before its base gate (:func:`require_base_invariant`),
-    its whole stacked frame as one fiber (:attr:`_whole`).  The constructor
+    its whole stacked frame as one fiber.  The constructor
     refuses (``ValueError``) a frame of the wrong shape, with non-finite
     entries, or whose weighted Gram matrix ``Q^H W Q`` overflows or differs
     from the identity by more than ``_FRAME_TOL`` in some entry: every
@@ -105,7 +106,7 @@ class Subspace:
             raise ValueError(f"frame must have shape ({n}, dim), got {frame.shape}")
         self.scenario, self.frame = scenario, _checked(frame, "frame entries")
         with np.errstate(over="ignore", invalid="ignore"):
-            whole = self._whole[0]
+            whole = self._basis[0]
             gap = np.abs(whole.conj().T @ whole - np.eye(whole.shape[1])).max(initial=0.0)
         if not math.isfinite(gap):
             raise _too_large("frame", "weighted Gram matrix")
@@ -125,19 +126,14 @@ class Subspace:
             frame = orthonormal_columns(scn.action.weights, mat)
         except np.linalg.LinAlgError:
             raise _too_large("vectors", "weighting") from None
-        return cls._of_frame(scn, frame)
-
-    @classmethod
-    def zero(cls, scn: Scenario) -> "Subspace":
-        return cls._of_frame(scn, np.zeros((scn.action.n_points, 0), dtype=complex))
-
-    @classmethod
-    def _of_frame(cls, scn: Scenario, frame: np.ndarray) -> "Subspace":
-        """The space of a frame the library built from checked input, a
-        C-contiguous complex (n_points, dim) array, taken as it is."""
         space = cls.__new__(cls)
         space.scenario, space.frame = scn, frame
         return space
+
+    @classmethod
+    def zero(cls, scn: Scenario) -> "Subspace":
+        rows = scn.n_cosets * len(scn.tiling.orbit_reps)
+        return cls._of_range(scn, np.zeros((scn.n_fibers, rows, 0), dtype=complex))
 
     @classmethod
     def from_fibers(cls, scn: Scenario, basis: np.ndarray) -> "Subspace":
@@ -149,7 +145,10 @@ class Subspace:
         Zak values are the j-th nonzero column, fiber by fiber, at its fiber
         and zero elsewhere, scaled by ``n_fibers ** 0.5`` to unit norm, so
         the frame is weighted-orthonormal.  One inverse transform builds it.
-        ``ValueError`` unless ``basis`` has that shape and is finite: the
+        ``ValueError`` unless ``basis`` has that shape, is finite and keeps
+        the layout every reader takes: per fiber ``B^H B`` within
+        ``_FRAME_TOL`` of the identity on the nonzero columns and zero
+        elsewhere, zero columns last, some fiber using the last column: the
         boundary check of a caller's range function.  The library's own
         builders (:func:`span_invariant`, the canonical space, the
         approximation fit) make theirs from checked input and skip it.
@@ -159,7 +158,19 @@ class Subspace:
             raise ValueError(
                 f"fiber bases must have shape ({scn.n_fibers}, {rows}, r_max), got {basis.shape}"
             )
-        return cls._of_range(scn, _checked(basis, "fiber bases"))
+        basis = _checked(basis, "fiber bases")
+        used = basis.any(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = basis.conj().swapaxes(1, 2) @ basis
+            gap = np.abs(gram - np.eye(used.shape[1]) * used[:, None, :]).max(initial=0.0)
+        if not gap <= _FRAME_TOL:
+            raise ValueError(
+                "fiber bases are not orthonormal: the largest entry of |B^H B - I| "
+                f"on a fiber's nonzero columns is {gap:.3e}, above {_FRAME_TOL:.0e}"
+            )
+        if (used[:, 1:] > used[:, :-1]).any() or (used.size and not used[:, -1].any()):
+            raise ValueError("fiber bases must put zero columns last, some fiber using the last")
+        return cls._of_range(scn, basis)
 
     @classmethod
     def _of_range(cls, scn: Scenario, basis: np.ndarray) -> "Subspace":
@@ -188,23 +199,15 @@ class Subspace:
         return self.frame.shape[1] if "frame" in vars(self) else self._columns[0].size
 
     @cached_property
-    def _whole(self) -> np.ndarray:
-        """The whole stacked frame as one fiber of orthonormal columns, (1,
-        n_fibers * rows, dim): its fiber matrices (:func:`fiber_matrices`)
-        times ``n_fibers ** -0.5``.  The columns of a frame-given space
-        until its base gate, which cuts them and drops them."""
+    def _basis(self) -> np.ndarray:
+        """The space's orthonormal columns as fiber bases (fibers, rows, r):
+        a range function, which :meth:`_of_range` and the base gate assign,
+        else a frame-given space's whole stacked frame as one fiber, (1,
+        n_points, dim), its fiber matrices times ``n_fibers ** -0.5``."""
         scn = self.scenario
         mats = fiber_matrices(scn, self.frame)
         mats.view(np.float64)[...] *= scn.n_fibers**-0.5
         return mats.reshape(1, scn.action.n_points, mats.shape[2])
-
-    @property
-    def _stacked(self) -> np.ndarray:
-        """The space's orthonormal columns in weighted stacked coordinates,
-        (fibers, rows, r): its range function if it has one, else its whole
-        stacked frame as one fiber (:attr:`_whole`)."""
-        basis = vars(self).get("_basis")
-        return self._whole if basis is None else basis
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """The orthogonal projection of a finite function, or of each column
@@ -240,9 +243,9 @@ class Subspace:
     def _inside(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The fiber matrices F of checked columns (:func:`fiber_matrices`)
         and their projection ``B (B^H F)`` onto the space's columns B
-        (:attr:`_stacked`), F read with B's fiber count: fiber by fiber on
+        (:attr:`_basis`), F read with B's fiber count: fiber by fiber on
         a range function, as one fiber on a whole stacked frame."""
-        mats, basis = fiber_matrices(self.scenario, mat), self._stacked
+        mats, basis = fiber_matrices(self.scenario, mat), self._basis
         cols = mats.reshape(basis.shape[:2] + mats.shape[2:])
         return mats, (basis @ (basis.conj().swapaxes(-1, -2) @ cols)).reshape(mats.shape)
 
@@ -344,8 +347,6 @@ def span_invariant(
     if foreign or not base.issubset(subgroup):
         raise ValueError("an invariant span needs a subgroup containing the base")
     mat = as_columns(scn, generators)
-    if mat.shape[1] == 0:
-        return Subspace.zero(scn)
     try:
         basis = _block_cut(fiber_matrices(scn, mat), scn.block_rows(subgroup))
     except np.linalg.LinAlgError:
@@ -403,7 +404,7 @@ def _packed(u: np.ndarray, keep: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _probe_pass(space: Subspace, g) -> tuple:
-    """g's residual on the space's columns (:attr:`Subspace._stacked`), and
+    """g's residual on the space's columns (:attr:`Subspace._basis`), and
     its :func:`_moved` pair ``(inside, gram)``.
 
     The residual is the largest distance from the space of a unit vector
@@ -417,7 +418,7 @@ def _probe_pass(space: Subspace, g) -> tuple:
     """
     scn, memo = space.scenario, vars(space).get("_invariance", {})
     if g not in memo:
-        basis = space._stacked
+        basis = space._basis
         if len(basis) == scn.n_fibers and g in scn.base:
             return 0.0, None, None
         inside, gram = _moved(scn.modulation(g).reshape(len(basis), -1), basis)
@@ -429,7 +430,7 @@ def _probe_pass(space: Subspace, g) -> tuple:
 def _top(gram: np.ndarray) -> float:
     """The largest singular value of a stack of matrices, from their Gram
     matrices ``gram`` (..., k, k): ``sqrt`` of the largest eigenvalue, by
-    one batched ``eigvalsh``; ``0.0`` for width 0.
+    one batched ``eigvalsh``; ``0.0`` for an empty stack.
 
     ``eigvalsh`` finds that eigenvalue to within a few eps times
     ``|gram| = s_max ** 2``, so ``s_max`` keeps a relative error of about
@@ -437,9 +438,7 @@ def _top(gram: np.ndarray) -> float:
     singular values lose half their digits in the square, so only the top
     one is ever read off a Gram matrix.
     """
-    if gram.size == 0:
-        return 0.0
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram).max()), 0.0))
+    return math.sqrt(float(np.linalg.eigvalsh(gram).max(initial=0.0)))
 
 
 def _modulate(d: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -495,18 +494,16 @@ def _residual(space: Subspace, subgroup: Subgroup) -> float:
     """The worst residual of :func:`is_invariant`, ``0.0`` for dimension 0.
 
     Every probe makes one probe pass (:func:`_probe_pass`) on the space's
-    columns, a range function or, before the base gate, the whole stacked
-    frame: its modulation row, built once per scenario by
-    :meth:`Scenario.modulation` whatever the subgroup, moves the columns
-    once, and the residual (the top singular value of the part moved out,
+    columns (:attr:`Subspace._basis`), a range function or, before the
+    base gate, the whole stacked frame: its modulation row, built once
+    per scenario by :meth:`Scenario.modulation` whatever the subgroup,
+    moves the columns once, and the residual (the top singular value of the part moved out,
     from its r x r Gram matrix and one ``eigvalsh``), the part kept inside
     and that Gram matrix are memoised on the space for every later reader,
     the component law of :func:`actinv.extra.check_extra_invariance`
     included.  A probe in the base reads exactly ``0.0`` at no cost on a
     range function.  The callers check ``tol``.
     """
-    if space.dim == 0:
-        return 0.0
     return max([_probe_pass(space, g)[0] for g in _probes(subgroup)])
 
 
@@ -519,34 +516,33 @@ def require_scenario(scn: Scenario, space: Subspace) -> None:
 def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The space's range function; ``InvarianceError`` if it is not base-invariant.
 
-    A space that has a range function (fiber-built, or past this gate once)
-    returns it at once: a base translation moves no fiber basis, so its
-    base residual is exactly ``0.0``.  A frame-given space passes when its
-    base residual on its whole stacked frame (:func:`_residual`) is at most
-    ``tol`` and its fibers hold its whole dimension: the ranks of the same
-    columns read one Zak fiber at a time, cut by :func:`_block_cut` along
-    the base's one block, sum to ``dim``.  That cut basis then becomes its
-    range function, and every later residual is read off it; the whole
-    stacked frame and the probe passes made on it are dropped.
-    ``ValueError`` unless ``tol`` is a finite positive number.
+    A space that has a range function (fiber-built, past this gate once,
+    or frame-given on a trivial base, whose one Zak fiber is its whole
+    stacked frame) returns it at once: a base translation moves no fiber
+    basis.  A frame-given space passes when its base residual on its
+    whole stacked frame (:func:`_residual`) is at most ``tol`` and its
+    fibers hold its whole dimension: the ranks of the same columns read
+    one Zak fiber at a time, cut by :func:`_block_cut` along the base's
+    one block, sum to ``dim``.  That cut then replaces the whole stacked
+    frame as its columns, and the probe passes made on the frame are
+    dropped.  ``ValueError`` unless ``tol`` is a finite positive number.
     """
     return _range_function(space, checked_tol(tol))
 
 
 def _range_function(space: Subspace, tol: float) -> np.ndarray:
-    """:func:`require_base_invariant` with ``tol`` already checked; the
-    one transform of a frame serves its base residuals and its cut."""
-    basis = vars(space).get("_basis")
-    if basis is not None:
-        return basis
+    """:func:`require_base_invariant` with ``tol`` already checked: columns
+    with one basis per Zak fiber are the range function, else the whole
+    stacked frame, the one transform that serves base residuals and cut."""
     scn = space.scenario
+    if len(space._basis) == scn.n_fibers:
+        return space._basis
     res = _residual(space, scn.base)
     if not res <= tol:
         raise InvarianceError(
             f"subspace is not invariant under the base subgroup (residual {res:.3e})"
         )
-    whole = space._whole
-    rows = scn.block_rows(scn.base)
+    whole, rows = space._basis, scn.block_rows(scn.base)
     basis = _block_cut(whole.reshape(scn.n_fibers, rows.size, whole.shape[2]), rows)
     total = np.count_nonzero(basis.any(axis=1))
     if total != space.dim:
@@ -554,7 +550,6 @@ def _range_function(space: Subspace, tol: float) -> np.ndarray:
             f"subspace fibers have {total} dimensions, the space has {space.dim}"
         )
     space._basis = basis
-    del space._whole
     vars(space).pop("_invariance", None)
     return basis
 

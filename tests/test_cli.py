@@ -92,6 +92,26 @@ def test_check_canonical_subspace(tmp_path, capsys):
     assert doc["decomposability"]["decomposable"] is True
 
 
+@pytest.mark.parametrize("value", ["no", "false", [0], 1])
+def test_canonical_flag_must_be_a_json_boolean(capsys, tmp_path, value):
+    """``subspace.canonical`` is a JSON boolean: any other value is refused
+    at its field (exit 1), where a truthy one built the canonical space;
+    ``false`` reads as absent, so the other keys of the section decide."""
+    cfg = write_cfg(tmp_path, chain12_cfg(subspace={"canonical": value}))
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "check"])
+    assert rc == 1 and kind == "config"
+    assert detail == "subspace.canonical: expected true or false"
+    cfg = write_cfg(tmp_path, chain12_cfg(subspace={"canonical": False}))
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "check"])
+    assert rc == 1 and detail.startswith("subspace: expected one of")
+    sub = {"canonical": False, "random": {"kind": "principal"}}
+    rc, out = run(capsys, ["--config", write_cfg(tmp_path, chain12_cfg(subspace=sub)), "check"])
+    assert rc == 0 and json.loads(out)["subspace_dim"] == 3
+    cfg = write_cfg(tmp_path, chain12_cfg(subspace={"canonical": True}))
+    rc, out = run(capsys, ["--config", cfg, "check"])
+    assert rc == 0 and json.loads(out)["extra_invariance"]["component_dims"] == [3, 0]
+
+
 def test_check_random_subspace_deterministic(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

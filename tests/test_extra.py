@@ -416,18 +416,20 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
 
 
 def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
-    """Before its base gate a frame-given space makes one probe pass per
-    distinct probe on its whole stacked frame, as one fiber of n_points
-    rows moved by the probe's modulation row, with the point-space
-    oracle's residuals, and memoises it on the space, base probes
-    included, unless the base is trivial: then the whole stacked frame is
-    the one Zak fiber, and a base probe reads 0.0 with no pass.  A
-    repeated call makes none.  The scenario builds each probe's row once.
-    The gate reads those base passes, cuts the whole stacked frame and
-    drops it with its memo; a cold check pair then makes one pass on the
-    range function per distinct probe outside the base and builds no row,
-    a warm one makes none, with the reports of the fiber-built original's
-    verdicts and dimensions."""
+    """A frame-given space's ``_basis`` is its whole stacked frame, one
+    fiber of n_points rows, until its base gate.  On it the space makes
+    one probe pass per distinct probe, moved by the probe's modulation
+    row, with the point-space oracle's residuals, and memoises it, base
+    probes included, unless the base is trivial: then the whole stacked
+    frame is the one Zak fiber, and a base probe reads 0.0 with no pass.
+    A repeated call makes none.  The scenario builds each probe's row
+    once.  Over a nontrivial base the gate reads those base passes,
+    assigns the cut to ``_basis`` and drops the memo; a cold check pair
+    then makes one pass on the range function per distinct probe outside
+    the base.  Over a trivial base the whole stacked frame already is the
+    range function: the gate keeps it and its passes, and a cold pair
+    makes none.  Neither builds a row, a warm pair makes no pass, and the
+    reports have the fiber-built original's verdicts and dimensions."""
     scn = _fresh(scn)
     rng = np.random.default_rng(35)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -438,7 +440,8 @@ def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatc
     for space in pair:
         given = Subspace(scn, space.frame)
         whole = (1, scn.action.n_points, space.dim)
-        assert vars(given)["_whole"].shape == whole
+        before = vars(given)["_basis"]  # read by the constructor's check
+        assert before.shape == whole
         passed = set()
         for sub in (scn.base, scn.extra, scn.base):  # on the whole frame, before the gate
             log.clear()
@@ -456,13 +459,16 @@ def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatc
                 built.add(g)
                 passed.add(g)
             assert [(k, s) for k, s, _ in log if k in ("moved", "row")] == want
-            assert "_basis" not in vars(given)
+            assert given._basis is before
             assert set(vars(given).get("_invariance", ())) == passed
         cold, warm = _pair(scn, given, log), _pair(scn, given, log)
-        assert cold["moved"] == [(given._basis.shape, None)] * len(probes)
+        trivial = scn.n_fibers == 1
+        rows = scn.action.n_points // scn.n_fibers
+        assert given._basis.shape[:2] == (scn.n_fibers, rows)
+        assert (given._basis is before) == trivial
+        assert cold["moved"] == ([] if trivial else [(given._basis.shape, None)] * len(probes))
         assert cold["row"] == []
         assert set(vars(given)["_invariance"]) == set(probes)
-        assert "_whole" not in vars(given)
         assert warm == {"moved": [], "row": [], "svd": [], "eigvalsh": []}
         ext = check_extra_invariance(scn, given)
         assert ext.extra_invariant == ok == check_extra_invariance(scn, space).extra_invariant
@@ -559,6 +565,9 @@ def test_component_law_matches_translated_components(scn):
     the base and extra generators equals the largest singular value of the
     translated frame's residual in point space, and so does the top
     singular value read off ``_moved``'s Gram matrix for the space itself.
+    A component may leave its last column empty on every fiber, which
+    ``from_fibers`` refuses, so the reference takes it through the
+    unchecked ``_of_range``.
     """
     rng = np.random.default_rng(18)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
@@ -579,7 +588,7 @@ def test_component_law_matches_translated_components(scn):
             got = extra_mod._component_law(space, coeffs)
             parts = [basis @ coeffs[:, b] for b in range(scn.n_blocks)]
             want = max(
-                oracle.translation_residual(Subspace.from_fibers(scn, p), h)
+                oracle.translation_residual(Subspace._of_range(scn, p), h)
                 for p in parts
                 for h in subs
             )
@@ -665,8 +674,10 @@ def test_dual_partition_holds_one_label_per_dual_element():
 
 def test_reports_do_not_depend_on_the_memo(scn):
     """Reports are the same cold, warm and on a fresh copy, also when the
-    cold copy was asked for its extra invariance before the base gate; a
-    frame-given space keeps its range function, the block split and one
+    cold copy was asked for its extra invariance before the base gate.  A
+    cold frame-given space holds its whole stacked frame as ``_basis``, one
+    fiber, and no split or probe pass; after the checks it holds its range
+    function there, one basis per Zak fiber, the block split and one
     residual per base and extra probe outside the base, and the fiber-built
     original agrees with it in every verdict and dimension."""
     rng = np.random.default_rng(9)
@@ -674,10 +685,12 @@ def test_reports_do_not_depend_on_the_memo(scn):
     probes = set(_moving(scn))
     for space in (span_invariant(scn, gens[:, :1]), span_invariant(scn, gens, scn.extra)):
         cold = Subspace(scn, space.frame)
-        assert not {"_basis", "_split", "_invariance"} & set(vars(cold))
-        is_invariant(cold, scn.extra)  # in point space, before the base gate
+        assert vars(cold)["_basis"].shape == (1, scn.action.n_points, space.dim)
+        assert not {"_split", "_invariance"} & set(vars(cold))
+        is_invariant(cold, scn.extra)  # on the whole stacked frame, before the base gate
         first = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))
-        assert "_basis" in vars(cold) and "_split" in vars(cold)
+        rows = scn.action.n_points // scn.n_fibers
+        assert cold._basis.shape[:2] == (scn.n_fibers, rows) and "_split" in vars(cold)
         assert set(vars(cold)["_invariance"]) == probes
         assert all(factor is not None for *_, factor in vars(cold)["_invariance"].values())
         warm = (check_extra_invariance(scn, cold), check_decomposable(scn, cold))

@@ -1,4 +1,4 @@
-"""Memory contracts: tracemalloc peaks of the point-space queries.
+"""Memory contracts: tracemalloc peaks of the point-space queries and the layers.
 
 The scenario is the order-16384 rung of the scale ladder: Z_128 x Z_128 on
 2 orbits (32768 points), base <(16, 0), (0, 16)>, extra <(8, 0), (0, 8)>,
@@ -6,9 +6,13 @@ weights log-uniform over a 1e3 range, 16 real data vectors, and the
 ``best_invariant`` space of length 2 (dimension 128).  A query on a space
 with a range function reads one forward transform of the data and never
 assembles the space's 32768 x 128 frame, so its peak is a small multiple
-of the data.  Each bound is the measured peak plus one data size of
-margin, in units of the complex data matrix (8 MiB); tracemalloc sees
-numpy's buffers, not BLAS scratch.
+of the data.  The transforms, both solvers and an extra-invariant span
+with its check pair are bounded the same way.  Each bound is the measured
+peak plus one data size of margin, in units of the complex data matrix
+(8 MiB); tracemalloc sees numpy's buffers, not BLAS scratch.  A layer's
+first call on the scenario also builds what the scenario memoises for it
+(the base character table, block tables, modulation rows), so each peak
+was measured as the first such call in a fresh process.
 """
 import tracemalloc
 
@@ -20,13 +24,32 @@ from actinv import (
     FiniteAbelianGroup,
     Scenario,
     Subgroup,
+    best_extra_invariant,
     best_invariant,
+    check_decomposable,
+    check_extra_invariance,
     evaluate_candidate,
+    span_invariant,
+    zak_base,
+    zak_full,
+    zak_stacked,
+    zak_stacked_inv,
 )
 
 # measured: 4.00, 4.00 and 4.01 data sizes (the transform's own buffers
 # take three of them); the frame route measured 26.0, 10.0 and 9.0
 PEAK_BOUNDS = {"evaluate_candidate": 5.0, "residuals": 5.0, "project": 5.0}
+# measured: 2.00, 2.00, 2.13 (0.13 of it the base's character table),
+# 2.01 (of stacked values made before the trace), 3.00, 3.15 and 2.46
+LAYER_BOUNDS = {
+    "zak_full": 3.0,
+    "zak_stacked": 3.0,
+    "zak_base": 3.14,
+    "zak_stacked_inv": 3.01,
+    "best_invariant": 4.0,
+    "best_extra_invariant": 4.15,
+    "span_invariant_pair": 3.46,
+}
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +88,29 @@ def test_query_peaks_are_a_few_data_sizes(ladder16384, query):
     peak = traced_peak(call)
     assert peak <= PEAK_BOUNDS[query] * size, peak / size
     assert "frame" not in vars(space)
+
+
+def _span_pair(scn, gens):
+    space = span_invariant(scn, gens, scn.extra)
+    check_extra_invariance(scn, space)
+    check_decomposable(scn, space)
+
+
+@pytest.mark.parametrize("layer", sorted(LAYER_BOUNDS))
+def test_layer_peaks_are_a_few_data_sizes(ladder16384, layer):
+    scn, data, _ = ladder16384
+    rng = np.random.default_rng(1)
+    gens = rng.standard_normal((scn.action.n_points, 2))
+    stacked = zak_stacked(scn, data)
+    call = {
+        "zak_full": lambda: zak_full(scn, data),
+        "zak_stacked": lambda: zak_stacked(scn, data),
+        "zak_base": lambda: zak_base(scn, data),
+        "zak_stacked_inv": lambda: zak_stacked_inv(scn, stacked),
+        "best_invariant": lambda: best_invariant(scn, data, 2),
+        "best_extra_invariant": lambda: best_extra_invariant(scn, data, 2),
+        "span_invariant_pair": lambda: _span_pair(scn, gens),
+    }[layer]
+    size = data.size * np.dtype(complex).itemsize
+    peak = traced_peak(call)
+    assert peak <= LAYER_BOUNDS[layer] * size, peak / size

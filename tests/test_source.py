@@ -313,7 +313,8 @@ def _frame_transforms(tree: ast.AST) -> list[int]:
 def test_spaces_transforms_a_frame_at_one_site():
     """A frame-given space's orthonormality check, its probes and queries
     before the gate and its gate's cut all read the fiber matrices of one
-    transform, made at one site of ``spaces.py`` (``Subspace._whole``)."""
+    transform, made at one site of ``spaces.py`` (the default
+    ``Subspace._basis``, the whole stacked frame)."""
     path = PACKAGE / "spaces.py"
     lines = _frame_transforms(ast.parse(path.read_text(), filename=str(path)))
     assert len(lines) == 1, f"spaces.py transforms a frame at lines {lines}"
@@ -321,7 +322,7 @@ def test_spaces_transforms_a_frame_at_one_site():
 
 def test_frame_transform_rule_catches_a_second_site():
     source = """
-def _whole(self):
+def _basis(self):
     mats = fiber_matrices(self.scenario, self.frame)
 
 def _range_function(space, tol):
@@ -329,6 +330,69 @@ def _range_function(space, tol):
     fiber_matrices(scn, mat), fiber_matrices(scn, frame)
 """
     assert _frame_transforms(ast.parse(source)) == [3, 6]
+
+
+_OLD_ACCESSORS = {"_whole", "_stacked"}
+
+
+def _basis_bypasses(tree: ast.AST) -> list[int]:
+    """Lines reading a space's columns past ``Subspace._basis``: an
+    expression holding both a ``vars(...)`` call and the name ``"_basis"``,
+    or ``_whole`` or ``_stacked`` named as an attribute, a string, or a
+    method of a class (a module-level function of that name, as
+    ``zak._stacked``, is another thing)."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Call, ast.Compare, ast.Subscript)):
+            inner = list(ast.walk(node))
+            reads_vars = any(
+                isinstance(n, ast.Call) and getattr(n.func, "id", None) == "vars" for n in inner
+            )
+            names = any(isinstance(n, ast.Constant) and n.value == "_basis" for n in inner)
+            if reads_vars and names:
+                lines.add(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr in _OLD_ACCESSORS:
+            lines.add(node.lineno)
+        if isinstance(node, ast.Constant) and node.value in _OLD_ACCESSORS:
+            lines.add(node.lineno)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in _OLD_ACCESSORS:
+                    lines.add(item.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_spaces_are_read_through_one_accessor(path):
+    """Every space is one stack of fiber bases, ``Subspace._basis``: a
+    range function or a frame-given space's whole stacked frame.  No
+    module tests for it in the instance dictionary or names a second
+    accessor."""
+    lines = _basis_bypasses(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} reads a space's columns past _basis at lines {lines}"
+
+
+def test_accessor_rule_catches_every_bypass():
+    source = """
+class Subspace:
+    @cached_property
+    def _whole(self):
+        return fiber_matrices(self.scenario, self.frame)
+
+    def _stacked(self):
+        basis = vars(self).get("_basis")
+        return self._whole if basis is None else basis
+
+def _range_function(space, tol):
+    if "_basis" in vars(space):
+        return vars(space)["_basis"]
+    vars(space).pop("_whole", None)
+    return space._basis, _stacked(scn, full), space._stacked
+
+def _stacked(scn, full):
+    return full
+"""
+    assert _basis_bypasses(ast.parse(source)) == [4, 7, 8, 9, 12, 13, 14, 15]
 
 
 def _fiber_spectrum_calls(tree: ast.AST) -> list[int]:

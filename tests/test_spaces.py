@@ -93,6 +93,26 @@ def test_span_frame_and_projector(scn):
     assert Subspace.zero(scn).residual(f) == pytest.approx(scn.action.norm(f))
 
 
+def test_a_span_of_no_generators_is_the_zero_range_function(scn):
+    """No generators, along the base or the extra subgroup, and
+    ``Subspace.zero`` make one space: the range function of width 0, with
+    dimension 0, length 0, every residual the function's norm, no probe
+    moving it, and the zero space's reports."""
+    f = random_function(scn, np.random.default_rng(13))
+    rows = scn.action.n_points // scn.n_fibers
+    none = np.zeros((scn.action.n_points, 0), dtype=complex)
+    zero = Subspace.zero(scn)
+    want = [check_extra_invariance(scn, zero).as_dict(), check_decomposable(scn, zero).as_dict()]
+    for space in (zero, span_invariant(scn, none), span_invariant(scn, none, scn.extra)):
+        assert space._basis.shape == (scn.n_fibers, rows, 0)
+        assert space.dim == length(space) == 0 and space.frame.shape == none.shape
+        assert space.residual(f) == pytest.approx(scn.action.norm(f))
+        assert is_invariant(space, Subgroup(scn.group, scn.group.elements)) == (True, 0.0)
+        reports = [check_extra_invariance(scn, space), check_decomposable(scn, space)]
+        assert [r.as_dict() for r in reports] == want
+        assert reports[1].component_match_deviation is None
+
+
 def test_residuals_match_the_columnwise_reference(scn):
     # the loop over columns through ``project`` is the reference formula
     rng = np.random.default_rng(11)
@@ -235,24 +255,32 @@ def test_probe_rows_are_built_once_per_scenario(chain12, monkeypatch):
 
 
 def test_frame_given_space_keeps_no_probe_memo_before_its_gate(scn):
-    """A frame-given space keeps none of the probe passes it made before
-    its base gate past the gate.  Before it, the space memoises its passes
-    on its whole stacked frame, one per distinct probe, base probes
-    included unless the base is trivial (then the whole stacked frame is
-    the one Zak fiber, which no base probe moves); the gate drops them with the whole stacked frame, and after
-    it the space memoises its passes on its range function, one per
-    distinct probe outside the base."""
+    """A frame-given space keeps none of the probe passes it made on its
+    whole stacked frame past its base gate, unless that frame is its range
+    function.  Before the gate, ``_basis`` is the whole stacked frame, one
+    fiber, and the space memoises its passes on it, one per distinct
+    probe, base probes included unless the base is trivial (then the
+    whole stacked frame is the one Zak fiber, which no base probe moves).
+    Over a nontrivial base the gate replaces it by the cut, one basis per
+    Zak fiber, and drops the memo; over a trivial base it keeps both.
+    After the gate the space memoises its passes on its range function,
+    one per distinct probe outside the base."""
     rng = np.random.default_rng(44)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     given = Subspace(scn, span_invariant(scn, gens, scn.extra).frame)
+    whole = vars(given)["_basis"]
+    assert whole.shape == (1, scn.action.n_points, given.dim)
     for sub in (scn.base, scn.extra):
         assert is_invariant(given, sub)[0]
-    assert "_basis" not in vars(given)
+    assert given._basis is whole
     probes = spaces_mod._probes(scn.base) + spaces_mod._probes(scn.extra)
     moving = {g for g in probes if g not in scn.base}
-    assert set(vars(given)["_invariance"]) == (moving if scn.n_fibers == 1 else set(probes))
-    require_base_invariant(given)
-    assert not {"_whole", "_invariance"} & set(vars(given))
+    trivial = scn.n_fibers == 1
+    assert set(vars(given)["_invariance"]) == (moving if trivial else set(probes))
+    basis = require_base_invariant(given)
+    assert basis is given._basis and (basis is whole) == trivial
+    assert basis.shape[:2] == (scn.n_fibers, scn.action.n_points // scn.n_fibers)
+    assert set(vars(given).get("_invariance", ())) == (moving if trivial else set())
     is_invariant(given, scn.extra)
     assert set(vars(given).get("_invariance", ())) == moving
 
@@ -716,6 +744,53 @@ def test_fiber_constructor_refuses_malformed_bases(bank):
         with pytest.raises(ValueError, match="fiber bases must be finite"):
             Subspace.from_fibers(scn, broken)
     assert Subspace.from_fibers(scn, basis).dim == w
+
+
+def test_fiber_constructor_refuses_bases_off_their_layout(chain12):
+    """``Subspace.from_fibers`` refuses, as the frame constructor does,
+    bases every reader would misread: a multiple of a range function, for
+    which the residual of the space's own generator read 12.6 and the
+    translation residual 4.7; columns that are not orthonormal; an
+    overflowing Gram matrix; zero columns before nonzero ones; and zero
+    columns past every fiber's last, for which ``length`` read 3.  An
+    empty fiber and a tilt within ``_FRAME_TOL`` stay valid."""
+    gen = random_function(chain12, np.random.default_rng(0))
+    basis = span_invariant(chain12, gen)._basis
+    w, rows, r = basis.shape
+    pad = np.zeros((w, rows, 2), dtype=complex)
+    twice = np.concatenate([basis, basis], axis=2) / np.sqrt(2)
+    for bad in (2 * basis, 1e-6 * basis, 1e200 * basis, twice):
+        with pytest.raises(ValueError, match="fiber bases are not orthonormal"):
+            Subspace.from_fibers(chain12, bad)
+    with pytest.raises(ValueError, match="zero columns last"):
+        Subspace.from_fibers(chain12, np.concatenate([pad, basis], axis=2))
+    with pytest.raises(ValueError, match="some fiber using the last"):
+        Subspace.from_fibers(chain12, np.concatenate([basis, pad], axis=2))
+    empty = basis.copy()
+    empty[0] = 0.0
+    assert Subspace.from_fibers(chain12, empty).dim == w - 1
+    space = Subspace.from_fibers(chain12, basis * (1 + 0.25 * spaces_mod._FRAME_TOL))
+    assert length(space) == r == 1 and space.contains(gen)
+
+
+def test_library_range_functions_keep_the_fiber_layout(scn):
+    """Every range function the library builds (both spans, the canonical
+    space, both fits, every masked component and the zero space) passes
+    ``from_fibers``'s layout check, with its dimension."""
+    rng = np.random.default_rng(12)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    data = np.column_stack([random_function(scn, rng) for _ in range(3)])
+    extra_spanned = span_invariant(scn, gens, scn.extra)
+    spaces = [
+        span_invariant(scn, gens),
+        extra_spanned,
+        canonical_extra_invariant(scn),
+        best_invariant(scn, data, 2).space,
+        best_extra_invariant(scn, data, 2).space,
+        Subspace.zero(scn),
+    ] + [masked_component(scn, extra_spanned, xi) for xi in scn.block_labels]
+    for space in spaces:
+        assert Subspace.from_fibers(scn, space._basis).dim == space.dim
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
