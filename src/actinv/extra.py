@@ -333,7 +333,7 @@ def check_decomposable(
     positive number and the space belongs to ``scn``.
     """
     ext = check_extra_invariance(scn, space, tol)
-    basis = space._basis  # set by the base gate of the inner check
+    basis = space._basis  # returned by the inner check's base gate
     _, t, _, off, _ = _split(scn, space, basis)
     worst = float((t * off).max(initial=0.0))
     decomposable = worst <= tol

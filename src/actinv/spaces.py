@@ -6,8 +6,8 @@ base-invariant space has its range function, one basis per Zak fiber in
 one zero-padded (n_fibers, rows, r_max) array: the zero space's has width
 0.  A frame-given space, not known to be base-invariant until its base
 gate (:func:`require_base_invariant`), is one fiber, its whole stacked
-frame, transformed once, which the gate cuts into its range function (on
-a trivial base, one Zak fiber, it already is).  The fiber builders
+frame, transformed once, which the gate cuts into its range function
+(the constructor, on a trivial base: one Zak fiber).  The fiber builders
 assemble the frame only when it is read.  A translation acts on stacked
 Zak values as a modulation of their rows (:meth:`Scenario.modulation`), so
 no space is translated in point space: each probe moves a space's columns
@@ -98,6 +98,8 @@ class Subspace:
     reader takes the frame as orthonormal.  By the stacked isometry that
     Gram matrix is ``S^H S`` of the whole stacked frame S, so the check
     reads the one transform of the frame that every later reader shares.
+    On a trivial base, one Zak fiber, the constructor makes the gate's cut
+    of S, so every frame it accepts reads orthonormal to roundoff.
     """
 
     def __init__(self, scenario: Scenario, frame: np.ndarray):
@@ -115,6 +117,8 @@ class Subspace:
                 "frame is not weighted-orthonormal: the largest entry of "
                 f"|Q^H W Q - I| is {gap:.3e}, above {_FRAME_TOL:.0e}"
             )
+        if scenario.n_fibers == 1:
+            self._basis = _block_cut(self._basis, scenario.block_rows(scenario.base))
 
     @classmethod
     def span(cls, scn: Scenario, vectors: Sequence[np.ndarray] | np.ndarray) -> "Subspace":
@@ -132,8 +136,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, scn: Scenario) -> "Subspace":
-        rows = scn.n_cosets * len(scn.tiling.orbit_reps)
-        return cls._of_range(scn, np.zeros((scn.n_fibers, rows, 0), dtype=complex))
+        return span_invariant(scn, np.zeros((scn.action.n_points, 0), dtype=complex))
 
     @classmethod
     def from_fibers(cls, scn: Scenario, basis: np.ndarray) -> "Subspace":
@@ -201,9 +204,9 @@ class Subspace:
     @cached_property
     def _basis(self) -> np.ndarray:
         """The space's orthonormal columns as fiber bases (fibers, rows, r):
-        a range function, which :meth:`_of_range` and the base gate assign,
-        else a frame-given space's whole stacked frame as one fiber, (1,
-        n_points, dim), its fiber matrices times ``n_fibers ** -0.5``."""
+        a range function, which :meth:`_of_range` and the base gate's cut
+        assign, else a frame-given space's whole stacked frame as one fiber,
+        (1, n_points, dim), its fiber matrices times ``n_fibers ** -0.5``."""
         scn = self.scenario
         mats = fiber_matrices(scn, self.frame)
         mats.view(np.float64)[...] *= scn.n_fibers**-0.5
@@ -517,15 +520,15 @@ def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndar
     """The space's range function; ``InvarianceError`` if it is not base-invariant.
 
     A space that has a range function (fiber-built, past this gate once,
-    or frame-given on a trivial base, whose one Zak fiber is its whole
-    stacked frame) returns it at once: a base translation moves no fiber
-    basis.  A frame-given space passes when its base residual on its
-    whole stacked frame (:func:`_residual`) is at most ``tol`` and its
-    fibers hold its whole dimension: the ranks of the same columns read
-    one Zak fiber at a time, cut by :func:`_block_cut` along the base's
-    one block, sum to ``dim``.  That cut then replaces the whole stacked
-    frame as its columns, and the probe passes made on the frame are
-    dropped.  ``ValueError`` unless ``tol`` is a finite positive number.
+    or frame-given on a trivial base, whose constructor made the gate's
+    cut) returns it at once: a base translation moves no fiber basis.  A
+    frame-given space passes when its base residual on its whole stacked
+    frame (:func:`_residual`) is at most ``tol`` and its fibers hold its
+    whole dimension: the ranks of the same columns read one Zak fiber at
+    a time, cut by :func:`_block_cut` along the base's one block, sum to
+    ``dim``.  That cut then replaces the whole stacked frame as its
+    columns, and the probe passes made on the frame are dropped.
+    ``ValueError`` unless ``tol`` is a finite positive number.
     """
     return _range_function(space, checked_tol(tol))
 

@@ -95,12 +95,16 @@ def test_check_canonical_subspace(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["no", "false", [0], 1])
 def test_canonical_flag_must_be_a_json_boolean(capsys, tmp_path, value):
     """``subspace.canonical`` is a JSON boolean: any other value is refused
-    at its field (exit 1), where a truthy one built the canonical space;
-    ``false`` reads as absent, so the other keys of the section decide."""
+    at its field (exit 1), where a truthy one built the canonical space."""
     cfg = write_cfg(tmp_path, chain12_cfg(subspace={"canonical": value}))
     rc, kind, detail = error_detail(capsys, ["--config", cfg, "check"])
     assert rc == 1 and kind == "config"
     assert detail == "subspace.canonical: expected true or false"
+
+
+def test_canonical_flag_false_reads_as_absent(capsys, tmp_path):
+    """``canonical: false`` reads as absent, so the other keys of the
+    section decide; ``true`` builds the canonical space."""
     cfg = write_cfg(tmp_path, chain12_cfg(subspace={"canonical": False}))
     rc, kind, detail = error_detail(capsys, ["--config", cfg, "check"])
     assert rc == 1 and detail.startswith("subspace: expected one of")

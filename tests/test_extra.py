@@ -417,7 +417,9 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
 
 def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
     """A frame-given space's ``_basis`` is its whole stacked frame, one
-    fiber of n_points rows, until its base gate.  On it the space makes
+    fiber of n_points rows, until its base gate; over a trivial base the
+    constructor has cut it into the range function, the same shape.  On
+    it the space makes
     one probe pass per distinct probe, moved by the probe's modulation
     row, with the point-space oracle's residuals, and memoises it, base
     probes included, unless the base is trivial: then the whole stacked
@@ -426,7 +428,7 @@ def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatc
     once.  Over a nontrivial base the gate reads those base passes,
     assigns the cut to ``_basis`` and drops the memo; a cold check pair
     then makes one pass on the range function per distinct probe outside
-    the base.  Over a trivial base the whole stacked frame already is the
+    the base.  Over a trivial base the constructor's cut already is the
     range function: the gate keeps it and its passes, and a cold pair
     makes none.  Neither builds a row, a warm pair makes no pass, and the
     reports have the fiber-built original's verdicts and dimensions."""
@@ -676,7 +678,8 @@ def test_reports_do_not_depend_on_the_memo(scn):
     """Reports are the same cold, warm and on a fresh copy, also when the
     cold copy was asked for its extra invariance before the base gate.  A
     cold frame-given space holds its whole stacked frame as ``_basis``, one
-    fiber, and no split or probe pass; after the checks it holds its range
+    fiber (over a trivial base, the constructor's cut of it), and no split
+    or probe pass; after the checks it holds its range
     function there, one basis per Zak fiber, the block split and one
     residual per base and extra probe outside the base, and the fiber-built
     original agrees with it in every verdict and dimension."""
@@ -769,6 +772,34 @@ def test_frame_given_gate_needs_the_whole_dimension(chain12):
     assert is_invariant(moved, chain12.base, 1e-3)[0]
     with pytest.raises(InvarianceError, match=f"the space has {space.dim}"):
         check_extra_invariance(chain12, moved, 1e-3)
+
+
+@pytest.mark.parametrize("name", ["shear", "dilation", "three_blocks"])
+def test_trivial_base_cuts_a_frame_the_constructor_accepts(bank, name):
+    """Over a trivial base the one Zak fiber is the whole stacked frame,
+    which the constructor cuts into the range function, so every frame it
+    accepts reads as the space it spans.  An extra span's frame with its
+    first column scaled by 1 + 4.5e-11, ``|Q^H W Q - I|`` 9e-11, below
+    ``_FRAME_TOL``: its range function is orthonormal to roundoff, and at
+    tol 1e-11 both checks find it invariant, with the fiber-built
+    original's dimensions and residuals of roundoff size."""
+    scn = bank[name]
+    rng = np.random.default_rng(3)
+    gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
+    space = span_invariant(scn, gens, scn.extra)
+    frame = space.frame.copy()
+    frame[:, 0] *= 1 + 4.5e-11
+    gram = frame.conj().T @ (scn.action.weights[:, None] * frame)
+    assert 5e-11 < np.abs(gram - np.eye(space.dim)).max() <= spaces_mod._FRAME_TOL
+    given = Subspace(scn, frame)
+    basis = given._basis[0]
+    assert np.abs(basis.conj().T @ basis - np.eye(space.dim)).max() <= 1e-14
+    ext, dec = check_extra_invariance(scn, given, 1e-11), check_decomposable(scn, given, 1e-11)
+    assert ext.extra_invariant and dec.decomposable
+    assert ext.component_dims == check_extra_invariance(scn, space).component_dims
+    assert ext.translation_residual <= 1e-14
+    assert ext.component_invariance_residual <= 1e-14
+    assert dec.block_residual <= 1e-14 and dec.component_match_deviation <= 1e-14
 
 
 def test_check_requires_base_invariance(chain12):

@@ -837,7 +837,7 @@ def test_queries_match_the_dense_projector(spec, decades):
     fiber-built space has assembled its frame by the time the reference
     reads it, and its ``_basis`` holds one basis per Zak fiber; a
     frame-given space before its gate holds its whole stacked frame there,
-    one fiber.  Every space's ``is_invariant`` residuals under the base and the
+    one fiber (over a trivial base, the constructor's cut of it).  Every space's ``is_invariant`` residuals under the base and the
     extra subgroup match the point-space translates of its frame
     (``oracle.translation_residual``) within 1e-12: a frame-given space
     before its gate is probed on its whole stacked frame, base-invariant

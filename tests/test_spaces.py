@@ -260,9 +260,10 @@ def test_frame_given_space_keeps_no_probe_memo_before_its_gate(scn):
     function.  Before the gate, ``_basis`` is the whole stacked frame, one
     fiber, and the space memoises its passes on it, one per distinct
     probe, base probes included unless the base is trivial (then the
-    whole stacked frame is the one Zak fiber, which no base probe moves).
-    Over a nontrivial base the gate replaces it by the cut, one basis per
-    Zak fiber, and drops the memo; over a trivial base it keeps both.
+    whole stacked frame is the one Zak fiber, which the constructor has
+    cut into the range function and no base probe moves).  Over a
+    nontrivial base the gate replaces it by the cut, one basis per Zak
+    fiber, and drops the memo; over a trivial base it keeps both.
     After the gate the space memoises its passes on its range function,
     one per distinct probe outside the base."""
     rng = np.random.default_rng(44)
