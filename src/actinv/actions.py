@@ -136,11 +136,19 @@ class ActionSpace:
         return self.point_of[orbit_of, shifted[element_of]]
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """Weighted inner product, conjugate-linear in the second slot."""
-        return complex(np.sum(f * np.conj(g) * self.weights))
+        """Weighted inner product, conjugate-linear in the second slot; of
+        matrices of columns, the sum over the columns (:meth:`_along_points`)."""
+        return complex(np.sum(f * np.conj(g) * self._along_points(f)))
 
     def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(np.abs(f) ** 2 * self.weights)))
+        """Weighted norm; of a matrix of columns, the root of the sum of
+        their squared norms (:meth:`_along_points`)."""
+        return float(np.sqrt(np.sum(np.abs(f) ** 2 * self._along_points(f))))
+
+    def _along_points(self, f) -> np.ndarray:
+        """The weights along the point axis of f, the first, as
+        :func:`translate` weights a matrix of columns."""
+        return self.weights.reshape((-1,) + (1,) * (np.ndim(f) - 1))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .extra import (
     dual_partition,
 )
 from .groups import FiniteAbelianGroup, Subgroup
-from .io import ensure_parent, read_columns_csv, write_columns_csv
+from .io import ensure_parent, plain_value, read_columns_csv, write_columns_csv
 from .scenario import Scenario
 from .spaces import DEFAULT_TOL, Subspace, span_invariant
 from .zak import (
@@ -323,6 +323,7 @@ def _scenario_report(scn: Scenario) -> dict:
 
 def cmd_validate(doc: dict, args) -> int:
     scn = build_scenario(doc)
+    dual_partition(scn)  # the extra subgroup's section and partition guards
     _, seed = _options(doc, args)
     report = {
         "command": "validate",
@@ -473,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
                 "error": {
                     "kind": "theorem-violation",
                     "detail": str(exc),
-                    "details": {k: _plain(v) for k, v in exc.details.items()},
+                    "details": {k: plain_value(v) for k, v in exc.details.items()},
                 }
             },
             None,
@@ -491,16 +492,6 @@ def main(argv: list[str] | None = None) -> int:
             None,
         )
         return 4
-
-
-def _plain(value):
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
 
 
 def console_main() -> None:

@@ -1,7 +1,8 @@
 """Extra invariance under the larger subgroup: partition, masks, checks.
 
-The dual group splits into blocks indexed by the ``block_labels`` (coset
-representatives of base-annihilator / extra-annihilator): the block of
+The dual group splits into blocks indexed by the ``labels`` of the extra
+subgroup's :class:`DualPartition` (coset representatives of
+base-annihilator / extra-annihilator, its ``section``): the block of
 label xi is
 
     block(xi) = { omega + xi + d : omega in dual_section, d in extra-annihilator }.
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoremViolationError
+from .io import plain_value
 from .scenario import DualPartition, Scenario, _probes
 from .spaces import (
     DEFAULT_TOL,
@@ -66,16 +68,18 @@ from .zak import zak_full, zak_full_inv
 def dual_partition(scn: Scenario) -> DualPartition:
     """The dual partition of the scenario: the extra subgroup's entry of
     the verified partitions the scenario builds once per subgroup
-    (:meth:`Scenario.partition`).  Its ``rows`` are
-    :meth:`Scenario.block_rows` of the extra subgroup."""
+    (:meth:`Scenario.partition`).  Its ``section`` places each block
+    label, and its ``rows`` are :meth:`Scenario.block_rows` of the extra
+    subgroup."""
     return scn.partition(scn.extra)
 
 
 def mask_apply(scn: Scenario, xi, f: np.ndarray):
     """Orthogonal projection onto functions whose full Zak support is xi's block."""
-    pos = scn.block_section.position_of(xi)
+    part = dual_partition(scn)
+    pos = part.section.position_of(xi)
     vals = zak_full(scn, f)
-    vals[dual_partition(scn).positions != pos] = 0.0
+    vals[part.positions != pos] = 0.0
     return zak_full_inv(scn, vals)
 
 
@@ -90,10 +94,11 @@ def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
     basis = require_base_invariant(space)
     if space.dim == 0:
         return Subspace.zero(scn)
-    pos = scn.block_section.position_of(xi)
+    part = dual_partition(scn)
+    pos = part.section.position_of(xi)
     a, _, _, _, kept = _split(scn, space, basis)
-    only = kept & (np.arange(scn.n_blocks) == pos)[:, None]
-    return Subspace._of_range(scn, _packed(a, only, dual_partition(scn).rows))
+    only = kept & (np.arange(kept.shape[1]) == pos)[:, None]
+    return Subspace._of_range(scn, _packed(a, only, part.rows))
 
 
 def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
@@ -181,23 +186,7 @@ class ExtraInvarianceReport:
     component_invariance_residual: float | None  # base+extra invariance of components
 
     def as_dict(self) -> dict:
-        return {
-            "extra_invariant": bool(self.extra_invariant),
-            "translation_residual": float(self.translation_residual),
-            "inclusion_residuals": [float(r) for r in self.inclusion_residuals],
-            "inclusion_ok": [bool(b) for b in self.inclusion_ok],
-            "component_dims": [int(d) for d in self.component_dims],
-            "decomposition_deviation": (
-                None
-                if self.decomposition_deviation is None
-                else float(self.decomposition_deviation)
-            ),
-            "component_invariance_residual": (
-                None
-                if self.component_invariance_residual is None
-                else float(self.component_invariance_residual)
-            ),
-        }
+        return plain_value(self)
 
 
 def check_extra_invariance(
@@ -286,7 +275,7 @@ def canonical_extra_invariant(scn: Scenario) -> Subspace:
     (the weighted stacked coordinates of the indicator) and zero elsewhere.
     """
     reps = len(scn.tiling.orbit_reps)
-    rows = dual_partition(scn).rows[scn.block_section.position_of(scn.group.zero)]
+    rows = dual_partition(scn).rows[0]  # the zero label's block
     column = np.zeros(scn.n_cosets * reps, dtype=complex)
     column[rows] = np.sqrt(scn.rep_weights)[rows % reps]
     column /= np.linalg.norm(column)
@@ -303,15 +292,7 @@ class DecomposabilityReport:
     component_match_deviation: float | None  # fiber projector gap, masked vs component
 
     def as_dict(self) -> dict:
-        return {
-            "decomposable": bool(self.decomposable),
-            "block_residual": float(self.block_residual),
-            "component_match_deviation": (
-                None
-                if self.component_match_deviation is None
-                else float(self.component_match_deviation)
-            ),
-        }
+        return plain_value(self)
 
 
 def check_decomposable(

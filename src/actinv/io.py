@@ -1,4 +1,4 @@
-"""CSV import/export for frames and data vectors.
+"""CSV import/export for frames and data vectors, and plain report values.
 
 Complex values are stored as paired ``*_re`` / ``*_im`` columns: one row
 per point and one column pair per vector.  Rows follow the point order, so
@@ -7,6 +7,7 @@ exports are deterministic.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -58,6 +59,23 @@ def read_columns_csv(path) -> np.ndarray:
     if not data:
         raise ValueError(f"{path}: no data rows")
     return np.array(data, dtype=np.float64).view(complex)
+
+
+def plain_value(value):
+    """``value`` as plain JSON data: a dataclass as the dict of its fields,
+    a tuple or list as a list, a numpy scalar as the Python value, anything
+    else as it is.  ``bool`` is tested before ``int``, its base class."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [plain_value(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
 
 
 def ensure_parent(path) -> Path:

@@ -13,10 +13,12 @@ Naming used throughout the package:
 * ``orbit_reps``       - smallest point of each orbit;
 * ``tiles``            - tile of the base subgroup built from ``orbit_reps``;
 * ``dual_section``     - coset representatives of dual / base-annihilator
-                         (the fiber labels of the base Zak transform);
-* ``block_section``    - representatives of base-annihilator /
-                         extra-annihilator; these label the dual partition
-                         blocks and the stacked-coordinate blocks.
+                         (the fiber labels of the base Zak transform).
+
+The blocks of a subgroup H containing the base, the extra subgroup
+included, are labelled by its :class:`DualPartition`'s ``section``, the
+representatives of base-annihilator / H's annihilator: no subgroup has a
+table of its own on the scenario.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import numpy as np
 from .actions import ActionSpace, tiling_sets, validate_action
 from .errors import TheoremViolationError
 from .groups import (
+    CosetSection,
     Element,
     FiniteAbelianGroup,
     Subgroup,
@@ -58,13 +61,9 @@ class Scenario:
         self.base_annihilator = self.chain.base_annihilator
         self.extra_annihilator = self.chain.extra_annihilator
         self.dual_section = coset_section(group, self.base_annihilator)
-        self.block_section = coset_section(
-            group, self.extra_annihilator, within=self.base_annihilator
-        )
-        # the annihilator and section of each subgroup H, seeded with the
-        # chain's, so that none is computed twice
+        # the annihilator of each subgroup H, seeded with the chain's, so
+        # that none is computed twice
         self._annihilators = {base: self.base_annihilator, extra: self.extra_annihilator}
-        self._sections = {extra: self.block_section}
         self._partitions: dict[Subgroup, DualPartition] = {}
         self._modulation: dict[Element, np.ndarray] = {}
 
@@ -87,16 +86,8 @@ class Scenario:
         return len(self.dual_section)
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.block_section)
-
-    @property
     def omega(self) -> tuple[Element, ...]:
         return self.dual_section.representatives
-
-    @property
-    def block_labels(self) -> tuple[Element, ...]:
-        return self.block_section.representatives
 
     @property
     def annihilator_order(self) -> tuple[Element, ...]:
@@ -245,17 +236,23 @@ def _probes(subgroup: Subgroup) -> tuple[Element, ...]:
 class DualPartition:
     """The dual group cut into the blocks of a subgroup H containing the base.
 
-    The labels are the coset section of H's annihilator inside the base
-    annihilator.  ``positions[i]`` is the block position (index into
-    ``labels``) of dual element ``i``, and ``rows[b]`` lists the weighted
-    stacked rows of block b (:meth:`Scenario.block_rows`).  Both are
-    read-only and verified (:func:`_build_partition`).
+    ``section`` is the coset section of H's annihilator inside the base
+    annihilator, whose representatives are the block ``labels`` and whose
+    ``position_of`` finds a label's block; the zero label is at position
+    0.  ``positions[i]`` is the block position (index into ``labels``) of
+    dual element ``i``, and ``rows[b]`` lists the weighted stacked rows of
+    block b (:meth:`Scenario.block_rows`).  Both are read-only and
+    verified (:func:`_build_partition`).
     """
 
     scenario: Scenario
-    labels: tuple[Element, ...]
+    section: CosetSection = field(repr=False)
     positions: np.ndarray = field(repr=False)  # (group.order,) block positions
     rows: np.ndarray = field(repr=False)  # (n_blocks, rows per block)
+
+    @property
+    def labels(self) -> tuple[Element, ...]:
+        return self.section.representatives
 
     def _members(self) -> np.ndarray:
         """Dual element indices of each block, increasing; (n_blocks, block size)."""
@@ -291,9 +288,7 @@ def _build_partition(scn: Scenario, subgroup: Subgroup) -> DualPartition:
     ann = scn._annihilators.get(subgroup)
     if ann is None:
         ann = annihilator(subgroup)
-    section = scn._sections.get(subgroup)
-    if section is None:
-        section = coset_section(group, ann, within=scn.base_annihilator)
+    section = coset_section(group, ann, within=scn.base_annihilator)
     labels = section.representatives
     # the block of each annihilator coordinate k, the coset of annihilator_order[k]
     coordinate = section.positions[scn.base_annihilator.indices]
@@ -337,4 +332,4 @@ def _build_partition(scn: Scenario, subgroup: Subgroup) -> DualPartition:
         raise TheoremViolationError("stacked block rows disagree with the dual partition")
     block.flags.writeable = False
     rows.flags.writeable = False
-    return DualPartition(scn, labels, block, rows)
+    return DualPartition(scn, section, block, rows)

@@ -6,15 +6,18 @@ base-invariant space has its range function, one basis per Zak fiber in
 one zero-padded (n_fibers, rows, r_max) array: the zero space's has width
 0.  A frame-given space, not known to be base-invariant until its base
 gate (:func:`require_base_invariant`), is one fiber, its whole stacked
-frame, transformed once, which the gate cuts into its range function
-(the constructor, on a trivial base: one Zak fiber).  The fiber builders
-assemble the frame only when it is read.  A translation acts on stacked
-Zak values as a modulation of their rows (:meth:`Scenario.modulation`), so
-no space is translated in point space: each probe moves a space's columns
-once (:func:`_probe_pass`), and every reader of the space shares that
-pass; a base translation leaves every basis of a range function where it
-is.  Every range function is one rank cut along the blocks of a subgroup
-containing the base (:func:`_block_cut`), the base itself being one block.  The point-space
+frame, transformed once, which the gate cuts into its range function.
+Both public constructors apply one rule to a caller's columns, on every
+base: check them, then correct them to orthonormal
+(:func:`_orthonormalised`).  The fiber builders assemble the frame only
+when it is read.  A translation acts on stacked Zak values as a
+modulation of their rows (:meth:`Scenario.modulation`), so no space is
+translated in point space: each probe moves a space's columns once
+(:func:`_probe_pass`), and every reader of the space shares that pass; a
+base translation leaves every basis of a range function where it is.
+Every range function the library builds is one rank cut along the blocks
+of a subgroup containing the base (:func:`_block_cut`), the base itself
+being one block.  The point-space
 queries (:meth:`Subspace.residuals`, ``residual``, ``contains``,
 ``project``, and so :func:`actinv.approx.evaluate_candidate`) read the
 same columns: one forward transform of the functions and one projection
@@ -94,12 +97,14 @@ class Subspace:
     its whole stacked frame as one fiber.  The constructor
     refuses (``ValueError``) a frame of the wrong shape, with non-finite
     entries, or whose weighted Gram matrix ``Q^H W Q`` overflows or differs
-    from the identity by more than ``_FRAME_TOL`` in some entry: every
-    reader takes the frame as orthonormal.  By the stacked isometry that
-    Gram matrix is ``S^H S`` of the whole stacked frame S, so the check
-    reads the one transform of the frame that every later reader shares.
-    On a trivial base, one Zak fiber, the constructor makes the gate's cut
-    of S, so every frame it accepts reads orthonormal to roundoff.
+    from the identity by more than ``_FRAME_TOL`` in some entry.  By the
+    stacked isometry that Gram matrix is ``S^H S`` of the whole stacked
+    frame S, so the check reads the one transform of the frame that every
+    later reader shares.  Every reader takes the columns as orthonormal,
+    so the constructor then corrects S by one Newton-Schulz step
+    (:func:`_orthonormalised`), whatever the base: the space's columns are
+    orthonormal to roundoff, and ``frame`` keeps the caller's columns,
+    which span the same space.
     """
 
     def __init__(self, scenario: Scenario, frame: np.ndarray):
@@ -109,7 +114,8 @@ class Subspace:
         self.scenario, self.frame = scenario, _checked(frame, "frame entries")
         with np.errstate(over="ignore", invalid="ignore"):
             whole = self._basis[0]
-            gap = np.abs(whole.conj().T @ whole - np.eye(whole.shape[1])).max(initial=0.0)
+            gram = whole.conj().T @ whole
+            gap = np.abs(gram - np.eye(len(gram))).max(initial=0.0)
         if not math.isfinite(gap):
             raise _too_large("frame", "weighted Gram matrix")
         if gap > _FRAME_TOL:
@@ -117,8 +123,7 @@ class Subspace:
                 "frame is not weighted-orthonormal: the largest entry of "
                 f"|Q^H W Q - I| is {gap:.3e}, above {_FRAME_TOL:.0e}"
             )
-        if scenario.n_fibers == 1:
-            self._basis = _block_cut(self._basis, scenario.block_rows(scenario.base))
+        self._basis = _orthonormalised(self._basis, gram)
 
     @classmethod
     def span(cls, scn: Scenario, vectors: Sequence[np.ndarray] | np.ndarray) -> "Subspace":
@@ -152,9 +157,12 @@ class Subspace:
         the layout every reader takes: per fiber ``B^H B`` within
         ``_FRAME_TOL`` of the identity on the nonzero columns and zero
         elsewhere, zero columns last, some fiber using the last column: the
-        boundary check of a caller's range function.  The library's own
-        builders (:func:`span_invariant`, the canonical space, the
-        approximation fit) make theirs from checked input and skip it.
+        boundary check of a caller's range function.  Accepted bases are
+        then corrected to orthonormal, fiber by fiber, by the frame
+        constructor's rule (:func:`_orthonormalised`), zero columns staying
+        zero.  The library's own builders (:func:`span_invariant`, the
+        canonical space, the approximation fit) make theirs from checked
+        input and skip both.
         """
         rows, basis = scn.n_cosets * len(scn.tiling.orbit_reps), np.asarray(basis)
         if basis.ndim != 3 or basis.shape[:2] != (scn.n_fibers, rows):
@@ -173,7 +181,7 @@ class Subspace:
             )
         if (used[:, 1:] > used[:, :-1]).any() or (used.size and not used[:, -1].any()):
             raise ValueError("fiber bases must put zero columns last, some fiber using the last")
-        return cls._of_range(scn, basis)
+        return cls._of_range(scn, _orthonormalised(basis, gram))
 
     @classmethod
     def _of_range(cls, scn: Scenario, basis: np.ndarray) -> "Subspace":
@@ -258,8 +266,24 @@ class Subspace:
         return _finite(float(self._residuals(col)[0]), "function", "residual")
 
     def contains(self, f: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        tol = checked_tol(tol)
+        """Whether the residual of finite f, read flat as :meth:`residual`
+        reads it, is at most ``tol`` times ``max(1, |f|)``."""
+        tol, f = checked_tol(tol), np.ravel(f)
         return self.residual(f) <= tol * max(1.0, _norm(self.scenario, f, "function"))
+
+
+def _orthonormalised(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Fiber bases (fibers, rows, r) a boundary check accepted, corrected
+    to orthonormal: one Newton-Schulz step ``B (1.5 I - 0.5 G)``, with G
+    their Gram matrices ``B^H B``, which the check formed.
+
+    With ``G = I + E`` the corrected Gram matrix is ``I - 0.75 E^2 + ...``,
+    so columns within ``_FRAME_TOL`` of orthonormal come out orthonormal to
+    roundoff, and every reader, which takes them as orthonormal, reads the
+    space they span.  The columns keep their span; a zero column has a zero
+    row and column in G, so it stays zero and the layout is kept.
+    """
+    return basis @ (1.5 * np.eye(gram.shape[-1]) - 0.5 * gram)
 
 
 def _finite(value: float, subject: str, what: str) -> float:
@@ -520,10 +544,11 @@ def require_base_invariant(space: Subspace, tol: float = DEFAULT_TOL) -> np.ndar
     """The space's range function; ``InvarianceError`` if it is not base-invariant.
 
     A space that has a range function (fiber-built, past this gate once,
-    or frame-given on a trivial base, whose constructor made the gate's
-    cut) returns it at once: a base translation moves no fiber basis.  A
-    frame-given space passes when its base residual on its whole stacked
-    frame (:func:`_residual`) is at most ``tol`` and its fibers hold its
+    or frame-given on a trivial base, whose whole stacked frame is its one
+    Zak fiber) returns it at once: a base translation moves no fiber
+    basis.  A frame-given space passes when its base residual on its whole
+    stacked frame (:func:`_residual`), which its constructor corrected to
+    orthonormal, is at most ``tol`` and its fibers hold its
     whole dimension: the ranks of the same columns read one Zak fiber at
     a time, cut by :func:`_block_cut` along the base's one block, sum to
     ``dim``.  That cut then replaces the whole stacked frame as its

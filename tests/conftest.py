@@ -114,7 +114,7 @@ def random_block_supported_space(scn, rng, ell):
     stacked = np.zeros((scn.n_fibers, kc, ell), dtype=complex)
     for w in range(scn.n_fibers):
         for j in range(ell):
-            pos = int(rng.integers(0, scn.n_blocks))
+            pos = int(rng.integers(0, len(dual_partition(scn).rows)))
             sel = dual_partition(scn).rows[pos]
             stacked[w, sel, j] = rng.standard_normal(sel.size) + 1j * rng.standard_normal(
                 sel.size

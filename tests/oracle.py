@@ -72,6 +72,7 @@ from actinv import (
     Subspace,
     TheoremViolationError,
     check_extra_invariance,
+    dual_partition,
     mask_apply,
     translate,
     unfold_orbits,
@@ -465,7 +466,7 @@ def pooled_fit(scn, data, ell, extra):
         n = min(ell, sum(p[0] > floor for p in pooled))
         kept, dropped = pooled[:n], pooled[n:]
         error += sum(p[0] ** 2 for p in dropped) / scn.n_fibers
-        labels = tuple(scn.block_labels[p[1]] for p in kept) if extra else None
+        labels = tuple(dual_partition(scn).labels[p[1]] for p in kept) if extra else None
         spectra.append((tuple(p[0] for p in kept), tuple(p[0] for p in dropped), labels))
         cols += [(w, p[3]) for p in kept]
     picks = np.zeros(mats.shape[:2] + (len(cols),), dtype=complex)
@@ -563,7 +564,7 @@ def point_space_checks(scn, space, tol=1e-9):
     """
     root = np.sqrt(scn.action.weights)[:, None]
     qs = space.frame * root
-    comps = [masked_component(scn, space, xi) for xi in scn.block_labels]
+    comps = [masked_component(scn, space, xi) for xi in dual_partition(scn).labels]
     inclusion = [_worst_direction(c - qs @ (qs.conj().T @ c)) for c in comps]
     out = {
         "extra_invariant": all(r <= tol for r in inclusion),
@@ -690,7 +691,7 @@ def sequence_extra_invariance(scn, basis, tol=1e-9):
     res_translate = max(resid(shift(g, q)) for g in probes(scn.extra))
     spectra = _kernel_dft(group, q)  # [h] = sum_t pairing(-t, h) q[t]
     res_mask = 0.0
-    for xi in scn.block_labels:
+    for xi in dual_partition(scn).labels:
         keep = block_indicator(scn, xi)[:, None]
         res_mask = max(res_mask, resid(_kernel_dft(group, spectra * keep, inverse=True)))
     ok_translate, ok_mask = res_translate <= tol, res_mask <= tol

@@ -201,7 +201,7 @@ def test_c8_approximation_optimality(bank):
     start = time.perf_counter()
     for idx, name in enumerate(SCENARIO_NAMES):
         scn = bank[name]
-        assert scn.n_fibers <= 3 and scn.n_blocks <= 3  # tiny-instance regime
+        assert scn.n_fibers <= 3 and len(dual_partition(scn).labels) <= 3  # tiny-instance regime
         rng = np.random.default_rng(8000 + idx)
         data = np.column_stack([random_function(scn, rng) for _ in range(3)])
         mats = fiber_matrices(scn, data)

@@ -103,7 +103,8 @@ def test_error_vanishes_with_enough_generators(scn):
     data = data_matrix(scn, np.random.default_rng(15), m=2)
     scale = float(np.linalg.norm(data) ** 2)
     assert best_invariant(scn, data, 2).error <= 1e-12 * scale
-    assert best_extra_invariant(scn, data, 2 * scn.n_blocks).error <= 1e-12 * scale
+    n_blocks = len(dual_partition(scn).labels)
+    assert best_extra_invariant(scn, data, 2 * n_blocks).error <= 1e-12 * scale
 
 
 def test_optimizers_return_valid_spaces(scn):
@@ -184,7 +185,8 @@ def test_one_batched_svd_per_solver(scn, monkeypatch):
     assert shapes == [(scn.n_fibers, 1, rows, 3)]
     shapes.clear()
     best_extra_invariant(scn, data, 2)
-    assert shapes == [(scn.n_fibers, scn.n_blocks, rows // scn.n_blocks, 3)]
+    n_blocks = len(dual_partition(scn).labels)
+    assert shapes == [(scn.n_fibers, n_blocks, rows // n_blocks, 3)]
 
 
 @pytest.mark.parametrize("name", ["chain12", "product"])

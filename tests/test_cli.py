@@ -221,8 +221,9 @@ def test_demo_expectation_failure_exits_3(capsys, monkeypatch):
 
 def test_theorem_violation_exits_3_with_plain_details(tmp_path, capsys, monkeypatch):
     """A check that raises ``TheoremViolationError`` exits 3 with its message
-    and its details as plain JSON numbers: numpy scalars, also inside lists
-    and tuples, become floats and ints, and other values pass unchanged."""
+    and its details as plain JSON values: numpy scalars, also inside lists
+    and tuples, become floats, ints and bools, a bool stays a bool (it was
+    written as 1), and other values pass unchanged."""
 
     def violated(scn, space, tol):
         raise cli.TheoremViolationError(
@@ -231,6 +232,7 @@ def test_theorem_violation_exits_3_with_plain_details(tmp_path, capsys, monkeypa
                 "translation_residual": np.float64(0.25),
                 "inclusion_residuals": [np.float64(0.5), 1.0],
                 "dims": (np.int64(3), np.int32(0)),
+                "ok": (True, np.bool_(False)),
                 "label": "xi",
             },
         )
@@ -247,10 +249,12 @@ def test_theorem_violation_exits_3_with_plain_details(tmp_path, capsys, monkeypa
             "translation_residual": 0.25,
             "inclusion_residuals": [0.5, 1.0],
             "dims": [3, 0],
+            "ok": [True, False],
             "label": "xi",
         },
     }
     assert [type(d) for d in error["details"]["dims"]] == [int, int]
+    assert [type(d) for d in error["details"]["ok"]] == [bool, bool]
 
 
 def _strict(text):

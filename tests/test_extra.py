@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import actinv.extra as extra_mod
+import actinv.scenario as scenario_mod
 import actinv.spaces as spaces_mod
 import actinv.zak as zak_mod
 import oracle
@@ -227,7 +228,7 @@ def test_masked_component_refusals_keep_their_order(chain12, shear):
     assert masked_component(chain12, Subspace.zero(chain12), (1,)).dim == 0
     with pytest.raises(KeyError):
         masked_component(chain12, space, (1,))
-    comp = masked_component(chain12, space, chain12.block_labels[1])
+    comp = masked_component(chain12, space, dual_partition(chain12).labels[1])
     assert "frame" not in vars(comp)  # assembled only when read
     assert comp.dim == check_extra_invariance(chain12, space).component_dims[1]
 
@@ -238,7 +239,8 @@ def test_stacked_block_masks_follow_block_coordinates(scn):
     c = len(scn.tiling.orbit_reps)
     part = dual_partition(scn)
     rows = part.rows
-    assert rows.shape == (scn.n_blocks, scn.n_cosets * c // scn.n_blocks)
+    n_blocks = len(part.labels)
+    assert rows.shape == (n_blocks, scn.n_cosets * c // n_blocks)
     assert np.array_equal(np.sort(rows, axis=None), np.arange(scn.n_cosets * c))
     # annihilator coordinate k is the dual element annihilator_order[k] of fiber 0
     labels = part.positions[scn.base_annihilator.indices]
@@ -360,13 +362,13 @@ def test_checks_share_one_mask_per_block(scn, monkeypatch):
         assert log == []
         cold, warm = _pair(scn, space, log), _pair(scn, space, log)
         r = space._basis.shape[2]
-        split = (scn.n_fibers, scn.n_blocks, size, r)
+        split = (scn.n_fibers, len(dual_partition(scn).labels), size, r)
         assert cold["moved"] == [(space._basis.shape, None)] * len(probes)
         assert set(vars(space)["_invariance"]) == set(probes)
         assert cold["svd"] == [(split, True)]
         gram = (scn.n_fibers, r, r)
         k = min(size, r)
-        law = (len(probes), scn.n_fibers, scn.n_blocks, k, k)
+        law = (len(probes),) + split[:2] + (k, k)
         invariant = check_extra_invariance(scn, space).extra_invariant
         assert cold["eigvalsh"] == [(gram, None)] * len(probes) + (
             [(law, None)] if invariant and probes else []
@@ -417,19 +419,19 @@ def test_one_probe_pass_per_distinct_probe(moduli, base, extra, probes, monkeypa
 
 def test_frame_given_space_makes_its_probe_passes_after_the_gate(scn, monkeypatch):
     """A frame-given space's ``_basis`` is its whole stacked frame, one
-    fiber of n_points rows, until its base gate; over a trivial base the
-    constructor has cut it into the range function, the same shape.  On
-    it the space makes
-    one probe pass per distinct probe, moved by the probe's modulation
-    row, with the point-space oracle's residuals, and memoises it, base
+    fiber of n_points rows, which the constructor corrected to
+    orthonormal, until its base gate; over a trivial base that one fiber
+    is the one Zak fiber, so it already is the range function.  On it the
+    space makes one probe pass per distinct probe, moved by the probe's
+    modulation row, with the point-space oracle's residuals, and memoises it, base
     probes included, unless the base is trivial: then the whole stacked
     frame is the one Zak fiber, and a base probe reads 0.0 with no pass.
     A repeated call makes none.  The scenario builds each probe's row
     once.  Over a nontrivial base the gate reads those base passes,
     assigns the cut to ``_basis`` and drops the memo; a cold check pair
     then makes one pass on the range function per distinct probe outside
-    the base.  Over a trivial base the constructor's cut already is the
-    range function: the gate keeps it and its passes, and a cold pair
+    the base.  Over a trivial base the corrected whole stacked frame is
+    the range function: the gate keeps it and its passes, and a cold pair
     makes none.  Neither builds a row, a warm pair makes no pass, and the
     reports have the fiber-built original's verdicts and dimensions."""
     scn = _fresh(scn)
@@ -584,11 +586,11 @@ def test_component_law_matches_translated_components(scn):
         assert moved == pytest.approx(want, abs=1e-12)
         kv = extra_mod._split(scn, space, basis)[2]
         width = basis.shape[2]
-        shape = (scn.n_fibers, scn.n_blocks, width, width)
+        shape = kv.shape[:2] + (width, width)
         mix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for coeffs in (kv, np.linalg.qr(mix)[0][..., : 1 + width // 2]):
             got = extra_mod._component_law(space, coeffs)
-            parts = [basis @ coeffs[:, b] for b in range(scn.n_blocks)]
+            parts = [basis @ coeffs[:, b] for b in range(shape[1])]
             want = max(
                 oracle.translation_residual(Subspace._of_range(scn, p), h)
                 for p in parts
@@ -668,7 +670,7 @@ def test_dual_partition_holds_one_label_per_dual_element():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert scn.n_blocks == g.order
+    assert len(part.labels) == g.order
     arrays = [v for v in vars(part).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 2 and max(a.size for a in arrays) == g.order
     assert peak < 2**20, peak
@@ -678,8 +680,8 @@ def test_reports_do_not_depend_on_the_memo(scn):
     """Reports are the same cold, warm and on a fresh copy, also when the
     cold copy was asked for its extra invariance before the base gate.  A
     cold frame-given space holds its whole stacked frame as ``_basis``, one
-    fiber (over a trivial base, the constructor's cut of it), and no split
-    or probe pass; after the checks it holds its range
+    fiber corrected to orthonormal by the constructor, and no split or
+    probe pass; after the checks it holds its range
     function there, one basis per Zak fiber, the block split and one
     residual per base and extra probe outside the base, and the fiber-built
     original agrees with it in every verdict and dimension."""
@@ -774,32 +776,56 @@ def test_frame_given_gate_needs_the_whole_dimension(chain12):
         check_extra_invariance(chain12, moved, 1e-3)
 
 
-@pytest.mark.parametrize("name", ["shear", "dilation", "three_blocks"])
-def test_trivial_base_cuts_a_frame_the_constructor_accepts(bank, name):
-    """Over a trivial base the one Zak fiber is the whole stacked frame,
-    which the constructor cuts into the range function, so every frame it
-    accepts reads as the space it spans.  An extra span's frame with its
-    first column scaled by 1 + 4.5e-11, ``|Q^H W Q - I|`` 9e-11, below
-    ``_FRAME_TOL``: its range function is orthonormal to roundoff, and at
-    tol 1e-11 both checks find it invariant, with the fiber-built
-    original's dimensions and residuals of roundoff size."""
-    scn = bank[name]
+def _orthonormal_gap(basis):
+    """The largest entry of ``|B^H B - I|`` over fiber bases (fibers, rows,
+    r), the identity taken on each fiber's nonzero columns."""
+    used = basis.any(axis=1)
+    gram = basis.conj().swapaxes(1, 2) @ basis
+    return np.abs(gram - np.eye(basis.shape[2]) * used[:, None, :]).max()
+
+
+@pytest.mark.parametrize("kind", ["frame", "fibers"])
+def test_constructors_correct_the_columns_they_accept(scn, kind):
+    """Both public constructors check a caller's columns, then correct them
+    to orthonormal by one Newton-Schulz step, alike on every base: the
+    whole stacked frame of ``Subspace(scn, frame)``, each fiber basis of
+    ``Subspace.from_fibers``.  An extra span's frame, or its range
+    function, with its first column scaled by 1 + 4.5e-11 is accepted, its
+    ``|Q^H W Q - I|`` or ``|B^H B - I|`` 9e-11, below ``_FRAME_TOL``.  The
+    space's columns are then orthonormal to roundoff in the same layout,
+    and at tol 1e-11 both checks find it invariant, with the fiber-built
+    original's dimensions and every report residual of roundoff size.
+    Taken as given, the tilt reads 9e-11: such a frame fails the base gate
+    over a nontrivial base, and such fiber bases make the check pair
+    disagree (``TheoremViolationError``)."""
     rng = np.random.default_rng(3)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     space = span_invariant(scn, gens, scn.extra)
-    frame = space.frame.copy()
-    frame[:, 0] *= 1 + 4.5e-11
-    gram = frame.conj().T @ (scn.action.weights[:, None] * frame)
-    assert 5e-11 < np.abs(gram - np.eye(space.dim)).max() <= spaces_mod._FRAME_TOL
-    given = Subspace(scn, frame)
-    basis = given._basis[0]
-    assert np.abs(basis.conj().T @ basis - np.eye(space.dim)).max() <= 1e-14
+    if kind == "frame":
+        cols = space.frame.copy()
+        cols[:, 0] *= 1 + 4.5e-11
+        tilt = _orthonormal_gap((np.sqrt(scn.action.weights)[:, None] * cols)[None])
+        given = Subspace(scn, cols)
+    else:
+        cols = space._basis.copy()
+        cols[:, :, 0] *= 1 + 4.5e-11
+        tilt = _orthonormal_gap(cols)
+        given = Subspace.from_fibers(scn, cols)
+        assert np.array_equal(given._basis.any(axis=1), space._basis.any(axis=1))
+    assert 5e-11 < tilt <= spaces_mod._FRAME_TOL
+    assert _orthonormal_gap(given._basis) <= 1e-14
     ext, dec = check_extra_invariance(scn, given, 1e-11), check_decomposable(scn, given, 1e-11)
     assert ext.extra_invariant and dec.decomposable
     assert ext.component_dims == check_extra_invariance(scn, space).component_dims
-    assert ext.translation_residual <= 1e-14
-    assert ext.component_invariance_residual <= 1e-14
-    assert dec.block_residual <= 1e-14 and dec.component_match_deviation <= 1e-14
+    residuals = [
+        ext.translation_residual,
+        *ext.inclusion_residuals,
+        ext.decomposition_deviation,
+        ext.component_invariance_residual,
+        dec.block_residual,
+        dec.component_match_deviation,
+    ]
+    assert max(residuals) <= 1e-14, residuals
 
 
 def test_check_requires_base_invariance(chain12):
@@ -855,18 +881,23 @@ def test_space_of_another_scenario_is_refused():
 # reads, on a fresh scenario, so the bank's shared memos stay clean.
 
 
-def _corrupted_section(scn, subgroup, labels):
+def _corrupted_section(monkeypatch, scn, subgroup, labels):
     """A fresh copy of ``scn`` whose partition along ``subgroup`` reads the
-    block labels ``labels`` at the annihilator coordinates: the subgroup's
-    coset section with those positions there, put in the scenario's
-    section memo before any partition is built."""
-    fresh = _fresh(scn)
-    section = fresh._sections.get(subgroup) or coset_section(
-        scn.group, annihilator(subgroup), within=scn.base_annihilator
-    )
-    positions = section.positions.copy()
-    positions[scn.base_annihilator.indices] = labels
-    fresh._sections[subgroup] = dataclasses.replace(section, positions=positions)
+    block labels ``labels`` at the annihilator coordinates: the partition
+    build's coset section of the subgroup's annihilator inside the base
+    annihilator comes with those positions there, every other section as
+    it is, and no partition is built yet."""
+    fresh, target = _fresh(scn), annihilator(subgroup)
+
+    def corrupted(group, sub, within=None):
+        section = coset_section(group, sub, within=within)
+        if within is None or sub != target:
+            return section
+        positions = section.positions.copy()
+        positions[scn.base_annihilator.indices] = labels
+        return dataclasses.replace(section, positions=positions)
+
+    monkeypatch.setattr(scenario_mod, "coset_section", corrupted)
     assert not fresh._partitions
     return fresh
 
@@ -879,16 +910,18 @@ def _corrupted_section(scn, subgroup, labels):
         ([1, 0, 1, 0], "positions disagree with the block definition", {}),
     ],
 )
-def test_partition_guards_catch_corrupted_coordinate_labels(chain12, labels, message, details):
+def test_partition_guards_catch_corrupted_coordinate_labels(
+    chain12, monkeypatch, labels, message, details
+):
     """The block label of each annihilator coordinate, read off the extra
     subgroup's coset section (``[0, 1, 0, 1]`` when clean), decides every
     block position.  One coordinate moved to the wrong label breaks the
     block sizes; two swapped keep the sizes but break invariance under the
     extra annihilator; the two labels swapped everywhere keep both but
     contradict the block definition."""
-    coordinate = chain12.block_section.positions[chain12.base_annihilator.indices]
+    coordinate = dual_partition(chain12).section.positions[chain12.base_annihilator.indices]
     assert coordinate.tolist() == [0, 1, 0, 1]
-    scn = _corrupted_section(chain12, chain12.extra, labels)
+    scn = _corrupted_section(monkeypatch, chain12, chain12.extra, labels)
     with pytest.raises(TheoremViolationError, match=message) as err:
         dual_partition(scn)
     assert err.value.details == details
@@ -901,7 +934,7 @@ def test_partition_guards_catch_corrupted_coordinate_labels(chain12, labels, mes
         ([1, 0, 2, 3], "positions disagree with the block definition", {}),
     ],
 )
-def test_partition_guards_hold_for_every_subgroup(chain12, labels, message, details):
+def test_partition_guards_hold_for_every_subgroup(chain12, monkeypatch, labels, message, details):
     """The guards check every subgroup's table, not only the extra one's:
     along the whole group, neither the base nor the extra subgroup, the
     annihilator is trivial and each of the four annihilator coordinates
@@ -918,7 +951,7 @@ def test_partition_guards_hold_for_every_subgroup(chain12, labels, message, deta
         lambda scn: scn.block_rows(whole),
         lambda scn: span_invariant(scn, random_function(scn, np.random.default_rng(0)), whole),
     ):
-        scn = _corrupted_section(chain12, whole, labels)
+        scn = _corrupted_section(monkeypatch, chain12, whole, labels)
         with pytest.raises(TheoremViolationError, match=message) as err:
             reader(scn)
         assert err.value.details == details

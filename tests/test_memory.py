@@ -24,11 +24,14 @@ from actinv import (
     FiniteAbelianGroup,
     Scenario,
     Subgroup,
+    Subspace,
     best_extra_invariant,
     best_invariant,
     check_decomposable,
     check_extra_invariance,
     evaluate_candidate,
+    fiber_generators,
+    masked_component,
     span_invariant,
     zak_base,
     zak_full,
@@ -49,6 +52,17 @@ LAYER_BOUNDS = {
     "best_invariant": 4.0,
     "best_extra_invariant": 4.15,
     "span_invariant_pair": 3.46,
+}
+# measured: 0.35 (a masked component, the first on the space), 0.19 (after
+# a check pair on the extra span), 0.26, 24.13 (the first read of the
+# frame: three frame sizes of 8 data sizes each) and 16.06 (the frame
+# constructor on that frame, transform and correction included)
+SPACE_BOUNDS = {
+    "masked_component_cold": 1.35,
+    "masked_component_after_pair": 1.19,
+    "fiber_generators": 1.26,
+    "frame": 25.14,
+    "frame_constructor": 17.07,
 }
 
 
@@ -114,3 +128,31 @@ def test_layer_peaks_are_a_few_data_sizes(ladder16384, layer):
     size = data.size * np.dtype(complex).itemsize
     peak = traced_peak(call)
     assert peak <= LAYER_BOUNDS[layer] * size, peak / size
+
+
+@pytest.mark.parametrize("call", sorted(SPACE_BOUNDS))
+def test_space_peaks_are_bounded(ladder16384, call):
+    """Peaks of the zero label's masked component, the generators of a
+    range function, the first read of a fiber-built space's frame and the
+    frame constructor, on copies of the ``best_invariant`` space, so the
+    fixture's space keeps no memo and no frame; the extra span is built
+    and checked before the trace."""
+    scn, data, space = ladder16384
+    copy = Subspace._of_range(scn, space._basis)
+    if call == "masked_component_after_pair":
+        gens = np.random.default_rng(1).standard_normal((scn.action.n_points, 2))
+        copy = span_invariant(scn, gens, scn.extra)
+        check_extra_invariance(scn, copy)
+        check_decomposable(scn, copy)
+    frame = copy.frame if call == "frame_constructor" else None
+    run = {
+        "masked_component_cold": lambda: masked_component(scn, copy, scn.group.zero),
+        "masked_component_after_pair": lambda: masked_component(scn, copy, scn.group.zero),
+        "fiber_generators": lambda: fiber_generators(copy),
+        "frame": lambda: copy.frame,
+        "frame_constructor": lambda: Subspace(scn, frame),
+    }[call]
+    size = data.size * np.dtype(complex).itemsize
+    peak = traced_peak(run)
+    assert peak <= SPACE_BOUNDS[call] * size, peak / size
+    assert "frame" not in vars(space)

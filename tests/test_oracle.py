@@ -155,7 +155,7 @@ def check_against_oracle(scn, rng):
         assert_rel_close(zak_full_inv(scn, dual), oracle.full_inv(scn, dual))
         fibers = complex_normal(rng, (scn.n_fibers, scn.n_cosets, reps) + batch)
         assert_rel_close(zak_stacked_inv(scn, fibers), oracle.stacked_inv(scn, fibers))
-        for xi in scn.block_labels:
+        for xi in dual_partition(scn).labels:
             assert_rel_close(mask_apply(scn, xi, f), oracle.mask(scn, xi, f))
 
 
@@ -692,9 +692,10 @@ def check_masked_components(scn, rng):
     norm, and the dimension the check reports for the block."""
     root = np.sqrt(scn.action.weights)[:, None]
     for kind, space in component_cases(scn, rng):
-        comps = [masked_component(scn, space, xi) for xi in scn.block_labels]
+        labels = dual_partition(scn).labels
+        comps = [masked_component(scn, space, xi) for xi in labels]
         dims = check_extra_invariance(scn, space).component_dims
-        for xi, comp, dim in zip(scn.block_labels, comps, dims, strict=True):
+        for xi, comp, dim in zip(labels, comps, dims, strict=True):
             want = oracle.masked_component(scn, space, xi)
             assert comp.dim == want.shape[1] == dim, (kind, xi)
             assert np.max(comp.residuals(want / root), initial=0.0) <= 1e-12, (kind, xi)
@@ -837,8 +838,9 @@ def test_queries_match_the_dense_projector(spec, decades):
     fiber-built space has assembled its frame by the time the reference
     reads it, and its ``_basis`` holds one basis per Zak fiber; a
     frame-given space before its gate holds its whole stacked frame there,
-    one fiber (over a trivial base, the constructor's cut of it).  Every space's ``is_invariant`` residuals under the base and the
-    extra subgroup match the point-space translates of its frame
+    one fiber, corrected to orthonormal by the constructor.  Every space's
+    ``is_invariant`` residuals under the base and the extra subgroup match
+    the point-space translates of its frame
     (``oracle.translation_residual``) within 1e-12: a frame-given space
     before its gate is probed on its whole stacked frame, base-invariant
     or not."""

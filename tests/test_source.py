@@ -3,8 +3,10 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import actinv
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "actinv"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -670,6 +673,126 @@ def dual_partition(scn):
     return part
 """
     assert _scenario_writes(ast.parse(source)) == [5, 6, 7, 8, 9, 10, 11, 12]
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is referenced, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _listed(tree: ast.AST) -> set[str]:
+    """The names a module lists in its ``__all__``."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def _uncalled(trees: dict[str, ast.AST], public: set[str], classes: set[str]) -> list[str]:
+    """The functions and methods of the modules ``trees`` that nothing calls.
+
+    A function has a caller when its name is referenced, as a name or an
+    attribute, somewhere in the modules outside its own definition.  It is
+    also kept when its name is ``public``, when it is a public method of
+    one of the exported ``classes``, or when it is a protocol method
+    (``__x__``), which the interpreter calls.  Names are matched, not
+    bindings, so functions of one name share their callers.  Returned as
+    ``module.qualified_name``, sorted.
+    """
+    refs, found = Counter(), []
+    for module, tree in trees.items():
+        refs.update(_references(tree))
+        stack = [(tree, "", None)]
+        while stack:
+            node, prefix, cls = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    found.append((f"{module}.{prefix}{child.name}", child, cls))
+                    stack.append((child, f"{prefix}{child.name}.", None))
+                elif isinstance(child, ast.ClassDef):
+                    stack.append((child, f"{prefix}{child.name}.", child.name))
+                else:
+                    stack.append((child, prefix, cls))
+    return sorted(
+        qualified
+        for qualified, func, cls in found
+        if refs[func.name] == _references(func)[func.name]
+        and func.name not in public
+        and not (cls in classes and not func.name.startswith("_"))
+        and not (func.name.startswith("__") and func.name.endswith("__"))
+    )
+
+
+def test_every_library_function_has_a_caller():
+    """Every function and method of the package is called in it, exported
+    (by the package, or by its module's ``__all__``, or as a public method
+    of an exported class) or named in the README's "Library use" section:
+    nothing is defined for no reader."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    exported = {name for name in vars(actinv) if not name.startswith("_")}
+    classes = {name for name in exported if isinstance(getattr(actinv, name), type)}
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    public = exported | set(re.findall(r"[A-Za-z_]\w*", section))
+    public |= set().union(*map(_listed, trees.values()))
+    assert _uncalled(trees, public, classes) == []
+
+
+def test_caller_rule_catches_a_function_nothing_calls():
+    first = """
+__all__ = ["listed"]
+
+def used():
+    return 1
+
+def unused():
+    return used()
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+def listed():
+    pass
+
+def exported():
+    pass
+
+class Public:
+    def method(self):
+        pass
+
+    def _helper(self):
+        pass
+
+    def __repr__(self):
+        return ""
+
+class _Private:
+    def method(self):
+        pass
+"""
+    second = """
+def outer():
+    def inner():
+        pass
+    return used
+"""
+    trees = {"first": ast.parse(first), "second": ast.parse(second)}
+    public = {"exported", "Public"} | _listed(trees["first"])
+    assert _uncalled(trees, public, {"Public"}) == [
+        "first.Public._helper",
+        "first._Private.method",
+        "first.recursive",
+        "first.unused",
+        "second.outer",
+        "second.outer.inner",
+    ]
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

@@ -19,6 +19,7 @@ from actinv import (
     canonical_extra_invariant,
     check_decomposable,
     check_extra_invariance,
+    dual_partition,
     evaluate_candidate,
     fiber_generators,
     is_invariant,
@@ -260,10 +261,10 @@ def test_frame_given_space_keeps_no_probe_memo_before_its_gate(scn):
     function.  Before the gate, ``_basis`` is the whole stacked frame, one
     fiber, and the space memoises its passes on it, one per distinct
     probe, base probes included unless the base is trivial (then the
-    whole stacked frame is the one Zak fiber, which the constructor has
-    cut into the range function and no base probe moves).  Over a
-    nontrivial base the gate replaces it by the cut, one basis per Zak
-    fiber, and drops the memo; over a trivial base it keeps both.
+    whole stacked frame, which the constructor corrected to orthonormal,
+    is the one Zak fiber, the range function, which no base probe moves).
+    Over a nontrivial base the gate replaces it by the cut, one basis per
+    Zak fiber, and drops the memo; over a trivial base it keeps both.
     After the gate the space memoises its passes on its range function,
     one per distinct probe outside the base."""
     rng = np.random.default_rng(44)
@@ -484,6 +485,22 @@ def test_principal_membership_rejects_bad_input(chain12, bad):
     for args in ((psi[:11], psi), (psi, np.append(psi, 1.0))):
         with pytest.raises(ValueError, match="space has 12 points"):
             principal_membership(chain12, *args)
+
+
+def test_contains_reads_a_function_of_any_shape_alike(bank):
+    """``contains`` reads f flat, as ``residual`` does, for its norm too: a
+    function 1e-9 off a principal space (residual 7.6e-9, norm 7.53) is
+    refused at the default ``tol`` as a 1-D array, a column and a row.  A
+    column's norm read along the wrong axis was 35.1, and it passed."""
+    scn = bank["two_orbits"]
+    rng = np.random.default_rng(0)
+    n = scn.action.n_points
+    g, h = rng.standard_normal(n), rng.standard_normal(n)
+    f = g + 1e-9 * h
+    space = span_invariant(scn, g)
+    assert space.residual(f) > 1e-9 * scn.action.norm(f)
+    assert [space.contains(v) for v in (f, f[:, None], f[None])] == [False] * 3
+    assert [space.contains(v) for v in (g, g[:, None], g[None])] == [True] * 3
 
 
 def test_membership_refuses_norms_that_overflow(chain12):
@@ -717,7 +734,7 @@ def test_frame_constructor_refuses_frames_that_are_not_orthonormal(chain12):
         span_invariant(chain12, gens, chain12.extra),
         canonical_extra_invariant(chain12),
         Subspace.span(chain12, gens),
-        masked_component(chain12, principal, chain12.block_labels[0]),
+        masked_component(chain12, principal, dual_partition(chain12).labels[0]),
     )
     for space in spaces:
         assert Subspace(chain12, space.frame).dim == space.dim
@@ -754,7 +771,8 @@ def test_fiber_constructor_refuses_bases_off_their_layout(chain12):
     translation residual 4.7; columns that are not orthonormal; an
     overflowing Gram matrix; zero columns before nonzero ones; and zero
     columns past every fiber's last, for which ``length`` read 3.  An
-    empty fiber and a tilt within ``_FRAME_TOL`` stay valid."""
+    empty fiber and a tilt within ``_FRAME_TOL`` stay valid: the empty
+    fiber stays empty, and the tilted bases are corrected to orthonormal."""
     gen = random_function(chain12, np.random.default_rng(0))
     basis = span_invariant(chain12, gen)._basis
     w, rows, r = basis.shape
@@ -769,15 +787,18 @@ def test_fiber_constructor_refuses_bases_off_their_layout(chain12):
         Subspace.from_fibers(chain12, np.concatenate([basis, pad], axis=2))
     empty = basis.copy()
     empty[0] = 0.0
-    assert Subspace.from_fibers(chain12, empty).dim == w - 1
+    given = Subspace.from_fibers(chain12, empty * (1 + 0.25 * spaces_mod._FRAME_TOL))
+    assert given.dim == w - 1 and not given._basis[0].any()
     space = Subspace.from_fibers(chain12, basis * (1 + 0.25 * spaces_mod._FRAME_TOL))
     assert length(space) == r == 1 and space.contains(gen)
+    assert np.abs(np.linalg.norm(space._basis, axis=1) - 1.0).max() <= 1e-15
 
 
 def test_library_range_functions_keep_the_fiber_layout(scn):
     """Every range function the library builds (both spans, the canonical
     space, both fits, every masked component and the zero space) passes
-    ``from_fibers``'s layout check, with its dimension."""
+    ``from_fibers``'s layout check, with its dimension, and its correction
+    to orthonormal moves them by roundoff only, in the same layout."""
     rng = np.random.default_rng(12)
     gens = np.column_stack([random_function(scn, rng) for _ in range(2)])
     data = np.column_stack([random_function(scn, rng) for _ in range(3)])
@@ -789,9 +810,12 @@ def test_library_range_functions_keep_the_fiber_layout(scn):
         best_invariant(scn, data, 2).space,
         best_extra_invariant(scn, data, 2).space,
         Subspace.zero(scn),
-    ] + [masked_component(scn, extra_spanned, xi) for xi in scn.block_labels]
+    ] + [masked_component(scn, extra_spanned, xi) for xi in dual_partition(scn).labels]
     for space in spaces:
-        assert Subspace.from_fibers(scn, space._basis).dim == space.dim
+        given = Subspace.from_fibers(scn, space._basis)
+        assert given.dim == space.dim
+        assert np.array_equal(given._basis.any(axis=1), space._basis.any(axis=1))
+        assert np.abs(given._basis - space._basis).max(initial=0.0) <= 1e-14
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

@@ -10,6 +10,7 @@ from actinv import (
     FiniteAbelianGroup,
     Scenario,
     Subgroup,
+    dual_partition,
     fold_orbits,
     mask_apply,
     translate,
@@ -282,7 +283,7 @@ def test_transforms_reject_a_function_of_the_wrong_length(bank, shape):
         with pytest.raises(ValueError, match=f"{shape[0]} entries, space has 24 points"):
             transform(scn, f)
     with pytest.raises(ValueError, match="space has 24 points"):
-        mask_apply(scn, scn.block_labels[0], f)
+        mask_apply(scn, dual_partition(scn).labels[0], f)
 
 
 @pytest.mark.parametrize(
