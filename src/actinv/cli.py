@@ -3,7 +3,7 @@
 Subcommands::
 
     validate    build and validate the configured scenario, run transform
-                self-tests with seeded random vectors
+                self-tests on five seeded random vectors, one batch
     partition   print the dual partition blocks
     check       run the extra-invariance and decomposability checks on the
                 configured subspace
@@ -12,11 +12,11 @@ Subcommands::
     demo NAME   run a built-in configuration (shear | dilation | remark33)
                 and assert its embedded expectations
 
-Exit codes: 0 success, 1 malformed configuration, 2 validation failure
-(chain, action or invariance preconditions), 3 theorem violation, 4 internal
-error (any other exception, reported with its traceback).  All
-reports are JSON with sorted keys, so identical configuration and seed
-give byte-identical output.
+Exit codes: 0 success, 1 malformed configuration or command line, 2
+validation failure (chain, action or invariance preconditions), 3 theorem
+violation, 4 internal error (any other exception, reported with its
+traceback).  All reports are JSON with sorted keys, so identical
+configuration and seed give byte-identical output.
 """
 from __future__ import annotations
 
@@ -266,38 +266,47 @@ def _options(doc: dict, args) -> tuple[float, int]:
 # -- reports ------------------------------------------------------------------
 
 
+def _write(path, write) -> None:
+    """``write(path)`` into a file the ``--out`` option names, its parent
+    made first: the one writer of every output file, so a path that cannot
+    be written is a config error naming it."""
+    try:
+        write(ensure_parent(path))
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
-        try:
-            ensure_parent(out).write_text(text)
-        except OSError as exc:
-            raise ConfigError("--out", f"cannot write {out}: {exc.strerror or exc}") from exc
+        _write(out, lambda p: p.write_text(text))
     else:
         sys.stdout.write(text)
 
 
 def _self_test(scn: Scenario, seed: int) -> dict:
+    """Worst round-trip error and relative isometry defect of each transform
+    and worst relation deviation over five seeded random functions, drawn
+    into one matrix that each transform and its inverse take once, and the
+    unitarity defect of the coset character table."""
     rng = np.random.default_rng(seed)
     n = scn.action.n_points
+    f = np.column_stack([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(5)])
+    refs = [scn.action.norm(col) for col in f.T]
     transforms = {
         "base": (zak_base, zak_base_inv, base_norm),
         "full": (zak_full, zak_full_inv, full_norm),
         "stacked": (zak_stacked, zak_stacked_inv, stacked_norm),
     }
-    worst: dict[str, float] = {}
-
-    def note(key: str, value: float) -> None:
-        worst[key] = max(worst.get(key, 0.0), value)
-
-    for _ in range(5):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ref = scn.action.norm(f)
-        for name, (forward, inverse, norm) in transforms.items():
-            z = forward(scn, f)
-            note(f"{name}_round_trip", float(np.max(np.abs(inverse(scn, z) - f))))
-            note(f"{name}_isometry", abs(norm(scn, z) - ref) / ref)
-        note("relation", zak_relation_deviation(scn, f))
+    worst = {"relation": zak_relation_deviation(scn, f)}
+    for name, (forward, inverse, norm) in transforms.items():
+        z = forward(scn, f)
+        back = inverse(scn, z)
+        back -= f
+        worst[f"{name}_round_trip"] = float(np.max(np.abs(back)))
+        worst[f"{name}_isometry"] = max(
+            abs(norm(scn, z[..., j]) - ref) / ref for j, ref in enumerate(refs)
+        )
     dft = scn.coset_dft / np.sqrt(scn.n_cosets)
     worst["coset_dft_unitarity"] = float(
         np.max(np.abs(dft @ dft.conj().T - np.eye(scn.n_cosets)))
@@ -382,8 +391,8 @@ def cmd_approx(doc: dict, args) -> int:
         base = Path(args.out)
         plain_csv = base.with_suffix(".plain_frame.csv")
         extra_csv = base.with_suffix(".extra_frame.csv")
-        write_columns_csv(ensure_parent(plain_csv), plain.space.frame)
-        write_columns_csv(ensure_parent(extra_csv), extra.space.frame)
+        _write(plain_csv, lambda p: write_columns_csv(p, plain.space.frame))
+        _write(extra_csv, lambda p: write_columns_csv(p, extra.space.frame))
         report["frames"] = {"plain": plain_csv.name, "extra": extra_csv.name}
     _emit(report, args.out)
     return 0
@@ -426,8 +435,17 @@ def cmd_demo(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors raise the config error (exit 1,
+    a JSON report carrying argparse's message) where argparse would print
+    its usage and exit 2; ``--help`` prints and exits 0 as before."""
+
+    def error(self, message: str):
+        raise ConfigError("command line", message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="actinv",
         description="Invariant subspaces of weighted finite abelian group actions.",
     )
@@ -448,8 +466,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "demo":
             return cmd_demo(args)
         if not args.config:

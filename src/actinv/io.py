@@ -16,9 +16,8 @@ import numpy as np
 
 def write_columns_csv(path, matrix: np.ndarray) -> None:
     """Write complex column vectors (frame or data) as paired re/im columns."""
-    mat = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    if mat.shape[0] == 1 and matrix.ndim == 1:
-        mat = mat.T
+    arr = np.asarray(matrix, dtype=complex)
+    mat = arr[:, None] if arr.ndim == 1 else np.atleast_2d(arr)
     header = [f"c{j}_{part}" for j in range(mat.shape[1]) for part in ("re", "im")]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -106,20 +106,17 @@ class Scenario:
 
     # -- gather tables for the transforms ------------------------------------
 
-    def _gather(self, elements: np.ndarray, orbit_major: bool = False):
+    def _gather(self, elements: np.ndarray):
         """Gather plan for the points ``sigma_t(orbit_reps[c])``, t in ``elements``.
 
         Row ``m`` of the table runs over ``elements[m]`` (flattened) major and
-        the orbits minor, or the transpose if ``orbit_major``; jacobian roots
-        are taken against ``elements[0]``, the zero element.  The table is a
-        permutation of the points, so the flat tuple adds its inverse ``where``
-        (``where[gather.ravel()] == arange(n)``) and the reciprocal roots in
-        point order."""
+        the orbits minor; jacobian roots are taken against ``elements[0]``,
+        the zero element.  The table is a permutation of the points, so the
+        flat tuple adds its inverse ``where`` (``where[gather.ravel()] ==
+        arange(n)``) and the reciprocal roots in point order."""
         gather = self.action.point_of.T[elements].reshape(len(elements), -1)
         w = self.action.weights
         jhalf = np.sqrt(w[gather] / w[gather[0]])
-        if orbit_major:
-            gather, jhalf = gather.T.copy(), jhalf.T.copy()
         where = np.empty(gather.size, dtype=np.intp)
         where[gather.ravel()] = np.arange(gather.size)
         return gather, jhalf, where, (1.0 / jhalf.ravel())[where]
@@ -139,8 +136,16 @@ class Scenario:
 
     @cached_property
     def _unfold_gather(self):
-        """sigma_{+tau}(x) for x in orbit_reps, tau in group, plus jacobian roots."""
-        return self._gather(np.arange(self.group.order), orbit_major=True)
+        """sigma_{+tau}(x) for x in orbit_reps, tau in group, plus jacobian roots.
+
+        The table is the action's own ``point_of``, whose inverse is each
+        point's orbit coordinates; the roots are the full plan's read
+        orbit-major (its row of -tau), and the reciprocal roots in point
+        order, ``1 / jacobian(tau, x)**0.5`` at ``sigma_tau(x)``, are the full
+        plan's array itself."""
+        full, (orbit_of, element_of) = self._full_gather, self.action.coordinates
+        jhalf = full[1][self.group.indices(-self.group.coords)].T.copy()
+        return self.action.point_of, jhalf, orbit_of * self.group.order + element_of, full[3]
 
     # -- character tables -----------------------------------------------------
 

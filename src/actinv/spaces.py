@@ -112,12 +112,8 @@ class Subspace:
         if frame.ndim != 2 or len(frame) != n:
             raise ValueError(f"frame must have shape ({n}, dim), got {frame.shape}")
         self.scenario, self.frame = scenario, _checked(frame, "frame entries")
-        with np.errstate(over="ignore", invalid="ignore"):
-            whole = self._basis[0]
-            gram = whole.conj().T @ whole
-            gap = np.abs(gram - np.eye(len(gram))).max(initial=0.0)
-        if not math.isfinite(gap):
-            raise _too_large("frame", "weighted Gram matrix")
+        every = np.ones(self._basis.shape[::2], dtype=bool)
+        gram, gap = _gram_gap(self._basis, every, "frame", "weighted Gram matrix")
         if gap > _FRAME_TOL:
             raise ValueError(
                 "frame is not weighted-orthonormal: the largest entry of "
@@ -171,10 +167,8 @@ class Subspace:
             )
         basis = _checked(basis, "fiber bases")
         used = basis.any(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = basis.conj().swapaxes(1, 2) @ basis
-            gap = np.abs(gram - np.eye(used.shape[1]) * used[:, None, :]).max(initial=0.0)
-        if not gap <= _FRAME_TOL:
+        gram, gap = _gram_gap(basis, used, "fiber bases", "Gram matrix")
+        if gap > _FRAME_TOL:
             raise ValueError(
                 "fiber bases are not orthonormal: the largest entry of |B^H B - I| "
                 f"on a fiber's nonzero columns is {gap:.3e}, above {_FRAME_TOL:.0e}"
@@ -270,6 +264,20 @@ class Subspace:
         reads it, is at most ``tol`` times ``max(1, |f|)``."""
         tol, f = checked_tol(tol), np.ravel(f)
         return self.residual(f) <= tol * max(1.0, _norm(self.scenario, f, "function"))
+
+
+def _gram_gap(basis: np.ndarray, used: np.ndarray, subject: str, what: str) -> tuple:
+    """The Gram matrices ``G = B^H B`` of finite fiber bases (fibers, rows,
+    r) and the largest entry of ``|G - I|``, I the identity on each fiber's
+    ``used`` columns (fibers, r) and zero elsewhere: the one boundary check
+    of both constructors.  ``ValueError`` (:func:`_too_large`) if G or the
+    gap overflows the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = basis.conj().swapaxes(1, 2) @ basis
+        gap = np.abs(gram - np.eye(used.shape[1]) * used[:, None, :]).max(initial=0.0)
+    if not math.isfinite(gap):
+        raise _too_large(subject, what)
+    return gram, float(gap)
 
 
 def _orthonormalised(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:

@@ -31,6 +31,8 @@ O(|G| * orbits) = O(n) per function.  Each reads its samples through a
 gather plan cached on the scenario, four arrays of n entries: a column
 selection of the action's orbit coordinates ``point_of``, the jacobian
 roots, the inverse permutation and the reciprocal roots in point order.
+The sequence plan of ``unfold_orbits`` holds two of its own: its table is
+``point_of`` itself and its reciprocal roots are the full plan's array.
 Forward transforms and inverses are each one ``take`` (no scatter); real
 factors scale the float64 view of the transform's own buffer in place,
 and the full transform's FFT overwrites its gathered samples.  No
@@ -43,11 +45,13 @@ plain index translation, and their discrete Fourier transform recovers the
 full Zak values at the negated dual element.
 
 Every function accepts a trailing batch axis: 2-D input transforms
-columnwise.  Every forward transform refuses a non-finite function, and
-every inverse a wrong leading shape and non-finite values, with
-``ValueError``.  The library's own stacking of input it has already
-checked goes through the private kernel ``_zak_stacked``, which makes no
-second pass over the values.
+columnwise, a norm of a batch is the root of the sum of its columns'
+squared norms, and the relation check reads the largest deviation over
+the columns.  Every forward transform and the relation check refuse a
+non-finite function, and every inverse a wrong leading shape and
+non-finite values, with ``ValueError``.  The library's own stacking of
+input it has already checked goes through the private kernel
+``_zak_stacked``, which makes no second pass over the values.
 """
 from __future__ import annotations
 
@@ -235,22 +239,25 @@ def fold_orbits(scn: Scenario, phi: np.ndarray) -> np.ndarray:
 # -- norms under the transform conventions ------------------------------------
 
 
-def base_norm(scn: Scenario, values: np.ndarray) -> float:
+def _weighted_norm(values, weights: np.ndarray, ndim: int, count: int) -> float:
+    """``sqrt(sum |values|^2 * weights / count)``, the weights running along
+    the last of the ``ndim`` axes of one function's values, before any
+    batch axis: the norm under a transform's convention."""
     e = np.abs(np.asarray(values)) ** 2
-    w = scn.tile_weights if e.ndim == 2 else scn.tile_weights[:, None]
-    return float(np.sqrt(np.sum(e * w) / scn.n_fibers))
+    w = weights if e.ndim == ndim else weights[:, None]
+    return float(np.sqrt(np.sum(e * w) / count))
+
+
+def base_norm(scn: Scenario, values: np.ndarray) -> float:
+    return _weighted_norm(values, scn.tile_weights, 2, scn.n_fibers)
 
 
 def full_norm(scn: Scenario, values: np.ndarray) -> float:
-    e = np.abs(np.asarray(values)) ** 2
-    w = scn.rep_weights if e.ndim == 2 else scn.rep_weights[:, None]
-    return float(np.sqrt(np.sum(e * w) / scn.group.order))
+    return _weighted_norm(values, scn.rep_weights, 2, scn.group.order)
 
 
 def stacked_norm(scn: Scenario, values: np.ndarray) -> float:
-    e = np.abs(np.asarray(values)) ** 2
-    w = scn.rep_weights if e.ndim == 3 else scn.rep_weights[:, None]
-    return float(np.sqrt(np.sum(e * w) / scn.n_fibers))
+    return _weighted_norm(values, scn.rep_weights, 3, scn.n_fibers)
 
 
 def unfold_norm(scn: Scenario, phi: np.ndarray) -> float:
@@ -263,27 +270,29 @@ def unfold_norm(scn: Scenario, phi: np.ndarray) -> float:
 
 
 def zak_relation_deviation(scn: Scenario, f: np.ndarray) -> float:
-    """Max deviation in the matrix relation tying the two Zak transforms.
+    """Max deviation in the matrix relation tying the two Zak transforms,
+    over every column of a matrix of functions.
 
     For each fiber omega and orbit representative x, the full Zak values at
     ``omega + annihilator_order[k]`` equal the matrix product F D V, where
     V stacks the base Zak values at ``sigma_{-a_j}(x)`` over the transversal,
     D is diagonal with entries ``jacobian(-a_j, x)**0.5 * pairing(-a_j, omega)``,
     and F is the coset character matrix ``[k, j] = pairing(-a_j, ann[k])``
-    (``coset_dft``; unitary after scaling by ``n_cosets ** -0.5``).
+    (``coset_dft``; unitary after scaling by ``n_cosets ** -0.5``).  The
+    identity holds for each function alone, so a batch is checked in one
+    pass, and F, the transversal characters and the jacobian roots are
+    built once per call.
     """
-    f = np.asarray(f, dtype=complex)
-    if f.ndim != 1:
-        raise ValueError("relation check expects a single function")
     n_reps = len(scn.tiling.orbit_reps)
-    vb = zak_base(scn, f).reshape(scn.n_fibers, scn.n_cosets, n_reps)
     coords = scn.group.coords
     negs = -coords[scn.transversal.rep_indices] % scn.group.moduli
     chars_tr = scn.group.characters(negs, coords[scn.dual_section.rep_indices])  # [j, w]
     # tiles[j * n_reps + c] is sigma_{-a_j}(orbit_reps[c])
     jhalf = np.sqrt(scn.tile_weights.reshape(scn.n_cosets, n_reps) / scn.rep_weights)
-    dv = chars_tr.T[:, :, None] * jhalf[None, :, :] * vb  # (w, j, c)
-    fdv = np.einsum("kj,wjc->wkc", scn.coset_dft, dv)
-    full = zak_full(scn, f)
-    u = full[scn.dual_unsplit]  # (w, k, c)
-    return float(np.max(np.abs(fdv - u)))
+    d = chars_tr.T[:, :, None] * jhalf[None, :, :]  # (w, j, c)
+    vb = zak_base(scn, f)
+    dv = vb.reshape(d.shape + vb.shape[2:])
+    np.multiply(d.reshape(d.shape + (1,) * (vb.ndim - 2)), dv, out=dv)  # D V, in place
+    fdv = np.einsum("kj,wjc...->wkc...", scn.coset_dft, dv)
+    fdv -= zak_full(scn, f)[scn.dual_unsplit]  # (w, k, c, *batch)
+    return float(np.max(np.abs(fdv), initial=0.0))

@@ -651,6 +651,60 @@ def test_non_nested_chain_exits_2(capsys, tmp_path):
 # -- CSV helpers ---------------------------------------------------------------
 
 
+def test_approx_out_under_a_file_is_a_config_error(capsys, tmp_path):
+    """Every output file goes through one guarded writer: with ``--out``
+    under a regular file, ``approx`` refuses at its first frame CSV as
+    ``check`` refuses at its report, exit 1, not an internal error."""
+    data = [[[float(x), 0.0] for x in range(12)]]
+    cfg = write_cfg(tmp_path, chain12_cfg(data={"vectors": data}, options={"ell": 1}))
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "report.json"
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "--out", str(out), "approx"])
+    assert rc == 1 and kind == "config"
+    assert detail == f"--out: cannot write {out.with_suffix('.plain_frame.csv')}: File exists"
+    cfg = write_cfg(tmp_path, chain12_cfg(subspace={"canonical": True}), "check.json")
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "--out", str(out), "check"])
+    assert rc == 1 and kind == "config"
+    assert detail == f"--out: cannot write {out}: File exists"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tol", "abc", "validate"], "argument --tol: invalid float value: 'abc'"),
+        (["--seed", "1.5", "demo", "shear"], "argument --seed: invalid int value: '1.5'"),
+        (["demo", "nope"], "argument name: invalid choice: 'nope'"),
+        ([], "the following arguments are required: command"),
+        (["validate", "extra"], "unrecognized arguments: extra"),
+    ],
+)
+def test_usage_errors_are_config_errors(capsys, argv, message):
+    """A command line argparse refuses is a config error in JSON, exit 1,
+    carrying argparse's message, not its usage text and exit 2."""
+    rc, kind, detail = error_detail(capsys, argv)
+    assert rc == 1 and kind == "config"
+    assert detail.startswith(f"command line: {message}")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: actinv")
+
+
+def test_validate_builds_the_coset_table_twice(tmp_path, capsys, monkeypatch):
+    """One ``validate`` builds ``coset_dft`` once for its batched relation
+    check and once for the unitarity product."""
+    builds = []
+    table = cli.Scenario.coset_dft
+    monkeypatch.setattr(
+        cli.Scenario, "coset_dft", property(lambda scn: builds.append(1) or table.fget(scn))
+    )
+    rc, _ = run(capsys, ["--config", write_cfg(tmp_path, chain12_cfg()), "validate"])
+    assert rc == 0 and len(builds) == 2
+
+
 def test_read_columns_csv_refuses_an_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -667,6 +721,16 @@ def test_columns_csv_round_trip(tmp_path):
     vec = mat[:, 0]
     write_columns_csv(path, vec)
     assert read_columns_csv(path).shape == (7, 1)
+
+
+def test_columns_csv_takes_any_array_like(tmp_path):
+    """A list is written as its array is: a flat list is one column, and
+    a nested one a matrix, read off the array, not off the argument."""
+    path = tmp_path / "list.csv"
+    for given in ([1, 2, 3], [[1, 2], [3, 4]]):
+        write_columns_csv(path, given)
+        want = np.asarray(given, dtype=complex).reshape(len(given), -1)
+        assert read_columns_csv(path).tobytes() == want.tobytes()
 
 
 def test_columns_csv_matches_the_entrywise_writer(tmp_path):

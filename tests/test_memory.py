@@ -6,19 +6,21 @@ weights log-uniform over a 1e3 range, 16 real data vectors, and the
 ``best_invariant`` space of length 2 (dimension 128).  A query on a space
 with a range function reads one forward transform of the data and never
 assembles the space's 32768 x 128 frame, so its peak is a small multiple
-of the data.  The transforms, both solvers and an extra-invariant span
-with its check pair are bounded the same way.  Each bound is the measured
-peak plus one data size of margin, in units of the complex data matrix
-(8 MiB); tracemalloc sees numpy's buffers, not BLAS scratch.  A layer's
-first call on the scenario also builds what the scenario memoises for it
-(the base character table, block tables, modulation rows), so each peak
-was measured as the first such call in a fresh process.
+of the data.  The transforms, both solvers, an extra-invariant span with
+its check pair and CLI ``validate``'s transform self-test are bounded the
+same way.  Each bound is the measured peak plus one data size of margin,
+in units of the complex data matrix (8 MiB); tracemalloc sees numpy's
+buffers, not BLAS scratch.  A layer's first call on the scenario also
+builds what the scenario memoises for it (the base character table,
+block tables, modulation rows), so each peak was measured as the first
+such call in a fresh process.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import actinv.cli as cli
 from actinv import (
     ActionSpace,
     FiniteAbelianGroup,
@@ -43,7 +45,9 @@ from actinv import (
 # take three of them); the frame route measured 26.0, 10.0 and 9.0
 PEAK_BOUNDS = {"evaluate_candidate": 5.0, "residuals": 5.0, "project": 5.0}
 # measured: 2.00, 2.00, 2.13 (0.13 of it the base's character table),
-# 2.01 (of stacked values made before the trace), 3.00, 3.15 and 2.46
+# 2.01 (of stacked values made before the trace), 3.00, 3.15, 2.46 and
+# 1.79 (CLI validate's self-test, which takes its five functions through
+# each transform as one batch; one function at a time it measured 0.70)
 LAYER_BOUNDS = {
     "zak_full": 3.0,
     "zak_stacked": 3.0,
@@ -52,6 +56,7 @@ LAYER_BOUNDS = {
     "best_invariant": 4.0,
     "best_extra_invariant": 4.15,
     "span_invariant_pair": 3.46,
+    "self_test": 2.79,
 }
 # measured: 0.35 (a masked component, the first on the space), 0.19 (after
 # a check pair on the extra span), 0.26, 24.13 (the first read of the
@@ -124,6 +129,7 @@ def test_layer_peaks_are_a_few_data_sizes(ladder16384, layer):
         "best_invariant": lambda: best_invariant(scn, data, 2),
         "best_extra_invariant": lambda: best_extra_invariant(scn, data, 2),
         "span_invariant_pair": lambda: _span_pair(scn, gens),
+        "self_test": lambda: cli._self_test(scn, 0),
     }[layer]
     size = data.size * np.dtype(complex).itemsize
     peak = traced_peak(call)

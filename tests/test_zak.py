@@ -180,12 +180,16 @@ def test_unfold_dft_recovers_full_zak(scn):
 
 
 def test_zak_relation(scn):
+    """The relation holds for each function, and a matrix of columns reads
+    the largest of their deviations, bit for bit: one column alone reads
+    its function's deviation, and three read the max of theirs."""
     rng = np.random.default_rng(53)
-    for _ in range(3):
-        f = random_function(scn, rng)
-        assert zak_relation_deviation(scn, f) < 1e-10
-    with pytest.raises(ValueError):
-        zak_relation_deviation(scn, np.column_stack([f, f]))
+    fs = [random_function(scn, rng) for _ in range(3)]
+    each = [zak_relation_deviation(scn, f) for f in fs]
+    assert max(each) < 1e-10
+    for f, deviation in zip(fs, each):
+        assert zak_relation_deviation(scn, f[:, None]) == deviation
+    assert zak_relation_deviation(scn, np.column_stack(fs)) == max(each)
 
 
 def test_coset_dft_unitary(scn):
@@ -223,6 +227,17 @@ def test_scenario_caches_no_group_squared_table(scn):
     for name, arr in held_arrays(scn.action):
         assert arr.size <= scn.action.n_points, name
     assert {"point_of", "coordinates"} <= set(vars(scn.action))
+
+
+def test_sequence_plan_reuses_the_action_and_full_tables(scn):
+    """The unfold plan's table is the action's ``point_of`` and its
+    reciprocal roots are the full plan's: the two are bitwise one array,
+    ``1 / jacobian(tau, x)**0.5`` at each point ``sigma_tau(x)``."""
+    table, roots, where, recip = scn._unfold_gather
+    assert np.shares_memory(table, scn.action.point_of)
+    assert np.shares_memory(recip, scn._full_gather[3])
+    assert np.array_equal(where[table.ravel()], np.arange(scn.action.n_points))
+    assert roots.flags.c_contiguous and roots.shape == table.shape
 
 
 def test_order_4096_scenario_builds_in_linear_memory():
@@ -326,8 +341,7 @@ def test_forward_transforms_refuse_non_finite_functions(bank, forward, bad):
     transform values; the relation check so cannot pass on a NaN deviation."""
     scn = bank["two_orbits"]
     f = random_function(scn, np.random.default_rng(79))
-    batches = [f] if forward is zak_relation_deviation else [f, np.column_stack([f, f])]
-    for good in batches:
+    for good in (f, np.column_stack([f, f])):
         broken = good.copy()
         broken[5] = bad
         with pytest.raises(ValueError, match="function values must be finite"):
