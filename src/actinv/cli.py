@@ -146,7 +146,7 @@ def build_scenario(doc: dict) -> Scenario:
     perms = []
     for i, p in enumerate(perms_raw):
         p = _int_list(p, f"action.permutations[{i}]")
-        if sorted(p) != list(range(points)):
+        if len(p) != points or sorted(p) != list(range(points)):
             raise ConfigError(
                 f"action.permutations[{i}]",
                 f"not a permutation of 0..{points - 1}",

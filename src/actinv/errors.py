@@ -35,10 +35,13 @@ class ConfigError(ValueError):
 
 
 class TheoremViolationError(RuntimeError):
-    """Two computations that must agree by theorem disagreed numerically.
+    """A quantity missed, beyond roundoff, a bound the theorem derives for it.
 
-    This signals a bug (or a tolerance far out of range), never a property
-    of the input data.
+    This signals a bug, never a property of the input data, for any
+    ``tol`` well below 1/2.  A block leak is at most 1/2, so at a ``tol``
+    of 1/2 or more every space passes the extra-invariance verdict, and
+    its components' structure laws, which assume few directions near the
+    cut, may then fail.
     """
 
     def __init__(self, message: str, details: dict | None = None):

@@ -7,39 +7,26 @@ label xi is
 
     block(xi) = { omega + xi + d : omega in dual_section, d in extra-annihilator }.
 
-This is the extra subgroup's entry of the scenario's block tables, one
-verified :class:`DualPartition` per subgroup H containing the base
-(:meth:`Scenario.partition`): the tables a span along any H cuts, and the
-base's one block, pass the same guards.
-
 Masking full Zak values by a block's indicator defines an orthogonal
 projection ``mask_apply`` on the function space.  The central result
 implemented here: a base-invariant subspace is invariant under the whole
 extra subgroup exactly when every masked image of it stays inside it, and
 in that case the masked images are mutually orthogonal and sum to the
-space.  Both sides of the equivalence are computed and a disagreement
-raises :class:`TheoremViolationError`.
-
-Both checks read the space's range function (one orthonormal basis per Zak
-fiber, :mod:`actinv.spaces`) and nothing else.  The translation side
-modulates each fiber basis by the extra generators' pairings.  The mask
-side never leaves the fibers either: the stacked Zak transform is an
-isometry, so the masked image of a space is spanned by the block rows of
-its fiber bases, and one batched SVD of those block rows per fiber and
-block (:func:`_split`) yields every component at once: its dimension, its
-directions as coefficient vectors on the fiber basis, and the norm each
-direction keeps outside its block.  Neither a check nor a masked component
-(:func:`masked_component`) builds an n x n array, a frame or a translate.
-
-Independence: the two sides share the fiber bases, so a disagreement
-(:class:`TheoremViolationError`) exposes a fault in the partition rows,
-the modulation rows or the per-block algebra, not in the transform that
-produced the bases.  The transform is guarded by the isometry criteria and
-by the point-space references of the test suite (translated frames, mask
-images, n x n projectors).
+space.  Both checks decide it once, on the per-block leak read off one
+batched SVD of the block rows of the space's fiber bases (:func:`_split`),
+and nothing else: neither they nor a masked component
+(:func:`masked_component`) build an n x n array, a frame or a translate.
+Every other quantity reported, the translation residual included, is tied
+to the leak by a bound the theorem gives; one outside its bound by more
+than roundoff raises :class:`TheoremViolationError`.  Both sides read the
+same fiber bases, so that exposes a fault in the partition rows, the
+modulation rows or the per-block algebra, not in the transform; that is
+guarded by the isometry criteria and the test suite's point-space
+references (translated frames, mask images, n x n projectors).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +36,6 @@ from .io import plain_value
 from .scenario import DualPartition, Scenario, _probes
 from .spaces import (
     DEFAULT_TOL,
-    RANK_TOL,
     Subspace,
     _blocks,
     _kept,
@@ -64,13 +50,16 @@ from .spaces import (
 )
 from .zak import zak_full, zak_full_inv
 
+_SLACK = 1e-13  # roundoff allowed on top of every bound the theorem ties a report to
+
 
 def dual_partition(scn: Scenario) -> DualPartition:
     """The dual partition of the scenario: the extra subgroup's entry of
-    the verified partitions the scenario builds once per subgroup
-    (:meth:`Scenario.partition`).  Its ``section`` places each block
-    label, and its ``rows`` are :meth:`Scenario.block_rows` of the extra
-    subgroup."""
+    the verified partitions the scenario builds once per subgroup H
+    containing the base (:meth:`Scenario.partition`), the base's one block
+    included, all through the same guards.  Its ``section`` places each
+    block label, and its ``rows`` are :meth:`Scenario.block_rows` of the
+    extra subgroup."""
     return scn.partition(scn.extra)
 
 
@@ -85,11 +74,11 @@ def mask_apply(scn: Scenario, xi, f: np.ndarray):
 
 def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
     """The image of a base-invariant subspace under xi's block mask, read
-    off the checks' block split (:func:`_split`): the kept left singular
-    vectors of xi's block rows, so its dimension is xi's ``component_dims``
-    entry.  ``ValueError`` for another scenario, then ``InvarianceError``
-    at the base gate, the zero space for dimension 0, then ``KeyError``
-    for an unknown label."""
+    off the checks' block split (:func:`_split`) cut at ``DEFAULT_TOL``:
+    the kept left singular vectors of xi's block rows, so its dimension is
+    xi's ``component_dims`` entry at that ``tol``.  ``ValueError`` for
+    another scenario, then ``InvarianceError`` at the base gate, the zero
+    space for dimension 0, then ``KeyError`` for an unknown label."""
     require_scenario(scn, space)
     basis = require_base_invariant(space)
     if space.dim == 0:
@@ -101,7 +90,7 @@ def masked_component(scn: Scenario, space: Subspace, xi) -> Subspace:
     return Subspace._of_range(scn, _packed(a, only, part.rows))
 
 
-def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
+def _split(scn: Scenario, space: Subspace, basis: np.ndarray, tol: float = DEFAULT_TOL):
     """The range function split along the dual partition, memoised on ``space``.
 
     One batched SVD of the block rows of every fiber basis,
@@ -114,11 +103,22 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
     width), ``off`` is the root of those squared norms over the others.  A
     fiber's ``t ** 2`` sum to its dimension, so any other ``t ** 2`` is
     below 1/2, and ``off ** 2 = |x| ** 2 - t ** 2`` (the columns are
-    orthonormal or zero) is above 1/2, free of cancellation.  The rank
-    rule (:func:`actinv.spaces._kept`) keeps directions above its absolute
-    floor ``RANK_TOL``, the cut that counts as every ``t`` is at most 1.
-    Returns ``a``, ``t``, ``kv`` (``v``, the directions not kept zeroed:
-    the components' fibers are ``basis @ kv``), ``off`` and ``kept``.
+    orthonormal or zero) is above 1/2, free of cancellation.  The masked
+    unit vector ``a[w, b, :, i]`` lies ``off`` from the space, and block
+    b's leak beta_b, its largest ``t * off``, is the norm of (I - Pi) P_b
+    Pi, the parts it moves out being orthogonal; they are so only to
+    roundoff, arbitrary for ``off`` below about sqrt(eps), so a sum of
+    k of them is bounded by sqrt(k) times the largest.
+
+    A direction is kept by the rank rule (:func:`actinv.spaces._kept`)
+    with the floor sqrt 2 min(tol, 1/2).  A block leaking at most ``tol``
+    has each ``t`` at most 1/sqrt 2, with ``off >= 1/sqrt 2`` so ``t <=
+    sqrt 2 leak``, cut; or above, kept, with ``off < sqrt 2 leak``.  So
+    noise below ``tol`` moves no component dimension, and a passing
+    block's inclusion residual (its largest kept ``off``) is at most sqrt 2
+    times its leak.  The factors are memoised once, the cut per ``tol``.
+    Returns ``a``, ``t``, ``kv`` (``v`` with the directions not kept
+    zeroed: the components' fibers are ``basis @ kv``), ``off``, ``kept``.
     """
     memo = vars(space).get("_split")
     if memo is None:
@@ -135,10 +135,13 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray):
         block = np.repeat(np.arange(n_blocks), k)
         parts *= block[:, None] != block[heavy][:, None]
         off[fibers, heavy] = np.linalg.norm(parts, axis=1)
-        kept = _kept(t, floor=RANK_TOL)
-        kv = vh.conj().swapaxes(2, 3) * kept[:, :, None]
-        memo = space._split = (a, t, kv, off.reshape(t.shape), kept)
-    return memo
+        memo = space._split = (a, t, vh.conj().swapaxes(2, 3), off.reshape(t.shape), {})
+    cuts = memo[4]
+    if tol not in cuts:
+        a, t, v, off, _ = memo
+        kept = _kept(t, floor=math.sqrt(2) * min(tol, 0.5))
+        cuts[tol] = (a, t, v * kept[:, :, None], off, kept)
+    return cuts[tol]
 
 
 def _component_law(space: Subspace, coeffs: np.ndarray) -> float:
@@ -192,30 +195,37 @@ class ExtraInvarianceReport:
 def check_extra_invariance(
     scn: Scenario, space: Subspace, tol: float = DEFAULT_TOL
 ) -> ExtraInvarianceReport:
-    """Test invariance under the extra subgroup two ways, off the range function.
+    """Test invariance under the extra subgroup off the range function.
 
-    Side one translates: the extra generators modulate every fiber basis
-    (:func:`actinv.spaces.is_invariant`).  Side two masks: a block's
-    component dimension is the number of singular values of its fiber
-    bases' block rows above ``RANK_TOL``, and its inclusion residual is the
-    distance from the space of the worst unit vector of the masked image,
-    the largest ``off`` of a kept direction (:func:`_split`), which does
-    not depend on a choice of basis.  The two verdicts must agree (that is
-    the theorem); if they do not, a :class:`TheoremViolationError` is
-    raised with both residuals.
+    The one verdict: block b passes (``inclusion_ok``) when its leak
+    beta_b (:func:`_split`) is at most ``tol``, and the space is
+    extra-invariant when every block passes.  A block's component has its
+    kept directions, its inclusion residual is their largest ``off``.  The
+    translation residual tau (:func:`actinv.spaces.is_invariant`) must
+    keep within its bounds from beta = max_b beta_b over the n_b blocks:
 
-    When the space is extra-invariant, block b's component has fiber
-    ``basis[w] @ kv[w, b]``, the kept directions of fiber w.  The
-    report then also carries the largest entry of ``sum_b V_b V_b^H - I``
-    per fiber (the components' projectors summed, in coefficients on the
-    fiber basis, against the identity) and the worst base/extra-invariance
-    residual among the components, all of which must be invariant too
-    (:func:`_component_law`).  The report is memoised on the space per
-    ``tol``.  Once ``tol`` and the scenario are checked, a memoised report
-    is returned before the base gate, which it has passed: the inner call
-    of :func:`check_decomposable` does no other work.  ``ValueError``
-    unless ``tol`` is a finite positive number or the space belongs to
-    another scenario.
+    * tau <= 2 (n_b - 1) sqrt(k) beta, k the directions per block: an
+      extra element e acts on a fiber as D_e = sum_b chi_b(e) P_b, and
+      sum_b (I - Pi) P_b Pi = 0;
+    * beta <= (n_b - 1) tau: P_b is the chi_b-average of D_e over a section
+      of extra/base, every element of which is a word of fewer than n_b
+      probes, and a word leaks at most the sum of its letters' leaks, as
+      (I - Pi) D_g D_h Pi = (I - Pi) D_g Pi D_h Pi + (I - Pi) D_g (I - Pi) D_h Pi.
+
+    When the space is invariant, block b's component has fiber ``basis[w]
+    @ kv[w, b]``, and the report carries the largest entry of ``sum_b V_b
+    V_b^H - I`` per fiber (the components' projectors summed against the
+    identity, in coefficients on the fiber basis) and the components' worst
+    base/extra-invariance residual (:func:`_component_law`).  With iota the
+    largest inclusion residual and r the basis width, kept directions of
+    two blocks overlap by at most 2 iota, so the first is at most 2 r iota
+    once they number the fiber's dimension; a probe moves a component's
+    unit vector z only by its part (I - P_b) z, of norm at most sqrt(k)
+    iota, so the second is at most 2 sqrt(k) iota.  A bound missed by more
+    than ``_SLACK`` raises :class:`TheoremViolationError`.  The report is
+    memoised per ``tol`` and, once ``tol`` and the scenario are checked,
+    returned before the base gate.  ``ValueError`` unless ``tol`` is a
+    finite positive number or the space belongs to another scenario.
     """
     tol = checked_tol(tol)
     require_scenario(scn, space)
@@ -223,35 +233,33 @@ def check_extra_invariance(
     if reports is not None and tol in reports:
         return reports[tol]
     basis = _range_function(space, tol)
-    res_translate = _residual(space, scn.extra)
-    ok_translate = res_translate <= tol
-    _, t, kv, off, kept = _split(scn, space, basis)
+    _, t, kv, off, kept = _split(scn, space, basis, tol)
+    leaks = (t * off).max(axis=(0, 2), initial=0.0).tolist()
+    inc_ok = tuple(leak <= tol for leak in leaks)
     inc_res = (off * kept).max(axis=(0, 2), initial=0.0).tolist()
-    inc_ok = tuple(r <= tol for r in inc_res)
-    if ok_translate != all(inc_ok):
+    res_translate = _residual(space, scn.extra)
+    beta, steps, root = max(leaks), len(leaks) - 1, math.sqrt(t.shape[2])
+    if res_translate > 2 * steps * root * beta + _SLACK or beta > steps * res_translate + _SLACK:
         raise TheoremViolationError(
             "translation test and mask-inclusion test disagree",
-            details={
-                "translation_residual": res_translate,
-                "inclusion_residuals": inc_res,
-            },
+            details={"translation_residual": res_translate, "inclusion_residuals": inc_res},
         )
-    deviation = None
-    comp_res = None
-    if ok_translate:
+    deviation = comp_res = None
+    if all(inc_ok):
         n_fibers, _, width = basis.shape
         summed = kv.swapaxes(1, 2).reshape(n_fibers, width, t[0].size)
         ident = np.eye(width) * basis.any(axis=1)[:, None, :]
         gap = summed @ summed.conj().swapaxes(1, 2) - ident
         deviation = float(np.abs(gap).max(initial=0.0))
         comp_res = _component_law(space, kv)
-        if deviation > tol or comp_res > tol:
+        iota = max(inc_res)
+        if deviation > 2 * width * iota + _SLACK or comp_res > 2 * root * iota + _SLACK:
             raise TheoremViolationError(
                 "components of an extra-invariant space fail their structure laws",
                 details={"decomposition": deviation, "component_invariance": comp_res},
             )
     report = ExtraInvarianceReport(
-        extra_invariant=ok_translate,
+        extra_invariant=all(inc_ok),
         translation_residual=res_translate,
         inclusion_residuals=tuple(inc_res),
         inclusion_ok=inc_ok,
@@ -298,46 +306,37 @@ class DecomposabilityReport:
 def check_decomposable(
     scn: Scenario, space: Subspace, tol: float = DEFAULT_TOL
 ) -> DecomposabilityReport:
-    """Fiberwise test: every fiber of the space splits along coordinate blocks.
+    """Fiberwise view of :func:`check_extra_invariance`: every fiber of the
+    space splits along coordinate blocks.
 
-    A fiber (of stacked Zak values) is decomposable when zeroing all
-    coordinates outside any one block keeps the vector inside the fiber
-    space.  ``block_residual`` is the largest distance from its fiber space
-    of a masked unit vector of a fiber, ``t * off`` over the directions of
-    the block-row SVD that :func:`check_extra_invariance` reads too.  The
-    verdict must agree with that check; it also verifies that the fibers of
-    each component (the kept directions ``basis[w] @ kv[w, b]``) equal the
-    block-restricted fibers of the space, comparing the two projectors on
-    the block rows by their diagonals (:func:`_match_deviation`).  The
-    inner extra-invariance check comes first: it reads the report memoised
-    for ``tol``, and it raises ``ValueError`` unless ``tol`` is a finite
-    positive number and the space belongs to ``scn``.
+    ``block_residual`` is the largest distance from its fiber space of a
+    masked unit vector of a fiber, the largest leak of :func:`_split`, and
+    ``decomposable`` the inner check's verdict, which decides on those
+    leaks.  When it holds, the fibers of each component must equal the
+    block-restricted fibers of the space: a projector gap on the block
+    rows (:func:`_match_deviation`) above the square of the largest
+    inclusion residual, plus ``_SLACK``, raises :class:`TheoremViolationError`.
+    The inner check comes first and reads the report memoised for ``tol``;
+    ``ValueError`` unless ``tol`` is a finite positive number and the
+    space belongs to ``scn``.
     """
     ext = check_extra_invariance(scn, space, tol)
     basis = space._basis  # returned by the inner check's base gate
-    _, t, _, off, _ = _split(scn, space, basis)
-    worst = float((t * off).max(initial=0.0))
-    decomposable = worst <= tol
-    if decomposable != ext.extra_invariant:
-        raise TheoremViolationError(
-            "fiberwise decomposability disagrees with the translation test",
-            details={
-                "block_residual": worst,
-                "translation_residual": ext.translation_residual,
-            },
-        )
+    _, t, _, off, _ = _split(scn, space, basis, tol)
     match_dev = None
-    if decomposable and space.dim:
-        match_dev = _match_deviation(scn, space, basis)
-        if match_dev > tol:
+    if ext.extra_invariant and space.dim:
+        match_dev = _match_deviation(scn, space, basis, tol)
+        if match_dev > max(ext.inclusion_residuals) ** 2 + _SLACK:
             raise TheoremViolationError(
                 "masked-component fibers do not match block-restricted fibers",
                 details={"component_match_deviation": match_dev},
             )
-    return DecomposabilityReport(decomposable, worst, match_dev)
+    return DecomposabilityReport(ext.extra_invariant, float((t * off).max(initial=0.0)), match_dev)
 
 
-def _match_deviation(scn: Scenario, space: Subspace, basis: np.ndarray) -> float:
+def _match_deviation(
+    scn: Scenario, space: Subspace, basis: np.ndarray, tol: float = DEFAULT_TOL
+) -> float:
     """Largest entry of the gap between the projectors of the space's fibers
     on the block rows and of the components' fibers there, over every fiber
     and block.
@@ -348,9 +347,10 @@ def _match_deviation(scn: Scenario, space: Subspace, basis: np.ndarray) -> float
     one batched product over every pair.  The gap ``ak ak^H - comps
     comps^H = a diag(kept (1 - t**2)) a^H`` is positive semidefinite, so
     its largest entry lies on its diagonal: the gap of the row energies of
-    ``ak`` and ``comps``.  Each temporary is at most the basis's size.
+    ``ak`` and ``comps``, at most the largest kept ``off ** 2``.  Each
+    temporary is at most the basis's size.
     """
-    a, _, kv, _, kept = _split(scn, space, basis)
+    a, _, kv, _, kept = _split(scn, space, basis, tol)
     comps = _blocks(basis, dual_partition(scn).rows) @ kv
     ak = a * kept[:, :, None, :]
     gap = (np.abs(ak) ** 2).sum(axis=3) - (np.abs(comps) ** 2).sum(axis=3)

@@ -385,6 +385,17 @@ def test_bad_permutation(capsys, tmp_path):
     assert detail == "action.permutations[0]: not a permutation of 0..11"
 
 
+def test_short_permutation_of_a_huge_point_count_is_refused_first(capsys, tmp_path):
+    """The length is checked before ``range(points)`` is built, so a small
+    config naming 2**62 points fails at once with the permutation's message."""
+    doc = shear_cfg(group={"moduli": [2**62]}, extra={"generators": []})
+    doc["action"] = {"points": 2**62, "permutations": [[0]]}
+    cfg = write_cfg(tmp_path, doc)
+    rc, kind, detail = error_detail(capsys, ["--config", cfg, "validate"])
+    assert rc == 1 and kind == "config"
+    assert detail == f"action.permutations[0]: not a permutation of 0..{2**62 - 1}"
+
+
 def test_non_finite_weight_is_a_config_error(capsys, tmp_path):
     doc = chain12_cfg()
     doc["action"]["weights"] = [float("inf")] + [1.0] * 11

@@ -1015,12 +1015,14 @@ def test_check_guard_catches_a_corrupted_modulation_row(chain12):
 
 
 def test_check_guard_catches_corrupted_component_coefficients(chain12):
-    """The components' coefficients ``kv`` zeroed in the memoised split,
-    before the first check, leave both verdicts alone (they read ``off``
-    and ``kept``) but sum to no projector: the gap is the identity."""
+    """The directions ``v`` zeroed in the memoised split, before the first
+    check, leave the verdict alone (it reads ``t`` and ``off``) but make
+    the components' coefficients ``kv`` sum to no projector: the gap is
+    the identity, far above its bound."""
     scn, space, _ = _check_inputs(chain12, 51, extra_spanned=True)
-    a, t, kv, off, kept = extra_mod._split(scn, space, space._basis)
-    space._split = (a, t, np.zeros_like(kv), off, kept)
+    extra_mod._split(scn, space, space._basis)
+    a, t, v, off, _ = space._split
+    space._split = (a, t, np.zeros_like(v), off, {})
     with pytest.raises(TheoremViolationError, match="fail their structure laws") as err:
         check_extra_invariance(scn, space)
     assert err.value.details == {"decomposition": 1.0, "component_invariance": 0.0}
@@ -1028,22 +1030,14 @@ def test_check_guard_catches_corrupted_component_coefficients(chain12):
 
 def test_decomposable_guards_catch_a_split_corrupted_between_the_checks(chain12):
     """``check_decomposable`` reads the split that its inner check
-    memoised.  Corrupted between the two checks: with ``off`` set to one,
-    the block residual is the largest ``t`` and contradicts the memoised
-    translation verdict; with ``kv`` zeroed, the components' fibers are
-    empty and their row energies miss the block rows' by the largest
-    kept row energy."""
+    memoised.  With its directions ``v`` zeroed and its cuts dropped
+    between the two checks, the components' fibers are empty and their
+    row energies miss the block rows' by the largest kept row energy."""
     scn, space, _ = _check_inputs(chain12, 52, extra_spanned=True)
-    ext = check_extra_invariance(scn, space)
-    a, t, kv, off, kept = split = space._split
-    space._split = (a, t, kv, np.ones_like(off), kept)
-    with pytest.raises(TheoremViolationError, match="decomposability disagrees") as err:
-        check_decomposable(scn, space)
-    assert err.value.details == {
-        "block_residual": float(np.max(t)),
-        "translation_residual": ext.translation_residual,
-    }
-    space._split = (a, t, np.zeros_like(kv), off, kept)
+    check_extra_invariance(scn, space)
+    kept = extra_mod._split(scn, space, space._basis)[4]
+    a, t, v, off, _ = split = space._split
+    space._split = (a, t, np.zeros_like(v), off, {})
     with pytest.raises(TheoremViolationError, match="fibers do not match") as err:
         check_decomposable(scn, space)
     energies = np.sum(np.abs(a * kept[:, :, None, :]) ** 2, axis=3)

@@ -54,7 +54,10 @@ against the (block rows)^2 projector gap (1e-12 relative plus 1e-15
 absolute), the off-block norms read off the block SVD factors against the
 rows of each direction outside its block (1e-13 absolute), and the
 closed-form canonical space against the transform-built one (projector to
-1e-12).
+1e-12).  On spans of block-supported generators moved by noise from 1e-14
+to 1e-6, at ``tol`` 1e-11, 1e-9 and 1e-6, the check pair never raises, its
+reports hold one verdict, and that verdict never turns back to invariant
+as the noise grows.
 
 Point-space queries: on the generated scenarios, with weights
 log-uniform over up to 1e14, ``residuals``, ``residual``, ``contains``,
@@ -756,8 +759,9 @@ def test_check_pair_matches_its_decomposition_references(spec, noise):
     space against the transforms.
 
     ``_probe_pass``, ``_split``, ``_component_law`` and ``_match_deviation``
-    do not raise, so they are called directly on spaces whose fiber bases
-    are moved by the noise; the checks themselves would raise near ``tol``.
+    are called on spaces whose fiber bases are moved by the noise, and the
+    public check pair on the same spaces decides one verdict and raises
+    nothing.
 
     ``_split`` reads ``off`` off the block SVD factors (exact sums of
     squares for the heaviest directions, ``|x| ** 2 - t ** 2`` above 1/2
@@ -793,6 +797,65 @@ def test_check_pair_matches_its_decomposition_references(spec, noise):
             extra_mod._match_deviation(scn, space, basis),
             oracle.match_deviation(scn, basis, a, kv, kept),
         )
+        ext, dec = check_extra_invariance(scn, space), check_decomposable(scn, space)
+        assert ext.extra_invariant == all(ext.inclusion_ok) == dec.decomposable, kind
+        assert dec.block_residual == float(np.max(t * off, initial=0.0)), kind
+
+
+def weighted_unit(scn, cols):
+    return cols / np.sqrt(scn.action.weights @ np.abs(cols) ** 2)
+
+
+def block_supported_generators(scn, rng):
+    """(kind, generators) whose spans are extra-invariant by construction:
+    a random member of the canonical space, and one masked random function
+    on each of the first and last block labels; weighted-unit columns."""
+    n, labels = scn.action.n_points, dual_partition(scn).labels
+    canon = canonical_extra_invariant(scn).frame
+    member = canon @ complex_normal(rng, canon.shape[1])
+    masked = [mask_apply(scn, xi, complex_normal(rng, n)) for xi in (labels[0], labels[-1])]
+    return [
+        ("canonical member", weighted_unit(scn, member[:, None])),
+        ("two blocks", weighted_unit(scn, np.column_stack(masked))),
+    ]
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=scenario_specs())
+@example(spec=((1,), [], [], 1, 0))
+@example(spec=((12,), [], [(1,)], 2, 4))
+@example(spec=((200,), [], [(1,)], 2, 0))
+@example(spec=((8, 12), [(2, 0), (0, 6)], [(1, 0), (0, 3)], 2, 10))
+def test_noisy_block_supported_spans_get_one_verdict(spec):
+    """Spans of block-supported generators moved by weighted noise of norm
+    0 and 1e-14 to 1e-6 per generator, checked at ``tol`` 1e-11, 1e-9 and
+    1e-6: the check pair never raises, ``extra_invariant``,
+    ``all(inclusion_ok)`` and ``decomposable`` are one verdict, true for
+    the noiseless span, and once false for a noise level it stays false
+    for every larger one.  An invariant verdict keeps the noiseless
+    component dimensions.  The last example is the Z_8 x Z_12 chain on two
+    orbits at the noise level 1e-10, where the translation and inclusion
+    residuals compared with ``tol`` separately disagreed.
+    """
+    scn, rng = build(spec)
+    levels = [0.0] + [10.0**-k for k in range(14, 5, -1)]
+    for kind, gens in block_supported_generators(scn, rng):
+        noise = weighted_unit(scn, complex_normal(rng, gens.shape))
+        spaces = [span_invariant(scn, gens + eps * noise) for eps in levels]
+        for tol in (1e-11, 1e-9, 1e-6):
+            clean = check_extra_invariance(scn, spaces[0], tol).component_dims
+            flags = []
+            for space in spaces:
+                ext = check_extra_invariance(scn, space, tol)
+                dec = check_decomposable(scn, space, tol)
+                assert ext.extra_invariant == all(ext.inclusion_ok) == dec.decomposable, kind
+                assert not ext.extra_invariant or ext.component_dims == clean, (kind, tol)
+                flags.append(ext.extra_invariant)
+            assert flags[0] and flags == sorted(flags, reverse=True), (kind, tol, flags)
 
 
 # -- point-space queries -------------------------------------------------------

@@ -52,21 +52,14 @@ def test_no_scipy_imports(path):
 
 
 def _rank_tol_uses(tree: ast.AST) -> list[int]:
-    """Lines reading ``RANK_TOL`` outside the places allowed to cut on it.
-
-    The rank rule is written once, in ``spaces._kept``; ``extra._split``
-    alone passes ``RANK_TOL`` as the ``floor=`` of its cut of unit basis
-    directions, which every masked component reads.
+    """Lines reading ``RANK_TOL`` outside ``spaces._kept``, the one place
+    the rank rule is written; the checks' block split cuts at a floor
+    derived from ``tol`` instead.
     """
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "_kept":
             allowed.update(id(n) for n in ast.walk(node))
-        if isinstance(node, ast.FunctionDef) and node.name == "_split":
-            for call in ast.walk(node):
-                for kw in getattr(call, "keywords", ()):
-                    if kw.arg == "floor":
-                        allowed.update(id(n) for n in ast.walk(kw.value))
     return sorted(
         node.lineno
         for node in ast.walk(tree)
@@ -99,7 +92,7 @@ def _split(scn, space, basis):
     kept = _kept(t, floor=RANK_TOL)
     return kept, t > RANK_TOL
 """
-    assert _rank_tol_uses(ast.parse(source)) == [6, 9, 13]
+    assert _rank_tol_uses(ast.parse(source)) == [6, 9, 12, 13]
 
 
 # what a masked component must not call: it reads the checks' block split

@@ -57,8 +57,8 @@ def test_orthonormal_columns_weighted():
 
 def test_rank_floor_policy():
     """A span cuts relative to its largest singular value; only the block
-    split of unit basis directions (``extra._split``) adds the absolute
-    floor ``RANK_TOL``."""
+    split of unit basis directions (``extra._split``) adds an absolute
+    floor, derived from ``tol``."""
     w = np.ones(4)
     noise = np.full((4, 2), 1e-16, dtype=complex)
     # relative cut alone ranks a pure-roundoff matrix against itself
