@@ -45,10 +45,10 @@ class ActionSpace:
         weights: Sequence[float] | None = None,
     ):
         self.group = group
-        n = int(n_points)
-        if n < 1:
-            raise ValueError("need at least one point")
-        self.n_points = n
+        # by the rule jacobian applies to a point: a float or a bool is refused
+        if isinstance(n_points, bool) or not isinstance(n_points, Integral) or n_points < 1:
+            raise ValueError(f"point count must be a positive integer, got {n_points!r}")
+        self.n_points = n = int(n_points)
         if len(generator_perms) != group.rank:
             raise ActionError(
                 f"expected {group.rank} generator permutations "
@@ -97,12 +97,9 @@ class ActionSpace:
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Each point's (orbit, element index): its place in ``point_of``."""
-        point_of = self.point_of
-        orbit_of = np.empty(self.n_points, dtype=np.intp)
-        element_of = np.empty(self.n_points, dtype=np.intp)
-        orbit_of[point_of] = np.arange(len(point_of))[:, None]
-        element_of[point_of] = np.arange(self.group.order)
-        return orbit_of, element_of
+        where = np.empty(self.n_points, dtype=np.intp)
+        where[self.point_of.ravel()] = np.arange(self.n_points)
+        return np.divmod(where, self.group.order)
 
     @classmethod
     def regular(
@@ -116,13 +113,12 @@ class ActionSpace:
         Point ``o * group.order + i`` is element ``i`` of copy ``o``; each
         generator acts by group addition within a copy.
         """
-        n = orbits * group.order
         copies = np.arange(orbits)[:, None] * group.order
         perms = [
             (copies + group.indices(group.coords + unit)).ravel()
             for unit in np.eye(group.rank, dtype=np.int64)
         ]
-        return cls(group, n, perms, weights)
+        return cls(group, orbits * group.order, perms, weights)
 
     def sigma(self, tau: Sequence[int]) -> np.ndarray:
         """Permutation of ``tau``: ``sigma(tau)[x]`` is the image of x.
@@ -153,10 +149,11 @@ class ActionSpace:
 
 @dataclass(frozen=True)
 class ActionReport:
+    """The counts of a free action; its orbits are the rows of ``point_of``."""
+
     n_points: int
     group_order: int
     orbit_count: int
-    orbits: tuple[tuple[int, ...], ...]
 
     def as_dict(self) -> dict:
         return {
@@ -168,13 +165,13 @@ class ActionReport:
 
 
 def validate_action(action: ActionSpace) -> ActionReport:
-    """Verify the data is a free group action; report the orbit structure.
+    """Verify the data is a free group action; report its counts.
 
     The checks run once, when ``action.point_of`` is first composed (see
-    :func:`_orbit_points`); a failed check raises again on every call.
+    :func:`_orbit_points`); a failed check raises again on every call, and
+    a later call costs O(1).
     """
-    orbits = tuple(map(tuple, np.sort(action.point_of, axis=1).tolist()))
-    return ActionReport(action.n_points, action.group.order, len(orbits), orbits)
+    return ActionReport(action.n_points, action.group.order, len(action.point_of))
 
 
 def _orbit_points(action: ActionSpace) -> np.ndarray:
@@ -242,7 +239,7 @@ def _orbit_points(action: ActionSpace) -> np.ndarray:
         x = int(reps[np.argmax(sizes < group.order)])
         stabiliser = np.flatnonzero(_compose_orbits(action, [x])[0] == x)
         raise FreenessError(
-            f"element {group.elements[stabiliser[1]]} fixes point {x}"
+            f"element {group.element(stabiliser[1])} fixes point {x}"
         )
     point_of = _compose_orbits(action, reps)
     if np.any(np.bincount(point_of.ravel(), minlength=n) != 1):
@@ -316,7 +313,9 @@ class TilingSet:
     transversal representatives ``a``; it is ordered transversal-major, so
     position ``j * len(orbit_reps) + c`` holds ``sigma_{-a_j}(orbit_reps[c])``.
     Both sets tile the point set: the group translates of ``orbit_reps``
-    and the base-subgroup translates of ``tiles`` each partition it.
+    and the base-subgroup translates of ``tiles`` each partition it.  The
+    first are ``point_of`` itself, which :func:`_orbit_points` checked; the
+    second are checked by :func:`tiling_sets`.
     """
 
     orbit_reps: tuple[int, ...]
@@ -326,27 +325,21 @@ class TilingSet:
 def tiling_sets(
     action: ActionSpace, base: Subgroup, transversal: CosetSection
 ) -> TilingSet:
+    """The orbit representatives and the base tile of a free action.
+
+    The base translate by gamma of the tile point ``sigma_{-a_j}(x)`` is
+    ``point_of[c, gamma - a_j]``, and ``point_of`` maps (orbit, element)
+    one to one onto the points, so the tile's base translates partition
+    them exactly when the elements ``gamma - a_j`` are every element once:
+    one index check on the group.
+    """
     validate_action(action)
-    group = action.group
+    group, coords = action.group, action.group.coords
     if transversal.subgroup != base:
         raise ValueError("transversal must be a section for the base subgroup")
-    reps = action.point_of[:, 0]
-    negs = group.indices(-group.coords[transversal.rep_indices])
-    tiles = action.point_of[:, negs].T.ravel()
-    if np.any(np.bincount(tiles, minlength=action.n_points) > 1):
-        raise FreenessError("tile points collide; action cannot be free")
-    _assert_partition(action, base.indices, tiles)
-    _assert_partition(action, np.arange(group.order), reps)
-    return TilingSet(orbit_reps=tuple(reps.tolist()), tiles=tuple(tiles.tolist()))
-
-
-def _assert_partition(action: ActionSpace, movers: np.ndarray, cell) -> None:
-    """Translates of ``cell`` by the element indices ``movers`` hit each point once."""
-    group = action.group
-    orbit_of, element_of = action.coordinates
-    coords = group.coords
-    shifted = group.indices(coords[movers][:, None] + coords[element_of[cell]][None, :])
-    images = action.point_of[orbit_of[cell][None, :], shifted]
-    cover = np.bincount(images.ravel(), minlength=action.n_points)
-    if not np.all(cover == 1):
+    reps = coords[transversal.rep_indices]
+    moved = group.indices(coords[base.indices][:, None] - reps)
+    if np.any(np.bincount(moved.ravel(), minlength=group.order) != 1):
         raise FreenessError("translates of the tile do not partition the point set")
+    tiles = action.point_of[:, group.indices(-reps)].T.ravel()
+    return TilingSet(tuple(action.point_of[:, 0].tolist()), tuple(tiles.tolist()))

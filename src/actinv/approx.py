@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
-from .groups import Element
+from .groups import CosetSection, Element
 from .scenario import Scenario
 from .spaces import (
     Subspace,
@@ -76,8 +75,9 @@ class ApproxResult:
 
     The fit keeps its pools as arrays: per fiber the pooled singular
     values, sorted by the determinism rule, the number kept, and the block
-    positions of the kept entries, fiber after fiber.  :attr:`spectra`
-    turns them into report tuples on first read.
+    positions of the kept entries, fiber after fiber, and the section
+    whose representatives name the blocks.  :attr:`spectra` turns them into
+    report tuples on first read.
     """
 
     space: Subspace
@@ -86,16 +86,16 @@ class ApproxResult:
     _values: np.ndarray = field(repr=False, compare=False)  # (n_fibers, pool)
     _counts: np.ndarray = field(repr=False, compare=False)  # (n_fibers,)
     _blocks: np.ndarray = field(repr=False, compare=False)  # (sum of counts,)
-    _labels: Sequence[Element] | None = field(repr=False, compare=False)
+    _section: CosetSection | None = field(repr=False, compare=False)
 
     @cached_property
     def spectra(self) -> tuple[FiberSpectrum, ...]:
         """Per fiber, in dual-section order, the kept and dropped values."""
         counts = self._counts.tolist()
-        if self._labels is None:
+        if self._section is None:
             kept_labels = [None] * len(counts)
         else:
-            names = [self._labels[p] for p in self._blocks.tolist()]
+            names = [self._section.representatives[p] for p in self._blocks.tolist()]
             kept_labels = [tuple(names[e - n : e]) for n, e in zip(counts, accumulate(counts))]
         omega, values = self.space.scenario.omega, self._values.tolist()
         return tuple(
@@ -135,13 +135,13 @@ def _fit(
     data,
     ell: int,
     rows: np.ndarray,
-    labels: Sequence[Element] | None = None,
+    section: CosetSection | None = None,
 ) -> ApproxResult:
     """Keep the ``ell`` largest block-restricted singular directions per fiber.
 
     ``rows`` is a block table (:meth:`Scenario.block_rows`, one block for
-    the base) and ``labels`` names the blocks in the spectra, None for a
-    report without them.  All fibers' block submatrices
+    the base) and the representatives of ``section`` name the blocks in
+    the spectra, None for a report without them.  All fibers' block submatrices
     (:func:`actinv.spaces._blocks`) go through one batched SVD.  Each
     fiber pools its blocks' singular values; a stable sort on the value,
     descending, over the pool in (block position, singular index) order
@@ -177,7 +177,7 @@ def _fit(
     basis = np.zeros((n_fibers, mats.shape[1], keep.max()), dtype=complex)
     basis[fibers[:, None], rows[block], slot[:, None]] = _fix_phase(u[fibers, block, :, sing])
     space = Subspace._of_range(scn, basis)
-    return ApproxResult(space, error, int(ell), sig, keep, block, labels)
+    return ApproxResult(space, error, int(ell), sig, keep, block, section)
 
 
 def best_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
@@ -198,7 +198,7 @@ def best_extra_invariant(scn: Scenario, data, ell: int) -> ApproxResult:
     makes every fiber decomposable, hence the space extra-invariant.
     """
     part = dual_partition(scn)
-    return _fit(scn, data, ell, part.rows, part.labels)
+    return _fit(scn, data, ell, part.rows, part.section)
 
 
 def evaluate_candidate(scn: Scenario, data, space: Subspace) -> float:

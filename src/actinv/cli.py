@@ -251,12 +251,14 @@ def build_subspace(doc: dict, scn: Scenario, seed: int) -> Subspace:
 
 
 def _options(doc: dict, args) -> tuple[float, int]:
+    """The run's ``tol`` and seed.  ``tol`` is below 1/2, the range of the
+    extra-invariance checks: a block leak is at most 1/2."""
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise ConfigError("options", "expected an object")
     tol = args.tol if args.tol is not None else opts.get("tol", DEFAULT_TOL)
-    if not _is_finite(tol) or tol <= 0:
-        raise ConfigError("options.tol", "expected a positive number")
+    if not _is_finite(tol) or not 0 < tol < 0.5:
+        raise ConfigError("options.tol", "expected a positive number below 0.5")
     seed = args.seed if args.seed is not None else opts.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise ConfigError("options.seed", "expected a non-negative integer")

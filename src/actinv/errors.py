@@ -37,11 +37,11 @@ class ConfigError(ValueError):
 class TheoremViolationError(RuntimeError):
     """A quantity missed, beyond roundoff, a bound the theorem derives for it.
 
-    This signals a bug, never a property of the input data, for any
-    ``tol`` well below 1/2.  A block leak is at most 1/2, so at a ``tol``
-    of 1/2 or more every space passes the extra-invariance verdict, and
-    its components' structure laws, which assume few directions near the
-    cut, may then fail.
+    This signals a bug, never a property of the input data.  The checks
+    take a ``tol`` below 1/2 only: a block leak is at most 1/2, so at a
+    ``tol`` of 1/2 or more every space would pass the extra-invariance
+    verdict, and its components' structure laws, which assume few
+    directions near the cut, could fail.
     """
 
     def __init__(self, message: str, details: dict | None = None):

@@ -111,12 +111,13 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray, tol: float = DEFAU
     k of them is bounded by sqrt(k) times the largest.
 
     A direction is kept by the rank rule (:func:`actinv.spaces._kept`)
-    with the floor sqrt 2 min(tol, 1/2).  A block leaking at most ``tol``
-    has each ``t`` at most 1/sqrt 2, with ``off >= 1/sqrt 2`` so ``t <=
-    sqrt 2 leak``, cut; or above, kept, with ``off < sqrt 2 leak``.  So
-    noise below ``tol`` moves no component dimension, and a passing
-    block's inclusion residual (its largest kept ``off``) is at most sqrt 2
-    times its leak.  The factors are memoised once, the cut per ``tol``.
+    with the floor sqrt 2 tol (``tol`` below 1/2).  A block leaking at
+    most ``tol`` has each ``t`` at most 1/sqrt 2, with ``off >= 1/sqrt
+    2`` so ``t <= sqrt 2 leak``, cut; or above, kept, with ``off < sqrt 2
+    leak``.  So noise below ``tol`` moves no component dimension, and a
+    passing block's inclusion residual (its largest kept ``off``) is at
+    most sqrt 2 times its leak.  The factors are memoised once, the cut
+    per ``tol``.
     Returns ``a``, ``t``, ``kv`` (``v`` with the directions not kept
     zeroed: the components' fibers are ``basis @ kv``), ``off``, ``kept``.
     """
@@ -139,7 +140,7 @@ def _split(scn: Scenario, space: Subspace, basis: np.ndarray, tol: float = DEFAU
     cuts = memo[4]
     if tol not in cuts:
         a, t, v, off, _ = memo
-        kept = _kept(t, floor=math.sqrt(2) * min(tol, 0.5))
+        kept = _kept(t, floor=math.sqrt(2) * tol)
         cuts[tol] = (a, t, v * kept[:, :, None], off, kept)
     return cuts[tol]
 
@@ -225,9 +226,12 @@ def check_extra_invariance(
     than ``_SLACK`` raises :class:`TheoremViolationError`.  The report is
     memoised per ``tol`` and, once ``tol`` and the scenario are checked,
     returned before the base gate.  ``ValueError`` unless ``tol`` is a
-    finite positive number or the space belongs to another scenario.
+    positive number below 1/2 and the space belongs to ``scn``: a leak
+    ``t * off`` with ``t ** 2 + off ** 2 <= 1`` is at most 1/2, so at 1/2
+    every space would pass, and the structure laws' bounds hold only while
+    the cut floor sqrt 2 tol stays below 1/sqrt 2.
     """
-    tol = checked_tol(tol)
+    tol = checked_tol(tol, below=0.5)
     require_scenario(scn, space)
     reports = vars(space).get("_reports")
     if reports is not None and tol in reports:
@@ -317,7 +321,7 @@ def check_decomposable(
     rows (:func:`_match_deviation`) above the square of the largest
     inclusion residual, plus ``_SLACK``, raises :class:`TheoremViolationError`.
     The inner check comes first and reads the report memoised for ``tol``;
-    ``ValueError`` unless ``tol`` is a finite positive number and the
+    ``ValueError`` unless ``tol`` is a positive number below 1/2 and the
     space belongs to ``scn``.
     """
     ext = check_extra_invariance(scn, space, tol)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +32,9 @@ class FiniteAbelianGroup:
 
     Elements are enumerated once, in lexicographic order of their
     coordinate tuples, and all derived objects (subgroups, sections,
-    transforms) refer to positions in that enumeration.
+    transforms) refer to positions in that enumeration: the rows of
+    ``coords``.  ``elements`` is the tuple view of those rows, built on
+    first read; the library reads single tuples (:meth:`element`).
     """
 
     def __init__(self, moduli: Sequence[int]):
@@ -44,8 +46,7 @@ class FiniteAbelianGroup:
         self.moduli = mods
         self.rank = len(mods)
         self.order = math.prod(mods)
-        self.elements: list[Element] = list(product(*(range(n) for n in mods)))
-        # Row i holds the coordinates of elements[i].
+        # Row i holds the coordinates of element index i.
         self.coords = np.indices(mods, dtype=np.int64).reshape(self.rank, -1).T.copy()
         self.coords.flags.writeable = False
         self._strides = tuple(math.prod(mods[j + 1 :]) for j in range(self.rank))
@@ -61,6 +62,15 @@ class FiniteAbelianGroup:
 
     def __hash__(self) -> int:
         return hash(self.moduli)
+
+    @cached_property
+    def elements(self) -> list[Element]:
+        """Every element's coordinate tuple, in index order."""
+        return list(map(tuple, self.coords.tolist()))
+
+    def element(self, i: int) -> Element:
+        """The coordinate tuple of element index ``i``."""
+        return tuple(self.coords[i].tolist())
 
     @property
     def zero(self) -> Element:
@@ -142,9 +152,9 @@ class FiniteAbelianGroup:
 class Subgroup:
     """A subgroup, closed over from a generator list.
 
-    ``elements`` is the full element list in lexicographic order; the zero
-    element always comes first.  ``indices`` holds the same elements as
-    sorted positions in ``group.elements``.
+    ``indices`` holds the elements as sorted element indices of the group,
+    so the zero element always comes first; ``elements`` is their tuple
+    view in the same order, built on first read.
     """
 
     def __init__(self, group: FiniteAbelianGroup, generators: Iterable[Sequence[int]]):
@@ -161,8 +171,7 @@ class Subgroup:
         # subgroup costs no pass over its elements
         self._hash = hash((group, self.indices.tobytes()))
         self._mask = mask
-        self.elements: list[Element] = [group.elements[i] for i in self.indices]
-        self.order = len(self.elements)
+        self.order = len(self.indices)
 
     @classmethod
     def _from_mask(cls, group: FiniteAbelianGroup, members: np.ndarray) -> "Subgroup":
@@ -183,14 +192,14 @@ class Subgroup:
             missing = np.flatnonzero(members & ~have)
             if not missing.size:
                 break
-            g = group.elements[missing[0]]
+            g = group.element(missing[0])
             gens.append(g)
             cosets = _extend(group, closure, have, g)
             outside = ~members[cosets]
             if outside.any():
                 # the first coset leaving the set follows one inside it
                 k, h = np.argwhere(outside)[0]
-                a = group.elements[cosets[k - 1, h]]
+                a = group.element(cosets[k - 1, h])
                 raise ValueError(f"set not closed under addition at {a} + {g}")
             closure = cosets.ravel()
         sub = cls(group, gens)
@@ -200,6 +209,10 @@ class Subgroup:
                 details={"members": int(members.sum()), "closure": sub.order},
             )
         return sub
+
+    @cached_property
+    def elements(self) -> list[Element]:
+        return list(map(tuple, self.group.coords[self.indices].tolist()))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, generators={self.generators})"
@@ -256,7 +269,7 @@ def annihilator(sub: Subgroup) -> Subgroup:
     return Subgroup._from_mask(group, ~nums.any(axis=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetSection:
     """Coset representatives for ``domain / subgroup``, one per coset.
 
@@ -266,14 +279,18 @@ class CosetSection:
     ``domain`` is the whole group unless the section is taken inside a
     subgroup (used for quotients of nested subgroups).  ``rep_indices``
     gives the representatives as element indices, and ``positions`` the
-    coset position of every group element (-1 outside the domain).
+    coset position of every group element (-1 outside the domain);
+    ``representatives`` is their tuple view, built on first read.
     """
 
     group: FiniteAbelianGroup
     subgroup: Subgroup
-    representatives: tuple[Element, ...]
-    rep_indices: np.ndarray = field(repr=False, hash=False, compare=False)
-    positions: np.ndarray = field(repr=False, hash=False, compare=False)
+    rep_indices: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False)
+
+    @cached_property
+    def representatives(self) -> tuple[Element, ...]:
+        return tuple(map(tuple, self.group.coords[self.rep_indices].tolist()))
 
     def position_of(self, el: Sequence[int]) -> int:
         """Position (coset index) of the coset containing ``el``."""
@@ -284,7 +301,7 @@ class CosetSection:
         return pos
 
     def __len__(self) -> int:
-        return len(self.representatives)
+        return len(self.rep_indices)
 
 
 def _orbit_minimum(labels: np.ndarray, step: np.ndarray, order: int) -> np.ndarray:
@@ -332,9 +349,7 @@ def coset_section(
         )
     reps.flags.writeable = False
     positions.flags.writeable = False
-    return CosetSection(
-        group, subgroup, tuple(group.elements[i] for i in reps), reps, positions
-    )
+    return CosetSection(group, subgroup, reps, positions)
 
 
 @dataclass(frozen=True)

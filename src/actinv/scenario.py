@@ -261,7 +261,7 @@ class DualPartition:
 
     def _members(self) -> np.ndarray:
         """Dual element indices of each block, increasing; (n_blocks, block size)."""
-        return np.argsort(self.positions, kind="stable").reshape(len(self.labels), -1)
+        return np.argsort(self.positions, kind="stable").reshape(len(self.section), -1)
 
     @property
     def blocks(self) -> tuple[frozenset[Element], ...]:
@@ -289,12 +289,13 @@ def _build_partition(scn: Scenario, subgroup: Subgroup) -> DualPartition:
     every H; the messages call H's annihilator the extra one, as the
     paper's pair base <= extra does.
     """
-    group = scn.group
+    group, coords = scn.group, scn.group.coords
     ann = scn._annihilators.get(subgroup)
     if ann is None:
         ann = annihilator(subgroup)
     section = coset_section(group, ann, within=scn.base_annihilator)
-    labels = section.representatives
+    labels = section.rep_indices
+    xi = coords[labels]
     # the block of each annihilator coordinate k, the coset of annihilator_order[k]
     coordinate = section.positions[scn.base_annihilator.indices]
     block = coordinate[scn.dual_split[:, 1]]
@@ -304,19 +305,17 @@ def _build_partition(scn: Scenario, subgroup: Subgroup) -> DualPartition:
         pos = int(np.flatnonzero(counts != size)[0])
         raise TheoremViolationError(
             "dual partition block has the wrong size",
-            details={"label": list(labels[pos]), "size": int(counts[pos])},
+            details={"label": xi[pos].tolist(), "size": int(counts[pos])},
         )
     for d in ann.generators:
-        moved = block[group.indices(group.coords + d)]
+        moved = block[group.indices(coords + d)]
         if (moved != block).any():
             el = int(np.flatnonzero(moved != block)[0])
             raise TheoremViolationError(
                 "dual partition block is not extra-annihilator invariant",
-                details={"label": list(labels[block[el]]), "element": list(group.elements[el])},
+                details={"label": xi[block[el]].tolist(), "element": coords[el].tolist()},
             )
-    coords = group.coords
     omega = coords[scn.dual_section.rep_indices]
-    xi = coords[section.rep_indices]
     d = coords[ann.indices]
     # [label, fiber, d] = omega + xi + d, the blocks by definition
     defined = group.indices(xi[:, None, None] + omega[None, :, None] + d[None, None, :])

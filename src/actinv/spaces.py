@@ -53,8 +53,9 @@ DEFAULT_TOL = 1e-9
 _FRAME_TOL = 1e-10
 
 
-def checked_tol(tol) -> float:
-    """``tol`` as a float; ``ValueError`` unless it is a finite positive number.
+def checked_tol(tol, below: float = math.inf) -> float:
+    """``tol`` as a float; ``ValueError`` unless it is a finite positive number
+    below ``below``.
 
     The boundary rule of every public function taking a tolerance: a NaN
     would pass every ``<=`` test as false and every ``>`` test as false,
@@ -64,6 +65,8 @@ def checked_tol(tol) -> float:
     number = type(tol) is float or (isinstance(tol, Real) and not isinstance(tol, bool))
     if not (number and 0.0 < tol < math.inf):
         raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+    if tol >= below:
+        raise ValueError(f"tolerance must be below {below}, got {tol!r}")
     return float(tol)
 
 
@@ -226,8 +229,11 @@ class Subspace:
 
     def residuals(self, mat: np.ndarray) -> np.ndarray:
         """Weighted norm of the part outside the subspace of each finite
-        column (:func:`as_columns`), by :meth:`_residuals`."""
-        return self._residuals(as_columns(self.scenario, mat, "function"))
+        column (:func:`as_columns`), by :meth:`_residuals`; ``ValueError``
+        if one overflows (:func:`_finite`)."""
+        res = self._residuals(as_columns(self.scenario, mat, "function"))
+        _finite(float(res.max(initial=0.0)), "function", "residual")
+        return res
 
     def _residuals(self, mat: np.ndarray) -> np.ndarray:
         """:meth:`residuals` of checked columns, with no pass over them.
@@ -255,9 +261,8 @@ class Subspace:
         return mats, (basis @ (basis.conj().swapaxes(-1, -2) @ cols)).reshape(mats.shape)
 
     def residual(self, f: np.ndarray) -> float:
-        """Weighted norm of the part of finite f outside the subspace (:func:`_finite`)."""
-        col = as_columns(self.scenario, np.ravel(f), "function")
-        return _finite(float(self._residuals(col)[0]), "function", "residual")
+        """Weighted norm of the part of finite f outside the subspace (:meth:`residuals`)."""
+        return float(self.residuals(np.ravel(f))[0])
 
     def contains(self, f: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         """Whether the residual of finite f, read flat as :meth:`residual`

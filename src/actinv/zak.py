@@ -47,11 +47,13 @@ full Zak values at the negated dual element.
 Every function accepts a trailing batch axis: 2-D input transforms
 columnwise, a norm of a batch is the root of the sum of its columns'
 squared norms, and the relation check reads the largest deviation over
-the columns.  Every forward transform and the relation check refuse a
-non-finite function, and every inverse a wrong leading shape and
-non-finite values, with ``ValueError``.  The library's own stacking of
-input it has already checked goes through the private kernel
-``_zak_stacked``, which makes no second pass over the values.
+the columns.  Every inverse refuses a wrong leading shape with
+``ValueError``.  Every transform, forward or inverse, tests the values it
+returns, not the values it is given (:func:`_finite_values`): it refuses
+non-finite input, and finite input whose transform overflows the float
+range, with ``ValueError``, and so does the relation check.  The
+library's own stacking of input it has already checked goes through the
+private kernel ``_zak_stacked``, which makes no pass over the values.
 """
 from __future__ import annotations
 
@@ -76,6 +78,10 @@ __all__ = [
     "zak_relation_deviation",
 ]
 
+# every public transform runs with numpy's overflow and invalid warnings
+# off and tests the values it returns (:func:`_finite_values`)
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
 
 def _scaled(values: np.ndarray, factor) -> np.ndarray:
     """The complex C-contiguous ``values`` times the real ``factor`` (a scalar
@@ -93,33 +99,48 @@ def _scaled(values: np.ndarray, factor) -> np.ndarray:
 def _gathered(table, f: np.ndarray) -> np.ndarray:
     """Weighted samples ``jhalf * f[gather]``, shape (*gather.shape, *batch).
 
-    The gather table visits every point once, so ``f`` must have one entry
-    (row) per point, and every entry must be finite.
+    The gather table visits every point once, so ``ValueError`` unless
+    ``f`` has one entry (row) per point.  No pass over the values.
     """
-    return _scaled(_checked(_taken(table, f), "function values"), table[1])
-
-
-def _taken(table, f: np.ndarray) -> np.ndarray:
-    """``f[gather]`` as complex; ``ValueError`` unless ``f`` has one entry
-    (row) per point.  No pass over the values."""
     gather = table[0]
     f = np.atleast_1d(np.asarray(f, dtype=complex))
     if len(f) != gather.size:
         raise ValueError(f"function has {len(f)} entries, space has {gather.size} points")
-    return np.take(f, gather, axis=0)
+    return _scaled(np.take(f, gather, axis=0), table[1])
 
 
-def _checked(values, what: str = "transform values", **counts: int) -> np.ndarray:
+def _shaped(values, **counts: int) -> np.ndarray:
     """``values`` as a C-contiguous complex array; ``ValueError`` unless its
-    leading axes have the sizes ``counts`` names (what each axis counts) and
-    it is finite, tested on the float64 view."""
+    leading axes have the sizes ``counts`` names (what each axis counts)."""
     values = np.ascontiguousarray(values, dtype=complex)
     if values.shape[: len(counts)] != tuple(counts.values()):
         names = " x ".join(f"{n} {noun.replace('_', ' ')}" for noun, n in counts.items())
         raise ValueError(f"expected {names}, got shape {values.shape}")
-    if not np.isfinite(values.view(np.float64)).all():
-        raise ValueError(f"{what} must be finite")
     return values
+
+
+def _checked(values, what: str) -> np.ndarray:
+    """``values`` as a C-contiguous complex array; ``ValueError`` unless it
+    is finite (:func:`_finite_values`)."""
+    return _finite_values(_shaped(values), values, what)
+
+
+def _finite_values(out: np.ndarray, given, what: str) -> np.ndarray:
+    """``out``, the C-contiguous complex transform of ``given``, computed
+    with numpy's overflow and invalid warnings off (``_QUIET``);
+    ``ValueError`` unless it is finite, tested on the float64 view: a
+    transform's one pass over its values.
+
+    Every value of a transform sums every input value with a nonzero
+    factor, so non-finite input never has a finite transform; only then
+    is ``given`` tested, to tell ``what`` that must be finite from finite
+    input whose transform overflows.
+    """
+    if not np.isfinite(out.view(np.float64)).all():
+        if not np.isfinite(np.asarray(given, dtype=complex)).all():
+            raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} too large: the transform overflows the float range")
+    return out
 
 
 def _scattered(table, samples: np.ndarray) -> np.ndarray:
@@ -157,31 +178,36 @@ def _group_dft(
     return out.reshape(a.shape)
 
 
+@_QUIET
 def zak_base(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Base Zak values, shape (n_fibers, len(tiles)); trailing axis for 2-D input."""
-    orbit = _gathered(scn._base_gather, f)
-    return np.tensordot(scn.chars_base_omega, orbit, axes=(0, 0))
+    base = np.tensordot(scn.chars_base_omega, _gathered(scn._base_gather, f), axes=(0, 0))
+    return _finite_values(base, f, "function values")
 
 
+@_QUIET
 def zak_base_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
-    values = _checked(values, fibers=scn.n_fibers, tile_points=len(scn.tiling.tiles))
+    values = _shaped(values, fibers=scn.n_fibers, tile_points=len(scn.tiling.tiles))
     chars = scn.chars_base_omega  # [g, w] = pairing(-base[g], omega[w])
     # conj(chars) @ values as conj(chars @ conj(values)): same bits, and
     # no conjugated copy of the |base|^2 table
     a = np.tensordot(chars, np.conj(values), axes=(1, 0))
     a = _scaled(np.conjugate(a, out=a), 1.0 / scn.base.order)
-    return _scattered(scn._base_gather, a)
+    return _finite_values(_scattered(scn._base_gather, a), values, "transform values")
 
 
+@_QUIET
 def zak_full(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Full Zak values, shape (group.order, len(orbit_reps))."""
-    return _group_dft(scn.group, _gathered(scn._full_gather, f), in_place=True)
+    full = _group_dft(scn.group, _gathered(scn._full_gather, f), in_place=True)
+    return _finite_values(full, f, "function values")
 
 
+@_QUIET
 def zak_full_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
-    reps = len(scn.tiling.orbit_reps)
-    values = _checked(values, dual_elements=scn.group.order, orbits=reps)
-    return _scattered(scn._full_gather, _group_dft(scn.group, values, inverse=True))
+    values = _shaped(values, dual_elements=scn.group.order, orbits=len(scn.tiling.orbit_reps))
+    full = _group_dft(scn.group, values, inverse=True)
+    return _finite_values(_scattered(scn._full_gather, full), values, "transform values")
 
 
 def zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
@@ -196,9 +222,7 @@ def _zak_stacked(scn: Scenario, f: np.ndarray) -> np.ndarray:
     ``Subspace`` frame are; its length is still checked.  The bits are
     those of :func:`zak_stacked`.
     """
-    table = scn._full_gather
-    samples = _scaled(_taken(table, f), table[1])
-    return _stacked(scn, _group_dft(scn.group, samples, in_place=True))
+    return _stacked(scn, _group_dft(scn.group, _gathered(scn._full_gather, f), in_place=True))
 
 
 def _stacked(scn: Scenario, full: np.ndarray) -> np.ndarray:
@@ -208,10 +232,12 @@ def _stacked(scn: Scenario, full: np.ndarray) -> np.ndarray:
     return out.reshape((scn.n_fibers, scn.n_cosets) + full.shape[1:])
 
 
+@_QUIET
 def zak_stacked_inv(scn: Scenario, values: np.ndarray) -> np.ndarray:
     reps = len(scn.tiling.orbit_reps)
-    values = _checked(values, fibers=scn.n_fibers, cosets=scn.n_cosets, orbits=reps)
-    return _unstacked(scn, values.reshape((-1,) + values.shape[2:]), np.sqrt(scn.n_cosets))
+    values = _shaped(values, fibers=scn.n_fibers, cosets=scn.n_cosets, orbits=reps)
+    out = _unstacked(scn, values.reshape((-1,) + values.shape[2:]), np.sqrt(scn.n_cosets))
+    return _finite_values(out, values, "transform values")
 
 
 def _unstacked(scn: Scenario, rows: np.ndarray, factor) -> np.ndarray:
@@ -225,15 +251,16 @@ def _unstacked(scn: Scenario, rows: np.ndarray, factor) -> np.ndarray:
     return _scattered(scn._full_gather, full)
 
 
+@_QUIET
 def unfold_orbits(scn: Scenario, f: np.ndarray) -> np.ndarray:
     """Weighted orbit samples; shape (len(orbit_reps), group.order)."""
-    return _gathered(scn._unfold_gather, f)
+    return _finite_values(_gathered(scn._unfold_gather, f), f, "function values")
 
 
+@_QUIET
 def fold_orbits(scn: Scenario, phi: np.ndarray) -> np.ndarray:
-    reps = len(scn.tiling.orbit_reps)
-    phi = _checked(phi, orbits=reps, group_elements=scn.group.order)
-    return _scattered(scn._unfold_gather, phi)
+    phi = _shaped(phi, orbits=len(scn.tiling.orbit_reps), group_elements=scn.group.order)
+    return _finite_values(_scattered(scn._unfold_gather, phi), phi, "transform values")
 
 
 # -- norms under the transform conventions ------------------------------------

@@ -45,6 +45,11 @@ a values-only SVD of a (2r, k) stack per probe, fiber and block, the
 match deviation as a (block rows)^2 projector gap, and the canonical
 space built through the inverse transform and a point-space span.
 
+The translation certificate reads a verdict at any scale: random unit
+vectors of the space translated in point space, their distance from the
+space measured by the library's residuals, with a few power-iteration
+steps toward the worst direction.
+
 The action references compose the whole |G| x n table of the action from
 its generator permutations (``compose_table``) and read every translate off
 it.  The group-core references at the end work element by element on
@@ -526,6 +531,38 @@ def translation_residual(space, subgroup):
     for g in tuple(subgroup.generators) or (scn.group.zero,):
         moved = translate(scn.action, g, space.frame) * root
         worst = max(worst, _worst_direction(moved - q @ (q.conj().T @ moved)))
+    return worst
+
+
+def translation_certificate(space, subgroup, rng, vectors=4, steps=0):
+    """A Freivalds-style lower bound of the translation residual, at any scale.
+
+    ``vectors`` random unit vectors x of the space (random functions,
+    white in the weighted inner product, projected onto it) are translated
+    in point space by each generator g of the subgroup
+    (:func:`actinv.actions.translate`), and their distance from the space
+    is measured with :meth:`Subspace.residuals`.  Each reading is at most
+    the norm of O = (I - Pi) T_g Pi, the residual the checks report, and
+    for a space that g moves out a random x reads more than zero with
+    probability one.  ``steps`` of power iteration on O^H O, with T_g^H =
+    T_{-g}, turn each x toward O's top right singular vector, so the
+    reading climbs to the residual from below.  No frame is assembled and
+    nothing is O(n^2); the largest reading, ``0.0`` for a subgroup with no
+    generators.
+    """
+    scn = space.scenario
+    act, root = scn.action, np.sqrt(scn.action.weights)[:, None]
+    worst = 0.0
+    for g in subgroup.generators:
+        noise = rng.standard_normal((act.n_points, vectors))
+        x = space.project((noise + 1j * rng.standard_normal(noise.shape)) / root)
+        for step in range(steps + 1):
+            x /= np.linalg.norm(x * root, axis=0)
+            moved = translate(act, g, x)
+            if step < steps:
+                away = moved - space.project(moved)
+                x = space.project(translate(act, scn.group.neg(g), away))
+        worst = max(worst, float(space.residuals(moved).max()))
     return worst
 
 

@@ -157,8 +157,9 @@ def test_validate_action_reports_orbits():
     act = ActionSpace.regular(g, orbits=2)
     rep = validate_action(act)
     assert rep.orbit_count == 2
-    assert rep.orbits[0] == tuple(range(12))
-    assert rep.orbits[1] == tuple(range(12, 24))
+    orbits = np.sort(act.point_of, axis=1)
+    assert orbits[0].tolist() == list(range(12))
+    assert orbits[1].tolist() == list(range(12, 24))
     assert rep.as_dict()["free"] is True
 
 
@@ -277,6 +278,28 @@ def test_tiling_transversal_major_order(scn):
         row = scn.action.sigma(scn.group.neg(a))
         for ci, x in enumerate(t.orbit_reps):
             assert t.tiles[j * c + ci] == row[x]
+
+
+def test_tiling_rejects_a_transversal_of_part_of_the_group():
+    """A section of the base inside a larger subgroup names too few
+    cosets: the tile's base translates miss points, which the index check
+    on the group elements reports."""
+    g = FiniteAbelianGroup([12])
+    base = Subgroup(g, [(4,)])
+    partial = coset_section(g, base, within=Subgroup(g, [(2,)]))
+    with pytest.raises(FreenessError, match="do not partition the point set"):
+        tiling_sets(ActionSpace.regular(g), base, partial)
+
+
+@pytest.mark.parametrize("n_points", [4.9, 4.0, True, "4", None, 0, -4])
+def test_action_refuses_a_point_count_that_is_not_a_positive_integer(n_points):
+    """The point count follows the rule ``jacobian`` applies to a point: a
+    float is refused, not truncated (4.9 built 4 points), and so is a
+    ``bool`` (True built 1); numpy integers pass."""
+    g = FiniteAbelianGroup([4])
+    with pytest.raises(ValueError, match="^point count must be a positive integer, got "):
+        ActionSpace(g, n_points, [[1, 2, 3, 0]])
+    assert ActionSpace(g, np.int64(4), [[1, 2, 3, 0]]).n_points == 4
 
 
 def test_tiling_rejects_wrong_transversal():

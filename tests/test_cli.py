@@ -178,14 +178,32 @@ def test_approx_data_from_csv(tmp_path, capsys):
 
 
 def test_tol_flag_overrides_config(tmp_path, capsys):
-    # an absurdly loose tolerance flips the verdict for a generic subspace
+    # the loosest tolerance the checks take flips the verdict for a generic
+    # subspace; one of 1/2 or more is a config error on options.tol
     cfg = write_cfg(
         tmp_path,
         chain12_cfg(subspace={"random": {"kind": "principal"}}, options={"tol": 1e-9}),
     )
-    rc, out = run(capsys, ["--config", cfg, "--tol", "100.0", "check"])
+    rc, out = run(capsys, ["--config", cfg, "--tol", "0.49", "check"])
     assert rc == 0
     assert json.loads(out)["extra_invariance"]["extra_invariant"] is True
+    for flag in ("0.5", "100.0"):
+        assert error_detail(capsys, ["--config", cfg, "--tol", flag, "check"]) == (
+            1, "config", "options.tol: expected a positive number below 0.5"
+        )
+
+
+def test_every_command_refuses_a_tolerance_of_one_half(tmp_path, capsys):
+    """The checks take a ``tol`` below 1/2 (a block leak is at most 1/2),
+    and ``options.tol`` has that one range in every command: one of 1/2 or
+    more, from the config or the flag, is a config error on it (exit 1)."""
+    sections = {"subspace": {"canonical": True}, "data": {"vectors": [[[1.0, 0.0]] * 12]}}
+    for tol in (0.5, 2.0):
+        cfg = write_cfg(tmp_path, chain12_cfg(**sections, options={"tol": tol, "ell": 1}))
+        want = (1, "config", "options.tol: expected a positive number below 0.5")
+        for command in ("validate", "check", "approx"):
+            assert error_detail(capsys, ["--config", cfg, command]) == want, command
+        assert error_detail(capsys, ["--tol", str(tol), "demo", "shear"]) == want
 
 
 # -- demos ---------------------------------------------------------------------

@@ -1136,3 +1136,22 @@ def test_range_function_consistency(scn):
     principal = span_invariant(scn, psi[:, None])
     assert oracle.range_function_consistency(scn, principal, rng=rng)
     assert oracle.range_function_consistency(scn, Subspace.zero(scn), rng=rng)
+
+
+@pytest.mark.parametrize("check", [check_extra_invariance, check_decomposable])
+def test_checks_take_a_tolerance_below_one_half(bank, check):
+    """A block leak ``t * off`` with ``t ** 2 + off ** 2 <= 1`` is at most 1/2,
+    so at a ``tol`` of 1/2 every space passes, and the structure laws could
+    raise ``TheoremViolationError`` on valid input: both checks refuse a
+    ``tol`` of 1/2 or more with ``ValueError``.  At 0.49 the check pair
+    raises nothing on random spaces of every bank scenario."""
+    rng = np.random.default_rng(49)
+    for name, scn in bank.items():
+        space = random_invariant_space(scn, rng)
+        for tol in (0.5, 0.75, 100.0):
+            with pytest.raises(ValueError, match=f"^tolerance must be below 0.5, got {tol}"):
+                check(scn, space, tol)
+        for _ in range(8):
+            space = random_invariant_space(scn, rng)
+            ext, dec = check_extra_invariance(scn, space, 0.49), check_decomposable(scn, space, 0.49)
+            assert ext.extra_invariant == dec.decomposable, name

@@ -1,15 +1,26 @@
 """Group layer: pairing arithmetic, subgroups, annihilators, sections, chains."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
 from actinv import (
+    ActionReport,
+    ActionSpace,
     ChainError,
     FiniteAbelianGroup,
+    Scenario,
     Subgroup,
     annihilator,
+    best_extra_invariant,
+    best_invariant,
+    check_decomposable,
+    check_extra_invariance,
     coset_section,
+    span_invariant,
+    validate_action,
     validate_chain,
 )
 
@@ -312,3 +323,43 @@ def test_validate_chain_rejects_foreign_group():
     g, h = FiniteAbelianGroup([12]), FiniteAbelianGroup([6])
     with pytest.raises(ChainError):
         validate_chain(Subgroup(h, [(3,)]), Subgroup(g, [(2,)]), g)
+
+
+def test_tuple_views_are_built_on_first_read():
+    """Elements, subgroup elements and section representatives are tuple
+    views of the index arrays, built when first read and equal to them."""
+    g = FiniteAbelianGroup([4, 6])
+    sub = Subgroup(g, [(2, 3)])
+    sec = coset_section(g, sub)
+    for obj, name in ((g, "elements"), (sub, "elements"), (sec, "representatives")):
+        assert name not in vars(obj)
+    assert g.elements == [tuple(c) for c in g.coords.tolist()]
+    assert g.elements == sorted(g.elements) and len(g.elements) == g.order
+    assert sub.elements == [g.elements[i] for i in sub.indices]
+    assert sec.representatives == tuple(g.elements[i] for i in sec.rep_indices)
+    assert len(sec) == len(sec.representatives) == g.order // sub.order
+    assert all(g.element(i) == el for i, el in enumerate(g.elements))
+
+
+def test_a_scenario_and_its_checks_and_fits_build_no_tuple_views():
+    """The build path runs on index arrays alone: after a Z_64 x Z_64
+    scenario on 2 orbits is built, checked and fitted, no group, subgroup
+    or section holds its tuple view, and the action report holds counts."""
+    g = FiniteAbelianGroup([64, 64])
+    rng = np.random.default_rng(64)
+    act = ActionSpace.regular(g, 2, np.exp(rng.uniform(0.0, np.log(1e3), 2 * g.order)))
+    scn = Scenario(g, Subgroup(g, [(8, 0), (0, 8)]), Subgroup(g, [(4, 0), (0, 4)]), act)
+    data = rng.standard_normal((act.n_points, 4))
+    space = span_invariant(scn, data[:, :1])
+    check_extra_invariance(scn, space), check_decomposable(scn, space)
+    best_invariant(scn, data, 2), best_extra_invariant(scn, data, 2)
+    subgroups = [scn.base, scn.extra, scn.base_annihilator, scn.extra_annihilator]
+    subgroups += list(scn._annihilators.values())
+    sections = [scn.transversal, scn.dual_section]
+    sections += [part.section for part in scn._partitions.values()]
+    assert len(sections) == 4  # the base's and the extra subgroup's partitions
+    for obj in [g, *subgroups, *sections]:
+        assert not {"elements", "representatives"} & set(vars(obj)), obj
+    report = validate_action(act)
+    assert report == ActionReport(act.n_points, g.order, 2)
+    assert [f.name for f in dataclasses.fields(report)] == ["n_points", "group_order", "orbit_count"]

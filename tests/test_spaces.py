@@ -526,6 +526,7 @@ def test_membership_refuses_norms_that_overflow(chain12):
             "function": [
                 lambda: space.contains(h * scale),
                 lambda: space.residual(h * scale),
+                lambda: space.residuals(np.column_stack([h, h * scale])),
                 lambda: principal_membership(chain12, h * scale, f),
             ],
             "generator": [lambda: principal_membership(chain12, h * scale, f * scale)],
@@ -534,6 +535,19 @@ def test_membership_refuses_norms_that_overflow(chain12):
             for call in group:
                 with pytest.raises(ValueError, match=f"^{subject} too large: the .* overflows"):
                     call()
+
+
+def test_residuals_refuse_what_residual_refuses(chain12):
+    """A finite column of 1e308 overflows the residual: ``residuals`` refuses
+    it by the rule of ``residual`` (it returned [nan]), the same column in
+    a batch too, and reads the other columns alike."""
+    space = canonical_extra_invariant(chain12)
+    big = np.full(chain12.action.n_points, 1e308)
+    h = random_function(chain12, np.random.default_rng(3))
+    for call in (space.residual, space.residuals, lambda v: space.residuals(np.column_stack([h, v]))):
+        with pytest.raises(ValueError, match="^function too large: the residual overflows"):
+            call(big)
+    assert space.residuals(np.column_stack([h, h]))[1] == space.residual(h)
 
 
 def test_membership_of_tiny_functions_keeps_its_multiplier(chain12):

@@ -349,6 +349,58 @@ def test_forward_transforms_refuse_non_finite_functions(bank, forward, bad):
         forward(scn, good)
 
 
+def overflow_scenario(weights):
+    """Z_4 acting on itself with base <(2,)> and the given weights."""
+    g = FiniteAbelianGroup([4])
+    act = ActionSpace.regular(g, weights=weights)
+    return Scenario(g, Subgroup(g, [(2,)]), Subgroup(g, [(1,)]), act)
+
+
+@pytest.mark.parametrize(
+    "forward",
+    [zak_base, zak_full, zak_stacked, unfold_orbits, zak_relation_deviation],
+    ids=lambda f: f.__name__,
+)
+def test_forward_transforms_refuse_overflow(forward):
+    """Finite input whose transform overflows is refused with
+    ``ValueError``, not returned as +-inf or NaN.  With weights 1, 100, 1,
+    100 the jacobian roots reach 10, so 1e308 at every point overflows
+    every forward transform; the full transform already overflows at 1e307
+    (it returned [inf, 0, -inf, 0]).  1e300 transforms to finite values."""
+    scn = overflow_scenario([1.0, 100.0, 1.0, 100.0])
+    too_large = "^function values too large: the transform overflows the float range$"
+    with pytest.raises(ValueError, match=too_large):
+        forward(scn, np.full(4, 1e308))
+    if forward in (zak_full, zak_stacked):
+        with pytest.raises(ValueError, match=too_large):
+            forward(scn, np.full(4, 1e307))
+    assert np.isfinite(forward(scn, np.full(4, 1e300))).all()
+
+
+@pytest.mark.parametrize(
+    "forward, inverse",
+    [
+        (zak_base, zak_base_inv),
+        (zak_full, zak_full_inv),
+        (zak_stacked, zak_stacked_inv),
+        (unfold_orbits, fold_orbits),
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_inverse_transforms_refuse_overflow(forward, inverse):
+    """An inverse whose finite input overflows refuses it, as the forward
+    transforms do: with weights 100, 1, 100, 1 the reciprocal roots reach
+    10, and transform values of 1e308 overflow every inverse; 1e300 come
+    back finite."""
+    scn = overflow_scenario([100.0, 1.0, 100.0, 1.0])
+    shape = forward(scn, np.ones(4)).shape
+    with pytest.raises(
+        ValueError, match="^transform values too large: the transform overflows the float range$"
+    ):
+        inverse(scn, np.full(shape, 1e308, dtype=complex))
+    assert np.isfinite(inverse(scn, np.full(shape, 1e300, dtype=complex))).all()
+
+
 @pytest.mark.parametrize("moduli", [(12,), (4, 6), (2, 3, 4)])
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
 def test_group_dft_has_the_bits_of_fftn(moduli, batch):
